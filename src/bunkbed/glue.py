@@ -8,14 +8,23 @@ Multiplying factors glues edge-disjoint subgraphs along shared boundary
 vertices; eliminating a vertex projects it out, closing its component (one
 more q) when it sits in a singleton block.
 
-Internally an entry is a dense list of integer q-coefficients over a shared
-positive denominator, which keeps the hot convolution loop in plain integer
-arithmetic; the public table view converts to MultiPoly.
+A Factor stores each entry as a dense list of integer q-coefficients over a
+shared positive denominator; the public table view converts to MultiPoly.
+Contraction works on values instead.  No entry of a network can exceed
+degree D = (vertices eliminated) + (sum of the input entry degrees), since
+products add degrees and each elimination closes at most one component.  So
+every input entry is evaluated once at q = 0, ..., D, products and
+eliminations act point by point (a closed component multiplies by q), and
+each final entry is recovered by one exact integer interpolation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from math import prod
+from operator import add, mul, sub
+from typing import NamedTuple
 
 from .exactnum import MultiPoly, Rational, rat
 from .graph import Graph, hollom_instance, hypergraph_bunkbed
@@ -53,14 +62,39 @@ def _add_into(target: list, source: list) -> list:
     return target
 
 
-def _convolve(a: list, b: list) -> list:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                if cb:
-                    out[i + j] += ca * cb
+def _values(coeffs: list, count: int) -> list:
+    """Values of the integer polynomial `coeffs` at q = 0, 1, ..., count - 1."""
+    out = []
+    for x in range(count):
+        acc = 0
+        for c in reversed(coeffs):
+            acc = acc * x + c
+        out.append(acc)
     return out
+
+
+def _interpolate(values: list) -> list:
+    """Trimmed integer q-coefficients of the polynomial taking `values` at q = 0, 1, ...
+
+    Forward differences give the falling-factorial coefficients
+    a_k = (Delta^k y)(0) / k!, which are integers for an integer polynomial,
+    so every division is exact; Horner's rule through the factors (q - k)
+    then returns to monomials.
+    """
+    diffs = list(values)
+    newton = []
+    fact = 1
+    for k in range(len(diffs)):
+        fact *= k or 1
+        a, r = divmod(diffs[0], fact)
+        if r:
+            raise ArithmeticError("values do not come from an integer polynomial")
+        newton.append(a)
+        diffs = list(map(sub, diffs[1:], diffs[:-1]))
+    coeffs: list = []
+    for k in reversed(range(len(_trim(newton)))):
+        coeffs = list(map(sub, [newton[k]] + coeffs, [k * c for c in coeffs] + [0]))
+    return coeffs
 
 
 @dataclass(frozen=True)
@@ -196,65 +230,104 @@ def factor_from_graph(g: Graph, boundary, labels=None) -> Factor:
     return Factor(tuple(glob[i] for i in order), entries, den)
 
 
-def multiply(f1: Factor, f2: Factor) -> Factor:
-    """Glue two factors of edge-disjoint subgraphs along shared boundary vertices."""
-    union = tuple(sorted(set(f1.boundary) | set(f2.boundary)))
-    if not f1.entries or not f2.entries:
-        return Factor(union, {}, f1.den * f2.den)
+class _ValueForm(NamedTuple):
+    """A factor in value form: boundary and entries as values at q = 0..D."""
+
+    boundary: tuple
+    entries: dict
+
+
+def _degree(f: Factor) -> int:
+    return max([len(c) - 1 for c in f.entries.values()] + [0])
+
+
+def _evaluate(f: Factor, count: int, cache: dict) -> _ValueForm:
+    """Value form of f at `count` points; equal coefficient lists share one evaluation."""
+    entries = {}
+    for rgs, coeffs in f.entries.items():
+        key = tuple(coeffs)
+        if key not in cache:
+            cache[key] = _values(coeffs, count)
+        entries[rgs] = cache[key]
+    return _ValueForm(f.boundary, entries)
+
+
+def _interpolated(t: _ValueForm, den: int) -> Factor:
+    return Factor(t.boundary, {rgs: _interpolate(v) for rgs, v in t.entries.items()}, den)
+
+
+def _lift(idx: list, k: int, rgs: tuple) -> tuple:
+    """Lift a partition onto a k-vertex union: unseen vertices become singletons."""
+    full = [-1] * k
+    top = max(rgs, default=-1) + 1
+    for i, block in zip(idx, rgs):
+        full[i] = block
+    for i in range(k):
+        if full[i] == -1:
+            full[i] = top
+            top += 1
+    return tuple(full)
+
+
+def _project(rgs: tuple, pos: int) -> tuple:
+    """(partition without position pos, whether pos was a singleton block)."""
+    return canonical_rgs(rgs[:pos] + rgs[pos + 1 :]), rgs.count(rgs[pos]) == 1
+
+
+def _glue(t1: _ValueForm, t2: _ValueForm, points: range, vertex=None) -> _ValueForm:
+    """Pointwise product of two value-form factors; with `vertex`, also project it out.
+
+    The elimination is fused into the product: a per-call cache maps each
+    joined partition to (reduced partition, closed), and a product that
+    closes the vertex's block is scaled by q on its way into the sum, so the
+    unreduced product table is never built.
+    """
+    union = tuple(sorted(set(t1.boundary) | set(t2.boundary)))
     pos = {v: i for i, v in enumerate(union)}
     k = len(union)
-    idx1 = [pos[v] for v in f1.boundary]
-    idx2 = [pos[v] for v in f2.boundary]
-
-    def lift(idx, rgs):
-        # Lift a partition onto the union: unseen vertices become singletons.
-        full = [-1] * k
-        top = max(rgs, default=-1) + 1
-        for i, block in zip(idx, rgs):
-            full[i] = block
-        for i in range(k):
-            if full[i] == -1:
-                full[i] = top
-                top += 1
-        return tuple(full)
-
-    lifted2 = [(lift(idx2, rgs2), c2) for rgs2, c2 in f2.entries.items()]
-    entries: dict = {}
-    for rgs1, c1 in f1.entries.items():
-        lift1 = lift(idx1, rgs1)
-        for lift2, c2 in lifted2:
+    idx1 = [pos[v] for v in t1.boundary]
+    idx2 = [pos[v] for v in t2.boundary]
+    lifted2 = [(_lift(idx2, k, rgs), vals) for rgs, vals in t2.entries.items()]
+    cut = None if vertex is None else pos[vertex]
+    slots: dict = {}
+    acc: dict = {}
+    for rgs1, vals1 in t1.entries.items():
+        lift1 = _lift(idx1, k, rgs1)
+        for lift2, vals2 in lifted2:
             joined = join_rgs(lift1, lift2)
-            prod = _convolve(c1, c2)
-            target = entries.get(joined)
-            if target is None:
-                entries[joined] = prod
-            else:
-                _add_into(target, prod)
-    for rgs in entries:
-        _trim(entries[rgs])
-    return Factor(union, entries, f1.den * f2.den)
+            slot = slots.get(joined)
+            if slot is None:
+                slot = slots[joined] = (joined, False) if cut is None else _project(joined, cut)
+            key, closed = slot
+            product = map(mul, vals1, vals2)
+            if closed:
+                product = map(mul, product, points)
+            prev = acc.get(key)
+            acc[key] = list(product) if prev is None else list(map(add, prev, product))
+    if cut is not None:
+        union = union[:cut] + union[cut + 1 :]
+    return _ValueForm(union, acc)
+
+
+def _unit(count: int) -> _ValueForm:
+    return _ValueForm((), {(): [1] * count})
+
+
+def multiply(f1: Factor, f2: Factor) -> Factor:
+    """Glue two factors of edge-disjoint subgraphs along shared boundary vertices."""
+    count = _degree(f1) + _degree(f2) + 1
+    cache: dict = {}
+    t1, t2 = (_evaluate(f, count, cache) for f in (f1, f2))
+    return _interpolated(_glue(t1, t2, range(count)), f1.den * f2.den)
 
 
 def eliminate(f: Factor, vertex: int) -> Factor:
     """Project a boundary vertex out; singleton blocks close and earn one q."""
-    try:
-        pos = f.boundary.index(vertex)
-    except ValueError:
-        raise ValueError(f"vertex {vertex} is not on the factor boundary") from None
-    boundary = f.boundary[:pos] + f.boundary[pos + 1 :]
-    entries: dict = {}
-    for rgs, coeffs in f.entries.items():
-        closed = rgs.count(rgs[pos]) == 1
-        reduced = canonical_rgs(rgs[:pos] + rgs[pos + 1 :])
-        shifted = [0] + list(coeffs) if closed else list(coeffs)
-        target = entries.get(reduced)
-        if target is None:
-            entries[reduced] = shifted
-        else:
-            _add_into(target, shifted)
-    for rgs in entries:
-        _trim(entries[rgs])
-    return Factor(boundary, entries, f.den)
+    if vertex not in f.boundary:
+        raise ValueError(f"vertex {vertex} is not on the factor boundary")
+    count = _degree(f) + 2
+    t = _glue(_evaluate(f, count, {}), _unit(count), range(count), vertex)
+    return _interpolated(t, f.den)
 
 
 @dataclass(frozen=True)
@@ -279,8 +352,10 @@ def contract_network(net: FactorNetwork, order=None) -> Factor:
     """Multiply factors and eliminate all non-query vertices.
 
     The elimination order defaults to a greedy minimum-new-boundary choice;
-    the result is order-invariant.  Raises when any intermediate boundary
-    would exceed the Bell-number guard, reporting the order attempted.
+    the result is order-invariant.  Entries are carried as their values at
+    q = 0..D and interpolated once at the end.  Raises when any intermediate
+    boundary would exceed the Bell-number guard, reporting the order
+    attempted and the point count D + 1.
     """
     if not net.queries:
         raise ValueError("network needs at least one query vertex")
@@ -294,6 +369,10 @@ def contract_network(net: FactorNetwork, order=None) -> Factor:
         order = list(order)
         if set(order) != pending:
             raise ValueError("explicit order must cover exactly the non-query vertices")
+    count = len(pending) + sum(_degree(f) for f in active) + 1
+    points = range(count)
+    cache: dict = {}
+    active = [_evaluate(f, count, cache) for f in active]
     done_order = []
     while pending:
         if order:
@@ -320,29 +399,25 @@ def contract_network(net: FactorNetwork, order=None) -> Factor:
                 f"eliminating vertex {v} needs a boundary of {len(merged_boundary)} "
                 f"vertices (Bell({len(merged_boundary)}) = "
                 f"{bell_number(len(merged_boundary))} partitions exceeds the "
-                f"Bell({_BOUNDARY_GUARD}) guard); order so far: {done_order}"
+                f"Bell({_BOUNDARY_GUARD}) guard); order so far: {done_order}; "
+                f"each entry holds D + 1 = {count} point values"
             )
-        group.sort(key=lambda f: len(f.entries))
-        merged = group[0]
-        for f in group[1:]:
-            merged = multiply(merged, f)
-        merged = eliminate(merged, v)
-        active = rest + [merged]
+        *head, last = sorted(group, key=lambda f: len(f.entries))
+        merged = reduce(lambda x, y: _glue(x, y, points), head) if head else _unit(count)
+        active = rest + [_glue(merged, last, points, v)]
         pending.discard(v)
         done_order.append(v)
     active.sort(key=lambda f: len(f.entries))
-    result = active[0] if active else Factor.scalar(1)
-    for f in active[1:]:
-        result = multiply(result, f)
-    return result
+    result = reduce(lambda x, y: _glue(x, y, points), active)
+    return _interpolated(result, prod(f.den for f in net.factors))
 
 
 def gadget_factor(n: int, p) -> Factor:
     """Factor of the apex gadget over its three boundary vertices a, b, c.
 
-    Built by a left-to-right sweep along the bottom path, keeping a table
-    over partitions of {apex, left end, current vertex}; cost is linear in n
-    and the result equals factor_from_graph(gadget(n, p), boundary) exactly.
+    Contracts its 2n + 3 edge factors, eliminating the bottom path left to
+    right, so no intermediate boundary has more than four vertices; the
+    result equals factor_from_graph(gadget(n, p), boundary) exactly.
     Boundary ids: a=0, b=1, c=n+2 as in graph.gadget.
     """
     if n < 1:
@@ -350,20 +425,10 @@ def gadget_factor(n: int, p) -> Factor:
     p = rat(p)
     a, b, c = 0, 1, n + 2
     spoke = 1 - p
-    # Start with the a-b spoke.
-    state = edge_factor(a, b, spoke)
-    prev = b
-    for i in range(1, n + 1):
-        x = 1 + i
-        state = multiply(state, edge_factor(prev, x, p))
-        state = multiply(state, edge_factor(a, x, spoke))
-        if prev != b:
-            state = eliminate(state, prev)
-        prev = x
-    state = multiply(state, edge_factor(prev, c, p))
-    state = multiply(state, edge_factor(a, c, spoke))
-    state = eliminate(state, prev)
-    return state
+    edges = [edge_factor(a, b, spoke)]
+    for x in range(b + 1, c + 1):
+        edges += [edge_factor(x - 1, x, p), edge_factor(a, x, spoke)]
+    return contract_network(FactorNetwork(tuple(edges), (a, b, c)), order=range(b + 1, c))
 
 
 def hollom_network(n: int, p) -> FactorNetwork:

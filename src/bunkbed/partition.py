@@ -49,28 +49,33 @@ def canonical_rgs(assignment) -> tuple[int, ...]:
 
 
 def join_rgs(a, b) -> tuple[int, ...]:
-    """RGS of the finest common coarsening of two block-label sequences."""
+    """RGS of the finest common coarsening of two block-label sequences.
+
+    Labels are integers in range(len(a)), as in any RGS or lifted RGS.  The
+    union-find runs over the block labels of `a`: each label of `b` keeps the
+    first `a` label it meets, and every later meeting merges the two.
+    """
     k = len(a)
     parent = list(range(k))
-
-    def find(x):
+    met = [-1] * k
+    for x, y in zip(a, b):
+        z = met[y]
+        if z < 0:
+            met[y] = x
+            continue
         while parent[x] != x:
-            parent[x] = parent[parent[x]]
             x = parent[x]
-        return x
-
-    first_a: dict = {}
-    first_b: dict = {}
-    for i in range(k):
-        for labels, first in ((a, first_a), (b, first_b)):
-            lab = labels[i]
-            if lab in first:
-                ra, rb = find(first[lab]), find(i)
-                if ra != rb:
-                    parent[rb] = ra
-            else:
-                first[lab] = i
-    return canonical_rgs(find(i) for i in range(k))
+        while parent[z] != z:
+            z = parent[z]
+        if x != z:
+            parent[x] = z
+    names: dict = {}
+    out = []
+    for x in a:
+        while parent[x] != x:
+            x = parent[x]
+        out.append(names.setdefault(x, len(names)))
+    return tuple(out)
 
 
 @dataclass(frozen=True)

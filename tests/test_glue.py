@@ -1,10 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bunkbed.catalog import named_graph
 from bunkbed.exactnum import MultiPoly, rat
 from bunkbed.glue import (
+    _interpolate,
+    _values,
     Factor,
     FactorNetwork,
     contract_network,
@@ -214,6 +217,50 @@ def test_contract_network_boundary_guard():
     net = FactorNetwork(factors, tuple(range(1, 15)))
     with pytest.raises(EnumerationGuardError, match="Bell"):
         contract_network(net)
+    # ...and the message reports the order so far and the point count: the
+    # path 20-21-22 eliminates fine, the centre of a 13-leaf star does not.
+    star = [edge_factor(0, i, rat(1, 2)) for i in range(1, 14)]
+    path = [edge_factor(20, 21, rat(1, 3)), edge_factor(21, 22, rat(1, 3))]
+    net = FactorNetwork(tuple(star + path), tuple(range(1, 14)) + (20, 22))
+    # Two eliminated vertices and degree-0 inputs: D = 2, so 3 points.
+    with pytest.raises(EnumerationGuardError, match=r"order so far: \[21\].*D \+ 1 = 3 "):
+        contract_network(net, order=[21, 0])
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    st.lists(st.integers(-(2**300), 2**300), min_size=1, max_size=30),
+    st.integers(0, 4),
+    st.integers(0, 6),
+)
+def test_interpolate_inverts_values(coeffs, zeros, extra):
+    coeffs = coeffs + [0] * zeros
+    count = len(coeffs) + extra + 1
+    expected = list(coeffs)
+    while expected and expected[-1] == 0:
+        expected.pop()
+    assert _interpolate(_values(coeffs, count)) == expected
+
+
+def test_interpolate_rejects_non_integer_polynomial():
+    # q(q - 1)/2 takes integer values but has a half-integer coefficient.
+    with pytest.raises(ArithmeticError):
+        _interpolate([0, 0, 1])
+
+
+def test_path_entry_reaches_the_degree_bound():
+    # Query 0 at the end of a path with every edge absent leaves each of the
+    # m other vertices as a closed component: degree m = D exactly.
+    m = 9
+    weights = [rat(k, 11) for k in range(1, m + 1)]
+    factors = tuple(edge_factor(i, i + 1, w) for i, w in enumerate(weights))
+    net = FactorNetwork(factors, (0,))
+    g = Graph(m + 1, tuple((i, i + 1, w) for i, w in enumerate(weights)))
+    expected = factor_from_graph(g, (0,))
+    for order in (None, list(range(m, 0, -1)), [5, 1, 9, 2, 8, 3, 7, 4, 6]):
+        result = contract_network(net, order=order)
+        assert max(len(c) for c in result.entries.values()) == m + 1
+        assert result.table() == expected.table()
 
 
 def test_p4_network_example():

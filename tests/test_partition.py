@@ -7,10 +7,38 @@ from bunkbed.partition import (
     SetPartition,
     bell_number,
     canonicalize,
+    canonical_rgs,
     eliminate,
     enumerate_partitions,
     join,
+    join_rgs,
 )
+
+
+def join_rgs_by_positions(a, b):
+    """Oracle: union-find over positions, joining each to the first position
+    carrying the same label in either sequence."""
+    k = len(a)
+    parent = list(range(k))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    first_a: dict = {}
+    first_b: dict = {}
+    for i in range(k):
+        for labels, first in ((a, first_a), (b, first_b)):
+            lab = labels[i]
+            if lab in first:
+                ra, rb = find(first[lab]), find(i)
+                if ra != rb:
+                    parent[rb] = ra
+            else:
+                first[lab] = i
+    return canonical_rgs(find(i) for i in range(k))
 
 
 def test_bell_numbers():
@@ -61,6 +89,20 @@ def test_join_is_lattice_like(k, rng):
     assert join(x, x) == x
     bottom = SetPartition(ground, tuple(range(k)))
     assert join(x, bottom) == x
+
+
+def label_pairs(k):
+    labels = st.lists(st.integers(0, k - 1), min_size=k, max_size=k)
+    return st.tuples(labels, labels)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(1, 9).flatmap(label_pairs))
+def test_join_rgs_matches_position_union_find(pair):
+    # Any labels below the length, as in the lifted tuples of a factor product.
+    a, b = (tuple(x) for x in pair)
+    assert join_rgs(a, b) == join_rgs_by_positions(a, b)
+    assert join_rgs(canonical_rgs(a), canonical_rgs(b)) == join_rgs_by_positions(a, b)
 
 
 def test_enumerate_counts_and_uniqueness():
