@@ -86,12 +86,25 @@ def _parse_rat_list(text: str):
 
 
 def _parse_int_list(text: str):
-    return tuple(int(part) for part in text.split(",") if part)
+    try:
+        return tuple(int(part) for part in text.split(",") if part)
+    except ValueError:
+        raise UsageError(f"bad integer list {text!r}; use comma-separated integers") from None
+
+
+def _check_vertices(g, vertices) -> None:
+    bad = [v for v in vertices if not 0 <= v < g.n]
+    if bad:
+        raise UsageError(f"vertices {bad} out of range for a graph on {g.n} vertices")
 
 
 def _load_instance(args):
     if getattr(args, "input", None):
-        g, posts = load_graph(args.input)
+        try:
+            g, posts = load_graph(args.input)
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            reason = f"{type(exc).__name__}: {exc}"
+            raise UsageError(f"cannot read graph file {args.input!r}: {reason}") from None
         return g, posts if posts is not None else frozenset()
     name = getattr(args, "graph", None)
     if not name:
@@ -295,6 +308,8 @@ def cmd_compute(args) -> dict:
             "multiplicity": iv.multiplicity,
         }
     g, posts = _load_instance(args)
+    if kind in ("resistance", "rc-prob"):
+        _check_vertices(g, (args.u, args.v))
     if kind == "resistance":
         bundle = LaplacianBundle(g)
         value = bundle.resistance(args.u, args.v)
@@ -309,16 +324,18 @@ def cmd_compute(args) -> dict:
         return {"probability": format_rational(value)}
     if kind == "bracket":
         marked = _parse_int_list(args.marked)
+        _check_vertices(g, marked)
         table = forest_table(g, marked)
         pattern = None
         if args.pattern:
-            groups = []
-            for block in args.pattern.split("|"):
-                if "," in block:
-                    groups.append(tuple(int(x) for x in block.split(",")))
-                else:
-                    groups.append(tuple(int(x) for x in block))
-            pattern = canonicalize(marked, groups)
+            groups = [
+                _parse_int_list(block if "," in block else ",".join(block))
+                for block in args.pattern.split("|")
+            ]
+            try:
+                pattern = canonicalize(marked, groups)
+            except ValueError as exc:
+                raise UsageError(f"bad pattern {args.pattern!r}: {exc}") from None
         value = table.bracket(pattern, args.extra)
         print(value)
         return {"bracket": str(value)}

@@ -15,10 +15,9 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 try:
-    from gmpy2 import mpq as Rational, mpz as _int
+    from gmpy2 import mpq as Rational
 except ImportError:  # pragma: no cover - gmpy2 is a hard dependency, but the
     from fractions import Fraction as Rational  # stdlib type is a drop-in.
-    _int = int
 
 __all__ = [
     "Rational",
@@ -183,18 +182,6 @@ class MultiPoly:
                 raise ValueError(f"polynomial is not univariate in {var}")
             coeffs[exp[i]] = c
         return coeffs
-
-    @staticmethod
-    def from_dense(var: str, coeffs: Sequence) -> "MultiPoly":
-        i = INDETERMINATES.index(var)
-        terms = {}
-        for k, c in enumerate(coeffs):
-            c = Rational(c)
-            if c != 0:
-                exp = [0] * _NVARS
-                exp[i] = k
-                terms[tuple(exp)] = c
-        return MultiPoly(terms)
 
     def _single_var(self):
         """Index of the unique variable appearing, or None for constants/mixed."""
@@ -427,11 +414,6 @@ class RationalMatrix:
     def ones(rows: int, cols: int | None = None) -> "RationalMatrix":
         cols = rows if cols is None else cols
         return RationalMatrix([[1] * cols for _ in range(rows)])
-
-    @staticmethod
-    def zeros(rows: int, cols: int | None = None) -> "RationalMatrix":
-        cols = rows if cols is None else cols
-        return RationalMatrix([[0] * cols for _ in range(rows)])
 
     def __getitem__(self, key):
         i, j = key

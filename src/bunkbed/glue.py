@@ -26,10 +26,10 @@ from math import prod
 from operator import add, mul, sub
 from typing import NamedTuple
 
-from .exactnum import MultiPoly, Rational, rat
+from .exactnum import MultiPoly, Rational, _trim, rat
 from .graph import Graph, hollom_instance, hypergraph_bunkbed
-from .measures import EnumerationGuardError, _roots_and_kappa, _weighted_subsets
-from .partition import SetPartition, bell_number, canonical_rgs, join_rgs
+from .measures import EnumerationGuardError, _edge_steps, _walk
+from .partition import SetPartition, bell_number, canonical_rgs, join_rgs, project_rgs
 
 __all__ = [
     "Factor",
@@ -46,12 +46,6 @@ __all__ = [
 
 _BOUNDARY_GUARD = 12
 _EDGE_GUARD = 28
-
-
-def _trim(coeffs: list) -> list:
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
 
 
 def _add_into(target: list, source: list) -> list:
@@ -199,24 +193,24 @@ def factor_from_graph(g: Graph, boundary, labels=None) -> Factor:
     boundary_local = tuple(boundary)
     if len(set(boundary_local)) != len(boundary_local):
         raise ValueError("duplicate boundary vertex")
+    # Each edge weight num/d walks as the integers (d - num, num); their
+    # products carry the shared denominator den = product of the d.
     den = 1
+    weights = []
     for _, _, w in g.edges:
         if isinstance(w, MultiPoly):
             raise ValueError("factors need rational edge weights")
-        den *= int(rat(w).denominator)
-    pairs = [(u, v) for u, v, _ in g.edges]
+        num, d = int(w.numerator), int(w.denominator)
+        weights.append((d - num, num))
+        den *= d
     acc: dict = {}
-    for mask, w in _weighted_subsets(g.edges):
-        w = rat(w)
-        roots, kappa = _roots_and_kappa(g.n, pairs, mask)
-        broots = [roots[x] for x in boundary_local]
+    for _, comp, kappa, w in _walk(g.n, _edge_steps(g), weights):
+        broots = [comp[x] for x in boundary_local]
         internal = kappa - len(set(broots))
-        rgs = canonical_rgs(broots)
-        scaled = int(w.numerator) * (den // int(w.denominator))
-        coeffs = acc.setdefault(rgs, [])
+        coeffs = acc.setdefault(canonical_rgs(broots), [])
         if len(coeffs) <= internal:
             coeffs.extend([0] * (internal + 1 - len(coeffs)))
-        coeffs[internal] += scaled
+        coeffs[internal] += w
     mapping = labels or {}
     glob = [mapping.get(v, v) for v in boundary_local]
     if len(set(glob)) != len(glob):
@@ -269,11 +263,6 @@ def _lift(idx: list, k: int, rgs: tuple) -> tuple:
     return tuple(full)
 
 
-def _project(rgs: tuple, pos: int) -> tuple:
-    """(partition without position pos, whether pos was a singleton block)."""
-    return canonical_rgs(rgs[:pos] + rgs[pos + 1 :]), rgs.count(rgs[pos]) == 1
-
-
 def _glue(t1: _ValueForm, t2: _ValueForm, points: range, vertex=None) -> _ValueForm:
     """Pointwise product of two value-form factors; with `vertex`, also project it out.
 
@@ -297,7 +286,7 @@ def _glue(t1: _ValueForm, t2: _ValueForm, points: range, vertex=None) -> _ValueF
             joined = join_rgs(lift1, lift2)
             slot = slots.get(joined)
             if slot is None:
-                slot = slots[joined] = (joined, False) if cut is None else _project(joined, cut)
+                slot = slots[joined] = (joined, False) if cut is None else project_rgs(joined, cut)
             key, closed = slot
             product = map(mul, vals1, vals2)
             if closed:

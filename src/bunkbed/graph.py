@@ -26,8 +26,6 @@ __all__ = [
     "hypergraph_bunkbed",
     "graph_to_json",
     "graph_from_json",
-    "hypergraph_to_json",
-    "hypergraph_from_json",
 ]
 
 ALL_VERTICALS = "all-verticals"
@@ -66,14 +64,6 @@ class Graph:
     @property
     def m(self) -> int:
         return len(self.edges)
-
-    def adjacency(self) -> list[list[tuple[int, int]]]:
-        """Per-vertex list of (neighbour, edge index)."""
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
-        for i, (u, v, _) in enumerate(self.edges):
-            adj[u].append((v, i))
-            adj[v].append((u, i))
-        return adj
 
     def with_weights(self, weight) -> "Graph":
         """Same topology with every edge reweighted."""
@@ -188,8 +178,9 @@ def bunkbed_copies(bb: Graph, base_vertex: int) -> tuple[int, int]:
 def minor(g: Graph, deletions=(), contractions=()) -> Graph:
     """Delete and contract edges by index; loops vanish, parallels persist.
 
-    The merged vertex inherits the smaller index; labels record merge history
-    as tuples of original labels.
+    The merged vertex inherits the smaller index (the RGS of the contracted
+    components numbers blocks by their smallest vertex); labels record merge
+    history as tuples of original labels.
     """
     deletions = set(deletions)
     contractions = set(contractions)
@@ -198,33 +189,20 @@ def minor(g: Graph, deletions=(), contractions=()) -> Graph:
     for i in deletions | contractions:
         if not (0 <= i < g.m):
             raise ValueError(f"edge index out of range: {i}")
-    parent = list(range(g.n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in contractions:
-        u, v, _ = g.edges[i]
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[max(ru, rv)] = min(ru, rv)
-    roots = sorted({find(v) for v in range(g.n)})
-    new_id = {r: i for i, r in enumerate(roots)}
+    part, kappa = components_of(g, contractions)
+    new_id = part.rgs
     edges = []
     for i, (u, v, w) in enumerate(g.edges):
         if i in deletions or i in contractions:
             continue
-        a, b = new_id[find(u)], new_id[find(v)]
+        a, b = new_id[u], new_id[v]
         if a != b:
             edges.append((a, b, w))
     labels = {}
     for v in range(g.n):
-        labels.setdefault(new_id[find(v)], []).append(g.labels.get(v, v))
+        labels.setdefault(new_id[v], []).append(g.labels.get(v, v))
     labels = {k: tuple(v) if len(v) > 1 else v[0] for k, v in labels.items()}
-    return Graph(len(roots), tuple(edges), labels)
+    return Graph(kappa, tuple(edges), labels)
 
 
 def components_of(g: Graph, open_edges) -> tuple[SetPartition, int]:
@@ -340,27 +318,6 @@ def graph_from_json(doc: dict):
     return g, posts
 
 
-def hypergraph_to_json(h: Hypergraph) -> dict:
-    return {
-        "n": h.n,
-        "hyperedges": [list(he) for he in h.hyperedges],
-        "posts": sorted(h.posts),
-    }
-
-
-def hypergraph_from_json(doc: dict) -> Hypergraph:
-    return Hypergraph(
-        doc["n"],
-        tuple(tuple(he) for he in doc["hyperedges"]),
-        frozenset(doc.get("posts", ())),
-    )
-
-
 def load_graph(path) -> tuple[Graph, frozenset | None]:
     with open(path) as fh:
         return graph_from_json(json.load(fh))
-
-
-def save_graph(g: Graph, path, posts=None) -> None:
-    with open(path, "w") as fh:
-        json.dump(graph_to_json(g, posts), fh, indent=1)

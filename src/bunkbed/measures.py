@@ -1,10 +1,10 @@
 """Brute-force exact computation of random-cluster and forest quantities.
 
-Everything here enumerates edge subsets directly: a fresh union-find pass per
-subset, weights multiplied along an explicit include/exclude tree so that both
-rational and polynomial edge weights work.  The enumeration guard is 2^28
-subsets; larger instances belong to the factor-contraction engine in
-``bunkbed.glue``.
+Every engine here is a fold over one depth-first walk of the include/exclude
+tree of edge subsets (``_walk``): subsets with a common prefix share its
+component merges and its weight product, so both rational and polynomial edge
+weights work.  The enumeration guard is 2^28 subsets; larger instances belong
+to the factor-contraction engine in ``bunkbed.glue``.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ __all__ = [
     "hypergraph_rc_difference",
     "bunkbed_case_profiles",
     "case_difference",
-    "case_probability",
 ]
 
 _SUBSET_GUARD = 28
@@ -54,50 +53,39 @@ def _guard_edges(m: int, limit: int = _SUBSET_GUARD) -> None:
         )
 
 
-def _roots_and_kappa(n: int, edges, mask: int):
-    """Union-find pass for one subset; returns (root per vertex, kappa)."""
-    parent = list(range(n))
-    i = 0
-    mm = mask
-    while mm:
-        if mm & 1:
-            u, v = edges[i]
-            while parent[u] != u:
-                parent[u] = parent[parent[u]]
-                u = parent[u]
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            if u != v:
-                parent[v] = u
-        mm >>= 1
-        i += 1
-    kappa = 0
-    roots = [0] * n
-    for v in range(n):
-        r = v
-        while parent[r] != r:
-            parent[r] = parent[parent[r]]
-            r = parent[r]
-        roots[v] = r
-        if r == v:
-            kappa += 1
-    return roots, kappa
+def _walk(n: int, steps, weights=None):
+    """Every subset of `steps` as (mask, comp, kappa, weight), depth first.
 
-
-def _weighted_subsets(edges):
-    """Yield (mask, product of w_e over included and 1-w_e over excluded)."""
-    m = len(edges)
-    one = rat(1)
-    stack = [(0, 0, one)]
+    Step i is a pair (vertex pairs opened when bit i of the mask is clear,
+    pairs opened when it is set).  comp labels each of the n vertices by its
+    component and kappa counts the components; weight is the product over the
+    steps of weights[i][bit], or 1 without weights.  Subsets with a common
+    prefix share that prefix's merges and weight product.  The last step is
+    decided first and the clear branch before the set one, so masks come out
+    in increasing order.  comp is shared between subsets: read it, never
+    change it.
+    """
+    stack = [(len(steps), 0, list(range(n)), n, 1)]
     while stack:
-        i, mask, w = stack.pop()
-        if i == m:
-            yield mask, w
+        i, mask, comp, kappa, w = stack.pop()
+        if not i:
+            yield mask, comp, kappa, w
             continue
-        _, _, wt = edges[i]
-        stack.append((i + 1, mask, w * (1 - wt)))
-        stack.append((i + 1, mask | (1 << i), w * wt))
+        i -= 1
+        for bit in (1, 0):
+            c, k = comp, kappa
+            for u, v in steps[i][bit]:
+                a, b = c[u], c[v]
+                if a != b:
+                    c = [a if x == b else x for x in c]
+                    k -= 1
+            wb = w if weights is None else w * weights[i][bit]
+            stack.append((i, mask | bit << i, c, k, wb))
+
+
+def _edge_steps(g: Graph) -> list:
+    """One walk step per edge: nothing opens when it is absent, its ends when present."""
+    return [((), ((u, v),)) for u, v, _ in g.edges]
 
 
 @dataclass
@@ -137,12 +125,10 @@ def rc_boundary_table(g: Graph, marked) -> BoundaryTable:
     """
     _guard_edges(g.m)
     marked = tuple(marked)
-    pairs = [(u, v) for u, v, _ in g.edges]
+    weights = [(1 - w, w) for _, _, w in g.edges]
     acc: dict = {}
-    for mask, w in _weighted_subsets(g.edges):
-        roots, kappa = _roots_and_kappa(g.n, pairs, mask)
-        rgs = canonical_rgs(roots[x] for x in marked)
-        key = (rgs, kappa)
+    for _, comp, kappa, w in _walk(g.n, _edge_steps(g), weights):
+        key = (canonical_rgs(comp[x] for x in marked), kappa)
         prev = acc.get(key)
         acc[key] = w if prev is None else prev + w
     entries: dict = {}
@@ -161,12 +147,9 @@ def rc_profile(g: Graph, marked) -> dict:
     """
     _guard_edges(g.m)
     marked = tuple(marked)
-    pairs = [(u, v) for u, v, _ in g.edges]
     counts: dict = {}
-    for mask in range(1 << g.m):
-        roots, kappa = _roots_and_kappa(g.n, pairs, mask)
-        rgs = canonical_rgs(roots[x] for x in marked)
-        key = (rgs, mask.bit_count(), kappa)
+    for mask, comp, kappa, _ in _walk(g.n, _edge_steps(g)):
+        key = (canonical_rgs(comp[x] for x in marked), mask.bit_count(), kappa)
         counts[key] = counts.get(key, 0) + 1
     return counts
 
@@ -254,48 +237,28 @@ def forest_table(g: Graph, marked) -> ForestTable:
     """
     _guard_edges(g.m)
     marked = tuple(marked)
-    pairs = [(u, v) for u, v, _ in g.edges]
     n = g.n
-    unweighted = all(w == 1 for _, _, w in g.edges)
+    weights = None
+    if any(w != 1 for _, _, w in g.edges):
+        weights = [(rat(1), w) for _, _, w in g.edges]
     entries: dict = {}
-    if unweighted:
-        for mask in range(1 << g.m):
-            roots, kappa = _roots_and_kappa(n, pairs, mask)
-            if mask.bit_count() + kappa != n:
-                continue
-            rgs = canonical_rgs(roots[x] for x in marked)
-            key = (SetPartition(marked, rgs), kappa)
-            entries[key] = entries.get(key, 0) + 1
-    else:
-        weights = [w for _, _, w in g.edges]
-        for mask in range(1 << g.m):
-            roots, kappa = _roots_and_kappa(n, pairs, mask)
-            if mask.bit_count() + kappa != n:
-                continue
-            w = rat(1)
-            mm, i = mask, 0
-            while mm:
-                if mm & 1:
-                    w = w * weights[i]
-                mm >>= 1
-                i += 1
-            rgs = canonical_rgs(roots[x] for x in marked)
-            key = (SetPartition(marked, rgs), kappa)
-            prev = entries.get(key)
-            entries[key] = w if prev is None else prev + w
+    for mask, comp, kappa, w in _walk(n, _edge_steps(g), weights):
+        if mask.bit_count() + kappa != n:
+            continue
+        key = (SetPartition(marked, canonical_rgs(comp[x] for x in marked)), kappa)
+        prev = entries.get(key)
+        entries[key] = w if prev is None else prev + w
     return ForestTable(marked, n, entries)
 
 
 def forest_masks(g: Graph):
     """All spanning forests as (edge mask, kappa) pairs."""
     _guard_edges(g.m)
-    pairs = [(u, v) for u, v, _ in g.edges]
-    out = []
-    for mask in range(1 << g.m):
-        _, kappa = _roots_and_kappa(g.n, pairs, mask)
-        if mask.bit_count() + kappa == g.n:
-            out.append((mask, kappa))
-    return out
+    return [
+        (mask, kappa)
+        for mask, _, kappa, _ in _walk(g.n, _edge_steps(g))
+        if mask.bit_count() + kappa == g.n
+    ]
 
 
 def alt_colouring_counts(g: Graph, posts, u: int, v: int):
@@ -317,20 +280,15 @@ def alt_colouring_counts(g: Graph, posts, u: int, v: int):
     v1, v2 = bunkbed_copies(bb, v)
     pairs = [(a, b) for a, b, _ in bb.edges]
     m = g.m
-    n = bb.n
+    # Bit i of a colouring set picks the layer-1 copy of base edge i, clear the layer-2 one.
+    steps = [((pairs[m + i],), (pairs[i],)) for i in range(m)]
     n_rr = n_rb = n_total = 0
-    for colouring in range(1 << m):
-        mask = 0
-        for i in range(m):
-            mask |= 1 << (i if colouring >> i & 1 else m + i)
-        roots, kappa = _roots_and_kappa(n, pairs, mask)
-        if m + kappa != n:
+    for _, comp, kappa, _ in _walk(bb.n, steps):
+        if m + kappa != bb.n:
             continue
         n_total += 1
-        if roots[u1] == roots[v1]:
-            n_rr += 1
-        if roots[u1] == roots[v2]:
-            n_rb += 1
+        n_rr += comp[u1] == comp[v1]
+        n_rb += comp[u1] == comp[v2]
     return n_rr, n_rb, n_total
 
 
@@ -350,40 +308,16 @@ def hypergraph_rc_difference(h: Hypergraph, u: int, v: int) -> MultiPoly:
             f"hypergraph bunkbed has {k} hyperedges; enumeration guard is 2^{_HYPER_GUARD}"
         )
     index = {x: i for i, x in enumerate(vertices)}
-    n = len(vertices)
     u1 = index[u]
     v1 = index[v]
     v2 = index[v if v in h.posts else v + h.n]
-    triples = [tuple(index[x] for x in he) for he in doubled]
+    steps = [((), ((index[a], index[b]), (index[a], index[c]))) for a, b, c in doubled]
     terms: dict = {}
-    for mask in range(1 << k):
-        parent = list(range(n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        present = 0
-        mm, i = mask, 0
-        while mm:
-            if mm & 1:
-                present += 1
-                a, b, c = triples[i]
-                ra, rb, rc = find(a), find(b), find(c)
-                if rb != ra:
-                    parent[rb] = ra
-                rc = find(c)
-                if rc != find(a):
-                    parent[rc] = find(a)
-            mm >>= 1
-            i += 1
-        ru, rv1, rv2 = find(u1), find(v1), find(v2)
-        diff = (ru == rv1) - (ru == rv2)
+    for mask, comp, kappa, _ in _walk(len(vertices), steps):
+        diff = (comp[u1] == comp[v1]) - (comp[u1] == comp[v2])
         if diff == 0:
             continue
-        kappa = sum(1 for x in range(n) if parent[x] == x)
+        present = mask.bit_count()
         exp = (kappa, 0, present, k - present)
         terms[exp] = terms.get(exp, 0) + diff
     return MultiPoly({exp: rat(c) for exp, c in terms.items() if c})
@@ -401,14 +335,11 @@ def bunkbed_case_profiles(bb: Graph, triples):
     bit 0 = u1 connected to v1, bit 1 = u1 connected to v2.
     """
     _guard_edges(bb.m)
-    pairs = [(a, b) for a, b, _ in bb.edges]
-    n = bb.n
     profiles = [dict() for _ in triples]
-    for mask in range(1 << bb.m):
-        roots, kappa = _roots_and_kappa(n, pairs, mask)
+    for mask, comp, kappa, _ in _walk(bb.n, _edge_steps(bb)):
         s = mask.bit_count()
         for prof, (a, b, c) in zip(profiles, triples):
-            case = (roots[a] == roots[b]) + 2 * (roots[a] == roots[c])
+            case = (comp[a] == comp[b]) + 2 * (comp[a] == comp[c])
             key = (case, s, kappa)
             prof[key] = prof.get(key, 0) + 1
     return profiles
@@ -424,20 +355,6 @@ def case_difference(profile: dict, m: int, p, q) -> Rational:
         if sgn:
             total += sgn * count * pw[s] * q**kappa
     return total
-
-
-def case_probability(profile: dict, m: int, p, q, bit: int = 0) -> Rational:
-    """Exact probability that the queried connection (bit 0 or 1) holds."""
-    p, q = rat(p), rat(q)
-    pw = [p**s * (1 - p) ** (m - s) for s in range(m + 1)]
-    num = rat(0)
-    den = rat(0)
-    for (case, s, kappa), count in profile.items():
-        w = count * pw[s] * q**kappa
-        den += w
-        if case >> bit & 1:
-            num += w
-    return num / den
 
 
 def profile_probability(profile: dict, m: int, p, q, predicate) -> Rational:

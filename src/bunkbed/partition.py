@@ -19,6 +19,7 @@ __all__ = [
     "bell_number",
     "canonical_rgs",
     "join_rgs",
+    "project_rgs",
 ]
 
 _BELL_GUARD = 12
@@ -185,13 +186,16 @@ def enumerate_partitions(k: int) -> list[SetPartition]:
     return out
 
 
+def project_rgs(rgs: tuple, pos: int) -> tuple:
+    """(RGS without position pos, whether pos was a singleton block)."""
+    return canonical_rgs(rgs[:pos] + rgs[pos + 1 :]), rgs.count(rgs[pos]) == 1
+
+
 def eliminate(x: SetPartition, element):
     """Remove an element; `closed` flags that it formed a singleton block."""
     try:
         pos = x.ground.index(element)
     except ValueError:
         raise ValueError(f"element {element!r} not in ground") from None
-    closed = x.rgs.count(x.rgs[pos]) == 1
-    ground = x.ground[:pos] + x.ground[pos + 1 :]
-    labels = x.rgs[:pos] + x.rgs[pos + 1 :]
-    return SetPartition(ground, canonical_rgs(labels)), closed
+    rgs, closed = project_rgs(x.rgs, pos)
+    return SetPartition(x.ground[:pos] + x.ground[pos + 1 :], rgs), closed

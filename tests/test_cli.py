@@ -128,3 +128,22 @@ def test_exit_code_mapping():
     assert _exit_code({"reports": [{"verdict": "fails"}]}) == 1
     assert _exit_code({"failed": [3]}) == 1
     assert _exit_code({"identical": False}) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, fragment",
+    [
+        (["table2", "--n", "3,x"], "3,x"),
+        (["compute", "resistance", "--input", "{tmp}/missing.json"], "FileNotFoundError"),
+        (["compute", "resistance", "--input", "{tmp}/no_edges.json"], "edges"),
+        (["compute", "bracket", "--graph", "K3", "--marked", "0,9"], "[9]"),
+        (["compute", "bracket", "--graph", "K3", "--pattern", "0|2"], "0|2"),
+        (["compute", "bracket", "--graph", "K3", "--pattern", "x|1"], "x"),
+    ],
+)
+def test_malformed_input_is_usage_error(argv, fragment, tmp_path, capsys):
+    (tmp_path / "no_edges.json").write_text(json.dumps({"n": 2}))
+    code = main([arg.format(tmp=tmp_path) for arg in argv])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error:") and fragment in err[0]

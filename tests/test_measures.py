@@ -2,6 +2,8 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from subset_oracle import roots_and_kappa
 
 from bunkbed.catalog import connected_graphs, named_graph, named_instance
 from bunkbed.exactnum import MultiPoly, bareiss_det, rat, RationalMatrix
@@ -28,7 +30,8 @@ from bunkbed.measures import (
     rc_connection_prob,
     rc_profile,
 )
-from bunkbed.partition import canonicalize
+from bunkbed.glue import factor_from_graph
+from bunkbed.partition import SetPartition, canonical_rgs, canonicalize
 
 Q = MultiPoly.variable("q")
 L = MultiPoly.variable("l")
@@ -392,3 +395,90 @@ def test_bracket_query_type():
         BracketQuery((0, 2), _pattern((0, 1), (0, 1)))
     with pytest.raises(ValueError):
         ft.query(BracketQuery((0, 2), None))
+
+
+# -- every engine against folds over the per-subset union-find oracle
+
+
+@st.composite
+def multigraphs(draw):
+    """Small multigraphs with parallel edges; weights k/d or all exactly 1."""
+    n = draw(st.integers(2, 6))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    pairs = draw(st.lists(pair, max_size=9))
+    if draw(st.booleans()):
+        weights = [rat(1)] * len(pairs)
+    else:
+        weight = st.integers(1, 7).flatmap(lambda d: st.builds(rat, st.integers(0, d), st.just(d)))
+        weights = draw(st.lists(weight, min_size=len(pairs), max_size=len(pairs)))
+    marked = tuple(draw(st.permutations(range(n)))[: draw(st.integers(0, n))])
+    triples = draw(st.lists(st.tuples(*[st.integers(0, n - 1)] * 3), min_size=1, max_size=3))
+    g = Graph(n, tuple((u, v, w) for (u, v), w in zip(pairs, weights)))
+    return g, marked, triples
+
+
+def _oracle_subsets(g):
+    """(mask, roots, kappa, size, rc weight, forest weight) for every edge subset.
+
+    The rc weight multiplies w over present and 1 - w over absent edges, the
+    forest weight only w over present ones.
+    """
+    pairs = [(u, v) for u, v, _ in g.edges]
+    for mask in range(1 << g.m):
+        roots, kappa = roots_and_kappa(g.n, pairs, mask)
+        w = present = rat(1)
+        for i, (_, _, wt) in enumerate(g.edges):
+            w *= wt if mask >> i & 1 else 1 - wt
+            present *= wt if mask >> i & 1 else 1
+        yield mask, roots, kappa, mask.bit_count(), w, present
+
+
+def _add(acc, key, value):
+    acc[key] = acc.get(key, 0) + value
+
+
+@settings(deadline=None, max_examples=40)
+@given(multigraphs())
+def test_engines_match_per_subset_oracle(case):
+    g, marked, triples = case
+    subsets = list(_oracle_subsets(g))
+
+    rc, profile, forests, weighted, masks = {}, {}, {}, {}, set()
+    profiles = [{} for _ in triples]
+    for mask, roots, kappa, size, w, present in subsets:
+        part = SetPartition(marked, canonical_rgs(roots[x] for x in marked))
+        _add(rc, part, w * Q**kappa)
+        _add(profile, (part.rgs, size, kappa), 1)
+        for prof, (a, b, c) in zip(profiles, triples):
+            _add(prof, ((roots[a] == roots[b]) + 2 * (roots[a] == roots[c]), size, kappa), 1)
+        if size + kappa == g.n:
+            masks.add((mask, kappa))
+            _add(forests, (part, kappa), 1)
+            _add(weighted, (part, kappa), present)
+
+    assert rc_boundary_table(g, marked).entries == rc
+    assert rc_profile(g, marked) == profile
+    assert bunkbed_case_profiles(g, triples) == profiles
+    assert set(forest_masks(g)) == masks
+
+    plain = forest_table(g.with_weights(1), marked).entries
+    assert plain == forests
+    assert all(type(c) is int for c in plain.values())
+    assert forest_table(g, marked).entries == weighted
+
+    boundary = tuple(sorted(marked))
+    den = 1
+    for _, _, wt in g.edges:
+        den *= wt.denominator
+    factor = {}
+    for _, roots, kappa, _, w, _ in subsets:
+        broots = [roots[x] for x in boundary]
+        coeffs = factor.setdefault(canonical_rgs(broots), [])
+        internal = kappa - len(set(broots))
+        coeffs.extend([0] * (internal + 1 - len(coeffs)))
+        coeffs[internal] += int(w * den)
+    for coeffs in factor.values():
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+    f = factor_from_graph(g, boundary)
+    assert (f.boundary, f.entries, f.den) == (boundary, factor, den)

@@ -155,7 +155,7 @@ def _fig5_bracket_counts(variant, n_path):
     crossing connections hold in distinct components.
     """
     from bunkbed.graph import POSTS_CONTRACTED, BunkbedSpec, bunkbed, bunkbed_copies
-    from bunkbed.measures import _roots_and_kappa
+    from subset_oracle import roots_and_kappa
 
     inst = named_instance(f"fig5-{variant}-{n_path}")
     g = inst.graph
@@ -169,7 +169,7 @@ def _fig5_bracket_counts(variant, n_path):
         mask = 0
         for i in range(m):
             mask |= 1 << (i if colouring >> i & 1 else m + i)
-        roots, kappa = _roots_and_kappa(bb.n, pairs, mask)
+        roots, kappa = roots_and_kappa(bb.n, pairs, mask)
         if m + kappa != bb.n:
             continue
         if roots[u1] == roots[v1] and roots[u2] == roots[v2] and roots[u1] != roots[u2]:
