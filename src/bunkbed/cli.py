@@ -34,7 +34,7 @@ from .exactnum import (
 )
 from .glue import counterexample_polynomial
 from .graph import load_graph
-from .measures import EnumerationGuardError, rc_connection_prob, forest_table
+from .measures import EnumerationGuardError, ParameterError, rc_connection_prob, forest_table
 from .partition import canonicalize
 from .treealg import LaplacianBundle, laplacian, pseudoinverse
 from .verify import (
@@ -451,7 +451,7 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         payload = _run(argv)
-    except UsageError as exc:
+    except (UsageError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except EnumerationGuardError as exc:

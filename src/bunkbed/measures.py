@@ -3,8 +3,14 @@
 Every engine here is a fold over one depth-first walk of the include/exclude
 tree of edge subsets (``_walk``): subsets with a common prefix share its
 component merges and its weight product, so both rational and polynomial edge
-weights work.  The enumeration guard is 2^28 subsets; larger instances belong
-to the factor-contraction engine in ``bunkbed.glue``.
+weights work.  The forest engines walk with ``acyclic=True``, which drops a
+branch as soon as its step joins two vertices already in one component: every
+subset below it holds that cycle, so only forests reach the leaves.  One forest
+table over all vertices serves every marked set: ``ForestTable.restrict``
+regroups its entries by the induced partition of fewer marked vertices, and
+``ForestTable.probability`` sums the weights per component count before it
+applies the activity.  The enumeration guard is 2^28 subsets; larger instances
+belong to the factor-contraction engine in ``bunkbed.glue``.
 """
 
 from __future__ import annotations
@@ -12,12 +18,14 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .exactnum import MultiPoly, Rational, rat
+from .exactnum import MultiPoly, Rational, format_rational, rat
 from .graph import Graph, Hypergraph, hypergraph_bunkbed
 from .partition import SetPartition, canonical_rgs
 
 __all__ = [
     "EnumerationGuardError",
+    "ParameterError",
+    "check_parameters",
     "BoundaryTable",
     "BracketQuery",
     "ForestTable",
@@ -41,6 +49,22 @@ class EnumerationGuardError(ValueError):
     pass
 
 
+class ParameterError(ValueError):
+    """A model parameter outside its range."""
+
+
+def check_parameters(p=(), q=(), lam=()) -> None:
+    """Raise ParameterError unless every p is in [0, 1], every q > 0 and every lambda >= 0."""
+    for name, values, ok, rule in (
+        ("edge weight p", p, lambda x: 0 <= x <= 1, "lie in [0, 1]"),
+        ("cluster weight q", q, lambda x: x > 0, "be positive"),
+        ("forest activity lambda", lam, lambda x: x >= 0, "be non-negative"),
+    ):
+        for x in values:
+            if not ok(x):
+                raise ParameterError(f"{name} must {rule}; got {format_rational(x)}")
+
+
 def _guard_edges(m: int, limit: int = _SUBSET_GUARD) -> None:
     override = os.environ.get("BUNKBED_SUBSET_GUARD")
     if override:
@@ -53,17 +77,19 @@ def _guard_edges(m: int, limit: int = _SUBSET_GUARD) -> None:
         )
 
 
-def _walk(n: int, steps, weights=None):
+def _walk(n: int, steps, weights=None, acyclic=False):
     """Every subset of `steps` as (mask, comp, kappa, weight), depth first.
 
     Step i is a pair (vertex pairs opened when bit i of the mask is clear,
     pairs opened when it is set).  comp labels each of the n vertices by its
     component and kappa counts the components; weight is the product over the
     steps of weights[i][bit], or 1 without weights.  Subsets with a common
-    prefix share that prefix's merges and weight product.  The last step is
-    decided first and the clear branch before the set one, so masks come out
-    in increasing order.  comp is shared between subsets: read it, never
-    change it.
+    prefix share that prefix's merges and weight product.  With `acyclic`, a
+    branch whose step opens a pair already in one component is not taken, so
+    only the subsets whose every opened pair merged two components are
+    yielded.  The last step is decided first and the clear branch before the
+    set one, so masks come out in increasing order.  comp is shared between
+    subsets: read it, never change it.
     """
     stack = [(len(steps), 0, list(range(n)), n, 1)]
     while stack:
@@ -79,8 +105,11 @@ def _walk(n: int, steps, weights=None):
                 if a != b:
                     c = [a if x == b else x for x in c]
                     k -= 1
-            wb = w if weights is None else w * weights[i][bit]
-            stack.append((i, mask | bit << i, c, k, wb))
+                elif acyclic:
+                    break
+            else:
+                wb = w if weights is None else w * weights[i][bit]
+                stack.append((i, mask | bit << i, c, k, wb))
 
 
 def _edge_steps(g: Graph) -> list:
@@ -156,11 +185,10 @@ def rc_profile(g: Graph, marked) -> dict:
 
 def rc_connection_prob(g: Graph, q, u: int, v: int) -> Rational:
     """P[u connected to v] under the random-cluster measure with graph weights."""
+    q = rat(q)
+    check_parameters(p=[w for _, _, w in g.edges], q=(q,))
     if u == v:
         return rat(1)
-    q = rat(q)
-    if q <= 0:
-        raise ValueError("cluster weight q must be positive")
     table = rc_boundary_table(g, (u, v))
     num = table.connection_numerator(u, v).eval({"q": q})
     z = table.z().eval({"q": q})
@@ -216,17 +244,40 @@ class ForestTable:
         kappa = pattern.block_count + extra
         return self.entries.get((pattern, kappa), 0)
 
+    def restrict(self, marked) -> "ForestTable":
+        """The same forests keyed by the induced partition of fewer marked vertices.
+
+        `marked` lists distinct vertices of this table's marked tuple, in any
+        order; the result equals ``forest_table`` over them.
+        """
+        marked = tuple(marked)
+        index = {x: i for i, x in enumerate(self.marked)}
+        pos = [index[x] for x in marked]
+        parts: dict = {}
+        entries: dict = {}
+        for (part, kappa), w in self.entries.items():
+            rgs = canonical_rgs(part.rgs[i] for i in pos)
+            sub = parts.get(rgs)
+            if sub is None:
+                sub = parts[rgs] = SetPartition(marked, rgs)
+            prev = entries.get((sub, kappa))
+            entries[sub, kappa] = w if prev is None else prev + w
+        return ForestTable(marked, self.n, entries)
+
     def probability(self, predicate, lam) -> Rational:
         """Arboreal-gas probability of an event on the marked partition."""
         lam = rat(lam)
-        num = 0
-        den = 0
+        num: dict = {}
+        den: dict = {}
         for (part, kappa), w in self.entries.items():
-            weight = w * lam ** (self.n - kappa)
-            den += weight
+            den[kappa] = den.get(kappa, 0) + w
             if predicate(part):
-                num += weight
-        return num / den
+                num[kappa] = num.get(kappa, 0) + w
+
+        def activity(sums):
+            return sum(w * lam ** (self.n - kappa) for kappa, w in sums.items())
+
+        return activity(num) / activity(den)
 
 
 def forest_table(g: Graph, marked) -> ForestTable:
@@ -242,9 +293,7 @@ def forest_table(g: Graph, marked) -> ForestTable:
     if any(w != 1 for _, _, w in g.edges):
         weights = [(rat(1), w) for _, _, w in g.edges]
     entries: dict = {}
-    for mask, comp, kappa, w in _walk(n, _edge_steps(g), weights):
-        if mask.bit_count() + kappa != n:
-            continue
+    for _, comp, kappa, w in _walk(n, _edge_steps(g), weights, acyclic=True):
         key = (SetPartition(marked, canonical_rgs(comp[x] for x in marked)), kappa)
         prev = entries.get(key)
         entries[key] = w if prev is None else prev + w
@@ -254,11 +303,7 @@ def forest_table(g: Graph, marked) -> ForestTable:
 def forest_masks(g: Graph):
     """All spanning forests as (edge mask, kappa) pairs."""
     _guard_edges(g.m)
-    return [
-        (mask, kappa)
-        for mask, _, kappa, _ in _walk(g.n, _edge_steps(g))
-        if mask.bit_count() + kappa == g.n
-    ]
+    return [(mask, kappa) for mask, _, kappa, _ in _walk(g.n, _edge_steps(g), acyclic=True)]
 
 
 def alt_colouring_counts(g: Graph, posts, u: int, v: int):
@@ -283,9 +328,7 @@ def alt_colouring_counts(g: Graph, posts, u: int, v: int):
     # Bit i of a colouring set picks the layer-1 copy of base edge i, clear the layer-2 one.
     steps = [((pairs[m + i],), (pairs[i],)) for i in range(m)]
     n_rr = n_rb = n_total = 0
-    for _, comp, kappa, _ in _walk(bb.n, steps):
-        if m + kappa != bb.n:
-            continue
+    for _, comp, kappa, _ in _walk(bb.n, steps, acyclic=True):
         n_total += 1
         n_rr += comp[u1] == comp[v1]
         n_rb += comp[u1] == comp[v2]

@@ -39,9 +39,11 @@ from .graph import (
 )
 from .measures import (
     EnumerationGuardError,
+    ParameterError,
     alt_colouring_counts,
     bunkbed_case_profiles,
     case_difference,
+    check_parameters,
     forest_masks,
     forest_table,
     hypergraph_rc_difference,
@@ -130,6 +132,9 @@ def _bunkbed_graph(g: Graph, posts):
     return bunkbed(BunkbedSpec(g, frozenset(posts), POSTS_CONTRACTED))
 
 
+_MEASURES = ("random-cluster", "percolation", "arboreal")
+
+
 def check_bunkbed(
     g: Graph,
     posts=None,
@@ -148,6 +153,9 @@ def check_bunkbed(
     conditioned (contracted) variant.  `measure` is random-cluster over
     (p, q), percolation over p at q=1, or arboreal over the lambda grid.
     """
+    if measure not in _MEASURES:
+        raise ParameterError(f"unknown measure {measure!r}; choices: {', '.join(_MEASURES)}")
+    check_parameters(p=p_grid, q=q_grid, lam=lam_grid)
     bb = _bunkbed_graph(g, posts)
     pairs = (
         [(u, v)]
@@ -179,20 +187,20 @@ def check_bunkbed(
                         best = key
         grid = _grid_doc(p=p_grid, q=q_values)
         point = {"p": _fmt(best[3]), "q": _fmt(best[4])}
-    elif measure == "arboreal":
+    else:
         # One forest enumeration over all vertices serves every pair.
         table = forest_table(bb, tuple(range(bb.n)))
         for (a, b), (a1, b1, b2) in zip(pairs, triples):
+            # b1 == b2 when b is a post.
+            ft = table.restrict(dict.fromkeys((a1, b1, b2)))
             for lam in lam_grid:
-                diff = table.probability(
+                diff = ft.probability(
                     lambda part: part.together(a1, b1), lam
-                ) - table.probability(lambda part: part.together(a1, b2), lam)
+                ) - ft.probability(lambda part: part.together(a1, b2), lam)
                 if best is None or diff < best[0]:
                     best = (diff, a, b, lam, None)
         grid = _grid_doc(lam=lam_grid)
         point = {"lambda": _fmt(best[3])}
-    else:
-        raise ValueError(f"unknown measure {measure!r}")
     diff, a, b, *_ = best
     good = diff >= 0
     verdict = (OPEN_OK if open_conjecture else HOLDS) if good else FAILS
@@ -220,6 +228,7 @@ def check_p_threshold(g: Graph, posts, q, instance: str = "graph") -> Verificati
     """
     posts = frozenset(posts)
     q = rat(q)
+    check_parameters(q=(q,))
     bb = _bunkbed_graph(g, posts)
     m_base = g.m
 
@@ -380,12 +389,6 @@ def _pattern(marked, *groups) -> SetPartition:
     return canonicalize(tuple(marked), groups)
 
 
-def _brackets4(g: Graph, a, b, c, d):
-    """All two- and three-block bracket counts on four marked vertices."""
-    marked = (a, b, c, d)
-    return forest_table(g, marked)
-
-
 def _suite_resistance_bracket(g: Graph) -> bool:
     bundle = LaplacianBundle(g)
     marked = tuple(range(g.n))
@@ -411,9 +414,10 @@ def _suite_cross_inner(g: Graph) -> bool:
         return True
     bundle = LaplacianBundle(g)
     marked_all = tuple(range(g.n))
-    trees = forest_table(g, marked_all).bracket(_pattern(marked_all, marked_all))
+    ft_all = forest_table(g, marked_all)
+    trees = ft_all.bracket(_pattern(marked_all, marked_all))
     for a, b, c, d in combinations(range(g.n), 4):
-        ft = _brackets4(g, a, b, c, d)
+        ft = ft_all.restrict((a, b, c, d))
         for (x, y), (z, w) in (((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c))):
             m4 = (a, b, c, d)
             xz_yw = ft.bracket(_pattern(m4, (x, z), (y, w)))
@@ -468,10 +472,11 @@ def _suite_choe(g: Graph) -> bool:
     if g.n < 4:
         return True
     marked_all = tuple(range(g.n))
-    total = forest_table(g, marked_all).bracket(_pattern(marked_all, marked_all))
+    ft_all = forest_table(g, marked_all)
+    total = ft_all.bracket(_pattern(marked_all, marked_all))
     for quad in combinations(range(g.n), 4):
         a, b, c, d = quad
-        ft = _brackets4(g, a, b, c, d)
+        ft = ft_all.restrict(quad)
         for (x, y), (z, w) in (((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c))):
             m4 = (a, b, c, d)
             lhs = ft.bracket(_pattern(m4, (x,), (y, z, w))) + ft.bracket(
@@ -550,7 +555,7 @@ def _suite_four_point_leading(g: Graph) -> bool:
     for quad in combinations(range(g.n), 4):
         a, b, c, d = quad
         m4 = (a, b, c, d)
-        ft = forest_table(g, m4)
+        ft = ft_all.restrict(m4)
 
         def pair_sum(x, y, z, w, extra=0):
             return (
@@ -714,9 +719,9 @@ def run_identity_suite(suite: str, instances=None) -> VerificationReport:
 
 def _forest_product_inequality(g: Graph, lam_grid):
     """Connection product bound through an intermediate vertex, per lambda."""
-    marked = tuple(range(g.n))
-    ft = forest_table(g, marked)
-    for u_, v_, w_ in ((a, b, c) for a, b, c in combinations(range(g.n), 3)):
+    ft_all = forest_table(g, tuple(range(g.n)))
+    for u_, v_, w_ in combinations(range(g.n), 3):
+        ft = ft_all.restrict((u_, v_, w_))
         for x, y, t_ in ((u_, v_, w_), (u_, w_, v_), (v_, w_, u_)):
             for lam in lam_grid:
                 left = ft.probability(lambda part: part.together(x, y), lam)
@@ -736,9 +741,9 @@ def _forest_product_inequality(g: Graph, lam_grid):
 
 
 def _forest_harris(g: Graph, lam_grid):
-    marked = tuple(range(g.n))
-    ft = forest_table(g, marked)
+    ft_all = forest_table(g, tuple(range(g.n)))
     for u_, w_, v_ in combinations(range(g.n), 3):
+        ft = ft_all.restrict((u_, w_, v_))
         for lam in lam_grid:
             joint = ft.probability(lambda part: part.together(u_, w_, v_), lam)
             a = ft.probability(lambda part: part.together(u_, w_), lam)
@@ -774,10 +779,11 @@ def _four_point_forest(weighted: Graph, lam_grid):
     except on the left side, where only the stated separation is required.
     Returns a witness dict on violation, None otherwise.
     """
+    ft_all = forest_table(weighted, tuple(range(weighted.n)))
     for quad in combinations(range(weighted.n), 4):
         a, b, c, d = quad
         m4 = (a, b, c, d)
-        ft = forest_table(weighted, m4)
+        ft = ft_all.restrict(m4)
         p_three = [
             _pattern(m4, (a,), (b, c), (d,)),
             _pattern(m4, (a,), (b, d), (c,)),
@@ -812,6 +818,7 @@ def scan_conjectures(
     """Exact grid scans of the open inequalities; failures carry witnesses."""
     from .exactnum import parse_rational
 
+    check_parameters(lam=lam_grid)
     reports = []
 
     # Doubled-graph forest inequality on all small connected graphs.

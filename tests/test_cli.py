@@ -139,6 +139,12 @@ def test_exit_code_mapping():
         (["compute", "bracket", "--graph", "K3", "--marked", "0,9"], "[9]"),
         (["compute", "bracket", "--graph", "K3", "--pattern", "0|2"], "0|2"),
         (["compute", "bracket", "--graph", "K3", "--pattern", "x|1"], "x"),
+        (["verify", "--suite", "bunkbed", "--graph", "K3", "--measure", "arboreal", "--lam=-1"], "-1"),
+        (["verify", "--suite", "bunkbed", "--graph", "K3", "--measure", "arboreal", "--lam=-1/2"], "-1/2"),
+        (["verify", "--suite", "bunkbed", "--graph", "K3", "--p", "3/2"], "3/2"),
+        (["verify", "--suite", "bunkbed", "--graph", "K3", "--measure", "percolationx"], "percolationx"),
+        (["compute", "rc-prob", "--graph", "K2", "--q", "0"], "q"),
+        (["compute", "rc-prob", "--graph", "K2", "--p", "3/2"], "3/2"),
     ],
 )
 def test_malformed_input_is_usage_error(argv, fragment, tmp_path, capsys):

@@ -482,3 +482,35 @@ def test_engines_match_per_subset_oracle(case):
             coeffs.pop()
     f = factor_from_graph(g, boundary)
     assert (f.boundary, f.entries, f.den) == (boundary, factor, den)
+
+
+@settings(deadline=None, max_examples=40)
+@given(multigraphs())
+def test_forest_table_restrict_and_probability_match_oracle(case):
+    g, marked, _ = case
+    forests = [
+        (mask, roots, kappa, present)
+        for mask, roots, kappa, size, _, present in _oracle_subsets(g)
+        if size + kappa == g.n
+    ]
+    assert forest_masks(g) == sorted((mask, kappa) for mask, _, kappa, _ in forests)
+
+    everyone = tuple(range(g.n))
+    plain = g.with_weights(1)
+    for h in (g, plain):
+        assert forest_table(h, everyone).restrict(marked) == forest_table(h, marked)
+    restricted = forest_table(plain, everyone).restrict(marked)
+    assert all(type(c) is int for c in restricted.entries.values())
+
+    def event(part):
+        return sum(part.rgs) % 2 == 0
+
+    ft = forest_table(g, marked)
+    for lam in (rat(1, 3), rat(1), rat(5, 2)):
+        num = den = 0
+        for _, roots, kappa, present in forests:
+            w = present * lam ** (g.n - kappa)
+            den += w
+            if event(SetPartition(marked, canonical_rgs(roots[x] for x in marked))):
+                num += w
+        assert ft.probability(event, lam) == num / den

@@ -1,9 +1,11 @@
+from itertools import combinations
+
 import pytest
 
 from bunkbed.catalog import connected_graphs, named_graph, named_instance
-from bunkbed.exactnum import rat
-from bunkbed.graph import Graph
-from bunkbed.measures import alt_colouring_counts
+from bunkbed.exactnum import format_rational, rat
+from bunkbed.graph import POSTS_CONTRACTED, BunkbedSpec, Graph, bunkbed, bunkbed_copies
+from bunkbed.measures import alt_colouring_counts, forest_table
 from bunkbed.verify import (
     FAILS,
     HOLDS,
@@ -44,6 +46,29 @@ def test_check_bunkbed_arboreal_small():
         open_conjecture=True,
     )
     assert rep.verdict == OPEN_OK
+
+
+def test_check_bunkbed_arboreal_post_pair_matches_full_table():
+    g, posts = named_graph("K4"), {1}
+    lams = (rat(1, 2), rat(1), rat(2))
+    bb = bunkbed(BunkbedSpec(g, frozenset(posts), POSTS_CONTRACTED))
+    table = forest_table(bb, tuple(range(bb.n)))
+    for pair in ((0, 1), None):
+        best = None
+        for a, b in [pair] if pair else combinations(range(g.n), 2):
+            a1, _ = bunkbed_copies(bb, a)
+            b1, b2 = bunkbed_copies(bb, b)
+            for lam in lams:
+                diff = table.probability(
+                    lambda part: part.together(a1, b1), lam
+                ) - table.probability(lambda part: part.together(a1, b2), lam)
+                if best is None or diff < best[0]:
+                    best = (diff, a, b)
+        u, v = pair or (None, None)
+        rep = check_bunkbed(g, posts=posts, measure="arboreal", u=u, v=v, lam_grid=lams)
+        assert rep.quantities["min_difference"] == format_rational(best[0])
+        assert rep.quantities["at_pair"] == f"({best[1]},{best[2]})"
+    assert bunkbed_copies(bb, 1)[0] == bunkbed_copies(bb, 1)[1]
 
 
 def test_check_bunkbed_single_pair():
