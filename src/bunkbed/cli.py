@@ -310,6 +310,8 @@ def cmd_compute(args) -> dict:
     g, posts = _load_instance(args)
     if kind in ("resistance", "rc-prob"):
         _check_vertices(g, (args.u, args.v))
+    if kind in ("resistance", "pseudoinverse") and not g.is_connected():
+        raise UsageError(f"{kind} needs a connected graph; the input graph is disconnected")
     if kind == "resistance":
         bundle = LaplacianBundle(g)
         value = bundle.resistance(args.u, args.v)

@@ -2,8 +2,9 @@
 
 Arbitrary-precision rationals, sparse multivariate polynomials in the four
 indeterminates q, l, g, h (l is the forest activity usually written lambda),
-rational matrices with fraction-free elimination, and certified isolation of
-real roots of univariate polynomials.
+rational matrices with fraction-free elimination (Bareiss determinants and
+Gauss-Jordan inverses, both in integers), and certified isolation of real
+roots of univariate polynomials.
 
 Everything in this module is exact.  There is no floating point anywhere, and
 every returned sign or interval is backed by integer arithmetic.
@@ -12,6 +13,7 @@ every returned sign or interval is backed by integer arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm, prod
 from typing import Iterable, Sequence
 
 try:
@@ -400,7 +402,7 @@ class RationalMatrix:
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, data: Iterable[Iterable]):
-        self.data = [[Rational(x) for x in row] for row in data]
+        self.data = [[x if type(x) is Rational else Rational(x) for x in row] for row in data]
         self.rows = len(self.data)
         self.cols = len(self.data[0]) if self.data else 0
         if any(len(row) != self.cols for row in self.data):
@@ -487,18 +489,16 @@ class RationalMatrix:
         return f"RationalMatrix({self.to_lists()})"
 
 
-def _cleared_int_rows(m: RationalMatrix):
-    """Scale each row to integers; returns (int rows, product of row scales)."""
+def _cleared_int_rows(m: RationalMatrix) -> tuple[list[list[int]], list[int]]:
+    """Scale each row to integers; returns (int rows, each row's scale)."""
     rows = []
-    total = 1
+    scales = []
     for row in m.data:
-        scale = 1
-        for x in row:
-            d = int(x.denominator)
-            scale = scale * d // _gcd(scale, d)
-        rows.append([int(x.numerator) * (scale // int(x.denominator)) for x in row])
-        total *= scale
-    return rows, total
+        dens = [int(x.denominator) for x in row]
+        scale = lcm(*dens)
+        rows.append([int(x.numerator) * (scale // d) for x, d in zip(row, dens)])
+        scales.append(scale)
+    return rows, scales
 
 
 def _gcd(a: int, b: int) -> int:
@@ -514,7 +514,7 @@ def bareiss_det(m: RationalMatrix) -> Rational:
     n = m.rows
     if n == 0:
         return _R1
-    a, scale = _cleared_int_rows(m)
+    a, scales = _cleared_int_rows(m)
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -532,55 +532,46 @@ def bareiss_det(m: RationalMatrix) -> Rational:
                 row_i[j] = (row_i[j] * akk - aik * row_k[j]) // prev
             row_i[k] = 0
         prev = akk
-    return Rational(sign * a[n - 1][n - 1], scale)
+    return Rational(sign * a[n - 1][n - 1], prod(scales))
 
 
 def invert(m: RationalMatrix) -> RationalMatrix:
-    """Exact inverse via fraction-free forward elimination and back substitution."""
+    """Exact inverse by fraction-free (Bareiss) Gauss-Jordan elimination.
+
+    Each row of M is scaled to integers, D M with D diagonal, and [D M | D]
+    is reduced with the Bareiss exact division both above and below every
+    pivot, so every intermediate entry stays an integer.  This turns the left
+    block into d I, where d is the last pivot, and the right block into
+    d M^-1; only the n^2 result entries become rationals.  The left block's
+    finished columns are not written back, as no later step reads them.  A
+    0 x 0 matrix is its own inverse.
+    """
     if m.rows != m.cols:
         raise ValueError("inverse of a non-square matrix")
     n = m.rows
-    # Row-scale to integers and solve (D*M) X = D, so X = M^-1.
-    aug = []
-    for i in range(n):
-        scale = 1
-        row = m.data[i]
-        for x in row:
-            d = int(x.denominator)
-            scale = scale * d // _gcd(scale, d)
-        left = [int(x.numerator) * (scale // int(x.denominator)) for x in row]
-        right = [scale if j == i else 0 for j in range(n)]
-        aug.append(left + right)
-    width = 2 * n
+    aug, scales = _cleared_int_rows(m)
+    for i, row in enumerate(aug):
+        row.extend(scales[i] if j == i else 0 for j in range(n))
     prev = 1
-    for k in range(n - 1):
+    for k in range(n):
         if aug[k][k] == 0:
             pivot = next((i for i in range(k + 1, n) if aug[i][k] != 0), None)
             if pivot is None:
                 raise ValueError("matrix is singular")
             aug[k], aug[pivot] = aug[pivot], aug[k]
-        akk = aug[k][k]
-        for i in range(k + 1, n):
-            aik = aug[i][k]
-            row_i, row_k = aug[i], aug[k]
-            for j in range(k + 1, width):
-                row_i[j] = (row_i[j] * akk - aik * row_k[j]) // prev
-            row_i[k] = 0
-        prev = akk
-    if aug[n - 1][n - 1] == 0:
-        raise ValueError("matrix is singular")
-    # Back substitution in exact rationals.
-    inv_rows: list[list[Rational]] = [[_R0] * n for _ in range(n)]
-    for col in range(n):
-        x = [_R0] * n
-        for i in range(n - 1, -1, -1):
-            s = Rational(aug[i][n + col])
-            for j in range(i + 1, n):
-                s -= Rational(aug[i][j]) * x[j]
-            x[i] = s / Rational(aug[i][i])
+        row_k = aug[k]
+        akk = row_k[k]
+        tail_k = row_k[k + 1 :]
         for i in range(n):
-            inv_rows[i][col] = x[i]
-    return RationalMatrix(inv_rows)
+            if i == k:
+                continue
+            row_i = aug[i]
+            aik = row_i[k]
+            row_i[k + 1 :] = [
+                (x * akk - aik * y) // prev for x, y in zip(row_i[k + 1 :], tail_k)
+            ]
+        prev = akk
+    return RationalMatrix([[Rational(x, prev) for x in row[n:]] for row in aug])
 
 
 def psd_certificate(m: RationalMatrix):

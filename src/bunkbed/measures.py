@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .exactnum import MultiPoly, Rational, format_rational, rat
 from .graph import Graph, Hypergraph, hypergraph_bunkbed
@@ -388,27 +389,46 @@ def bunkbed_case_profiles(bb: Graph, triples):
     return profiles
 
 
+@lru_cache(maxsize=256)
+def _profile_weights(m: int, p: Rational, q: Rational, kappa_max: int):
+    """Integer weights of a (|S|, kappa) profile key over one common denominator.
+
+    With p = a/b and q = c/d, entry s of the first tuple is a^s (b-a)^(m-s),
+    entry kappa of the second is c^kappa d^(kappa_max-kappa), and their
+    product over the returned b^m d^kappa_max is p^s (1-p)^(m-s) q^kappa.
+    A scan calls this once per (p, q) for every pair, so it is cached.
+    """
+    a, b = int(p.numerator), int(p.denominator)
+    c, d = int(q.numerator), int(q.denominator)
+    pw = tuple(a**s * (b - a) ** (m - s) for s in range(m + 1))
+    qw = tuple(c**k * d ** (kappa_max - k) for k in range(kappa_max + 1))
+    return pw, qw, b**m * d**kappa_max
+
+
+def _weights_for(profile: dict, m: int, p, q):
+    kappa_max = max((kappa for _, _, kappa in profile), default=0)
+    return _profile_weights(m, rat(p), rat(q), kappa_max)
+
+
 def case_difference(profile: dict, m: int, p, q) -> Rational:
     """Exact numerator of P[case bit0] - P[case bit1] at uniform edge weight p."""
-    p, q = rat(p), rat(q)
-    pw = [p**s * (1 - p) ** (m - s) for s in range(m + 1)]
-    total = rat(0)
+    pw, qw, den = _weights_for(profile, m, p, q)
+    total = 0
     for (case, s, kappa), count in profile.items():
         sgn = (case & 1) - (case >> 1 & 1)
         if sgn:
-            total += sgn * count * pw[s] * q**kappa
-    return total
+            total += sgn * count * pw[s] * qw[kappa]
+    return Rational(total, den)
 
 
 def profile_probability(profile: dict, m: int, p, q, predicate) -> Rational:
     """Probability of an event on the marked RGS, from an rc_profile."""
-    p, q = rat(p), rat(q)
-    pw = [p**s * (1 - p) ** (m - s) for s in range(m + 1)]
-    num = rat(0)
-    den = rat(0)
+    pw, qw, _ = _weights_for(profile, m, p, q)
+    num = 0
+    den = 0
     for (rgs, s, kappa), count in profile.items():
-        w = count * pw[s] * q**kappa
+        w = count * pw[s] * qw[kappa]
         den += w
         if predicate(rgs):
             num += w
-    return num / den
+    return Rational(num, den)

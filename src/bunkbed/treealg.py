@@ -4,12 +4,18 @@ Laplacians and their pseudoinverses over the rationals, all-minors spanning
 forest counts, effective resistances, the block formula for the pseudoinverse
 of a bunkbed Laplacian, and positive-semidefiniteness certificates.  The
 pseudoinverse is computed as (L + J/n)^{-1} - J/n, which stays inside exact
-rational arithmetic.
+rational arithmetic; the inverse is exactnum's fraction-free Gauss-Jordan.
+
+Work is shared per matrix: a LaplacianBundle builds one Laplacian per graph
+and answers every all-minors query (`minors_count`) and pseudoinverse entry
+from it, and a PostsBundle inverts L^SS and the posts-contracted bunkbed's
+Laplacian once per post set for every vertex pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .exactnum import (
     MultiPoly,
@@ -32,6 +38,7 @@ from .graph import (
 __all__ = [
     "laplacian",
     "LaplacianBundle",
+    "PostsBundle",
     "all_minors_count",
     "pseudoinverse",
     "psd_certificate",
@@ -60,16 +67,7 @@ def laplacian(g: Graph) -> RationalMatrix:
 
 def all_minors_count(g: Graph, s_set, t_set) -> Rational:
     """|det L(S^c, T^c)|: spanning forests with one vertex of S and T per tree."""
-    s_set, t_set = sorted(set(s_set)), sorted(set(t_set))
-    if len(s_set) != len(t_set):
-        raise ValueError("vertex sets must have equal size")
-    lap = laplacian(g)
-    keep_rows = [i for i in range(g.n) if i not in s_set]
-    keep_cols = [j for j in range(g.n) if j not in t_set]
-    if not keep_rows:
-        return rat(1)
-    det = bareiss_det(lap.submatrix(keep_rows, keep_cols))
-    return det if det >= 0 else -det
+    return LaplacianBundle(g).minors_count(s_set, t_set)
 
 
 def pseudoinverse(lap: RationalMatrix) -> RationalMatrix:
@@ -87,7 +85,11 @@ def pseudoinverse(lap: RationalMatrix) -> RationalMatrix:
 
 @dataclass
 class LaplacianBundle:
-    """A graph with its Laplacian and lazily computed pseudoinverse."""
+    """A graph with its Laplacian and lazily computed pseudoinverse.
+
+    Build one bundle per graph and ask it every query: the Laplacian is built
+    once, and the pseudoinverse is inverted once, on first use.
+    """
 
     graph: Graph
     lap: RationalMatrix = field(init=False)
@@ -105,6 +107,22 @@ class LaplacianBundle:
         if self._pinv is None:
             self._pinv = pseudoinverse(self.lap)
         return self._pinv
+
+    def minors_count(self, s_set, t_set) -> Rational:
+        """|det L(S^c, T^c)|: spanning forests with one vertex of S and T per tree."""
+        s_set, t_set = set(s_set), set(t_set)
+        if len(s_set) != len(t_set):
+            raise ValueError("vertex sets must have equal size")
+        n = self.n
+        bad = sorted(x for x in s_set | t_set if not 0 <= x < n)
+        if bad:
+            raise ValueError(f"vertex {bad[0]} out of range for a graph on {n} vertices")
+        keep_rows = [i for i in range(n) if i not in s_set]
+        keep_cols = [j for j in range(n) if j not in t_set]
+        if not keep_rows:
+            return rat(1)
+        det = bareiss_det(self.lap.submatrix(keep_rows, keep_cols))
+        return det if det >= 0 else -det
 
     def resistance(self, u: int, v: int) -> Rational:
         p = self.pinv
@@ -162,31 +180,61 @@ def bunkbed_pseudoinverse(g: Graph) -> RationalMatrix:
     return direct
 
 
+class PostsBundle:
+    """Both sides of the posts gap identity for one post set.
+
+    `entry` reads the inverse of L^SS, the Laplacian restricted to the
+    non-post vertices S; `gap` reads L_pinv(u1, v1) - L_pinv(u1, v2) on the
+    posts-contracted bunkbed.  Each matrix is inverted once, on first use, and
+    then serves every vertex pair.
+    """
+
+    def __init__(self, g: Graph, posts):
+        self.graph = g
+        self.posts = frozenset(posts)
+
+    @cached_property
+    def _lss_inverse(self) -> tuple[dict[int, int], RationalMatrix]:
+        s_vertices = [x for x in range(self.graph.n) if x not in self.posts]
+        lss = laplacian(self.graph).submatrix(s_vertices, s_vertices)
+        return {x: i for i, x in enumerate(s_vertices)}, invert(lss)
+
+    @cached_property
+    def _contracted(self) -> tuple[Graph, RationalMatrix]:
+        bb = bunkbed(BunkbedSpec(self.graph, self.posts, POSTS_CONTRACTED))
+        return bb, pseudoinverse(laplacian(bb))
+
+    def entry(self, u: int, v: int) -> Rational:
+        """Entry (u, v) of the inverse of L^SS."""
+        if not self.posts:
+            raise ValueError("post set must be nonempty (L^SS would be singular)")
+        if u in self.posts or v in self.posts:
+            raise ValueError("query vertices must not be posts")
+        index, inv = self._lss_inverse
+        bad = [x for x in (u, v) if x not in index]
+        if bad:
+            raise ValueError(f"vertex {bad[0]} out of range for a graph on {self.graph.n} vertices")
+        return inv[index[u], index[v]]
+
+    def gap(self, u: int, v: int) -> Rational:
+        """L_pinv(u1, v1) - L_pinv(u1, v2) on the posts-contracted bunkbed."""
+        bb, pinv = self._contracted
+        u1, _ = bunkbed_copies(bb, u)
+        v1, v2 = bunkbed_copies(bb, v)
+        return pinv[u1, v1] - pinv[u1, v2]
+
+
 def posts_entry(g: Graph, posts, u: int, v: int) -> Rational:
     """Entry (u, v) of the inverse of the Laplacian restricted to non-posts.
 
     The restriction L^SS (S = non-post vertices) is an M-matrix whenever the
     post set is nonempty and the graph connected, so the entry is >= 0; it
     equals the two-layer pseudoinverse gap computed by
-    posts_bunkbed_pseudoinverse_gap.
+    posts_bunkbed_pseudoinverse_gap.  For many pairs, build one PostsBundle.
     """
-    posts = frozenset(posts)
-    if not posts:
-        raise ValueError("post set must be nonempty (L^SS would be singular)")
-    if u in posts or v in posts:
-        raise ValueError("query vertices must not be posts")
-    s_vertices = [x for x in range(g.n) if x not in posts]
-    lap = laplacian(g)
-    lss = lap.submatrix(s_vertices, s_vertices)
-    inv = invert(lss)
-    iu, iv = s_vertices.index(u), s_vertices.index(v)
-    return inv[iu, iv]
+    return PostsBundle(g, posts).entry(u, v)
 
 
 def posts_bunkbed_pseudoinverse_gap(g: Graph, posts, u: int, v: int) -> Rational:
     """L_pinv(u1, v1) - L_pinv(u1, v2) on the posts-contracted bunkbed."""
-    bb = bunkbed(BunkbedSpec(g, frozenset(posts), POSTS_CONTRACTED))
-    pinv = pseudoinverse(laplacian(bb))
-    u1, _ = bunkbed_copies(bb, u)
-    v1, v2 = bunkbed_copies(bb, v)
-    return pinv[u1, v1] - pinv[u1, v2]
+    return PostsBundle(g, posts).gap(u, v)

@@ -52,11 +52,10 @@ from .measures import (
 from .partition import SetPartition, canonicalize
 from .treealg import (
     LaplacianBundle,
+    PostsBundle,
     all_minors_count,
     bunkbed_pseudoinverse,
     laplacian,
-    posts_bunkbed_pseudoinverse_gap,
-    posts_entry,
     pseudoinverse,
     resistance_matrix,
 )
@@ -396,7 +395,7 @@ def _suite_resistance_bracket(g: Graph) -> bool:
     trees = ft.bracket(_pattern(marked, marked))
     for u_, v_ in combinations(range(g.n), 2):
         # Same bracket two ways: all-minors determinant and forest enumeration.
-        split = all_minors_count(g, {u_, v_}, {u_, v_})
+        split = bundle.minors_count({u_, v_}, {u_, v_})
         by_forest = sum(
             w
             for (part, kappa), w in ft.entries.items()
@@ -531,17 +530,22 @@ def _suite_strong_rayleigh(g: Graph) -> bool:
 
 
 def _suite_rayleigh(g: Graph) -> bool:
-    trees_g = all_minors_count(g, {0}, {0})
-    for f in range(g.m):
-        h = _connected_spanning_subgraph(g, f)
-        if h is None:
-            continue
-        trees_h = all_minors_count(h, {0}, {0})
-        for u_, v_ in combinations(range(g.n), 2):
-            ratio_g = all_minors_count(g, {u_, v_}, {u_, v_}) / trees_g
-            ratio_h = all_minors_count(h, {u_, v_}, {u_, v_}) / trees_h
-            if ratio_g > ratio_h:
-                return False
+    subgraphs = [
+        h for f in range(g.m) if (h := _connected_spanning_subgraph(g, f)) is not None
+    ]
+    if not subgraphs:
+        return True
+    pairs = list(combinations(range(g.n), 2))
+
+    def pair_ratios(bundle):
+        trees = bundle.minors_count({0}, {0})
+        return [bundle.minors_count({u_, v_}, {u_, v_}) / trees for u_, v_ in pairs]
+
+    ratios_g = pair_ratios(LaplacianBundle(g))
+    for h in subgraphs:
+        ratios_h = pair_ratios(LaplacianBundle(h))
+        if any(rg > rh for rg, rh in zip(ratios_g, ratios_h)):
+            return False
     return True
 
 
@@ -593,7 +597,9 @@ def _suite_four_point_leading(g: Graph) -> bool:
 
 def _suite_bunkbed_tree_stratum(g: Graph) -> bool:
     """Two-component forest ordering on the doubled graph plus the gap identity."""
-    bb = bunkbed(BunkbedSpec(g, mode=ALL_VERTICALS), vertical_weight=rat(1))
+    doubled = LaplacianBundle(
+        bunkbed(BunkbedSpec(g, mode=ALL_VERTICALS), vertical_weight=rat(1))
+    )
     n = g.n
     pinv = bunkbed_pseudoinverse(g)
     resolvent = invert(laplacian(g) + RationalMatrix.identity(n) * rat(2))
@@ -601,8 +607,8 @@ def _suite_bunkbed_tree_stratum(g: Graph) -> bool:
         for v_ in range(n):
             if u_ == v_:
                 continue
-            same = all_minors_count(bb, {u_, v_}, {u_, v_})
-            cross_ = all_minors_count(bb, {u_, n + v_}, {u_, n + v_})
+            same = doubled.minors_count({u_, v_}, {u_, v_})
+            cross_ = doubled.minors_count({u_, n + v_}, {u_, n + v_})
             gap = pinv[u_, v_] - pinv[u_, n + v_]
             if same > cross_ or gap != resolvent[u_, v_] or gap < 0:
                 return False
@@ -611,10 +617,11 @@ def _suite_bunkbed_tree_stratum(g: Graph) -> bool:
     if n >= 4:
         post_sets.append(frozenset({0, 1}))
     for posts in post_sets:
+        tables = PostsBundle(g, posts)
         others = [x for x in range(n) if x not in posts]
         for u_, v_ in combinations(others, 2):
-            gap = posts_bunkbed_pseudoinverse_gap(g, posts, u_, v_)
-            if gap != posts_entry(g, posts, u_, v_) or gap < 0:
+            gap = tables.gap(u_, v_)
+            if gap != tables.entry(u_, v_) or gap < 0:
                 return False
     return True
 

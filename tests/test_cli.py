@@ -145,10 +145,13 @@ def test_exit_code_mapping():
         (["verify", "--suite", "bunkbed", "--graph", "K3", "--measure", "percolationx"], "percolationx"),
         (["compute", "rc-prob", "--graph", "K2", "--q", "0"], "q"),
         (["compute", "rc-prob", "--graph", "K2", "--p", "3/2"], "3/2"),
+        (["compute", "pseudoinverse", "--input", "{tmp}/two_edges.json"], "disconnected"),
+        (["compute", "resistance", "--input", "{tmp}/two_edges.json", "--u", "0", "--v", "2"], "disconnected"),
     ],
 )
 def test_malformed_input_is_usage_error(argv, fragment, tmp_path, capsys):
     (tmp_path / "no_edges.json").write_text(json.dumps({"n": 2}))
+    (tmp_path / "two_edges.json").write_text(json.dumps({"n": 4, "edges": [[0, 1, "1"], [2, 3, "1"]]}))
     code = main([arg.format(tmp=tmp_path) for arg in argv])
     err = capsys.readouterr().err.splitlines()
     assert code == 2

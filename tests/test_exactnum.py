@@ -2,6 +2,7 @@ import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from invert_oracle import invert_by_back_substitution
 
 from bunkbed.exactnum import (
     IsolatingInterval,
@@ -149,6 +150,47 @@ def test_invert_round_trip():
         assert m * invert(m) == RationalMatrix.identity(4)
     with pytest.raises(ValueError):
         invert(RationalMatrix([[1, 1], [1, 1]]))
+    assert invert(RationalMatrix([])) == RationalMatrix([])
+    assert bareiss_det(RationalMatrix([])) == 1
+
+
+@st.composite
+def square_matrices(draw):
+    """Small rational matrices, often with zero pivots or singular on purpose."""
+    n = draw(st.integers(1, 7))
+    entry = st.builds(rat, st.integers(-6, 6), st.integers(1, 4))
+    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    shape = draw(st.sampled_from(("plain", "zero-pivots", "singular")))
+    if shape == "zero-pivots":
+        # An upper triangle with a nonzero diagonal, rows shuffled: elimination
+        # meets a zero pivot at most steps and must swap rows past it.
+        for i in range(n):
+            rows[i][:i] = [rat(0)] * i
+            if rows[i][i] == 0:
+                rows[i][i] = rat(draw(st.sampled_from((-3, -1, 1, 2))))
+        rows = draw(st.permutations(rows))
+    elif shape == "singular":
+        a, b = draw(entry), draw(entry)
+        if n == 1:
+            rows[0][0] = rat(0)
+        else:
+            rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+    return RationalMatrix(rows)
+
+
+@settings(deadline=None, max_examples=200)
+@given(square_matrices())
+def test_invert_matches_back_substitution_oracle(m):
+    try:
+        expected = invert_by_back_substitution(m)
+    except ValueError:
+        assert bareiss_det(m) == 0
+        with pytest.raises(ValueError, match="singular"):
+            invert(m)
+        return
+    inv = invert(m)
+    assert inv == expected
+    assert m * inv == RationalMatrix.identity(m.rows)
 
 
 def test_psd_certificate_basic():

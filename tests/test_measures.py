@@ -369,17 +369,17 @@ def test_case_profile_matches_direct_probabilities():
     u1, _ = bunkbed_copies(bb, 0)
     v1, v2 = bunkbed_copies(bb, 2)
     (profile,) = bunkbed_case_profiles(bb, [(u1, v1, v2)])
-    p, q = rat(1, 3), rat(2)
-    weighted = bb.with_weights(p)
-    expected = rc_connection_prob(weighted, q, u1, v1) - rc_connection_prob(
-        weighted, q, u1, v2
-    )
-    diff = case_difference(profile, bb.m, p, q)
-    z = sum(
-        count * p**s * (1 - p) ** (bb.m - s) * q**kappa
-        for (case, s, kappa), count in profile.items()
-    )
-    assert diff / z == expected
+    for p, q in ((rat(1, 3), rat(2)), (rat(0), rat(3, 2)), (rat(1), rat(1, 2)), (rat(5, 7), rat(7, 3))):
+        weighted = bb.with_weights(p)
+        expected = rc_connection_prob(weighted, q, u1, v1) - rc_connection_prob(
+            weighted, q, u1, v2
+        )
+        diff = case_difference(profile, bb.m, p, q)
+        z = sum(
+            count * p**s * (1 - p) ** (bb.m - s) * q**kappa
+            for (case, s, kappa), count in profile.items()
+        )
+        assert diff / z == expected
 
 
 def test_bracket_query_type():

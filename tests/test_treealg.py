@@ -1,14 +1,17 @@
 import random
+from itertools import combinations
 
 import pytest
+from invert_oracle import invert_by_back_substitution
 
-from bunkbed.catalog import connected_graphs, named_graph
-from bunkbed.exactnum import RationalMatrix, psd_certificate, rat
-from bunkbed.graph import ALL_VERTICALS, BunkbedSpec, Graph, bunkbed, bunkbed_copies, minor
+from bunkbed.catalog import connected_graphs, identity_catalog, named_graph
+from bunkbed.exactnum import RationalMatrix, bareiss_det, psd_certificate, rat
+from bunkbed.graph import POSTS_CONTRACTED, BunkbedSpec, Graph, bunkbed, bunkbed_copies, minor
 from bunkbed.measures import forest_table
 from bunkbed.partition import canonicalize
 from bunkbed.treealg import (
     LaplacianBundle,
+    PostsBundle,
     all_minors_count,
     bunkbed_pseudoinverse,
     cross_inner,
@@ -41,6 +44,24 @@ def test_all_minors_examples():
     assert all_minors_count(p3, {0, 2}, {0, 2}) == 2
     with pytest.raises(ValueError):
         all_minors_count(k3, {0}, {0, 1})
+    with pytest.raises(ValueError, match="vertex 5 out of range"):
+        all_minors_count(k3, {0, 5}, {0, 1})
+
+
+def test_minors_count_equals_direct_bareiss_det():
+    rng = random.Random(45)
+    for _, g in connected_graphs(5, min_n=2):
+        bundle = LaplacianBundle(g)
+        lap = laplacian(g)
+        verts = list(range(g.n))
+        for size in range(g.n + 1):
+            s_set = set(rng.sample(verts, size))
+            t_set = set(rng.sample(verts, size))
+            rows = [i for i in verts if i not in s_set]
+            cols = [j for j in verts if j not in t_set]
+            direct = abs(bareiss_det(lap.submatrix(rows, cols)))
+            assert bundle.minors_count(s_set, t_set) == direct
+            assert all_minors_count(g, s_set, t_set) == direct
 
 
 def test_all_minors_matches_forest_oracle():
@@ -182,6 +203,34 @@ def test_posts_entry_equals_contracted_bunkbed_gap():
             u, v = rng.sample(non_posts, 2)
             assert posts_entry(g, t, u, v) == posts_bunkbed_pseudoinverse_gap(g, t, u, v)
             assert posts_entry(g, t, u, v) >= 0
+
+
+def _oracle_pseudoinverse(lap):
+    j_over_n = RationalMatrix.ones(lap.rows) * rat(1, lap.rows)
+    return invert_by_back_substitution(lap + j_over_n) - j_over_n
+
+
+def test_posts_tables_match_per_pair_functions_and_oracle():
+    # Every non-post pair of the identity catalog, on the post sets of the
+    # tree-stratum suite: one PostsBundle per post set gives what the per-pair
+    # functions give, and what a per-pair recomputation through the
+    # back-substitution oracle gives.
+    for _, g in identity_catalog():
+        post_sets = [frozenset({0})] + ([frozenset({0, 1})] if g.n >= 4 else [])
+        for posts in post_sets:
+            tables = PostsBundle(g, posts)
+            others = [x for x in range(g.n) if x not in posts]
+            lss_inv = invert_by_back_substitution(laplacian(g).submatrix(others, others))
+            bb = bunkbed(BunkbedSpec(g, posts, POSTS_CONTRACTED))
+            pinv = _oracle_pseudoinverse(laplacian(bb))
+            for u, v in combinations(others, 2):
+                entry, gap = tables.entry(u, v), tables.gap(u, v)
+                assert entry == posts_entry(g, posts, u, v)
+                assert gap == posts_bunkbed_pseudoinverse_gap(g, posts, u, v)
+                assert entry == lss_inv[others.index(u), others.index(v)]
+                u1, _ = bunkbed_copies(bb, u)
+                v1, v2 = bunkbed_copies(bb, v)
+                assert gap == pinv[u1, v1] - pinv[u1, v2]
 
 
 def test_rayleigh_monotonicity_over_edge_deletions():
