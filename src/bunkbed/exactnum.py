@@ -12,8 +12,9 @@ every returned sign or interval is backed by integer arithmetic.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
-from math import lcm, prod
+from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
 try:
@@ -29,7 +30,6 @@ __all__ = [
     "INDETERMINATES",
     "MultiPoly",
     "poly_eval",
-    "parse_poly",
     "RationalMatrix",
     "bareiss_det",
     "invert",
@@ -169,9 +169,6 @@ class MultiPoly:
                 reduced[i] = 0
                 out[tuple(reduced)] = c
         return MultiPoly(out)
-
-    def coefficient_of(self, exp: tuple[int, int, int, int]) -> Rational:
-        return self.terms.get(tuple(exp), _R0)
 
     def dense_in(self, var: str) -> list[Rational]:
         """Coefficient list [c0, c1, ...] when univariate in var (or constant)."""
@@ -356,7 +353,7 @@ class MultiPoly:
 def _coerce(x):
     if isinstance(x, MultiPoly):
         return x
-    if isinstance(x, (int, Rational)) or type(x).__name__ in ("mpq", "mpz", "Fraction"):
+    if isinstance(x, numbers.Rational):
         return MultiPoly.const(x)
     return NotImplemented
 
@@ -364,31 +361,6 @@ def _coerce(x):
 def poly_eval(p: MultiPoly, point: dict) -> Rational:
     """Exact evaluation; errors name any unassigned indeterminate."""
     return p.eval(point)
-
-
-def parse_poly(text: str) -> MultiPoly:
-    """Parse the canonical text form (lenient: exponents and vars may be omitted)."""
-    text = text.strip()
-    if text == "0":
-        return MultiPoly()
-    total = MultiPoly()
-    for raw in text.split("+"):
-        raw = raw.strip()
-        if not raw:
-            continue
-        coeff = _R1
-        exp = [0] * _NVARS
-        for factor in raw.split("*"):
-            factor = factor.strip()
-            if not factor:
-                continue
-            if factor[0] in "qlgh" and (len(factor) == 1 or factor[1] == "^"):
-                i = INDETERMINATES.index(factor[0])
-                exp[i] += int(factor[2:]) if "^" in factor else 1
-            else:
-                coeff *= parse_rational(factor)
-        total += MultiPoly({tuple(exp): coeff})
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -499,12 +471,6 @@ def _cleared_int_rows(m: RationalMatrix) -> tuple[list[list[int]], list[int]]:
         rows.append([int(x.numerator) * (scale // d) for x, d in zip(row, dens)])
         scales.append(scale)
     return rows, scales
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def bareiss_det(m: RationalMatrix) -> Rational:
@@ -646,28 +612,16 @@ def _trim(c: list[int]) -> list[int]:
 
 def _int_clear(coeffs: Sequence[Rational]) -> list[int]:
     """Scale a rational coefficient list by a positive rational to integers."""
-    lcm = 1
-    for c in coeffs:
-        d = int(Rational(c).denominator)
-        lcm = lcm * d // _gcd(lcm, d)
-    out = [int(Rational(c).numerator) * (lcm // int(Rational(c).denominator)) for c in coeffs]
-    return _trim(out)
-
-
-def _content(c: Sequence[int]) -> int:
-    g = 0
-    for x in c:
-        g = _gcd(g, x)
-        if g == 1:
-            return 1
-    return g or 1
+    coeffs = [Rational(c) for c in coeffs]
+    scale = lcm(*(int(c.denominator) for c in coeffs))
+    return _trim([int(c.numerator) * (scale // int(c.denominator)) for c in coeffs])
 
 
 def _primitive(c: Sequence[int]) -> list[int]:
     c = _trim(list(c))
     if not c:
         return []
-    g = _content(c)
+    g = gcd(*c)
     return [x // g for x in c]
 
 

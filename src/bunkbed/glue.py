@@ -16,6 +16,11 @@ products add degrees and each elimination closes at most one component.  So
 every input entry is evaluated once at q = 0, ..., D, products and
 eliminations act point by point (a closed component multiplies by q), and
 each final entry is recovered by one exact integer interpolation.
+
+``factor_from_graph`` is the brute-force factor of a small graph.  It reads
+the integer random-cluster fold of ``bunkbed.measures``, the same fold behind
+``rc_boundary_table``, and shifts each entry's q-exponent down by the
+boundary's block count.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from typing import NamedTuple
 
 from .exactnum import MultiPoly, Rational, _trim, rat
 from .graph import Graph, hollom_instance, hypergraph_bunkbed
-from .measures import EnumerationGuardError, _edge_steps, _walk
+from .measures import EnumerationGuardError, _rc_fold
 from .partition import SetPartition, bell_number, canonical_rgs, join_rgs, project_rgs
 
 __all__ = [
@@ -45,7 +50,6 @@ __all__ = [
 ]
 
 _BOUNDARY_GUARD = 12
-_EDGE_GUARD = 28
 
 
 def _add_into(target: list, source: list) -> list:
@@ -180,48 +184,27 @@ def edge_factor(u: int, v: int, weight) -> Factor:
 
 
 def factor_from_graph(g: Graph, boundary, labels=None) -> Factor:
-    """Brute-force factor of a rational-weight graph over a boundary set.
+    """Brute-force factor of a graph over a boundary set, read from the integer fold.
 
     With internal components absorbed as powers of q; boundary-touching
     components contribute no q here.  `labels` optionally maps local vertex
     ids to global ids for network assembly.
     """
-    if g.m > _EDGE_GUARD:
-        raise EnumerationGuardError(
-            f"factor enumeration would visit 2^{g.m} subsets (guard 2^{_EDGE_GUARD})"
-        )
     boundary_local = tuple(boundary)
     if len(set(boundary_local)) != len(boundary_local):
         raise ValueError("duplicate boundary vertex")
-    # Each edge weight num/d walks as the integers (d - num, num); their
-    # products carry the shared denominator den = product of the d.
-    den = 1
-    weights = []
-    for _, _, w in g.edges:
-        if isinstance(w, MultiPoly):
-            raise ValueError("factors need rational edge weights")
-        num, d = int(w.numerator), int(w.denominator)
-        weights.append((d - num, num))
-        den *= d
-    acc: dict = {}
-    for _, comp, kappa, w in _walk(g.n, _edge_steps(g), weights):
-        broots = [comp[x] for x in boundary_local]
-        internal = kappa - len(set(broots))
-        coeffs = acc.setdefault(canonical_rgs(broots), [])
-        if len(coeffs) <= internal:
-            coeffs.extend([0] * (internal + 1 - len(coeffs)))
-        coeffs[internal] += w
+    acc, den = _rc_fold(g, boundary_local)
     mapping = labels or {}
     glob = [mapping.get(v, v) for v in boundary_local]
     if len(set(glob)) != len(glob):
         raise ValueError("labels must stay injective on the boundary")
     order = sorted(range(len(glob)), key=lambda i: glob[i])
-    entries = {}
-    for rgs, coeffs in acc.items():
-        permuted = canonical_rgs(rgs[i] for i in order)
-        target = entries.setdefault(permuted, [])
-        _add_into(target, _trim(coeffs))
-    return Factor(tuple(glob[i] for i in order), entries, den)
+    entries: dict = {}
+    for (rgs, kappa), c in acc.items():
+        coeffs = entries.setdefault(canonical_rgs(rgs[i] for i in order), [])
+        internal = kappa - (max(rgs) + 1 if rgs else 0)
+        _add_into(coeffs, [0] * internal + [c])
+    return Factor(tuple(glob[i] for i in order), {k: _trim(c) for k, c in entries.items()}, den)
 
 
 class _ValueForm(NamedTuple):

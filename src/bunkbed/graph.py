@@ -1,16 +1,18 @@
 """Finite weighted multigraphs, bunkbed constructions and named instances.
 
-Vertices of a Graph are 0..n-1.  Parallel edges are kept (their weights
-multiply independently under every measure here); self-loops are discarded by
-contraction.  Hypergraph vertices follow the source numbering 1..n because the
-one instance that matters is traditionally drawn that way.
+Vertices of a Graph are 0..n-1 and every edge weight is an exact rational.
+Parallel edges are kept (their weights multiply independently under every
+measure here); self-loops are discarded by contraction.  The JSON form writes
+each weight as a rational string such as "1/3"; reading any other weight
+string raises ValueError.  Hypergraph vertices follow the source numbering
+1..n because the one instance that matters is traditionally drawn that way.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from .exactnum import MultiPoly, format_rational, parse_poly, parse_rational, rat
+from .exactnum import format_rational, parse_rational, rat
 from .partition import SetPartition, canonical_rgs
 
 __all__ = [
@@ -32,15 +34,9 @@ ALL_VERTICALS = "all-verticals"
 POSTS_CONTRACTED = "posts-contracted"
 
 
-def _check_weight(w):
-    if isinstance(w, MultiPoly):
-        return w
-    return rat(w)
-
-
 @dataclass(frozen=True)
 class Graph:
-    """Finite multigraph with exact edge weights and optional provenance labels.
+    """Finite multigraph with rational edge weights and optional provenance labels.
 
     labels maps a vertex to anything hashable; bunkbed() uses (layer, base)
     pairs with layer 1/2 for the two copies and 0 for a contracted post.
@@ -58,7 +54,7 @@ class Graph:
                 raise ValueError(f"edge endpoint out of range: {e}")
             if u == v:
                 raise ValueError(f"self-loop not allowed: {e}")
-            norm.append((u, v, _check_weight(w)))
+            norm.append((u, v, rat(w)))
         object.__setattr__(self, "edges", tuple(norm))
 
     @property
@@ -67,7 +63,7 @@ class Graph:
 
     def with_weights(self, weight) -> "Graph":
         """Same topology with every edge reweighted."""
-        w = _check_weight(weight)
+        w = rat(weight)
         return Graph(self.n, tuple((u, v, w) for u, v, _ in self.edges), dict(self.labels))
 
     def is_connected(self) -> bool:
@@ -129,7 +125,7 @@ def bunkbed(spec: BunkbedSpec, vertical_weight=None) -> Graph:
     base = spec.base
     n = base.n
     if spec.mode == ALL_VERTICALS:
-        vw = rat(1, 2) if vertical_weight is None else _check_weight(vertical_weight)
+        vw = rat(1, 2) if vertical_weight is None else rat(vertical_weight)
         ids1 = {v: v for v in range(n)}
         ids2 = {v: v + n for v in range(n)}
         total = 2 * n
@@ -281,23 +277,10 @@ def hypergraph_bunkbed(h: Hypergraph):
 # ---------------------------------------------------------------------------
 
 
-def _weight_to_string(w) -> str:
-    if isinstance(w, MultiPoly):
-        return w.to_string()
-    return format_rational(w)
-
-
-def _weight_from_string(s: str):
-    try:
-        return parse_rational(s)
-    except ValueError:
-        return parse_poly(s)
-
-
 def graph_to_json(g: Graph, posts=None) -> dict:
     doc = {
         "n": g.n,
-        "edges": [[u, v, _weight_to_string(w)] for u, v, w in g.edges],
+        "edges": [[u, v, format_rational(w)] for u, v, w in g.edges],
     }
     if posts is not None:
         doc["posts"] = sorted(posts)
@@ -309,11 +292,16 @@ def graph_to_json(g: Graph, posts=None) -> dict:
 
 def graph_from_json(doc: dict):
     """Returns (graph, posts) where posts may be None."""
-    edges = tuple((u, v, _weight_from_string(w)) for u, v, w in doc["edges"])
+    edges = []
+    for u, v, w in doc["edges"]:
+        try:
+            edges.append((u, v, parse_rational(w)))
+        except ValueError:
+            raise ValueError(f"edge ({u}, {v}) weight {w!r} is not a rational like 3/4") from None
     labels = {}
     for k, v in doc.get("labels", {}).items():
         labels[int(k)] = tuple(v) if isinstance(v, list) else v
-    g = Graph(doc["n"], edges, labels)
+    g = Graph(doc["n"], tuple(edges), labels)
     posts = frozenset(doc["posts"]) if "posts" in doc else None
     return g, posts
 

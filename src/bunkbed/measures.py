@@ -2,10 +2,13 @@
 
 Every engine here is a fold over one depth-first walk of the include/exclude
 tree of edge subsets (``_walk``): subsets with a common prefix share its
-component merges and its weight product, so both rational and polynomial edge
-weights work.  The forest engines walk with ``acyclic=True``, which drops a
-branch as soon as its step joins two vertices already in one component: every
-subset below it holds that cycle, so only forests reach the leaves.  One forest
+component merges and its weight product.  Edge weights are rationals; the
+random-cluster fold (``_rc_fold``) walks each as a pair of integers over one
+shared denominator, and both ``rc_boundary_table`` and
+``bunkbed.glue.factor_from_graph`` read their tables from it.  The forest
+engines walk with ``acyclic=True``, which drops a branch as soon as its step
+joins two vertices already in one component: every subset below it holds
+that cycle, so only forests reach the leaves.  One forest
 table over all vertices serves every marked set: ``ForestTable.restrict``
 regroups its entries by the induced partition of fewer marked vertices, and
 ``ForestTable.probability`` sums the weights per component count before it
@@ -147,25 +150,41 @@ class BoundaryTable:
         return self.event(lambda part: part.together(u, v))
 
 
-def rc_boundary_table(g: Graph, marked) -> BoundaryTable:
-    """Exact random-cluster table over the connectivity patterns of `marked`.
+def _rc_fold(g: Graph, marked: tuple) -> tuple[dict, int]:
+    """Integer random-cluster weights keyed (marked RGS, kappa), over one denominator.
 
-    Edge weights come from the graph and may be rationals or polynomials; the
-    component count always enters through the symbolic variable q.
+    Each edge weight num/d walks as the integers (d - num, num), so a leaf
+    carries its subset's weight times the shared denominator den, the product
+    of the d.  Returns ({(rgs, kappa): int}, den); a key that only zero-weight
+    subsets reach stays, with value 0.
     """
     _guard_edges(g.m)
-    marked = tuple(marked)
-    weights = [(1 - w, w) for _, _, w in g.edges]
+    den = 1
+    weights = []
+    for _, _, w in g.edges:
+        num, d = int(w.numerator), int(w.denominator)
+        weights.append((d - num, num))
+        den *= d
     acc: dict = {}
     for _, comp, kappa, w in _walk(g.n, _edge_steps(g), weights):
         key = (canonical_rgs(comp[x] for x in marked), kappa)
-        prev = acc.get(key)
-        acc[key] = w if prev is None else prev + w
-    entries: dict = {}
-    for (rgs, kappa), w in acc.items():
-        part = SetPartition(marked, rgs)
-        term = w * MultiPoly.monomial(1, q=kappa)
-        entries[part] = entries.get(part, MultiPoly.zero()) + term
+        acc[key] = acc.get(key, 0) + w
+    return acc, den
+
+
+def rc_boundary_table(g: Graph, marked) -> BoundaryTable:
+    """Exact random-cluster table over the connectivity patterns of `marked`.
+
+    Edge weights come from the graph; the component count enters through the
+    symbolic variable q, so entry(pi) is the sum of c/den * q**kappa over the
+    integer fold's (pi, kappa) weights c.
+    """
+    marked = tuple(marked)
+    acc, den = _rc_fold(g, marked)
+    terms: dict = {}
+    for (rgs, kappa), c in acc.items():
+        terms.setdefault(rgs, {})[(kappa, 0, 0, 0)] = Rational(c, den)
+    entries = {SetPartition(marked, rgs): MultiPoly(t) for rgs, t in terms.items()}
     return BoundaryTable(marked, entries)
 
 
@@ -405,30 +424,13 @@ def _profile_weights(m: int, p: Rational, q: Rational, kappa_max: int):
     return pw, qw, b**m * d**kappa_max
 
 
-def _weights_for(profile: dict, m: int, p, q):
-    kappa_max = max((kappa for _, _, kappa in profile), default=0)
-    return _profile_weights(m, rat(p), rat(q), kappa_max)
-
-
 def case_difference(profile: dict, m: int, p, q) -> Rational:
     """Exact numerator of P[case bit0] - P[case bit1] at uniform edge weight p."""
-    pw, qw, den = _weights_for(profile, m, p, q)
+    kappa_max = max((kappa for _, _, kappa in profile), default=0)
+    pw, qw, den = _profile_weights(m, rat(p), rat(q), kappa_max)
     total = 0
     for (case, s, kappa), count in profile.items():
         sgn = (case & 1) - (case >> 1 & 1)
         if sgn:
             total += sgn * count * pw[s] * qw[kappa]
     return Rational(total, den)
-
-
-def profile_probability(profile: dict, m: int, p, q, predicate) -> Rational:
-    """Probability of an event on the marked RGS, from an rc_profile."""
-    pw, qw, _ = _weights_for(profile, m, p, q)
-    num = 0
-    den = 0
-    for (rgs, s, kappa), count in profile.items():
-        w = count * pw[s] * qw[kappa]
-        den += w
-        if predicate(rgs):
-            num += w
-    return Rational(num, den)

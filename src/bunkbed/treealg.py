@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .exactnum import (
-    MultiPoly,
     Rational,
     RationalMatrix,
     bareiss_det,
@@ -46,8 +45,6 @@ __all__ = [
     "resistance_matrix",
     "cross_inner",
     "bunkbed_pseudoinverse",
-    "posts_entry",
-    "posts_bunkbed_pseudoinverse_gap",
 ]
 
 
@@ -56,8 +53,6 @@ def laplacian(g: Graph) -> RationalMatrix:
     n = g.n
     data = [[rat(0)] * n for _ in range(n)]
     for u, v, w in g.edges:
-        if isinstance(w, MultiPoly):
-            raise ValueError("Laplacian needs rational edge weights")
         data[u][u] += w
         data[v][v] += w
         data[u][v] -= w
@@ -158,6 +153,11 @@ def bunkbed_pseudoinverse(g: Graph) -> RationalMatrix:
     (half the sum of an all-blocks L-pinv matrix and a signed (L+2I)^{-1}
     matrix); raises if the two disagree anywhere.
     """
+    return _bunkbed_pinv_and_resolvent(g)[0]
+
+
+def _bunkbed_pinv_and_resolvent(g: Graph) -> tuple[RationalMatrix, RationalMatrix]:
+    """bunkbed_pseudoinverse(g) together with the (L + 2I)^{-1} it was checked against."""
     n = g.n
     bb = bunkbed(BunkbedSpec(g, mode=ALL_VERTICALS), vertical_weight=rat(1))
     direct = pseudoinverse(laplacian(bb))
@@ -177,7 +177,7 @@ def bunkbed_pseudoinverse(g: Graph) -> RationalMatrix:
     blocks = RationalMatrix(data)
     if direct != blocks:
         raise ValueError("bunkbed pseudoinverse block formula mismatch")
-    return direct
+    return direct, shifted
 
 
 class PostsBundle:
@@ -222,19 +222,3 @@ class PostsBundle:
         u1, _ = bunkbed_copies(bb, u)
         v1, v2 = bunkbed_copies(bb, v)
         return pinv[u1, v1] - pinv[u1, v2]
-
-
-def posts_entry(g: Graph, posts, u: int, v: int) -> Rational:
-    """Entry (u, v) of the inverse of the Laplacian restricted to non-posts.
-
-    The restriction L^SS (S = non-post vertices) is an M-matrix whenever the
-    post set is nonempty and the graph connected, so the entry is >= 0; it
-    equals the two-layer pseudoinverse gap computed by
-    posts_bunkbed_pseudoinverse_gap.  For many pairs, build one PostsBundle.
-    """
-    return PostsBundle(g, posts).entry(u, v)
-
-
-def posts_bunkbed_pseudoinverse_gap(g: Graph, posts, u: int, v: int) -> Rational:
-    """L_pinv(u1, v1) - L_pinv(u1, v2) on the posts-contracted bunkbed."""
-    return PostsBundle(g, posts).gap(u, v)

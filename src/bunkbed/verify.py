@@ -19,14 +19,7 @@ from .catalog import (
     named_instance,
     outerplanar_catalog,
 )
-from .exactnum import (
-    MultiPoly,
-    RationalMatrix,
-    format_rational,
-    invert,
-    psd_certificate,
-    rat,
-)
+from .exactnum import MultiPoly, format_rational, psd_certificate, rat
 from .glue import FactorNetwork, contract_network, edge_factor, factor_from_graph
 from .graph import (
     ALL_VERTICALS,
@@ -36,6 +29,7 @@ from .graph import (
     bunkbed,
     bunkbed_copies,
     hollom_instance,
+    minor,
 )
 from .measures import (
     EnumerationGuardError,
@@ -47,12 +41,13 @@ from .measures import (
     forest_masks,
     forest_table,
     hypergraph_rc_difference,
-    rc_boundary_table,
+    rc_profile,
 )
 from .partition import SetPartition, canonicalize
 from .treealg import (
     LaplacianBundle,
     PostsBundle,
+    _bunkbed_pinv_and_resolvent,
     all_minors_count,
     bunkbed_pseudoinverse,
     laplacian,
@@ -108,12 +103,6 @@ class VerificationReport:
     @property
     def ok(self) -> bool:
         return self.verdict in (HOLDS, OPEN_OK)
-
-
-def _fmt(x) -> str:
-    if isinstance(x, MultiPoly):
-        return x.to_string()
-    return format_rational(x)
 
 
 def _grid_doc(**grids) -> dict:
@@ -185,7 +174,7 @@ def check_bunkbed(
                     if best is None or diff < best[0]:
                         best = key
         grid = _grid_doc(p=p_grid, q=q_values)
-        point = {"p": _fmt(best[3]), "q": _fmt(best[4])}
+        point = {"p": format_rational(best[3]), "q": format_rational(best[4])}
     else:
         # One forest enumeration over all vertices serves every pair.
         table = forest_table(bb, tuple(range(bb.n)))
@@ -199,18 +188,18 @@ def check_bunkbed(
                 if best is None or diff < best[0]:
                     best = (diff, a, b, lam, None)
         grid = _grid_doc(lam=lam_grid)
-        point = {"lambda": _fmt(best[3])}
+        point = {"lambda": format_rational(best[3])}
     diff, a, b, *_ = best
     good = diff >= 0
     verdict = (OPEN_OK if open_conjecture else HOLDS) if good else FAILS
     witness = None
     if not good:
-        witness = {"u": a, "v": b, **point, "difference": _fmt(diff)}
+        witness = {"u": a, "v": b, **point, "difference": format_rational(diff)}
     return VerificationReport(
         claim=f"bunkbed-difference-{measure}",
         instance=instance,
         verdict=verdict,
-        quantities={"min_difference": _fmt(diff), "at_pair": f"({a},{b})", **point},
+        quantities={"min_difference": format_rational(diff), "at_pair": f"({a},{b})", **point},
         grid=grid,
         witness=witness,
     )
@@ -273,14 +262,16 @@ def check_p_threshold(g: Graph, posts, q, instance: str = "graph") -> Verificati
         instance=instance,
         verdict=verdict,
         quantities={
-            "threshold": _fmt(p0),
-            "q": _fmt(q),
-            "min_difference": _fmt(diff),
+            "threshold": format_rational(p0),
+            "q": format_rational(q),
+            "min_difference": format_rational(diff),
             "at_pair": f"({a},{b})",
-            "at_p": _fmt(p),
+            "at_p": format_rational(p),
         },
         grid=_grid_doc(p=p_values),
-        witness=None if diff >= 0 else {"u": a, "v": b, "p": _fmt(p), "q": _fmt(q)},
+        witness=None if diff >= 0 else {
+            "u": a, "v": b, "p": format_rational(p), "q": format_rational(q)
+        },
     )
 
 
@@ -601,8 +592,7 @@ def _suite_bunkbed_tree_stratum(g: Graph) -> bool:
         bunkbed(BunkbedSpec(g, mode=ALL_VERTICALS), vertical_weight=rat(1))
     )
     n = g.n
-    pinv = bunkbed_pseudoinverse(g)
-    resolvent = invert(laplacian(g) + RationalMatrix.identity(n) * rat(2))
+    pinv, resolvent = _bunkbed_pinv_and_resolvent(g)
     for u_ in range(n):
         for v_ in range(n):
             if u_ == v_:
@@ -627,45 +617,37 @@ def _suite_bunkbed_tree_stratum(g: Graph) -> bool:
 
 
 def _suite_weak_limit(g: Graph) -> bool:
-    lam_q = MultiPoly.variable("l") * MultiPoly.variable("q")
-    marked = (0, g.n - 1) if g.n >= 2 else (0,)
-    sym = g.with_weights(lam_q)
-    table = rc_boundary_table(sym, marked)
-    ft = forest_table(g, marked)
+    """The lambda*q weak limit of the random-cluster model, read off subset counts.
+
+    With every edge weight l*q, a subset S with kappa components weighs
+    (lq)^|S| (1 - lq)^(m - |S|) q^kappa.  Since |S| + kappa >= n, with
+    equality exactly for forests, each marked-partition entry has lowest
+    q-degree n, and its q^n coefficient sums l^|S| over the forests: the
+    (|S|, kappa) counts with |S| + kappa = n.
+    """
     n = g.n
-    for part, poly in table.entries.items():
-        if poly.min_degree("q") != n:
-            return False
-        slice_ = poly.coefficient("q", n)
-        expected = MultiPoly.zero()
-        for (p2, kappa), count in ft.entries.items():
-            if p2 == part:
-                expected += count * MultiPoly.variable("l") ** (n - kappa)
-        if slice_ != expected:
-            return False
-    # Tree stratum: the doubly-leading coefficient is the spanning tree count.
+    marked = (0, n - 1) if n >= 2 else (0,)
+    counts = rc_profile(g, marked)
+    lowest: dict = {}
+    for rgs, s, kappa in counts:
+        lowest[rgs] = min(lowest.get(rgs, s + kappa), s + kappa)
+    if any(low != n for low in lowest.values()):
+        return False
+    stratum = {(rgs, kappa): c for (rgs, s, kappa), c in counts.items() if s + kappa == n}
+    forests = forest_table(g, marked).entries
+    if stratum != {(part.rgs, kappa): c for (part, kappa), c in forests.items()}:
+        return False
+    # Tree stratum: the q^n l^(n-1) coefficient is the spanning tree count.
     trees = all_minors_count(g, {0}, {0})
-    for part, poly in table.entries.items():
-        top = poly.coefficient("q", n).coefficient("l", n - 1).constant_value()
-        if part.block_count == 1:
-            if top != trees:
-                return False
-        elif top != 0:
+    for rgs in lowest:
+        top = counts.get((rgs, n - 1, 1), 0)
+        if top != (trees if len(set(rgs)) == 1 else 0):
             return False
-    # Edge marginal: marking one edge with g tracks it into the tree stratum.
+    # Edge marginal: the spanning trees through edge 0 are those of g / edge 0.
     if g.m:
-        marker = MultiPoly.variable("g") * lam_q
-        edges = list(g.edges)
-        u0, v0, _ = edges[0]
-        marked_graph = Graph(g.n, tuple(
-            (u_, v_, marker if i == 0 else lam_q) for i, (u_, v_, _) in enumerate(edges)
-        ))
-        t2 = rc_boundary_table(marked_graph, marked)
-        with_edge = sum(
-            poly.coefficient_of((n, n - 1, 1, 0)) for poly in t2.entries.values()
-        )
-        direct = _trees_containing(g, {0})
-        if with_edge != direct:
+        contracted = rc_profile(minor(g, contractions={0}), ())
+        through = sum(c for (_, s, kappa), c in contracted.items() if (s, kappa) == (n - 2, 1))
+        if through != _trees_containing(g, {0}):
             return False
     return True
 
@@ -740,9 +722,9 @@ def _forest_product_inequality(g: Graph, lam_grid):
                         "u": x,
                         "v": y,
                         "t": t_,
-                        "lambda": _fmt(lam),
-                        "lhs": _fmt(left),
-                        "rhs": _fmt(right),
+                        "lambda": format_rational(lam),
+                        "lhs": format_rational(left),
+                        "rhs": format_rational(right),
                     }
     return None
 
@@ -756,7 +738,7 @@ def _forest_harris(g: Graph, lam_grid):
             a = ft.probability(lambda part: part.together(u_, w_), lam)
             b = ft.probability(lambda part: part.together(w_, v_), lam)
             if joint < a * b:
-                return {"u": u_, "w": w_, "v": v_, "lambda": _fmt(lam)}
+                return {"u": u_, "w": w_, "v": v_, "lambda": format_rational(lam)}
     return None
 
 
@@ -775,7 +757,7 @@ def _edge_negative_correlation(g: Graph, lam_grid):
                 if mask >> e & 1 and mask >> f & 1:
                     pef += w
             if pe * pf < pef * z:
-                return {"e": e, "f": f, "lambda": _fmt(lam)}
+                return {"e": e, "f": f, "lambda": format_rational(lam)}
     return None
 
 
@@ -812,7 +794,7 @@ def _four_point_forest(weighted: Graph, lam_grid):
             ) - ft.probability(lambda part: part == p_ad, lam)
             rhs = split3 * together + cross**2
             if lhs < rhs:
-                return {"quad": list(quad), "lambda": _fmt(lam)}
+                return {"quad": list(quad), "lambda": format_rational(lam)}
     return None
 
 
@@ -958,7 +940,7 @@ def scan_conjectures(
                 witness["instance"] = name
                 witness["trial"] = trial
                 witness["weights"] = [
-                    _fmt(w) for _, _, w in weighted.edges
+                    format_rational(w) for _, _, w in weighted.edges
                 ]
                 break
         if witness:
@@ -1006,9 +988,9 @@ def check_hypergraph_factorization() -> VerificationReport:
         instance="hollom bunkbed",
         verdict=HOLDS if ok else FAILS,
         quantities={
-            "constant": _fmt(c),
+            "constant": format_rational(c),
             "difference": diff.to_string(),
-            "value_at_q1": _fmt(diff.eval({"q": rat(1), "g": rat(1), "h": rat(1)})),
+            "value_at_q1": format_rational(diff.eval({"q": rat(1), "g": rat(1), "h": rat(1)})),
         },
         witness=None if ok else {"difference": diff.to_string()},
     )

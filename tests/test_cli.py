@@ -147,11 +147,16 @@ def test_exit_code_mapping():
         (["compute", "rc-prob", "--graph", "K2", "--p", "3/2"], "3/2"),
         (["compute", "pseudoinverse", "--input", "{tmp}/two_edges.json"], "disconnected"),
         (["compute", "resistance", "--input", "{tmp}/two_edges.json", "--u", "0", "--v", "2"], "disconnected"),
+        (["verify", "--suite", "bunkbed", "--input", "{tmp}/poly.json", "--measure", "arboreal"], "not a rational"),
+        (["compute", "resistance", "--input", "{tmp}/poly.json"], "not a rational"),
+        (["compute", "bracket", "--input", "{tmp}/poly.json"], "not a rational"),
     ],
 )
 def test_malformed_input_is_usage_error(argv, fragment, tmp_path, capsys):
     (tmp_path / "no_edges.json").write_text(json.dumps({"n": 2}))
     (tmp_path / "two_edges.json").write_text(json.dumps({"n": 4, "edges": [[0, 1, "1"], [2, 3, "1"]]}))
+    poly_edges = [[0, 1, "1/3*q^1*l^1*g^0*h^0"], [1, 2, "1/2"], [0, 2, "1/2"]]
+    (tmp_path / "poly.json").write_text(json.dumps({"n": 3, "edges": poly_edges}))
     code = main([arg.format(tmp=tmp_path) for arg in argv])
     err = capsys.readouterr().err.splitlines()
     assert code == 2

@@ -1,4 +1,7 @@
 import random
+import re
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +19,6 @@ from bunkbed.exactnum import (
     invert,
     isolate_negative_region,
     isolate_real_roots,
-    parse_poly,
     parse_rational,
     poly_eval,
     psd_certificate,
@@ -40,6 +42,28 @@ def test_rational_parse_and_format():
         parse_rational("1/0")
 
 
+def test_no_code_path_compares_type_names():
+    # Backend checks go through isinstance and the numbers ABCs, so a code
+    # path cannot depend on which rational type happens to be installed.
+    src = Path(__file__).resolve().parents[1] / "src" / "bunkbed"
+    compare = re.compile(r"\.__name__\s*(==|!=|(not\s+)?in\b)|(==|!=|\bin)\s*type\(.*\)\.__name__")
+    hits = [
+        f"{path.name}:{number}"
+        for path in sorted(src.glob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if compare.search(line)
+    ]
+    assert hits == []
+
+
+def test_polynomials_coerce_every_rational_type():
+    for x in (3, True, Fraction(1, 3), rat(2, 5)):
+        assert (MultiPoly.const(1) + x).constant_value() == 1 + x
+        assert (x * Q).dense_in("q") == [0, x]
+    with pytest.raises(TypeError):
+        MultiPoly.const(1) + 0.5
+
+
 # -- polynomial arithmetic
 
 
@@ -57,9 +81,7 @@ def test_poly_eval_missing_assignment_names_variable():
 
 def test_poly_string_round_trip():
     p = 3 * Q**2 * L - rat(1, 2) * MultiPoly.variable("g") + 5
-    text = p.to_string()
-    assert parse_poly(text) == p
-    assert parse_poly("0") == MultiPoly.zero()
+    assert p.to_string() == "5*q^0*l^0*g^0*h^0 + -1/2*q^0*l^0*g^1*h^0 + 3*q^2*l^1*g^0*h^0"
     assert MultiPoly.zero().to_string() == "0"
 
 

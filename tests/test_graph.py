@@ -166,8 +166,7 @@ def test_hollom_instance_facts():
 
 def test_graph_json_round_trip(tmp_path):
     g = named_graph("K3").with_weights(rat(1, 3))
-    poly_weight = MultiPoly.variable("l") * MultiPoly.variable("q")
-    g2 = Graph(3, ((0, 1, poly_weight), (1, 2, rat(2, 5))))
+    g2 = Graph(3, ((0, 1, rat(1, 7)), (1, 2, rat(2, 5))))
     for graph in (g, g2):
         doc = graph_to_json(graph, posts={1})
         back, posts = graph_from_json(doc)
@@ -175,6 +174,13 @@ def test_graph_json_round_trip(tmp_path):
         assert posts == frozenset({1})
         assert [(u, v) for u, v, _ in back.edges] == [(u, v) for u, v, _ in graph.edges]
         assert all(wa == wb for (_, _, wa), (_, _, wb) in zip(back.edges, graph.edges))
+    # Edge weights are rationals only: a polynomial weight is rejected.
+    poly_weight = MultiPoly.variable("l") * MultiPoly.variable("q")
+    with pytest.raises(TypeError):
+        Graph(3, ((0, 1, poly_weight), (1, 2, rat(2, 5))))
+    doc = {"n": 3, "edges": [[0, 1, poly_weight.to_string()], [1, 2, "2/5"]]}
+    with pytest.raises(ValueError):
+        graph_from_json(doc)
 
 
 def _canonical(n, edges):

@@ -25,7 +25,6 @@ from bunkbed.measures import (
     forest_masks,
     forest_table,
     hypergraph_rc_difference,
-    profile_probability,
     rc_boundary_table,
     rc_connection_prob,
     rc_profile,
@@ -52,6 +51,10 @@ def test_rc_table_single_edge():
     apart = _pattern((0, 1), (0,), (1,))
     assert table.entries[together] == p * Q
     assert table.entries[apart] == (1 - p) * Q**2
+    # A partition only zero-weight subsets reach keeps its (zero) entry.
+    certain = Graph(2, ((0, 1, rat(1)),))
+    assert rc_boundary_table(certain, (0, 1)).entries[apart] == MultiPoly.zero()
+    assert factor_from_graph(certain, (0, 1)).entries == {(0, 0): [1], (0, 1): []}
 
 
 def test_rc_table_empty_marked_is_partition_function():
@@ -184,46 +187,52 @@ def test_arboreal_probability_normalizes():
 # -- weak limits
 
 
-def _lowest_q_slice(poly):
-    k = poly.min_degree("q")
-    return k, poly.coefficient("q", k)
+def _lowest_q_slice(counts, rgs):
+    """Lowest q-degree of an rc_profile entry at edge weight l*q, and its coefficient.
+
+    A subset weighs (lq)^s (1 - lq)^(m - s) q^kappa, whose lowest term is
+    l^s q^(s + kappa); every such term has a positive coefficient.
+    """
+    keys = [(s, kappa, c) for (r, s, kappa), c in counts.items() if r == rgs]
+    k = min(s + kappa for s, kappa, _ in keys)
+    return k, sum((c * L**s for s, kappa, c in keys if s + kappa == k), MultiPoly.zero())
 
 
 def test_weak_limit_lambda_q_reproduces_forests():
-    lam_q = L * Q
     for name in ("K3", "P3", "C4"):
-        g = named_graph(name).with_weights(lam_q)
-        table = rc_boundary_table(g, (0, g.n - 1))
-        ft = forest_table(named_graph(name), (0, g.n - 1))
-        for part, poly in table.entries.items():
-            k, slice_ = _lowest_q_slice(poly)
+        g = named_graph(name)
+        counts = rc_profile(g, (0, g.n - 1))
+        ft = forest_table(g, (0, g.n - 1))
+        for rgs in {r for r, _, _ in counts}:
+            k, slice_ = _lowest_q_slice(counts, rgs)
             assert k == g.n
             expected = MultiPoly.zero()
             for (p2, kappa), count in ft.entries.items():
-                if p2 == part:
+                if p2.rgs == rgs:
                     expected += count * L ** (g.n - kappa)
             assert slice_ == expected
 
 
 def test_weak_limit_tree_stratum_matches_matrix_tree():
     for name in ("K3", "C4", "K4"):
-        g = named_graph(name).with_weights(L * Q)
-        table = rc_boundary_table(g, (0, 1))
+        g = named_graph(name)
+        counts = rc_profile(g, (0, 1))
         n = g.n
         lap = [[rat(0)] * n for _ in range(n)]
-        for u, v, _ in named_graph(name).edges:
+        for u, v, _ in g.edges:
             lap[u][u] += 1
             lap[v][v] += 1
             lap[u][v] -= 1
             lap[v][u] -= 1
         reduced = RationalMatrix([row[1:] for row in lap[1:]])
         trees = bareiss_det(reduced)
-        for part, poly in table.entries.items():
-            slice_ = poly.coefficient("q", n).coefficient("l", n - 1).constant_value()
-            if part.block_count == 1:
-                assert slice_ == trees
+        for rgs in {r for r, _, _ in counts}:
+            # Only the spanning trees, (s, kappa) = (n - 1, 1), reach l^(n-1) q^n.
+            top = counts.get((rgs, n - 1, 1), 0)
+            if len(set(rgs)) == 1:
+                assert top == trees
             else:
-                assert slice_ == 0
+                assert top == 0
 
 
 # -- alternate two-colour model
@@ -284,15 +293,26 @@ def test_hypergraph_difference_single_hyperedge():
 # -- correlation inequalities at exact grid points
 
 
+def _profile_probability(profile, m, p, q, predicate):
+    """Probability of an event on the marked RGS, from rc_profile counts."""
+    num = den = 0
+    for (rgs, s, kappa), count in profile.items():
+        w = count * p**s * (1 - p) ** (m - s) * q**kappa
+        den += w
+        if predicate(rgs):
+            num += w
+    return num / den
+
+
 def test_harris_product_inequality_at_q1():
     for _, g in connected_graphs(5, min_n=3):
         prof = rc_profile(g, (0, 1, g.n - 1))
         for p in (rat(1, 4), rat(1, 2), rat(3, 4)):
-            joint = profile_probability(
+            joint = _profile_probability(
                 prof, g.m, p, rat(1), lambda r: r[0] == r[1] == r[2]
             )
-            a = profile_probability(prof, g.m, p, rat(1), lambda r: r[0] == r[1])
-            b = profile_probability(prof, g.m, p, rat(1), lambda r: r[1] == r[2])
+            a = _profile_probability(prof, g.m, p, rat(1), lambda r: r[0] == r[1])
+            b = _profile_probability(prof, g.m, p, rat(1), lambda r: r[1] == r[2])
             assert joint >= a * b
 
 
@@ -303,7 +323,7 @@ def test_three_point_symmetric_inequality():
         prof = rc_profile(g, (0, 1, 2))
         p = rat(rng.randint(1, 9), 10)
         for q in (rat(1), rat(3, 2), rat(2)):
-            mu = lambda pred: profile_probability(prof, g.m, p, q, pred)
+            mu = lambda pred: _profile_probability(prof, g.m, p, q, pred)
             abc = mu(lambda r: r[0] == r[1] == r[2])
             split = mu(lambda r: r[0] != r[1] and r[1] != r[2] and r[0] != r[2])
             ab_c = mu(lambda r: r[0] == r[1] != r[2])

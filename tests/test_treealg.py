@@ -16,8 +16,6 @@ from bunkbed.treealg import (
     bunkbed_pseudoinverse,
     cross_inner,
     laplacian,
-    posts_bunkbed_pseudoinverse_gap,
-    posts_entry,
     pseudoinverse,
     resistance,
     resistance_matrix,
@@ -182,13 +180,13 @@ def test_bunkbed_pseudoinverse_block_formula_on_catalog():
 
 def test_posts_entry_examples():
     p3 = named_graph("P3")
-    assert posts_entry(p3, {1}, 0, 2) == 0
+    assert PostsBundle(p3, {1}).entry(0, 2) == 0
     k3 = named_graph("K3")
-    assert posts_entry(k3, {2}, 0, 1) == rat(1, 3)
+    assert PostsBundle(k3, {2}).entry(0, 1) == rat(1, 3)
     with pytest.raises(ValueError):
-        posts_entry(k3, set(), 0, 1)
+        PostsBundle(k3, set()).entry(0, 1)
     with pytest.raises(ValueError):
-        posts_entry(k3, {0}, 0, 1)
+        PostsBundle(k3, {0}).entry(0, 1)
 
 
 def test_posts_entry_equals_contracted_bunkbed_gap():
@@ -201,8 +199,9 @@ def test_posts_entry_equals_contracted_bunkbed_gap():
             if len(non_posts) < 2:
                 continue
             u, v = rng.sample(non_posts, 2)
-            assert posts_entry(g, t, u, v) == posts_bunkbed_pseudoinverse_gap(g, t, u, v)
-            assert posts_entry(g, t, u, v) >= 0
+            tables = PostsBundle(g, t)
+            assert tables.entry(u, v) == tables.gap(u, v)
+            assert tables.entry(u, v) >= 0
 
 
 def _oracle_pseudoinverse(lap):
@@ -212,8 +211,8 @@ def _oracle_pseudoinverse(lap):
 
 def test_posts_tables_match_per_pair_functions_and_oracle():
     # Every non-post pair of the identity catalog, on the post sets of the
-    # tree-stratum suite: one PostsBundle per post set gives what the per-pair
-    # functions give, and what a per-pair recomputation through the
+    # tree-stratum suite: one PostsBundle per post set gives what a fresh
+    # bundle per pair gives, and what a per-pair recomputation through the
     # back-substitution oracle gives.
     for _, g in identity_catalog():
         post_sets = [frozenset({0})] + ([frozenset({0, 1})] if g.n >= 4 else [])
@@ -225,8 +224,8 @@ def test_posts_tables_match_per_pair_functions_and_oracle():
             pinv = _oracle_pseudoinverse(laplacian(bb))
             for u, v in combinations(others, 2):
                 entry, gap = tables.entry(u, v), tables.gap(u, v)
-                assert entry == posts_entry(g, posts, u, v)
-                assert gap == posts_bunkbed_pseudoinverse_gap(g, posts, u, v)
+                fresh = PostsBundle(g, posts)
+                assert (entry, gap) == (fresh.entry(u, v), fresh.gap(u, v))
                 assert entry == lss_inv[others.index(u), others.index(v)]
                 u1, _ = bunkbed_copies(bb, u)
                 v1, v2 = bunkbed_copies(bb, v)
