@@ -294,6 +294,8 @@ def graph_from_json(doc: dict):
     """Returns (graph, posts) where posts may be None."""
     edges = []
     for u, v, w in doc["edges"]:
+        if not isinstance(w, str):
+            raise ValueError(f'edge ({u}, {v}) weight {w!r} must be a string such as "3/4"')
         try:
             edges.append((u, v, parse_rational(w)))
         except ValueError:

@@ -2,22 +2,26 @@
 
 Every engine here is a fold over one depth-first walk of the include/exclude
 tree of edge subsets (``_walk``): subsets with a common prefix share its
-component merges and its weight product.  Edge weights are rationals; the
-random-cluster fold (``_rc_fold``) walks each as a pair of integers over one
-shared denominator, and both ``rc_boundary_table`` and
-``bunkbed.glue.factor_from_graph`` read their tables from it.  The forest
-engines walk with ``acyclic=True``, which drops a branch as soon as its step
-joins two vertices already in one component: every subset below it holds
-that cycle, so only forests reach the leaves.  One forest
-table over all vertices serves every marked set: ``ForestTable.restrict``
-regroups its entries by the induced partition of fewer marked vertices, and
-``ForestTable.probability`` sums the weights per component count before it
-applies the activity.  The enumeration guard is 2^28 subsets; larger instances
-belong to the factor-contraction engine in ``bunkbed.glue``.
+component merges and its weight product.  Edge weights are rationals, and the
+folds walk each one num/d as a pair of integers over one shared denominator,
+the product of the d: the random-cluster fold (``_rc_fold``) as (d - num, num),
+the forest fold (``forest_table``) as (d, num).  Leaves are summed under their
+raw component labels, and each distinct label tuple is canonicalised once.
+Both ``rc_boundary_table`` and ``bunkbed.glue.factor_from_graph`` read their
+tables from the random-cluster fold.  The forest engines walk with
+``acyclic=True``, which drops a branch as soon as its step joins two vertices
+already in one component: every subset below it holds that cycle, so only
+forests reach the leaves.  One integer forest table over all vertices serves
+every marked set: ``ForestTable.restrict`` regroups its entries by the induced
+partition of fewer marked vertices, and ``ForestTable.probability`` at
+lambda = a/b is the ratio of two integer sums of w a^(n-kappa) b^kappa.  The
+enumeration guard is 2^28 subsets; larger instances belong to the
+factor-contraction engine in ``bunkbed.glue``.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache
@@ -33,6 +37,7 @@ __all__ = [
     "BoundaryTable",
     "BracketQuery",
     "ForestTable",
+    "activity_weights",
     "rc_boundary_table",
     "rc_profile",
     "rc_connection_prob",
@@ -150,6 +155,39 @@ class BoundaryTable:
         return self.event(lambda part: part.together(u, v))
 
 
+def _integer_weights(g: Graph) -> tuple[list, int]:
+    """Each edge weight num/d as the integers (num, d), and den, the product of the d."""
+    pairs = [(int(w.numerator), int(w.denominator)) for _, _, w in g.edges]
+    return pairs, math.prod(d for _, d in pairs)
+
+
+def _canonical(acc: dict) -> dict:
+    """Sums keyed (raw labels, *rest) merged into sums keyed (RGS, *rest).
+
+    canonical_rgs runs once per distinct label tuple, not once per leaf.  A
+    canonical key comes first where its earliest raw key does, so the result
+    is ordered as a per-leaf canonicalisation would order it.
+    """
+    rgs_of: dict = {}
+    out: dict = {}
+    for (labels, *rest), w in acc.items():
+        rgs = rgs_of.get(labels)
+        if rgs is None:
+            rgs = rgs_of[labels] = canonical_rgs(labels)
+        key = (rgs, *rest)
+        out[key] = out.get(key, 0) + w
+    return out
+
+
+def _marked_sums(g: Graph, marked: tuple, weights, acyclic=False) -> dict:
+    """Leaf weights of the edge walk summed by (marked RGS, kappa)."""
+    acc: dict = {}
+    for _, comp, kappa, w in _walk(g.n, _edge_steps(g), weights, acyclic):
+        key = (tuple([comp[x] for x in marked]), kappa)
+        acc[key] = acc.get(key, 0) + w
+    return _canonical(acc)
+
+
 def _rc_fold(g: Graph, marked: tuple) -> tuple[dict, int]:
     """Integer random-cluster weights keyed (marked RGS, kappa), over one denominator.
 
@@ -159,17 +197,8 @@ def _rc_fold(g: Graph, marked: tuple) -> tuple[dict, int]:
     subsets reach stays, with value 0.
     """
     _guard_edges(g.m)
-    den = 1
-    weights = []
-    for _, _, w in g.edges:
-        num, d = int(w.numerator), int(w.denominator)
-        weights.append((d - num, num))
-        den *= d
-    acc: dict = {}
-    for _, comp, kappa, w in _walk(g.n, _edge_steps(g), weights):
-        key = (canonical_rgs(comp[x] for x in marked), kappa)
-        acc[key] = acc.get(key, 0) + w
-    return acc, den
+    pairs, den = _integer_weights(g)
+    return _marked_sums(g, marked, [(d - num, num) for num, d in pairs]), den
 
 
 def rc_boundary_table(g: Graph, marked) -> BoundaryTable:
@@ -198,9 +227,9 @@ def rc_profile(g: Graph, marked) -> dict:
     marked = tuple(marked)
     counts: dict = {}
     for mask, comp, kappa, _ in _walk(g.n, _edge_steps(g)):
-        key = (canonical_rgs(comp[x] for x in marked), mask.bit_count(), kappa)
+        key = (tuple([comp[x] for x in marked]), mask.bit_count(), kappa)
         counts[key] = counts.get(key, 0) + 1
-    return counts
+    return _canonical(counts)
 
 
 def rc_connection_prob(g: Graph, q, u: int, v: int) -> Rational:
@@ -234,13 +263,31 @@ class BracketQuery:
             raise ValueError("pattern ground must equal the marked vertices")
 
 
+@lru_cache(maxsize=256)
+def activity_weights(n: int, lam: Rational) -> tuple:
+    """Integer arboreal-gas weights at lambda = a/b: entry kappa is a^(n-kappa) b^kappa.
+
+    That is lambda^(n-kappa) times b^n, so a ratio of two sums weighted by
+    these entries is the ratio of the lambda-weighted sums.
+    """
+    a, b = int(lam.numerator), int(lam.denominator)
+    return tuple(a ** (n - kappa) * b**kappa for kappa in range(n + 1))
+
+
 @dataclass
 class ForestTable:
-    """Spanning-forest weights keyed by (marked partition, component count)."""
+    """Spanning-forest weights keyed by (marked partition, component count).
+
+    Entries are integers over one denominator den, the product of the edge
+    weights' denominators: entry (pi, kappa) is den times the summed weight of
+    the forests with kappa components that induce pi.  On graphs with integer
+    weights den is 1 and the entries are the weighted forest counts.
+    """
 
     marked: tuple
     n: int
     entries: dict
+    den: int
 
     def query(self, q: BracketQuery):
         if tuple(q.marked) != tuple(self.marked):
@@ -248,21 +295,20 @@ class ForestTable:
         return self.bracket(q.pattern, q.extra)
 
     def bracket(self, pattern: SetPartition | None = None, extra: int = 0):
-        """Forest count for a separation pattern at minimal components + extra.
+        """Forest weight for a separation pattern at minimal components + extra.
 
         ``pattern=None`` places no restriction on the marked vertices (the
-        all-trees bracket and its relaxations).
+        all-trees bracket and its relaxations).  The result is an int when den
+        is 1, otherwise the exact rational.
         """
         if extra < 0:
             raise ValueError("extra component count must be non-negative")
         if pattern is None:
             kappa = 1 + extra
-            return sum(
-                (w for (p, k), w in self.entries.items() if k == kappa),
-                start=0,
-            )
-        kappa = pattern.block_count + extra
-        return self.entries.get((pattern, kappa), 0)
+            w = sum(w for (_, k), w in self.entries.items() if k == kappa)
+        else:
+            w = self.entries.get((pattern, pattern.block_count + extra), 0)
+        return w if self.den == 1 else Rational(w, self.den)
 
     def restrict(self, marked) -> "ForestTable":
         """The same forests keyed by the induced partition of fewer marked vertices.
@@ -273,51 +319,53 @@ class ForestTable:
         marked = tuple(marked)
         index = {x: i for i, x in enumerate(self.marked)}
         pos = [index[x] for x in marked]
-        parts: dict = {}
-        entries: dict = {}
+        acc: dict = {}
         for (part, kappa), w in self.entries.items():
-            rgs = canonical_rgs(part.rgs[i] for i in pos)
-            sub = parts.get(rgs)
-            if sub is None:
-                sub = parts[rgs] = SetPartition(marked, rgs)
-            prev = entries.get((sub, kappa))
-            entries[sub, kappa] = w if prev is None else prev + w
-        return ForestTable(marked, self.n, entries)
+            key = (tuple([part.rgs[i] for i in pos]), kappa)
+            acc[key] = acc.get(key, 0) + w
+        return ForestTable(marked, self.n, _forest_entries(marked, _canonical(acc)), self.den)
 
     def probability(self, predicate, lam) -> Rational:
-        """Arboreal-gas probability of an event on the marked partition."""
-        lam = rat(lam)
-        num: dict = {}
-        den: dict = {}
+        """Arboreal-gas probability of an event on the marked partition.
+
+        At lambda = a/b both the event and Z are integer sums of
+        w a^(n-kappa) b^kappa; their ratio is the probability, since the
+        common factors b^n and den cancel.
+        """
+        scale = activity_weights(self.n, rat(lam))
+        event = total = 0
         for (part, kappa), w in self.entries.items():
-            den[kappa] = den.get(kappa, 0) + w
+            w *= scale[kappa]
+            total += w
             if predicate(part):
-                num[kappa] = num.get(kappa, 0) + w
+                event += w
+        return Rational(event, total)
 
-        def activity(sums):
-            return sum(w * lam ** (self.n - kappa) for kappa, w in sums.items())
 
-        return activity(num) / activity(den)
+def _forest_entries(marked: tuple, sums: dict) -> dict:
+    """Forest sums keyed (RGS, kappa) as entries keyed (SetPartition, kappa)."""
+    parts: dict = {}
+    entries: dict = {}
+    for (rgs, kappa), w in sums.items():
+        part = parts.get(rgs)
+        if part is None:
+            part = parts[rgs] = SetPartition(marked, rgs)
+        entries[part, kappa] = w
+    return entries
 
 
 def forest_table(g: Graph, marked) -> ForestTable:
     """Enumerate spanning forests (acyclic edge subsets) of the graph.
 
-    Values are integers when every edge weight is 1, otherwise exact products
-    of the included edges' weights.
+    Each edge weight num/d walks as the integers (d, num), so every entry is
+    den times a sum of forest weights, with den the product of the d.  On
+    unit weights den is 1 and the entries count forests.
     """
     _guard_edges(g.m)
     marked = tuple(marked)
-    n = g.n
-    weights = None
-    if any(w != 1 for _, _, w in g.edges):
-        weights = [(rat(1), w) for _, _, w in g.edges]
-    entries: dict = {}
-    for _, comp, kappa, w in _walk(n, _edge_steps(g), weights, acyclic=True):
-        key = (SetPartition(marked, canonical_rgs(comp[x] for x in marked)), kappa)
-        prev = entries.get(key)
-        entries[key] = w if prev is None else prev + w
-    return ForestTable(marked, n, entries)
+    pairs, den = _integer_weights(g)
+    sums = _marked_sums(g, marked, [(d, num) for num, d in pairs], acyclic=True)
+    return ForestTable(marked, g.n, _forest_entries(marked, sums), den)
 
 
 def forest_masks(g: Graph):

@@ -34,6 +34,7 @@ from .graph import (
 from .measures import (
     EnumerationGuardError,
     ParameterError,
+    activity_weights,
     alt_colouring_counts,
     bunkbed_case_profiles,
     case_difference,
@@ -392,7 +393,7 @@ def _suite_resistance_bracket(g: Graph) -> bool:
             for (part, kappa), w in ft.entries.items()
             if kappa == 2 and not part.together(u_, v_)
         )
-        if split != by_forest:
+        if split * ft.den != by_forest:
             return False
         if bundle.resistance(u_, v_) != rat(split) / trees:
             return False
@@ -744,19 +745,19 @@ def _forest_harris(g: Graph, lam_grid):
 
 def _edge_negative_correlation(g: Graph, lam_grid):
     masks = forest_masks(g)
+    # Per lambda: each forest's integer weight, Z and every edge's marginal sum,
+    # all scaled by the same b^n, which cancels from both sides of the test.
+    sums = []
+    for lam in lam_grid:
+        scale = activity_weights(g.n, rat(lam))
+        weighted = [(mask, scale[kappa]) for mask, kappa in masks]
+        pe = [sum(w for mask, w in weighted if mask >> e & 1) for e in range(g.m)]
+        sums.append((lam, weighted, sum(w for _, w in weighted), pe))
     for e, f in combinations(range(g.m), 2):
-        for lam in lam_grid:
-            z = pe = pf = pef = rat(0)
-            for mask, kappa in masks:
-                w = lam ** (g.n - kappa)
-                z += w
-                if mask >> e & 1:
-                    pe += w
-                if mask >> f & 1:
-                    pf += w
-                if mask >> e & 1 and mask >> f & 1:
-                    pef += w
-            if pe * pf < pef * z:
+        both = 1 << e | 1 << f
+        for lam, weighted, z, pe in sums:
+            pef = sum(w for mask, w in weighted if mask & both == both)
+            if pe[e] * pe[f] < pef * z:
                 return {"e": e, "f": f, "lambda": format_rational(lam)}
     return None
 

@@ -101,6 +101,23 @@ def test_graph_input_file(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "4/3"
 
 
+def test_compute_bracket_weighted_input(tmp_path, capsys):
+    doc = {"n": 3, "edges": [[0, 1, "1/2"], [1, 2, "2/3"], [0, 2, "3/4"]]}
+    path = tmp_path / "tri.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "report.json"
+    base = ["compute", "bracket", "--input", str(path), "--marked", "0,2"]
+    # Spanning trees weigh 1/2 * 2/3 + 1/2 * 3/4 + 2/3 * 3/4.
+    assert main(base + ["--pattern", "02", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "29/24"
+    assert json.loads(out.read_text())["payload"] == {"bracket": "29/24"}
+    # 0 and 2 apart in two trees: {01} and {12}; in three trees: the empty forest.
+    assert main(base + ["--pattern", "0|2"]) == 0
+    assert capsys.readouterr().out.strip() == "7/6"
+    assert main(base + ["--pattern", "0|2", "--extra", "1"]) == 0
+    assert capsys.readouterr().out.strip() == "1"
+
+
 def test_table2_recheck_round_trip(tmp_path, capsys):
     out = tmp_path / "t2.json"
     assert main(["table2", "--n", "3", "--p", "1/100", "--out", str(out)]) == 0
@@ -150,6 +167,7 @@ def test_exit_code_mapping():
         (["verify", "--suite", "bunkbed", "--input", "{tmp}/poly.json", "--measure", "arboreal"], "not a rational"),
         (["compute", "resistance", "--input", "{tmp}/poly.json"], "not a rational"),
         (["compute", "bracket", "--input", "{tmp}/poly.json"], "not a rational"),
+        (["compute", "resistance", "--input", "{tmp}/number.json"], "edge (0, 1)"),
     ],
 )
 def test_malformed_input_is_usage_error(argv, fragment, tmp_path, capsys):
@@ -157,6 +175,7 @@ def test_malformed_input_is_usage_error(argv, fragment, tmp_path, capsys):
     (tmp_path / "two_edges.json").write_text(json.dumps({"n": 4, "edges": [[0, 1, "1"], [2, 3, "1"]]}))
     poly_edges = [[0, 1, "1/3*q^1*l^1*g^0*h^0"], [1, 2, "1/2"], [0, 2, "1/2"]]
     (tmp_path / "poly.json").write_text(json.dumps({"n": 3, "edges": poly_edges}))
+    (tmp_path / "number.json").write_text(json.dumps({"n": 2, "edges": [[0, 1, 1]]}))
     code = main([arg.format(tmp=tmp_path) for arg in argv])
     err = capsys.readouterr().err.splitlines()
     assert code == 2

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from subset_oracle import roots_and_kappa
 
 from bunkbed.catalog import connected_graphs, named_graph, named_instance
-from bunkbed.exactnum import MultiPoly, bareiss_det, rat, RationalMatrix
+from bunkbed.exactnum import MultiPoly, Rational, bareiss_det, rat, RationalMatrix
 from bunkbed.graph import (
     POSTS_CONTRACTED,
     BunkbedSpec,
@@ -484,12 +484,15 @@ def test_engines_match_per_subset_oracle(case):
     plain = forest_table(g.with_weights(1), marked).entries
     assert plain == forests
     assert all(type(c) is int for c in plain.values())
-    assert forest_table(g, marked).entries == weighted
-
-    boundary = tuple(sorted(marked))
     den = 1
     for _, _, wt in g.edges:
         den *= wt.denominator
+    ft = forest_table(g, marked)
+    assert ft.den == den
+    assert all(type(c) is int for c in ft.entries.values())
+    assert {key: Rational(c, ft.den) for key, c in ft.entries.items()} == weighted
+
+    boundary = tuple(sorted(marked))
     factor = {}
     for _, roots, kappa, _, w, _ in subsets:
         broots = [roots[x] for x in boundary]
@@ -525,8 +528,19 @@ def test_forest_table_restrict_and_probability_match_oracle(case):
     def event(part):
         return sum(part.rgs) % 2 == 0
 
+    sums: dict = {}
+    for _, roots, kappa, present in forests:
+        _add(sums, (SetPartition(marked, canonical_rgs(roots[x] for x in marked)), kappa), present)
     ft = forest_table(g, marked)
-    for lam in (rat(1, 3), rat(1), rat(5, 2)):
+    unit = forest_table(plain, marked)
+    for (part, kappa), w in sums.items():
+        assert ft.bracket(part, kappa - part.block_count) == w
+        assert type(unit.bracket(part, kappa - part.block_count)) is int
+    for extra in range(g.n):
+        assert ft.bracket(None, extra) == sum(w for (_, k), w in sums.items() if k == 1 + extra)
+        assert type(unit.bracket(None, extra)) is int
+
+    for lam in (rat(0), rat(1, 3), rat(1), rat(5, 2)):
         num = den = 0
         for _, roots, kappa, present in forests:
             w = present * lam ** (g.n - kappa)
