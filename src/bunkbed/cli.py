@@ -82,7 +82,10 @@ def _parse_rat(text: str) -> Rational:
 
 
 def _parse_rat_list(text: str):
-    return tuple(_parse_rat(part) for part in text.split(",") if part)
+    values = tuple(_parse_rat(part) for part in text.split(",") if part)
+    if not values:
+        raise UsageError(f"empty list {text!r}; give at least one rational")
+    return values
 
 
 def _parse_int_list(text: str):
@@ -200,8 +203,13 @@ def negative_window_rows(n_values, p, width=None):
 
 def cmd_table2(args) -> dict:
     p = _parse_rat(args.p)
+    if not 0 < p < 1:
+        raise UsageError(f"--p {args.p} must lie strictly between 0 and 1")
+    width = _parse_rat(args.width) if args.width else None
+    if width is not None and width <= 0:
+        raise UsageError(f"--width {args.width} must be positive")
     n_values = _parse_int_list(args.n)
-    rows = negative_window_rows(n_values, p, args.width and _parse_rat(args.width))
+    rows = negative_window_rows(n_values, p, width)
     bad = [
         r
         for r in rows
@@ -212,6 +220,10 @@ def cmd_table2(args) -> dict:
             print(f"n={r['n']}: skipped ({r['reason']})")
             continue
         shown = r.get("window_2dp")
+        if shown is None:
+            windows = ", ".join(f"({lo}, {hi})" for lo, hi in r["windows"])
+            print(f"n={r['n']}:", f"negative windows {windows}" if windows else "no negative window")
+            continue
         known = r.get("known")
         mark = ""
         if known:
@@ -237,29 +249,21 @@ def cmd_verify(args) -> dict:
         catalog = _catalog_from(args)
         if catalog is None:
             g, posts = _load_instance(args)
+            runs = [(args.graph or args.input, g, posts or None)]
+        else:
+            runs = [(name, g, None) for name, g in catalog]
+        for name, g, posts in runs:
             reports.append(
                 check_bunkbed(
                     g,
-                    posts=posts or None,
+                    posts=posts,
                     measure=args.measure,
                     p_grid=p_grid,
                     q_grid=q_grid,
                     lam_grid=lam_grid,
-                    instance=args.graph or args.input,
+                    instance=name,
                 )
             )
-        else:
-            for name, g in catalog:
-                reports.append(
-                    check_bunkbed(
-                        g,
-                        measure=args.measure,
-                        p_grid=p_grid,
-                        q_grid=q_grid,
-                        lam_grid=lam_grid,
-                        instance=name,
-                    )
-                )
     elif suite == "p-threshold":
         g, posts = _load_instance(args)
         for q in q_grid:
@@ -325,6 +329,8 @@ def cmd_compute(args) -> dict:
         print(format_rational(value))
         return {"probability": format_rational(value)}
     if kind == "bracket":
+        if args.extra < 0:
+            raise UsageError(f"--extra {args.extra} must be non-negative")
         marked = _parse_int_list(args.marked)
         _check_vertices(g, marked)
         table = forest_table(g, marked)
@@ -354,8 +360,14 @@ def cmd_compute(args) -> dict:
 
 
 def cmd_recheck(args) -> dict:
-    with open(args.report) as fh:
-        stored = json.load(fh)
+    try:
+        with open(args.report) as fh:
+            stored = json.load(fh)
+    except (OSError, ValueError) as exc:
+        reason = f"{type(exc).__name__}: {exc}"
+        raise UsageError(f"cannot read report {args.report!r}: {reason}") from None
+    if not isinstance(stored, dict):
+        raise UsageError(f"report {args.report!r} is not a JSON object")
     if stored.get("schema") != SCHEMA:
         raise UsageError(f"unsupported report schema {stored.get('schema')!r}")
     argv = stored.get("argv")

@@ -29,7 +29,6 @@ __all__ = [
     "format_rational",
     "INDETERMINATES",
     "MultiPoly",
-    "poly_eval",
     "RationalMatrix",
     "bareiss_det",
     "invert",
@@ -182,18 +181,6 @@ class MultiPoly:
             coeffs[exp[i]] = c
         return coeffs
 
-    def _single_var(self):
-        """Index of the unique variable appearing, or None for constants/mixed."""
-        found = -1
-        for exp in self.terms:
-            for i, e in enumerate(exp):
-                if e:
-                    if found == -1:
-                        found = i
-                    elif found != i:
-                        return None
-        return found if found != -1 else -2  # -2: constant
-
     # -- arithmetic
 
     def __add__(self, other):
@@ -236,12 +223,6 @@ class MultiPoly:
             return NotImplemented
         if not self.terms or not other.terms:
             return MultiPoly()
-        # Dense convolution fast path when both sides live in one variable.
-        va, vb = self._single_var(), other._single_var()
-        if va is not None and vb is not None and (va == vb or va == -2 or vb == -2):
-            var = va if va >= 0 else vb
-            if var >= 0:
-                return self._mul_dense(other, var)
         out = {}
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
@@ -253,31 +234,6 @@ class MultiPoly:
         return res
 
     __rmul__ = __mul__
-
-    def _mul_dense(self, other, var_index):
-        da = max(e[var_index] for e in self.terms)
-        db = max(e[var_index] for e in other.terms)
-        a = [_R0] * (da + 1)
-        b = [_R0] * (db + 1)
-        for e, c in self.terms.items():
-            a[e[var_index]] = c
-        for e, c in other.terms.items():
-            b[e[var_index]] = c
-        out = [_R0] * (da + db + 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    if cb:
-                        out[i + j] += ca * cb
-        terms = {}
-        for k, c in enumerate(out):
-            if c != 0:
-                exp = [0] * _NVARS
-                exp[var_index] = k
-                terms[tuple(exp)] = c
-        res = MultiPoly.__new__(MultiPoly)
-        res.terms = terms
-        return res
 
     def __pow__(self, n: int):
         if n < 0:
@@ -356,11 +312,6 @@ def _coerce(x):
     if isinstance(x, numbers.Rational):
         return MultiPoly.const(x)
     return NotImplemented
-
-
-def poly_eval(p: MultiPoly, point: dict) -> Rational:
-    """Exact evaluation; errors name any unassigned indeterminate."""
-    return p.eval(point)
 
 
 # ---------------------------------------------------------------------------

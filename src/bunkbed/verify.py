@@ -124,6 +124,31 @@ def _bunkbed_graph(g: Graph, posts):
 _MEASURES = ("random-cluster", "percolation", "arboreal")
 
 
+def _bunkbed_triples(bb: Graph, pairs) -> list:
+    """(u1, v1, v2) vertices of the bunkbed for each base pair (u, v)."""
+    triples = []
+    for a, b in pairs:
+        a1, _ = bunkbed_copies(bb, a)
+        b1, b2 = bunkbed_copies(bb, b)
+        triples.append((a1, b1, b2))
+    return triples
+
+
+def _min_case_difference(bb: Graph, pairs, triples, points):
+    """First minimum (diff, u, v, p, q) of the case difference, pairs outermost.
+
+    The scan runs pairs in order and, per pair, the (p, q) points in order;
+    a later point replaces the minimum only when strictly smaller.
+    """
+    best = None
+    for (a, b), prof in zip(pairs, bunkbed_case_profiles(bb, triples)):
+        for p, q in points:
+            diff = case_difference(prof, bb.m, p, q)
+            if best is None or diff < best[0]:
+                best = (diff, a, b, p, q)
+    return best
+
+
 def check_bunkbed(
     g: Graph,
     posts=None,
@@ -158,27 +183,17 @@ def check_bunkbed(
             verdict=HOLDS,
             quantities={"note": "no vertex pair to test"},
         )
-    triples = []
-    for a, b in pairs:
-        a1, _ = bunkbed_copies(bb, a)
-        b1, b2 = bunkbed_copies(bb, b)
-        triples.append((a1, b1, b2))
-    best = None
+    triples = _bunkbed_triples(bb, pairs)
     if measure in ("random-cluster", "percolation"):
         q_values = q_grid if measure == "random-cluster" else (rat(1),)
-        profiles = bunkbed_case_profiles(bb, triples)
-        for (a, b), prof in zip(pairs, profiles):
-            for p in p_grid:
-                for q in q_values:
-                    diff = case_difference(prof, bb.m, p, q)
-                    key = (diff, a, b, p, q)
-                    if best is None or diff < best[0]:
-                        best = key
+        points = [(p, q) for p in p_grid for q in q_values]
+        diff, a, b, p, q = _min_case_difference(bb, pairs, triples, points)
         grid = _grid_doc(p=p_grid, q=q_values)
-        point = {"p": format_rational(best[3]), "q": format_rational(best[4])}
+        point = {"p": format_rational(p), "q": format_rational(q)}
     else:
         # One forest enumeration over all vertices serves every pair.
         table = forest_table(bb, tuple(range(bb.n)))
+        best = None
         for (a, b), (a1, b1, b2) in zip(pairs, triples):
             # b1 == b2 when b is a post.
             ft = table.restrict(dict.fromkeys((a1, b1, b2)))
@@ -187,10 +202,10 @@ def check_bunkbed(
                     lambda part: part.together(a1, b1), lam
                 ) - ft.probability(lambda part: part.together(a1, b2), lam)
                 if best is None or diff < best[0]:
-                    best = (diff, a, b, lam, None)
+                    best = (diff, a, b, lam)
+        diff, a, b, lam = best
         grid = _grid_doc(lam=lam_grid)
-        point = {"lambda": format_rational(best[3])}
-    diff, a, b, *_ = best
+        point = {"lambda": format_rational(lam)}
     good = diff >= 0
     verdict = (OPEN_OK if open_conjecture else HOLDS) if good else FAILS
     witness = None
@@ -236,27 +251,15 @@ def check_p_threshold(g: Graph, posts, q, instance: str = "graph") -> Verificati
         p0 = (p_star + 1) / 2
     p_values = (p0, (p0 + 1) / 2, (p0 + 3) / 4)
     pairs = list(combinations(sorted(set(range(g.n)) - posts), 2))
-    triples = []
-    for a, b in pairs:
-        a1, _ = bunkbed_copies(bb, a)
-        b1, b2 = bunkbed_copies(bb, b)
-        triples.append((a1, b1, b2))
-    best = None
-    if triples:
-        profiles = bunkbed_case_profiles(bb, triples)
-        for (a, b), prof in zip(pairs, profiles):
-            for p in p_values:
-                diff = case_difference(prof, bb.m, p, q)
-                if best is None or diff < best[0]:
-                    best = (diff, a, b, p)
-    if best is None:
+    if not pairs:
         return VerificationReport(
             claim="p-threshold",
             instance=instance,
             verdict=HOLDS,
             quantities={"note": "no non-post pair to test"},
         )
-    diff, a, b, p = best
+    points = [(p, q) for p in p_values]
+    diff, a, b, p, _ = _min_case_difference(bb, pairs, _bunkbed_triples(bb, pairs), points)
     verdict = HOLDS if diff >= 0 else FAILS
     return VerificationReport(
         claim="p-threshold",
@@ -380,6 +383,27 @@ def _pattern(marked, *groups) -> SetPartition:
     return canonicalize(tuple(marked), groups)
 
 
+def _split_patterns(m4, x, y, z, w):
+    """Patterns of the four marked vertices that separate x from y.
+
+    Returns the four two-block patterns, ending [xz|yw], [xw|yz], and the
+    four three-block patterns, whose pair also separates z from w.
+    """
+    two = (
+        _pattern(m4, (x,), (y, z, w)),
+        _pattern(m4, (x, z, w), (y,)),
+        _pattern(m4, (x, z), (y, w)),
+        _pattern(m4, (x, w), (y, z)),
+    )
+    three = (
+        _pattern(m4, (x,), (y, z), (w,)),
+        _pattern(m4, (x,), (y, w), (z,)),
+        _pattern(m4, (y,), (x, z), (w,)),
+        _pattern(m4, (y,), (x, w), (z,)),
+    )
+    return two, three
+
+
 def _suite_resistance_bracket(g: Graph) -> bool:
     bundle = LaplacianBundle(g)
     marked = tuple(range(g.n))
@@ -468,28 +492,13 @@ def _suite_choe(g: Graph) -> bool:
     for quad in combinations(range(g.n), 4):
         a, b, c, d = quad
         ft = ft_all.restrict(quad)
-        for (x, y), (z, w) in (((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c))):
-            m4 = (a, b, c, d)
-            lhs = ft.bracket(_pattern(m4, (x,), (y, z, w))) + ft.bracket(
-                _pattern(m4, (x, z, w), (y,))
-            ) + ft.bracket(_pattern(m4, (x, z), (y, w))) + ft.bracket(
-                _pattern(m4, (x, w), (y, z))
-            )
-            rhs = ft.bracket(_pattern(m4, (z,), (x, y, w))) + ft.bracket(
-                _pattern(m4, (z, x, y), (w,))
-            ) + ft.bracket(_pattern(m4, (z, x), (w, y))) + ft.bracket(
-                _pattern(m4, (z, y), (w, x))
-            )
-            three = (
-                ft.bracket(_pattern(m4, (x,), (y, z), (w,)))
-                + ft.bracket(_pattern(m4, (x,), (y, w), (z,)))
-                + ft.bracket(_pattern(m4, (y,), (x, z), (w,)))
-                + ft.bracket(_pattern(m4, (y,), (x, w), (z,)))
-            )
-            cross = ft.bracket(_pattern(m4, (x, w), (y, z))) - ft.bracket(
-                _pattern(m4, (x, z), (y, w))
-            )
-            if lhs * rhs != three * total + cross**2:
+        for x, y, z, w in ((a, b, c, d), (a, c, b, d), (a, d, b, c)):
+            xy, three = _split_patterns(quad, x, y, z, w)
+            zw, _ = _split_patterns(quad, z, w, x, y)
+            lhs = sum(ft.bracket(t) for t in xy)
+            rhs = sum(ft.bracket(t) for t in zw)
+            cross = ft.bracket(xy[3]) - ft.bracket(xy[2])
+            if lhs * rhs != sum(ft.bracket(t) for t in three) * total + cross**2:
                 return False
     return True
 
@@ -544,44 +553,25 @@ def _suite_rayleigh(g: Graph) -> bool:
 def _suite_four_point_leading(g: Graph) -> bool:
     if g.n < 4:
         return True
-    marked_all = tuple(range(g.n))
-    ft_all = forest_table(g, marked_all)
-    trees = ft_all.bracket(_pattern(marked_all, marked_all))
-    trees1 = ft_all.bracket(_pattern(marked_all, marked_all), extra=1)
+    ft_all = forest_table(g, tuple(range(g.n)))
     for quad in combinations(range(g.n), 4):
         a, b, c, d = quad
-        m4 = (a, b, c, d)
-        ft = ft_all.restrict(m4)
+        ft = ft_all.restrict(quad)
+        ab, three = _split_patterns(quad, a, b, c, d)
+        cd, _ = _split_patterns(quad, c, d, a, b)
+        together = _pattern(quad, quad)
 
-        def pair_sum(x, y, z, w, extra=0):
-            return (
-                ft.bracket(_pattern(m4, (x,), (y, z, w)), extra)
-                + ft.bracket(_pattern(m4, (x, z, w), (y,)), extra)
-                + ft.bracket(_pattern(m4, (x, z), (y, w)), extra)
-                + ft.bracket(_pattern(m4, (x, w), (y, z)), extra)
-            )
+        # Per extra component: sums over ab, cd and the three-block patterns,
+        # [abcd], and [ac|bd] - [ad|bc].
+        def sums(extra):
+            brackets = [sum(ft.bracket(t, extra) for t in ts) for ts in (ab, cd, three)]
+            cross = ft.bracket(ab[2], extra) - ft.bracket(ab[3], extra)
+            return (*brackets, ft.bracket(together, extra), cross)
 
-        def three_sum(extra=0):
-            return (
-                ft.bracket(_pattern(m4, (a,), (b, c), (d,)), extra)
-                + ft.bracket(_pattern(m4, (a,), (b, d), (c,)), extra)
-                + ft.bracket(_pattern(m4, (b,), (a, d), (c,)), extra)
-                + ft.bracket(_pattern(m4, (b,), (a, c), (d,)), extra)
-            )
-
-        def cross(extra=0):
-            return ft.bracket(_pattern(m4, (a, c), (b, d)), extra) - ft.bracket(
-                _pattern(m4, (a, d), (b, c)), extra
-            )
-
-        ab = pair_sum(a, b, c, d)
-        ab1 = pair_sum(a, b, c, d, extra=1)
-        cd = pair_sum(c, d, a, b)
-        cd1 = pair_sum(c, d, a, b, extra=1)
-        abcd = ft.bracket(_pattern(m4, m4))
-        abcd1 = ft.bracket(_pattern(m4, m4), extra=1)
-        lhs = ab * cd1 + cd * ab1
-        rhs = three_sum() * abcd1 + three_sum(extra=1) * abcd + 2 * cross() * cross(1)
+        ab0, cd0, three0, abcd0, cross0 = sums(0)
+        ab1, cd1, three1, abcd1, cross1 = sums(1)
+        lhs = ab0 * cd1 + cd0 * ab1
+        rhs = three0 * abcd1 + three1 * abcd0 + 2 * cross0 * cross1
         if lhs > rhs:
             return False
     return True
@@ -772,16 +762,8 @@ def _four_point_forest(weighted: Graph, lam_grid):
     ft_all = forest_table(weighted, tuple(range(weighted.n)))
     for quad in combinations(range(weighted.n), 4):
         a, b, c, d = quad
-        m4 = (a, b, c, d)
-        ft = ft_all.restrict(m4)
-        p_three = [
-            _pattern(m4, (a,), (b, c), (d,)),
-            _pattern(m4, (a,), (b, d), (c,)),
-            _pattern(m4, (b,), (a, c), (d,)),
-            _pattern(m4, (b,), (a, d), (c,)),
-        ]
-        p_ac = _pattern(m4, (a, c), (b, d))
-        p_ad = _pattern(m4, (a, d), (b, c))
+        ft = ft_all.restrict(quad)
+        (_, _, p_ac, p_ad), p_three = _split_patterns(quad, a, b, c, d)
         for lam in lam_grid:
             lhs = ft.probability(lambda part: not part.together(a, b), lam) * (
                 ft.probability(lambda part: not part.together(c, d), lam)
@@ -796,6 +778,15 @@ def _four_point_forest(weighted: Graph, lam_grid):
             rhs = split3 * together + cross**2
             if lhs < rhs:
                 return {"quad": list(quad), "lambda": format_rational(lam)}
+    return None
+
+
+def _first_witness(instances, find):
+    """Witness of the first (name, graph) instance where `find` returns one."""
+    for name, g in instances:
+        witness = find(g)
+        if witness:
+            return {**witness, "instance": name}
     return None
 
 
@@ -866,58 +857,27 @@ def scan_conjectures(
         )
     )
 
-    # Outerplanar triple product inequality.
-    witness = None
-    for inst in outerplanar_catalog():
-        if inst.graph.n < 3:
-            continue
-        witness = _forest_product_inequality(inst.graph, lam_grid)
-        if witness:
-            witness["instance"] = inst.name
-            break
-    reports.append(
-        VerificationReport(
-            claim="outerplanar-triple-product",
-            instance="outerplanar catalog",
-            verdict=HOLDS if witness is None else FAILS,
-            grid=_grid_doc(lam=lam_grid),
-            witness=witness,
+    # Outerplanar triple product (proved), forest Harris-style product bound
+    # and edge negative correlation for forests (open): first witness each.
+    outerplanar = [(inst.name, inst.graph) for inst in outerplanar_catalog() if inst.graph.n >= 3]
+    for claim, instances, label, find, ok_verdict in (
+        ("outerplanar-triple-product", outerplanar, "outerplanar catalog",
+         _forest_product_inequality, HOLDS),
+        ("forest-harris-conjecture", connected_graphs(max_n, min_n=3), f"connected<= {max_n}",
+         _forest_harris, OPEN_OK),
+        ("edge-negative-correlation", connected_graphs(max_n, min_n=2), f"connected<= {max_n}",
+         _edge_negative_correlation, OPEN_OK),
+    ):
+        witness = _first_witness(instances, lambda g: find(g, lam_grid))
+        reports.append(
+            VerificationReport(
+                claim=claim,
+                instance=label,
+                verdict=ok_verdict if witness is None else FAILS,
+                grid=_grid_doc(lam=lam_grid),
+                witness=witness,
+            )
         )
-    )
-
-    # Forest Harris-style product bound (open).
-    witness = None
-    for name, g in connected_graphs(max_n, min_n=3):
-        witness = _forest_harris(g, lam_grid)
-        if witness:
-            witness["instance"] = name
-            break
-    reports.append(
-        VerificationReport(
-            claim="forest-harris-conjecture",
-            instance=f"connected<= {max_n}",
-            verdict=OPEN_OK if witness is None else FAILS,
-            grid=_grid_doc(lam=lam_grid),
-            witness=witness,
-        )
-    )
-
-    # Edge negative correlation for forests (open).
-    witness = None
-    for name, g in connected_graphs(max_n, min_n=2):
-        witness = _edge_negative_correlation(g, lam_grid)
-        if witness:
-            witness["instance"] = name
-            break
-    reports.append(
-        VerificationReport(
-            claim="edge-negative-correlation",
-            instance=f"connected<= {max_n}",
-            verdict=OPEN_OK if witness is None else FAILS,
-            grid=_grid_doc(lam=lam_grid),
-            witness=witness,
-        )
-    )
 
     # Leading-order four-point inequality (proved; exact counts).
     rep = run_identity_suite("four-point-leading")

@@ -70,6 +70,12 @@ def test_table2_small_row(tmp_path, capsys):
     assert row["window_2dp"] == ["0.70", "1.08"]
 
 
+def test_table2_row_without_window(capsys):
+    # At p = 1/10 the n = 3 numerator has no negative window.
+    assert main(["table2", "--n", "3", "--p", "1/10"]) == 0
+    assert capsys.readouterr().out.strip() == "n=3: no negative window"
+
+
 def test_recheck_round_trip(tmp_path, capsys):
     out = tmp_path / "report.json"
     assert main(["verify", "--suite", "hypergraph-factor", "--out", str(out)]) == 0
@@ -168,6 +174,17 @@ def test_exit_code_mapping():
         (["compute", "resistance", "--input", "{tmp}/poly.json"], "not a rational"),
         (["compute", "bracket", "--input", "{tmp}/poly.json"], "not a rational"),
         (["compute", "resistance", "--input", "{tmp}/number.json"], "edge (0, 1)"),
+        (["table2", "--n", "3", "--p", "0"], "between 0 and 1"),
+        (["table2", "--n", "3", "--p", "3/2"], "3/2"),
+        (["table2", "--n", "3", "--width", "0"], "--width 0"),
+        (["verify", "--suite", "bunkbed", "--graph", "K3", "--p", ","], "empty list"),
+        (["verify", "--suite", "bunkbed", "--graph", "K3", "--q", ","], "empty list"),
+        (["verify", "--suite", "bunkbed", "--graph", "K3", "--measure", "arboreal", "--lam", ","], "empty list"),
+        (["verify", "--suite", "p-threshold", "--graph", "K4", "--q", ","], "empty list"),
+        (["compute", "bracket", "--graph", "K3", "--extra", "-1"], "--extra -1"),
+        (["recheck", "{tmp}/missing.json"], "FileNotFoundError"),
+        (["recheck", "{tmp}/not_json.json"], "JSONDecodeError"),
+        (["recheck", "{tmp}/list.json"], "not a JSON object"),
     ],
 )
 def test_malformed_input_is_usage_error(argv, fragment, tmp_path, capsys):
@@ -176,6 +193,8 @@ def test_malformed_input_is_usage_error(argv, fragment, tmp_path, capsys):
     poly_edges = [[0, 1, "1/3*q^1*l^1*g^0*h^0"], [1, 2, "1/2"], [0, 2, "1/2"]]
     (tmp_path / "poly.json").write_text(json.dumps({"n": 3, "edges": poly_edges}))
     (tmp_path / "number.json").write_text(json.dumps({"n": 2, "edges": [[0, 1, 1]]}))
+    (tmp_path / "not_json.json").write_text("schema: 1")
+    (tmp_path / "list.json").write_text("[]")
     code = main([arg.format(tmp=tmp_path) for arg in argv])
     err = capsys.readouterr().err.splitlines()
     assert code == 2

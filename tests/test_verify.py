@@ -243,3 +243,30 @@ def test_failure_verdict_plumbing():
         assert out.witness == {"failing_instances": ["K3"]}
     finally:
         del IDENTITY_SUITES["always-off"]
+
+
+def test_bunkbed_scans_report_first_minimum(monkeypatch):
+    # Profiles become pair indices, and the difference is -1/7 at a few points.
+    # Any loop order other than pair -> p -> q would pick another point.
+    monkeypatch.setattr("bunkbed.verify.bunkbed_case_profiles", lambda bb, triples: range(len(triples)))
+    negative = {(1, rat(1, 2), rat(2)), (1, rat(3, 4), rat(1)), (2, rat(1, 4), rat(1))}
+    monkeypatch.setattr(
+        "bunkbed.verify.case_difference",
+        lambda prof, m, p, q: rat(-1, 7) if (prof, p, q) in negative else rat(1),
+    )
+    g = named_graph("K3")  # pairs (0,1), (0,2), (1,2)
+    rep = check_bunkbed(g, p_grid=SMALL_P, q_grid=(rat(1), rat(2)))
+    assert rep.verdict == FAILS
+    assert list(rep.witness) == ["u", "v", "p", "q", "difference"]
+    assert rep.witness == {"u": 0, "v": 2, "p": "1/2", "q": "2", "difference": "-1/7"}
+    assert rep.quantities["at_pair"] == "(0,2)"
+
+    # The threshold grid does not depend on the differences.
+    p_values = [rat(x) for x in check_p_threshold(g, frozenset(), 1).grid["p"]]
+    negative = {(1, p_values[1], rat(1)), (2, p_values[0], rat(1))}
+    rep = check_p_threshold(g, frozenset(), 1)
+    assert rep.verdict == FAILS
+    assert list(rep.witness) == ["u", "v", "p", "q"]
+    assert rep.witness == {"u": 0, "v": 2, "p": format_rational(p_values[1]), "q": "1"}
+    assert rep.quantities["at_pair"] == "(0,2)"
+    assert rep.quantities["min_difference"] == "-1/7"
