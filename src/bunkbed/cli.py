@@ -90,9 +90,12 @@ def _parse_rat_list(text: str):
 
 def _parse_int_list(text: str):
     try:
-        return tuple(int(part) for part in text.split(",") if part)
+        values = tuple(int(part) for part in text.split(",") if part)
     except ValueError:
         raise UsageError(f"bad integer list {text!r}; use comma-separated integers") from None
+    if not values:
+        raise UsageError(f"empty list {text!r}; give at least one integer")
+    return values
 
 
 def _check_vertices(g, vertices) -> None:
@@ -331,7 +334,7 @@ def cmd_compute(args) -> dict:
     if kind == "bracket":
         if args.extra < 0:
             raise UsageError(f"--extra {args.extra} must be non-negative")
-        marked = _parse_int_list(args.marked)
+        marked = _parse_int_list(args.marked) if args.marked else ()
         _check_vertices(g, marked)
         table = forest_table(g, marked)
         pattern = None

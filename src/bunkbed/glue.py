@@ -5,17 +5,26 @@ total weight of internal configurations inducing that pattern, with one power
 of q per fully internal component.  Components that still touch the boundary
 accrue their q only when the caller reads probabilities off the final table.
 Multiplying factors glues edge-disjoint subgraphs along shared boundary
-vertices; eliminating a vertex projects it out, closing its component (one
-more q) when it sits in a singleton block.
+vertices; eliminating a set of vertices projects them out, and every block
+made only of eliminated vertices closes a component (one more q).
 
 A Factor stores each entry as a dense list of integer q-coefficients over a
 shared positive denominator; the public table view converts to MultiPoly.
 Contraction works on values instead.  No entry of a network can exceed
 degree D = (vertices eliminated) + (sum of the input entry degrees), since
-products add degrees and each elimination closes at most one component.  So
-every input entry is evaluated once at q = 0, ..., D, products and
-eliminations act point by point (a closed component multiplies by q), and
+products add degrees and each eliminated vertex closes at most one component.
+So every input entry is evaluated once at q = 0, ..., D, products and
+eliminations act point by point (c closed components multiply by q**c), and
 each final entry is recovered by one exact integer interpolation.
+
+One kernel, ``_glue``, multiplies two value-form tables and cuts a set of
+vertices in the same pass.  For each entry of the smaller table it first
+sums the other table's values that land on the same reduced partition, and
+then multiplies once per reduced partition, so there are at most
+(smaller table) x (result entries) big-integer products, not one per pair.
+``contract_network`` cuts, at every step, the chosen vertex and every other
+pending vertex that no remaining factor touches, so a table is never built
+over vertices that the next step would only project out.
 
 ``factor_from_graph`` is the brute-force factor of a small graph.  It reads
 the integer random-cluster fold of ``bunkbed.measures``, the same fold behind
@@ -138,17 +147,10 @@ class Factor:
 
     def total(self) -> MultiPoly:
         """Sum of all entries with q**blocks restored: the partition function."""
-        total = MultiPoly.zero()
+        total: list = []
         for rgs, coeffs in self.entries.items():
-            blocks = (max(rgs) + 1) if rgs else 0
-            total += MultiPoly(
-                {
-                    (k + blocks, 0, 0, 0): Rational(c, self.den)
-                    for k, c in enumerate(coeffs)
-                    if c
-                }
-            )
-        return total
+            _add_into(total, [0] * (max(rgs, default=-1) + 1) + coeffs)
+        return MultiPoly({(k, 0, 0, 0): Rational(c, self.den) for k, c in enumerate(total) if c})
 
     def relabel(self, mapping: dict) -> "Factor":
         """Rename boundary vertices through an injective mapping."""
@@ -246,39 +248,51 @@ def _lift(idx: list, k: int, rgs: tuple) -> tuple:
     return tuple(full)
 
 
-def _glue(t1: _ValueForm, t2: _ValueForm, points: range, vertex=None) -> _ValueForm:
-    """Pointwise product of two value-form factors; with `vertex`, also project it out.
+def _glue(t1: _ValueForm, t2: _ValueForm, points: range, cut=()) -> _ValueForm:
+    """Pointwise product of two value-form factors, projecting out the vertices in `cut`.
 
-    The elimination is fused into the product: a per-call cache maps each
-    joined partition to (reduced partition, closed), and a product that
-    closes the vertex's block is scaled by q on its way into the sum, so the
-    unreduced product table is never built.
+    The projection is fused into the product: a per-call cache maps each
+    joined partition to (reduced partition, closed), where closed counts the
+    blocks made only of cut vertices, each earning one q.  The loop runs over
+    the smaller table's entries; for each it first sums the other table's
+    values by reduced partition, each scaled by q**closed (cached per entry
+    and power), and then multiplies once per reduced partition.  So neither
+    the unreduced product table nor one product per entry pair is built.
     """
+    if len(t2.entries) < len(t1.entries):
+        t1, t2 = t2, t1
     union = tuple(sorted(set(t1.boundary) | set(t2.boundary)))
     pos = {v: i for i, v in enumerate(union)}
     k = len(union)
     idx1 = [pos[v] for v in t1.boundary]
     idx2 = [pos[v] for v in t2.boundary]
-    lifted2 = [(_lift(idx2, k, rgs), vals) for rgs, vals in t2.entries.items()]
-    cut = None if vertex is None else pos[vertex]
+    inner = [(_lift(idx2, k, rgs), vals) for rgs, vals in t2.entries.items()]
+    keep = [i for i, v in enumerate(union) if v not in cut]
     slots: dict = {}
+    scaled: dict = {}
     acc: dict = {}
     for rgs1, vals1 in t1.entries.items():
         lift1 = _lift(idx1, k, rgs1)
-        for lift2, vals2 in lifted2:
+        sums: dict = {}
+        for j, (lift2, vals2) in enumerate(inner):
             joined = join_rgs(lift1, lift2)
             slot = slots.get(joined)
             if slot is None:
-                slot = slots[joined] = (joined, False) if cut is None else project_rgs(joined, cut)
+                slot = slots[joined] = project_rgs(joined, keep)
             key, closed = slot
-            product = map(mul, vals1, vals2)
             if closed:
-                product = map(mul, product, points)
+                vals = scaled.get((j, closed))
+                if vals is None:
+                    vals = scaled[j, closed] = [y * x**closed for y, x in zip(vals2, points)]
+            else:
+                vals = vals2
+            prev = sums.get(key)
+            sums[key] = vals if prev is None else list(map(add, prev, vals))
+        for key, vals in sums.items():
+            product = map(mul, vals1, vals)
             prev = acc.get(key)
             acc[key] = list(product) if prev is None else list(map(add, prev, product))
-    if cut is not None:
-        union = union[:cut] + union[cut + 1 :]
-    return _ValueForm(union, acc)
+    return _ValueForm(tuple(union[i] for i in keep), acc)
 
 
 def _unit(count: int) -> _ValueForm:
@@ -298,7 +312,7 @@ def eliminate(f: Factor, vertex: int) -> Factor:
     if vertex not in f.boundary:
         raise ValueError(f"vertex {vertex} is not on the factor boundary")
     count = _degree(f) + 2
-    t = _glue(_evaluate(f, count, {}), _unit(count), range(count), vertex)
+    t = _glue(_evaluate(f, count, {}), _unit(count), range(count), {vertex})
     return _interpolated(t, f.den)
 
 
@@ -323,11 +337,15 @@ class FactorNetwork:
 def contract_network(net: FactorNetwork, order=None) -> Factor:
     """Multiply factors and eliminate all non-query vertices.
 
-    The elimination order defaults to a greedy minimum-new-boundary choice;
-    the result is order-invariant.  Entries are carried as their values at
-    q = 0..D and interpolated once at the end.  Raises when any intermediate
-    boundary would exceed the Bell-number guard, reporting the order
-    attempted and the point count D + 1.
+    Each step picks a vertex v, multiplies the factors that touch it, and in
+    the same glue cuts v together with every other pending vertex of the
+    merged boundary that lies in no remaining factor.  v defaults to a
+    greedy minimum-new-boundary choice; an explicit `order` names the vertex
+    that starts each step and skips vertices already cut.  The result is
+    order-invariant.  Entries are carried as their values at q = 0..D and
+    interpolated once at the end.  Raises when any merged boundary would
+    exceed the Bell-number guard, reporting every vertex cut so far and the
+    point count D + 1.
     """
     if not net.queries:
         raise ValueError("network needs at least one query vertex")
@@ -341,14 +359,15 @@ def contract_network(net: FactorNetwork, order=None) -> Factor:
         order = list(order)
         if set(order) != pending:
             raise ValueError("explicit order must cover exactly the non-query vertices")
+        order = iter(order)
     count = len(pending) + sum(_degree(f) for f in active) + 1
     points = range(count)
     cache: dict = {}
     active = [_evaluate(f, count, cache) for f in active]
     done_order = []
     while pending:
-        if order:
-            v = order.pop(0)
+        if order is not None:
+            v = next(u for u in order if u in pending)
         else:
             best = None
             for v_cand in pending:
@@ -374,11 +393,13 @@ def contract_network(net: FactorNetwork, order=None) -> Factor:
                 f"Bell({_BOUNDARY_GUARD}) guard); order so far: {done_order}; "
                 f"each entry holds D + 1 = {count} point values"
             )
+        outside = {u for f in rest for u in f.boundary}
+        cut = (merged_boundary & pending) - outside
         *head, last = sorted(group, key=lambda f: len(f.entries))
         merged = reduce(lambda x, y: _glue(x, y, points), head) if head else _unit(count)
-        active = rest + [_glue(merged, last, points, v)]
-        pending.discard(v)
-        done_order.append(v)
+        active = rest + [_glue(merged, last, points, cut)]
+        pending -= cut
+        done_order += [v] + sorted(cut - {v})
     active.sort(key=lambda f: len(f.entries))
     result = reduce(lambda x, y: _glue(x, y, points), active)
     return _interpolated(result, prod(f.den for f in net.factors))

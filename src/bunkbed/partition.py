@@ -186,9 +186,10 @@ def enumerate_partitions(k: int) -> list[SetPartition]:
     return out
 
 
-def project_rgs(rgs: tuple, pos: int) -> tuple:
-    """(RGS without position pos, whether pos was a singleton block)."""
-    return canonical_rgs(rgs[:pos] + rgs[pos + 1 :]), rgs.count(rgs[pos]) == 1
+def project_rgs(rgs: tuple, keep) -> tuple:
+    """(RGS restricted to the positions `keep`, number of blocks with no kept position)."""
+    reduced = canonical_rgs(rgs[i] for i in keep)
+    return reduced, max(rgs, default=-1) - max(reduced, default=-1)
 
 
 def eliminate(x: SetPartition, element):
@@ -197,5 +198,5 @@ def eliminate(x: SetPartition, element):
         pos = x.ground.index(element)
     except ValueError:
         raise ValueError(f"element {element!r} not in ground") from None
-    rgs, closed = project_rgs(x.rgs, pos)
-    return SetPartition(x.ground[:pos] + x.ground[pos + 1 :], rgs), closed
+    rgs, closed = project_rgs(x.rgs, [i for i in range(x.size) if i != pos])
+    return SetPartition(x.ground[:pos] + x.ground[pos + 1 :], rgs), closed == 1

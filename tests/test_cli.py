@@ -185,6 +185,7 @@ def test_exit_code_mapping():
         (["recheck", "{tmp}/missing.json"], "FileNotFoundError"),
         (["recheck", "{tmp}/not_json.json"], "JSONDecodeError"),
         (["recheck", "{tmp}/list.json"], "not a JSON object"),
+        (["table2", "--n", ","], "empty list"),
     ],
 )
 def test_malformed_input_is_usage_error(argv, fragment, tmp_path, capsys):

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bunkbed import glue
 from bunkbed.catalog import named_graph
 from bunkbed.exactnum import MultiPoly, rat
 from bunkbed.glue import (
@@ -58,6 +59,7 @@ def test_factor_vs_rc_table_relation():
         table = rc_boundary_table(weighted, marked)
         for part, poly in f.table().items():
             assert poly * Q ** part.block_count == table.entries[part]
+        assert f.total() == table.z()
 
 
 def test_gadget_factor_matches_brute_force():
@@ -227,6 +229,17 @@ def test_contract_network_boundary_guard():
         contract_network(net, order=[21, 0])
 
 
+def test_guard_message_lists_every_fused_cut():
+    # Vertex 21 starts a step that also cuts 22, which no other factor
+    # touches, so the guard at the star centre already lists 22.
+    w = rat(1, 3)
+    path = multiply(multiply(edge_factor(20, 21, w), edge_factor(21, 22, w)), edge_factor(22, 23, w))
+    star = [edge_factor(0, i, rat(1, 2)) for i in range(1, 14)]
+    net = FactorNetwork(tuple(star) + (path,), tuple(range(1, 14)) + (20, 23))
+    with pytest.raises(EnumerationGuardError, match=r"order so far: \[21, 22\].*D \+ 1 = 4 "):
+        contract_network(net, order=[21, 0, 22])
+
+
 @settings(deadline=None, max_examples=80)
 @given(
     st.lists(st.integers(-(2**300), 2**300), min_size=1, max_size=30),
@@ -304,6 +317,54 @@ def test_counterexample_polynomial_order_invariant():
     for order in (layer_sweep, mirrored):
         final = contract_network(net, order=order)
         assert final.table() == default.table()
+
+
+def test_fused_cut_of_two_interior_vertices(monkeypatch):
+    # Vertices 1 and 2 are pending and touch only the triangle factor on
+    # (0, 1, 2) and the path factor on (1, 2, 3), so one glue cuts both.  With
+    # every edge to 0 and 3 absent, {1, 2} closes as one block (edge 1-2
+    # present, one q) or as two singletons (edge 1-2 absent, q**2).
+    rng = random.Random(13)
+    w = {e: rat(rng.randint(1, 6), 7) for e in ((0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (0, 3))}
+    edge = {e: edge_factor(*e, x) for e, x in w.items()}
+    triangle = multiply(multiply(edge[0, 1], edge[0, 2]), edge[1, 2])
+    path = multiply(edge[1, 3], edge[2, 3])
+    chord = edge[0, 3]
+    net = FactorNetwork((triangle, path, chord), (0, 3))
+    cuts = []
+    real_glue = glue._glue
+
+    def spy(t1, t2, points, cut=()):
+        cuts.append(set(cut))
+        return real_glue(t1, t2, points, cut)
+
+    monkeypatch.setattr(glue, "_glue", spy)
+    fused = contract_network(net)
+    monkeypatch.setattr(glue, "_glue", real_glue)
+    assert {1, 2} in cuts
+    whole = factor_from_graph(Graph(4, tuple((u, v, x) for (u, v), x in w.items())), (0, 3))
+    one_at_a_time = eliminate(eliminate(multiply(multiply(triangle, path), chord), 1), 2)
+    assert fused.table() == whole.table() == one_at_a_time.table()
+    for order in ([1, 2], [2, 1]):
+        assert contract_network(net, order=order).table() == whole.table()
+
+
+def test_hollom_contraction_never_builds_the_full_bell5_table(monkeypatch):
+    net = hollom_network(2, rat(1, 100))
+    sizes = []
+    real_glue = glue._glue
+
+    def spy(*args):
+        out = real_glue(*args)
+        sizes.append(len(out.entries))
+        return out
+
+    monkeypatch.setattr(glue, "_glue", spy)
+    default = contract_network(net)
+    assert sizes and max(sizes) <= 41
+    monkeypatch.setattr(glue, "_glue", real_glue)
+    order = [2, 4, 6, 7, 9, 12, 14, 16, 17, 19, 11, 3, 5, 8]
+    assert contract_network(net, order=order).table() == default.table()
 
 
 def test_gadget_factor_linear_sweep_budget():

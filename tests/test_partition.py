@@ -12,6 +12,7 @@ from bunkbed.partition import (
     enumerate_partitions,
     join,
     join_rgs,
+    project_rgs,
 )
 
 
@@ -144,6 +145,18 @@ def test_eliminate_restriction_round_trip():
         rest, closed = eliminate(p, e)
         assert rest == p.restrict([x for x in ground if x != e])
         assert closed == (p.rgs.count(p.block_of(e)) == 1)
+
+
+def test_project_rgs_counts_blocks_with_no_kept_element():
+    rng = random.Random(8)
+    for _ in range(60):
+        k = rng.randint(1, 7)
+        ground = tuple(range(k))
+        p = rand_partition(rng, ground)
+        keep = sorted(rng.sample(ground, rng.randint(0, k)))
+        rgs, closed = project_rgs(p.rgs, keep)
+        assert rgs == p.restrict(keep).rgs
+        assert closed == sum(1 for block in p.blocks() if not set(block) & set(keep))
 
 
 def test_to_string_block_notation():
