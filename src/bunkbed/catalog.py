@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exactnum import rat
-from .graph import Graph, Hypergraph, gadget, hollom_instance
+from .graph import Graph, gadget
 
 __all__ = [
     "CONNECTED_UPTO_5",
@@ -180,10 +180,6 @@ def named_instance(name: str) -> NamedInstance:
 
 def named_graph(name: str) -> Graph:
     return named_instance(name).graph
-
-
-def hollom() -> Hypergraph:
-    return hollom_instance()
 
 
 # Verified by inspection: each can be drawn with every vertex on the outer face.

@@ -24,7 +24,6 @@ from .catalog import (
     outerplanar_catalog,
 )
 from .exactnum import (
-    MultiPoly,
     Rational,
     descartes_no_roots_above,
     format_rational,
@@ -46,6 +45,7 @@ from .verify import (
     check_engine_consistency,
     check_hypergraph_factorization,
     check_p_threshold,
+    hollom_cubic,
     run_identity_suite,
     scan_conjectures,
 )
@@ -212,6 +212,9 @@ def cmd_table2(args) -> dict:
     if width is not None and width <= 0:
         raise UsageError(f"--width {args.width} must be positive")
     n_values = _parse_int_list(args.n)
+    bad_n = [n for n in n_values if n < 1]
+    if bad_n:
+        raise UsageError(f"--n values {bad_n} must be at least 1")
     rows = negative_window_rows(n_values, p, width)
     bad = [
         r
@@ -301,13 +304,7 @@ def cmd_verify(args) -> dict:
 def cmd_compute(args) -> dict:
     kind = args.kind
     if kind == "root143":
-        cubic = (
-            MultiPoly.variable("q") ** 3
-            - 5 * MultiPoly.variable("q") ** 2
-            + 10 * MultiPoly.variable("q")
-            - 7
-        )
-        roots, _ = isolate_negative_region(cubic, (rat(0), rat(10)), rat(1, 10**4))
+        roots, _ = isolate_negative_region(hollom_cubic(), (rat(0), rat(10)), rat(1, 10**4))
         (iv,) = roots
         print(f"real root isolated in ({format_rational(iv.low)}, {format_rational(iv.high)})")
         return {
@@ -374,8 +371,10 @@ def cmd_recheck(args) -> dict:
     if stored.get("schema") != SCHEMA:
         raise UsageError(f"unsupported report schema {stored.get('schema')!r}")
     argv = stored.get("argv")
-    if not argv:
+    if not isinstance(argv, list) or not argv:
         raise UsageError("report carries no command to re-run")
+    if argv[0] == "recheck":
+        raise UsageError("report stores a recheck command; recheck the report it names instead")
     fresh = _run(argv, capture_only=True)
     same = fresh == stored.get("payload")
     print("recheck: identical" if same else "recheck: DIVERGED")

@@ -277,20 +277,6 @@ class MultiPoly:
             total += term
         return total
 
-    def subs(self, point: dict) -> "MultiPoly":
-        """Substitute rationals for a subset of the variables."""
-        idx = {INDETERMINATES.index(v): Rational(x) for v, x in point.items()}
-        out = MultiPoly()
-        for exp, c in self.terms.items():
-            coeff = c
-            reduced = list(exp)
-            for i, x in idx.items():
-                if exp[i]:
-                    coeff *= x ** exp[i]
-                    reduced[i] = 0
-            out += MultiPoly({tuple(reduced): coeff})
-        return out
-
     def to_string(self) -> str:
         """Canonical text form: coeff*q^a*l^b*g^c*h^d terms in lex exponent order."""
         if not self.terms:

@@ -122,11 +122,6 @@ class Factor:
         if self.den <= 0:
             raise ValueError("denominator must be positive")
 
-    @staticmethod
-    def scalar(value) -> "Factor":
-        value = rat(value)
-        return Factor((), {(): [int(value.numerator)]}, int(value.denominator))
-
     def table(self) -> dict:
         """Public view: SetPartition of the boundary -> MultiPoly in q."""
         out = {}
@@ -136,14 +131,6 @@ class Factor:
                 {(k, 0, 0, 0): Rational(c, self.den) for k, c in enumerate(coeffs) if c}
             )
         return out
-
-    def entry(self, partition: SetPartition) -> MultiPoly:
-        if tuple(partition.ground) != self.boundary:
-            raise ValueError("partition ground does not match the factor boundary")
-        coeffs = self.entries.get(partition.rgs, [])
-        return MultiPoly(
-            {(k, 0, 0, 0): Rational(c, self.den) for k, c in enumerate(coeffs) if c}
-        )
 
     def total(self) -> MultiPoly:
         """Sum of all entries with q**blocks restored: the partition function."""

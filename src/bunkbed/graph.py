@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from .exactnum import format_rational, parse_rational, rat
-from .partition import SetPartition, canonical_rgs
+from .partition import SetPartition, join_rgs
 
 __all__ = [
     "Graph",
@@ -202,22 +202,22 @@ def minor(g: Graph, deletions=(), contractions=()) -> Graph:
 
 
 def components_of(g: Graph, open_edges) -> tuple[SetPartition, int]:
-    """Connectivity partition of all vertices under a subset of open edges."""
-    parent = list(range(g.n))
+    """Connectivity partition of all vertices under a subset of open edges.
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in open_edges:
+    One join of two labellings over n vertex slots and two slots per open
+    edge: the first labels every slot by its vertex, the second labels each
+    vertex slot by itself and both slots of the j-th open edge by n + j, so
+    the join puts an edge's two ends in one block.  Its first n entries are
+    the vertex partition.
+    """
+    n = g.n
+    a = list(range(n))
+    b = list(range(n))
+    for j, i in enumerate(open_edges):
         u, v, _ = g.edges[i]
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[rv] = ru
-    rgs = canonical_rgs(find(v) for v in range(g.n))
-    part = SetPartition(tuple(range(g.n)), rgs)
+        a += (u, v)
+        b += (n + j, n + j)
+    part = SetPartition(tuple(range(n)), join_rgs(a, b)[:n])
     return part, part.block_count
 
 

@@ -35,7 +35,6 @@ __all__ = [
     "ParameterError",
     "check_parameters",
     "BoundaryTable",
-    "BracketQuery",
     "ForestTable",
     "activity_weights",
     "rc_boundary_table",
@@ -244,25 +243,6 @@ def rc_connection_prob(g: Graph, q, u: int, v: int) -> Rational:
     return num / z
 
 
-@dataclass(frozen=True)
-class BracketQuery:
-    """Separation pattern of marked vertices plus allowed extra components.
-
-    extra = 0 asks for the minimal component count realizing the pattern,
-    extra = 1 for one more, and so on; pattern None places no restriction.
-    """
-
-    marked: tuple
-    pattern: SetPartition | None = None
-    extra: int = 0
-
-    def __post_init__(self):
-        if self.extra < 0:
-            raise ValueError("extra component count must be non-negative")
-        if self.pattern is not None and tuple(self.pattern.ground) != tuple(self.marked):
-            raise ValueError("pattern ground must equal the marked vertices")
-
-
 @lru_cache(maxsize=256)
 def activity_weights(n: int, lam: Rational) -> tuple:
     """Integer arboreal-gas weights at lambda = a/b: entry kappa is a^(n-kappa) b^kappa.
@@ -288,11 +268,6 @@ class ForestTable:
     n: int
     entries: dict
     den: int
-
-    def query(self, q: BracketQuery):
-        if tuple(q.marked) != tuple(self.marked):
-            raise ValueError("query marked vertices do not match the table")
-        return self.bracket(q.pattern, q.extra)
 
     def bracket(self, pattern: SetPartition | None = None, extra: int = 0):
         """Forest weight for a separation pattern at minimal components + extra.

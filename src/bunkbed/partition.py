@@ -13,9 +13,7 @@ from dataclasses import dataclass
 __all__ = [
     "SetPartition",
     "canonicalize",
-    "join",
     "enumerate_partitions",
-    "eliminate",
     "bell_number",
     "canonical_rgs",
     "join_rgs",
@@ -154,13 +152,6 @@ def canonicalize(ground, grouping) -> SetPartition:
     return SetPartition(ground, canonical_rgs(label[el] for el in ground))
 
 
-def join(x: SetPartition, y: SetPartition) -> SetPartition:
-    """Finest common coarsening: u, v share a block iff connected in x union y."""
-    if x.ground != y.ground:
-        raise ValueError("join requires identical grounds")
-    return SetPartition(x.ground, join_rgs(x.rgs, y.rgs))
-
-
 def enumerate_partitions(k: int) -> list[SetPartition]:
     """All partitions of the ground (0, ..., k-1), in RGS lexicographic order."""
     if k < 1:
@@ -191,12 +182,3 @@ def project_rgs(rgs: tuple, keep) -> tuple:
     reduced = canonical_rgs(rgs[i] for i in keep)
     return reduced, max(rgs, default=-1) - max(reduced, default=-1)
 
-
-def eliminate(x: SetPartition, element):
-    """Remove an element; `closed` flags that it formed a singleton block."""
-    try:
-        pos = x.ground.index(element)
-    except ValueError:
-        raise ValueError(f"element {element!r} not in ground") from None
-    rgs, closed = project_rgs(x.rgs, [i for i in range(x.size) if i != pos])
-    return SetPartition(x.ground[:pos] + x.ground[pos + 1 :], rgs), closed == 1

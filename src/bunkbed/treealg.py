@@ -41,9 +41,6 @@ __all__ = [
     "all_minors_count",
     "pseudoinverse",
     "psd_certificate",
-    "resistance",
-    "resistance_matrix",
-    "cross_inner",
     "bunkbed_pseudoinverse",
 ]
 
@@ -124,26 +121,16 @@ class LaplacianBundle:
         return p[u, u] + p[v, v] - 2 * p[u, v]
 
     def cross_inner(self, a: int, b: int, c: int, d: int) -> Rational:
+        """<L_pinv (e_a - e_b), e_c - e_d>, exactly."""
         p = self.pinv
         return p[a, c] - p[a, d] - p[b, c] + p[b, d]
 
-
-def resistance(g: Graph, u: int, v: int) -> Rational:
-    """Effective resistance between two vertices of a connected graph."""
-    return LaplacianBundle(g).resistance(u, v)
-
-
-def resistance_matrix(g: Graph) -> RationalMatrix:
-    bundle = LaplacianBundle(g)
-    n = g.n
-    return RationalMatrix(
-        [[bundle.resistance(i, j) if i != j else rat(0) for j in range(n)] for i in range(n)]
-    )
-
-
-def cross_inner(g: Graph, a: int, b: int, c: int, d: int) -> Rational:
-    """<L_pinv (e_a - e_b), e_c - e_d>, exactly."""
-    return LaplacianBundle(g).cross_inner(a, b, c, d)
+    def resistance_matrix(self) -> RationalMatrix:
+        """All effective resistances, with a zero diagonal."""
+        n = self.n
+        return RationalMatrix(
+            [[self.resistance(i, j) if i != j else rat(0) for j in range(n)] for i in range(n)]
+        )
 
 
 def bunkbed_pseudoinverse(g: Graph) -> RationalMatrix:

@@ -51,9 +51,6 @@ from .treealg import (
     _bunkbed_pinv_and_resolvent,
     all_minors_count,
     bunkbed_pseudoinverse,
-    laplacian,
-    pseudoinverse,
-    resistance_matrix,
 )
 
 __all__ = [
@@ -67,6 +64,7 @@ __all__ = [
     "run_identity_suite",
     "scan_conjectures",
     "check_hypergraph_factorization",
+    "hollom_cubic",
     "check_engine_consistency",
     "IDENTITY_SUITES",
 ]
@@ -290,88 +288,30 @@ def bsst_counts(g: Graph, e: int, f: int) -> tuple[int, int]:
     Each such subgraph has a unique cycle; X_plus counts those whose cycle
     uses both chosen edges in the same direction, X_minus the opposite ones.
     Edge orientation is the stored (u, v) order.
+
+    A subgraph F + e + f has its cycle through e and f exactly when F is a
+    two-tree spanning forest of g - {e, f} that both e and f cross, so the
+    counts are read off the unit-weight forest table of that minor.  The
+    cycle u_e -> v_e -> ... crosses f from v_e's tree into u_e's, so it runs
+    f in its stored direction exactly when u_f lies in v_e's tree.
     """
     if e == f:
         raise ValueError("the two edges must be distinct")
     if not g.is_connected():
         raise ValueError("graph must be connected")
-    n, m = g.n, g.m
+    rest = minor(g, deletions={e, f}).with_weights(1)
+    u_e, v_e, _ = g.edges[e]
+    u_f, v_f, _ = g.edges[f]
+    table = forest_table(rest, tuple(dict.fromkeys((u_e, v_e, u_f, v_f))))
     x_plus = x_minus = 0
-    for subset in combinations(range(m), n):
-        cycle = _unique_cycle(g, subset)
-        if cycle is None:
+    for (part, kappa), count in table.entries.items():
+        if kappa != 2 or part.together(u_e, v_e) or part.together(u_f, v_f):
             continue
-        signs = {}
-        for edge_id, tail, head in cycle:
-            u0, v0, _ = g.edges[edge_id]
-            signs[edge_id] = 1 if (tail, head) == (u0, v0) else -1
-        if e in signs and f in signs:
-            if signs[e] * signs[f] > 0:
-                x_plus += 1
-            else:
-                x_minus += 1
+        if part.together(u_f, v_e):
+            x_plus += count
+        else:
+            x_minus += count
     return x_plus, x_minus
-
-
-def _unique_cycle(g: Graph, subset):
-    """Cycle of a connected n-edge spanning subgraph as (edge, tail, head) steps."""
-    n = g.n
-    deg = [0] * n
-    incident = [[] for _ in range(n)]
-    for i in subset:
-        u, v, _ = g.edges[i]
-        deg[u] += 1
-        deg[v] += 1
-        incident[u].append((v, i))
-        incident[v].append((u, i))
-    # Connectivity first.
-    seen = [False] * n
-    stack = [0]
-    seen[0] = True
-    count = 1
-    while stack:
-        x = stack.pop()
-        for y, _ in incident[x]:
-            if not seen[y]:
-                seen[y] = True
-                count += 1
-                stack.append(y)
-    if count != n:
-        return None
-    # Peel leaves; what remains is the unique cycle.
-    removed = [False] * len(g.edges)
-    alive = set(subset)
-    queue = [v for v in range(n) if deg[v] == 1]
-    while queue:
-        v = queue.pop()
-        if deg[v] != 1:
-            continue
-        for y, i in incident[v]:
-            if i in alive and not removed[i]:
-                removed[i] = True
-                alive.discard(i)
-                deg[v] -= 1
-                deg[y] -= 1
-                if deg[y] == 1:
-                    queue.append(y)
-                break
-    # Walk the cycle.
-    start = next(v for v in range(n) if deg[v] > 0)
-    walk = []
-    prev_edge = None
-    x = start
-    while True:
-        nxt = next(
-            (y, i)
-            for y, i in incident[x]
-            if i in alive and i != prev_edge
-        )
-        walk.append((nxt[1], x, nxt[0]))
-        prev_edge = nxt[1]
-        x = nxt[0]
-        if x == start:
-            break
-    return walk
 
 
 # ---------------------------------------------------------------------------
@@ -451,9 +391,9 @@ def _suite_pseudoinverse_blocks(g: Graph) -> bool:
 
 
 def _suite_resistance_matrix(g: Graph) -> bool:
-    lap = laplacian(g)
-    pinv = pseudoinverse(lap)
-    r = resistance_matrix(g)
+    bundle = LaplacianBundle(g)
+    lap, pinv = bundle.lap, bundle.pinv
+    r = bundle.resistance_matrix()
     return (
         lap * r * lap == lap * rat(-2)
         and pinv * r * pinv == pinv * pinv * pinv * rat(-2)
@@ -924,15 +864,15 @@ def scan_conjectures(
 # ---------------------------------------------------------------------------
 
 
+def hollom_cubic() -> MultiPoly:
+    """q^3 - 5q^2 + 10q - 7, the q-factor of the hollom bunkbed's connection difference."""
+    q = MultiPoly.variable("q")
+    return q**3 - 5 * q**2 + 10 * q - 7
+
+
 def check_hypergraph_factorization() -> VerificationReport:
     """Exact factor structure of the doubled-hypergraph connection difference."""
     diff = hypergraph_rc_difference(hollom_instance(), 1, 10)
-    cubic = (
-        MultiPoly.variable("q") ** 3
-        - 5 * MultiPoly.variable("q") ** 2
-        + 10 * MultiPoly.variable("q")
-        - 7
-    )
     ok = True
     c = rat(0)
     for exp in diff.terms:
@@ -943,7 +883,7 @@ def check_hypergraph_factorization() -> VerificationReport:
             {(exp[0] - 5, 0, 0, 0): coeff for exp, coeff in diff.terms.items()}
         )
         c = q_poly.coefficient("q", 3).constant_value()
-        ok = c > 0 and q_poly == c * cubic
+        ok = c > 0 and q_poly == c * hollom_cubic()
     return VerificationReport(
         claim="hypergraph-factorization",
         instance="hollom bunkbed",

@@ -186,6 +186,8 @@ def test_exit_code_mapping():
         (["recheck", "{tmp}/not_json.json"], "JSONDecodeError"),
         (["recheck", "{tmp}/list.json"], "not a JSON object"),
         (["table2", "--n", ","], "empty list"),
+        (["table2", "--n", "0,-2"], "[0, -2]"),
+        (["recheck", "{tmp}/self_recheck.json"], "recheck command"),
     ],
 )
 def test_malformed_input_is_usage_error(argv, fragment, tmp_path, capsys):
@@ -196,6 +198,8 @@ def test_malformed_input_is_usage_error(argv, fragment, tmp_path, capsys):
     (tmp_path / "number.json").write_text(json.dumps({"n": 2, "edges": [[0, 1, 1]]}))
     (tmp_path / "not_json.json").write_text("schema: 1")
     (tmp_path / "list.json").write_text("[]")
+    self_recheck = {"schema": 1, "argv": ["recheck", str(tmp_path / "self_recheck.json")], "payload": {}}
+    (tmp_path / "self_recheck.json").write_text(json.dumps(self_recheck))
     code = main([arg.format(tmp=tmp_path) for arg in argv])
     err = capsys.readouterr().err.splitlines()
     assert code == 2

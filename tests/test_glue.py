@@ -83,7 +83,7 @@ def test_gadget_factor_mass_at_q1():
 def test_multiply_identity_and_disjoint():
     p = rat(2, 5)
     f = edge_factor(0, 1, p)
-    one = Factor.scalar(1)
+    one = Factor((), {(): [1]})
     assert multiply(f, one).table() == f.table()
     g = edge_factor(2, 3, rat(1, 3))
     prod = multiply(f, g)

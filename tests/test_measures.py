@@ -402,19 +402,12 @@ def test_case_profile_matches_direct_probabilities():
         assert diff / z == expected
 
 
-def test_bracket_query_type():
-    from bunkbed.measures import BracketQuery
-
+def test_bracket_pattern_and_extra():
     ft = forest_table(named_graph("K3"), (0, 1))
-    q = BracketQuery((0, 1), _pattern((0, 1), (0,), (1,)), extra=0)
-    assert ft.query(q) == 2
-    assert ft.query(BracketQuery((0, 1), None, extra=1)) == 3
+    assert ft.bracket(_pattern((0, 1), (0,), (1,)), extra=0) == 2
+    assert ft.bracket(None, extra=1) == 3
     with pytest.raises(ValueError):
-        BracketQuery((0, 1), _pattern((0, 1), (0,), (1,)), extra=-1)
-    with pytest.raises(ValueError):
-        BracketQuery((0, 2), _pattern((0, 1), (0, 1)))
-    with pytest.raises(ValueError):
-        ft.query(BracketQuery((0, 2), None))
+        ft.bracket(_pattern((0, 1), (0,), (1,)), extra=-1)
 
 
 # -- every engine against folds over the per-subset union-find oracle

@@ -4,13 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bunkbed.partition import (
-    SetPartition,
     bell_number,
     canonicalize,
     canonical_rgs,
-    eliminate,
     enumerate_partitions,
-    join,
     join_rgs,
     project_rgs,
 )
@@ -66,11 +63,9 @@ def test_join_examples():
     ground = ("a", "b", "c")
     x = canonicalize(ground, [("a",), ("b", "c")])
     y = canonicalize(ground, [("a", "b"), ("c",)])
-    assert join(x, y).rgs == (0, 0, 0)
+    assert join_rgs(x.rgs, y.rgs) == (0, 0, 0)
     singletons = canonicalize(ground, [("a",), ("b",), ("c",)])
-    assert join(singletons, singletons) == singletons
-    with pytest.raises(ValueError):
-        join(x, canonicalize(("a", "b"), [("a", "b")]))
+    assert join_rgs(singletons.rgs, singletons.rgs) == singletons.rgs
 
 
 def rand_partition(rng, ground):
@@ -84,12 +79,11 @@ def rand_partition(rng, ground):
 @given(st.integers(2, 6), st.randoms(use_true_random=False))
 def test_join_is_lattice_like(k, rng):
     ground = tuple(range(k))
-    x, y, z = (rand_partition(rng, ground) for _ in range(3))
-    assert join(x, y) == join(y, x)
-    assert join(join(x, y), z) == join(x, join(y, z))
-    assert join(x, x) == x
-    bottom = SetPartition(ground, tuple(range(k)))
-    assert join(x, bottom) == x
+    x, y, z = (rand_partition(rng, ground).rgs for _ in range(3))
+    assert join_rgs(x, y) == join_rgs(y, x)
+    assert join_rgs(join_rgs(x, y), z) == join_rgs(x, join_rgs(y, z))
+    assert join_rgs(x, x) == x
+    assert join_rgs(x, tuple(range(k))) == x
 
 
 def label_pairs(k):
@@ -122,17 +116,12 @@ def test_enumerate_guard_names_bell_cost():
 
 
 def test_eliminate_examples():
+    # Eliminating one position: project onto the others.
     p = canonicalize(("a", "b", "c"), [("a",), ("b", "c")])
-    rest, closed = eliminate(p, "a")
-    assert closed and rest == canonicalize(("b", "c"), [("b", "c")])
+    assert project_rgs(p.rgs, (1, 2)) == (canonicalize(("b", "c"), [("b", "c")]).rgs, 1)
     p2 = canonicalize(("a", "b", "c"), [("a", "b"), ("c",)])
-    rest, closed = eliminate(p2, "b")
-    assert not closed and rest == canonicalize(("a", "c"), [("a",), ("c",)])
-    only = canonicalize(("x",), [("x",)])
-    rest, closed = eliminate(only, "x")
-    assert closed and rest.size == 0
-    with pytest.raises(ValueError):
-        eliminate(p, "zz")
+    assert project_rgs(p2.rgs, (0, 2)) == (canonicalize(("a", "c"), [("a",), ("c",)]).rgs, 0)
+    assert project_rgs((0,), ()) == ((), 1)
 
 
 def test_eliminate_restriction_round_trip():
@@ -142,8 +131,8 @@ def test_eliminate_restriction_round_trip():
         ground = tuple(range(k))
         p = rand_partition(rng, ground)
         e = rng.choice(ground)
-        rest, closed = eliminate(p, e)
-        assert rest == p.restrict([x for x in ground if x != e])
+        rest, closed = project_rgs(p.rgs, [x for x in ground if x != e])
+        assert rest == p.restrict([x for x in ground if x != e]).rgs
         assert closed == (p.rgs.count(p.block_of(e)) == 1)
 
 

@@ -1,8 +1,10 @@
+import random
 from itertools import combinations
 
 import pytest
+from bsst_oracle import bsst_counts_by_cycles
 
-from bunkbed.catalog import connected_graphs, named_graph, named_instance
+from bunkbed.catalog import connected_graphs, identity_catalog, named_graph, named_instance
 from bunkbed.exactnum import format_rational, rat
 from bunkbed.graph import POSTS_CONTRACTED, BunkbedSpec, Graph, bunkbed, bunkbed_copies
 from bunkbed.measures import alt_colouring_counts, forest_table
@@ -111,6 +113,33 @@ def test_bsst_counts_c4_opposite():
     assert xp + xm == 1
     # [e][f] - [.][e,f]: trees with e: 3, with f: 3, total 4, with both: 2.
     assert (xp - xm) ** 2 == 3 * 3 - 4 * 2
+
+
+def _random_multigraph(rng, n, m):
+    """Connected: a random spanning tree, then parallel and random edges, each stored either way."""
+    pairs = [(rng.randrange(v), v) for v in range(1, n)]
+    pairs.append(pairs[rng.randrange(len(pairs))])
+    while len(pairs) < m:
+        pairs.append(tuple(rng.sample(range(n), 2)))
+    rng.shuffle(pairs)
+    edges = []
+    for u, v in pairs:
+        if rng.random() < 0.5:
+            u, v = v, u
+        edges.append((u, v, rat(rng.randint(1, 3), rng.randint(2, 4))))
+    return Graph(n, tuple(edges))
+
+
+def test_bsst_counts_match_cycle_oracle():
+    graphs = [g for _, g in identity_catalog()]
+    rng = random.Random(31)
+    graphs += [_random_multigraph(rng, rng.randint(3, 5), rng.randint(5, 8)) for _ in range(12)]
+    for g in graphs:
+        for e, f in combinations(range(g.m), 2):
+            for a, b in ((e, f), (f, e)):
+                assert bsst_counts(g, a, b) == bsst_counts_by_cycles(g, a, b), (g, a, b)
+    with pytest.raises(ValueError):
+        bsst_counts(Graph(4, ((0, 1), (2, 3))), 0, 1)
 
 
 def test_identity_suites_on_small_instances():
