@@ -53,7 +53,9 @@ from .verify import (
 SCHEMA = 1
 
 # Known failure windows of the weight-1/100 family in hundredths, truncated
-# toward the window interior.
+# toward the window interior.  A row is compared with them only at that
+# weight and at a bracket width within their 1/100 tolerance.
+KNOWN_P = rat(1, 100)
 KNOWN_FAILURE_WINDOWS = {
     3: (70, 108),
     4: (62, 125),
@@ -163,8 +165,14 @@ def _2dp_str(x: Rational) -> str:
 
 
 def negative_window_rows(n_values, p, width=None):
-    """Certified negative-q windows of the counterexample numerator, per n."""
+    """Certified negative-q windows of the counterexample numerator, per n.
+
+    Rows carry `known` and `matches_known` only where the known table applies:
+    at p = 1/100 and a width of at most 1/100.
+    """
     width = rat(1, 10**6) if width is None else rat(width)
+    tol = rat(1, 100)
+    compare = rat(p) == KNOWN_P and width <= tol
     rows = []
     for n in n_values:
         row = {"n": n}
@@ -192,10 +200,9 @@ def negative_window_rows(n_values, p, width=None):
             inner_lo = _ceil_2dp(lo)
             inner_hi = _floor_2dp(hi)
             row["window_2dp"] = [_2dp_str(inner_lo), _2dp_str(inner_hi)]
-            known = KNOWN_FAILURE_WINDOWS.get(n)
+            known = KNOWN_FAILURE_WINDOWS.get(n) if compare else None
             if known:
                 row["known"] = [_2dp_str(rat(c, 100)) for c in known]
-                tol = rat(1, 100)
                 ok = abs(inner_lo - rat(known[0], 100)) <= tol and abs(
                     inner_hi - rat(known[1], 100)
                 ) <= tol

@@ -1,10 +1,14 @@
 """Exact arithmetic kernel.
 
-Arbitrary-precision rationals, sparse multivariate polynomials in the four
-indeterminates q, l, g, h (l is the forest activity usually written lambda),
-rational matrices with fraction-free elimination (Bareiss determinants and
-Gauss-Jordan inverses, both in integers), and certified isolation of real
-roots of univariate polynomials.
+Arbitrary-precision rationals, rational matrices with fraction-free
+elimination (Bareiss determinants and Gauss-Jordan inverses, both in
+integers), and certified isolation of real roots of univariate polynomials.
+
+Polynomials are computed as dense integer coefficient lists over one shared
+denominator, by the engines that produce them.  ``MultiPoly`` is only the
+read-only view that reports print, compare and evaluate: a sparse map from
+exponent tuples in the indeterminates q, l, g, h (l is the forest activity
+usually written lambda) to rational coefficients, with no arithmetic.
 
 Everything in this module is exact.  There is no floating point anywhere, and
 every returned sign or interval is backed by integer arithmetic.
@@ -12,7 +16,6 @@ every returned sign or interval is backed by integer arithmetic.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from math import gcd, lcm, prod
 from typing import Iterable, Sequence
@@ -44,7 +47,6 @@ __all__ = [
 
 INDETERMINATES = ("q", "l", "g", "h")
 _NVARS = 4
-_ZERO_EXP = (0, 0, 0, 0)
 
 _R0 = Rational(0)
 _R1 = Rational(1)
@@ -76,16 +78,17 @@ def format_rational(x) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Sparse multivariate polynomials
+# Polynomial view
 # ---------------------------------------------------------------------------
 
 
 class MultiPoly:
-    """Sparse polynomial over exact rationals in the variables q, l, g, h.
+    """Read-only view of a polynomial in q, l, g, h with exact rational coefficients.
 
-    Terms are stored as a dict mapping exponent 4-tuples to nonzero rational
-    coefficients.  Instances are treated as immutable; all arithmetic returns
-    new polynomials.
+    The engines compute with dense integer coefficient lists over one shared
+    denominator; this view carries their results to the reports, which print,
+    compare and evaluate it.  Terms map exponent 4-tuples to nonzero
+    coefficients.
     """
 
     __slots__ = ("terms",)
@@ -101,179 +104,29 @@ class MultiPoly:
                     cleaned[tuple(exp)] = c
         self.terms = cleaned
 
-    # -- constructors
-
-    @staticmethod
-    def zero() -> "MultiPoly":
-        return MultiPoly()
-
-    @staticmethod
-    def const(c) -> "MultiPoly":
-        return MultiPoly({_ZERO_EXP: Rational(c)})
-
-    @staticmethod
-    def variable(name: str) -> "MultiPoly":
-        i = INDETERMINATES.index(name)
-        exp = [0] * _NVARS
-        exp[i] = 1
-        return MultiPoly({tuple(exp): _R1})
-
-    @staticmethod
-    def monomial(coeff, q=0, l=0, g=0, h=0) -> "MultiPoly":
-        return MultiPoly({(q, l, g, h): Rational(coeff)})
-
-    # -- basic queries
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def is_constant(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and _ZERO_EXP in self.terms)
-
-    def constant_value(self) -> Rational:
-        if not self.terms:
-            return _R0
-        if not self.is_constant():
-            raise ValueError("polynomial is not constant")
-        return self.terms[_ZERO_EXP]
-
-    def variables(self) -> tuple[str, ...]:
-        used = [False] * _NVARS
-        for exp in self.terms:
-            for i, e in enumerate(exp):
-                if e:
-                    used[i] = True
-        return tuple(v for i, v in enumerate(INDETERMINATES) if used[i])
-
-    def degree(self, var: str) -> int:
-        """Largest exponent of var; -1 for the zero polynomial."""
-        i = INDETERMINATES.index(var)
-        if not self.terms:
-            return -1
-        return max(exp[i] for exp in self.terms)
-
-    def min_degree(self, var: str) -> int:
-        i = INDETERMINATES.index(var)
-        if not self.terms:
-            raise ValueError("zero polynomial has no minimal degree")
-        return min(exp[i] for exp in self.terms)
-
-    def coefficient(self, var: str, power: int) -> "MultiPoly":
-        """Coefficient of var**power, as a polynomial in the other variables."""
-        i = INDETERMINATES.index(var)
-        out = {}
-        for exp, c in self.terms.items():
-            if exp[i] == power:
-                reduced = list(exp)
-                reduced[i] = 0
-                out[tuple(reduced)] = c
-        return MultiPoly(out)
-
     def dense_in(self, var: str) -> list[Rational]:
         """Coefficient list [c0, c1, ...] when univariate in var (or constant)."""
         i = INDETERMINATES.index(var)
         if not self.terms:
             return [_R0]
-        coeffs = [_R0] * (self.degree(var) + 1)
+        coeffs = [_R0] * (max(exp[i] for exp in self.terms) + 1)
         for exp, c in self.terms.items():
             if any(e and j != i for j, e in enumerate(exp)):
                 raise ValueError(f"polynomial is not univariate in {var}")
             coeffs[exp[i]] = c
         return coeffs
 
-    # -- arithmetic
-
-    def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = dict(self.terms)
-        for exp, c in other.terms.items():
-            s = out.get(exp, _R0) + c
-            if s == 0:
-                out.pop(exp, None)
-            else:
-                out[exp] = s
-        res = MultiPoly.__new__(MultiPoly)
-        res.terms = out
-        return res
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        res = MultiPoly.__new__(MultiPoly)
-        res.terms = {exp: -c for exp, c in self.terms.items()}
-        return res
-
-    def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if not self.terms or not other.terms:
-            return MultiPoly()
-        out = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                exp = (ea[0] + eb[0], ea[1] + eb[1], ea[2] + eb[2], ea[3] + eb[3])
-                s = out.get(exp)
-                out[exp] = ca * cb if s is None else s + ca * cb
-        res = MultiPoly.__new__(MultiPoly)
-        res.terms = {e: c for e, c in out.items() if c != 0}
-        return res
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = MultiPoly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
-
-    def __eq__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    # -- evaluation and formatting
-
     def eval(self, point: dict) -> Rational:
         """Exact value at a point assigning a rational to every variable used."""
-        for v in self.variables():
-            if v not in point:
-                raise ValueError(f"missing assignment for indeterminate {v!r}")
         vals = [Rational(point.get(v, 0)) for v in INDETERMINATES]
         total = _R0
         for exp, c in self.terms.items():
             term = c
-            for i, e in enumerate(exp):
+            for v, x, e in zip(INDETERMINATES, vals, exp):
                 if e:
-                    term *= vals[i] ** e
+                    if v not in point:
+                        raise ValueError(f"missing assignment for indeterminate {v!r}")
+                    term *= x**e
             total += term
         return total
 
@@ -288,16 +141,13 @@ class MultiPoly:
             parts.append(f"{format_rational(c)}*{vars_part}")
         return " + ".join(parts)
 
+    def __eq__(self, other):
+        if not isinstance(other, MultiPoly):
+            return NotImplemented
+        return self.terms == other.terms
+
     def __repr__(self):
         return f"MultiPoly({self.to_string()})"
-
-
-def _coerce(x):
-    if isinstance(x, MultiPoly):
-        return x
-    if isinstance(x, numbers.Rational):
-        return MultiPoly.const(x)
-    return NotImplemented
 
 
 # ---------------------------------------------------------------------------
@@ -945,9 +795,9 @@ def isolate_negative_region(
     bracket, so each carries uncertainty below `width`; endpoints at the
     domain boundary are exact.
     """
-    if p.is_zero():
-        raise ValueError("zero polynomial has no sign regions")
     coeffs = p.dense_in("q")
+    if not any(coeffs):
+        raise ValueError("zero polynomial has no sign regions")
     lo, hi = Rational(domain[0]), Rational(domain[1])
     if not lo < hi:
         raise ValueError("empty domain")
@@ -955,7 +805,7 @@ def isolate_negative_region(
     # A q**k factor has its root at 0; on a non-negative domain it never
     # changes signs, so strip it to keep the boundary clean.
     if lo >= 0:
-        k = p.min_degree("q")
+        k = next(i for i, c in enumerate(coeffs) if c)
         if k:
             coeffs = coeffs[k:]
             if len(coeffs) == 1:
@@ -965,15 +815,13 @@ def isolate_negative_region(
     c = _int_clear(coeffs)
 
     # One exact sign per gap between consecutive root brackets.
-    gaps = []  # (left cut index, right cut index, sign); cut 0 = lo, cut i = root i
     bounds = [lo] + [r.low for r in roots] + [hi]
     uppers = [lo] + [r.high for r in roots] + [hi]
     signs = []
     for i in range(len(roots) + 1):
+        # Where two brackets touch, the gap is their shared endpoint, which is
+        # not a root, so the midpoint samples it exactly.
         a, b = uppers[i], bounds[i + 1]
-        if a >= b:
-            signs.append(0)
-            continue
         sample = (a + b) / 2
         bump = (b - a) / 16
         while _eval_sign(c, sample) == 0:

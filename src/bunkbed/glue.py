@@ -9,7 +9,9 @@ vertices; eliminating a set of vertices projects them out, and every block
 made only of eliminated vertices closes a component (one more q).
 
 A Factor stores each entry as a dense list of integer q-coefficients over a
-shared positive denominator; the public table view converts to MultiPoly.
+shared positive denominator, and all arithmetic acts on those integers.
+``table``, ``total`` and ``counterexample_polynomial`` hand the results out as
+``MultiPoly``, the read-only view that reports print, compare and evaluate.
 Contraction works on values instead.  No entry of a network can exceed
 degree D = (vertices eliminated) + (sum of the input entry degrees), since
 products add degrees and each eliminated vertex closes at most one component.

@@ -8,7 +8,11 @@ the product of the d: the random-cluster fold (``_rc_fold``) as (d - num, num),
 the forest fold (``forest_table``) as (d, num).  Leaves are summed under their
 raw component labels, and each distinct label tuple is canonicalised once.
 Both ``rc_boundary_table`` and ``bunkbed.glue.factor_from_graph`` read their
-tables from the random-cluster fold.  The forest engines walk with
+tables from the random-cluster fold.  Every table here holds integers over
+one denominator: a ``BoundaryTable`` entry is a dense list of integer
+q-coefficients, as a ``Factor`` entry is, and a ``ForestTable`` entry is one
+integer.  ``MultiPoly`` appears only as the read-only view that
+``hypergraph_rc_difference`` returns.  The forest engines walk with
 ``acyclic=True``, which drops a branch as soon as its step joins two vertices
 already in one component: every subset below it holds that cycle, so only
 forests reach the leaves.  One integer forest table over all vertices serves
@@ -26,7 +30,7 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .exactnum import MultiPoly, Rational, format_rational, rat
+from .exactnum import MultiPoly, Rational, _eval_scaled, _trim, format_rational, rat
 from .graph import Graph, Hypergraph, hypergraph_bunkbed
 from .partition import SetPartition, canonical_rgs
 
@@ -127,31 +131,32 @@ def _edge_steps(g: Graph) -> list:
 
 @dataclass
 class BoundaryTable:
-    """Random-cluster event weights resolved by the partition of marked vertices.
+    """Random-cluster weights resolved by the partition of marked vertices.
 
-    entry(pi) carries the full weight including q**kappa for every component,
-    so the entries sum to the partition function.
+    entries maps each SetPartition of the marked vertices to a dense list of
+    integer q-coefficients over the shared positive denominator den, like a
+    ``bunkbed.glue.Factor`` entry: coefficient kappa is den times the weight
+    of the subsets with kappa components that induce the partition.  Every q
+    power is included, so the entries sum to den times the partition function.
     """
 
     marked: tuple
     entries: dict
+    den: int
 
-    def z(self) -> MultiPoly:
-        total = MultiPoly.zero()
-        for p in self.entries.values():
-            total += p
+    def event(self, predicate=None) -> list:
+        """Summed integer q-coefficients of the partitions satisfying `predicate`.
+
+        Without a predicate every partition counts, which gives den times the
+        partition function.  Every sum has the length of the longest entry, so
+        the ratio of two sums at one q is read off in integers.
+        """
+        total = [0] * max(map(len, self.entries.values()), default=0)
+        for part, coeffs in self.entries.items():
+            if predicate is None or predicate(part):
+                for k, c in enumerate(coeffs):
+                    total[k] += c
         return total
-
-    def event(self, predicate) -> MultiPoly:
-        """Total weight of partitions satisfying a predicate."""
-        total = MultiPoly.zero()
-        for part, poly in self.entries.items():
-            if predicate(part):
-                total += poly
-        return total
-
-    def connection_numerator(self, u, v) -> MultiPoly:
-        return self.event(lambda part: part.together(u, v))
 
 
 def _integer_weights(g: Graph) -> tuple[list, int]:
@@ -203,17 +208,17 @@ def _rc_fold(g: Graph, marked: tuple) -> tuple[dict, int]:
 def rc_boundary_table(g: Graph, marked) -> BoundaryTable:
     """Exact random-cluster table over the connectivity patterns of `marked`.
 
-    Edge weights come from the graph; the component count enters through the
-    symbolic variable q, so entry(pi) is the sum of c/den * q**kappa over the
-    integer fold's (pi, kappa) weights c.
+    Edge weights come from the graph; the component count enters as the power
+    of q, so coefficient kappa of entry(pi) is the integer fold's (pi, kappa)
+    weight, over the fold's denominator.
     """
     marked = tuple(marked)
     acc, den = _rc_fold(g, marked)
-    terms: dict = {}
+    coeffs: dict = {}
     for (rgs, kappa), c in acc.items():
-        terms.setdefault(rgs, {})[(kappa, 0, 0, 0)] = Rational(c, den)
-    entries = {SetPartition(marked, rgs): MultiPoly(t) for rgs, t in terms.items()}
-    return BoundaryTable(marked, entries)
+        coeffs.setdefault(rgs, [0] * (g.n + 1))[kappa] = c
+    entries = {SetPartition(marked, rgs): _trim(row) for rgs, row in coeffs.items()}
+    return BoundaryTable(marked, entries, den)
 
 
 def rc_profile(g: Graph, marked) -> dict:
@@ -238,9 +243,9 @@ def rc_connection_prob(g: Graph, q, u: int, v: int) -> Rational:
     if u == v:
         return rat(1)
     table = rc_boundary_table(g, (u, v))
-    num = table.connection_numerator(u, v).eval({"q": q})
-    z = table.z().eval({"q": q})
-    return num / z
+    a, b = int(q.numerator), int(q.denominator)
+    num = _eval_scaled(table.event(lambda part: part.together(u, v)), a, b)
+    return Rational(num, _eval_scaled(table.event(), a, b))
 
 
 @lru_cache(maxsize=256)

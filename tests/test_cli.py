@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from bunkbed.cli import main, negative_window_rows
-from bunkbed.exactnum import rat
+from bunkbed.cli import KNOWN_FAILURE_WINDOWS, main, negative_window_rows
+from bunkbed.exactnum import parse_rational, rat
 
 
 def test_compute_rc_prob(capsys):
@@ -74,6 +74,28 @@ def test_table2_row_without_window(capsys):
     # At p = 1/10 the n = 3 numerator has no negative window.
     assert main(["table2", "--n", "3", "--p", "1/10"]) == 0
     assert capsys.readouterr().out.strip() == "n=3: no negative window"
+
+
+def test_table2_compares_with_the_known_table_only_at_its_p_and_width(capsys):
+    # The known windows are the p = 1/100 table, read to 1/100.
+    assert main(["table2", "--n", "3,11", "--p", "1/5"]) == 0
+    printed = capsys.readouterr().out
+    assert "known" not in printed
+    assert "n=11: negative for q in [0.62, 1.38]" in printed
+    for p, width in ((rat(1, 5), None), (rat(1, 100), rat(1, 10))):
+        for row in negative_window_rows([3, 11], p, width):
+            assert "known" not in row and "matches_known" not in row
+    rows = negative_window_rows([3, 11], rat(1, 100), rat(1, 100))
+    assert [row["matches_known"] for row in rows] == [True, True]
+
+
+@pytest.mark.parametrize("width", [rat(1), rat(1, 2), rat(1, 10), rat(1, 10**6)])
+def test_negative_window_contains_the_known_one_at_every_width(width):
+    for row in negative_window_rows([3, 11], rat(1, 100), width):
+        (window,) = row["windows"]
+        lo, hi = (parse_rational(x) for x in window)
+        known_lo, known_hi = KNOWN_FAILURE_WINDOWS[row["n"]]
+        assert lo <= rat(known_lo, 100) and rat(known_hi, 100) <= hi
 
 
 def test_recheck_round_trip(tmp_path, capsys):

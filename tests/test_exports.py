@@ -1,5 +1,8 @@
+import ast
 import importlib
 import pkgutil
+import sys
+from pathlib import Path
 
 import bunkbed
 
@@ -14,3 +17,23 @@ def test_every_export_resolves():
         assert [x for x in exports if not hasattr(module, x)] == [], info.name
         checked += 1
     assert checked
+
+
+def test_package_imports_only_stdlib_and_gmpy2():
+    # A code path must not depend on what else is installed: no numpy or sympy.
+    allowed = sys.stdlib_module_names | {"gmpy2", "bunkbed"}
+    outside = []
+    for path in sorted(Path(bunkbed.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            outside += [
+                f"{path.name}:{node.lineno} {name}"
+                for name in names
+                if name.split(".")[0] not in allowed
+            ]
+    assert outside == []

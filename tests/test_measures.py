@@ -2,6 +2,7 @@ import random
 from itertools import product
 
 import pytest
+from dense_poly import at, qpoly
 from hypothesis import given, settings, strategies as st
 from subset_oracle import roots_and_kappa
 
@@ -32,9 +33,6 @@ from bunkbed.measures import (
 from bunkbed.glue import factor_from_graph
 from bunkbed.partition import SetPartition, canonical_rgs, canonicalize
 
-Q = MultiPoly.variable("q")
-L = MultiPoly.variable("l")
-
 
 def _pattern(marked, *groups):
     return canonicalize(tuple(marked), groups)
@@ -49,11 +47,13 @@ def test_rc_table_single_edge():
     table = rc_boundary_table(g, (0, 1))
     together = _pattern((0, 1), (0, 1))
     apart = _pattern((0, 1), (0,), (1,))
-    assert table.entries[together] == p * Q
-    assert table.entries[apart] == (1 - p) * Q**2
+    # Integer q-coefficients over den = 3: p q and (1 - p) q^2.
+    assert table.den == 3
+    assert table.entries[together] == [0, 1]
+    assert table.entries[apart] == [0, 0, 2]
     # A partition only zero-weight subsets reach keeps its (zero) entry.
     certain = Graph(2, ((0, 1, rat(1)),))
-    assert rc_boundary_table(certain, (0, 1)).entries[apart] == MultiPoly.zero()
+    assert rc_boundary_table(certain, (0, 1)).entries[apart] == []
     assert factor_from_graph(certain, (0, 1)).entries == {(0, 0): [1], (0, 1): []}
 
 
@@ -61,7 +61,7 @@ def test_rc_table_empty_marked_is_partition_function():
     p = rat(2, 7)
     g = Graph(2, ((0, 1, p),))
     table = rc_boundary_table(g, ())
-    assert table.z() == p * Q + (1 - p) * Q**2
+    assert (table.event(), table.den) == ([0, 2, 5], 7)  # (2q + 5q^2) / 7
     assert len(table.entries) == 1
 
 
@@ -69,15 +69,17 @@ def test_rc_table_triangle_matches_hand_enumeration():
     half = rat(1, 2)
     g = named_graph("K3").with_weights(half)
     table = rc_boundary_table(g, (0, 1))
-    w = half**3  # every subset of three half-weight edges has mass 1/8
+    # Every subset of three half-weight edges has mass 1/8, so den = 8.
     # Hand expansion over the 8 subsets of K3's edges (0,1),(0,2),(1,2):
     # {}: q^3 apart | {01}: q^2 join | {02}: q^2 apart | {12}: q^2 apart
     # {01,02}: q join | {01,12}: q join | {02,12}: q join | all: q join
     together = _pattern((0, 1), (0, 1))
     apart = _pattern((0, 1), (0,), (1,))
-    assert table.entries[together] == w * (Q**2 + 4 * Q)
-    assert table.entries[apart] == w * (Q**3 + 2 * Q**2)
-    assert table.z() == w * (Q**3 + 3 * Q**2 + 4 * Q)
+    assert table.den == 8
+    assert table.entries[together] == [0, 4, 1]
+    assert table.entries[apart] == [0, 0, 2, 1]
+    assert table.event() == [0, 4, 3, 1]
+    assert table.event(lambda part: part.together(0, 1)) == [0, 4, 1, 0]
 
 
 def test_rc_table_entries_sum_to_partition_function_on_random_graphs():
@@ -89,8 +91,8 @@ def test_rc_table_entries_sum_to_partition_function_on_random_graphs():
         )
         marked = tuple(range(min(2, g.n)))
         table = rc_boundary_table(weighted, marked)
-        z = rc_boundary_table(weighted, ()).z()
-        assert table.z() == z
+        z = rc_boundary_table(weighted, ())
+        assert (table.event(), table.den) == (z.event(), z.den)
 
 
 def test_rc_table_at_q1_is_bernoulli():
@@ -100,8 +102,7 @@ def test_rc_table_at_q1_is_bernoulli():
         g.n, tuple((u, v, rat(rng.randint(1, 4), 5)) for u, v, _ in g.edges)
     )
     table = rc_boundary_table(weighted, (0, 2))
-    z1 = table.z().eval({"q": rat(1)})
-    assert z1 == 1
+    assert sum(table.event()) == table.den
     # Direct Bernoulli computation of P[0 <-> 2].
     total = rat(0)
     for mask in range(1 << weighted.m):
@@ -111,7 +112,7 @@ def test_rc_table_at_q1_is_bernoulli():
         part, _ = components_of(weighted, [i for i in range(weighted.m) if mask >> i & 1])
         if part.together(0, 2):
             total += w
-    assert table.connection_numerator(0, 2).eval({"q": rat(1)}) == total
+    assert at(table.event(lambda part: part.together(0, 2)), rat(1)) / table.den == total
 
 
 def test_rc_connection_prob_examples():
@@ -195,7 +196,11 @@ def _lowest_q_slice(counts, rgs):
     """
     keys = [(s, kappa, c) for (r, s, kappa), c in counts.items() if r == rgs]
     k = min(s + kappa for s, kappa, _ in keys)
-    return k, sum((c * L**s for s, kappa, c in keys if s + kappa == k), MultiPoly.zero())
+    slice_: dict = {}
+    for s, kappa, c in keys:
+        if s + kappa == k:
+            _add(slice_, s, c)
+    return k, slice_
 
 
 def test_weak_limit_lambda_q_reproduces_forests():
@@ -206,10 +211,10 @@ def test_weak_limit_lambda_q_reproduces_forests():
         for rgs in {r for r, _, _ in counts}:
             k, slice_ = _lowest_q_slice(counts, rgs)
             assert k == g.n
-            expected = MultiPoly.zero()
+            expected: dict = {}  # l-power -> coefficient
             for (p2, kappa), count in ft.entries.items():
                 if p2.rgs == rgs:
-                    expected += count * L ** (g.n - kappa)
+                    _add(expected, g.n - kappa, count)
             assert slice_ == expected
 
 
@@ -261,21 +266,14 @@ def test_alt_counts_rejects_post_endpoints():
 
 def test_hypergraph_difference_factorizes():
     diff = hypergraph_rc_difference(hollom_instance(), 1, 10)
-    cubic = Q**3 - 5 * Q**2 + 10 * Q - 7
-    marker = MultiPoly.monomial(1, q=5, g=6, h=6)
+    cubic = [-7, 10, -5, 1]
     # All surviving terms sit in the g^6 h^6 layer with a q^5 factor.
-    constants = set()
     for exp, coeff in diff.terms.items():
         assert exp[2] == 6 and exp[3] == 6 and exp[0] >= 5
-    quotient = {}
-    for exp, coeff in diff.terms.items():
-        quotient[(exp[0] - 5, 0, 0, 0)] = coeff
-    q_poly = MultiPoly(quotient)
     # Exact divisibility by the cubic with a constant quotient.
-    c = q_poly.coefficient("q", 3).constant_value()
+    c = diff.terms[(8, 0, 6, 6)]
     assert c > 0
-    assert q_poly == c * cubic
-    assert diff == c * marker * cubic
+    assert diff == MultiPoly({(k + 5, 0, 6, 6): c * x for k, x in enumerate(cubic)})
     # Negative at q = 1 (1 - 5 + 10 - 7 < 0).
     assert diff.eval({"q": rat(1), "g": rat(1), "h": rat(1)}) < 0
 
@@ -285,9 +283,7 @@ def test_hypergraph_difference_single_hyperedge():
     diff = hypergraph_rc_difference(h, 1, 2)
     # Layers never touch: the u1<->v2 side vanishes and only positive terms remain.
     assert all(c > 0 for c in diff.terms.values())
-    g1 = MultiPoly.monomial(1, q=2, g=2)
-    gh = MultiPoly.monomial(1, q=4, g=1, h=1)
-    assert diff == g1 + gh
+    assert diff == MultiPoly({(2, 0, 2, 0): 1, (4, 0, 1, 1): 1})
 
 
 # -- correlation inequalities at exact grid points
@@ -460,7 +456,7 @@ def test_engines_match_per_subset_oracle(case):
     profiles = [{} for _ in triples]
     for mask, roots, kappa, size, w, present in subsets:
         part = SetPartition(marked, canonical_rgs(roots[x] for x in marked))
-        _add(rc, part, w * Q**kappa)
+        rc.setdefault(part, [0] * (g.n + 1))[kappa] += w
         _add(profile, (part.rgs, size, kappa), 1)
         for prof, (a, b, c) in zip(profiles, triples):
             _add(prof, ((roots[a] == roots[b]) + 2 * (roots[a] == roots[c]), size, kappa), 1)
@@ -469,7 +465,11 @@ def test_engines_match_per_subset_oracle(case):
             _add(forests, (part, kappa), 1)
             _add(weighted, (part, kappa), present)
 
-    assert rc_boundary_table(g, marked).entries == rc
+    table = rc_boundary_table(g, marked)
+    assert all(type(c) is int for coeffs in table.entries.values() for c in coeffs)
+    assert {part: qpoly(c, table.den) for part, c in table.entries.items()} == {
+        part: qpoly(c) for part, c in rc.items()
+    }
     assert rc_profile(g, marked) == profile
     assert bunkbed_case_profiles(g, triples) == profiles
     assert set(forest_masks(g)) == masks
