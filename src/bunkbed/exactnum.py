@@ -10,6 +10,16 @@ read-only view that reports print, compare and evaluate: a sparse map from
 exponent tuples in the indeterminates q, l, g, h (l is the forest activity
 usually written lambda) to rational coefficients, with no arithmetic.
 
+Real roots are isolated by bisection.  Up to degree 24 Sturm chains count
+them, and a bracket holding one distinct root is halved on the sign of the
+polynomial's square-free part alone.  Above that, Descartes' rule of signs
+certifies each node of a bisection tree (Collins and Akritas 1976; Rouillier
+and Zimmermann 2004): a node carries a positive integer multiple of p mapped
+onto (0, 1), and its children come from it by bit shifts and one Taylor shift
+by 1, which is additions only.  Every sign is the sign of an integer: p at
+num/den is evaluated as den**deg p(num/den), with shifts for the powers of a
+power-of-two den.
+
 Everything in this module is exact.  There is no floating point anywhere, and
 every returned sign or interval is backed by integer arithmetic.
 """
@@ -17,7 +27,9 @@ every returned sign or interval is backed by integer arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from math import gcd, lcm, prod
+from operator import mul
 from typing import Iterable, Sequence
 
 try:
@@ -53,7 +65,12 @@ _R1 = Rational(1)
 
 
 def rat(num, den=1) -> Rational:
-    """Exact rational from integers, strings, or another rational."""
+    """Exact rational from integers, strings, or another rational.
+
+    Floats are refused: 0.1 is a binary fraction, not one tenth.
+    """
+    if isinstance(num, float) or isinstance(den, float):
+        raise TypeError(f"rat({num!r}, {den!r}): floats are not exact rationals")
     if den == 1:
         if isinstance(num, str):
             return parse_rational(num)
@@ -397,9 +414,9 @@ def _trim(c: list[int]) -> list[int]:
     return c
 
 
-def _int_clear(coeffs: Sequence[Rational]) -> list[int]:
+def _int_clear(coeffs: Sequence) -> list[int]:
     """Scale a rational coefficient list by a positive rational to integers."""
-    coeffs = [Rational(c) for c in coeffs]
+    coeffs = [c if type(c) is int or type(c) is Rational else Rational(c) for c in coeffs]
     scale = lcm(*(int(c.denominator) for c in coeffs))
     return _trim([int(c.numerator) * (scale // int(c.denominator)) for c in coeffs])
 
@@ -416,22 +433,63 @@ def _derivative(c: Sequence[int]) -> list[int]:
     return _trim([i * c[i] for i in range(1, len(c))])
 
 
+def _sign(x: int) -> int:
+    return (x > 0) - (x < 0)
+
+
 def _eval_scaled(c: Sequence[int], num: int, den: int) -> int:
-    """den**deg * p(num/den); same sign as p(num/den) for den > 0."""
+    """den**deg * p(num/den); same sign as p(num/den) for den > 0.
+
+    When den is a power of two, as at every bisection midpoint of a dyadic
+    domain, the powers of den are shifts.
+    """
     if not c:
         return 0
     acc = c[-1]
-    dpow = 1
+    if den & (den - 1):
+        dpow = 1
+        for k in range(len(c) - 2, -1, -1):
+            dpow *= den
+            acc = acc * num + c[k] * dpow
+        return acc
+    bits = den.bit_length() - 1
+    shift = 0
     for k in range(len(c) - 2, -1, -1):
-        dpow *= den
-        acc = acc * num + c[k] * dpow
+        shift += bits
+        acc = acc * num + (c[k] << shift)
     return acc
 
 
 def _eval_sign(c: Sequence[int], x: Rational) -> int:
-    x = Rational(x)
-    v = _eval_scaled(c, int(x.numerator), int(x.denominator))
-    return (v > 0) - (v < 0)
+    return _sign(_eval_scaled(c, int(x.numerator), int(x.denominator)))
+
+
+def _off_root(c: Sequence[int], x: Rational, bump: Rational) -> tuple[Rational, int]:
+    """The first of x, x + bump, x + bump + bump/3, ... that is not a root of
+    c, with the sign of c there."""
+    sign = _eval_sign(c, x)
+    while sign == 0:
+        x += bump
+        bump /= 3
+        sign = _eval_sign(c, x)
+    return x, sign
+
+
+def _divide_out_root(c: list[int], x: Rational) -> list[int]:
+    """c divided by (den*t - num) for x = num/den, as often as x is a root.
+
+    Synthetic division from the top coefficient; by Gauss's lemma every
+    quotient of an integer polynomial by a primitive linear factor is integral.
+    """
+    num, den = int(x.numerator), int(x.denominator)
+    while len(c) > 1 and _eval_scaled(c, num, den) == 0:
+        quotient = [0] * (len(c) - 1)
+        carry = 0
+        for i in range(len(c) - 1, 0, -1):
+            carry = (c[i] + num * carry) // den
+            quotient[i - 1] = carry
+        c = quotient
+    return c
 
 
 def _pseudo_rem(f: list[int], g: list[int]) -> list[int]:
@@ -466,7 +524,7 @@ def _poly_gcd(a: list[int], b: list[int]) -> list[int]:
 
 def sturm_chain(coeffs: Sequence) -> list[list[int]]:
     """Sturm chain of a univariate polynomial given as a coefficient list."""
-    p0 = _int_clear([Rational(c) for c in coeffs])
+    p0 = _int_clear(coeffs)
     if not p0:
         raise ValueError("zero polynomial has no Sturm chain")
     chain = [_primitive(p0)]
@@ -496,13 +554,14 @@ def _variations(signs: Iterable[int]) -> int:
 
 
 def _chain_variations_at(chain, x: Rational) -> int:
-    return _variations(_eval_sign(p, x) for p in chain)
+    num, den = int(x.numerator), int(x.denominator)
+    return _variations(_sign(_eval_scaled(p, num, den)) for p in chain)
 
 
 def _chain_variations_inf(chain, positive: bool) -> int:
     signs = []
     for p in chain:
-        s = (p[-1] > 0) - (p[-1] < 0)
+        s = _sign(p[-1])
         if not positive and (len(p) - 1) % 2 == 1:
             s = -s
         signs.append(s)
@@ -511,6 +570,7 @@ def _chain_variations_inf(chain, positive: bool) -> int:
 
 def sturm_count(chain, a: Rational, b: Rational) -> int:
     """Number of distinct real roots in (a, b] (endpoints must not be roots of p)."""
+    a, b = Rational(a), Rational(b)
     return _chain_variations_at(chain, a) - _chain_variations_at(chain, b)
 
 
@@ -526,57 +586,38 @@ def count_real_roots(coeffs: Sequence) -> int:
 
 
 def _taylor_shift(c: list[int], a: int) -> list[int]:
-    """Coefficients of p(x + a) by repeated synthetic division."""
-    out = list(c)
-    n = len(out)
-    if a == 0:
-        return out
-    for k in range(n - 1):
-        for i in range(n - 2, k - 1, -1):
-            out[i] += a * out[i + 1]
-    return out
+    """Coefficients of p(x + a) by repeated synthetic division.
 
-
-def _interval_variations(c: list[int], a: Rational, b: Rational) -> int:
-    """Descartes sign variations for the open interval (a, b).
-
-    The count is an upper bound on the number of roots in (a, b) with the same
-    parity; 0 certifies no roots and 1 certifies exactly one simple root.
+    The shift by 1 is additions only: each pass adds to every coefficient
+    below the top of a shrinking range its already-updated upper neighbour, a
+    running sum from the top coefficient that accumulate runs in C.  Any
+    other a shifts p(a y) by 1, whose coefficient i is a**i times that of
+    p(x + a).
     """
-    a, b = Rational(a), Rational(b)
+    if a == 0 or len(c) < 2:
+        return list(c)
+    powers = list(accumulate([a] * (len(c) - 1), mul, initial=1))
+    top_first = [x * w for x, w in zip(c, powers)][::-1]
+    for m in range(len(top_first), 1, -1):
+        top_first[:m] = accumulate(top_first[:m])
+    return [x // w for x, w in zip(top_first[::-1], powers)]
+
+
+def _to_unit_interval(c: list[int], a: Rational, b: Rational) -> list[int]:
+    """A positive integer multiple of p(a + (b - a) t), so (0, 1) maps onto (a, b)."""
     an, ad = int(a.numerator), int(a.denominator)
-    bn, bd = int(b.numerator), int(b.denominator)
+    w = b - a
+    wn, wd = int(w.numerator), int(w.denominator)
     d = len(c) - 1
-    # p1(x) = p((an + (bn*ad - an*bd)/ (ad*bd) * x)/1) scaled to integers:
-    # substitute x -> (an*bd + (bn*ad - an*bd) x) / (ad*bd).
-    alpha = an * bd
-    beta = bn * ad - an * bd
-    den = ad * bd
-    # q(x) = den**d * p((alpha + beta*x)/den) via Horner.
-    q = [c[-1]]
-    dpow = 1
-    for k in range(d - 1, -1, -1):
-        # q <- q*(alpha + beta*x) + c[k]*den**(d-k)
-        dpow *= den
-        new = [0] * (len(q) + 1)
-        for i, qc in enumerate(q):
-            new[i] += qc * alpha
-            new[i + 1] += qc * beta
-        new[0] += c[k] * dpow
-        q = new
-    q = _trim(q)
-    if not q:
-        return 0
-    # Roots of q in (0, 1) <-> roots of p in (a, b).  Count variations of
-    # (1+x)^deg * q(1/(1+x)).
-    rev = q[::-1]
-    shifted = _taylor_shift(rev, 1)
-    return _variations((x > 0) - (x < 0) for x in shifted)
+    # ad**d p(x / ad) is integral; shifting it by an and putting x = ad w t
+    # gives (ad wd)**d p(a + w t) once each coefficient is cleared of wd.
+    shifted = _taylor_shift([ci * ad ** (d - i) for i, ci in enumerate(c)], an)
+    return [ci * (ad * wn) ** i * wd ** (d - i) for i, ci in enumerate(shifted)]
 
 
 def descartes_no_roots_above(coeffs: Sequence, a: Rational) -> bool:
     """Certify that a univariate polynomial has no real roots in (a, infinity)."""
-    c = _int_clear([Rational(x) for x in coeffs])
+    c = _int_clear(coeffs)
     if not c:
         raise ValueError("zero polynomial")
     a = Rational(a)
@@ -585,8 +626,7 @@ def descartes_no_roots_above(coeffs: Sequence, a: Rational) -> bool:
     # den**d * p(a + x) has the same roots shifted; integer Taylor shift of
     # the scaled polynomial p_s(x) = ad**d p(x/ad) at an.
     scaled = [c[i] * ad ** (d - i) for i in range(d + 1)]
-    shifted = _taylor_shift(scaled, an)
-    return _variations((x > 0) - (x < 0) for x in shifted) == 0
+    return _variations(_sign(x) for x in _taylor_shift(scaled, an)) == 0
 
 
 # -- root isolation
@@ -626,12 +666,14 @@ def isolate_real_roots(
     """Isolate the distinct real roots of a univariate polynomial in a domain.
 
     Returns disjoint intervals of width < `width`, each containing exactly one
-    distinct root whose multiplicity is reported.  Interval endpoints are
-    never roots.  `engine` selects the certification method: "sturm" builds a
-    Sturm chain (exhaustive but with heavy coefficient growth at high degree),
-    "descartes" certifies through exact interval sign variations and needs no
-    chain; "auto" uses Sturm up to degree 24 and Descartes beyond.  Repeated
-    roots route through the Sturm machinery either way.
+    distinct root whose multiplicity is reported.  Roots at the domain ends
+    are divided out exactly and not reported; an interval may end at such a
+    domain end, and no other interval endpoint is a root.  `engine` selects
+    the certification method: "sturm" builds a Sturm chain (exhaustive but
+    with heavy coefficient growth at high degree), "descartes" certifies
+    through Descartes sign variations on a bisection tree and needs no chain;
+    "auto" uses Sturm up to degree 24 and Descartes beyond.  Repeated roots
+    route through the Sturm machinery either way.
     """
     lo, hi = Rational(domain[0]), Rational(domain[1])
     if not lo < hi:
@@ -639,33 +681,20 @@ def isolate_real_roots(
     width = Rational(width)
     if width <= 0:
         raise ValueError("width must be positive")
-    c = _int_clear([Rational(x) for x in coeffs])
+    c = _int_clear(coeffs)
     if not c:
         raise ValueError("zero polynomial")
-    if len(c) == 1:
-        return []
     if engine == "auto":
         engine = "sturm" if len(c) - 1 <= _STURM_DEGREE_LIMIT else "descartes"
-
-    # Nudge domain endpoints off roots.
-    step = width / 4
-    while _eval_sign(c, lo) == 0:
-        lo += step
-        step /= 2
-        if lo >= hi:
-            return []
-    step = width / 4
-    while _eval_sign(c, hi) == 0:
-        hi -= step
-        step /= 2
-        if hi <= lo:
-            return []
+    c = _divide_out_root(_divide_out_root(c, lo), hi)
+    if len(c) == 1:
+        return []
 
     if engine == "sturm":
-        chain = sturm_chain([Rational(x) for x in c])
+        chain = sturm_chain(c)
         # The chain bottoms out at gcd(p, p'); non-constant means repeated roots.
         gcd = chain[-1] if len(chain[-1]) > 1 else None
-        raw = _isolate_sturm(c, chain, lo, hi, width)
+        raw = _isolate_sturm(c, chain, gcd, lo, hi, width)
         out = []
         for a, b in raw:
             mult = 1 if gcd is None else _multiplicity(c, gcd, a, b)
@@ -681,9 +710,7 @@ def isolate_real_roots(
                     "roots failed to separate; certified isolation at this "
                     "degree needs a square-free polynomial"
                 ) from None
-            return isolate_real_roots(
-                [Rational(x) for x in c], (lo, hi), width, engine="sturm"
-            )
+            return isolate_real_roots(c, (lo, hi), width, engine="sturm")
     raise ValueError(f"unknown isolation engine {engine!r}")
 
 
@@ -692,7 +719,7 @@ def _multiplicity(c, gcd, a, b) -> int:
     mult = 1
     g = gcd
     while len(g) > 1:
-        chain = sturm_chain([Rational(x) for x in g])
+        chain = sturm_chain(g)
         # Endpoints are not roots of c, hence not of g either.
         if sturm_count(chain, a, b) == 0:
             break
@@ -702,30 +729,46 @@ def _multiplicity(c, gcd, a, b) -> int:
     return mult
 
 
-def _isolate_sturm(c, chain, lo, hi, width):
+def _isolate_sturm(c, chain, gcd, lo, hi, width):
+    """Bisect (lo, hi) on Sturm counts; each point's chain is evaluated once."""
     out = []
-    stack = [(lo, hi, None)]
+    stack = [(lo, hi, _chain_variations_at(chain, lo), _chain_variations_at(chain, hi))]
     while stack:
-        a, b, count = stack.pop()
-        if count is None:
-            count = sturm_count(chain, a, b)
+        a, b, va, vb = stack.pop()
+        count = va - vb
         if count == 0:
             continue
-        if count == 1 and b - a < width:
-            out.append((a, b))
+        if count == 1:
+            out.append(_refine_one_root(c, gcd, a, b, width))
             continue
-        mid = (a + b) / 2
-        bump = (b - a) / 16
-        while _eval_sign(c, mid) == 0:
-            mid += bump
-            bump /= 3
-        left = sturm_count(chain, a, mid)
-        if left:
-            stack.append((a, mid, left))
-        if count - left:
-            stack.append((mid, b, count - left))
+        mid, _ = _off_root(c, (a + b) / 2, (b - a) / 16)
+        vm = _chain_variations_at(chain, mid)
+        if va - vm:
+            stack.append((a, mid, va, vm))
+        if vm - vb:
+            stack.append((mid, b, vm, vb))
     out.sort()
     return out
+
+
+def _refine_one_root(c, gcd, a, b, width):
+    """Bisect (a, b), holding one distinct root of c, to below `width`.
+
+    c / gcd(c, c') has only simple roots, so its sign, that of c times gcd,
+    changes at that root alone: the same halves a Sturm count would keep.
+    """
+
+    def sign(x, c_sign):
+        return c_sign if gcd is None else c_sign * _eval_sign(gcd, x)
+
+    sa = sign(a, _eval_sign(c, a))
+    while b - a >= width:
+        mid, c_sign = _off_root(c, (a + b) / 2, (b - a) / 16)
+        if sign(mid, c_sign) == sa:
+            a = mid
+        else:
+            b = mid
+    return a, b
 
 
 class _RepeatedRootSuspicion(Exception):
@@ -733,12 +776,23 @@ class _RepeatedRootSuspicion(Exception):
 
 
 def _isolate_descartes(c, lo, hi, width):
+    """Descartes bisection with Taylor shifts (Collins-Akritas).
+
+    Each node (a, b) carries a positive multiple P of p(a + (b - a) t).  Its
+    left child 2**d P(t/2) shifts coefficient i left by d - i bits, and its
+    right child is the left one Taylor-shifted by 1, so only the domain and
+    the children of a nudged midpoint are mapped from p.  p(mid) is 0 exactly
+    when the left child's coefficients sum to 0.
+    """
+    d = len(c) - 1
     out = []
     min_width = width / (1 << 16)
-    stack = [(lo, hi)]
+    stack = [(lo, hi, _to_unit_interval(c, lo, hi))]
     while stack:
-        a, b = stack.pop()
-        v = _interval_variations(c, a, b)
+        a, b, poly = stack.pop()
+        # Descartes' bound on the roots in (0, 1): the sign variations of
+        # (1 + t)**d poly(1 / (1 + t)).  0 certifies none, 1 one simple root.
+        v = _variations(_sign(x) for x in _taylor_shift(poly[::-1], 1))
         if v == 0:
             continue
         if v == 1:
@@ -748,12 +802,14 @@ def _isolate_descartes(c, lo, hi, width):
         if b - a < min_width:
             raise _RepeatedRootSuspicion
         mid = (a + b) / 2
-        bump = (b - a) / 16
-        while _eval_sign(c, mid) == 0:
-            mid += bump
-            bump /= 3
-        stack.append((a, mid))
-        stack.append((mid, b))
+        left = [x << (d - i) for i, x in enumerate(poly)]
+        if sum(left):
+            right = _taylor_shift(left, 1)
+        else:
+            mid, _ = _off_root(c, mid, (b - a) / 16)
+            left, right = _to_unit_interval(c, a, mid), _to_unit_interval(c, mid, b)
+        stack.append((a, mid, left))
+        stack.append((mid, b, right))
     out.sort()
     return out
 
@@ -819,15 +875,14 @@ def isolate_negative_region(
     uppers = [lo] + [r.high for r in roots] + [hi]
     signs = []
     for i in range(len(roots) + 1):
-        # Where two brackets touch, the gap is their shared endpoint, which is
-        # not a root, so the midpoint samples it exactly.
+        # An empty gap is either the shared endpoint of two touching brackets,
+        # which is not a root and so has an exact sign, or a domain end that
+        # is a root, whose sign 0 opens no window.
         a, b = uppers[i], bounds[i + 1]
-        sample = (a + b) / 2
-        bump = (b - a) / 16
-        while _eval_sign(c, sample) == 0:
-            sample += bump
-            bump /= 3
-        signs.append(_eval_sign(c, sample))
+        if a == b:
+            signs.append(_eval_sign(c, a))
+        else:
+            signs.append(_off_root(c, (a + b) / 2, (b - a) / 16)[1])
 
     # Assemble maximal negative intervals.  A gap endpoint at the domain edge
     # is exact; at a root it is the root's outer bracket edge, except where

@@ -5,9 +5,11 @@ from pathlib import Path
 
 import pytest
 from dense_poly import at, from_roots, qpoly
+from descartes_oracle import isolate_descartes, taylor_shift_by_loops, value
 from hypothesis import given, settings, strategies as st
 from invert_oracle import invert_by_back_substitution
 
+from bunkbed import exactnum
 from bunkbed.exactnum import (
     IsolatingInterval,
     MultiPoly,
@@ -37,6 +39,13 @@ def test_rational_parse_and_format():
     assert format_rational(rat(5)) == "5"
     with pytest.raises(ValueError):
         parse_rational("1/0")
+
+
+def test_rat_refuses_floats():
+    # A float's binary expansion is not the decimal it was written as.
+    for args in ((0.1,), (1, 0.5), (0.5, 2)):
+        with pytest.raises(TypeError):
+            rat(*args)
 
 
 def test_no_code_path_compares_type_names():
@@ -349,3 +358,133 @@ def test_descartes_falls_back_for_repeated_roots():
         from_roots([1, 1, 3]), (rat(0), rat(5)), rat(1, 16), engine="descartes"
     )
     assert [iv.multiplicity for iv in found] == [2, 1]
+
+
+@pytest.mark.parametrize("engine", ["sturm", "descartes"])
+@pytest.mark.parametrize("end", ["low", "high"])
+def test_root_next_to_a_root_at_the_domain_end_is_kept(engine, end):
+    eps = rat(1, 10**7)
+    root, near = (rat(0), eps) if end == "low" else (rat(1), 1 - eps)
+    p = [c * 10**7 for c in from_roots([root, near, rat(1, 2)])]
+    found = isolate_real_roots(p, (rat(0), rat(1)), eps * 10, engine=engine)
+    assert len(found) == 2
+    inner = found[0] if end == "low" else found[1]
+    assert inner.contains(near) and inner.width() < eps * 10
+    assert not inner.contains(root)
+    assert [iv.multiplicity for iv in found] == [1, 1]
+
+
+def test_root_at_both_domain_ends_and_a_double_one_inside():
+    p = from_roots([rat(1), rat(1), rat(3, 2), rat(3, 2), rat(2)])
+    (found,) = isolate_real_roots(p, (rat(1), rat(2)), rat(1, 100), engine="sturm")
+    assert found.contains(rat(3, 2)) and found.multiplicity == 2
+
+
+def test_negative_region_when_the_domain_starts_at_a_root():
+    # (q - 1)(q - 1 - 10**-7)(q - 3/2) is positive on (1, 1 + 10**-7) and
+    # negative up to 3/2; the empty gap at q = 1 opens no window.
+    p = qpoly([c * 10**7 for c in from_roots([rat(1), 1 + rat(1, 10**7), rat(3, 2)])])
+    width = rat(1, 10**6)
+    roots, negative = isolate_negative_region(p, (rat(1), rat(2)), width)
+    assert len(roots) == 2 and roots[0].contains(1 + rat(1, 10**7))
+    ((left, right),) = negative
+    assert left == 1 and abs(right - rat(3, 2)) < width
+
+
+def test_taylor_shift_matches_the_double_loop():
+    rng = random.Random(3)
+    for length in range(8):
+        c = [rng.randint(-50, 50) for _ in range(length)]
+        for a in (0, 1, -3, 7):
+            assert exactnum._taylor_shift(c, a) == taylor_shift_by_loops(c, a)
+
+
+def test_eval_scaled_matches_fraction_evaluation():
+    rng = random.Random(4)
+    for length in range(8):
+        c = [rng.randint(-10**6, 10**6) for _ in range(length)]
+        for den in (1, 2, 2**40, 3, 12):
+            for num in (0, 1, -1, 5, -(2**45) - 1):
+                expected = value(c, Fraction(num, den)) * den ** max(length - 1, 0)
+                assert exactnum._eval_scaled(c, num, den) == expected
+
+
+_ORACLE_DOMAINS = [
+    (Fraction(0), Fraction(2)),
+    (Fraction(-1), Fraction(1)),
+    (Fraction(-7, 3), Fraction(11, 5)),
+    (Fraction(1, 3), Fraction(5, 2)),
+    (Fraction(-3, 10), Fraction(17, 7)),
+]
+
+
+def _poly_from(roots, cofactor):
+    """Integer coefficients of cofactor times the product of (den q - num)."""
+    c = list(cofactor)
+    for r in roots:
+        c = [r.denominator * x - r.numerator * y for x, y in zip([0] + c, c + [0])]
+    return c
+
+
+_CASE_KINDS = ("signed", "double", "midpoints", "rational", "signed", "midpoints", "rational", "rational")
+
+
+def _descartes_case(rng, i):
+    """The ith seeded (coeffs, lo, hi, width, kind) with no root at lo or hi."""
+    degree = 1 + i % 60
+    kind = _CASE_KINDS[i % len(_CASE_KINDS)]
+    while True:
+        lo, hi = rng.choice(_ORACLE_DOMAINS)
+        width = rng.choice((Fraction(1, 10), Fraction(1, 1000), Fraction(1, 7**4)))
+        bits = 4
+        if kind == "signed":
+            roots, bits = [], rng.randint(1, 40)
+        elif kind == "double":
+            r = lo + (hi - lo) * Fraction(rng.randint(1, 999), 1000)
+            roots = [r, r]
+        elif kind == "midpoints":
+            # Bisection points of the first levels, so some node's midpoint
+            # is a root and gets nudged.
+            mid = (lo + hi) / 2
+            roots = [mid, (lo + mid) / 2, (mid + hi) / 2, (7 * lo + hi) / 8][: max(1, degree // 2)]
+        else:
+            roots = [
+                lo + (hi - lo) * Fraction(rng.randint(1, 999), 1000)
+                for _ in range(rng.randint(1, min(degree, 5)))
+            ]
+        roots = roots[:degree]
+        cofactor = [rng.randint(-(2**bits), 2**bits) for _ in range(degree - len(roots))]
+        cofactor.append(rng.choice((-1, 1)) * rng.randint(1, 2**bits))
+        c = _poly_from(roots, cofactor)
+        if value(c, lo) and value(c, hi):
+            return c, lo, hi, width, kind
+
+
+def _outcome(isolate, *args):
+    try:
+        return [(str(a), str(b)) for a, b in isolate(*args)]
+    except exactnum._RepeatedRootSuspicion:
+        return "repeated-root suspicion"
+
+
+def test_descartes_tree_matches_the_per_interval_oracle(monkeypatch):
+    remapped = []
+    to_unit = exactnum._to_unit_interval
+
+    def counting(c, a, b):
+        remapped.append((a, b))
+        return to_unit(c, a, b)
+
+    monkeypatch.setattr(exactnum, "_to_unit_interval", counting)
+    rng = random.Random(1976)
+    suspected = set()
+    nudged = 0
+    for i in range(200):
+        c, lo, hi, width, kind = _descartes_case(rng, i)
+        del remapped[:]
+        got = _outcome(exactnum._isolate_descartes, c, rat(lo), rat(hi), rat(width))
+        assert got == _outcome(isolate_descartes, c, lo, hi, width), (i, kind, c, lo, hi)
+        if isinstance(got, str):
+            suspected.add(kind)
+        nudged += len(remapped) > 1
+    assert "double" in suspected and nudged > 0

@@ -1,0 +1,71 @@
+"""Exact root-isolation outputs, pinned.
+
+The expected strings are the outputs of the earlier isolators, which mapped
+every interval from the original polynomial and counted every Sturm bracket
+on the whole chain.  The kernel must visit the same bisection points, so
+every bracket must come out identical.
+"""
+
+import random
+
+import pytest
+
+from bunkbed import exactnum
+from bunkbed.cli import main, negative_window_rows
+from bunkbed.exactnum import format_rational, isolate_real_roots, rat
+
+
+def test_table2_windows_are_pinned():
+    rows = negative_window_rows([3, 4, 11], rat(1, 100))
+    assert {row["n"]: row["windows"] for row in rows} == {
+        3: [["365503/524288", "570743/524288"]],
+        4: [["640387/1048576", "1314397/1048576"]],
+        11: [["292991/524288", "372563/262144"]],
+    }
+
+
+def test_root143_interval_is_pinned(capsys):
+    assert main(["compute", "root143"]) == 0
+    assert capsys.readouterr().out == "real root isolated in (93725/65536, 46865/32768)\n"
+
+
+def _mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def fallback_polynomial():
+    """Seeded degree-26 polynomial with a double root, so Descartes falls back.
+
+    Six rational roots in (0, 3), one of them double, and ten quadratic
+    factors with no real roots.
+    """
+    rng = random.Random(26)
+    double = [-rng.randrange(200, 1800), 1000]
+    coeffs = [1]
+    for f in [double, double] + [[-rng.randrange(1, 3000), 1000] for _ in range(4)]:
+        coeffs = _mul(coeffs, f)
+    while len(coeffs) - 1 < 26:
+        d = rng.randrange(64, 128)
+        a = rng.randrange(-3 * d, 3 * d)
+        s = rng.randrange(d // 4 + 1, 3 * d)
+        coeffs = _mul(coeffs, [a * a + s * s, -2 * a * d, d * d])
+    return coeffs
+
+
+def test_fallback_polynomial_intervals_are_pinned():
+    coeffs = fallback_polynomial()
+    assert len(coeffs) - 1 == 26
+    with pytest.raises(exactnum._RepeatedRootSuspicion):
+        exactnum._isolate_descartes(coeffs, rat(0), rat(4), rat(1, 10**6))
+    found = isolate_real_roots(coeffs, (rat(0), rat(4)), rat(1, 10**6))
+    assert [[format_rational(iv.low), format_rational(iv.high), iv.multiplicity] for iv in found] == [
+        ["435683/524288", "871367/1048576", 1],
+        ["220463/262144", "881853/1048576", 1],
+        ["453509/262144", "1814037/1048576", 2],
+        ["464519/262144", "1858077/1048576", 1],
+        ["708313/262144", "2833253/1048576", 1],
+    ]

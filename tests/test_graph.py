@@ -36,6 +36,14 @@ def test_graph_validation():
     assert g.m == 3  # parallel edges preserved
 
 
+def test_float_weights_are_refused():
+    # 0.1 would silently become 3602879701896397/36028797018963968.
+    with pytest.raises(TypeError):
+        Graph(2, ((0, 1, 0.1),))
+    with pytest.raises(TypeError):
+        Graph(2, ((0, 1, rat(1)),)).with_weights(0.5)
+
+
 def test_bunkbed_all_verticals_k2_is_four_cycle():
     bb = bunkbed(BunkbedSpec(named_graph("K2")))
     assert bb.n == 4 and bb.m == 4
