@@ -177,7 +177,7 @@ def negative_window_rows(n_values, p, width=None):
     for n in n_values:
         row = {"n": n}
         try:
-            numerator, z = counterexample_polynomial(n, p)
+            numerator, z_at_1 = counterexample_polynomial(n, p)
         except (EnumerationGuardError, ValueError) as exc:
             row["status"] = "skipped"
             row["reason"] = str(exc)
@@ -191,7 +191,7 @@ def negative_window_rows(n_values, p, width=None):
             numerator, (rat(0), domain_hi), width
         )
         row["status"] = "ok"
-        row["z_at_1"] = format_rational(z.eval({"q": rat(1)}))
+        row["z_at_1"] = format_rational(z_at_1)
         row["windows"] = [
             [format_rational(a), format_rational(b)] for a, b in negative
         ]

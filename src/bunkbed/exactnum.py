@@ -78,6 +78,13 @@ def rat(num, den=1) -> Rational:
     return Rational(num) / Rational(den)
 
 
+def _rational(x) -> Rational:
+    """Rational(x), refusing floats as ``rat`` does."""
+    if isinstance(x, float):
+        raise TypeError(f"{x!r}: floats are not exact rationals")
+    return Rational(x)
+
+
 def parse_rational(text: str) -> Rational:
     """Parse "3/4", "-2" or "7" into an exact rational."""
     text = text.strip()
@@ -114,7 +121,7 @@ class MultiPoly:
         cleaned = {}
         if terms:
             for exp, coeff in terms.items():
-                c = Rational(coeff)
+                c = _rational(coeff)
                 if c != 0:
                     if len(exp) != _NVARS or any(e < 0 for e in exp):
                         raise ValueError(f"bad exponent tuple {exp!r}")
@@ -178,7 +185,7 @@ class RationalMatrix:
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, data: Iterable[Iterable]):
-        self.data = [[x if type(x) is Rational else Rational(x) for x in row] for row in data]
+        self.data = [[x if type(x) is Rational else _rational(x) for x in row] for row in data]
         self.rows = len(self.data)
         self.cols = len(self.data[0]) if self.data else 0
         if any(len(row) != self.cols for row in self.data):
@@ -416,7 +423,7 @@ def _trim(c: list[int]) -> list[int]:
 
 def _int_clear(coeffs: Sequence) -> list[int]:
     """Scale a rational coefficient list by a positive rational to integers."""
-    coeffs = [c if type(c) is int or type(c) is Rational else Rational(c) for c in coeffs]
+    coeffs = [c if type(c) is int or type(c) is Rational else _rational(c) for c in coeffs]
     scale = lcm(*(int(c.denominator) for c in coeffs))
     return _trim([int(c.numerator) * (scale // int(c.denominator)) for c in coeffs])
 
@@ -695,11 +702,7 @@ def isolate_real_roots(
         # The chain bottoms out at gcd(p, p'); non-constant means repeated roots.
         gcd = chain[-1] if len(chain[-1]) > 1 else None
         raw = _isolate_sturm(c, chain, gcd, lo, hi, width)
-        out = []
-        for a, b in raw:
-            mult = 1 if gcd is None else _multiplicity(c, gcd, a, b)
-            out.append(IsolatingInterval(a, b, mult))
-        return out
+        return [IsolatingInterval(a, b, m) for (a, b), m in zip(raw, _multiplicities(gcd, raw))]
     if engine == "descartes":
         try:
             raw = _isolate_descartes(c, lo, hi, width)
@@ -714,19 +717,25 @@ def isolate_real_roots(
     raise ValueError(f"unknown isolation engine {engine!r}")
 
 
-def _multiplicity(c, gcd, a, b) -> int:
-    """Multiplicity of the single distinct root of c in (a, b)."""
-    mult = 1
+def _multiplicities(gcd, brackets) -> list[int]:
+    """Multiplicity of the single distinct root of c in each bracket, gcd = gcd(c, c').
+
+    A root of multiplicity m is a root of the first m - 1 levels of the tower
+    gcd, gcd(gcd, gcd'), ...  Each level's Sturm chain is built once, and only
+    while some bracket still holds a root of the level above.
+    """
+    mults = [1] * len(brackets)
+    live = range(len(brackets)) if gcd is not None else ()
     g = gcd
-    while len(g) > 1:
+    while live and len(g) > 1:
         chain = sturm_chain(g)
         # Endpoints are not roots of c, hence not of g either.
-        if sturm_count(chain, a, b) == 0:
-            break
-        mult += 1
+        live = [i for i in live if sturm_count(chain, *brackets[i])]
+        for i in live:
+            mults[i] += 1
         deriv = _derivative(g)
         g = _poly_gcd(g, deriv) if deriv else []
-    return mult
+    return mults
 
 
 def _isolate_sturm(c, chain, gcd, lo, hi, width):

@@ -17,7 +17,11 @@ degree D = (vertices eliminated) + (sum of the input entry degrees), since
 products add degrees and each eliminated vertex closes at most one component.
 So every input entry is evaluated once at q = 0, ..., D, products and
 eliminations act point by point (c closed components multiply by q**c), and
-each final entry is recovered by one exact integer interpolation.
+``contract_network`` recovers each final entry by one exact integer
+interpolation.  ``counterexample_polynomial`` reads the table2 row off the
+final values instead: N is one interpolation of the point-wise difference of
+the two query entries, and Z(1) is the sum of every entry's value at point 1
+(q = 1).
 
 One kernel, ``_glue``, multiplies two value-form tables and cuts a set of
 vertices in the same pass.  For each entry of the smaller table it first
@@ -336,6 +340,11 @@ def contract_network(net: FactorNetwork, order=None) -> Factor:
     exceed the Bell-number guard, reporting every vertex cut so far and the
     point count D + 1.
     """
+    return _interpolated(*_contract_values(net, order))
+
+
+def _contract_values(net: FactorNetwork, order=None) -> tuple[_ValueForm, int]:
+    """The contraction of ``contract_network``: final value form and network denominator."""
     if not net.queries:
         raise ValueError("network needs at least one query vertex")
     queries = set(net.queries)
@@ -391,7 +400,7 @@ def contract_network(net: FactorNetwork, order=None) -> Factor:
         done_order += [v] + sorted(cut - {v})
     active.sort(key=lambda f: len(f.entries))
     result = reduce(lambda x, y: _glue(x, y, points), active)
-    return _interpolated(result, prod(f.den for f in net.factors))
+    return result, prod(f.den for f in net.factors)
 
 
 def gadget_factor(n: int, p) -> Factor:
@@ -435,24 +444,21 @@ def hollom_network(n: int, p) -> FactorNetwork:
 
 
 def counterexample_polynomial(n: int, p):
-    """Numerator and partition function of the doubled-instance connection gap.
+    """Numerator of the doubled-instance connection gap and the total mass Z(1).
 
-    N is the unnormalized numerator of P[1 <-> 10] - P[1 <-> 20] (positive
-    denominators cancel), Z the partition function; both are exact
-    polynomials in q.  sign P_n(q) = sign N(q) for q > 0.
+    Returns (N, Z(1)).  N is the unnormalized numerator of
+    P[1 <-> 10] - P[1 <-> 20] as an exact polynomial in q (positive
+    denominators cancel), so sign P_n(q) = sign N(q) for q > 0.  Z(1) is the
+    partition function at q = 1, an exact rational (1, as the edge weights
+    are probabilities).  Both are read off the contraction's value form: N
+    by one interpolation of the two query entries' point-wise difference,
+    Z(1) as the sum of every entry's value at point 1, where q**blocks = 1.
     """
-    net = hollom_network(n, p)
-    final = contract_network(net)
-    # Readout: restore q**blocks for the query partitions.
-    same_10 = (0, 0, 1)  # {1,10}{20}
-    same_20 = (0, 1, 0)  # {1,20}{10}
-    den = final.den
-    diff = {}
-    for rgs, sign in ((same_10, 1), (same_20, -1)):
-        for k, coeff in enumerate(final.entries.get(rgs, [])):
-            if coeff:
-                exp = k + 2
-                diff[exp] = diff.get(exp, 0) + sign * coeff
-    numerator = MultiPoly({(e, 0, 0, 0): Rational(cv, den) for e, cv in diff.items() if cv})
-    z = final.total()
-    return numerator, z
+    final, den = _contract_values(hollom_network(n, p))
+    same_10 = final.entries[0, 0, 1]  # {1,10}{20}
+    same_20 = final.entries[0, 1, 0]  # {1,20}{10}
+    # Both query partitions have two blocks: restore q**2.
+    diff = [0, 0] + _interpolate(list(map(sub, same_10, same_20)))
+    numerator = MultiPoly({(e, 0, 0, 0): Rational(c, den) for e, c in enumerate(diff) if c})
+    z_at_1 = Rational(sum(vals[1] for vals in final.entries.values()), den)
+    return numerator, z_at_1

@@ -48,6 +48,21 @@ def test_rat_refuses_floats():
             rat(*args)
 
 
+def test_multipoly_refuses_floats():
+    with pytest.raises(TypeError):
+        MultiPoly({(0, 0, 0, 0): 0.1})
+
+
+def test_rational_matrix_refuses_floats():
+    with pytest.raises(TypeError):
+        RationalMatrix([[0.1]])
+
+
+def test_root_isolation_refuses_float_coefficients():
+    with pytest.raises(TypeError):
+        isolate_real_roots([-0.1, 1], (rat(0), rat(1)), rat(1, 10))
+
+
 def test_no_code_path_compares_type_names():
     # No code path may compare type names, so none can depend on which
     # rational type happens to be installed.

@@ -3,6 +3,7 @@ import random
 import pytest
 from dense_poly import qpoly
 from hypothesis import given, settings, strategies as st
+from readout_oracle import counterexample_by_entries
 
 from bunkbed import glue
 from bunkbed.catalog import named_graph
@@ -296,13 +297,23 @@ def test_hollom_network_shape():
 
 
 def test_counterexample_polynomial_small():
-    numerator, z = counterexample_polynomial(1, rat(1, 100))
+    numerator, z_at_1 = counterexample_polynomial(1, rat(1, 100))
     # Total mass at q = 1 is 1: the weights are Bernoulli probabilities.
-    assert z.eval({"q": rat(1)}) == 1
+    assert z_at_1 == 1
     assert numerator.terms
     # The q = 2 value is non-negative for every n (the failure window is
     # strictly inside (0, 2)).
     assert numerator.eval({"q": rat(2)}) >= 0
+
+
+@pytest.mark.parametrize("p", [rat(1, 100), rat(1, 5)])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_counterexample_polynomial_matches_the_entrywise_readout(n, p):
+    numerator, z_at_1 = counterexample_polynomial(n, p)
+    expected_numerator, expected_z_at_1 = counterexample_by_entries(n, p)
+    assert numerator == expected_numerator
+    assert numerator.to_string() == expected_numerator.to_string()
+    assert z_at_1 == expected_z_at_1
 
 
 def test_counterexample_polynomial_order_invariant():

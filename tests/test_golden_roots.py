@@ -24,6 +24,47 @@ def test_table2_windows_are_pinned():
     }
 
 
+def test_table2_rows_are_pinned():
+    rows = negative_window_rows([3, 4, 11], rat(1, 100)) + negative_window_rows([3, 11], rat(1, 5))
+    assert rows == [
+        {
+            "n": 3,
+            "status": "ok",
+            "z_at_1": "1",
+            "windows": [["365503/524288", "570743/524288"]],
+            "window_2dp": ["0.70", "1.08"],
+            "known": ["0.70", "1.08"],
+            "matches_known": True,
+        },
+        {
+            "n": 4,
+            "status": "ok",
+            "z_at_1": "1",
+            "windows": [["640387/1048576", "1314397/1048576"]],
+            "window_2dp": ["0.62", "1.25"],
+            "known": ["0.62", "1.25"],
+            "matches_known": True,
+        },
+        {
+            "n": 11,
+            "status": "ok",
+            "z_at_1": "1",
+            "windows": [["292991/524288", "372563/262144"]],
+            "window_2dp": ["0.56", "1.42"],
+            "known": ["0.56", "1.42"],
+            "matches_known": True,
+        },
+        {"n": 3, "status": "ok", "z_at_1": "1", "windows": []},
+        {
+            "n": 11,
+            "status": "ok",
+            "z_at_1": "1",
+            "windows": [["321023/524288", "1454457/1048576"]],
+            "window_2dp": ["0.62", "1.38"],
+        },
+    ]
+
+
 def test_root143_interval_is_pinned(capsys):
     assert main(["compute", "root143"]) == 0
     assert capsys.readouterr().out == "real root isolated in (93725/65536, 46865/32768)\n"
@@ -69,3 +110,20 @@ def test_fallback_polynomial_intervals_are_pinned():
         ["464519/262144", "1858077/1048576", 1],
         ["708313/262144", "2833253/1048576", 1],
     ]
+
+
+def test_fallback_polynomial_builds_each_sturm_chain_once(monkeypatch):
+    built = []
+    real = exactnum.sturm_chain
+
+    def counting(coeffs):
+        chain = real(coeffs)
+        built.append(chain[0])
+        return chain
+
+    monkeypatch.setattr(exactnum, "sturm_chain", counting)
+    found = isolate_real_roots(fallback_polynomial(), (rat(0), rat(4)), rat(1, 10**6))
+    assert [iv.multiplicity for iv in found] == [1, 1, 2, 1, 1]
+    # The polynomial's own chain, then its one gcd level: (x - r) for the double root r.
+    assert len(built) == 2
+    assert len(built[1]) == 2
