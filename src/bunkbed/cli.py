@@ -279,6 +279,9 @@ def cmd_verify(args) -> dict:
             )
     elif suite == "p-threshold":
         g, posts = _load_instance(args)
+        if not posts:
+            # Without posts the two layers never meet, so every P[u1 <-> v2] is 0.
+            raise UsageError("p-threshold needs an instance with posts; this one has none")
         for q in q_grid:
             reports.append(
                 check_p_threshold(g, posts, q, instance=args.graph or args.input)
@@ -340,6 +343,8 @@ def cmd_compute(args) -> dict:
             raise UsageError(f"--extra {args.extra} must be non-negative")
         marked = _parse_int_list(args.marked) if args.marked else ()
         _check_vertices(g, marked)
+        if len(set(marked)) != len(marked):
+            raise UsageError(f"--marked {args.marked} repeats a vertex")
         table = forest_table(g, marked)
         pattern = None
         if args.pattern:

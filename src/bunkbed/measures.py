@@ -7,30 +7,31 @@ folds walk each one num/d as a pair of integers over one shared denominator,
 the product of the d: the random-cluster fold (``_rc_fold``) as (d - num, num),
 the forest fold (``forest_table``) as (d, num).  Leaves are summed under their
 raw component labels, and each distinct label tuple is canonicalised once.
-Both ``rc_boundary_table`` and ``bunkbed.glue.factor_from_graph`` read their
-tables from the random-cluster fold.  Every table here holds integers over
-one denominator: a ``BoundaryTable`` entry is a dense list of integer
-q-coefficients, as a ``Factor`` entry is, and a ``ForestTable`` entry is one
-integer.  ``MultiPoly`` appears only as the read-only view that
-``hypergraph_rc_difference`` returns.  The forest engines walk with
-``acyclic=True``, which drops a branch as soon as its step joins two vertices
-already in one component: every subset below it holds that cycle, so only
-forests reach the leaves.  One integer forest table over all vertices serves
-every marked set: ``ForestTable.restrict`` regroups its entries by the induced
-partition of fewer marked vertices, and ``ForestTable.probability`` at
-lambda = a/b is the ratio of two integer sums of w a^(n-kappa) b^kappa.  The
-enumeration guard is 2^28 subsets; larger instances belong to the
-factor-contraction engine in ``bunkbed.glue``.
+Both measures land in one table class: a ``BoundaryTable`` maps (partition of
+the marked vertices, component count kappa) to an integer over the shared
+denominator.  ``rc_boundary_table`` and ``forest_table`` fill it through one
+entry builder, and ``bunkbed.glue.factor_from_graph`` reads the random-cluster
+fold too.  ``BoundaryTable.event`` sums the entries of an event into a dense
+q-list, ``restrict`` regroups them by the induced partition of fewer marked
+vertices, so one table over all vertices serves every marked set, and
+``probability`` at lambda = a/b is the arboreal-gas ratio of two integer sums
+of w a^(n-kappa) b^kappa.  The forest engines walk with ``acyclic=True``,
+which drops a branch as soon as its step joins two vertices already in one
+component: every subset below it holds that cycle, so only forests reach the
+leaves.  ``rc_profile`` counts subsets by (marked partition, |S|, kappa), and
+``bunkbed_case_profiles`` regroups one such count for every query triple.
+``MultiPoly`` appears only as the read-only view that
+``hypergraph_rc_difference`` returns.  The enumeration guard is 2^28 subsets;
+larger instances belong to the factor-contraction engine in ``bunkbed.glue``.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .exactnum import MultiPoly, Rational, _eval_scaled, _trim, format_rational, rat
+from .exactnum import MultiPoly, Rational, _eval_scaled, format_rational, rat
 from .graph import Graph, Hypergraph, hypergraph_bunkbed
 from .partition import SetPartition, canonical_rgs
 
@@ -39,7 +40,6 @@ __all__ = [
     "ParameterError",
     "check_parameters",
     "BoundaryTable",
-    "ForestTable",
     "activity_weights",
     "rc_boundary_table",
     "rc_profile",
@@ -78,9 +78,6 @@ def check_parameters(p=(), q=(), lam=()) -> None:
 
 
 def _guard_edges(m: int, limit: int = _SUBSET_GUARD) -> None:
-    override = os.environ.get("BUNKBED_SUBSET_GUARD")
-    if override:
-        limit = max(limit, int(override))
     if m > limit:
         raise EnumerationGuardError(
             f"enumeration would visit 2^{m} = {2 ** m} edge subsets "
@@ -129,36 +126,6 @@ def _edge_steps(g: Graph) -> list:
     return [((), ((u, v),)) for u, v, _ in g.edges]
 
 
-@dataclass
-class BoundaryTable:
-    """Random-cluster weights resolved by the partition of marked vertices.
-
-    entries maps each SetPartition of the marked vertices to a dense list of
-    integer q-coefficients over the shared positive denominator den, like a
-    ``bunkbed.glue.Factor`` entry: coefficient kappa is den times the weight
-    of the subsets with kappa components that induce the partition.  Every q
-    power is included, so the entries sum to den times the partition function.
-    """
-
-    marked: tuple
-    entries: dict
-    den: int
-
-    def event(self, predicate=None) -> list:
-        """Summed integer q-coefficients of the partitions satisfying `predicate`.
-
-        Without a predicate every partition counts, which gives den times the
-        partition function.  Every sum has the length of the longest entry, so
-        the ratio of two sums at one q is read off in integers.
-        """
-        total = [0] * max(map(len, self.entries.values()), default=0)
-        for part, coeffs in self.entries.items():
-            if predicate is None or predicate(part):
-                for k, c in enumerate(coeffs):
-                    total[k] += c
-        return total
-
-
 def _integer_weights(g: Graph) -> tuple[list, int]:
     """Each edge weight num/d as the integers (num, d), and den, the product of the d."""
     pairs = [(int(w.numerator), int(w.denominator)) for _, _, w in g.edges]
@@ -205,20 +172,124 @@ def _rc_fold(g: Graph, marked: tuple) -> tuple[dict, int]:
     return _marked_sums(g, marked, [(d - num, num) for num, d in pairs]), den
 
 
+@lru_cache(maxsize=256)
+def activity_weights(n: int, lam: Rational) -> tuple:
+    """Integer arboreal-gas weights at lambda = a/b: entry kappa is a^(n-kappa) b^kappa.
+
+    That is lambda^(n-kappa) times b^n, so a ratio of two sums weighted by
+    these entries is the ratio of the lambda-weighted sums.
+    """
+    a, b = int(lam.numerator), int(lam.denominator)
+    return tuple(a ** (n - kappa) * b**kappa for kappa in range(n + 1))
+
+
+@dataclass
+class BoundaryTable:
+    """Edge-subset weights keyed by (marked partition, component count).
+
+    Entries are integers over one positive denominator den, the product of
+    the edge weights' denominators: entry (pi, kappa) is den times the summed
+    weight of the subsets with kappa components that induce pi.  A random-
+    cluster table weighs every subset (kappa is then the power of q), a forest
+    table only the spanning forests; on integer weights a forest table's den
+    is 1 and its entries are weighted forest counts.  A key that only
+    zero-weight subsets reach stays, with value 0.
+    """
+
+    marked: tuple
+    n: int
+    entries: dict
+    den: int
+
+    def event(self, predicate=None) -> list:
+        """Summed entries of the partitions satisfying `predicate`, as a dense q-list.
+
+        Coefficient kappa sums the entries with kappa components; without a
+        predicate every partition counts.  Every sum has length n + 1, so the
+        ratio of two sums at one q is read off in integers.
+        """
+        total = [0] * (self.n + 1)
+        for (part, kappa), w in self.entries.items():
+            if predicate is None or predicate(part):
+                total[kappa] += w
+        return total
+
+    def bracket(self, pattern: SetPartition | None = None, extra: int = 0):
+        """Weight of a separation pattern at its minimal components + extra.
+
+        The pattern's ground must be the marked tuple.  ``pattern=None``
+        places no restriction on the marked vertices (the all-trees bracket
+        and its relaxations).  The result is an int when den is 1, otherwise
+        the exact rational.
+        """
+        if extra < 0:
+            raise ValueError("extra component count must be non-negative")
+        if pattern is not None and pattern.ground != self.marked:
+            raise ValueError(
+                f"pattern ground {pattern.ground} is not the marked tuple {self.marked}"
+            )
+        if pattern is None:
+            kappa = 1 + extra
+            w = sum(w for (_, k), w in self.entries.items() if k == kappa)
+        else:
+            w = self.entries.get((pattern, pattern.block_count + extra), 0)
+        return w if self.den == 1 else Rational(w, self.den)
+
+    def restrict(self, marked) -> "BoundaryTable":
+        """The same subsets keyed by the induced partition of fewer marked vertices.
+
+        `marked` lists distinct vertices of this table's marked tuple, in any
+        order; the result equals the table built over them directly.
+        """
+        marked = tuple(marked)
+        index = {x: i for i, x in enumerate(self.marked)}
+        pos = [index[x] for x in marked]
+        acc: dict = {}
+        for (part, kappa), w in self.entries.items():
+            key = (tuple([part.rgs[i] for i in pos]), kappa)
+            acc[key] = acc.get(key, 0) + w
+        return BoundaryTable(marked, self.n, _entries(marked, _canonical(acc)), self.den)
+
+    def probability(self, predicate, lam) -> Rational:
+        """Arboreal-gas probability of an event on the marked partition.
+
+        At lambda = a/b both the event and Z are integer sums of
+        w a^(n-kappa) b^kappa; their ratio is the probability, since the
+        common factors b^n and den cancel.
+        """
+        scale = activity_weights(self.n, rat(lam))
+        event = total = 0
+        for (part, kappa), w in self.entries.items():
+            w *= scale[kappa]
+            total += w
+            if predicate(part):
+                event += w
+        return Rational(event, total)
+
+
+def _entries(marked: tuple, sums: dict) -> dict:
+    """Sums keyed (RGS, kappa) as table entries keyed (SetPartition, kappa)."""
+    parts: dict = {}
+    entries: dict = {}
+    for (rgs, kappa), w in sums.items():
+        part = parts.get(rgs)
+        if part is None:
+            part = parts[rgs] = SetPartition(marked, rgs)
+        entries[part, kappa] = w
+    return entries
+
+
 def rc_boundary_table(g: Graph, marked) -> BoundaryTable:
     """Exact random-cluster table over the connectivity patterns of `marked`.
 
-    Edge weights come from the graph; the component count enters as the power
-    of q, so coefficient kappa of entry(pi) is the integer fold's (pi, kappa)
-    weight, over the fold's denominator.
+    Edge weights come from the graph; the component count kappa is the power
+    of q, so entry (pi, kappa) is the integer fold's (pi, kappa) weight, over
+    the fold's denominator, and ``event()`` is den times the partition
+    function as a dense q-list.
     """
     marked = tuple(marked)
-    acc, den = _rc_fold(g, marked)
-    coeffs: dict = {}
-    for (rgs, kappa), c in acc.items():
-        coeffs.setdefault(rgs, [0] * (g.n + 1))[kappa] = c
-    entries = {SetPartition(marked, rgs): _trim(row) for rgs, row in coeffs.items()}
-    return BoundaryTable(marked, entries, den)
+    sums, den = _rc_fold(g, marked)
+    return BoundaryTable(marked, g.n, _entries(marked, sums), den)
 
 
 def rc_profile(g: Graph, marked) -> dict:
@@ -248,93 +319,7 @@ def rc_connection_prob(g: Graph, q, u: int, v: int) -> Rational:
     return Rational(num, _eval_scaled(table.event(), a, b))
 
 
-@lru_cache(maxsize=256)
-def activity_weights(n: int, lam: Rational) -> tuple:
-    """Integer arboreal-gas weights at lambda = a/b: entry kappa is a^(n-kappa) b^kappa.
-
-    That is lambda^(n-kappa) times b^n, so a ratio of two sums weighted by
-    these entries is the ratio of the lambda-weighted sums.
-    """
-    a, b = int(lam.numerator), int(lam.denominator)
-    return tuple(a ** (n - kappa) * b**kappa for kappa in range(n + 1))
-
-
-@dataclass
-class ForestTable:
-    """Spanning-forest weights keyed by (marked partition, component count).
-
-    Entries are integers over one denominator den, the product of the edge
-    weights' denominators: entry (pi, kappa) is den times the summed weight of
-    the forests with kappa components that induce pi.  On graphs with integer
-    weights den is 1 and the entries are the weighted forest counts.
-    """
-
-    marked: tuple
-    n: int
-    entries: dict
-    den: int
-
-    def bracket(self, pattern: SetPartition | None = None, extra: int = 0):
-        """Forest weight for a separation pattern at minimal components + extra.
-
-        ``pattern=None`` places no restriction on the marked vertices (the
-        all-trees bracket and its relaxations).  The result is an int when den
-        is 1, otherwise the exact rational.
-        """
-        if extra < 0:
-            raise ValueError("extra component count must be non-negative")
-        if pattern is None:
-            kappa = 1 + extra
-            w = sum(w for (_, k), w in self.entries.items() if k == kappa)
-        else:
-            w = self.entries.get((pattern, pattern.block_count + extra), 0)
-        return w if self.den == 1 else Rational(w, self.den)
-
-    def restrict(self, marked) -> "ForestTable":
-        """The same forests keyed by the induced partition of fewer marked vertices.
-
-        `marked` lists distinct vertices of this table's marked tuple, in any
-        order; the result equals ``forest_table`` over them.
-        """
-        marked = tuple(marked)
-        index = {x: i for i, x in enumerate(self.marked)}
-        pos = [index[x] for x in marked]
-        acc: dict = {}
-        for (part, kappa), w in self.entries.items():
-            key = (tuple([part.rgs[i] for i in pos]), kappa)
-            acc[key] = acc.get(key, 0) + w
-        return ForestTable(marked, self.n, _forest_entries(marked, _canonical(acc)), self.den)
-
-    def probability(self, predicate, lam) -> Rational:
-        """Arboreal-gas probability of an event on the marked partition.
-
-        At lambda = a/b both the event and Z are integer sums of
-        w a^(n-kappa) b^kappa; their ratio is the probability, since the
-        common factors b^n and den cancel.
-        """
-        scale = activity_weights(self.n, rat(lam))
-        event = total = 0
-        for (part, kappa), w in self.entries.items():
-            w *= scale[kappa]
-            total += w
-            if predicate(part):
-                event += w
-        return Rational(event, total)
-
-
-def _forest_entries(marked: tuple, sums: dict) -> dict:
-    """Forest sums keyed (RGS, kappa) as entries keyed (SetPartition, kappa)."""
-    parts: dict = {}
-    entries: dict = {}
-    for (rgs, kappa), w in sums.items():
-        part = parts.get(rgs)
-        if part is None:
-            part = parts[rgs] = SetPartition(marked, rgs)
-        entries[part, kappa] = w
-    return entries
-
-
-def forest_table(g: Graph, marked) -> ForestTable:
+def forest_table(g: Graph, marked) -> BoundaryTable:
     """Enumerate spanning forests (acyclic edge subsets) of the graph.
 
     Each edge weight num/d walks as the integers (d, num), so every entry is
@@ -345,7 +330,7 @@ def forest_table(g: Graph, marked) -> ForestTable:
     marked = tuple(marked)
     pairs, den = _integer_weights(g)
     sums = _marked_sums(g, marked, [(d, num) for num, d in pairs], acyclic=True)
-    return ForestTable(marked, g.n, _forest_entries(marked, sums), den)
+    return BoundaryTable(marked, g.n, _entries(marked, sums), den)
 
 
 def forest_masks(g: Graph):
@@ -423,16 +408,18 @@ def bunkbed_case_profiles(bb: Graph, triples):
     """One enumeration of a bunkbed graph serving many (u1, v1, v2) queries.
 
     For each triple the result maps (case, |S|, kappa) -> count, where case is
-    bit 0 = u1 connected to v1, bit 1 = u1 connected to v2.
+    bit 0 = u1 connected to v1, bit 1 = u1 connected to v2.  The counts are
+    one ``rc_profile`` over every vertex the triples name, regrouped per
+    triple by the case its marked partition decides.
     """
-    _guard_edges(bb.m)
+    marked = tuple(dict.fromkeys(x for triple in triples for x in triple))
+    index = {x: i for i, x in enumerate(marked)}
+    slots = [tuple(index[x] for x in triple) for triple in triples]
     profiles = [dict() for _ in triples]
-    for mask, comp, kappa, _ in _walk(bb.n, _edge_steps(bb)):
-        s = mask.bit_count()
-        for prof, (a, b, c) in zip(profiles, triples):
-            case = (comp[a] == comp[b]) + 2 * (comp[a] == comp[c])
-            key = (case, s, kappa)
-            prof[key] = prof.get(key, 0) + 1
+    for (rgs, s, kappa), count in rc_profile(bb, marked).items():
+        for prof, (a, b, c) in zip(profiles, slots):
+            key = ((rgs[a] == rgs[b]) + 2 * (rgs[a] == rgs[c]), s, kappa)
+            prof[key] = prof.get(key, 0) + count
     return profiles
 
 

@@ -210,6 +210,9 @@ def test_exit_code_mapping():
         (["table2", "--n", ","], "empty list"),
         (["table2", "--n", "0,-2"], "[0, -2]"),
         (["recheck", "{tmp}/self_recheck.json"], "recheck command"),
+        (["verify", "--suite", "p-threshold", "--graph", "K4"], "needs an instance with posts"),
+        (["compute", "bracket", "--graph", "K3", "--marked", "0,0"], "repeats a vertex"),
+        (["compute", "bracket", "--graph", "K3", "--marked", "0,0", "--pattern", "0|0"], "repeats a vertex"),
     ],
 )
 def test_malformed_input_is_usage_error(argv, fragment, tmp_path, capsys):

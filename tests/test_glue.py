@@ -60,7 +60,7 @@ def test_factor_vs_rc_table_relation():
         table = rc_boundary_table(weighted, marked)
         for part, poly in f.table().items():
             shifted = [0] * part.block_count + poly.dense_in("q")
-            assert qpoly(shifted) == qpoly(table.entries[part], table.den)
+            assert qpoly(shifted) == qpoly(table.event(lambda p: p == part), table.den)
         assert f.total() == qpoly(table.event(), table.den)
 
 
@@ -283,7 +283,7 @@ def test_p4_network_example():
     table = rc_boundary_table(g, (0, 3))
     for part, poly in result.table().items():
         shifted = [0] * part.block_count + poly.dense_in("q")
-        assert qpoly(shifted) == qpoly(table.entries[part], table.den)
+        assert qpoly(shifted) == qpoly(table.event(lambda p: p == part), table.den)
 
 
 def test_hollom_network_shape():

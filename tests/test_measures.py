@@ -2,7 +2,7 @@ import random
 from itertools import product
 
 import pytest
-from dense_poly import at, qpoly
+from dense_poly import at
 from hypothesis import given, settings, strategies as st
 from subset_oracle import roots_and_kappa
 
@@ -30,6 +30,7 @@ from bunkbed.measures import (
     rc_connection_prob,
     rc_profile,
 )
+from bunkbed import measures
 from bunkbed.glue import factor_from_graph
 from bunkbed.partition import SetPartition, canonical_rgs, canonicalize
 
@@ -49,11 +50,12 @@ def test_rc_table_single_edge():
     apart = _pattern((0, 1), (0,), (1,))
     # Integer q-coefficients over den = 3: p q and (1 - p) q^2.
     assert table.den == 3
-    assert table.entries[together] == [0, 1]
-    assert table.entries[apart] == [0, 0, 2]
+    assert table.entries == {(together, 1): 1, (apart, 2): 2}
+    assert table.event(lambda part: part == together) == [0, 1, 0]
+    assert table.event(lambda part: part == apart) == [0, 0, 2]
     # A partition only zero-weight subsets reach keeps its (zero) entry.
     certain = Graph(2, ((0, 1, rat(1)),))
-    assert rc_boundary_table(certain, (0, 1)).entries[apart] == []
+    assert rc_boundary_table(certain, (0, 1)).entries[apart, 2] == 0
     assert factor_from_graph(certain, (0, 1)).entries == {(0, 0): [1], (0, 1): []}
 
 
@@ -62,7 +64,8 @@ def test_rc_table_empty_marked_is_partition_function():
     g = Graph(2, ((0, 1, p),))
     table = rc_boundary_table(g, ())
     assert (table.event(), table.den) == ([0, 2, 5], 7)  # (2q + 5q^2) / 7
-    assert len(table.entries) == 1
+    empty = canonicalize((), [])
+    assert table.entries == {(empty, 1): 2, (empty, 2): 5}
 
 
 def test_rc_table_triangle_matches_hand_enumeration():
@@ -76,8 +79,8 @@ def test_rc_table_triangle_matches_hand_enumeration():
     together = _pattern((0, 1), (0, 1))
     apart = _pattern((0, 1), (0,), (1,))
     assert table.den == 8
-    assert table.entries[together] == [0, 4, 1]
-    assert table.entries[apart] == [0, 0, 2, 1]
+    assert table.event(lambda part: part == together) == [0, 4, 1, 0]
+    assert table.event(lambda part: part == apart) == [0, 0, 2, 1]
     assert table.event() == [0, 4, 3, 1]
     assert table.event(lambda part: part.together(0, 1)) == [0, 4, 1, 0]
 
@@ -137,6 +140,18 @@ def test_enumeration_guard():
     g = Graph(30, tuple((i, i + 1, rat(1, 2)) for i in range(29)))
     with pytest.raises(EnumerationGuardError, match="glue"):
         rc_boundary_table(g, (0,))
+
+
+def test_enumeration_guard_has_no_environment_override(monkeypatch):
+    # The guard must trip before the walk starts: no variable raises it.
+    def no_walk(*args, **kwargs):
+        raise AssertionError("the subset walk started past the guard")
+
+    monkeypatch.setenv("BUNKBED_SUBSET_GUARD", "40")
+    monkeypatch.setattr(measures, "_walk", no_walk)
+    g = Graph(30, tuple((i, i + 1, rat(1, 2)) for i in range(29)))
+    with pytest.raises(EnumerationGuardError, match=r"guard is 2\^28"):
+        forest_table(g, (0,))
 
 
 # -- forests and brackets
@@ -404,6 +419,10 @@ def test_bracket_pattern_and_extra():
     assert ft.bracket(None, extra=1) == 3
     with pytest.raises(ValueError):
         ft.bracket(_pattern((0, 1), (0,), (1,)), extra=-1)
+    # A pattern over another ground, even a reordering of the marked vertices.
+    for pattern in (_pattern((1, 0), (0, 1)), _pattern((0, 2), (0, 2))):
+        with pytest.raises(ValueError, match="ground"):
+            ft.bracket(pattern)
 
 
 # -- every engine against folds over the per-subset union-find oracle
@@ -456,7 +475,7 @@ def test_engines_match_per_subset_oracle(case):
     profiles = [{} for _ in triples]
     for mask, roots, kappa, size, w, present in subsets:
         part = SetPartition(marked, canonical_rgs(roots[x] for x in marked))
-        rc.setdefault(part, [0] * (g.n + 1))[kappa] += w
+        _add(rc, (part, kappa), w)
         _add(profile, (part.rgs, size, kappa), 1)
         for prof, (a, b, c) in zip(profiles, triples):
             _add(prof, ((roots[a] == roots[b]) + 2 * (roots[a] == roots[c]), size, kappa), 1)
@@ -466,10 +485,8 @@ def test_engines_match_per_subset_oracle(case):
             _add(weighted, (part, kappa), present)
 
     table = rc_boundary_table(g, marked)
-    assert all(type(c) is int for coeffs in table.entries.values() for c in coeffs)
-    assert {part: qpoly(c, table.den) for part, c in table.entries.items()} == {
-        part: qpoly(c) for part, c in rc.items()
-    }
+    assert all(type(c) is int for c in table.entries.values())
+    assert {key: Rational(c, table.den) for key, c in table.entries.items()} == rc
     assert rc_profile(g, marked) == profile
     assert bunkbed_case_profiles(g, triples) == profiles
     assert set(forest_masks(g)) == masks
@@ -515,6 +532,7 @@ def test_forest_table_restrict_and_probability_match_oracle(case):
     plain = g.with_weights(1)
     for h in (g, plain):
         assert forest_table(h, everyone).restrict(marked) == forest_table(h, marked)
+    assert rc_boundary_table(g, everyone).restrict(marked) == rc_boundary_table(g, marked)
     restricted = forest_table(plain, everyone).restrict(marked)
     assert all(type(c) is int for c in restricted.entries.values())
 
