@@ -1,8 +1,9 @@
 """Exact arithmetic kernel.
 
-Arbitrary-precision rationals, rational matrices with fraction-free
-elimination (Bareiss determinants and Gauss-Jordan inverses, both in
-integers), and certified isolation of real roots of univariate polynomials.
+Arbitrary-precision rationals, rational matrices stored as integer rows over
+one denominator with fraction-free elimination (Bareiss determinants,
+Gauss-Jordan inverses and symmetric PSD certificates, all in integers), and
+certified isolation of real roots of univariate polynomials.
 
 Polynomials are computed as dense integer coefficient lists over one shared
 denominator, by the engines that produce them.  ``MultiPoly`` is only the
@@ -27,9 +28,9 @@ every returned sign or interval is backed by integer arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
-from math import gcd, lcm, prod
-from operator import mul
+from itertools import accumulate, chain
+from math import gcd, lcm
+from operator import add, mul, sub
 from typing import Iterable, Sequence
 
 try:
@@ -180,118 +181,137 @@ class MultiPoly:
 
 
 class RationalMatrix:
-    """Dense matrix of exact rationals."""
+    """Dense matrix of exact rationals: integer rows ``num`` over one ``den``.
 
-    __slots__ = ("rows", "cols", "data")
+    ``den`` is positive and gcd(den, every entry) = 1, so a matrix has exactly
+    one representation and ``==`` compares fields.  Sums, products and scalar
+    multiples are integer arithmetic on ``num``; only ``[i, j]`` and
+    ``to_lists`` build rationals.
+    """
+
+    __slots__ = ("rows", "cols", "num", "den")
 
     def __init__(self, data: Iterable[Iterable]):
-        self.data = [[x if type(x) is Rational else _rational(x) for x in row] for row in data]
-        self.rows = len(self.data)
-        self.cols = len(self.data[0]) if self.data else 0
-        if any(len(row) != self.cols for row in self.data):
+        data = [[x if type(x) in (int, Rational) else _rational(x) for x in row] for row in data]
+        den = lcm(*(int(x.denominator) for row in data for x in row))
+        # Over the lcm of the reduced denominators gcd(den, entries) is already 1.
+        self._set([[int(x.numerator) * (den // int(x.denominator)) for x in row] for row in data], den)
+
+    @classmethod
+    def from_integers(cls, num: list[list[int]], den: int = 1) -> "RationalMatrix":
+        """The matrix num / den in lowest terms, for integer rows and a nonzero den."""
+        if den == 0:
+            raise ZeroDivisionError("matrix denominator is zero")
+        if den < 0:
+            num, den = [[-x for x in row] for row in num], -den
+        if den != 1:
+            g = gcd(den, *chain.from_iterable(num))
+            if g != 1:
+                num, den = [[x // g for x in row] for row in num], den // g
+        m = cls.__new__(cls)
+        m._set(num, den)
+        return m
+
+    def _set(self, num: list[list[int]], den: int) -> None:
+        self.num, self.den = num, den
+        self.rows = len(num)
+        self.cols = len(num[0]) if num else 0
+        if any(len(row) != self.cols for row in num):
             raise ValueError("ragged matrix")
 
     @staticmethod
     def identity(n: int) -> "RationalMatrix":
-        return RationalMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return RationalMatrix.from_integers([[int(i == j) for j in range(n)] for i in range(n)])
 
     @staticmethod
     def ones(rows: int, cols: int | None = None) -> "RationalMatrix":
         cols = rows if cols is None else cols
-        return RationalMatrix([[1] * cols for _ in range(rows)])
+        return RationalMatrix.from_integers([[1] * cols for _ in range(rows)])
 
-    def __getitem__(self, key):
+    def __getitem__(self, key) -> Rational:
         i, j = key
-        return self.data[i][j]
+        return Rational(self.num[i][j], self.den)
 
     def __eq__(self, other):
         return (
             isinstance(other, RationalMatrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.data == other.data
+            and self.den == other.den
+            and self.num == other.num
+        )
+
+    def _combine(self, other, op) -> "RationalMatrix":
+        if self.rows != other.rows or self.cols != other.cols:
+            raise ValueError("shape mismatch")
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        return RationalMatrix.from_integers(
+            [[op(x * a, y * b) for x, y in zip(ra, rb)] for ra, rb in zip(self.num, other.num)],
+            den,
         )
 
     def __add__(self, other):
-        self._shape_match(other)
-        return RationalMatrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)]
-        )
+        return self._combine(other, add)
 
     def __sub__(self, other):
-        self._shape_match(other)
-        return RationalMatrix(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)]
-        )
-
-    def _shape_match(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
+        return self._combine(other, sub)
 
     def __mul__(self, other):
         if isinstance(other, RationalMatrix):
             if self.cols != other.rows:
                 raise ValueError("shape mismatch")
-            bt = list(zip(*other.data))
-            return RationalMatrix(
-                [[sum(a * b for a, b in zip(row, col)) for col in bt] for row in self.data]
+            bt = list(zip(*other.num))
+            return RationalMatrix.from_integers(
+                [[sum(map(mul, row, col)) for col in bt] for row in self.num],
+                self.den * other.den,
             )
-        c = Rational(other)
-        return RationalMatrix([[a * c for a in row] for row in self.data])
+        c = _rational(other)
+        a = int(c.numerator)
+        return RationalMatrix.from_integers(
+            [[x * a for x in row] for row in self.num], self.den * int(c.denominator)
+        )
 
     def __rmul__(self, other):
         return self * other
 
     def __neg__(self):
-        return self * Rational(-1)
+        return self * -1
 
     def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(list(zip(*self.data)))
+        return RationalMatrix.from_integers([list(col) for col in zip(*self.num)], self.den)
 
     def is_symmetric(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        return all(
-            self.data[i][j] == self.data[j][i]
-            for i in range(self.rows)
-            for j in range(i + 1, self.cols)
-        )
+        return self.rows == self.cols and [list(col) for col in zip(*self.num)] == self.num
 
     def submatrix(self, keep_rows: Sequence[int], keep_cols: Sequence[int]) -> "RationalMatrix":
-        return RationalMatrix([[self.data[i][j] for j in keep_cols] for i in keep_rows])
+        return RationalMatrix.from_integers(
+            [[self.num[i][j] for j in keep_cols] for i in keep_rows], self.den
+        )
 
     def apply(self, vec: Sequence) -> list[Rational]:
         if len(vec) != self.cols:
             raise ValueError("shape mismatch")
-        return [sum(a * Rational(x) for a, x in zip(row, vec)) for row in self.data]
+        x = RationalMatrix([vec])
+        (xs,) = x.num
+        return [Rational(sum(map(mul, row, xs)), self.den * x.den) for row in self.num]
 
     def to_lists(self) -> list[list[str]]:
-        return [[format_rational(x) for x in row] for row in self.data]
+        den = self.den
+        return [[str(Rational(x, den)) for x in row] for row in self.num]
 
     def __repr__(self):
         return f"RationalMatrix({self.to_lists()})"
 
 
-def _cleared_int_rows(m: RationalMatrix) -> tuple[list[list[int]], list[int]]:
-    """Scale each row to integers; returns (int rows, each row's scale)."""
-    rows = []
-    scales = []
-    for row in m.data:
-        dens = [int(x.denominator) for x in row]
-        scale = lcm(*dens)
-        rows.append([int(x.numerator) * (scale // d) for x, d in zip(row, dens)])
-        scales.append(scale)
-    return rows, scales
-
-
 def bareiss_det(m: RationalMatrix) -> Rational:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
+    """Exact determinant by fraction-free (Bareiss) elimination on ``m.num``."""
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
     n = m.rows
     if n == 0:
         return _R1
-    a, scales = _cleared_int_rows(m)
+    a = [row[:] for row in m.num]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -309,26 +329,23 @@ def bareiss_det(m: RationalMatrix) -> Rational:
                 row_i[j] = (row_i[j] * akk - aik * row_k[j]) // prev
             row_i[k] = 0
         prev = akk
-    return Rational(sign * a[n - 1][n - 1], prod(scales))
+    return Rational(sign * a[n - 1][n - 1], m.den**n)
 
 
 def invert(m: RationalMatrix) -> RationalMatrix:
     """Exact inverse by fraction-free (Bareiss) Gauss-Jordan elimination.
 
-    Each row of M is scaled to integers, D M with D diagonal, and [D M | D]
-    is reduced with the Bareiss exact division both above and below every
-    pivot, so every intermediate entry stays an integer.  This turns the left
-    block into d I, where d is the last pivot, and the right block into
-    d M^-1; only the n^2 result entries become rationals.  The left block's
-    finished columns are not written back, as no later step reads them.  A
-    0 x 0 matrix is its own inverse.
+    With M = N / den, [N | den I] is reduced with the Bareiss exact division
+    both above and below every pivot, so every intermediate entry stays an
+    integer.  This turns the left block into d I, where d is the last pivot,
+    and the right block into d M^-1, which is returned over d (the sign goes
+    into the denominator).  The left block's finished columns are not written
+    back, as no later step reads them.  A 0 x 0 matrix is its own inverse.
     """
     if m.rows != m.cols:
         raise ValueError("inverse of a non-square matrix")
     n = m.rows
-    aug, scales = _cleared_int_rows(m)
-    for i, row in enumerate(aug):
-        row.extend(scales[i] if j == i else 0 for j in range(n))
+    aug = [row + [m.den if j == i else 0 for j in range(n)] for i, row in enumerate(m.num)]
     prev = 1
     for k in range(n):
         if aug[k][k] == 0:
@@ -348,37 +365,32 @@ def invert(m: RationalMatrix) -> RationalMatrix:
                 (x * akk - aik * y) // prev for x, y in zip(row_i[k + 1 :], tail_k)
             ]
         prev = akk
-    return RationalMatrix([[Rational(x, prev) for x in row[n:]] for row in aug])
+    return RationalMatrix.from_integers([row[n:] for row in aug], prev)
 
 
 def psd_certificate(m: RationalMatrix):
     """Exact positive-semidefiniteness test for a symmetric rational matrix.
 
     Returns (True, None) when PSD, else (False, witness) with a rational vector
-    x such that x^T M x < 0.  Uses symmetric elimination with diagonal
-    pivoting; works for singular (rank-deficient) matrices.
+    x such that x^T M x < 0.  Symmetric elimination with positive diagonal
+    pivots, fraction-free on ``m.num``: eliminating a pivot d scales the Schur
+    complement by d > 0 and divides exactly by the previous pivot, so every
+    entry is a minor of ``m.num`` and every sign is the Schur complement's.
+    Works for singular (rank-deficient) matrices.
     """
     if not m.is_symmetric():
         raise ValueError("psd_certificate requires a symmetric matrix")
     n = m.rows
-    a = [[Rational(x) for x in row] for row in m.data]
-    # basis[i] expresses the current coordinate i in the original coordinates.
-    basis = [[_R1 if i == j else _R0 for j in range(n)] for i in range(n)]
+    a = [row[:] for row in m.num]
+    # basis[i] is a positive multiple of the current coordinate i, in the
+    # original coordinates; the form on it is a positive multiple of a.
+    basis = [[int(i == j) for j in range(n)] for i in range(n)]
     active = list(range(n))
-
-    def witness_from(vec_coeffs):
-        w = [_R0] * n
-        for i, c in vec_coeffs:
-            for j in range(n):
-                w[j] += c * basis[i][j]
-        value = _quadratic_form(m, w)
-        assert value < 0
-        return w
-
+    prev = 1
     while active:
         neg = next((i for i in active if a[i][i] < 0), None)
         if neg is not None:
-            return False, witness_from([(neg, _R1)])
+            return False, _witness(m, basis[neg])
         pivot = next((i for i in active if a[i][i] > 0), None)
         if pivot is None:
             # All remaining diagonal entries vanish; any nonzero off-diagonal
@@ -386,28 +398,26 @@ def psd_certificate(m: RationalMatrix):
             for i in active:
                 for j in active:
                     if j != i and a[i][j] != 0:
-                        s = _R1 if a[i][j] > 0 else Rational(-1)
-                        return False, witness_from([(i, _R1), (j, -s)])
+                        s = 1 if a[i][j] > 0 else -1
+                        return False, _witness(m, [x - s * y for x, y in zip(basis[i], basis[j])])
             return True, None
-        d = a[pivot][pivot]
         active.remove(pivot)
-        coeffs = {i: a[i][pivot] / d for i in active}
+        row_p, basis_p = a[pivot], basis[pivot]
+        d = row_p[pivot]
         for i in active:
-            ci = coeffs[i]
-            if ci == 0:
-                continue
+            row_i = a[i]
+            aip = row_i[pivot]
             for j in active:
-                a[i][j] -= ci * a[pivot][j]
-            for j in range(n):
-                basis[i][j] -= ci * basis[pivot][j]
-        for i in active:
-            a[pivot][i] = a[i][pivot] = _R0
+                row_i[j] = (d * row_i[j] - aip * row_p[j]) // prev
+            basis[i] = [(d * x - aip * y) // prev for x, y in zip(basis[i], basis_p)]
+        prev = d
     return True, None
 
 
-def _quadratic_form(m: RationalMatrix, x: Sequence) -> Rational:
-    mx = m.apply(x)
-    return sum(Rational(a) * b for a, b in zip(x, mx))
+def _witness(m: RationalMatrix, x: list[int]) -> list[Rational]:
+    """x as rationals, after checking x^T M x < 0."""
+    assert sum(map(mul, x, m.apply(x))) < 0
+    return [Rational(v) for v in x]
 
 
 # ---------------------------------------------------------------------------

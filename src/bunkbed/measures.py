@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 from .exactnum import MultiPoly, Rational, _eval_scaled, format_rational, rat
 from .graph import Graph, Hypergraph, hypergraph_bunkbed
@@ -152,11 +153,20 @@ def _canonical(acc: dict) -> dict:
 
 def _marked_sums(g: Graph, marked: tuple, weights, acyclic=False) -> dict:
     """Leaf weights of the edge walk summed by (marked RGS, kappa)."""
+    pick = _picker(marked)
     acc: dict = {}
     for _, comp, kappa, w in _walk(g.n, _edge_steps(g), weights, acyclic):
-        key = (tuple([comp[x] for x in marked]), kappa)
+        key = (pick(comp), kappa)
         acc[key] = acc.get(key, 0) + w
     return _canonical(acc)
+
+
+def _picker(positions):
+    """The map from a sequence to the tuple of its entries at `positions`."""
+    if len(positions) == 1:
+        (i,) = positions
+        return lambda seq: (seq[i],)
+    return itemgetter(*positions) if positions else lambda seq: ()
 
 
 def _rc_fold(g: Graph, marked: tuple) -> tuple[dict, int]:
@@ -243,10 +253,10 @@ class BoundaryTable:
         """
         marked = tuple(marked)
         index = {x: i for i, x in enumerate(self.marked)}
-        pos = [index[x] for x in marked]
+        pick = _picker([index[x] for x in marked])
         acc: dict = {}
         for (part, kappa), w in self.entries.items():
-            key = (tuple([part.rgs[i] for i in pos]), kappa)
+            key = (pick(part.rgs), kappa)
             acc[key] = acc.get(key, 0) + w
         return BoundaryTable(marked, self.n, _entries(marked, _canonical(acc)), self.den)
 
@@ -300,9 +310,10 @@ def rc_profile(g: Graph, marked) -> dict:
     """
     _guard_edges(g.m)
     marked = tuple(marked)
+    pick = _picker(marked)
     counts: dict = {}
     for mask, comp, kappa, _ in _walk(g.n, _edge_steps(g)):
-        key = (tuple([comp[x] for x in marked]), mask.bit_count(), kappa)
+        key = (pick(comp), mask.bit_count(), kappa)
         counts[key] = counts.get(key, 0) + 1
     return _canonical(counts)
 

@@ -2,9 +2,11 @@
 
 Laplacians and their pseudoinverses over the rationals, all-minors spanning
 forest counts, effective resistances, the block formula for the pseudoinverse
-of a bunkbed Laplacian, and positive-semidefiniteness certificates.  The
-pseudoinverse is computed as (L + J/n)^{-1} - J/n, which stays inside exact
-rational arithmetic; the inverse is exactnum's fraction-free Gauss-Jordan.
+of a bunkbed Laplacian, and positive-semidefiniteness certificates.  Every
+matrix is exactnum's integer rows over one denominator.  The pseudoinverse is
+computed as (L + J/n)^{-1} - J/n on those integers; the inverse is exactnum's
+fraction-free Gauss-Jordan.  Entries, resistances and inner products combine
+integer numerators and build one rational at the end.
 
 Work is shared per matrix: a LaplacianBundle builds one Laplacian per graph
 and answers every all-minors query (`minors_count`) and pseudoinverse entry
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import lcm
 
 from .exactnum import (
     Rational,
@@ -48,13 +51,15 @@ __all__ = [
 def laplacian(g: Graph) -> RationalMatrix:
     """Weighted graph Laplacian; parallel edges add, rows sum to zero."""
     n = g.n
-    data = [[rat(0)] * n for _ in range(n)]
+    den = lcm(*(int(w.denominator) for _, _, w in g.edges))
+    num = [[0] * n for _ in range(n)]
     for u, v, w in g.edges:
-        data[u][u] += w
-        data[v][v] += w
-        data[u][v] -= w
-        data[v][u] -= w
-    return RationalMatrix(data)
+        x = int(w.numerator) * (den // int(w.denominator))
+        num[u][u] += x
+        num[v][v] += x
+        num[u][v] -= x
+        num[v][u] -= x
+    return RationalMatrix.from_integers(num, den)
 
 
 def all_minors_count(g: Graph, s_set, t_set) -> Rational:
@@ -105,10 +110,8 @@ class LaplacianBundle:
         s_set, t_set = set(s_set), set(t_set)
         if len(s_set) != len(t_set):
             raise ValueError("vertex sets must have equal size")
+        _check_vertices(self.graph, s_set | t_set)
         n = self.n
-        bad = sorted(x for x in s_set | t_set if not 0 <= x < n)
-        if bad:
-            raise ValueError(f"vertex {bad[0]} out of range for a graph on {n} vertices")
         keep_rows = [i for i in range(n) if i not in s_set]
         keep_cols = [j for j in range(n) if j not in t_set]
         if not keep_rows:
@@ -117,20 +120,32 @@ class LaplacianBundle:
         return det if det >= 0 else -det
 
     def resistance(self, u: int, v: int) -> Rational:
+        _check_vertices(self.graph, (u, v))
         p = self.pinv
-        return p[u, u] + p[v, v] - 2 * p[u, v]
+        num = p.num
+        return Rational(num[u][u] + num[v][v] - 2 * num[u][v], p.den)
 
     def cross_inner(self, a: int, b: int, c: int, d: int) -> Rational:
         """<L_pinv (e_a - e_b), e_c - e_d>, exactly."""
+        _check_vertices(self.graph, (a, b, c, d))
         p = self.pinv
-        return p[a, c] - p[a, d] - p[b, c] + p[b, d]
+        ra, rb = p.num[a], p.num[b]
+        return Rational(ra[c] - ra[d] - rb[c] + rb[d], p.den)
 
     def resistance_matrix(self) -> RationalMatrix:
         """All effective resistances, with a zero diagonal."""
-        n = self.n
-        return RationalMatrix(
-            [[self.resistance(i, j) if i != j else rat(0) for j in range(n)] for i in range(n)]
+        p = self.pinv
+        diag = [row[i] for i, row in enumerate(p.num)]
+        return RationalMatrix.from_integers(
+            [[di + dj - 2 * x for dj, x in zip(diag, row)] for di, row in zip(diag, p.num)],
+            p.den,
         )
+
+
+def _check_vertices(g: Graph, vertices) -> None:
+    bad = sorted(x for x in vertices if not 0 <= x < g.n)
+    if bad:
+        raise ValueError(f"vertex {bad[0]} out of range for a graph on {g.n} vertices")
 
 
 def bunkbed_pseudoinverse(g: Graph) -> RationalMatrix:
@@ -145,23 +160,22 @@ def bunkbed_pseudoinverse(g: Graph) -> RationalMatrix:
 
 def _bunkbed_pinv_and_resolvent(g: Graph) -> tuple[RationalMatrix, RationalMatrix]:
     """bunkbed_pseudoinverse(g) together with the (L + 2I)^{-1} it was checked against."""
-    n = g.n
     bb = bunkbed(BunkbedSpec(g, mode=ALL_VERTICALS), vertical_weight=rat(1))
     direct = pseudoinverse(laplacian(bb))
 
-    lp = pseudoinverse(laplacian(g))
-    shifted = invert(laplacian(g) + RationalMatrix.identity(n) * rat(2))
-    half = rat(1, 2)
-    data = [[rat(0)] * (2 * n) for _ in range(2 * n)]
-    for i in range(n):
-        for j in range(n):
-            same = half * (lp[i, j] + shifted[i, j])
-            cross = half * (lp[i, j] - shifted[i, j])
-            data[i][j] = same
-            data[n + i][n + j] = same
-            data[i][n + j] = cross
-            data[n + i][j] = cross
-    blocks = RationalMatrix(data)
+    lap = laplacian(g)
+    lp = pseudoinverse(lap)
+    shifted = invert(lap + RationalMatrix.identity(g.n) * 2)
+    # Same-layer blocks (lp + shifted) / 2, cross-layer blocks (lp - shifted) / 2.
+    den = lcm(lp.den, shifted.den)
+    a, b = den // lp.den, den // shifted.den
+    top, bottom = [], []
+    for row_l, row_s in zip(lp.num, shifted.num):
+        same = [x * a + y * b for x, y in zip(row_l, row_s)]
+        cross = [x * a - y * b for x, y in zip(row_l, row_s)]
+        top.append(same + cross)
+        bottom.append(cross + same)
+    blocks = RationalMatrix.from_integers(top + bottom, 2 * den)
     if direct != blocks:
         raise ValueError("bunkbed pseudoinverse block formula mismatch")
     return direct, shifted
@@ -191,21 +205,25 @@ class PostsBundle:
         bb = bunkbed(BunkbedSpec(self.graph, self.posts, POSTS_CONTRACTED))
         return bb, pseudoinverse(laplacian(bb))
 
-    def entry(self, u: int, v: int) -> Rational:
-        """Entry (u, v) of the inverse of L^SS."""
+    def _check_pair(self, u: int, v: int) -> None:
+        """The guard `entry` and `gap` share: nonempty posts, two non-post vertices."""
         if not self.posts:
             raise ValueError("post set must be nonempty (L^SS would be singular)")
         if u in self.posts or v in self.posts:
             raise ValueError("query vertices must not be posts")
+        _check_vertices(self.graph, (u, v))
+
+    def entry(self, u: int, v: int) -> Rational:
+        """Entry (u, v) of the inverse of L^SS."""
+        self._check_pair(u, v)
         index, inv = self._lss_inverse
-        bad = [x for x in (u, v) if x not in index]
-        if bad:
-            raise ValueError(f"vertex {bad[0]} out of range for a graph on {self.graph.n} vertices")
         return inv[index[u], index[v]]
 
     def gap(self, u: int, v: int) -> Rational:
         """L_pinv(u1, v1) - L_pinv(u1, v2) on the posts-contracted bunkbed."""
+        self._check_pair(u, v)
         bb, pinv = self._contracted
         u1, _ = bunkbed_copies(bb, u)
         v1, v2 = bunkbed_copies(bb, v)
-        return pinv[u1, v1] - pinv[u1, v2]
+        row = pinv.num[u1]
+        return Rational(row[v1] - row[v2], pinv.den)

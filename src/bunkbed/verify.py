@@ -457,15 +457,19 @@ def _suite_strong_rayleigh(g: Graph) -> bool:
         h = _connected_spanning_subgraph(g, f)
         if h is None:
             continue
-        bundle_h = LaplacianBundle(h)
-        ok, _ = psd_certificate(bundle_h.pinv - bundle_g.pinv)
+        diff = LaplacianBundle(h).pinv - bundle_g.pinv
+        ok, _ = psd_certificate(diff)
         if not ok:
             return False
+        # Gram terms <D (e_a - e_b), e_c - e_d> of D = diff, as integers over D.den.
+        num = diff.num
+
+        def inner(a, b, c, d):
+            return num[a][c] - num[a][d] - num[b][c] + num[b][d]
+
         for a, b, c, d in combinations(range(g.n), 4):
-            gram_ab = bundle_h.cross_inner(a, b, a, b) - bundle_g.cross_inner(a, b, a, b)
-            gram_cd = bundle_h.cross_inner(c, d, c, d) - bundle_g.cross_inner(c, d, c, d)
-            gram_x = bundle_h.cross_inner(a, b, c, d) - bundle_g.cross_inner(a, b, c, d)
-            if gram_ab * gram_cd < gram_x**2:
+            gram_x = inner(a, b, c, d)
+            if inner(a, b, a, b) * inner(c, d, c, d) < gram_x**2:
                 return False
     return True
 
@@ -524,14 +528,15 @@ def _suite_bunkbed_tree_stratum(g: Graph) -> bool:
     )
     n = g.n
     pinv, resolvent = _bunkbed_pinv_and_resolvent(g)
+    p, r = pinv.num, resolvent.num
     for u_ in range(n):
         for v_ in range(n):
             if u_ == v_:
                 continue
             same = doubled.minors_count({u_, v_}, {u_, v_})
             cross_ = doubled.minors_count({u_, n + v_}, {u_, n + v_})
-            gap = pinv[u_, v_] - pinv[u_, n + v_]
-            if same > cross_ or gap != resolvent[u_, v_] or gap < 0:
+            gap = p[u_][v_] - p[u_][n + v_]  # over pinv.den
+            if same > cross_ or gap * resolvent.den != r[u_][v_] * pinv.den or gap < 0:
                 return False
     # Posts variant on nontrivial post sets.
     post_sets = [frozenset({0})]

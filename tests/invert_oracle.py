@@ -22,7 +22,7 @@ def invert_by_back_substitution(m: RationalMatrix) -> RationalMatrix:
     # Row-scale to integers and solve (D*M) X = D, so X = M^-1.
     aug = []
     for i in range(n):
-        row = m.data[i]
+        row = [m[i, j] for j in range(n)]
         scale = lcm(*(int(x.denominator) for x in row))
         left = [int(x.numerator) * (scale // int(x.denominator)) for x in row]
         right = [scale if j == i else 0 for j in range(n)]

@@ -229,3 +229,43 @@ def test_malformed_input_is_usage_error(argv, fragment, tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert code == 2
     assert len(err) == 1 and err[0].startswith("error:") and fragment in err[0]
+
+
+# A weighted multigraph (two parallel 1-3 edges) and its exact outputs, pinned
+# from the Fraction-entry matrix layer: the integer-row layer must print the
+# same bytes.
+WEIGHTED_GRAPH = {
+    "n": 5,
+    "edges": [
+        [0, 1, "1/2"], [1, 2, "2/3"], [2, 3, "3"], [3, 4, "5/7"],
+        [4, 0, "1/3"], [0, 2, "4/9"], [1, 3, "7/4"], [1, 3, "1/6"],
+    ],
+}
+WEIGHTED_PINV = [
+    ["2249139/4418900", "-455391/4418900", "-535911/4418900", "-671811/4418900", "-293013/2209450"],
+    ["-455391/4418900", "1169379/4418900", "31059/4418900", "144759/4418900", "-444903/2209450"],
+    ["-535911/4418900", "31059/4418900", "1022439/4418900", "295239/4418900", "-406413/2209450"],
+    ["-671811/4418900", "144759/4418900", "295239/4418900", "766539/4418900", "-267363/2209450"],
+    ["-293013/2209450", "-444903/2209450", "-406413/2209450", "-267363/2209450", "705846/1104725"],
+]
+WEIGHTED_RESISTANCE = {
+    (0, 1): "43293/44189", (0, 2): "43434/44189", (0, 3): "43593/44189",
+    (0, 4): "249783/176756", (1, 2): "21297/44189", (1, 3): "16464/44189",
+    (1, 4): "230895/176756", (2, 3): "11985/44189", (2, 4): "218859/176756",
+    (3, 4): "186375/176756",
+}
+
+
+def test_weighted_pseudoinverse_and_resistance_are_pinned(tmp_path, capsys):
+    path = tmp_path / "weighted.json"
+    path.write_text(json.dumps(WEIGHTED_GRAPH))
+    out = tmp_path / "report.json"
+    assert main(["compute", "pseudoinverse", "--input", str(path), "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == json.dumps(WEIGHTED_PINV)
+    assert json.loads(out.read_text())["payload"] == {"pseudoinverse": WEIGHTED_PINV}
+    for (u, v), value in WEIGHTED_RESISTANCE.items():
+        for a, b in ((u, v), (v, u)):
+            argv = ["compute", "resistance", "--input", str(path), "--u", str(a), "--v", str(b)]
+            assert main(argv + ["--out", str(out)]) == 0
+            assert capsys.readouterr().out.splitlines()[0] == value
+            assert json.loads(out.read_text())["payload"] == {"resistance": value}

@@ -559,3 +559,14 @@ def test_forest_table_restrict_and_probability_match_oracle(case):
             if event(SetPartition(marked, canonical_rgs(roots[x] for x in marked))):
                 num += w
         assert ft.probability(event, lam) == num / den
+
+
+def test_marked_tuples_of_length_zero_and_one():
+    g = named_graph("house")
+    everyone = tuple(range(g.n))
+    for marked in ((), (3,)):
+        assert forest_table(g, everyone).restrict(marked) == forest_table(g, marked)
+        assert rc_boundary_table(g, everyone).restrict(marked) == rc_boundary_table(g, marked)
+        profile = rc_profile(g, marked)
+        assert all(len(rgs) == len(marked) for rgs, _, _ in profile)
+        assert sum(profile.values()) == 2**g.m

@@ -258,3 +258,31 @@ def test_bunkbed_resistance_ordering_via_blocks():
                 gap = mat[u, v] - mat[u, n + v]
                 assert gap == resolvent[u, v]
                 assert gap >= 0
+
+
+def test_resistance_and_cross_inner_check_vertices():
+    p4 = LaplacianBundle(named_graph("P4"))
+    for bad in (-1, 4):
+        message = f"vertex {bad} out of range for a graph on 4 vertices"
+        with pytest.raises(ValueError, match=message):
+            p4.resistance(0, bad)
+        with pytest.raises(ValueError, match=message):
+            p4.resistance(bad, 0)
+        with pytest.raises(ValueError, match=message):
+            p4.cross_inner(0, 1, bad, 2)
+        with pytest.raises(ValueError, match=message):
+            p4.minors_count({bad}, {0})
+    assert p4.resistance(0, 3) == 3
+    assert p4.resistance(2, 2) == 0
+
+
+def test_posts_gap_shares_entry_guards():
+    k4 = named_graph("K4")
+    for method in ("entry", "gap"):
+        with pytest.raises(ValueError, match="post set must be nonempty"):
+            getattr(PostsBundle(k4, set()), method)(0, 1)
+        with pytest.raises(ValueError, match="must not be posts"):
+            getattr(PostsBundle(k4, {0}), method)(0, 1)
+        with pytest.raises(ValueError, match="vertex 4 out of range for a graph on 4 vertices"):
+            getattr(PostsBundle(k4, {0}), method)(1, 4)
+    assert PostsBundle(k4, {0}).gap(1, 2) == PostsBundle(k4, {0}).entry(1, 2) == rat(1, 4)

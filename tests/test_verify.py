@@ -8,6 +8,7 @@ from bunkbed.catalog import connected_graphs, identity_catalog, named_graph, nam
 from bunkbed.exactnum import format_rational, rat
 from bunkbed.graph import POSTS_CONTRACTED, BunkbedSpec, Graph, bunkbed, bunkbed_copies
 from bunkbed.measures import alt_colouring_counts, forest_table
+from bunkbed.treealg import LaplacianBundle, laplacian
 from bunkbed.verify import (
     FAILS,
     HOLDS,
@@ -151,6 +152,25 @@ def test_identity_suites_on_small_instances():
     ]
     for suite in IDENTITY_SUITES:
         rep = run_identity_suite(suite, instances)
+        assert rep.verdict == HOLDS, (suite, rep.witness)
+
+
+# A house-like multigraph with non-unit rational weights, so that its
+# Laplacian and pseudoinverses have denominators above 1; the catalog graphs
+# are all unit-weight.
+WEIGHTED = Graph(5, (
+    (0, 1, rat(1, 2)), (1, 2, rat(2, 3)), (2, 3, rat(3)), (3, 4, rat(5, 7)),
+    (4, 0, rat(1, 3)), (0, 2, rat(4, 9)), (1, 3, rat(7, 4)), (1, 3, rat(1, 6)),
+))
+
+
+def test_identity_suites_on_rational_weights():
+    assert laplacian(WEIGHTED).den > 1
+    assert LaplacianBundle(WEIGHTED).pinv.den > 1
+    # bsst and weak-limit count edge subsets without their weights: they are
+    # identities of unit-weight graphs only.
+    for suite in sorted(set(IDENTITY_SUITES) - {"bsst", "weak-limit"}):
+        rep = run_identity_suite(suite, [("weighted", WEIGHTED)])
         assert rep.verdict == HOLDS, (suite, rep.witness)
 
 
