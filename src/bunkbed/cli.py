@@ -257,7 +257,11 @@ def cmd_verify(args) -> dict:
     lam_grid = _parse_rat_list(args.lam) if args.lam else DEFAULT_LAMBDA_GRID
     reports = []
     if suite in IDENTITY_SUITES:
-        reports.append(run_identity_suite(suite, _catalog_from(args)))
+        # Without --catalog, --graph or --input the suite runs the identity catalog.
+        catalog = _catalog_from(args)
+        if catalog is None and (args.graph or args.input):
+            catalog = [(args.graph or args.input, _load_instance(args)[0])]
+        reports.append(run_identity_suite(suite, catalog))
     elif suite == "bunkbed":
         catalog = _catalog_from(args)
         if catalog is None:
@@ -303,6 +307,8 @@ def cmd_verify(args) -> dict:
         print(f"[{rep.verdict}] {rep.claim} on {rep.instance}")
         if rep.witness:
             print(f"    witness: {rep.witness}")
+        if "skip_reasons" in rep.quantities:
+            print(f"    skipped: {rep.quantities['skip_reasons']}")
     return {"reports": [r.to_json() for r in reports]}
 
 

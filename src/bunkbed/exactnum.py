@@ -457,13 +457,13 @@ def _sign(x: int) -> int:
 def _eval_scaled(c: Sequence[int], num: int, den: int) -> int:
     """den**deg * p(num/den); same sign as p(num/den) for den > 0.
 
-    When den is a power of two, as at every bisection midpoint of a dyadic
-    domain, the powers of den are shifts.
+    It is the sum of c[k] num^k den^(deg-k), so den = 0 gives c[deg] num^deg.
+    At a power-of-two den (every dyadic bisection midpoint) its powers are shifts.
     """
     if not c:
         return 0
     acc = c[-1]
-    if den & (den - 1):
+    if den & (den - 1) or not den:
         dpow = 1
         for k in range(len(c) - 2, -1, -1):
             dpow *= den

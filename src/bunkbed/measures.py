@@ -12,10 +12,10 @@ the marked vertices, component count kappa) to an integer over the shared
 denominator.  ``rc_boundary_table`` and ``forest_table`` fill it through one
 entry builder, and ``bunkbed.glue.factor_from_graph`` reads the random-cluster
 fold too.  ``BoundaryTable.event`` sums the entries of an event into a dense
-q-list, ``restrict`` regroups them by the induced partition of fewer marked
-vertices, so one table over all vertices serves every marked set, and
-``probability`` at lambda = a/b is the arboreal-gas ratio of two integer sums
-of w a^(n-kappa) b^kappa.  The forest engines walk with ``acyclic=True``,
+kappa-list, ``restrict`` regroups them by the induced partition of fewer
+marked vertices, so one table over all vertices serves every marked set, and
+``rc_connection_prob`` and the arboreal-gas ``probability`` read two such lists
+through ``exactnum._eval_scaled``.  The forest engines walk with ``acyclic=True``,
 which drops a branch as soon as its step joins two vertices already in one
 component: every subset below it holds that cycle, so only forests reach the
 leaves.  ``rc_profile`` counts subsets by (marked partition, |S|, kappa), and
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from operator import itemgetter
 
 from .exactnum import MultiPoly, Rational, _eval_scaled, format_rational, rat
@@ -41,7 +40,6 @@ __all__ = [
     "ParameterError",
     "check_parameters",
     "BoundaryTable",
-    "activity_weights",
     "rc_boundary_table",
     "rc_profile",
     "rc_connection_prob",
@@ -50,7 +48,6 @@ __all__ = [
     "alt_colouring_counts",
     "hypergraph_rc_difference",
     "bunkbed_case_profiles",
-    "case_difference",
 ]
 
 _SUBSET_GUARD = 28
@@ -182,17 +179,6 @@ def _rc_fold(g: Graph, marked: tuple) -> tuple[dict, int]:
     return _marked_sums(g, marked, [(d - num, num) for num, d in pairs]), den
 
 
-@lru_cache(maxsize=256)
-def activity_weights(n: int, lam: Rational) -> tuple:
-    """Integer arboreal-gas weights at lambda = a/b: entry kappa is a^(n-kappa) b^kappa.
-
-    That is lambda^(n-kappa) times b^n, so a ratio of two sums weighted by
-    these entries is the ratio of the lambda-weighted sums.
-    """
-    a, b = int(lam.numerator), int(lam.denominator)
-    return tuple(a ** (n - kappa) * b**kappa for kappa in range(n + 1))
-
-
 @dataclass
 class BoundaryTable:
     """Edge-subset weights keyed by (marked partition, component count).
@@ -263,18 +249,18 @@ class BoundaryTable:
     def probability(self, predicate, lam) -> Rational:
         """Arboreal-gas probability of an event on the marked partition.
 
-        At lambda = a/b both the event and Z are integer sums of
-        w a^(n-kappa) b^kappa; their ratio is the probability, since the
+        The ratio of the event's and Z's ``event`` lists read at lambda; the
         common factors b^n and den cancel.
         """
-        scale = activity_weights(self.n, rat(lam))
-        event = total = 0
-        for (part, kappa), w in self.entries.items():
-            w *= scale[kappa]
-            total += w
-            if predicate(part):
-                event += w
-        return Rational(event, total)
+        return Rational(_at_activity(self.event(predicate), lam), _at_activity(self.event(), lam))
+
+
+def _at_activity(c: list, lam) -> int:
+    """b^n times the sum of c[kappa] lambda^(n-kappa) at lambda = a/b, for a dense kappa-list c.
+
+    That is c read homogeneously at (b, a), so lambda = 0 keeps only c[n].
+    """
+    return _eval_scaled(c, int(lam.denominator), int(lam.numerator))
 
 
 def _entries(marked: tuple, sums: dict) -> dict:
@@ -432,31 +418,3 @@ def bunkbed_case_profiles(bb: Graph, triples):
             key = ((rgs[a] == rgs[b]) + 2 * (rgs[a] == rgs[c]), s, kappa)
             prof[key] = prof.get(key, 0) + count
     return profiles
-
-
-@lru_cache(maxsize=256)
-def _profile_weights(m: int, p: Rational, q: Rational, kappa_max: int):
-    """Integer weights of a (|S|, kappa) profile key over one common denominator.
-
-    With p = a/b and q = c/d, entry s of the first tuple is a^s (b-a)^(m-s),
-    entry kappa of the second is c^kappa d^(kappa_max-kappa), and their
-    product over the returned b^m d^kappa_max is p^s (1-p)^(m-s) q^kappa.
-    A scan calls this once per (p, q) for every pair, so it is cached.
-    """
-    a, b = int(p.numerator), int(p.denominator)
-    c, d = int(q.numerator), int(q.denominator)
-    pw = tuple(a**s * (b - a) ** (m - s) for s in range(m + 1))
-    qw = tuple(c**k * d ** (kappa_max - k) for k in range(kappa_max + 1))
-    return pw, qw, b**m * d**kappa_max
-
-
-def case_difference(profile: dict, m: int, p, q) -> Rational:
-    """Exact numerator of P[case bit0] - P[case bit1] at uniform edge weight p."""
-    kappa_max = max((kappa for _, _, kappa in profile), default=0)
-    pw, qw, den = _profile_weights(m, rat(p), rat(q), kappa_max)
-    total = 0
-    for (case, s, kappa), count in profile.items():
-        sgn = (case & 1) - (case >> 1 & 1)
-        if sgn:
-            total += sgn * count * pw[s] * qw[kappa]
-    return Rational(total, den)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, product
 
 from .catalog import (
     connected_graphs,
@@ -19,7 +19,7 @@ from .catalog import (
     named_instance,
     outerplanar_catalog,
 )
-from .exactnum import MultiPoly, format_rational, psd_certificate, rat
+from .exactnum import MultiPoly, Rational, _eval_scaled, format_rational, psd_certificate, rat
 from .glue import FactorNetwork, contract_network, edge_factor, factor_from_graph
 from .graph import (
     ALL_VERTICALS,
@@ -34,10 +34,9 @@ from .graph import (
 from .measures import (
     EnumerationGuardError,
     ParameterError,
-    activity_weights,
+    _at_activity,
     alt_colouring_counts,
     bunkbed_case_profiles,
-    case_difference,
     check_parameters,
     forest_masks,
     forest_table,
@@ -124,26 +123,68 @@ _MEASURES = ("random-cluster", "percolation", "arboreal")
 
 def _bunkbed_triples(bb: Graph, pairs) -> list:
     """(u1, v1, v2) vertices of the bunkbed for each base pair (u, v)."""
-    triples = []
-    for a, b in pairs:
-        a1, _ = bunkbed_copies(bb, a)
-        b1, b2 = bunkbed_copies(bb, b)
-        triples.append((a1, b1, b2))
-    return triples
+    return [(bunkbed_copies(bb, a)[0], *bunkbed_copies(bb, b)) for a, b in pairs]
 
 
-def _min_case_difference(bb: Graph, pairs, triples, points):
-    """First minimum (diff, u, v, p, q) of the case difference, pairs outermost.
+def _case_rows(bb: Graph, triples) -> list:
+    """Per (u1, v1, v2) triple, the rows D[kappa][s] of signed subset counts.
 
-    The scan runs pairs in order and, per pair, the (p, q) points in order;
-    a later point replaces the minimum only when strictly smaller.
+    D[kappa][s] counts the subsets with s edges and kappa components joining u1
+    to v1, minus those joining u1 to v2: Z (P[u1<->v1] - P[u1<->v2]) is their
+    sum weighted by p^s (1-p)^(m-s) q^kappa.
+    """
+    rows = []
+    for prof in bunkbed_case_profiles(bb, triples):
+        d = [[0] * (bb.m + 1) for _ in range(bb.n + 1)]
+        for (case, s, kappa), count in prof.items():
+            d[kappa][s] += ((case & 1) - (case >> 1)) * count
+        rows.append(d)
+    return rows
+
+
+def _rc_difference(rows, p, q) -> Rational:
+    """Z (P[u1<->v1] - P[u1<->v2]) at edge weight p = a/b and cluster weight q = c/d.
+
+    Each row read homogeneously at (a, b - a) is b^m times its p-polynomial, so
+    p = 1 needs no special case; the q-polynomial of those values carries d^n.
+    """
+    a, b = int(p.numerator), int(p.denominator)
+    c, d = int(q.numerator), int(q.denominator)
+    by_kappa = [_eval_scaled(row, a, b - a) for row in rows]
+    return Rational(_eval_scaled(by_kappa, c, d), b ** (len(rows[0]) - 1) * d ** (len(rows) - 1))
+
+
+def _forest_lists(bb: Graph, triples) -> list:
+    """Per triple, the kappa-lists of event(u1<->v1) - event(u1<->v2) and of event()."""
+    table = forest_table(bb, tuple(range(bb.n)))
+    lists = []
+    for a1, b1, b2 in triples:
+        # b1 == b2 when b is a post.
+        ft = table.restrict(dict.fromkeys((a1, b1, b2)))
+        same = ft.event(lambda part: part.together(a1, b1))
+        cross = ft.event(lambda part: part.together(a1, b2))
+        lists.append(([x - y for x, y in zip(same, cross)], ft.event()))
+    return lists
+
+
+def _arboreal_difference(lists, lam) -> Rational:
+    """P[u1<->v1] - P[u1<->v2] at activity lambda, as ``BoundaryTable.probability`` reads it."""
+    diff, total = lists
+    return Rational(_at_activity(diff, lam), _at_activity(total, lam))
+
+
+def _first_minimum(pairs, polys, points, value):
+    """First minimum (diff, pair, point) of value(poly, *point), pairs outermost.
+
+    Per pair the points run in order; a later point replaces the minimum only
+    when strictly smaller.
     """
     best = None
-    for (a, b), prof in zip(pairs, bunkbed_case_profiles(bb, triples)):
-        for p, q in points:
-            diff = case_difference(prof, bb.m, p, q)
+    for pair, poly in zip(pairs, polys):
+        for point in points:
+            diff = value(poly, *point)
             if best is None or diff < best[0]:
-                best = (diff, a, b, p, q)
+                best = (diff, pair, point)
     return best
 
 
@@ -159,21 +200,21 @@ def check_bunkbed(
     open_conjecture: bool = False,
     instance: str = "graph",
 ) -> VerificationReport:
-    """Minimum of P[u1<->v1] - P[u1<->v2] over a grid; sign decides the verdict.
+    """Minimum of the bunkbed difference over a grid; its sign decides the verdict.
 
     posts=None builds the all-verticals bunkbed; a post set builds the
     conditioned (contracted) variant.  `measure` is random-cluster over
     (p, q), percolation over p at q=1, or arboreal over the lambda grid.
+    min_difference is the unnormalised numerator Z (P[u1<->v1] - P[u1<->v2])
+    for random-cluster and percolation, equal to the probability difference
+    only at q = 1, and the probability difference itself for the arboreal gas;
+    either way its sign is that of P[u1<->v1] - P[u1<->v2].
     """
     if measure not in _MEASURES:
         raise ParameterError(f"unknown measure {measure!r}; choices: {', '.join(_MEASURES)}")
     check_parameters(p=p_grid, q=q_grid, lam=lam_grid)
     bb = _bunkbed_graph(g, posts)
-    pairs = (
-        [(u, v)]
-        if u is not None and v is not None
-        else list(combinations(range(g.n), 2))
-    )
+    pairs = [(u, v)] if u is not None and v is not None else list(combinations(range(g.n), 2))
     if not pairs:
         return VerificationReport(
             claim=f"bunkbed-difference-{measure}",
@@ -182,39 +223,23 @@ def check_bunkbed(
             quantities={"note": "no vertex pair to test"},
         )
     triples = _bunkbed_triples(bb, pairs)
-    if measure in ("random-cluster", "percolation"):
-        q_values = q_grid if measure == "random-cluster" else (rat(1),)
-        points = [(p, q) for p in p_grid for q in q_values]
-        diff, a, b, p, q = _min_case_difference(bb, pairs, triples, points)
-        grid = _grid_doc(p=p_grid, q=q_values)
-        point = {"p": format_rational(p), "q": format_rational(q)}
+    if measure == "arboreal":
+        polys, value, names = _forest_lists(bb, triples), _arboreal_difference, ("lambda",)
+        grid = {"lam": lam_grid}
     else:
-        # One forest enumeration over all vertices serves every pair.
-        table = forest_table(bb, tuple(range(bb.n)))
-        best = None
-        for (a, b), (a1, b1, b2) in zip(pairs, triples):
-            # b1 == b2 when b is a post.
-            ft = table.restrict(dict.fromkeys((a1, b1, b2)))
-            for lam in lam_grid:
-                diff = ft.probability(
-                    lambda part: part.together(a1, b1), lam
-                ) - ft.probability(lambda part: part.together(a1, b2), lam)
-                if best is None or diff < best[0]:
-                    best = (diff, a, b, lam)
-        diff, a, b, lam = best
-        grid = _grid_doc(lam=lam_grid)
-        point = {"lambda": format_rational(lam)}
+        polys, value, names = _case_rows(bb, triples), _rc_difference, ("p", "q")
+        grid = {"p": p_grid, "q": q_grid if measure == "random-cluster" else (rat(1),)}
+    diff, (a, b), at = _first_minimum(pairs, polys, list(product(*grid.values())), value)
+    point = {name: format_rational(x) for name, x in zip(names, at)}
     good = diff >= 0
     verdict = (OPEN_OK if open_conjecture else HOLDS) if good else FAILS
-    witness = None
-    if not good:
-        witness = {"u": a, "v": b, **point, "difference": format_rational(diff)}
+    witness = None if good else {"u": a, "v": b, **point, "difference": format_rational(diff)}
     return VerificationReport(
         claim=f"bunkbed-difference-{measure}",
         instance=instance,
         verdict=verdict,
         quantities={"min_difference": format_rational(diff), "at_pair": f"({a},{b})", **point},
-        grid=grid,
+        grid=_grid_doc(**grid),
         witness=witness,
     )
 
@@ -256,8 +281,8 @@ def check_p_threshold(g: Graph, posts, q, instance: str = "graph") -> Verificati
             verdict=HOLDS,
             quantities={"note": "no non-post pair to test"},
         )
-    points = [(p, q) for p in p_values]
-    diff, a, b, p, _ = _min_case_difference(bb, pairs, _bunkbed_triples(bb, pairs), points)
+    rows = _case_rows(bb, _bunkbed_triples(bb, pairs))
+    diff, (a, b), (p, _) = _first_minimum(pairs, rows, [(p, q) for p in p_values], _rc_difference)
     verdict = HOLDS if diff >= 0 else FAILS
     return VerificationReport(
         claim="p-threshold",
@@ -271,9 +296,8 @@ def check_p_threshold(g: Graph, posts, q, instance: str = "graph") -> Verificati
             "at_p": format_rational(p),
         },
         grid=_grid_doc(p=p_values),
-        witness=None if diff >= 0 else {
-            "u": a, "v": b, "p": format_rational(p), "q": format_rational(q)
-        },
+        witness=None if diff >= 0
+        else {"u": a, "v": b, "p": format_rational(p), "q": format_rational(q)},
     )
 
 
@@ -601,12 +625,15 @@ IDENTITY_SUITES = {
     "bunkbed-tree-stratum": _suite_bunkbed_tree_stratum,
     "weak-limit": _suite_weak_limit,
 }
+# Suites whose identities count unweighted edge subsets: they hold on unit weights only.
+_UNIT_WEIGHT_SUITES = frozenset({"bsst", "weak-limit"})
 
 
 def run_identity_suite(suite: str, instances=None) -> VerificationReport:
     """Exact identity/inequality suite over a graph catalog.
 
-    Per-instance guard errors are collected as skips rather than failures.
+    Per-instance guard errors, and non-unit edge weights in a unit-weight
+    suite, are collected as skips with their reasons rather than failures.
     """
     if suite not in IDENTITY_SUITES:
         raise ValueError(f"unknown suite {suite!r}; choices: {sorted(IDENTITY_SUITES)}")
@@ -616,10 +643,13 @@ def run_identity_suite(suite: str, instances=None) -> VerificationReport:
     skipped = []
     checked = 0
     for name, g in instances:
+        if suite in _UNIT_WEIGHT_SUITES and any(w != 1 for _, _, w in g.edges):
+            skipped.append(f"{name}: {suite} holds for unit edge weights only")
+            continue
         try:
             ok = fn(g)
         except EnumerationGuardError as exc:
-            skipped.append({"instance": name, "reason": str(exc)})
+            skipped.append(f"{name}: {exc}")
             continue
         checked += 1
         if not ok:
@@ -628,6 +658,7 @@ def run_identity_suite(suite: str, instances=None) -> VerificationReport:
     quantities = {"instances_checked": str(checked)}
     if skipped:
         quantities["skipped"] = str(len(skipped))
+        quantities["skip_reasons"] = "; ".join(skipped)
     return VerificationReport(
         claim=f"identity-{suite}",
         instance=f"catalog[{len(instances)}]",
@@ -680,19 +711,22 @@ def _forest_harris(g: Graph, lam_grid):
 
 def _edge_negative_correlation(g: Graph, lam_grid):
     masks = forest_masks(g)
-    # Per lambda: each forest's integer weight, Z and every edge's marginal sum,
-    # all scaled by the same b^n, which cancels from both sides of the test.
-    sums = []
-    for lam in lam_grid:
-        scale = activity_weights(g.n, rat(lam))
-        weighted = [(mask, scale[kappa]) for mask, kappa in masks]
-        pe = [sum(w for mask, w in weighted if mask >> e & 1) for e in range(g.m)]
-        sums.append((lam, weighted, sum(w for _, w in weighted), pe))
+
+    def at_each_lambda(edges):
+        # The forests holding every edge of the mask, counted by kappa once and read
+        # at each lambda = a/b as b^n times their weight; b^n cancels in the test.
+        counts = [0] * (g.n + 1)
+        for mask, kappa in masks:
+            if mask & edges == edges:
+                counts[kappa] += 1
+        return [_at_activity(counts, lam) for lam in lam_grid]
+
+    z = at_each_lambda(0)
+    pe = [at_each_lambda(1 << e) for e in range(g.m)]
     for e, f in combinations(range(g.m), 2):
-        both = 1 << e | 1 << f
-        for lam, weighted, z, pe in sums:
-            pef = sum(w for mask, w in weighted if mask & both == both)
-            if pe[e] * pe[f] < pef * z:
+        pef = at_each_lambda(1 << e | 1 << f)
+        for lam, we, wf, wef, wz in zip(lam_grid, pe[e], pe[f], pef, z):
+            if we * wf < wef * wz:
                 return {"e": e, "f": f, "lambda": format_rational(lam)}
     return None
 

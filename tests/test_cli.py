@@ -45,6 +45,21 @@ def test_verify_identity_suite_exit_zero(capsys):
     assert "[holds]" in capsys.readouterr().out
 
 
+def test_verify_identity_suite_on_one_instance(tmp_path, capsys):
+    assert main(["verify", "--suite", "bsst", "--graph", "K4"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["[holds] identity-bsst on catalog[1]"]
+    doc = {"n": 3, "edges": [[0, 1, "1/2"], [1, 2, "1"], [0, 2, "1"]]}
+    path = tmp_path / "tri.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "--suite", "bsst", "--input", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "[holds] identity-bsst on catalog[1]",
+        f"    skipped: {path}: bsst holds for unit edge weights only",
+    ]
+    assert main(["verify", "--suite", "rayleigh", "--input", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == ["[holds] identity-rayleigh on catalog[1]"]
+
+
 def test_verify_bunkbed_named_graph(capsys):
     code = main([
         "verify", "--suite", "bunkbed", "--graph", "K3",

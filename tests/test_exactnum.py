@@ -418,9 +418,13 @@ def test_eval_scaled_matches_fraction_evaluation():
     rng = random.Random(4)
     for length in range(8):
         c = [rng.randint(-10**6, 10**6) for _ in range(length)]
-        for den in (1, 2, 2**40, 3, 12):
+        for den in (0, 1, 2, 2**40, 3, 12):
             for num in (0, 1, -1, 5, -(2**45) - 1):
-                expected = value(c, Fraction(num, den)) * den ** max(length - 1, 0)
+                if den:
+                    expected = value(c, Fraction(num, den)) * den ** max(length - 1, 0)
+                else:
+                    # Only the top term of the homogeneous sum survives.
+                    expected = c[-1] * num ** (length - 1) if c else 0
                 assert exactnum._eval_scaled(c, num, den) == expected
 
 

@@ -22,7 +22,6 @@ from bunkbed.measures import (
     EnumerationGuardError,
     alt_colouring_counts,
     bunkbed_case_profiles,
-    case_difference,
     forest_masks,
     forest_table,
     hypergraph_rc_difference,
@@ -33,6 +32,7 @@ from bunkbed.measures import (
 from bunkbed import measures
 from bunkbed.glue import factor_from_graph
 from bunkbed.partition import SetPartition, canonical_rgs, canonicalize
+from bunkbed.verify import _case_rows, _rc_difference
 
 
 def _pattern(marked, *groups):
@@ -400,12 +400,13 @@ def test_case_profile_matches_direct_probabilities():
     u1, _ = bunkbed_copies(bb, 0)
     v1, v2 = bunkbed_copies(bb, 2)
     (profile,) = bunkbed_case_profiles(bb, [(u1, v1, v2)])
+    (rows,) = _case_rows(bb, [(u1, v1, v2)])
     for p, q in ((rat(1, 3), rat(2)), (rat(0), rat(3, 2)), (rat(1), rat(1, 2)), (rat(5, 7), rat(7, 3))):
         weighted = bb.with_weights(p)
         expected = rc_connection_prob(weighted, q, u1, v1) - rc_connection_prob(
             weighted, q, u1, v2
         )
-        diff = case_difference(profile, bb.m, p, q)
+        diff = _rc_difference(rows, p, q)
         z = sum(
             count * p**s * (1 - p) ** (bb.m - s) * q**kappa
             for (case, s, kappa), count in profile.items()

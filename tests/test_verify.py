@@ -1,8 +1,12 @@
+import math
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 from bsst_oracle import bsst_counts_by_cycles
+from hypothesis import given, settings, strategies as st
+from subset_oracle import roots_and_kappa
 
 from bunkbed.catalog import connected_graphs, identity_catalog, named_graph, named_instance
 from bunkbed.exactnum import format_rational, rat
@@ -22,6 +26,7 @@ from bunkbed.verify import (
     run_identity_suite,
     scan_conjectures,
 )
+from bunkbed.verify import _arboreal_difference, _case_rows, _forest_lists, _rc_difference
 
 SMALL_P = (rat(1, 4), rat(1, 2), rat(3, 4))
 
@@ -88,14 +93,11 @@ def test_p_threshold_examples():
         rep = check_p_threshold(p3, {1}, q)
         assert rep.verdict == HOLDS
     # At p = 1 the difference vanishes identically.
-    from bunkbed.graph import BunkbedSpec, bunkbed, bunkbed_copies, POSTS_CONTRACTED
-    from bunkbed.measures import bunkbed_case_profiles, case_difference
-
     bb = bunkbed(BunkbedSpec(p3, frozenset({1}), POSTS_CONTRACTED))
     u1, _ = bunkbed_copies(bb, 0)
     v1, v2 = bunkbed_copies(bb, 2)
-    (prof,) = bunkbed_case_profiles(bb, [(u1, v1, v2)])
-    assert case_difference(prof, bb.m, rat(1), rat(2)) == 0
+    (rows,) = _case_rows(bb, [(u1, v1, v2)])
+    assert _rc_difference(rows, rat(1), rat(2)) == 0
 
 
 def test_bsst_counts_k3():
@@ -167,11 +169,19 @@ WEIGHTED = Graph(5, (
 def test_identity_suites_on_rational_weights():
     assert laplacian(WEIGHTED).den > 1
     assert LaplacianBundle(WEIGHTED).pinv.den > 1
-    # bsst and weak-limit count edge subsets without their weights: they are
-    # identities of unit-weight graphs only.
-    for suite in sorted(set(IDENTITY_SUITES) - {"bsst", "weak-limit"}):
+    for suite in sorted(IDENTITY_SUITES):
         rep = run_identity_suite(suite, [("weighted", WEIGHTED)])
         assert rep.verdict == HOLDS, (suite, rep.witness)
+        # bsst and weak-limit count edge subsets without their weights: they are
+        # identities of unit-weight graphs only, so a weighted graph is skipped.
+        if suite in ("bsst", "weak-limit"):
+            assert rep.quantities == {
+                "instances_checked": "0",
+                "skipped": "1",
+                "skip_reasons": f"weighted: {suite} holds for unit edge weights only",
+            }
+        else:
+            assert rep.quantities == {"instances_checked": "1"}
 
 
 def test_unknown_suite_rejected():
@@ -186,6 +196,7 @@ def test_identity_suite_collects_guard_skips():
     )
     assert rep.verdict == HOLDS
     assert rep.quantities.get("skipped") == "1"
+    assert rep.quantities["skip_reasons"].startswith("big: enumeration would visit 2^30")
 
 
 def test_hypergraph_factorization_report():
@@ -295,13 +306,13 @@ def test_failure_verdict_plumbing():
 
 
 def test_bunkbed_scans_report_first_minimum(monkeypatch):
-    # Profiles become pair indices, and the difference is -1/7 at a few points.
+    # Difference rows become pair indices, and the difference is -1/7 at a few points.
     # Any loop order other than pair -> p -> q would pick another point.
-    monkeypatch.setattr("bunkbed.verify.bunkbed_case_profiles", lambda bb, triples: range(len(triples)))
+    monkeypatch.setattr("bunkbed.verify._case_rows", lambda bb, triples: range(len(triples)))
     negative = {(1, rat(1, 2), rat(2)), (1, rat(3, 4), rat(1)), (2, rat(1, 4), rat(1))}
     monkeypatch.setattr(
-        "bunkbed.verify.case_difference",
-        lambda prof, m, p, q: rat(-1, 7) if (prof, p, q) in negative else rat(1),
+        "bunkbed.verify._rc_difference",
+        lambda rows, p, q: rat(-1, 7) if (rows, p, q) in negative else rat(1),
     )
     g = named_graph("K3")  # pairs (0,1), (0,2), (1,2)
     rep = check_bunkbed(g, p_grid=SMALL_P, q_grid=(rat(1), rat(2)))
@@ -319,3 +330,54 @@ def test_bunkbed_scans_report_first_minimum(monkeypatch):
     assert rep.witness == {"u": 0, "v": 2, "p": format_rational(p_values[1]), "q": "1"}
     assert rep.quantities["at_pair"] == "(0,2)"
     assert rep.quantities["min_difference"] == "-1/7"
+
+    # The arboreal measure runs the same scan, pair -> lambda.
+    monkeypatch.setattr("bunkbed.verify._forest_lists", lambda bb, triples: range(len(triples)))
+    negative = {(1, rat(2)), (2, rat(1, 2))}
+    monkeypatch.setattr(
+        "bunkbed.verify._arboreal_difference",
+        lambda lists, lam: rat(-1, 5) if (lists, lam) in negative else rat(1),
+    )
+    rep = check_bunkbed(g, measure="arboreal", lam_grid=(rat(1, 2), rat(2)))
+    assert rep.witness == {"u": 0, "v": 2, "lambda": "2", "difference": "-1/5"}
+
+
+# All-verticals and posts-contracted bunkbeds of at most 9 edges.
+DIFFERENCE_CASES = (("P3", None), ("P3", {1}), ("K3", None), ("K3", {2}))
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    case=st.sampled_from(DIFFERENCE_CASES),
+    p=st.one_of(st.sampled_from([Fraction(0), Fraction(1)]), st.fractions(0, 1, max_denominator=12)),
+    q=st.fractions(Fraction(1, 12), 6, max_denominator=12),
+    lam=st.one_of(st.just(Fraction(0)), st.fractions(0, 6, max_denominator=12)),
+)
+def test_difference_polynomials_match_the_subset_oracle(case, p, q, lam):
+    name, posts = case
+    g = named_graph(name)
+    if posts is None:
+        bb = bunkbed(BunkbedSpec(g))
+    else:
+        bb = bunkbed(BunkbedSpec(g, frozenset(posts), POSTS_CONTRACTED))
+    triples = []
+    for a, b in combinations(range(g.n), 2):
+        a1, _ = bunkbed_copies(bb, a)
+        triples.append((a1, *bunkbed_copies(bb, b)))
+    pairs = [(u, v) for u, v, _ in bb.edges]
+    subsets = []
+    for mask in range(1 << bb.m):
+        # The random-cluster rows ignore the edge weights; the forest weights keep them.
+        weight = math.prod(w for i, (_, _, w) in enumerate(bb.edges) if mask >> i & 1)
+        subsets.append((*roots_and_kappa(bb.n, pairs, mask), mask.bit_count(), weight))
+    for (a1, b1, b2), rows, lists in zip(triples, _case_rows(bb, triples), _forest_lists(bb, triples)):
+        rc = forest_diff = forest_z = 0
+        for roots, kappa, s, weight in subsets:
+            sign = (roots[a1] == roots[b1]) - (roots[a1] == roots[b2])
+            rc += sign * p**s * (1 - p) ** (bb.m - s) * q**kappa
+            if s + kappa == bb.n:  # a spanning forest F, of weight lambda^|F| times its edge weights
+                forest_z += weight * lam**s
+                forest_diff += sign * weight * lam**s
+        # Z (P[u1<->v1] - P[u1<->v2]), and the arboreal probability difference.
+        assert _rc_difference(rows, rat(p), rat(q)) == rc
+        assert _arboreal_difference(lists, rat(lam)) == forest_diff / forest_z
