@@ -6,8 +6,8 @@ prints individual exact quantities, and `recheck` re-runs a stored report and
 diffs it.  All numeric inputs are exact rational strings ("1/100"); decimals
 are rejected so the exactness contract survives the shell.
 
-Exit codes: 0 all verdicts hold (or open with no violation), 1 a verdict
-fails or a recheck diverges, 2 usage or guard errors.
+Exit codes: 0 every verdict holds, is open with no violation or is skipped,
+1 a verdict fails or a recheck diverges, 2 usage or guard errors.
 """
 
 from __future__ import annotations

@@ -48,7 +48,7 @@ from typing import NamedTuple
 
 from .exactnum import MultiPoly, Rational, _trim, rat
 from .graph import Graph, hollom_instance, hypergraph_bunkbed
-from .measures import EnumerationGuardError, _rc_fold
+from .measures import EnumerationGuardError, _integer_fold
 from .partition import SetPartition, bell_number, canonical_rgs, join_rgs, project_rgs
 
 __all__ = [
@@ -181,14 +181,14 @@ def edge_factor(u: int, v: int, weight) -> Factor:
 def factor_from_graph(g: Graph, boundary, labels=None) -> Factor:
     """Brute-force factor of a graph over a boundary set, read from the integer fold.
 
-    With internal components absorbed as powers of q; boundary-touching
-    components contribute no q here.  `labels` optionally maps local vertex
-    ids to global ids for network assembly.
+    The fold keeps only the boundary vertices; internal components are
+    absorbed as powers of q, and boundary-touching components contribute no q
+    here.  `labels` optionally maps local vertex ids to global ids.
     """
     boundary_local = tuple(boundary)
     if len(set(boundary_local)) != len(boundary_local):
         raise ValueError("duplicate boundary vertex")
-    acc, den = _rc_fold(g, boundary_local)
+    acc, den = _integer_fold(g, boundary_local)
     mapping = labels or {}
     glob = [mapping.get(v, v) for v in boundary_local]
     if len(set(glob)) != len(glob):

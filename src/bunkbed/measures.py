@@ -1,38 +1,29 @@
-"""Brute-force exact computation of random-cluster and forest quantities.
+"""Exact random-cluster and forest quantities, summed by one state fold.
 
-Every engine here is a fold over one depth-first walk of the include/exclude
-tree of edge subsets (``_walk``): subsets with a common prefix share its
-component merges and its weight product.  Edge weights are rationals, and the
-folds walk each one num/d as a pair of integers over one shared denominator,
-the product of the d: the random-cluster fold (``_rc_fold``) as (d - num, num),
-the forest fold (``forest_table``) as (d, num).  Leaves are summed under their
-raw component labels, and each distinct label tuple is canonicalised once.
-Both measures land in one table class: a ``BoundaryTable`` maps (partition of
-the marked vertices, component count kappa) to an integer over the shared
-denominator.  ``rc_boundary_table`` and ``forest_table`` fill it through one
-entry builder, and ``bunkbed.glue.factor_from_graph`` reads the random-cluster
-fold too.  ``BoundaryTable.event`` sums the entries of an event into a dense
-kappa-list, ``restrict`` regroups them by the induced partition of fewer
-marked vertices, so one table over all vertices serves every marked set, and
-``rc_connection_prob`` and the arboreal-gas ``probability`` read two such lists
-through ``exactnum._eval_scaled``.  The forest engines walk with ``acyclic=True``,
-which drops a branch as soon as its step joins two vertices already in one
-component: every subset below it holds that cycle, so only forests reach the
-leaves.  ``rc_profile`` counts subsets by (marked partition, |S|, kappa), and
-``bunkbed_case_profiles`` regroups one such count for every query triple.
-``MultiPoly`` appears only as the read-only view that
-``hypergraph_rc_difference`` returns.  The enumeration guard is 2^28 subsets;
-larger instances belong to the factor-contraction engine in ``bunkbed.glue``.
+``_fold`` sums the edge subsets step by step, keyed by the partition they
+induce on the live vertices, and forgets each vertex no caller reads after
+its last step; the work grows with the states, not with the 2^m subsets.
+Edge weights num/d are folded as integers over one denominator, the product
+of the d (``_integer_fold``, which ``bunkbed.glue.factor_from_graph`` also
+reads): (d - num, num) for the random-cluster measure and (d, num) for
+forests, whose folds drop a branch as soon as it closes a cycle.  A
+``BoundaryTable`` maps (marked partition, component count kappa) to them;
+``event`` sums an event into a dense kappa-list, ``restrict`` regroups by
+fewer marked vertices, and probabilities read two lists through
+``exactnum._eval_scaled``.  ``rc_profile`` counts subsets by (marked
+partition, |S|, kappa), once per query triple in ``bunkbed_case_profiles``.
+The guards are 2^28 subsets and 2^20 states in one level; larger instances
+belong to the factor-contraction engine in ``bunkbed.glue``.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import itemgetter
 
 from .exactnum import MultiPoly, Rational, _eval_scaled, format_rational, rat
-from .graph import Graph, Hypergraph, hypergraph_bunkbed
+from .graph import POSTS_CONTRACTED, BunkbedSpec, Graph, Hypergraph
+from .graph import bunkbed, bunkbed_copies, hypergraph_bunkbed
 from .partition import SetPartition, canonical_rgs
 
 __all__ = [
@@ -51,6 +42,7 @@ __all__ = [
 ]
 
 _SUBSET_GUARD = 28
+_STATE_GUARD = 20
 _ALT_GUARD = 24
 _HYPER_GUARD = 16
 
@@ -84,59 +76,108 @@ def _guard_edges(m: int, limit: int = _SUBSET_GUARD) -> None:
         )
 
 
-def _walk(n: int, steps, weights=None, acyclic=False):
-    """Every subset of `steps` as (mask, comp, kappa, weight), depth first.
+def _fold(n: int, steps, weights=None, tags=None, acyclic=False, keep=()) -> dict:
+    """Weights of every subset of `steps` summed by (RGS of `keep`, tag, kappa).
 
-    Step i is a pair (vertex pairs opened when bit i of the mask is clear,
-    pairs opened when it is set).  comp labels each of the n vertices by its
-    component and kappa counts the components; weight is the product over the
-    steps of weights[i][bit], or 1 without weights.  Subsets with a common
-    prefix share that prefix's merges and weight product.  With `acyclic`, a
-    branch whose step opens a pair already in one component is not taken, so
-    only the subsets whose every opened pair merged two components are
-    yielded.  The last step is decided first and the clear branch before the
-    set one, so masks come out in increasing order.  comp is shared between
-    subsets: read it, never change it.
+    Step i is a pair (vertex pairs opened when bit i is clear, when set); a
+    subset weighs the product of weights[i][bit] and its tag sums
+    tags[i][bit].  The steps run in a breadth-first sweep of the vertices.  A
+    level sums the subsets by state (labels, closed, tag): labels[x] is
+    chr(y + 1) for y the least live vertex in x's component, a vertex not in
+    `keep` turns _GONE after its last step, and closed counts the components
+    with no live vertex left.  `acyclic` drops a branch that closes a cycle.
+    Keys that only zero-weight subsets reach stay, with value 0.
     """
-    stack = [(len(steps), 0, list(range(n)), n, 1)]
-    while stack:
-        i, mask, comp, kappa, w = stack.pop()
-        if not i:
-            yield mask, comp, kappa, w
-            continue
-        i -= 1
-        for bit in (1, 0):
-            c, k = comp, kappa
-            for u, v in steps[i][bit]:
-                a, b = c[u], c[v]
-                if a != b:
-                    c = [a if x == b else x for x in c]
-                    k -= 1
-                elif acyclic:
-                    break
-            else:
-                wb = w if weights is None else w * weights[i][bit]
-                stack.append((i, mask | bit << i, c, k, wb))
+    verts = [set(sum(step[0] + step[1], ())) for step in steps]
+    adj: dict = {}
+    for vs in verts:
+        for x in vs:
+            adj.setdefault(x, []).extend(vs)
+    pos: dict = {}
+    for root in range(n):
+        queue = [root]
+        for x in queue:
+            if x not in pos:
+                pos[x] = len(pos)
+                queue += adj.get(x, ())
+    rank = [max(map(pos.get, vs), default=-1) for vs in verts]
+    order = sorted(range(len(steps)), key=rank.__getitem__)
+    last: dict = {}
+    for j, i in enumerate(order):
+        last.update(dict.fromkeys(verts[i], j))
+    gone: dict = {}
+    for x, j in last.items():
+        if x not in keep:
+            gone.setdefault(j, []).append(x)
+    start = "".join(chr(x + 1) if x in last or x in keep else _GONE for x in range(n))
+    states = {(start, start.count(_GONE), 0): 1}
+    weights = weights or [(1, 1)] * len(steps)
+    tags = tags or [(0, 0)] * len(steps)
+    for j, i in enumerate(order):
+        moves = list(zip(steps[i], weights[i], tags[i]))
+        ends: dict = {}
+        level: dict = {}
+        for (labels, closed, tag), w in states.items():
+            end = ends.get(labels)
+            if end is None:
+                end = ends[labels] = _branches(labels, moves, acyclic, gone.get(j, ()))
+            for new, shut, wb, tb in end:
+                key = (new, closed + shut, tag + tb)
+                level[key] = level.get(key, 0) + w * wb
+        if len(level) > 1 << _STATE_GUARD:
+            raise EnumerationGuardError(
+                f"fold would hold {len(level)} states after step {j + 1} of {len(steps)} "
+                f"with marked set {tuple(keep)} (guard is 2^{_STATE_GUARD}); "
+                f"use the factor contraction engine in bunkbed.glue"
+            )
+        states = level
+    sums: dict = {}
+    for (labels, closed, tag), w in states.items():
+        live = "".join(map(labels.__getitem__, keep))
+        key = (live, tag, closed + len(set(live)))
+        sums[key] = sums.get(key, 0) + w
+    return _canonical(sums)
+
+
+_GONE = chr(0)
+
+
+def _branches(labels: str, moves, acyclic: bool, gone) -> list:
+    """(labels, components closed, weight, tag) of each move (pairs, weight, tag).
+
+    A move opens its pairs, then `gone` is forgotten; with `acyclic` a move
+    that opens a pair already in one component is dropped.
+    """
+    out = []
+    for pairs, w, tag in moves:
+        new = labels
+        for u, v in pairs:
+            a, b = sorted((new[u], new[v]))
+            if a == b and acyclic:
+                break
+            new = new.replace(b, a)
+        else:
+            closed = 0
+            for x in gone:
+                label = new[x]
+                new = new[:x] + _GONE + new[x + 1 :]
+                if label == chr(x + 1):
+                    heir = new.find(label)
+                    if heir < 0:
+                        closed += 1
+                    else:
+                        new = new.replace(label, chr(heir + 1))
+            out.append((new, closed, w, tag))
+    return out
 
 
 def _edge_steps(g: Graph) -> list:
-    """One walk step per edge: nothing opens when it is absent, its ends when present."""
+    """One step per edge, opening its ends when present."""
     return [((), ((u, v),)) for u, v, _ in g.edges]
 
 
-def _integer_weights(g: Graph) -> tuple[list, int]:
-    """Each edge weight num/d as the integers (num, d), and den, the product of the d."""
-    pairs = [(int(w.numerator), int(w.denominator)) for _, _, w in g.edges]
-    return pairs, math.prod(d for _, d in pairs)
-
-
 def _canonical(acc: dict) -> dict:
-    """Sums keyed (raw labels, *rest) merged into sums keyed (RGS, *rest).
-
-    canonical_rgs runs once per distinct label tuple, not once per leaf.  A
-    canonical key comes first where its earliest raw key does, so the result
-    is ordered as a per-leaf canonicalisation would order it.
-    """
+    """Sums keyed (labels, *rest) merged by (RGS, *rest), one canonical_rgs per labels."""
     rgs_of: dict = {}
     out: dict = {}
     for (labels, *rest), w in acc.items():
@@ -148,16 +189,6 @@ def _canonical(acc: dict) -> dict:
     return out
 
 
-def _marked_sums(g: Graph, marked: tuple, weights, acyclic=False) -> dict:
-    """Leaf weights of the edge walk summed by (marked RGS, kappa)."""
-    pick = _picker(marked)
-    acc: dict = {}
-    for _, comp, kappa, w in _walk(g.n, _edge_steps(g), weights, acyclic):
-        key = (pick(comp), kappa)
-        acc[key] = acc.get(key, 0) + w
-    return _canonical(acc)
-
-
 def _picker(positions):
     """The map from a sequence to the tuple of its entries at `positions`."""
     if len(positions) == 1:
@@ -166,29 +197,36 @@ def _picker(positions):
     return itemgetter(*positions) if positions else lambda seq: ()
 
 
-def _rc_fold(g: Graph, marked: tuple) -> tuple[dict, int]:
-    """Integer random-cluster weights keyed (marked RGS, kappa), over one denominator.
+def _integer_fold(g: Graph, marked: tuple, acyclic=False) -> tuple[dict, int]:
+    """({(marked RGS, kappa): int}, den): subset weights times den, the product of the d.
 
-    Each edge weight num/d walks as the integers (d - num, num), so a leaf
-    carries its subset's weight times the shared denominator den, the product
-    of the d.  Returns ({(rgs, kappa): int}, den); a key that only zero-weight
-    subsets reach stays, with value 0.
+    Each edge weight num/d folds as the integers (d - num, num), or as (d, num)
+    for the forests that `acyclic` keeps.
     """
     _guard_edges(g.m)
-    pairs, den = _integer_weights(g)
-    return _marked_sums(g, marked, [(d - num, num) for num, d in pairs]), den
+    weights, den = [], 1
+    for _, _, w in g.edges:
+        num, d = int(w.numerator), int(w.denominator)
+        weights.append((d if acyclic else d - num, num))
+        den *= d
+    sums = _fold(g.n, _edge_steps(g), weights, None, acyclic, marked)
+    return {(rgs, kappa): w for (rgs, _, kappa), w in sums.items()}, den
+
+
+def _table(g: Graph, marked, acyclic: bool) -> "BoundaryTable":
+    marked = tuple(marked)
+    sums, den = _integer_fold(g, marked, acyclic)
+    return BoundaryTable(marked, g.n, _entries(marked, sums), den)
 
 
 @dataclass
 class BoundaryTable:
     """Edge-subset weights keyed by (marked partition, component count).
 
-    Entries are integers over one positive denominator den, the product of
-    the edge weights' denominators: entry (pi, kappa) is den times the summed
-    weight of the subsets with kappa components that induce pi.  A random-
-    cluster table weighs every subset (kappa is then the power of q), a forest
-    table only the spanning forests; on integer weights a forest table's den
-    is 1 and its entries are weighted forest counts.  A key that only
+    Entry (pi, kappa) is den times the summed weight of the subsets with kappa
+    components that induce pi, den the product of the edge weights'
+    denominators.  A random-cluster table weighs every subset (kappa is the
+    power of q), a forest table only the forests.  A key that only
     zero-weight subsets reach stays, with value 0.
     """
 
@@ -196,18 +234,25 @@ class BoundaryTable:
     n: int
     entries: dict
     den: int
+    # Set on first use: {partition: [(kappa, w)]}, and Z's event list.
+    _parts: dict = field(default=None, init=False, repr=False, compare=False)
+    _z: list = field(default=None, init=False, repr=False, compare=False)
 
     def event(self, predicate=None) -> list:
         """Summed entries of the partitions satisfying `predicate`, as a dense q-list.
 
-        Coefficient kappa sums the entries with kappa components; without a
-        predicate every partition counts.  Every sum has length n + 1, so the
-        ratio of two sums at one q is read off in integers.
+        Entry kappa of the length-(n + 1) list sums the entries with kappa
+        components.  The predicate runs once per partition; None takes all.
         """
+        if self._parts is None:
+            self._parts = {}
+            for (part, kappa), w in self.entries.items():
+                self._parts.setdefault(part, []).append((kappa, w))
         total = [0] * (self.n + 1)
-        for (part, kappa), w in self.entries.items():
+        for part, ws in self._parts.items():
             if predicate is None or predicate(part):
-                total[kappa] += w
+                for kappa, w in ws:
+                    total[kappa] += w
         return total
 
     def bracket(self, pattern: SetPartition | None = None, extra: int = 0):
@@ -252,7 +297,9 @@ class BoundaryTable:
         The ratio of the event's and Z's ``event`` lists read at lambda; the
         common factors b^n and den cancel.
         """
-        return Rational(_at_activity(self.event(predicate), lam), _at_activity(self.event(), lam))
+        if self._z is None:
+            self._z = self.event()
+        return Rational(_at_activity(self.event(predicate), lam), _at_activity(self._z, lam))
 
 
 def _at_activity(c: list, lam) -> int:
@@ -278,30 +325,15 @@ def _entries(marked: tuple, sums: dict) -> dict:
 def rc_boundary_table(g: Graph, marked) -> BoundaryTable:
     """Exact random-cluster table over the connectivity patterns of `marked`.
 
-    Edge weights come from the graph; the component count kappa is the power
-    of q, so entry (pi, kappa) is the integer fold's (pi, kappa) weight, over
-    the fold's denominator, and ``event()`` is den times the partition
-    function as a dense q-list.
+    ``event()`` is den times the partition function as a dense q-list.
     """
-    marked = tuple(marked)
-    sums, den = _rc_fold(g, marked)
-    return BoundaryTable(marked, g.n, _entries(marked, sums), den)
+    return _table(g, marked, False)
 
 
 def rc_profile(g: Graph, marked) -> dict:
-    """Subset counts keyed (marked partition RGS, |S|, kappa); weights ignored.
-
-    This is the uniform-p fast path: one enumeration serves every (p, q)
-    evaluation afterwards.
-    """
+    """Subset counts keyed (marked partition RGS, |S|, kappa); weights ignored."""
     _guard_edges(g.m)
-    marked = tuple(marked)
-    pick = _picker(marked)
-    counts: dict = {}
-    for mask, comp, kappa, _ in _walk(g.n, _edge_steps(g)):
-        key = (pick(comp), mask.bit_count(), kappa)
-        counts[key] = counts.get(key, 0) + 1
-    return _canonical(counts)
+    return _fold(g.n, _edge_steps(g), None, [(0, 1)] * g.m, False, tuple(marked))
 
 
 def rc_connection_prob(g: Graph, q, u: int, v: int) -> Rational:
@@ -317,23 +349,15 @@ def rc_connection_prob(g: Graph, q, u: int, v: int) -> Rational:
 
 
 def forest_table(g: Graph, marked) -> BoundaryTable:
-    """Enumerate spanning forests (acyclic edge subsets) of the graph.
-
-    Each edge weight num/d walks as the integers (d, num), so every entry is
-    den times a sum of forest weights, with den the product of the d.  On
-    unit weights den is 1 and the entries count forests.
-    """
-    _guard_edges(g.m)
-    marked = tuple(marked)
-    pairs, den = _integer_weights(g)
-    sums = _marked_sums(g, marked, [(d, num) for num, d in pairs], acyclic=True)
-    return BoundaryTable(marked, g.n, _entries(marked, sums), den)
+    """Spanning-forest table: on unit weights den is 1 and entries count forests."""
+    return _table(g, marked, True)
 
 
 def forest_masks(g: Graph):
-    """All spanning forests as (edge mask, kappa) pairs."""
+    """All spanning forests as (edge mask, kappa) pairs, in increasing mask order."""
     _guard_edges(g.m)
-    return [(mask, kappa) for mask, _, kappa, _ in _walk(g.n, _edge_steps(g), acyclic=True)]
+    sums = _fold(g.n, _edge_steps(g), None, [(0, 1 << i) for i in range(g.m)], True)
+    return sorted(map(itemgetter(1, 2), sums))
 
 
 def alt_colouring_counts(g: Graph, posts, u: int, v: int):
@@ -344,8 +368,6 @@ def alt_colouring_counts(g: Graph, posts, u: int, v: int):
     acyclic ones; among them N_RR counts u1 connected to v1 and N_RB counts u1
     connected to v2.  Returns (N_RR, N_RB, N_total).
     """
-    from .graph import POSTS_CONTRACTED, BunkbedSpec, bunkbed, bunkbed_copies
-
     posts = frozenset(posts)
     if u in posts or v in posts:
         raise ValueError("endpoints of the colouring query must not be posts")
@@ -353,16 +375,12 @@ def alt_colouring_counts(g: Graph, posts, u: int, v: int):
     bb = bunkbed(BunkbedSpec(g, posts, POSTS_CONTRACTED))
     u1, _ = bunkbed_copies(bb, u)
     v1, v2 = bunkbed_copies(bb, v)
-    pairs = [(a, b) for a, b, _ in bb.edges]
-    m = g.m
     # Bit i of a colouring set picks the layer-1 copy of base edge i, clear the layer-2 one.
-    steps = [((pairs[m + i],), (pairs[i],)) for i in range(m)]
-    n_rr = n_rb = n_total = 0
-    for _, comp, kappa, _ in _walk(bb.n, steps, acyclic=True):
-        n_total += 1
-        n_rr += comp[u1] == comp[v1]
-        n_rb += comp[u1] == comp[v2]
-    return n_rr, n_rb, n_total
+    steps = [((bb.edges[g.m + i][:2],), (bb.edges[i][:2],)) for i in range(g.m)]
+    counts = [0] * 4
+    for (case, _, _), count in _cases(bb.n, steps, None, True, (u1, v1, v2)).items():
+        counts[case] += count
+    return counts[1] + counts[3], counts[2] + counts[3], sum(counts)
 
 
 def hypergraph_rc_difference(h: Hypergraph, u: int, v: int) -> MultiPoly:
@@ -380,41 +398,31 @@ def hypergraph_rc_difference(h: Hypergraph, u: int, v: int) -> MultiPoly:
         raise EnumerationGuardError(
             f"hypergraph bunkbed has {k} hyperedges; enumeration guard is 2^{_HYPER_GUARD}"
         )
-    index = {x: i for i, x in enumerate(vertices)}
-    u1 = index[u]
-    v1 = index[v]
-    v2 = index[v if v in h.posts else v + h.n]
-    steps = [((), ((index[a], index[b]), (index[a], index[c]))) for a, b, c in doubled]
+    index = vertices.index
+    triple = (index(u), index(v), index(v if v in h.posts else v + h.n))
+    steps = [((), ((index(a), index(b)), (index(a), index(c)))) for a, b, c in doubled]
     terms: dict = {}
-    for mask, comp, kappa, _ in _walk(len(vertices), steps):
-        diff = (comp[u1] == comp[v1]) - (comp[u1] == comp[v2])
-        if diff == 0:
-            continue
-        present = mask.bit_count()
+    cases = _cases(len(vertices), steps, [(0, 1)] * k, False, triple)
+    for (case, present, kappa), count in cases.items():
         exp = (kappa, 0, present, k - present)
-        terms[exp] = terms.get(exp, 0) + diff
+        terms[exp] = terms.get(exp, 0) + ((case & 1) - (case >> 1)) * count
     return MultiPoly({exp: rat(c) for exp, c in terms.items() if c})
 
 
-# ---------------------------------------------------------------------------
-# Bunkbed scan fast path
-# ---------------------------------------------------------------------------
+def _cases(n: int, steps, tags, acyclic: bool, triple) -> dict:
+    """Counts keyed (case, tag, kappa) of a triple (x, y, z): bit 0 is x<->y, bit 1 x<->z."""
+    out: dict = {}
+    for ((a, b, c), tag, kappa), count in _fold(n, steps, None, tags, acyclic, triple).items():
+        key = ((a == b) + 2 * (a == c), tag, kappa)
+        out[key] = out.get(key, 0) + count
+    return out
 
 
 def bunkbed_case_profiles(bb: Graph, triples):
-    """One enumeration of a bunkbed graph serving many (u1, v1, v2) queries.
+    """Per (u1, v1, v2) triple, subset counts keyed (case, |S|, kappa), one fold each.
 
-    For each triple the result maps (case, |S|, kappa) -> count, where case is
-    bit 0 = u1 connected to v1, bit 1 = u1 connected to v2.  The counts are
-    one ``rc_profile`` over every vertex the triples name, regrouped per
-    triple by the case its marked partition decides.
+    Bit 0 of case is u1 connected to v1, bit 1 is u1 connected to v2.
     """
-    marked = tuple(dict.fromkeys(x for triple in triples for x in triple))
-    index = {x: i for i, x in enumerate(marked)}
-    slots = [tuple(index[x] for x in triple) for triple in triples]
-    profiles = [dict() for _ in triples]
-    for (rgs, s, kappa), count in rc_profile(bb, marked).items():
-        for prof, (a, b, c) in zip(profiles, slots):
-            key = ((rgs[a] == rgs[b]) + 2 * (rgs[a] == rgs[c]), s, kappa)
-            prof[key] = prof.get(key, 0) + count
-    return profiles
+    _guard_edges(bb.m)
+    steps, sizes = _edge_steps(bb), [(0, 1)] * bb.m
+    return [_cases(bb.n, steps, sizes, False, t) for t in triples]

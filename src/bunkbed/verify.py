@@ -71,6 +71,7 @@ __all__ = [
 HOLDS = "holds"
 FAILS = "fails"
 OPEN_OK = "open-conjecture-no-violation"
+SKIPPED = "skipped"
 
 DEFAULT_P_GRID = tuple(rat(k, 10) for k in range(1, 10))
 DEFAULT_Q_GRID = (rat(1, 2), rat(1), rat(3, 2), rat(2), rat(3))
@@ -156,11 +157,10 @@ def _rc_difference(rows, p, q) -> Rational:
 
 def _forest_lists(bb: Graph, triples) -> list:
     """Per triple, the kappa-lists of event(u1<->v1) - event(u1<->v2) and of event()."""
-    table = forest_table(bb, tuple(range(bb.n)))
     lists = []
     for a1, b1, b2 in triples:
         # b1 == b2 when b is a post.
-        ft = table.restrict(dict.fromkeys((a1, b1, b2)))
+        ft = forest_table(bb, dict.fromkeys((a1, b1, b2)))
         same = ft.event(lambda part: part.together(a1, b1))
         cross = ft.event(lambda part: part.together(a1, b2))
         lists.append(([x - y for x, y in zip(same, cross)], ft.event()))
@@ -204,7 +204,8 @@ def check_bunkbed(
 
     posts=None builds the all-verticals bunkbed; a post set builds the
     conditioned (contracted) variant.  `measure` is random-cluster over
-    (p, q), percolation over p at q=1, or arboreal over the lambda grid.
+    (p, q), percolation over p at q=1, or arboreal over the lambda grid.  The
+    first two put p on every edge; the arboreal gas weighs each vertical 1/2.
     min_difference is the unnormalised numerator Z (P[u1<->v1] - P[u1<->v2])
     for random-cluster and percolation, equal to the probability difference
     only at q = 1, and the probability difference itself for the arboreal gas;
@@ -633,7 +634,8 @@ def run_identity_suite(suite: str, instances=None) -> VerificationReport:
     """Exact identity/inequality suite over a graph catalog.
 
     Per-instance guard errors, and non-unit edge weights in a unit-weight
-    suite, are collected as skips with their reasons rather than failures.
+    suite, are collected as skips with their reasons rather than failures;
+    with no instance checked the verdict is SKIPPED, not HOLDS.
     """
     if suite not in IDENTITY_SUITES:
         raise ValueError(f"unknown suite {suite!r}; choices: {sorted(IDENTITY_SUITES)}")
@@ -654,7 +656,7 @@ def run_identity_suite(suite: str, instances=None) -> VerificationReport:
         checked += 1
         if not ok:
             failures.append(name)
-    verdict = HOLDS if not failures else FAILS
+    verdict = FAILS if failures else HOLDS if checked else SKIPPED
     quantities = {"instances_checked": str(checked)}
     if skipped:
         quantities["skipped"] = str(len(skipped))

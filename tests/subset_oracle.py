@@ -1,8 +1,8 @@
 """Per-subset union-find: the independent oracle for the enumeration engines.
 
-The engines in ``bunkbed.measures`` fold over one shared prefix walk; these
-helpers recompute every subset from scratch, so tests can check the walk
-against a second, deliberately naive computation.
+The engines in ``bunkbed.measures`` sum the subsets by state in one fold;
+these helpers recompute every subset from scratch, so tests can check the
+fold against a second, deliberately naive computation.
 """
 
 from __future__ import annotations

@@ -51,9 +51,10 @@ def test_verify_identity_suite_on_one_instance(tmp_path, capsys):
     doc = {"n": 3, "edges": [[0, 1, "1/2"], [1, 2, "1"], [0, 2, "1"]]}
     path = tmp_path / "tri.json"
     path.write_text(json.dumps(doc))
+    # The only instance is skipped, so nothing holds: the verdict says so and exits 0.
     assert main(["verify", "--suite", "bsst", "--input", str(path)]) == 0
     assert capsys.readouterr().out.splitlines() == [
-        "[holds] identity-bsst on catalog[1]",
+        "[skipped] identity-bsst on catalog[1]",
         f"    skipped: {path}: bsst holds for unit edge weights only",
     ]
     assert main(["verify", "--suite", "rayleigh", "--input", str(path)]) == 0

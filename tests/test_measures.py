@@ -143,15 +143,27 @@ def test_enumeration_guard():
 
 
 def test_enumeration_guard_has_no_environment_override(monkeypatch):
-    # The guard must trip before the walk starts: no variable raises it.
-    def no_walk(*args, **kwargs):
-        raise AssertionError("the subset walk started past the guard")
+    # The guard must trip before the fold starts: no variable raises it.
+    def no_fold(*args, **kwargs):
+        raise AssertionError("the subset fold started past the guard")
 
     monkeypatch.setenv("BUNKBED_SUBSET_GUARD", "40")
-    monkeypatch.setattr(measures, "_walk", no_walk)
+    monkeypatch.setattr(measures, "_fold", no_fold)
     g = Graph(30, tuple((i, i + 1, rat(1, 2)) for i in range(29)))
     with pytest.raises(EnumerationGuardError, match=r"guard is 2\^28"):
         forest_table(g, (0,))
+
+
+def test_state_guard_names_step_states_and_marked_set(monkeypatch):
+    # Kept vertices never merge states on a path: after step j the fold holds
+    # 2^j of them.  Keeping only the two ends, it stays within the guard.
+    monkeypatch.setattr(measures, "_STATE_GUARD", 3)
+    path = Graph(6, tuple((i, i + 1, rat(1)) for i in range(5)))
+    message = r"16 states after step 4 of 5 with marked set \(0, 1, 2, 3, 4, 5\) \(guard is 2\^3\)"
+    with pytest.raises(EnumerationGuardError, match=message):
+        forest_table(path, range(6))
+    ends = forest_table(path, (0, 5))
+    assert ends.event() == [0, 1, 5, 10, 10, 5, 1]
 
 
 # -- forests and brackets
@@ -431,8 +443,13 @@ def test_bracket_pattern_and_extra():
 
 @st.composite
 def multigraphs(draw):
-    """Small multigraphs with parallel edges; weights k/d or all exactly 1."""
-    n = draw(st.integers(2, 6))
+    """Small multigraphs with parallel edges; weights k/d or all exactly 1.
+
+    Up to seven vertices and nine edges, so some vertices are isolated.  Also
+    draws a reordering of the edges, and a post set with two non-post
+    vertices for the two-colour model.
+    """
+    n = draw(st.integers(2, 7))
     pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
     pairs = draw(st.lists(pair, max_size=9))
     if draw(st.booleans()):
@@ -443,7 +460,10 @@ def multigraphs(draw):
     marked = tuple(draw(st.permutations(range(n)))[: draw(st.integers(0, n))])
     triples = draw(st.lists(st.tuples(*[st.integers(0, n - 1)] * 3), min_size=1, max_size=3))
     g = Graph(n, tuple((u, v, w) for (u, v), w in zip(pairs, weights)))
-    return g, marked, triples
+    order = draw(st.permutations(range(len(pairs))))
+    posts = draw(st.sets(st.integers(0, n - 1), max_size=n - 1))
+    others = st.sampled_from([x for x in range(n) if x not in posts])
+    return g, marked, triples, order, (frozenset(posts), draw(others), draw(others))
 
 
 def _oracle_subsets(g):
@@ -469,7 +489,7 @@ def _add(acc, key, value):
 @settings(deadline=None, max_examples=40)
 @given(multigraphs())
 def test_engines_match_per_subset_oracle(case):
-    g, marked, triples = case
+    g, marked, triples, order, colour_query = case
     subsets = list(_oracle_subsets(g))
 
     rc, profile, forests, weighted, masks = {}, {}, {}, {}, set()
@@ -517,11 +537,45 @@ def test_engines_match_per_subset_oracle(case):
     f = factor_from_graph(g, boundary)
     assert (f.boundary, f.entries, f.den) == (boundary, factor, den)
 
+    # The fold sweeps the vertices in its own order, so the edge order never
+    # changes a sum: bit j of a shuffled mask is bit order[j] of the original.
+    shuffled = Graph(g.n, tuple(g.edges[i] for i in order))
+    assert rc_boundary_table(shuffled, marked) == table
+    assert forest_table(shuffled, marked) == ft
+    assert rc_profile(shuffled, marked) == profile
+    assert bunkbed_case_profiles(shuffled, triples) == profiles
+    unshuffled = {
+        (sum(1 << i for j, i in enumerate(order) if mask >> j & 1), kappa)
+        for mask, kappa in forest_masks(shuffled)
+    }
+    assert unshuffled == masks
+    f = factor_from_graph(shuffled, boundary)
+    assert (f.boundary, f.entries, f.den) == (boundary, factor, den)
+
+    # Two-colour model: one union-find pass per colouring of the base edges.
+    posts, u, v = colour_query
+    bb = bunkbed(BunkbedSpec(g, posts, POSTS_CONTRACTED))
+    (u1, _), (v1, v2) = bunkbed_copies(bb, u), bunkbed_copies(bb, v)
+    n_rr = n_rb = n_total = 0
+    for colouring in range(1 << g.m):
+        # Bit i set takes base edge i's copy in layer 1, clear its copy in layer 2.
+        layer = [0 if colouring >> i & 1 else 1 for i in range(g.m)]
+        pairs = [
+            (bunkbed_copies(bb, a)[side], bunkbed_copies(bb, b)[side])
+            for (a, b, _), side in zip(g.edges, layer)
+        ]
+        roots, kappa = roots_and_kappa(bb.n, pairs, (1 << g.m) - 1)
+        if g.m + kappa == bb.n:
+            n_total += 1
+            n_rr += roots[u1] == roots[v1]
+            n_rb += roots[u1] == roots[v2]
+    assert alt_colouring_counts(g, posts, u, v) == (n_rr, n_rb, n_total)
+
 
 @settings(deadline=None, max_examples=40)
 @given(multigraphs())
 def test_forest_table_restrict_and_probability_match_oracle(case):
-    g, marked, _ = case
+    g, marked, _, _, _ = case
     forests = [
         (mask, roots, kappa, present)
         for mask, roots, kappa, size, _, present in _oracle_subsets(g)

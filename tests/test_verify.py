@@ -17,6 +17,7 @@ from bunkbed.verify import (
     FAILS,
     HOLDS,
     OPEN_OK,
+    SKIPPED,
     IDENTITY_SUITES,
     bsst_counts,
     check_bunkbed,
@@ -171,16 +172,18 @@ def test_identity_suites_on_rational_weights():
     assert LaplacianBundle(WEIGHTED).pinv.den > 1
     for suite in sorted(IDENTITY_SUITES):
         rep = run_identity_suite(suite, [("weighted", WEIGHTED)])
-        assert rep.verdict == HOLDS, (suite, rep.witness)
         # bsst and weak-limit count edge subsets without their weights: they are
-        # identities of unit-weight graphs only, so a weighted graph is skipped.
+        # identities of unit-weight graphs only, so a weighted graph is skipped,
+        # and a suite that checked no instance says so instead of holding.
         if suite in ("bsst", "weak-limit"):
+            assert rep.verdict == SKIPPED
             assert rep.quantities == {
                 "instances_checked": "0",
                 "skipped": "1",
                 "skip_reasons": f"weighted: {suite} holds for unit edge weights only",
             }
         else:
+            assert rep.verdict == HOLDS, (suite, rep.witness)
             assert rep.quantities == {"instances_checked": "1"}
 
 
