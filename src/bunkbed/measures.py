@@ -86,7 +86,6 @@ def _fold(n: int, steps, weights=None, tags=None, acyclic=False, keep=()) -> dic
     chr(y + 1) for y the least live vertex in x's component, a vertex not in
     `keep` turns _GONE after its last step, and closed counts the components
     with no live vertex left.  `acyclic` drops a branch that closes a cycle.
-    Keys that only zero-weight subsets reach stay, with value 0.
     """
     verts = [set(sum(step[0] + step[1], ())) for step in steps]
     adj: dict = {}
@@ -113,6 +112,7 @@ def _fold(n: int, steps, weights=None, tags=None, acyclic=False, keep=()) -> dic
     states = {(start, start.count(_GONE), 0): 1}
     weights = weights or [(1, 1)] * len(steps)
     tags = tags or [(0, 0)] * len(steps)
+    limit = 1 << _STATE_GUARD
     for j, i in enumerate(order):
         moves = list(zip(steps[i], weights[i], tags[i]))
         ends: dict = {}
@@ -124,12 +124,12 @@ def _fold(n: int, steps, weights=None, tags=None, acyclic=False, keep=()) -> dic
             for new, shut, wb, tb in end:
                 key = (new, closed + shut, tag + tb)
                 level[key] = level.get(key, 0) + w * wb
-        if len(level) > 1 << _STATE_GUARD:
-            raise EnumerationGuardError(
-                f"fold would hold {len(level)} states after step {j + 1} of {len(steps)} "
-                f"with marked set {tuple(keep)} (guard is 2^{_STATE_GUARD}); "
-                f"use the factor contraction engine in bunkbed.glue"
-            )
+            if len(level) > limit:
+                raise EnumerationGuardError(
+                    f"fold passed {len(level)} states at step {j + 1} of {len(steps)} "
+                    f"with marked set {tuple(keep)} (guard is 2^{_STATE_GUARD}); "
+                    f"use the factor contraction engine in bunkbed.glue"
+                )
         states = level
     sums: dict = {}
     for (labels, closed, tag), w in states.items():

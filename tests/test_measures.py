@@ -155,11 +155,12 @@ def test_enumeration_guard_has_no_environment_override(monkeypatch):
 
 
 def test_state_guard_names_step_states_and_marked_set(monkeypatch):
-    # Kept vertices never merge states on a path: after step j the fold holds
-    # 2^j of them.  Keeping only the two ends, it stays within the guard.
+    # With every vertex kept, no two edge subsets of a path share a state:
+    # step j would take the fold to 2^j states, so step 4 passes 2^3 at its
+    # fifth input state.  Keeping only the two ends, it stays within the guard.
     monkeypatch.setattr(measures, "_STATE_GUARD", 3)
     path = Graph(6, tuple((i, i + 1, rat(1)) for i in range(5)))
-    message = r"16 states after step 4 of 5 with marked set \(0, 1, 2, 3, 4, 5\) \(guard is 2\^3\)"
+    message = r"passed 10 states at step 4 of 5 with marked set \(0, 1, 2, 3, 4, 5\) \(guard is 2\^3\)"
     with pytest.raises(EnumerationGuardError, match=message):
         forest_table(path, range(6))
     ends = forest_table(path, (0, 5))
