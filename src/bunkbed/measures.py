@@ -18,7 +18,7 @@ belong to the factor-contraction engine in ``bunkbed.glue``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 
 from .exactnum import MultiPoly, Rational, _eval_scaled, format_rational, rat
@@ -128,7 +128,7 @@ def _fold(n: int, steps, weights=None, tags=None, acyclic=False, keep=()) -> dic
                 raise EnumerationGuardError(
                     f"fold passed {len(level)} states at step {j + 1} of {len(steps)} "
                     f"with marked set {tuple(keep)} (guard is 2^{_STATE_GUARD}); "
-                    f"use the factor contraction engine in bunkbed.glue"
+                    "use the factor contraction engine in bunkbed.glue"
                 )
         states = level
     sums: dict = {}
@@ -152,7 +152,7 @@ def _branches(labels: str, moves, acyclic: bool, gone) -> list:
     for pairs, w, tag in moves:
         new = labels
         for u, v in pairs:
-            a, b = sorted((new[u], new[v]))
+            a, b = sorted(new[u] + new[v])
             if a == b and acyclic:
                 break
             new = new.replace(b, a)
@@ -234,9 +234,8 @@ class BoundaryTable:
     n: int
     entries: dict
     den: int
-    # Set on first use: {partition: [(kappa, w)]}, and Z's event list.
-    _parts: dict = field(default=None, init=False, repr=False, compare=False)
-    _z: list = field(default=None, init=False, repr=False, compare=False)
+    # Not fields: set on first use to {partition: [(kappa, w)]} and Z's list.
+    _parts = _z = None
 
     def event(self, predicate=None) -> list:
         """Summed entries of the partitions satisfying `predicate`, as a dense q-list.
