@@ -8,9 +8,9 @@ of the d (``_integer_fold``, which ``bunkbed.glue.factor_from_graph`` also
 reads): (d - num, num) for the random-cluster measure and (d, num) for
 forests, whose folds drop a branch as soon as it closes a cycle.  A
 ``BoundaryTable`` maps (marked partition, component count kappa) to them;
-``event`` sums an event into a dense kappa-list, ``restrict`` regroups by
-fewer marked vertices, and probabilities read two lists through
-``exactnum._eval_scaled``.  ``rc_profile`` counts subsets by (marked
+``event`` sums an event's entries into a dense kappa-list, which callers read
+at q or lambda through ``exactnum._eval_scaled``, and ``restrict`` regroups
+by fewer marked vertices.  ``rc_profile`` counts subsets by (marked
 partition, |S|, kappa), once per query triple in ``bunkbed_case_profiles``.
 The guards are 2^28 subsets and 2^20 states in one level; larger instances
 belong to the factor-contraction engine in ``bunkbed.glue``.
@@ -234,24 +234,17 @@ class BoundaryTable:
     n: int
     entries: dict
     den: int
-    # Not fields: set on first use to {partition: [(kappa, w)]} and Z's list.
-    _parts = _z = None
 
     def event(self, predicate=None) -> list:
-        """Summed entries of the partitions satisfying `predicate`, as a dense q-list.
+        """Summed entries of the partitions satisfying `predicate`, as a dense kappa-list.
 
         Entry kappa of the length-(n + 1) list sums the entries with kappa
-        components.  The predicate runs once per partition; None takes all.
+        components; None takes all.
         """
-        if self._parts is None:
-            self._parts = {}
-            for (part, kappa), w in self.entries.items():
-                self._parts.setdefault(part, []).append((kappa, w))
         total = [0] * (self.n + 1)
-        for part, ws in self._parts.items():
+        for (part, kappa), w in self.entries.items():
             if predicate is None or predicate(part):
-                for kappa, w in ws:
-                    total[kappa] += w
+                total[kappa] += w
         return total
 
     def bracket(self, pattern: SetPartition | None = None, extra: int = 0):
@@ -289,16 +282,6 @@ class BoundaryTable:
             key = (pick(part.rgs), kappa)
             acc[key] = acc.get(key, 0) + w
         return BoundaryTable(marked, self.n, _entries(marked, _canonical(acc)), self.den)
-
-    def probability(self, predicate, lam) -> Rational:
-        """Arboreal-gas probability of an event on the marked partition.
-
-        The ratio of the event's and Z's ``event`` lists read at lambda; the
-        common factors b^n and den cancel.
-        """
-        if self._z is None:
-            self._z = self.event()
-        return Rational(_at_activity(self.event(predicate), lam), _at_activity(self._z, lam))
 
 
 def _at_activity(c: list, lam) -> int:

@@ -13,14 +13,11 @@ from dataclasses import dataclass
 __all__ = [
     "SetPartition",
     "canonicalize",
-    "enumerate_partitions",
     "bell_number",
     "canonical_rgs",
     "join_rgs",
     "project_rgs",
 ]
-
-_BELL_GUARD = 12
 
 
 def bell_number(k: int) -> int:
@@ -150,31 +147,6 @@ def canonicalize(ground, grouping) -> SetPartition:
     if set(label) != set(ground) or len(ground) != len(set(ground)):
         raise ValueError("grouping does not partition the ground")
     return SetPartition(ground, canonical_rgs(label[el] for el in ground))
-
-
-def enumerate_partitions(k: int) -> list[SetPartition]:
-    """All partitions of the ground (0, ..., k-1), in RGS lexicographic order."""
-    if k < 1:
-        raise ValueError("ground must have at least one element")
-    if k > _BELL_GUARD:
-        raise ValueError(
-            f"refusing to enumerate Bell({k}) = {bell_number(k)} partitions "
-            f"(guard is k <= {_BELL_GUARD})"
-        )
-    ground = tuple(range(k))
-    out = []
-    rgs = [0] * k
-
-    def rec(i, top):
-        if i == k:
-            out.append(SetPartition(ground, tuple(rgs)))
-            return
-        for b in range(top + 2):
-            rgs[i] = b
-            rec(i + 1, max(top, b))
-
-    rec(1, 0) if k > 1 else out.append(SetPartition(ground, (0,)))
-    return out
 
 
 def project_rgs(rgs: tuple, keep) -> tuple:

@@ -168,7 +168,7 @@ def _forest_lists(bb: Graph, triples) -> list:
 
 
 def _arboreal_difference(lists, lam) -> Rational:
-    """P[u1<->v1] - P[u1<->v2] at activity lambda, as ``BoundaryTable.probability`` reads it."""
+    """P[u1<->v1] - P[u1<->v2] at activity lambda: the two lists read by ``_at_activity``."""
     diff, total = lists
     return Rational(_at_activity(diff, lam), _at_activity(total, lam))
 
@@ -209,19 +209,25 @@ def check_bunkbed(
     min_difference is the unnormalised numerator Z (P[u1<->v1] - P[u1<->v2])
     for random-cluster and percolation, equal to the probability difference
     only at q = 1, and the probability difference itself for the arboreal gas;
-    either way its sign is that of P[u1<->v1] - P[u1<->v2].
+    either way its sign is that of P[u1<->v1] - P[u1<->v2].  Pairs with a
+    post are skipped, since u1 = u2 there makes the difference identically 0.
     """
     if measure not in _MEASURES:
         raise ParameterError(f"unknown measure {measure!r}; choices: {', '.join(_MEASURES)}")
     check_parameters(p=p_grid, q=q_grid, lam=lam_grid)
+    others = sorted(set(range(g.n)) - set(posts or ()))
+    if (u is None) != (v is None):
+        raise ParameterError("give both u and v, or neither")
+    if u is not None and not {u, v} <= set(others):
+        raise ParameterError(f"pair ({u},{v}) must be two non-post vertices of the graph")
     bb = _bunkbed_graph(g, posts)
-    pairs = [(u, v)] if u is not None and v is not None else list(combinations(range(g.n), 2))
+    pairs = [(u, v)] if u is not None else list(combinations(others, 2))
     if not pairs:
         return VerificationReport(
             claim=f"bunkbed-difference-{measure}",
             instance=instance,
             verdict=HOLDS,
-            quantities={"note": "no vertex pair to test"},
+            quantities={"note": "no non-post pair to test"},
         )
     triples = _bunkbed_triples(bb, pairs)
     if measure == "arboreal":
@@ -675,25 +681,38 @@ def run_identity_suite(suite: str, instances=None) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 
+def _at_each(c: list, lam_grid) -> list:
+    """The kappa-list c read by ``_at_activity`` at each lambda of the grid.
+
+    The forest scans compare these integers cleared of Z: Z(lambda) != 0, so
+    multiplying both sides of an inequality of probabilities by Z^2 keeps it.
+    """
+    return [_at_activity(c, lam) for lam in lam_grid]
+
+
 def _forest_product_inequality(g: Graph, lam_grid):
     """Connection product bound through an intermediate vertex, per lambda."""
     ft_all = forest_table(g, tuple(range(g.n)))
-    for u_, v_, w_ in combinations(range(g.n), 3):
-        ft = ft_all.restrict((u_, v_, w_))
+    for trio in combinations(range(g.n), 3):
+        ft = ft_all.restrict(trio)
+        z = _at_each(ft.event(), lam_grid)
+        joined = {}
+        for x, y in combinations(trio, 2):
+            joined[x, y] = joined[y, x] = _at_each(
+                ft.event(lambda part: part.together(x, y)), lam_grid
+            )
+        u_, v_, w_ = trio
         for x, y, t_ in ((u_, v_, w_), (u_, w_, v_), (v_, w_, u_)):
-            for lam in lam_grid:
-                left = ft.probability(lambda part: part.together(x, y), lam)
-                right = ft.probability(
-                    lambda part: part.together(x, t_), lam
-                ) * ft.probability(lambda part: part.together(t_, y), lam)
-                if left < right:
+            for lam, xy, xt, ty, wz in zip(lam_grid, joined[x, y], joined[x, t_], joined[t_, y], z):
+                # P[x<->y] < P[x<->t] P[t<->y], times Z^2.
+                if xy * wz < xt * ty:
                     return {
                         "u": x,
                         "v": y,
                         "t": t_,
                         "lambda": format_rational(lam),
-                        "lhs": format_rational(left),
-                        "rhs": format_rational(right),
+                        "lhs": format_rational(Rational(xy, wz)),
+                        "rhs": format_rational(Rational(xt * ty, wz * wz)),
                     }
     return None
 
@@ -702,11 +721,17 @@ def _forest_harris(g: Graph, lam_grid):
     ft_all = forest_table(g, tuple(range(g.n)))
     for u_, w_, v_ in combinations(range(g.n), 3):
         ft = ft_all.restrict((u_, w_, v_))
-        for lam in lam_grid:
-            joint = ft.probability(lambda part: part.together(u_, w_, v_), lam)
-            a = ft.probability(lambda part: part.together(u_, w_), lam)
-            b = ft.probability(lambda part: part.together(w_, v_), lam)
-            if joint < a * b:
+        values = [
+            _at_each(ft.event(event), lam_grid)
+            for event in (
+                None,
+                lambda part: part.together(u_, w_, v_),
+                lambda part: part.together(u_, w_),
+                lambda part: part.together(w_, v_),
+            )
+        ]
+        for lam, wz, joint, a, b in zip(lam_grid, *values):
+            if joint * wz < a * b:
                 return {"u": u_, "w": w_, "v": v_, "lambda": format_rational(lam)}
     return None
 
@@ -721,7 +746,7 @@ def _edge_negative_correlation(g: Graph, lam_grid):
         for mask, kappa in masks:
             if mask & edges == edges:
                 counts[kappa] += 1
-        return [_at_activity(counts, lam) for lam in lam_grid]
+        return _at_each(counts, lam_grid)
 
     z = at_each_lambda(0)
     pe = [at_each_lambda(1 << e) for e in range(g.m)]
@@ -738,6 +763,7 @@ def _four_point_forest(weighted: Graph, lam_grid):
 
     The events fix the induced partition of the four marked vertices exactly
     except on the left side, where only the stated separation is required.
+    Both sides are products of two probabilities, so they compare times Z^2.
     Returns a witness dict on violation, None otherwise.
     """
     ft_all = forest_table(weighted, tuple(range(weighted.n)))
@@ -745,19 +771,19 @@ def _four_point_forest(weighted: Graph, lam_grid):
         a, b, c, d = quad
         ft = ft_all.restrict(quad)
         (_, _, p_ac, p_ad), p_three = _split_patterns(quad, a, b, c, d)
-        for lam in lam_grid:
-            lhs = ft.probability(lambda part: not part.together(a, b), lam) * (
-                ft.probability(lambda part: not part.together(c, d), lam)
+        values = [
+            _at_each(ft.event(event), lam_grid)
+            for event in (
+                lambda part: not part.together(a, b),
+                lambda part: not part.together(c, d),
+                lambda part: part in p_three,
+                lambda part: part.together(a, b, c, d),
+                lambda part: part == p_ac,
+                lambda part: part == p_ad,
             )
-            split3 = sum(
-                ft.probability(lambda part, t=t: part == t, lam) for t in p_three
-            )
-            together = ft.probability(lambda part: part.together(a, b, c, d), lam)
-            cross = ft.probability(
-                lambda part: part == p_ac, lam
-            ) - ft.probability(lambda part: part == p_ad, lam)
-            rhs = split3 * together + cross**2
-            if lhs < rhs:
+        ]
+        for lam, apart_ab, apart_cd, split3, together, ac, ad in zip(lam_grid, *values):
+            if apart_ab * apart_cd < split3 * together + (ac - ad) ** 2:
                 return {"quad": list(quad), "lambda": format_rational(lam)}
     return None
 

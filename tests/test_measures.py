@@ -20,6 +20,7 @@ from bunkbed.graph import (
 )
 from bunkbed.measures import (
     EnumerationGuardError,
+    _at_activity,
     alt_colouring_counts,
     bunkbed_case_profiles,
     forest_masks,
@@ -205,12 +206,13 @@ def test_weighted_forest_table():
 
 def test_arboreal_probability_normalizes():
     ft = forest_table(named_graph("K3"), (0, 1))
+    z = ft.event()
+    conn = ft.event(lambda part: part.together(0, 1))
+    split = ft.event(lambda part: not part.together(0, 1))
     lam = rat(2)
-    p_conn = ft.probability(lambda part: part.together(0, 1), lam)
-    p_split = ft.probability(lambda part: not part.together(0, 1), lam)
-    assert p_conn + p_split == 1
+    assert _at_activity(conn, lam) + _at_activity(split, lam) == _at_activity(z, lam)
     # lambda = 1: uniform over the 7 forests, 4 of which connect 0 and 1.
-    assert ft.probability(lambda part: part.together(0, 1), rat(1)) == rat(4, 7)
+    assert rat(_at_activity(conn, rat(1)), _at_activity(z, rat(1))) == rat(4, 7)
 
 
 # -- weak limits
@@ -607,6 +609,7 @@ def test_forest_table_restrict_and_probability_match_oracle(case):
         assert ft.bracket(None, extra) == sum(w for (_, k), w in sums.items() if k == 1 + extra)
         assert type(unit.bracket(None, extra)) is int
 
+    hits, z = ft.event(event), ft.event()
     for lam in (rat(0), rat(1, 3), rat(1), rat(5, 2)):
         num = den = 0
         for _, roots, kappa, present in forests:
@@ -614,7 +617,7 @@ def test_forest_table_restrict_and_probability_match_oracle(case):
             den += w
             if event(SetPartition(marked, canonical_rgs(roots[x] for x in marked))):
                 num += w
-        assert ft.probability(event, lam) == num / den
+        assert rat(_at_activity(hits, lam), _at_activity(z, lam)) == num / den
 
 
 def test_marked_tuples_of_length_zero_and_one():

@@ -7,7 +7,6 @@ from bunkbed.partition import (
     bell_number,
     canonicalize,
     canonical_rgs,
-    enumerate_partitions,
     join_rgs,
     project_rgs,
 )
@@ -98,21 +97,6 @@ def test_join_rgs_matches_position_union_find(pair):
     a, b = (tuple(x) for x in pair)
     assert join_rgs(a, b) == join_rgs_by_positions(a, b)
     assert join_rgs(canonical_rgs(a), canonical_rgs(b)) == join_rgs_by_positions(a, b)
-
-
-def test_enumerate_counts_and_uniqueness():
-    for k in range(1, 9):
-        parts = enumerate_partitions(k)
-        assert len(parts) == bell_number(k)
-        assert len(set(parts)) == len(parts)
-    assert len(enumerate_partitions(1)) == 1
-    assert len(enumerate_partitions(3)) == 5
-    assert len(enumerate_partitions(4)) == 15
-
-
-def test_enumerate_guard_names_bell_cost():
-    with pytest.raises(ValueError, match="4213597|4,213,597|Bell"):
-        enumerate_partitions(13)
 
 
 def test_eliminate_examples():

@@ -11,7 +11,7 @@ from subset_oracle import roots_and_kappa
 from bunkbed.catalog import connected_graphs, identity_catalog, named_graph, named_instance
 from bunkbed.exactnum import format_rational, rat
 from bunkbed.graph import POSTS_CONTRACTED, BunkbedSpec, Graph, bunkbed, bunkbed_copies
-from bunkbed.measures import alt_colouring_counts, forest_table
+from bunkbed.measures import ParameterError, _at_activity, alt_colouring_counts, forest_table
 from bunkbed.treealg import LaplacianBundle, laplacian
 from bunkbed.verify import (
     FAILS,
@@ -62,15 +62,16 @@ def test_check_bunkbed_arboreal_post_pair_matches_full_table():
     lams = (rat(1, 2), rat(1), rat(2))
     bb = bunkbed(BunkbedSpec(g, frozenset(posts), POSTS_CONTRACTED))
     table = forest_table(bb, tuple(range(bb.n)))
-    for pair in ((0, 1), None):
+    z = table.event()
+    for pair in ((0, 2), None):
         best = None
-        for a, b in [pair] if pair else combinations(range(g.n), 2):
+        for a, b in [pair] if pair else combinations((0, 2, 3), 2):
             a1, _ = bunkbed_copies(bb, a)
             b1, b2 = bunkbed_copies(bb, b)
+            same = table.event(lambda part: part.together(a1, b1))
+            cross = table.event(lambda part: part.together(a1, b2))
             for lam in lams:
-                diff = table.probability(
-                    lambda part: part.together(a1, b1), lam
-                ) - table.probability(lambda part: part.together(a1, b2), lam)
+                diff = rat(_at_activity(same, lam) - _at_activity(cross, lam), _at_activity(z, lam))
                 if best is None or diff < best[0]:
                     best = (diff, a, b)
         u, v = pair or (None, None)
@@ -78,6 +79,19 @@ def test_check_bunkbed_arboreal_post_pair_matches_full_table():
         assert rep.quantities["min_difference"] == format_rational(best[0])
         assert rep.quantities["at_pair"] == f"({best[1]},{best[2]})"
     assert bunkbed_copies(bb, 1)[0] == bunkbed_copies(bb, 1)[1]
+
+
+def test_check_bunkbed_skips_post_pairs():
+    # Vertex 1 is a post, so the pair (0, 1) would report a difference of 0.
+    inst = named_instance("fig4-left")
+    rep = check_bunkbed(inst.graph, posts=inst.posts)
+    assert rep.quantities["min_difference"] == "1595619/3200000000"
+    assert rep.quantities["at_pair"] == "(0,2)"
+    for u, v in ((0, 1), (1, 2), (0, None), (None, 2)):
+        with pytest.raises(ParameterError):
+            check_bunkbed(inst.graph, posts=inst.posts, u=u, v=v)
+    rep = check_bunkbed(named_graph("P3"), posts={0, 1}, measure="arboreal")
+    assert rep.quantities == {"note": "no non-post pair to test"}
 
 
 def test_check_bunkbed_single_pair():
