@@ -855,12 +855,7 @@ def _refine_sign_change(c, a, b, width):
     return a, b
 
 
-def isolate_negative_region(
-    p: MultiPoly,
-    domain: tuple,
-    width,
-    engine: str = "auto",
-):
+def isolate_negative_region(p: MultiPoly, domain: tuple, width):
     """Certified sign analysis of a univariate polynomial in q on a domain.
 
     Returns (roots, negative) where `roots` is a list of IsolatingInterval
@@ -886,7 +881,7 @@ def isolate_negative_region(
             if len(coeffs) == 1:
                 sign = 1 if coeffs[0] > 0 else -1
                 return [], ([] if sign > 0 else [(lo, hi)])
-    roots = isolate_real_roots(coeffs, (lo, hi), width, engine=engine)
+    roots = isolate_real_roots(coeffs, (lo, hi), width)
     c = _int_clear(coeffs)
 
     # One exact sign per gap between consecutive root brackets.

@@ -4,20 +4,22 @@ Vertices of a Graph are 0..n-1 and every edge weight is an exact rational.
 Parallel edges are kept (their weights multiply independently under every
 measure here); self-loops are discarded by contraction.  The JSON form writes
 each weight as a rational string such as "1/3"; reading any other weight
-string raises ValueError.  Hypergraph vertices follow the source numbering
-1..n because the one instance that matters is traditionally drawn that way.
+string raises ValueError.  A bunkbed is a plain Graph that carries no record
+of its base: `bunkbed_copies` computes a base vertex's two copies from the base
+graph and the post set, and `bunkbed` numbers its vertices through it.
+Hypergraph vertices follow the source numbering 1..n because the one instance
+that matters is traditionally drawn that way.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from .exactnum import format_rational, parse_rational, rat
 from .partition import SetPartition, join_rgs
 
 __all__ = [
     "Graph",
-    "BunkbedSpec",
     "Hypergraph",
     "bunkbed",
     "bunkbed_copies",
@@ -30,21 +32,12 @@ __all__ = [
     "graph_from_json",
 ]
 
-ALL_VERTICALS = "all-verticals"
-POSTS_CONTRACTED = "posts-contracted"
-
-
 @dataclass(frozen=True)
 class Graph:
-    """Finite multigraph with rational edge weights and optional provenance labels.
-
-    labels maps a vertex to anything hashable; bunkbed() uses (layer, base)
-    pairs with layer 1/2 for the two copies and 0 for a contracted post.
-    """
+    """Finite multigraph on vertices 0..n-1 with rational edge weights."""
 
     n: int
     edges: tuple = ()
-    labels: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         norm = []
@@ -64,31 +57,13 @@ class Graph:
     def with_weights(self, weight) -> "Graph":
         """Same topology with every edge reweighted."""
         w = rat(weight)
-        return Graph(self.n, tuple((u, v, w) for u, v, _ in self.edges), dict(self.labels))
+        return Graph(self.n, tuple((u, v, w) for u, v, _ in self.edges))
 
     def is_connected(self) -> bool:
         if self.n == 0:
             return True
         _, kappa = components_of(self, range(self.m))
         return kappa == 1
-
-
-@dataclass(frozen=True)
-class BunkbedSpec:
-    """Base graph, post set, and which vertical edges the bunkbed carries."""
-
-    base: Graph
-    posts: frozenset = frozenset()
-    mode: str = ALL_VERTICALS
-
-    def __post_init__(self):
-        object.__setattr__(self, "posts", frozenset(self.posts))
-        if self.mode not in (ALL_VERTICALS, POSTS_CONTRACTED):
-            raise ValueError(f"unknown bunkbed mode {self.mode!r}")
-        if not all(0 <= t < self.base.n for t in self.posts):
-            raise ValueError("post outside the base vertex range")
-        if self.mode == ALL_VERTICALS:
-            object.__setattr__(self, "posts", frozenset(range(self.base.n)))
 
 
 @dataclass(frozen=True)
@@ -114,69 +89,49 @@ class Hypergraph:
             raise ValueError("post outside the vertex range")
 
 
-def bunkbed(spec: BunkbedSpec, vertical_weight=None) -> Graph:
-    """Two layers of the base graph glued along the posts.
+def bunkbed(g: Graph, posts=None, vertical_weight=None) -> Graph:
+    """Two copies of g, numbered by `bunkbed_copies`.
 
-    In all-verticals mode every vertex gets a vertical edge (weight
-    `vertical_weight`, default 1/2).  In posts-contracted mode the two copies
-    of each post are merged into one vertex, which is exactly conditioning the
-    post's vertical edge to be open, and non-posts get no vertical edge.
+    With posts=None every vertex gets a vertical edge of weight
+    `vertical_weight` (default 1/2).  With a post set the two copies of each
+    post are merged into one vertex, which is exactly conditioning the post's
+    vertical edge to be open, and no vertex gets a vertical edge; the empty
+    post set gives two disjoint copies.  Edges run layer 1 in base order, then
+    layer 2 in base order, then the verticals in vertex order.
     """
-    base = spec.base
-    n = base.n
-    if spec.mode == ALL_VERTICALS:
+    if posts is not None and not all(0 <= t < g.n for t in posts):
+        raise ValueError("post outside the base vertex range")
+    copies = [bunkbed_copies(g, posts, v) for v in range(g.n)]
+    edges = [(copies[u][0], copies[v][0], w) for u, v, w in g.edges]
+    edges += [(copies[u][1], copies[v][1], w) for u, v, w in g.edges]
+    if posts is None:
         vw = rat(1, 2) if vertical_weight is None else rat(vertical_weight)
-        ids1 = {v: v for v in range(n)}
-        ids2 = {v: v + n for v in range(n)}
-        total = 2 * n
-        verticals = [(ids1[v], ids2[v], vw) for v in range(n)]
-    else:
-        ids1 = {v: v for v in range(n)}
-        ids2 = {}
-        nxt = n
-        for v in range(n):
-            if v in spec.posts:
-                ids2[v] = v
-            else:
-                ids2[v] = nxt
-                nxt += 1
-        total = nxt
-        verticals = []
-    edges = [(ids1[u], ids1[v], w) for u, v, w in base.edges]
-    edges += [(ids2[u], ids2[v], w) for u, v, w in base.edges]
-    edges += verticals
-    labels = {}
-    for v in range(n):
-        if ids1[v] == ids2[v]:
-            labels[ids1[v]] = (0, v)
-        else:
-            labels[ids1[v]] = (1, v)
-            labels[ids2[v]] = (2, v)
-    return Graph(total, tuple(edges), labels)
+        edges += [(a, b, vw) for a, b in copies]
+    n = 1 + max((b for _, b in copies), default=-1)
+    return Graph(n, tuple(edges))
 
 
-def bunkbed_copies(bb: Graph, base_vertex: int) -> tuple[int, int]:
-    """Vertex ids of the two copies of a base vertex (equal for a post)."""
-    first = second = None
-    for v, tag in bb.labels.items():
-        if isinstance(tag, tuple) and len(tag) == 2 and tag[1] == base_vertex:
-            if tag[0] == 0:
-                return v, v
-            if tag[0] == 1:
-                first = v
-            elif tag[0] == 2:
-                second = v
-    if first is None or second is None:
-        raise ValueError(f"vertex {base_vertex} has no bunkbed copies")
-    return first, second
+def bunkbed_copies(g: Graph, posts, v: int) -> tuple[int, int]:
+    """Vertex ids of the two copies of base vertex v in `bunkbed(g, posts)`.
+
+    The layer-1 copy of v is v.  With posts=None the layer-2 copy is v + n;
+    otherwise a post's two copies coincide, and the non-posts take the
+    layer-2 ids n, n + 1, ... in increasing order.
+    """
+    if not 0 <= v < g.n:
+        raise ValueError(f"vertex {v} outside the base graph on {g.n} vertices")
+    if posts is None:
+        return v, v + g.n
+    if v in posts:
+        return v, v
+    return v, g.n + v - len({t for t in posts if t < v})
 
 
 def minor(g: Graph, deletions=(), contractions=()) -> Graph:
     """Delete and contract edges by index; loops vanish, parallels persist.
 
     The merged vertex inherits the smaller index (the RGS of the contracted
-    components numbers blocks by their smallest vertex); labels record merge
-    history as tuples of original labels.
+    components numbers blocks by their smallest vertex).
     """
     deletions = set(deletions)
     contractions = set(contractions)
@@ -194,11 +149,7 @@ def minor(g: Graph, deletions=(), contractions=()) -> Graph:
         a, b = new_id[u], new_id[v]
         if a != b:
             edges.append((a, b, w))
-    labels = {}
-    for v in range(g.n):
-        labels.setdefault(new_id[v], []).append(g.labels.get(v, v))
-    labels = {k: tuple(v) if len(v) > 1 else v[0] for k, v in labels.items()}
-    return Graph(kappa, tuple(edges), labels)
+    return Graph(kappa, tuple(edges))
 
 
 def components_of(g: Graph, open_edges) -> tuple[SetPartition, int]:
@@ -236,8 +187,7 @@ def gadget(n: int, p) -> Graph:
     bottom = [b] + [1 + i for i in range(1, n + 1)] + [c]
     edges = [(u, v, p) for u, v in zip(bottom, bottom[1:])]
     edges += [(a, v, 1 - p) for v in bottom]
-    labels = {a: "a", b: "b", c: "c"}
-    return Graph(n + 3, tuple(edges), labels)
+    return Graph(n + 3, tuple(edges))
 
 
 def hollom_instance() -> Hypergraph:
@@ -284,14 +234,11 @@ def graph_to_json(g: Graph, posts=None) -> dict:
     }
     if posts is not None:
         doc["posts"] = sorted(posts)
-    if g.labels:
-        doc["labels"] = {str(k): list(v) if isinstance(v, tuple) else v
-                         for k, v in g.labels.items()}
     return doc
 
 
 def graph_from_json(doc: dict):
-    """Returns (graph, posts) where posts may be None."""
+    """Returns (graph, posts) where posts may be None; other keys are ignored."""
     edges = []
     for u, v, w in doc["edges"]:
         if not isinstance(w, str):
@@ -300,10 +247,7 @@ def graph_from_json(doc: dict):
             edges.append((u, v, parse_rational(w)))
         except ValueError:
             raise ValueError(f"edge ({u}, {v}) weight {w!r} is not a rational like 3/4") from None
-    labels = {}
-    for k, v in doc.get("labels", {}).items():
-        labels[int(k)] = tuple(v) if isinstance(v, list) else v
-    g = Graph(doc["n"], tuple(edges), labels)
+    g = Graph(doc["n"], tuple(edges))
     posts = frozenset(doc["posts"]) if "posts" in doc else None
     return g, posts
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .exactnum import MultiPoly, Rational, _eval_scaled, format_rational, rat
-from .graph import POSTS_CONTRACTED, BunkbedSpec, Graph, Hypergraph
+from .graph import Graph, Hypergraph
 from .graph import bunkbed, bunkbed_copies, hypergraph_bunkbed
 from .partition import SetPartition, canonical_rgs
 
@@ -354,13 +354,13 @@ def alt_colouring_counts(g: Graph, posts, u: int, v: int):
     if u in posts or v in posts:
         raise ValueError("endpoints of the colouring query must not be posts")
     _guard_edges(g.m, _ALT_GUARD)
-    bb = bunkbed(BunkbedSpec(g, posts, POSTS_CONTRACTED))
-    u1, _ = bunkbed_copies(bb, u)
-    v1, v2 = bunkbed_copies(bb, v)
+    n = bunkbed(g, posts).n
+    triple = (bunkbed_copies(g, posts, u)[0], *bunkbed_copies(g, posts, v))
+    top, bottom = zip(*(bunkbed_copies(g, posts, x) for x in range(g.n)))
     # Bit i of a colouring set picks the layer-1 copy of base edge i, clear the layer-2 one.
-    steps = [((bb.edges[g.m + i][:2],), (bb.edges[i][:2],)) for i in range(g.m)]
+    steps = [(((bottom[a], bottom[b]),), ((top[a], top[b]),)) for a, b, _ in g.edges]
     counts = [0] * 4
-    for (case, _, _), count in _cases(bb.n, steps, None, True, (u1, v1, v2)).items():
+    for (case, _, _), count in _cases(n, steps, None, True, triple).items():
         counts[case] += count
     return counts[1] + counts[3], counts[2] + counts[3], sum(counts)
 

@@ -28,14 +28,7 @@ from .exactnum import (
     psd_certificate,
     rat,
 )
-from .graph import (
-    ALL_VERTICALS,
-    POSTS_CONTRACTED,
-    BunkbedSpec,
-    Graph,
-    bunkbed,
-    bunkbed_copies,
-)
+from .graph import Graph, bunkbed, bunkbed_copies
 
 __all__ = [
     "laplacian",
@@ -160,7 +153,7 @@ def bunkbed_pseudoinverse(g: Graph) -> RationalMatrix:
 
 def _bunkbed_pinv_and_resolvent(g: Graph) -> tuple[RationalMatrix, RationalMatrix]:
     """bunkbed_pseudoinverse(g) together with the (L + 2I)^{-1} it was checked against."""
-    bb = bunkbed(BunkbedSpec(g, mode=ALL_VERTICALS), vertical_weight=rat(1))
+    bb = bunkbed(g, vertical_weight=rat(1))
     direct = pseudoinverse(laplacian(bb))
 
     lap = laplacian(g)
@@ -176,7 +169,10 @@ def _bunkbed_pinv_and_resolvent(g: Graph) -> tuple[RationalMatrix, RationalMatri
         top.append(same + cross)
         bottom.append(cross + same)
     blocks = RationalMatrix.from_integers(top + bottom, 2 * den)
-    if direct != blocks:
+    # The block rows run over layer 1, then layer 2, each in base vertex order.
+    copies = [bunkbed_copies(g, None, x) for x in range(g.n)]
+    order = [c[layer] for layer in (0, 1) for c in copies]
+    if direct.submatrix(order, order) != blocks:
         raise ValueError("bunkbed pseudoinverse block formula mismatch")
     return direct, shifted
 
@@ -201,9 +197,8 @@ class PostsBundle:
         return {x: i for i, x in enumerate(s_vertices)}, invert(lss)
 
     @cached_property
-    def _contracted(self) -> tuple[Graph, RationalMatrix]:
-        bb = bunkbed(BunkbedSpec(self.graph, self.posts, POSTS_CONTRACTED))
-        return bb, pseudoinverse(laplacian(bb))
+    def _contracted(self) -> RationalMatrix:
+        return pseudoinverse(laplacian(bunkbed(self.graph, self.posts)))
 
     def _check_pair(self, u: int, v: int) -> None:
         """The guard `entry` and `gap` share: nonempty posts, two non-post vertices."""
@@ -222,8 +217,8 @@ class PostsBundle:
     def gap(self, u: int, v: int) -> Rational:
         """L_pinv(u1, v1) - L_pinv(u1, v2) on the posts-contracted bunkbed."""
         self._check_pair(u, v)
-        bb, pinv = self._contracted
-        u1, _ = bunkbed_copies(bb, u)
-        v1, v2 = bunkbed_copies(bb, v)
+        pinv = self._contracted
+        u1, _ = bunkbed_copies(self.graph, self.posts, u)
+        v1, v2 = bunkbed_copies(self.graph, self.posts, v)
         row = pinv.num[u1]
         return Rational(row[v1] - row[v2], pinv.den)

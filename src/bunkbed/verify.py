@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import combinations, product
+from math import prod
 
 from .catalog import (
     connected_graphs,
@@ -22,9 +23,6 @@ from .catalog import (
 from .exactnum import MultiPoly, Rational, _eval_scaled, format_rational, psd_certificate, rat
 from .glue import FactorNetwork, contract_network, edge_factor, factor_from_graph
 from .graph import (
-    ALL_VERTICALS,
-    POSTS_CONTRACTED,
-    BunkbedSpec,
     Graph,
     bunkbed,
     bunkbed_copies,
@@ -113,18 +111,12 @@ def _grid_doc(**grids) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _bunkbed_graph(g: Graph, posts):
-    if posts is None:
-        return bunkbed(BunkbedSpec(g, mode=ALL_VERTICALS))
-    return bunkbed(BunkbedSpec(g, frozenset(posts), POSTS_CONTRACTED))
-
-
 _MEASURES = ("random-cluster", "percolation", "arboreal")
 
 
-def _bunkbed_triples(bb: Graph, pairs) -> list:
-    """(u1, v1, v2) vertices of the bunkbed for each base pair (u, v)."""
-    return [(bunkbed_copies(bb, a)[0], *bunkbed_copies(bb, b)) for a, b in pairs]
+def _bunkbed_triples(g: Graph, posts, pairs) -> list:
+    """(u1, v1, v2) vertices of `bunkbed(g, posts)` for each base pair (u, v)."""
+    return [(bunkbed_copies(g, posts, a)[0], *bunkbed_copies(g, posts, b)) for a, b in pairs]
 
 
 def _case_rows(bb: Graph, triples) -> list:
@@ -202,8 +194,8 @@ def check_bunkbed(
 ) -> VerificationReport:
     """Minimum of the bunkbed difference over a grid; its sign decides the verdict.
 
-    posts=None builds the all-verticals bunkbed; a post set builds the
-    conditioned (contracted) variant.  `measure` is random-cluster over
+    The bunkbed is `bunkbed(g, posts)`: posts=None means all verticals, and a
+    post set (the empty set included) means posts contracted.  `measure` is random-cluster over
     (p, q), percolation over p at q=1, or arboreal over the lambda grid.  The
     first two put p on every edge; the arboreal gas weighs each vertical 1/2.
     min_difference is the unnormalised numerator Z (P[u1<->v1] - P[u1<->v2])
@@ -220,7 +212,7 @@ def check_bunkbed(
         raise ParameterError("give both u and v, or neither")
     if u is not None and not {u, v} <= set(others):
         raise ParameterError(f"pair ({u},{v}) must be two non-post vertices of the graph")
-    bb = _bunkbed_graph(g, posts)
+    bb = bunkbed(g, posts)
     pairs = [(u, v)] if u is not None else list(combinations(others, 2))
     if not pairs:
         return VerificationReport(
@@ -229,7 +221,7 @@ def check_bunkbed(
             verdict=HOLDS,
             quantities={"note": "no non-post pair to test"},
         )
-    triples = _bunkbed_triples(bb, pairs)
+    triples = _bunkbed_triples(g, posts, pairs)
     if measure == "arboreal":
         polys, value, names = _forest_lists(bb, triples), _arboreal_difference, ("lambda",)
         grid = {"lam": lam_grid}
@@ -263,7 +255,7 @@ def check_p_threshold(g: Graph, posts, q, instance: str = "graph") -> Verificati
     posts = frozenset(posts)
     q = rat(q)
     check_parameters(q=(q,))
-    bb = _bunkbed_graph(g, posts)
+    bb = bunkbed(g, posts)
     m_base = g.m
 
     def t_value(n_exp):
@@ -288,7 +280,7 @@ def check_p_threshold(g: Graph, posts, q, instance: str = "graph") -> Verificati
             verdict=HOLDS,
             quantities={"note": "no non-post pair to test"},
         )
-    rows = _case_rows(bb, _bunkbed_triples(bb, pairs))
+    rows = _case_rows(bb, _bunkbed_triples(g, posts, pairs))
     diff, (a, b), (p, _) = _first_minimum(pairs, rows, [(p, q) for p in p_values], _rc_difference)
     verdict = HOLDS if diff >= 0 else FAILS
     return VerificationReport(
@@ -554,9 +546,7 @@ def _suite_four_point_leading(g: Graph) -> bool:
 
 def _suite_bunkbed_tree_stratum(g: Graph) -> bool:
     """Two-component forest ordering on the doubled graph plus the gap identity."""
-    doubled = LaplacianBundle(
-        bunkbed(BunkbedSpec(g, mode=ALL_VERTICALS), vertical_weight=rat(1))
-    )
+    doubled = LaplacianBundle(bunkbed(g, vertical_weight=rat(1)))
     n = g.n
     pinv, resolvent = _bunkbed_pinv_and_resolvent(g)
     p, r = pinv.num, resolvent.num
@@ -564,9 +554,11 @@ def _suite_bunkbed_tree_stratum(g: Graph) -> bool:
         for v_ in range(n):
             if u_ == v_:
                 continue
-            same = doubled.minors_count({u_, v_}, {u_, v_})
-            cross_ = doubled.minors_count({u_, n + v_}, {u_, n + v_})
-            gap = p[u_][v_] - p[u_][n + v_]  # over pinv.den
+            u1, _ = bunkbed_copies(g, None, u_)
+            v1, v2 = bunkbed_copies(g, None, v_)
+            same = doubled.minors_count({u1, v1}, {u1, v1})
+            cross_ = doubled.minors_count({u1, v2}, {u1, v2})
+            gap = p[u1][v1] - p[u1][v2]  # over pinv.den
             if same > cross_ or gap * resolvent.den != r[u_][v_] * pinv.den or gap < 0:
                 return False
     # Posts variant on nontrivial post sets.
@@ -737,16 +729,23 @@ def _forest_harris(g: Graph, lam_grid):
 
 
 def _edge_negative_correlation(g: Graph, lam_grid):
-    masks = forest_masks(g)
+    # A forest weighs the integer product of num over the edges it holds and d over
+    # those it leaves out, for edge weights num/d: the (d, num) encoding of
+    # forest_table, its weight times the product of the d, which cancels in the test.
+    pairs = [(int(w.denominator), int(w.numerator)) for _, _, w in g.edges]
+    forests = [
+        (mask, kappa, prod(pair[mask >> i & 1] for i, pair in enumerate(pairs)))
+        for mask, kappa in forest_masks(g)
+    ]
 
     def at_each_lambda(edges):
-        # The forests holding every edge of the mask, counted by kappa once and read
+        # The forests holding every edge of the mask, summed by kappa once and read
         # at each lambda = a/b as b^n times their weight; b^n cancels in the test.
-        counts = [0] * (g.n + 1)
-        for mask, kappa in masks:
+        sums = [0] * (g.n + 1)
+        for mask, kappa, weight in forests:
             if mask & edges == edges:
-                counts[kappa] += 1
-        return _at_each(counts, lam_grid)
+                sums[kappa] += weight
+        return _at_each(sums, lam_grid)
 
     z = at_each_lambda(0)
     pe = [at_each_lambda(1 << e) for e in range(g.m)]

@@ -278,14 +278,19 @@ def test_isolating_interval_invariants():
 
 @pytest.mark.parametrize("engine", ["sturm", "descartes"])
 def test_root_near_143_is_certified(engine):
-    roots, negative = isolate_negative_region(
-        CUBIC, (rat(0), rat(10)), rat(1, 1000), engine=engine
-    )
+    roots = isolate_real_roots(CUBIC.dense_in("q"), (rat(0), rat(10)), rat(1, 1000), engine=engine)
     assert len(roots) == 1
     r = roots[0]
     assert rat(142, 100) < r.low < r.high < rat(144, 100)
     assert r.multiplicity == 1
-    # Negative exactly below the root.
+
+
+def test_cubic_is_negative_exactly_below_its_root():
+    roots, negative = isolate_negative_region(CUBIC, (rat(0), rat(10)), rat(1, 1000))
+    assert len(roots) == 1
+    r = roots[0]
+    assert rat(142, 100) < r.low < r.high < rat(144, 100)
+    assert r.multiplicity == 1
     assert len(negative) == 1
     lo, hi = negative[0]
     assert lo == 0 and abs(hi - rat(143, 100)) < rat(2, 100)

@@ -76,8 +76,7 @@ def _oracle_harris(g, lams):
 
 
 def _oracle_edges(g, lams):
-    # The scan counts forests through forest_masks, which ignores edge weights.
-    prob = {lam: _measure(g.with_weights(1), lam) for lam in lams}
+    prob = {lam: _measure(g, lam) for lam in lams}
 
     def holding(edges):
         return lambda mask, roots: mask & edges == edges

@@ -6,14 +6,12 @@ import pytest
 from bunkbed.catalog import (
     CONNECTED_UPTO_5,
     connected_graphs,
+    identity_catalog,
     named_graph,
     named_instance,
 )
 from bunkbed.exactnum import MultiPoly, rat
 from bunkbed.graph import (
-    ALL_VERTICALS,
-    POSTS_CONTRACTED,
-    BunkbedSpec,
     Graph,
     bunkbed,
     bunkbed_copies,
@@ -45,7 +43,7 @@ def test_float_weights_are_refused():
 
 
 def test_bunkbed_all_verticals_k2_is_four_cycle():
-    bb = bunkbed(BunkbedSpec(named_graph("K2")))
+    bb = bunkbed(named_graph("K2"))
     assert bb.n == 4 and bb.m == 4
     part, kappa = components_of(bb, range(bb.m))
     assert kappa == 1
@@ -53,27 +51,27 @@ def test_bunkbed_all_verticals_k2_is_four_cycle():
 
 def test_bunkbed_path_examples():
     path = named_graph("P3")  # a - t - b with t = 1
-    bb = bunkbed(BunkbedSpec(path))
+    bb = bunkbed(path)
     assert bb.n == 6 and bb.m == 2 * 2 + 3
-    posts = bunkbed(BunkbedSpec(path, {1}, POSTS_CONTRACTED))
+    posts = bunkbed(path, {1})
     assert posts.n == 5 and posts.m == 4
-    t1, t2 = bunkbed_copies(posts, 1)
+    t1, t2 = bunkbed_copies(path, {1}, 1)
     assert t1 == t2
 
 
 def test_bunkbed_edge_count_formula():
     for name, g in connected_graphs(4):
-        bb = bunkbed(BunkbedSpec(g))
+        bb = bunkbed(g)
         assert bb.n == 2 * g.n
         assert bb.m == 2 * g.m + g.n
 
 
 def test_layer_swap_is_an_automorphism():
     for name, g in connected_graphs(4, min_n=2):
-        bb = bunkbed(BunkbedSpec(g))
+        bb = bunkbed(g)
         swap = {}
         for v in range(g.n):
-            a, b = bunkbed_copies(bb, v)
+            a, b = bunkbed_copies(g, None, v)
             swap[a], swap[b] = b, a
         original = sorted(
             (min(u, v), max(u, v), w.numerator, w.denominator) for u, v, w in bb.edges
@@ -83,6 +81,45 @@ def test_layer_swap_is_an_automorphism():
             for u, v, w in bb.edges
         )
         assert original == mapped
+
+
+def _bunkbed_by_rule(g, posts, vertical_weight):
+    """(n, edges, copies) of the bunkbed, written out from the numbering rule."""
+    n = g.n
+    if posts is None:
+        second = [v + n for v in range(n)]
+    else:
+        non_posts = [v for v in range(n) if v not in posts]
+        second = list(range(n))
+        for i, v in enumerate(non_posts):
+            second[v] = n + i
+    edges = list(g.edges)
+    edges += [(second[u], second[v], w) for u, v, w in g.edges]
+    if posts is None:
+        vw = rat(1, 2) if vertical_weight is None else vertical_weight
+        edges += [(v, second[v], vw) for v in range(n)]
+    order = 2 * n if posts is None else n + len(non_posts)
+    return order, tuple(edges), [(v, second[v]) for v in range(n)]
+
+
+def test_bunkbed_numbers_the_copies_by_the_rule():
+    for name, g in identity_catalog():
+        post_sets = [None, frozenset(), frozenset(range(g.n))]
+        post_sets += [frozenset({v}) for v in range(g.n)]
+        for posts in post_sets:
+            for vw in (None, rat(3)):
+                n, edges, copies = _bunkbed_by_rule(g, posts, vw)
+                bb = bunkbed(g, posts, vertical_weight=vw)
+                assert (bb.n, bb.edges) == (n, edges), (name, posts, vw)
+                assert [bunkbed_copies(g, posts, v) for v in range(g.n)] == copies, (name, posts)
+    p3 = named_graph("P3")
+    for posts in ({3}, {-1}, {0, 3}):
+        with pytest.raises(ValueError):
+            bunkbed(p3, posts)
+    for posts in (None, frozenset(), {1}):
+        for v in (-1, 3):
+            with pytest.raises(ValueError):
+                bunkbed_copies(p3, posts, v)
 
 
 def test_minor_examples():
@@ -189,6 +226,13 @@ def test_graph_json_round_trip(tmp_path):
     doc = {"n": 3, "edges": [[0, 1, poly_weight.to_string()], [1, 2, "2/5"]]}
     with pytest.raises(ValueError):
         graph_from_json(doc)
+
+
+def test_graph_json_ignores_labels():
+    doc = graph_to_json(bunkbed(named_graph("P3"), {1}), posts={1})
+    assert set(doc) == {"n", "edges", "posts"}
+    labelled = {**doc, "labels": {"0": [1, 0], "1": [0, 1], "2": "c"}}
+    assert graph_from_json(labelled) == graph_from_json(doc)
 
 
 def _canonical(n, edges):

@@ -9,8 +9,6 @@ from subset_oracle import roots_and_kappa
 from bunkbed.catalog import connected_graphs, named_graph, named_instance
 from bunkbed.exactnum import MultiPoly, Rational, bareiss_det, rat, RationalMatrix
 from bunkbed.graph import (
-    POSTS_CONTRACTED,
-    BunkbedSpec,
     Graph,
     Hypergraph,
     bunkbed,
@@ -129,9 +127,10 @@ def test_rc_connection_prob_examples():
 
 
 def test_bunkbed_k2_difference_nonnegative_at_q2():
-    bb = bunkbed(BunkbedSpec(named_graph("K2").with_weights(rat(1, 2))), rat(1, 2))
-    u1, u2 = bunkbed_copies(bb, 0)
-    v1, v2 = bunkbed_copies(bb, 1)
+    k2 = named_graph("K2").with_weights(rat(1, 2))
+    bb = bunkbed(k2, vertical_weight=rat(1, 2))
+    u1, u2 = bunkbed_copies(k2, None, 0)
+    v1, v2 = bunkbed_copies(k2, None, 1)
     p11 = rc_connection_prob(bb, rat(2), u1, v1)
     p12 = rc_connection_prob(bb, rat(2), u1, v2)
     assert p11 >= p12
@@ -411,9 +410,9 @@ def test_percolation_sandwich():
 
 def test_case_profile_matches_direct_probabilities():
     base = named_graph("P3")
-    bb = bunkbed(BunkbedSpec(base))
-    u1, _ = bunkbed_copies(bb, 0)
-    v1, v2 = bunkbed_copies(bb, 2)
+    bb = bunkbed(base)
+    u1, _ = bunkbed_copies(base, None, 0)
+    v1, v2 = bunkbed_copies(base, None, 2)
     (profile,) = bunkbed_case_profiles(bb, [(u1, v1, v2)])
     (rows,) = _case_rows(bb, [(u1, v1, v2)])
     for p, q in ((rat(1, 3), rat(2)), (rat(0), rat(3, 2)), (rat(1), rat(1, 2)), (rat(5, 7), rat(7, 3))):
@@ -557,14 +556,14 @@ def test_engines_match_per_subset_oracle(case):
 
     # Two-colour model: one union-find pass per colouring of the base edges.
     posts, u, v = colour_query
-    bb = bunkbed(BunkbedSpec(g, posts, POSTS_CONTRACTED))
-    (u1, _), (v1, v2) = bunkbed_copies(bb, u), bunkbed_copies(bb, v)
+    bb = bunkbed(g, posts)
+    (u1, _), (v1, v2) = bunkbed_copies(g, posts, u), bunkbed_copies(g, posts, v)
     n_rr = n_rb = n_total = 0
     for colouring in range(1 << g.m):
         # Bit i set takes base edge i's copy in layer 1, clear its copy in layer 2.
         layer = [0 if colouring >> i & 1 else 1 for i in range(g.m)]
         pairs = [
-            (bunkbed_copies(bb, a)[side], bunkbed_copies(bb, b)[side])
+            (bunkbed_copies(g, posts, a)[side], bunkbed_copies(g, posts, b)[side])
             for (a, b, _), side in zip(g.edges, layer)
         ]
         roots, kappa = roots_and_kappa(bb.n, pairs, (1 << g.m) - 1)

@@ -6,7 +6,7 @@ from invert_oracle import invert_by_back_substitution
 
 from bunkbed.catalog import connected_graphs, identity_catalog, named_graph
 from bunkbed.exactnum import RationalMatrix, bareiss_det, psd_certificate, rat
-from bunkbed.graph import POSTS_CONTRACTED, BunkbedSpec, Graph, bunkbed, bunkbed_copies, minor
+from bunkbed.graph import Graph, bunkbed, bunkbed_copies, minor
 from bunkbed.measures import forest_table
 from bunkbed.partition import canonicalize
 from bunkbed.treealg import (
@@ -216,15 +216,14 @@ def test_posts_tables_match_per_pair_functions_and_oracle():
             tables = PostsBundle(g, posts)
             others = [x for x in range(g.n) if x not in posts]
             lss_inv = invert_by_back_substitution(laplacian(g).submatrix(others, others))
-            bb = bunkbed(BunkbedSpec(g, posts, POSTS_CONTRACTED))
-            pinv = _oracle_pseudoinverse(laplacian(bb))
+            pinv = _oracle_pseudoinverse(laplacian(bunkbed(g, posts)))
             for u, v in combinations(others, 2):
                 entry, gap = tables.entry(u, v), tables.gap(u, v)
                 fresh = PostsBundle(g, posts)
                 assert (entry, gap) == (fresh.entry(u, v), fresh.gap(u, v))
                 assert entry == lss_inv[others.index(u), others.index(v)]
-                u1, _ = bunkbed_copies(bb, u)
-                v1, v2 = bunkbed_copies(bb, v)
+                u1, _ = bunkbed_copies(g, posts, u)
+                v1, v2 = bunkbed_copies(g, posts, v)
                 assert gap == pinv[u1, v1] - pinv[u1, v2]
 
 
@@ -255,7 +254,9 @@ def test_bunkbed_resistance_ordering_via_blocks():
         resolvent = invert(laplacian(g) + RationalMatrix.identity(n) * rat(2))
         for u in range(n):
             for v in range(n):
-                gap = mat[u, v] - mat[u, n + v]
+                u1, _ = bunkbed_copies(g, None, u)
+                v1, v2 = bunkbed_copies(g, None, v)
+                gap = mat[u1, v1] - mat[u1, v2]
                 assert gap == resolvent[u, v]
                 assert gap >= 0
 

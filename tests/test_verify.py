@@ -10,7 +10,7 @@ from subset_oracle import roots_and_kappa
 
 from bunkbed.catalog import connected_graphs, identity_catalog, named_graph, named_instance
 from bunkbed.exactnum import format_rational, rat
-from bunkbed.graph import POSTS_CONTRACTED, BunkbedSpec, Graph, bunkbed, bunkbed_copies
+from bunkbed.graph import Graph, bunkbed, bunkbed_copies
 from bunkbed.measures import ParameterError, _at_activity, alt_colouring_counts, forest_table
 from bunkbed.treealg import LaplacianBundle, laplacian
 from bunkbed.verify import (
@@ -60,14 +60,14 @@ def test_check_bunkbed_arboreal_small():
 def test_check_bunkbed_arboreal_post_pair_matches_full_table():
     g, posts = named_graph("K4"), {1}
     lams = (rat(1, 2), rat(1), rat(2))
-    bb = bunkbed(BunkbedSpec(g, frozenset(posts), POSTS_CONTRACTED))
+    bb = bunkbed(g, posts)
     table = forest_table(bb, tuple(range(bb.n)))
     z = table.event()
     for pair in ((0, 2), None):
         best = None
         for a, b in [pair] if pair else combinations((0, 2, 3), 2):
-            a1, _ = bunkbed_copies(bb, a)
-            b1, b2 = bunkbed_copies(bb, b)
+            a1, _ = bunkbed_copies(g, posts, a)
+            b1, b2 = bunkbed_copies(g, posts, b)
             same = table.event(lambda part: part.together(a1, b1))
             cross = table.event(lambda part: part.together(a1, b2))
             for lam in lams:
@@ -78,7 +78,7 @@ def test_check_bunkbed_arboreal_post_pair_matches_full_table():
         rep = check_bunkbed(g, posts=posts, measure="arboreal", u=u, v=v, lam_grid=lams)
         assert rep.quantities["min_difference"] == format_rational(best[0])
         assert rep.quantities["at_pair"] == f"({best[1]},{best[2]})"
-    assert bunkbed_copies(bb, 1)[0] == bunkbed_copies(bb, 1)[1]
+    assert bunkbed_copies(g, posts, 1)[0] == bunkbed_copies(g, posts, 1)[1]
 
 
 def test_check_bunkbed_skips_post_pairs():
@@ -108,9 +108,9 @@ def test_p_threshold_examples():
         rep = check_p_threshold(p3, {1}, q)
         assert rep.verdict == HOLDS
     # At p = 1 the difference vanishes identically.
-    bb = bunkbed(BunkbedSpec(p3, frozenset({1}), POSTS_CONTRACTED))
-    u1, _ = bunkbed_copies(bb, 0)
-    v1, v2 = bunkbed_copies(bb, 2)
+    bb = bunkbed(p3, {1})
+    u1, _ = bunkbed_copies(p3, {1}, 0)
+    v1, v2 = bunkbed_copies(p3, {1}, 2)
     (rows,) = _case_rows(bb, [(u1, v1, v2)])
     assert _rc_difference(rows, rat(1), rat(2)) == 0
 
@@ -256,23 +256,21 @@ def _fig5_bracket_counts(variant, n_path):
     connect their endpoints in two distinct components, and where the two
     crossing connections hold in distinct components.
     """
-    from bunkbed.graph import POSTS_CONTRACTED, BunkbedSpec, bunkbed, bunkbed_copies
-    from subset_oracle import roots_and_kappa
-
     inst = named_instance(f"fig5-{variant}-{n_path}")
-    g = inst.graph
-    bb = bunkbed(BunkbedSpec(g, inst.posts, POSTS_CONTRACTED))
-    u1, u2 = bunkbed_copies(bb, inst.u)
-    v1, v2 = bunkbed_copies(bb, inst.v)
-    pairs = [(a, b) for a, b, _ in bb.edges]
+    g, posts = inst.graph, inst.posts
+    n = bunkbed(g, posts).n
+    u1, u2 = bunkbed_copies(g, posts, inst.u)
+    v1, v2 = bunkbed_copies(g, posts, inst.v)
+    copies = [bunkbed_copies(g, posts, x) for x in range(g.n)]
+    # The copies of each base edge in layer 1 and in layer 2.
+    layers = [[(copies[a][side], copies[b][side]) for a, b, _ in g.edges] for side in (0, 1)]
     m = g.m
     both = crossing = 0
     for colouring in range(1 << m):
-        mask = 0
-        for i in range(m):
-            mask |= 1 << (i if colouring >> i & 1 else m + i)
-        roots, kappa = roots_and_kappa(bb.n, pairs, mask)
-        if m + kappa != bb.n:
+        # Bit i picks the layer-1 copy of base edge i, clear the layer-2 one.
+        pairs = [layers[1 - (colouring >> i & 1)][i] for i in range(m)]
+        roots, kappa = roots_and_kappa(n, pairs, (1 << m) - 1)
+        if m + kappa != n:
             continue
         if roots[u1] == roots[v1] and roots[u2] == roots[v2] and roots[u1] != roots[u2]:
             both += 1
@@ -373,14 +371,11 @@ DIFFERENCE_CASES = (("P3", None), ("P3", {1}), ("K3", None), ("K3", {2}))
 def test_difference_polynomials_match_the_subset_oracle(case, p, q, lam):
     name, posts = case
     g = named_graph(name)
-    if posts is None:
-        bb = bunkbed(BunkbedSpec(g))
-    else:
-        bb = bunkbed(BunkbedSpec(g, frozenset(posts), POSTS_CONTRACTED))
+    bb = bunkbed(g, posts)
     triples = []
     for a, b in combinations(range(g.n), 2):
-        a1, _ = bunkbed_copies(bb, a)
-        triples.append((a1, *bunkbed_copies(bb, b)))
+        a1, _ = bunkbed_copies(g, posts, a)
+        triples.append((a1, *bunkbed_copies(g, posts, b)))
     pairs = [(u, v) for u, v, _ in bb.edges]
     subsets = []
     for mask in range(1 << bb.m):
