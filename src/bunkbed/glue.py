@@ -47,7 +47,7 @@ from operator import add, mul, sub
 from typing import NamedTuple
 
 from .exactnum import MultiPoly, Rational, _trim, rat
-from .graph import Graph, hollom_instance, hypergraph_bunkbed
+from .graph import Graph, hollom_instance, hypergraph_bunkbed, hypergraph_copies
 from .measures import EnumerationGuardError, _integer_fold
 from .partition import SetPartition, bell_number, canonical_rgs, join_rgs, project_rgs
 
@@ -186,8 +186,6 @@ def factor_from_graph(g: Graph, boundary, labels=None) -> Factor:
     here.  `labels` optionally maps local vertex ids to global ids.
     """
     boundary_local = tuple(boundary)
-    if len(set(boundary_local)) != len(boundary_local):
-        raise ValueError("duplicate boundary vertex")
     acc, den = _integer_fold(g, boundary_local)
     mapping = labels or {}
     glob = [mapping.get(v, v) for v in boundary_local]
@@ -427,7 +425,8 @@ def hollom_network(n: int, p) -> FactorNetwork:
 
     Each hyperedge of the 10-vertex instance, in both layers with the posts
     contracted, is replaced by a gadget factor whose apex sits on the post.
-    Queries are 1, 10 (same layer) and 20 (the other copy of 10).
+    Queries are 1 and the two copies of 10 from `hypergraph_copies`: 10
+    (same layer) and 20 (the other layer).
     """
     h = hollom_instance()
     _, doubled = hypergraph_bunkbed(h)
@@ -440,7 +439,7 @@ def hollom_network(n: int, p) -> FactorNetwork:
         if len(post) != 1:
             raise ValueError("every hyperedge must contain exactly one post")
         factors.append(base.relabel({a: post[0], b: others[0], c: others[1]}))
-    return FactorNetwork(tuple(factors), (1, 10, 20))
+    return FactorNetwork(tuple(factors), (1, *hypergraph_copies(h, 10)))
 
 
 def counterexample_polynomial(n: int, p):

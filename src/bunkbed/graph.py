@@ -6,7 +6,8 @@ measure here); self-loops are discarded by contraction.  The JSON form writes
 each weight as a rational string such as "1/3"; reading any other weight
 string raises ValueError.  A bunkbed is a plain Graph that carries no record
 of its base: `bunkbed_copies` computes a base vertex's two copies from the base
-graph and the post set, and `bunkbed` numbers its vertices through it.
+graph and the post set, and `bunkbed` numbers its vertices through it;
+`hypergraph_copies` and `hypergraph_bunkbed` do the same for hypergraphs.
 Hypergraph vertices follow the source numbering 1..n because the one instance
 that matters is traditionally drawn that way.
 """
@@ -16,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from .exactnum import format_rational, parse_rational, rat
-from .partition import SetPartition, join_rgs
+from .partition import join_rgs
 
 __all__ = [
     "Graph",
@@ -28,6 +29,7 @@ __all__ = [
     "gadget",
     "hollom_instance",
     "hypergraph_bunkbed",
+    "hypergraph_copies",
     "graph_to_json",
     "graph_from_json",
 ]
@@ -140,8 +142,7 @@ def minor(g: Graph, deletions=(), contractions=()) -> Graph:
     for i in deletions | contractions:
         if not (0 <= i < g.m):
             raise ValueError(f"edge index out of range: {i}")
-    part, kappa = components_of(g, contractions)
-    new_id = part.rgs
+    new_id, kappa = components_of(g, contractions)
     edges = []
     for i, (u, v, w) in enumerate(g.edges):
         if i in deletions or i in contractions:
@@ -152,14 +153,14 @@ def minor(g: Graph, deletions=(), contractions=()) -> Graph:
     return Graph(kappa, tuple(edges))
 
 
-def components_of(g: Graph, open_edges) -> tuple[SetPartition, int]:
-    """Connectivity partition of all vertices under a subset of open edges.
+def components_of(g: Graph, open_edges) -> tuple[tuple[int, ...], int]:
+    """(RGS over vertices 0..n-1, component count) under a subset of open edges.
 
-    One join of two labellings over n vertex slots and two slots per open
-    edge: the first labels every slot by its vertex, the second labels each
-    vertex slot by itself and both slots of the j-th open edge by n + j, so
-    the join puts an edge's two ends in one block.  Its first n entries are
-    the vertex partition.
+    Vertices u and v are joined exactly when rgs[u] == rgs[v].  One join of
+    two labellings over n vertex slots and two slots per open edge: the first
+    labels every slot by its vertex, the second labels each vertex slot by
+    itself and both slots of the j-th open edge by n + j, so the join puts an
+    edge's two ends in one block.  Its first n entries are the vertex RGS.
     """
     n = g.n
     a = list(range(n))
@@ -168,8 +169,8 @@ def components_of(g: Graph, open_edges) -> tuple[SetPartition, int]:
         u, v, _ = g.edges[i]
         a += (u, v)
         b += (n + j, n + j)
-    part = SetPartition(tuple(range(n)), join_rgs(a, b)[:n])
-    return part, part.block_count
+    rgs = join_rgs(a, b)[:n]
+    return rgs, max(rgs, default=-1) + 1
 
 
 def gadget(n: int, p) -> Graph:
@@ -200,26 +201,29 @@ def hollom_instance() -> Hypergraph:
 
 
 def hypergraph_bunkbed(h: Hypergraph):
-    """Doubled hyperedges with posts contracted.
+    """Doubled hyperedges with posts contracted, numbered by `hypergraph_copies`.
 
-    Layer-1 copies keep their ids, layer-2 copies are id + n, and the two
-    copies of each post share the layer-1 id.  Returns (vertex ids, hyperedge
-    id-triples); the skeleton has 2n labels but fewer distinct vertices when
-    posts exist.
+    Returns (vertex ids, hyperedge id-triples), layer 1 then layer 2 in
+    hyperedge order; the skeleton has 2n labels but fewer distinct vertices
+    when posts exist.
     """
-    n = h.n
-
-    def lift(v, layer):
-        if v in h.posts:
-            return v
-        return v if layer == 1 else v + n
-
     hyperedges = []
-    for layer in (1, 2):
+    for layer in (0, 1):
         for he in h.hyperedges:
-            hyperedges.append(tuple(sorted(lift(v, layer) for v in he)))
+            hyperedges.append(tuple(sorted(hypergraph_copies(h, v)[layer] for v in he)))
     vertices = sorted({v for he in hyperedges for v in he})
     return vertices, tuple(hyperedges)
+
+
+def hypergraph_copies(h: Hypergraph, v: int) -> tuple[int, int]:
+    """Vertex ids of the two copies of v in `hypergraph_bunkbed(h)`.
+
+    The layer-1 copy of v is v and the layer-2 copy is v + n, except that a
+    post's two copies coincide.
+    """
+    if not 1 <= v <= h.n:
+        raise ValueError(f"vertex {v} outside the hypergraph on vertices 1..{h.n}")
+    return (v, v) if v in h.posts else (v, v + h.n)
 
 
 # ---------------------------------------------------------------------------

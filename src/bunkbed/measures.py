@@ -7,11 +7,13 @@ Edge weights num/d are folded as integers over one denominator, the product
 of the d (``_integer_fold``, which ``bunkbed.glue.factor_from_graph`` also
 reads): (d - num, num) for the random-cluster measure and (d, num) for
 forests, whose folds drop a branch as soon as it closes a cycle.  A
-``BoundaryTable`` maps (marked partition, component count kappa) to them;
-``event`` sums an event's entries into a dense kappa-list, which callers read
-at q or lambda through ``exactnum._eval_scaled``, and ``restrict`` regroups
-by fewer marked vertices.  ``rc_profile`` counts subsets by (marked
-partition, |S|, kappa), once per query triple in ``bunkbed_case_profiles``.
+``BoundaryTable`` maps (RGS over the marked tuple, component count kappa) to
+them, where the RGS gives the marked vertex at position i the number of its
+block, blocks numbered by first appearance; ``event`` sums an event's entries
+into a dense kappa-list, which callers read at q or lambda through
+``exactnum._eval_scaled``, and ``restrict`` regroups by fewer marked vertices.
+``rc_profile`` counts subsets by (marked RGS, |S|, kappa), once per query
+triple in ``bunkbed_case_profiles``.
 The guards are 2^28 subsets and 2^20 states in one level; larger instances
 belong to the factor-contraction engine in ``bunkbed.glue``.
 """
@@ -23,8 +25,8 @@ from operator import itemgetter
 
 from .exactnum import MultiPoly, Rational, _eval_scaled, format_rational, rat
 from .graph import Graph, Hypergraph
-from .graph import bunkbed, bunkbed_copies, hypergraph_bunkbed
-from .partition import SetPartition, canonical_rgs
+from .graph import bunkbed, bunkbed_copies, hypergraph_bunkbed, hypergraph_copies
+from .partition import canonical_rgs
 
 __all__ = [
     "EnumerationGuardError",
@@ -197,12 +199,21 @@ def _picker(positions):
     return itemgetter(*positions) if positions else lambda seq: ()
 
 
-def _integer_fold(g: Graph, marked: tuple, acyclic=False) -> tuple[dict, int]:
+def _check_marked(g: Graph, marked) -> tuple:
+    """`marked` as a tuple; ValueError unless it lists distinct vertices of g."""
+    marked = tuple(marked)
+    if len(set(marked)) != len(marked) or not all(0 <= x < g.n for x in marked):
+        raise ValueError(f"marked vertices {marked} must be distinct vertices of 0..{g.n - 1}")
+    return marked
+
+
+def _integer_fold(g: Graph, marked, acyclic=False) -> tuple[dict, int]:
     """({(marked RGS, kappa): int}, den): subset weights times den, the product of the d.
 
     Each edge weight num/d folds as the integers (d - num, num), or as (d, num)
     for the forests that `acyclic` keeps.
     """
+    marked = _check_marked(g, marked)
     _guard_edges(g.m)
     weights, den = [], 1
     for _, _, w in g.edges:
@@ -215,19 +226,19 @@ def _integer_fold(g: Graph, marked: tuple, acyclic=False) -> tuple[dict, int]:
 
 def _table(g: Graph, marked, acyclic: bool) -> "BoundaryTable":
     marked = tuple(marked)
-    sums, den = _integer_fold(g, marked, acyclic)
-    return BoundaryTable(marked, g.n, _entries(marked, sums), den)
+    return BoundaryTable(marked, g.n, *_integer_fold(g, marked, acyclic))
 
 
 @dataclass
 class BoundaryTable:
-    """Edge-subset weights keyed by (marked partition, component count).
+    """Edge-subset weights keyed by (RGS over `marked`, component count).
 
-    Entry (pi, kappa) is den times the summed weight of the subsets with kappa
-    components that induce pi, den the product of the edge weights'
-    denominators.  A random-cluster table weighs every subset (kappa is the
-    power of q), a forest table only the forests.  A key that only
-    zero-weight subsets reach stays, with value 0.
+    Entry (rgs, kappa) is den times the summed weight of the subsets with
+    kappa components that join marked[i] and marked[j] exactly when
+    rgs[i] == rgs[j], den the product of the edge weights' denominators.  A
+    random-cluster table weighs every subset (kappa is the power of q), a
+    forest table only the forests.  A key that only zero-weight subsets reach
+    stays, with value 0.
     """
 
     marked: tuple
@@ -236,40 +247,42 @@ class BoundaryTable:
     den: int
 
     def event(self, predicate=None) -> list:
-        """Summed entries of the partitions satisfying `predicate`, as a dense kappa-list.
+        """Summed entries whose RGS satisfies `predicate`, as a dense kappa-list.
 
+        The predicate reads positions in the marked tuple, e.g.
+        ``lambda rgs: rgs[0] == rgs[1]`` for marked[0] joined to marked[1].
         Entry kappa of the length-(n + 1) list sums the entries with kappa
         components; None takes all.
         """
         total = [0] * (self.n + 1)
-        for (part, kappa), w in self.entries.items():
-            if predicate is None or predicate(part):
+        for (rgs, kappa), w in self.entries.items():
+            if predicate is None or predicate(rgs):
                 total[kappa] += w
         return total
 
-    def bracket(self, pattern: SetPartition | None = None, extra: int = 0):
+    def bracket(self, pattern: tuple | None = None, extra: int = 0):
         """Weight of a separation pattern at its minimal components + extra.
 
-        The pattern's ground must be the marked tuple.  ``pattern=None``
-        places no restriction on the marked vertices (the all-trees bracket
-        and its relaxations).  The result is an int when den is 1, otherwise
-        the exact rational.
+        The pattern is an RGS tuple over the marked tuple; ValueError when its
+        length differs from `marked` or it is not in restricted-growth form.
+        ``pattern=None`` places no restriction on the marked vertices (the
+        all-trees bracket and its relaxations).  The result is an int when den
+        is 1, otherwise the exact rational.
         """
         if extra < 0:
             raise ValueError("extra component count must be non-negative")
-        if pattern is not None and pattern.ground != self.marked:
-            raise ValueError(
-                f"pattern ground {pattern.ground} is not the marked tuple {self.marked}"
-            )
         if pattern is None:
             kappa = 1 + extra
             w = sum(w for (_, k), w in self.entries.items() if k == kappa)
         else:
-            w = self.entries.get((pattern, pattern.block_count + extra), 0)
+            pattern = tuple(pattern)
+            if len(pattern) != len(self.marked) or canonical_rgs(pattern) != pattern:
+                raise ValueError(f"pattern {pattern} is not an RGS over the marked tuple {self.marked}")
+            w = self.entries.get((pattern, max(pattern, default=-1) + 1 + extra), 0)
         return w if self.den == 1 else Rational(w, self.den)
 
     def restrict(self, marked) -> "BoundaryTable":
-        """The same subsets keyed by the induced partition of fewer marked vertices.
+        """The same subsets keyed by the RGS over fewer marked vertices.
 
         `marked` lists distinct vertices of this table's marked tuple, in any
         order; the result equals the table built over them directly.
@@ -278,10 +291,10 @@ class BoundaryTable:
         index = {x: i for i, x in enumerate(self.marked)}
         pick = _picker([index[x] for x in marked])
         acc: dict = {}
-        for (part, kappa), w in self.entries.items():
-            key = (pick(part.rgs), kappa)
+        for (rgs, kappa), w in self.entries.items():
+            key = (pick(rgs), kappa)
             acc[key] = acc.get(key, 0) + w
-        return BoundaryTable(marked, self.n, _entries(marked, _canonical(acc)), self.den)
+        return BoundaryTable(marked, self.n, _canonical(acc), self.den)
 
 
 def _at_activity(c: list, lam) -> int:
@@ -290,18 +303,6 @@ def _at_activity(c: list, lam) -> int:
     That is c read homogeneously at (b, a), so lambda = 0 keeps only c[n].
     """
     return _eval_scaled(c, int(lam.denominator), int(lam.numerator))
-
-
-def _entries(marked: tuple, sums: dict) -> dict:
-    """Sums keyed (RGS, kappa) as table entries keyed (SetPartition, kappa)."""
-    parts: dict = {}
-    entries: dict = {}
-    for (rgs, kappa), w in sums.items():
-        part = parts.get(rgs)
-        if part is None:
-            part = parts[rgs] = SetPartition(marked, rgs)
-        entries[part, kappa] = w
-    return entries
 
 
 def rc_boundary_table(g: Graph, marked) -> BoundaryTable:
@@ -314,8 +315,9 @@ def rc_boundary_table(g: Graph, marked) -> BoundaryTable:
 
 def rc_profile(g: Graph, marked) -> dict:
     """Subset counts keyed (marked partition RGS, |S|, kappa); weights ignored."""
+    marked = _check_marked(g, marked)
     _guard_edges(g.m)
-    return _fold(g.n, _edge_steps(g), None, [(0, 1)] * g.m, False, tuple(marked))
+    return _fold(g.n, _edge_steps(g), None, [(0, 1)] * g.m, False, marked)
 
 
 def rc_connection_prob(g: Graph, q, u: int, v: int) -> Rational:
@@ -326,7 +328,7 @@ def rc_connection_prob(g: Graph, q, u: int, v: int) -> Rational:
         return rat(1)
     table = rc_boundary_table(g, (u, v))
     a, b = int(q.numerator), int(q.denominator)
-    num = _eval_scaled(table.event(lambda part: part.together(u, v)), a, b)
+    num = _eval_scaled(table.event(lambda rgs: rgs[0] == rgs[1]), a, b)
     return Rational(num, _eval_scaled(table.event(), a, b))
 
 
@@ -381,7 +383,7 @@ def hypergraph_rc_difference(h: Hypergraph, u: int, v: int) -> MultiPoly:
             f"hypergraph bunkbed has {k} hyperedges; enumeration guard is 2^{_HYPER_GUARD}"
         )
     index = vertices.index
-    triple = (index(u), index(v), index(v if v in h.posts else v + h.n))
+    triple = tuple(map(index, (hypergraph_copies(h, u)[0], *hypergraph_copies(h, v))))
     steps = [((), ((index(a), index(b)), (index(a), index(c)))) for a, b, c in doubled]
     terms: dict = {}
     cases = _cases(len(vertices), steps, [(0, 1)] * k, False, triple)

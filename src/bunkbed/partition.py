@@ -1,10 +1,11 @@
 """Canonical set partitions of labelled finite sets.
 
-A partition is stored as a restricted-growth string (RGS) over an ordered
-ground tuple: element i carries the index of its block, blocks are numbered by
-first appearance.  This gives O(k) equality and a compact dictionary key,
-which matters because contraction tables are keyed by partitions millions of
-times.
+A partition is a restricted-growth string (RGS) over an ordered ground
+tuple: element i carries the index of its block, blocks are numbered by first
+appearance.  Every table in the program keys its entries by the plain RGS
+tuple, which gives O(k) equality and a compact dictionary key; `SetPartition`
+pairs an RGS with its ground only at the edges, for `glue.Factor.table` and
+the CLI's `canonicalize` of a block pattern.
 """
 
 from __future__ import annotations
@@ -91,10 +92,6 @@ class SetPartition:
             top = max(top, x)
 
     @property
-    def size(self) -> int:
-        return len(self.ground)
-
-    @property
     def block_count(self) -> int:
         return max(self.rgs) + 1 if self.rgs else 0
 
@@ -109,10 +106,6 @@ class SetPartition:
             return self.rgs[self.ground.index(element)]
         except ValueError:
             raise ValueError(f"element {element!r} not in ground") from None
-
-    def together(self, *elements) -> bool:
-        ids = {self.block_of(e) for e in elements}
-        return len(ids) == 1
 
     def restrict(self, elements) -> "SetPartition":
         """Induced partition on a subsequence of the ground."""

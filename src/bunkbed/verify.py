@@ -41,7 +41,7 @@ from .measures import (
     hypergraph_rc_difference,
     rc_profile,
 )
-from .partition import SetPartition, canonicalize
+from .partition import canonical_rgs
 from .treealg import (
     LaplacianBundle,
     PostsBundle,
@@ -150,11 +150,10 @@ def _rc_difference(rows, p, q) -> Rational:
 def _forest_lists(bb: Graph, triples) -> list:
     """Per triple, the kappa-lists of event(u1<->v1) - event(u1<->v2) and of event()."""
     lists = []
-    for a1, b1, b2 in triples:
-        # b1 == b2 when b is a post.
-        ft = forest_table(bb, dict.fromkeys((a1, b1, b2)))
-        same = ft.event(lambda part: part.together(a1, b1))
-        cross = ft.event(lambda part: part.together(a1, b2))
+    for triple in triples:
+        ft = forest_table(bb, triple)
+        same = ft.event(lambda rgs: rgs[0] == rgs[1])
+        cross = ft.event(lambda rgs: rgs[0] == rgs[2])
         lists.append(([x - y for x, y in zip(same, cross)], ft.event()))
     return lists
 
@@ -325,12 +324,13 @@ def bsst_counts(g: Graph, e: int, f: int) -> tuple[int, int]:
     rest = minor(g, deletions={e, f}).with_weights(1)
     u_e, v_e, _ = g.edges[e]
     u_f, v_f, _ = g.edges[f]
-    table = forest_table(rest, tuple(dict.fromkeys((u_e, v_e, u_f, v_f))))
+    marked = tuple(dict.fromkeys((u_e, v_e, u_f, v_f)))
+    ue, ve, uf, vf = map(marked.index, (u_e, v_e, u_f, v_f))
     x_plus = x_minus = 0
-    for (part, kappa), count in table.entries.items():
-        if kappa != 2 or part.together(u_e, v_e) or part.together(u_f, v_f):
+    for (rgs, kappa), count in forest_table(rest, marked).entries.items():
+        if kappa != 2 or rgs[ue] == rgs[ve] or rgs[uf] == rgs[vf]:
             continue
-        if part.together(u_f, v_e):
+        if rgs[uf] == rgs[ve]:
             x_plus += count
         else:
             x_minus += count
@@ -342,43 +342,46 @@ def bsst_counts(g: Graph, e: int, f: int) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-def _pattern(marked, *groups) -> SetPartition:
-    return canonicalize(tuple(marked), groups)
+def _pattern(*groups) -> tuple:
+    """RGS over positions 0..k-1 whose blocks are `groups`, tuples of those positions."""
+    block = {i: b for b, group in enumerate(groups) for i in group}
+    return canonical_rgs(block[i] for i in range(len(block)))
 
 
-def _split_patterns(m4, x, y, z, w):
-    """Patterns of the four marked vertices that separate x from y.
+# The three ways to pair four marked positions as xy|zw, as (x, y, z, w).
+_PAIRINGS = ((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2))
+
+
+def _split_patterns(x, y, z, w):
+    """RGS patterns of four marked positions that separate x from y.
 
     Returns the four two-block patterns, ending [xz|yw], [xw|yz], and the
     four three-block patterns, whose pair also separates z from w.
     """
     two = (
-        _pattern(m4, (x,), (y, z, w)),
-        _pattern(m4, (x, z, w), (y,)),
-        _pattern(m4, (x, z), (y, w)),
-        _pattern(m4, (x, w), (y, z)),
+        _pattern((x,), (y, z, w)),
+        _pattern((x, z, w), (y,)),
+        _pattern((x, z), (y, w)),
+        _pattern((x, w), (y, z)),
     )
     three = (
-        _pattern(m4, (x,), (y, z), (w,)),
-        _pattern(m4, (x,), (y, w), (z,)),
-        _pattern(m4, (y,), (x, z), (w,)),
-        _pattern(m4, (y,), (x, w), (z,)),
+        _pattern((x,), (y, z), (w,)),
+        _pattern((x,), (y, w), (z,)),
+        _pattern((y,), (x, z), (w,)),
+        _pattern((y,), (x, w), (z,)),
     )
     return two, three
 
 
 def _suite_resistance_bracket(g: Graph) -> bool:
     bundle = LaplacianBundle(g)
-    marked = tuple(range(g.n))
-    ft = forest_table(g, marked)
-    trees = ft.bracket(_pattern(marked, marked))
+    ft = forest_table(g, range(g.n))
+    trees = ft.bracket((0,) * g.n)
     for u_, v_ in combinations(range(g.n), 2):
         # Same bracket two ways: all-minors determinant and forest enumeration.
         split = bundle.minors_count({u_, v_}, {u_, v_})
         by_forest = sum(
-            w
-            for (part, kappa), w in ft.entries.items()
-            if kappa == 2 and not part.together(u_, v_)
+            w for (rgs, kappa), w in ft.entries.items() if kappa == 2 and rgs[u_] != rgs[v_]
         )
         if split * ft.den != by_forest:
             return False
@@ -391,16 +394,15 @@ def _suite_cross_inner(g: Graph) -> bool:
     if g.n < 4:
         return True
     bundle = LaplacianBundle(g)
-    marked_all = tuple(range(g.n))
-    ft_all = forest_table(g, marked_all)
-    trees = ft_all.bracket(_pattern(marked_all, marked_all))
-    for a, b, c, d in combinations(range(g.n), 4):
-        ft = ft_all.restrict((a, b, c, d))
-        for (x, y), (z, w) in (((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c))):
-            m4 = (a, b, c, d)
-            xz_yw = ft.bracket(_pattern(m4, (x, z), (y, w)))
-            xw_yz = ft.bracket(_pattern(m4, (x, w), (y, z)))
-            if bundle.cross_inner(x, y, z, w) != rat(xz_yw - xw_yz) / trees:
+    ft_all = forest_table(g, range(g.n))
+    trees = ft_all.bracket((0,) * g.n)
+    # Per pairing xy|zw: its positions, [xz|yw] and [xw|yz].
+    cross = [(pos, *_split_patterns(*pos)[0][2:]) for pos in _PAIRINGS]
+    for quad in combinations(range(g.n), 4):
+        ft = ft_all.restrict(quad)
+        for pos, xz_yw, xw_yz in cross:
+            diff = ft.bracket(xz_yw) - ft.bracket(xw_yz)
+            if bundle.cross_inner(*map(quad.__getitem__, pos)) != rat(diff) / trees:
                 return False
     return True
 
@@ -449,15 +451,16 @@ def _trees_containing(g: Graph, edges) -> int:
 def _suite_choe(g: Graph) -> bool:
     if g.n < 4:
         return True
-    marked_all = tuple(range(g.n))
-    ft_all = forest_table(g, marked_all)
-    total = ft_all.bracket(_pattern(marked_all, marked_all))
+    ft_all = forest_table(g, range(g.n))
+    total = ft_all.bracket((0,) * g.n)
+    splits = []
+    for x, y, z, w in _PAIRINGS:
+        xy, three = _split_patterns(x, y, z, w)
+        zw, _ = _split_patterns(z, w, x, y)
+        splits.append((xy, zw, three))
     for quad in combinations(range(g.n), 4):
-        a, b, c, d = quad
         ft = ft_all.restrict(quad)
-        for x, y, z, w in ((a, b, c, d), (a, c, b, d), (a, d, b, c)):
-            xy, three = _split_patterns(quad, x, y, z, w)
-            zw, _ = _split_patterns(quad, z, w, x, y)
+        for xy, zw, three in splits:
             lhs = sum(ft.bracket(t) for t in xy)
             rhs = sum(ft.bracket(t) for t in zw)
             cross = ft.bracket(xy[3]) - ft.bracket(xy[2])
@@ -520,13 +523,12 @@ def _suite_rayleigh(g: Graph) -> bool:
 def _suite_four_point_leading(g: Graph) -> bool:
     if g.n < 4:
         return True
-    ft_all = forest_table(g, tuple(range(g.n)))
+    ft_all = forest_table(g, range(g.n))
+    ab, three = _split_patterns(0, 1, 2, 3)
+    cd, _ = _split_patterns(2, 3, 0, 1)
+    together = (0, 0, 0, 0)
     for quad in combinations(range(g.n), 4):
-        a, b, c, d = quad
         ft = ft_all.restrict(quad)
-        ab, three = _split_patterns(quad, a, b, c, d)
-        cd, _ = _split_patterns(quad, c, d, a, b)
-        together = _pattern(quad, quad)
 
         # Per extra component: sums over ab, cd and the three-block patterns,
         # [abcd], and [ac|bd] - [ad|bc].
@@ -593,8 +595,7 @@ def _suite_weak_limit(g: Graph) -> bool:
     if any(low != n for low in lowest.values()):
         return False
     stratum = {(rgs, kappa): c for (rgs, s, kappa), c in counts.items() if s + kappa == n}
-    forests = forest_table(g, marked).entries
-    if stratum != {(part.rgs, kappa): c for (part, kappa), c in forests.items()}:
+    if stratum != forest_table(g, marked).entries:
         return False
     # Tree stratum: the q^n l^(n-1) coefficient is the spanning tree count.
     trees = all_minors_count(g, {0}, {0})
@@ -684,14 +685,15 @@ def _at_each(c: list, lam_grid) -> list:
 
 def _forest_product_inequality(g: Graph, lam_grid):
     """Connection product bound through an intermediate vertex, per lambda."""
-    ft_all = forest_table(g, tuple(range(g.n)))
+    ft_all = forest_table(g, range(g.n))
     for trio in combinations(range(g.n), 3):
         ft = ft_all.restrict(trio)
         z = _at_each(ft.event(), lam_grid)
         joined = {}
-        for x, y in combinations(trio, 2):
+        for i, j in combinations(range(3), 2):
+            x, y = trio[i], trio[j]
             joined[x, y] = joined[y, x] = _at_each(
-                ft.event(lambda part: part.together(x, y)), lam_grid
+                ft.event(lambda rgs: rgs[i] == rgs[j]), lam_grid
             )
         u_, v_, w_ = trio
         for x, y, t_ in ((u_, v_, w_), (u_, w_, v_), (v_, w_, u_)):
@@ -710,18 +712,17 @@ def _forest_product_inequality(g: Graph, lam_grid):
 
 
 def _forest_harris(g: Graph, lam_grid):
-    ft_all = forest_table(g, tuple(range(g.n)))
+    ft_all = forest_table(g, range(g.n))
+    # Over the marked (u, w, v): everything, u<->w<->v, u<->w and w<->v.
+    events = (
+        None,
+        lambda rgs: rgs == (0, 0, 0),
+        lambda rgs: rgs[0] == rgs[1],
+        lambda rgs: rgs[1] == rgs[2],
+    )
     for u_, w_, v_ in combinations(range(g.n), 3):
         ft = ft_all.restrict((u_, w_, v_))
-        values = [
-            _at_each(ft.event(event), lam_grid)
-            for event in (
-                None,
-                lambda part: part.together(u_, w_, v_),
-                lambda part: part.together(u_, w_),
-                lambda part: part.together(w_, v_),
-            )
-        ]
+        values = [_at_each(ft.event(event), lam_grid) for event in events]
         for lam, wz, joint, a, b in zip(lam_grid, *values):
             if joint * wz < a * b:
                 return {"u": u_, "w": w_, "v": v_, "lambda": format_rational(lam)}
@@ -765,22 +766,21 @@ def _four_point_forest(weighted: Graph, lam_grid):
     Both sides are products of two probabilities, so they compare times Z^2.
     Returns a witness dict on violation, None otherwise.
     """
-    ft_all = forest_table(weighted, tuple(range(weighted.n)))
+    ft_all = forest_table(weighted, range(weighted.n))
+    (_, _, p_ac, p_ad), p_three = _split_patterns(0, 1, 2, 3)
+    # Over the marked (a, b, c, d): a apart from b, c apart from d, the three-block
+    # splits, all four joined, [ac|bd] and [ad|bc].
+    events = (
+        lambda rgs: rgs[0] != rgs[1],
+        lambda rgs: rgs[2] != rgs[3],
+        lambda rgs: rgs in p_three,
+        lambda rgs: rgs == (0, 0, 0, 0),
+        lambda rgs: rgs == p_ac,
+        lambda rgs: rgs == p_ad,
+    )
     for quad in combinations(range(weighted.n), 4):
-        a, b, c, d = quad
         ft = ft_all.restrict(quad)
-        (_, _, p_ac, p_ad), p_three = _split_patterns(quad, a, b, c, d)
-        values = [
-            _at_each(ft.event(event), lam_grid)
-            for event in (
-                lambda part: not part.together(a, b),
-                lambda part: not part.together(c, d),
-                lambda part: part in p_three,
-                lambda part: part.together(a, b, c, d),
-                lambda part: part == p_ac,
-                lambda part: part == p_ad,
-            )
-        ]
+        values = [_at_each(ft.event(event), lam_grid) for event in events]
         for lam, apart_ab, apart_cd, split3, together, ac, ad in zip(lam_grid, *values):
             if apart_ab * apart_cd < split3 * together + (ac - ad) ** 2:
                 return {"quad": list(quad), "lambda": format_rational(lam)}

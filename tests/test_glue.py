@@ -59,8 +59,9 @@ def test_factor_vs_rc_table_relation():
         f = factor_from_graph(weighted, marked)
         table = rc_boundary_table(weighted, marked)
         for part, poly in f.table().items():
+            assert part.ground == table.marked
             shifted = [0] * part.block_count + poly.dense_in("q")
-            assert qpoly(shifted) == qpoly(table.event(lambda p: p == part), table.den)
+            assert qpoly(shifted) == qpoly(table.event(lambda rgs: rgs == part.rgs), table.den)
         assert f.total() == qpoly(table.event(), table.den)
 
 
@@ -282,8 +283,9 @@ def test_p4_network_example():
     g = Graph(4, tuple((i, i + 1, w) for i in range(3)))
     table = rc_boundary_table(g, (0, 3))
     for part, poly in result.table().items():
+        assert part.ground == table.marked
         shifted = [0] * part.block_count + poly.dense_in("q")
-        assert qpoly(shifted) == qpoly(table.event(lambda p: p == part), table.den)
+        assert qpoly(shifted) == qpoly(table.event(lambda rgs: rgs == part.rgs), table.den)
 
 
 def test_hollom_network_shape():

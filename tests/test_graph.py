@@ -11,6 +11,7 @@ from bunkbed.catalog import (
     named_instance,
 )
 from bunkbed.exactnum import MultiPoly, rat
+from bunkbed.glue import hollom_network
 from bunkbed.graph import (
     Graph,
     bunkbed,
@@ -21,8 +22,10 @@ from bunkbed.graph import (
     graph_to_json,
     hollom_instance,
     hypergraph_bunkbed,
+    hypergraph_copies,
     minor,
 )
+from bunkbed.measures import hypergraph_rc_difference
 
 
 def test_graph_validation():
@@ -45,7 +48,7 @@ def test_float_weights_are_refused():
 def test_bunkbed_all_verticals_k2_is_four_cycle():
     bb = bunkbed(named_graph("K2"))
     assert bb.n == 4 and bb.m == 4
-    part, kappa = components_of(bb, range(bb.m))
+    _, kappa = components_of(bb, range(bb.m))
     assert kappa == 1
 
 
@@ -138,8 +141,9 @@ def test_minor_examples():
 
 def test_components_examples():
     tri = named_graph("K3")  # edges (0,1), (0,2), (1,2)
-    part, kappa = components_of(tri, [0])
-    assert kappa == 2 and part.together(0, 1) and not part.together(0, 2)
+    rgs, kappa = components_of(tri, [0])
+    assert (rgs, kappa) == ((0, 0, 1), 2)
+    assert rgs[0] == rgs[1] and rgs[0] != rgs[2]
     _, kappa = components_of(tri, [])
     assert kappa == 3
     _, kappa = components_of(tri, [0, 2])
@@ -174,12 +178,12 @@ def test_components_match_dfs_oracle():
     for _, g in connected_graphs(5, min_n=3):
         for _ in range(5):
             sub = [i for i in range(g.m) if rng.random() < 0.5]
-            part, kappa = components_of(g, sub)
+            rgs, kappa = components_of(g, sub)
             comp, c = _dfs_components(g, sub)
             assert kappa == c
             for u in range(g.n):
                 for v in range(u + 1, g.n):
-                    assert part.together(u, v) == (comp[u] == comp[v])
+                    assert (rgs[u] == rgs[v]) == (comp[u] == comp[v])
 
 
 def test_gadget_structure():
@@ -207,6 +211,50 @@ def test_hollom_instance_facts():
     assert 20 in labels and 1 in labels
     assert len(vertices) == 17  # 2*10 labels, three pairs merged at the posts
     assert max(vertices) == 20
+
+
+def test_hypergraph_copies_rule_is_shared_on_the_hollom_instance():
+    h = hollom_instance()
+    copies = {v: hypergraph_copies(h, v) for v in range(1, h.n + 1)}
+    assert all(copies[t] == (t, t) for t in h.posts)
+    assert all(copies[v] == (v, v + h.n) for v in copies if v not in h.posts)
+    for v in (0, h.n + 1, -1):
+        with pytest.raises(ValueError, match="outside the hypergraph"):
+            hypergraph_copies(h, v)
+    # hypergraph_bunkbed lifts each hyperedge to layer 1, then layer 2, by the rule.
+    _, doubled = hypergraph_bunkbed(h)
+    k = len(h.hyperedges)
+    for layer in (0, 1):
+        for he, lifted in zip(h.hyperedges, doubled[layer * k : (layer + 1) * k]):
+            assert lifted == tuple(sorted(copies[v][layer] for v in he))
+    # glue.hollom_network queries 1 and both copies of 10.
+    assert hollom_network(1, rat(1, 100)).queries == (1, *copies[10])
+    # hypergraph_rc_difference reads v1, v2 by the rule: a per-subset count of
+    # [1 <-> v1] - [1 <-> v2] with the copies taken from `copies`, for every v.
+    labels = sorted({x for he in doubled for x in he})
+    terms = {v: {} for v in copies}
+    for mask in range(1 << len(doubled)):
+        parent = {x: x for x in labels}
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        for i, he in enumerate(doubled):
+            if mask >> i & 1:
+                for x in he[1:]:
+                    parent[find(x)] = find(he[0])
+        roots = {x: find(x) for x in labels}
+        kappa = len(set(roots.values()))
+        present = mask.bit_count()
+        exp = (kappa, 0, present, len(doubled) - present)
+        for v, (v1, v2) in copies.items():
+            sign = (roots[1] == roots[v1]) - (roots[1] == roots[v2])
+            terms[v][exp] = terms[v].get(exp, 0) + sign
+    for v, by_exp in terms.items():
+        expected = MultiPoly({exp: rat(c) for exp, c in by_exp.items() if c})
+        assert hypergraph_rc_difference(h, 1, v) == expected
 
 
 def test_graph_json_round_trip(tmp_path):

@@ -30,12 +30,11 @@ from bunkbed.measures import (
 )
 from bunkbed import measures
 from bunkbed.glue import factor_from_graph
-from bunkbed.partition import SetPartition, canonical_rgs, canonicalize
+from bunkbed.partition import canonical_rgs
 from bunkbed.verify import _case_rows, _rc_difference
 
-
-def _pattern(marked, *groups):
-    return canonicalize(tuple(marked), groups)
+# RGS patterns over a marked pair.
+TOGETHER, APART = (0, 0), (0, 1)
 
 
 # -- random-cluster boundary tables
@@ -45,16 +44,14 @@ def test_rc_table_single_edge():
     p = rat(1, 3)
     g = Graph(2, ((0, 1, p),))
     table = rc_boundary_table(g, (0, 1))
-    together = _pattern((0, 1), (0, 1))
-    apart = _pattern((0, 1), (0,), (1,))
     # Integer q-coefficients over den = 3: p q and (1 - p) q^2.
     assert table.den == 3
-    assert table.entries == {(together, 1): 1, (apart, 2): 2}
-    assert table.event(lambda part: part == together) == [0, 1, 0]
-    assert table.event(lambda part: part == apart) == [0, 0, 2]
+    assert table.entries == {(TOGETHER, 1): 1, (APART, 2): 2}
+    assert table.event(lambda rgs: rgs == TOGETHER) == [0, 1, 0]
+    assert table.event(lambda rgs: rgs == APART) == [0, 0, 2]
     # A partition only zero-weight subsets reach keeps its (zero) entry.
     certain = Graph(2, ((0, 1, rat(1)),))
-    assert rc_boundary_table(certain, (0, 1)).entries[apart, 2] == 0
+    assert rc_boundary_table(certain, (0, 1)).entries[APART, 2] == 0
     assert factor_from_graph(certain, (0, 1)).entries == {(0, 0): [1], (0, 1): []}
 
 
@@ -63,8 +60,7 @@ def test_rc_table_empty_marked_is_partition_function():
     g = Graph(2, ((0, 1, p),))
     table = rc_boundary_table(g, ())
     assert (table.event(), table.den) == ([0, 2, 5], 7)  # (2q + 5q^2) / 7
-    empty = canonicalize((), [])
-    assert table.entries == {(empty, 1): 2, (empty, 2): 5}
+    assert table.entries == {((), 1): 2, ((), 2): 5}
 
 
 def test_rc_table_triangle_matches_hand_enumeration():
@@ -75,13 +71,11 @@ def test_rc_table_triangle_matches_hand_enumeration():
     # Hand expansion over the 8 subsets of K3's edges (0,1),(0,2),(1,2):
     # {}: q^3 apart | {01}: q^2 join | {02}: q^2 apart | {12}: q^2 apart
     # {01,02}: q join | {01,12}: q join | {02,12}: q join | all: q join
-    together = _pattern((0, 1), (0, 1))
-    apart = _pattern((0, 1), (0,), (1,))
     assert table.den == 8
-    assert table.event(lambda part: part == together) == [0, 4, 1, 0]
-    assert table.event(lambda part: part == apart) == [0, 0, 2, 1]
+    assert table.event(lambda rgs: rgs == TOGETHER) == [0, 4, 1, 0]
+    assert table.event(lambda rgs: rgs == APART) == [0, 0, 2, 1]
     assert table.event() == [0, 4, 3, 1]
-    assert table.event(lambda part: part.together(0, 1)) == [0, 4, 1, 0]
+    assert table.event(lambda rgs: rgs[0] == rgs[1]) == [0, 4, 1, 0]
 
 
 def test_rc_table_entries_sum_to_partition_function_on_random_graphs():
@@ -111,10 +105,21 @@ def test_rc_table_at_q1_is_bernoulli():
         w = rat(1)
         for i, (_, _, wt) in enumerate(weighted.edges):
             w *= wt if mask >> i & 1 else 1 - wt
-        part, _ = components_of(weighted, [i for i in range(weighted.m) if mask >> i & 1])
-        if part.together(0, 2):
+        rgs, _ = components_of(weighted, [i for i in range(weighted.m) if mask >> i & 1])
+        if rgs[0] == rgs[2]:
             total += w
-    assert at(table.event(lambda part: part.together(0, 2)), rat(1)) / table.den == total
+    assert at(table.event(lambda rgs: rgs[0] == rgs[1]), rat(1)) / table.den == total
+
+
+def test_marked_vertices_must_be_distinct_vertices_of_the_graph():
+    # A marked -1 once wrapped to the last vertex and gave kappa = 4 on 3 vertices.
+    g = Graph(3, ((0, 1), (1, 2)))
+    for marked in ((0, -1), (0, 5), (1, 1), (2, 0, 2)):
+        for engine in (forest_table, rc_boundary_table, rc_profile, factor_from_graph):
+            with pytest.raises(ValueError, match="must be distinct vertices of 0..2"):
+                engine(g, marked)
+    with pytest.raises(ValueError, match="must be distinct vertices of 0..2"):
+        rc_connection_prob(g, rat(2), 0, 7)
 
 
 def test_rc_connection_prob_examples():
@@ -172,16 +177,16 @@ def test_state_guard_names_step_states_and_marked_set(monkeypatch):
 
 def test_forest_brackets_on_k3():
     ft = forest_table(named_graph("K3"), (0, 1))
-    assert ft.bracket(_pattern((0, 1), (0, 1))) == 3  # spanning trees
-    assert ft.bracket(_pattern((0, 1), (0,), (1,))) == 2
-    assert ft.bracket(_pattern((0, 1), (0,), (1,)), extra=1) == 1
+    assert ft.bracket(TOGETHER) == 3  # spanning trees
+    assert ft.bracket(APART) == 2
+    assert ft.bracket(APART, extra=1) == 1
     ft3 = forest_table(named_graph("K3"), (0, 1, 2))
-    assert ft3.bracket(_pattern((0, 1, 2), (0,), (1,), (2,))) == 1  # empty forest
+    assert ft3.bracket((0, 1, 2)) == 1  # empty forest
 
 
 def test_forest_bracket_k4_trees():
     ft = forest_table(named_graph("K4"), (0, 1))
-    assert ft.bracket(_pattern((0, 1), (0, 1))) == 16
+    assert ft.bracket(TOGETHER) == 16
 
 
 def test_forest_unrestricted_bracket():
@@ -200,14 +205,14 @@ def test_weighted_forest_table():
     g = Graph(3, ((0, 1, rat(2)), (1, 2, rat(3)), (0, 2, rat(5))))
     ft = forest_table(g, (0, 2))
     # Spanning trees: {01,12} weight 6, {01,02} weight 10, {12,02} weight 15.
-    assert ft.bracket(_pattern((0, 2), (0, 2))) == 31
+    assert ft.bracket(TOGETHER) == 31
 
 
 def test_arboreal_probability_normalizes():
     ft = forest_table(named_graph("K3"), (0, 1))
     z = ft.event()
-    conn = ft.event(lambda part: part.together(0, 1))
-    split = ft.event(lambda part: not part.together(0, 1))
+    conn = ft.event(lambda rgs: rgs[0] == rgs[1])
+    split = ft.event(lambda rgs: rgs[0] != rgs[1])
     lam = rat(2)
     assert _at_activity(conn, lam) + _at_activity(split, lam) == _at_activity(z, lam)
     # lambda = 1: uniform over the 7 forests, 4 of which connect 0 and 1.
@@ -241,8 +246,8 @@ def test_weak_limit_lambda_q_reproduces_forests():
             k, slice_ = _lowest_q_slice(counts, rgs)
             assert k == g.n
             expected: dict = {}  # l-power -> coefficient
-            for (p2, kappa), count in ft.entries.items():
-                if p2.rgs == rgs:
+            for (r, kappa), count in ft.entries.items():
+                if r == rgs:
                     _add(expected, g.n - kappa, count)
             assert slice_ == expected
 
@@ -359,7 +364,7 @@ def test_three_point_symmetric_inequality():
 
 
 def _rc_point_mass(g, mask, p, q):
-    part, kappa = components_of(g, [i for i in range(g.m) if mask >> i & 1])
+    _, kappa = components_of(g, [i for i in range(g.m) if mask >> i & 1])
     s = bin(mask).count("1")
     return p**s * (1 - p) ** (g.m - s) * q**kappa
 
@@ -430,13 +435,13 @@ def test_case_profile_matches_direct_probabilities():
 
 def test_bracket_pattern_and_extra():
     ft = forest_table(named_graph("K3"), (0, 1))
-    assert ft.bracket(_pattern((0, 1), (0,), (1,)), extra=0) == 2
+    assert ft.bracket(APART, extra=0) == 2
     assert ft.bracket(None, extra=1) == 3
     with pytest.raises(ValueError):
-        ft.bracket(_pattern((0, 1), (0,), (1,)), extra=-1)
-    # A pattern over another ground, even a reordering of the marked vertices.
-    for pattern in (_pattern((1, 0), (0, 1)), _pattern((0, 2), (0, 2))):
-        with pytest.raises(ValueError, match="ground"):
+        ft.bracket(APART, extra=-1)
+    # A pattern of another length, or one not in restricted-growth form.
+    for pattern in ((0,), (0, 0, 0), (1, 0), (0, 2), (-1, 0)):
+        with pytest.raises(ValueError, match="not an RGS over the marked tuple"):
             ft.bracket(pattern)
 
 
@@ -497,15 +502,15 @@ def test_engines_match_per_subset_oracle(case):
     rc, profile, forests, weighted, masks = {}, {}, {}, {}, set()
     profiles = [{} for _ in triples]
     for mask, roots, kappa, size, w, present in subsets:
-        part = SetPartition(marked, canonical_rgs(roots[x] for x in marked))
-        _add(rc, (part, kappa), w)
-        _add(profile, (part.rgs, size, kappa), 1)
+        rgs = canonical_rgs(roots[x] for x in marked)
+        _add(rc, (rgs, kappa), w)
+        _add(profile, (rgs, size, kappa), 1)
         for prof, (a, b, c) in zip(profiles, triples):
             _add(prof, ((roots[a] == roots[b]) + 2 * (roots[a] == roots[c]), size, kappa), 1)
         if size + kappa == g.n:
             masks.add((mask, kappa))
-            _add(forests, (part, kappa), 1)
-            _add(weighted, (part, kappa), present)
+            _add(forests, (rgs, kappa), 1)
+            _add(weighted, (rgs, kappa), present)
 
     table = rc_boundary_table(g, marked)
     assert all(type(c) is int for c in table.entries.values())
@@ -593,17 +598,18 @@ def test_forest_table_restrict_and_probability_match_oracle(case):
     restricted = forest_table(plain, everyone).restrict(marked)
     assert all(type(c) is int for c in restricted.entries.values())
 
-    def event(part):
-        return sum(part.rgs) % 2 == 0
+    def event(rgs):
+        return sum(rgs) % 2 == 0
 
     sums: dict = {}
     for _, roots, kappa, present in forests:
-        _add(sums, (SetPartition(marked, canonical_rgs(roots[x] for x in marked)), kappa), present)
+        _add(sums, (canonical_rgs(roots[x] for x in marked), kappa), present)
     ft = forest_table(g, marked)
     unit = forest_table(plain, marked)
-    for (part, kappa), w in sums.items():
-        assert ft.bracket(part, kappa - part.block_count) == w
-        assert type(unit.bracket(part, kappa - part.block_count)) is int
+    for (rgs, kappa), w in sums.items():
+        blocks = max(rgs, default=-1) + 1
+        assert ft.bracket(rgs, kappa - blocks) == w
+        assert type(unit.bracket(rgs, kappa - blocks)) is int
     for extra in range(g.n):
         assert ft.bracket(None, extra) == sum(w for (_, k), w in sums.items() if k == 1 + extra)
         assert type(unit.bracket(None, extra)) is int
@@ -614,7 +620,7 @@ def test_forest_table_restrict_and_probability_match_oracle(case):
         for _, roots, kappa, present in forests:
             w = present * lam ** (g.n - kappa)
             den += w
-            if event(SetPartition(marked, canonical_rgs(roots[x] for x in marked))):
+            if event(canonical_rgs(roots[x] for x in marked)):
                 num += w
         assert rat(_at_activity(hits, lam), _at_activity(z, lam)) == num / den
 

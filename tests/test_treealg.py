@@ -8,7 +8,6 @@ from bunkbed.catalog import connected_graphs, identity_catalog, named_graph
 from bunkbed.exactnum import RationalMatrix, bareiss_det, psd_certificate, rat
 from bunkbed.graph import Graph, bunkbed, bunkbed_copies, minor
 from bunkbed.measures import forest_table
-from bunkbed.partition import canonicalize
 from bunkbed.treealg import (
     LaplacianBundle,
     PostsBundle,
@@ -18,9 +17,8 @@ from bunkbed.treealg import (
     pseudoinverse,
 )
 
-
-def _pattern(marked, *groups):
-    return canonicalize(tuple(marked), groups)
+# RGS patterns over a marked pair.
+TOGETHER, APART = (0, 0), (0, 1)
 
 
 def test_laplacian_examples():
@@ -63,9 +61,9 @@ def test_all_minors_matches_forest_oracle():
     for _, g in connected_graphs(5, min_n=2):
         ft = forest_table(g, (0, g.n - 1))
         pair = all_minors_count(g, {0, g.n - 1}, {0, g.n - 1})
-        assert pair == ft.bracket(_pattern((0, g.n - 1), (0,), (g.n - 1,)))
+        assert pair == ft.bracket(APART)
         trees = all_minors_count(g, {0}, {0})
-        assert trees == ft.bracket(_pattern((0, g.n - 1), (0, g.n - 1)))
+        assert trees == ft.bracket(TOGETHER)
 
 
 def test_pseudoinverse_closed_forms_and_penrose():
@@ -103,7 +101,7 @@ def test_resistance_equals_bracket_ratio():
     for _, g in connected_graphs(5, min_n=2):
         bundle = LaplacianBundle(g)
         ft = forest_table(g, tuple(range(g.n)))
-        trees = ft.bracket(_pattern(tuple(range(g.n)), tuple(range(g.n))))
+        trees = ft.bracket((0,) * g.n)
         for u in range(g.n):
             for v in range(u + 1, g.n):
                 split = all_minors_count(g, {u, v}, {u, v})
@@ -119,9 +117,8 @@ def test_cross_inner_examples():
 def test_cross_inner_bracket_formula():
     for _, g in connected_graphs(5, min_n=4):
         bundle = LaplacianBundle(g)
-        marked_all = tuple(range(g.n))
-        ft = forest_table(g, marked_all)
-        trees = ft.bracket(_pattern(marked_all, marked_all))
+        ft = forest_table(g, tuple(range(g.n)))
+        trees = ft.bracket((0,) * g.n)
         verts = list(range(g.n))
         rng = random.Random(g.m)
         for _ in range(6):
@@ -129,8 +126,8 @@ def test_cross_inner_bracket_formula():
             rest = [x for x in verts if x not in (a, b, c, d)]
             # [ac|bd] style brackets on four marked vertices.
             ft4 = forest_table(g, (a, b, c, d))
-            ac_bd = ft4.bracket(_pattern((a, b, c, d), (a, c), (b, d)))
-            ad_bc = ft4.bracket(_pattern((a, b, c, d), (a, d), (b, c)))
+            ac_bd = ft4.bracket((0, 1, 0, 1))
+            ad_bc = ft4.bracket((0, 1, 1, 0))
             assert bundle.cross_inner(a, b, c, d) == rat(ac_bd - ad_bc) / trees
 
 
@@ -231,15 +228,15 @@ def test_rayleigh_monotonicity_over_edge_deletions():
     for _, g in connected_graphs(5, min_n=2):
         ft = forest_table(g, (0, g.n - 1))
         marked = (0, g.n - 1)
-        trees = ft.bracket(_pattern(marked, marked))
-        split = ft.bracket(_pattern(marked, (0,), (g.n - 1,)))
+        trees = ft.bracket(TOGETHER)
+        split = ft.bracket(APART)
         for f in range(g.m):
             smaller = minor(g, deletions=[f])
             if not smaller.is_connected():
                 continue
             ft2 = forest_table(smaller, marked)
-            trees2 = ft2.bracket(_pattern(marked, marked))
-            split2 = ft2.bracket(_pattern(marked, (0,), (g.n - 1,)))
+            trees2 = ft2.bracket(TOGETHER)
+            split2 = ft2.bracket(APART)
             assert rat(split) / trees <= rat(split2) / trees2
 
 

@@ -68,8 +68,9 @@ def test_check_bunkbed_arboreal_post_pair_matches_full_table():
         for a, b in [pair] if pair else combinations((0, 2, 3), 2):
             a1, _ = bunkbed_copies(g, posts, a)
             b1, b2 = bunkbed_copies(g, posts, b)
-            same = table.event(lambda part: part.together(a1, b1))
-            cross = table.event(lambda part: part.together(a1, b2))
+            # The table marks every vertex, so position x is vertex x.
+            same = table.event(lambda rgs: rgs[a1] == rgs[b1])
+            cross = table.event(lambda rgs: rgs[a1] == rgs[b2])
             for lam in lams:
                 diff = rat(_at_activity(same, lam) - _at_activity(cross, lam), _at_activity(z, lam))
                 if best is None or diff < best[0]:
@@ -382,7 +383,11 @@ def test_difference_polynomials_match_the_subset_oracle(case, p, q, lam):
         # The random-cluster rows ignore the edge weights; the forest weights keep them.
         weight = math.prod(w for i, (_, _, w) in enumerate(bb.edges) if mask >> i & 1)
         subsets.append((*roots_and_kappa(bb.n, pairs, mask), mask.bit_count(), weight))
-    for (a1, b1, b2), rows, lists in zip(triples, _case_rows(bb, triples), _forest_lists(bb, triples)):
+    # Forest tables take distinct marked vertices: the arboreal lists skip a post v
+    # (v1 == v2, difference identically 0), as check_bunkbed skips post pairs.
+    arboreal = [t for t in triples if t[1] != t[2]]
+    lists_of = dict(zip(arboreal, _forest_lists(bb, arboreal)))
+    for (a1, b1, b2), rows in zip(triples, _case_rows(bb, triples)):
         rc = forest_diff = forest_z = 0
         for roots, kappa, s, weight in subsets:
             sign = (roots[a1] == roots[b1]) - (roots[a1] == roots[b2])
@@ -392,4 +397,8 @@ def test_difference_polynomials_match_the_subset_oracle(case, p, q, lam):
                 forest_diff += sign * weight * lam**s
         # Z (P[u1<->v1] - P[u1<->v2]), and the arboreal probability difference.
         assert _rc_difference(rows, rat(p), rat(q)) == rc
-        assert _arboreal_difference(lists, rat(lam)) == forest_diff / forest_z
+        if b1 != b2:
+            lists = lists_of[a1, b1, b2]
+            assert _arboreal_difference(lists, rat(lam)) == forest_diff / forest_z
+        else:
+            assert forest_diff == 0
