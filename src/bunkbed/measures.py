@@ -325,6 +325,7 @@ def rc_connection_prob(g: Graph, q, u: int, v: int) -> Rational:
     q = rat(q)
     check_parameters(p=[w for _, _, w in g.edges], q=(q,))
     if u == v:
+        _check_marked(g, (u,))
         return rat(1)
     table = rc_boundary_table(g, (u, v))
     a, b = int(q.numerator), int(q.denominator)

@@ -118,8 +118,9 @@ def test_marked_vertices_must_be_distinct_vertices_of_the_graph():
         for engine in (forest_table, rc_boundary_table, rc_profile, factor_from_graph):
             with pytest.raises(ValueError, match="must be distinct vertices of 0..2"):
                 engine(g, marked)
-    with pytest.raises(ValueError, match="must be distinct vertices of 0..2"):
-        rc_connection_prob(g, rat(2), 0, 7)
+    for u, v in ((0, 7), (7, 7)):
+        with pytest.raises(ValueError, match="must be distinct vertices of 0..2"):
+            rc_connection_prob(g, rat(2), u, v)
 
 
 def test_rc_connection_prob_examples():
