@@ -209,8 +209,17 @@ def check_bunkbed(
     others = sorted(set(range(g.n)) - set(posts or ()))
     if (u is None) != (v is None):
         raise ParameterError("give both u and v, or neither")
-    if u is not None and not {u, v} <= set(others):
-        raise ParameterError(f"pair ({u},{v}) must be two non-post vertices of the graph")
+    if u is not None and (u == v or not {u, v} <= set(others)):
+        raise ParameterError(f"pair ({u},{v}) must be two distinct non-post vertices of the graph")
+    if measure == "arboreal":
+        build, value, names = _forest_lists, _arboreal_difference, ("lambda",)
+        grid = {"lam": lam_grid}
+    else:
+        build, value, names = _case_rows, _rc_difference, ("p", "q")
+        grid = {"p": p_grid, "q": q_grid if measure == "random-cluster" else (rat(1),)}
+    for name, values in grid.items():
+        if not values:
+            raise ParameterError(f"{name}_grid is empty; the {measure} check reads it")
     bb = bunkbed(g, posts)
     pairs = [(u, v)] if u is not None else list(combinations(others, 2))
     if not pairs:
@@ -220,13 +229,7 @@ def check_bunkbed(
             verdict=HOLDS,
             quantities={"note": "no non-post pair to test"},
         )
-    triples = _bunkbed_triples(g, posts, pairs)
-    if measure == "arboreal":
-        polys, value, names = _forest_lists(bb, triples), _arboreal_difference, ("lambda",)
-        grid = {"lam": lam_grid}
-    else:
-        polys, value, names = _case_rows(bb, triples), _rc_difference, ("p", "q")
-        grid = {"p": p_grid, "q": q_grid if measure == "random-cluster" else (rat(1),)}
+    polys = build(bb, _bunkbed_triples(g, posts, pairs))
     diff, (a, b), at = _first_minimum(pairs, polys, list(product(*grid.values())), value)
     point = {name: format_rational(x) for name, x in zip(names, at)}
     good = diff >= 0

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from bunkbed import measures
 from bunkbed.cli import KNOWN_FAILURE_WINDOWS, main, negative_window_rows
 from bunkbed.exactnum import parse_rational, rat
 
@@ -180,6 +181,13 @@ def test_compute_pseudoinverse_json(capsys):
 def test_hollom_graph_hint(capsys):
     assert main(["compute", "resistance", "--graph", "hollom"]) == 2
     assert "hypergraph-factor" in capsys.readouterr().err
+
+
+def test_state_guard_trip_is_a_guard_error(monkeypatch, capsys):
+    monkeypatch.setattr(measures, "_STATE_GUARD", 2)
+    assert main(["verify", "--suite", "bunkbed", "--graph", "K3"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("guard: fold passed ") and err[0].endswith("(guard is 2^2)")
 
 
 def test_exit_code_mapping():

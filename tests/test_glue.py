@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from readout_oracle import counterexample_by_entries
 
 from bunkbed import glue
-from bunkbed.catalog import named_graph
+from bunkbed.catalog import named_graph, named_instance
 from bunkbed.exactnum import isolate_negative_region, rat
 from bunkbed.glue import (
     _interpolate,
@@ -22,7 +22,7 @@ from bunkbed.glue import (
     hollom_network,
     multiply,
 )
-from bunkbed.graph import Graph, gadget
+from bunkbed.graph import Graph, bunkbed, bunkbed_copies, gadget
 from bunkbed.measures import EnumerationGuardError, rc_boundary_table
 from bunkbed.partition import canonicalize
 
@@ -204,6 +204,18 @@ def test_contract_network_matches_brute_force_and_order():
             rng.shuffle(non_query)
             other = contract_network(net, order=list(non_query))
             assert other.table() == result.table()
+
+
+def test_fold_factor_past_the_old_edge_guard_matches_contraction():
+    # fig5-G-4's posts-contracted bunkbed has 32 edges: the fold's factor
+    # over (u1, v1, v2) must equal the contraction of its edge factors.
+    inst = named_instance("fig5-G-4")
+    bb = bunkbed(inst.graph.with_weights(rat(1, 3)), inst.posts)
+    assert bb.m == 32
+    queries = (bunkbed_copies(inst.graph, inst.posts, inst.u)[0],
+               *bunkbed_copies(inst.graph, inst.posts, inst.v))
+    net = FactorNetwork(tuple(edge_factor(u, v, w) for u, v, w in bb.edges), tuple(sorted(queries)))
+    assert factor_from_graph(bb, queries).table() == contract_network(net).table()
 
 
 def test_contract_network_requires_query_coverage():

@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import product
 
@@ -143,21 +144,28 @@ def test_bunkbed_k2_difference_nonnegative_at_q2():
 
 
 def test_enumeration_guard():
+    # 2^29 subsets, but the fold of a path holds a few states per level, so
+    # it runs at once.  A subset of s edges at p = 1/2 weighs 1 over
+    # den = 2^29 and leaves 30 - s components; only the full path joins the
+    # two ends.
     g = Graph(30, tuple((i, i + 1, rat(1, 2)) for i in range(29)))
-    with pytest.raises(EnumerationGuardError, match="glue"):
-        rc_boundary_table(g, (0,))
+    table = rc_boundary_table(g, (0, 29))
+    assert table.den == 2**29
+    expected = {(APART, 30 - s): math.comb(29, s) for s in range(29)}
+    assert table.entries == {**expected, (TOGETHER, 1): 1}
 
 
 def test_enumeration_guard_has_no_environment_override(monkeypatch):
-    # The guard must trip before the fold starts: no variable raises it.
-    def no_fold(*args, **kwargs):
-        raise AssertionError("the subset fold started past the guard")
-
-    monkeypatch.setenv("BUNKBED_SUBSET_GUARD", "40")
-    monkeypatch.setattr(measures, "_fold", no_fold)
-    g = Graph(30, tuple((i, i + 1, rat(1, 2)) for i in range(29)))
-    with pytest.raises(EnumerationGuardError, match=r"guard is 2\^28"):
-        forest_table(g, (0,))
+    # The state guard is a constant: no environment variable raises or lowers it.
+    monkeypatch.setattr(measures, "_STATE_GUARD", 3)
+    path = Graph(6, tuple((i, i + 1, rat(1)) for i in range(5)))
+    for name in ("BUNKBED_STATE_GUARD", "BUNKBED_SUBSET_GUARD"):
+        monkeypatch.setenv(name, "40")
+    with pytest.raises(EnumerationGuardError, match=r"guard is 2\^3\)$"):
+        forest_table(path, range(6))
+    for name in ("BUNKBED_STATE_GUARD", "BUNKBED_SUBSET_GUARD"):
+        monkeypatch.setenv(name, "0")
+    assert forest_table(path, (0, 5)).event() == [0, 1, 5, 10, 10, 5, 1]
 
 
 def test_state_guard_names_step_states_and_marked_set(monkeypatch):
@@ -294,6 +302,12 @@ def test_alt_counts_rejects_post_endpoints():
     left = named_instance("fig4-left")
     with pytest.raises(ValueError):
         alt_colouring_counts(left.graph, left.posts, 1, 2)
+
+
+def test_alt_counts_rejects_equal_endpoints():
+    # u1 is joined to u1 in every colouring, so (u, u) counts nothing.
+    with pytest.raises(ValueError, match="must differ"):
+        alt_colouring_counts(named_graph("C4"), {1}, 0, 0)
 
 
 # -- hypergraph bunkbed
@@ -469,9 +483,10 @@ def multigraphs(draw):
     triples = draw(st.lists(st.tuples(*[st.integers(0, n - 1)] * 3), min_size=1, max_size=3))
     g = Graph(n, tuple((u, v, w) for (u, v), w in zip(pairs, weights)))
     order = draw(st.permutations(range(len(pairs))))
-    posts = draw(st.sets(st.integers(0, n - 1), max_size=n - 1))
-    others = st.sampled_from([x for x in range(n) if x not in posts])
-    return g, marked, triples, order, (frozenset(posts), draw(others), draw(others))
+    posts = draw(st.sets(st.integers(0, n - 1), max_size=n - 2))
+    others = [x for x in range(n) if x not in posts]
+    u, v = draw(st.lists(st.sampled_from(others), min_size=2, max_size=2, unique=True))
+    return g, marked, triples, order, (frozenset(posts), u, v)
 
 
 def _oracle_subsets(g):

@@ -11,6 +11,7 @@ from subset_oracle import roots_and_kappa
 from bunkbed.catalog import connected_graphs, identity_catalog, named_graph, named_instance
 from bunkbed.exactnum import format_rational, rat
 from bunkbed.graph import Graph, bunkbed, bunkbed_copies
+from bunkbed import measures
 from bunkbed.measures import ParameterError, _at_activity, alt_colouring_counts, forest_table
 from bunkbed.treealg import LaplacianBundle, laplacian
 from bunkbed.verify import (
@@ -27,7 +28,7 @@ from bunkbed.verify import (
     run_identity_suite,
     scan_conjectures,
 )
-from bunkbed.verify import _arboreal_difference, _case_rows, _forest_lists, _rc_difference
+from bunkbed.verify import _PAIRINGS, _arboreal_difference, _case_rows, _forest_lists, _rc_difference
 
 SMALL_P = (rat(1, 4), rat(1, 2), rat(3, 4))
 
@@ -101,6 +102,39 @@ def test_check_bunkbed_single_pair():
     )
     assert rep.verdict == HOLDS
     assert rep.quantities["at_pair"] == "(0,2)"
+
+
+def test_check_bunkbed_rejects_equal_endpoints():
+    # u1 <-> u1 always holds, so the pair (u, u) would test nothing.
+    k3 = named_graph("K3")
+    for measure in ("random-cluster", "percolation", "arboreal"):
+        with pytest.raises(ParameterError, match=r"pair \(0,0\) must be two distinct"):
+            check_bunkbed(k3, measure=measure, u=0, v=0)
+
+
+def test_check_bunkbed_rejects_empty_grids_it_reads():
+    k3 = named_graph("K3")
+    for measure, grid in (
+        ("random-cluster", "p_grid"),
+        ("random-cluster", "q_grid"),
+        ("percolation", "p_grid"),
+        ("arboreal", "lam_grid"),
+    ):
+        with pytest.raises(ParameterError, match=f"^{grid} is empty"):
+            check_bunkbed(k3, measure=measure, **{grid: ()})
+    # A grid the measure does not read may be empty.
+    assert check_bunkbed(k3, measure="percolation", q_grid=(), p_grid=SMALL_P).ok
+    assert check_bunkbed(k3, measure="arboreal", p_grid=(), q_grid=()).ok
+
+
+def test_check_bunkbed_past_the_old_edge_guard():
+    # fig5-G-4's posts-contracted bunkbed has 32 edges: 2^32 subsets, but few
+    # enough fold states that one pair takes a fraction of a second.
+    inst = named_instance("fig5-G-4")
+    assert bunkbed(inst.graph, inst.posts).m == 32
+    rep = check_bunkbed(inst.graph, inst.posts, u=inst.u, v=inst.v, instance=inst.name)
+    assert rep.verdict == HOLDS
+    assert rep.quantities["at_pair"] == f"({inst.u},{inst.v})"
 
 
 def test_p_threshold_examples():
@@ -202,19 +236,31 @@ def test_identity_suites_on_rational_weights():
             assert rep.quantities == {"instances_checked": "1"}
 
 
+def test_pairings_are_the_three_pairings_of_four_positions():
+    # choe and cross-inner still report holds when a pairing is repeated in
+    # place of another, so the tuple they read is checked here.
+    pairings = {frozenset({frozenset(p[:2]), frozenset(p[2:])}) for p in _PAIRINGS}
+    assert all(sorted(p) == [0, 1, 2, 3] for p in _PAIRINGS)
+    assert len(_PAIRINGS) == len(pairings) == 3
+
+
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError):
         run_identity_suite("nonsense")
 
 
-def test_identity_suite_collects_guard_skips():
+def test_identity_suite_collects_guard_skips(monkeypatch):
+    # A small state guard trips on the path and not on K3.
+    monkeypatch.setattr(measures, "_STATE_GUARD", 6)
     big = Graph(31, tuple((i, i + 1, rat(1)) for i in range(30)))
     rep = run_identity_suite(
         "resistance-bracket", [("big", big), ("K3", named_graph("K3"))]
     )
     assert rep.verdict == HOLDS
     assert rep.quantities.get("skipped") == "1"
-    assert rep.quantities["skip_reasons"].startswith("big: enumeration would visit 2^30")
+    reason = rep.quantities["skip_reasons"]
+    assert reason.startswith("big: fold passed 66 states at step 7 of 30 ")
+    assert reason.endswith("(guard is 2^6)")
 
 
 def test_hypergraph_factorization_report():
