@@ -206,7 +206,7 @@ def test_contract_network_matches_brute_force_and_order():
             assert other.table() == result.table()
 
 
-def test_fold_factor_past_the_old_edge_guard_matches_contraction():
+def test_fold_factor_of_a_32_edge_bunkbed_matches_contraction():
     # fig5-G-4's posts-contracted bunkbed has 32 edges: the fold's factor
     # over (u1, v1, v2) must equal the contraction of its edge factors.
     inst = named_instance("fig5-G-4")

@@ -89,9 +89,11 @@ def test_check_bunkbed_skips_post_pairs():
     rep = check_bunkbed(inst.graph, posts=inst.posts)
     assert rep.quantities["min_difference"] == "1595619/3200000000"
     assert rep.quantities["at_pair"] == "(0,2)"
-    for u, v in ((0, 1), (1, 2), (0, None), (None, 2)):
-        with pytest.raises(ParameterError):
-            check_bunkbed(inst.graph, posts=inst.posts, u=u, v=v)
+    # (0, 0) would test nothing, since u1 <-> u1 always holds.
+    for u, v in ((0, 1), (1, 2), (0, 0), (0, None), (None, 2)):
+        for measure in ("random-cluster", "arboreal"):
+            with pytest.raises(ParameterError):
+                check_bunkbed(inst.graph, posts=inst.posts, measure=measure, u=u, v=v)
     rep = check_bunkbed(named_graph("P3"), posts={0, 1}, measure="arboreal")
     assert rep.quantities == {"note": "no non-post pair to test"}
 
@@ -102,14 +104,6 @@ def test_check_bunkbed_single_pair():
     )
     assert rep.verdict == HOLDS
     assert rep.quantities["at_pair"] == "(0,2)"
-
-
-def test_check_bunkbed_rejects_equal_endpoints():
-    # u1 <-> u1 always holds, so the pair (u, u) would test nothing.
-    k3 = named_graph("K3")
-    for measure in ("random-cluster", "percolation", "arboreal"):
-        with pytest.raises(ParameterError, match=r"pair \(0,0\) must be two distinct"):
-            check_bunkbed(k3, measure=measure, u=0, v=0)
 
 
 def test_check_bunkbed_rejects_empty_grids_it_reads():
@@ -127,7 +121,7 @@ def test_check_bunkbed_rejects_empty_grids_it_reads():
     assert check_bunkbed(k3, measure="arboreal", p_grid=(), q_grid=()).ok
 
 
-def test_check_bunkbed_past_the_old_edge_guard():
+def test_check_bunkbed_on_a_32_edge_bunkbed():
     # fig5-G-4's posts-contracted bunkbed has 32 edges: 2^32 subsets, but few
     # enough fold states that one pair takes a fraction of a second.
     inst = named_instance("fig5-G-4")
