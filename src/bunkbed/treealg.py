@@ -11,7 +11,10 @@ integer numerators and build one rational at the end.
 Work is shared per matrix: a LaplacianBundle builds one Laplacian per graph
 and answers every all-minors query (`minors_count`) and pseudoinverse entry
 from it, and a PostsBundle inverts L^SS and the posts-contracted bunkbed's
-Laplacian once per post set for every vertex pair.
+Laplacian once per post set for every vertex pair.  A bundle's `pair_count`
+reads every two-forest count det L_-{u,v} from one grounded inverse: tau =
+det L_-0 and M = L_-0^{-1}, for L_-0 the Laplacian without vertex 0, give
+tau (M_uu + M_vv - 2 M_uv).  `minors_count` stays the general (S, T) engine.
 """
 
 from __future__ import annotations
@@ -75,28 +78,39 @@ def pseudoinverse(lap: RationalMatrix) -> RationalMatrix:
 
 @dataclass
 class LaplacianBundle:
-    """A graph with its Laplacian and lazily computed pseudoinverse.
+    """A graph with its Laplacian and lazily computed inverses.
 
     Build one bundle per graph and ask it every query: the Laplacian is built
-    once, and the pseudoinverse is inverted once, on first use.
+    once, and the pseudoinverse and the grounded inverse are each inverted
+    once, on first use.
     """
 
     graph: Graph
     lap: RationalMatrix = field(init=False)
-    _pinv: RationalMatrix | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.lap = laplacian(self.graph)
 
-    @property
-    def n(self) -> int:
-        return self.graph.n
-
-    @property
+    @cached_property
     def pinv(self) -> RationalMatrix:
-        if self._pinv is None:
-            self._pinv = pseudoinverse(self.lap)
-        return self._pinv
+        return pseudoinverse(self.lap)
+
+    @cached_property
+    def grounded(self) -> tuple[Rational, RationalMatrix]:
+        """(tau, M): tau = det L_-0, the spanning-tree count, and M the inverse of L_-0.
+
+        M is bordered by a zero row and column for vertex 0, so vertex x is
+        row x.  ValueError when the graph is disconnected.
+        """
+        n = self.graph.n
+        rest = range(1, n)
+        sub = self.lap.submatrix(rest, rest)
+        try:
+            inv = invert(sub)
+        except ValueError:
+            raise ValueError("grounded Laplacian is singular: the graph is disconnected") from None
+        bordered = [[0] * n] + [[0, *row] for row in inv.num]
+        return bareiss_det(sub), RationalMatrix.from_integers(bordered, inv.den)
 
     def minors_count(self, s_set, t_set) -> Rational:
         """|det L(S^c, T^c)|: spanning forests with one vertex of S and T per tree."""
@@ -104,13 +118,22 @@ class LaplacianBundle:
         if len(s_set) != len(t_set):
             raise ValueError("vertex sets must have equal size")
         _check_vertices(self.graph, s_set | t_set)
-        n = self.n
+        n = self.graph.n
         keep_rows = [i for i in range(n) if i not in s_set]
         keep_cols = [j for j in range(n) if j not in t_set]
         if not keep_rows:
             return rat(1)
         det = bareiss_det(self.lap.submatrix(keep_rows, keep_cols))
         return det if det >= 0 else -det
+
+    def pair_count(self, u: int, v: int) -> Rational:
+        """minors_count({u, v}, {u, v}), as tau (M_uu + M_vv - 2 M_uv) from `grounded`."""
+        _check_vertices(self.graph, (u, v))
+        if u == v:
+            raise ValueError(f"pair count needs two distinct vertices; got u = v = {u}")
+        tau, m = self.grounded
+        row_u, row_v = m.num[u], m.num[v]
+        return tau * Rational(row_u[u] + row_v[v] - 2 * row_u[v], m.den)
 
     def resistance(self, u: int, v: int) -> Rational:
         _check_vertices(self.graph, (u, v))

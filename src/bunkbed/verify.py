@@ -318,7 +318,8 @@ def bsst_counts(g: Graph, e: int, f: int) -> tuple[int, int]:
     two-tree spanning forest of g - {e, f} that both e and f cross, so the
     counts are read off the unit-weight forest table of that minor.  The
     cycle u_e -> v_e -> ... crosses f from v_e's tree into u_e's, so it runs
-    f in its stored direction exactly when u_f lies in v_e's tree.
+    f in its stored direction exactly when u_f lies in v_e's tree.  This is
+    the per-pair reference; the bsst suite reads every pair from one table.
     """
     if e == f:
         raise ValueError("the two edges must be distinct")
@@ -381,8 +382,8 @@ def _suite_resistance_bracket(g: Graph) -> bool:
     ft = forest_table(g, range(g.n))
     trees = ft.bracket((0,) * g.n)
     for u_, v_ in combinations(range(g.n), 2):
-        # Same bracket two ways: all-minors determinant and forest enumeration.
-        split = bundle.minors_count({u_, v_}, {u_, v_})
+        # Same bracket two ways: the grounded-inverse read and forest enumeration.
+        split = bundle.pair_count(u_, v_)
         by_forest = sum(
             w for (rgs, kappa), w in ft.entries.items() if kappa == 2 and rgs[u_] != rgs[v_]
         )
@@ -428,27 +429,42 @@ def _suite_resistance_matrix(g: Graph) -> bool:
     )
 
 
-def _suite_bsst(g: Graph) -> bool:
-    total = int(all_minors_count(g, {0}, {0}))
-    tree_masks = [mask for mask, kappa in forest_masks(g) if kappa == 1]
+def _tree_pair_counts(g: Graph):
+    """(trees, through, pairs) of g with unit weights, read off one all-vertex forest table.
+
+    through[e] counts the spanning trees through edge e, and pairs[e, f] for
+    e < f is (the trees through e and f, X+, X-) with (X+, X-) =
+    bsst_counts(g, e, f).  A tree through e, less e, is a two-tree forest that
+    separates e's ends; through e and f, less both, three trees that e and f
+    join into one.  A two-tree forest that separates both edges' ends is one
+    of g - {e, f}, an X+ when u_f lies in v_e's tree.
+    """
+    entries = forest_table(g.with_weights(1), range(g.n)).entries
+    trees = entries.get(((0,) * g.n, 1), 0)
+    two = [(rgs, c) for (rgs, kappa), c in entries.items() if kappa == 2]
+    three = [(rgs, c) for (rgs, kappa), c in entries.items() if kappa == 3]
+    ends = [(u, v) for u, v, _ in g.edges]
+    through = [sum(c for rgs, c in two if rgs[u] != rgs[v]) for u, v in ends]
+    pairs = {}
     for e, f in combinations(range(g.m), 2):
-        with_e = sum(1 for mask in tree_masks if mask >> e & 1)
-        with_f = sum(1 for mask in tree_masks if mask >> f & 1)
-        with_both = sum(
-            1 for mask in tree_masks if mask >> e & 1 and mask >> f & 1
+        (ue, ve), (uf, vf) = ends[e], ends[f]
+        both = sum(
+            c for rgs, c in three
+            if rgs[ue] != rgs[ve] and rgs[uf] != rgs[vf] and len({rgs[ue], rgs[ve], rgs[uf], rgs[vf]}) == 3
         )
-        xp, xm = bsst_counts(g, e, f)
-        if with_e * with_f - total * with_both != (xp - xm) ** 2:
-            return False
-    return True
+        apart = [(rgs, c) for rgs, c in two if rgs[ue] != rgs[ve] and rgs[uf] != rgs[vf]]
+        x_plus = sum(c for rgs, c in apart if rgs[uf] == rgs[ve])
+        pairs[e, f] = (both, x_plus, sum(c for _, c in apart) - x_plus)
+    return trees, through, pairs
 
 
-def _trees_containing(g: Graph, edges) -> int:
-    count = 0
-    for mask, kappa in forest_masks(g):
-        if kappa == 1 and all(mask >> i & 1 for i in edges):
-            count += 1
-    return count
+def _suite_bsst(g: Graph) -> bool:
+    """[e][f] - [.][e,f] = (X+ - X-)^2 per edge pair; every count from `_tree_pair_counts`."""
+    trees, through, pairs = _tree_pair_counts(g)
+    return all(
+        through[e] * through[f] - trees * both == (xp - xm) ** 2
+        for (e, f), (both, xp, xm) in pairs.items()
+    )
 
 
 def _suite_choe(g: Graph) -> bool:
@@ -512,8 +528,8 @@ def _suite_rayleigh(g: Graph) -> bool:
     pairs = list(combinations(range(g.n), 2))
 
     def pair_ratios(bundle):
-        trees = bundle.minors_count({0}, {0})
-        return [bundle.minors_count({u_, v_}, {u_, v_}) / trees for u_, v_ in pairs]
+        trees, _ = bundle.grounded
+        return [bundle.pair_count(u_, v_) / trees for u_, v_ in pairs]
 
     ratios_g = pair_ratios(LaplacianBundle(g))
     for h in subgraphs:
@@ -561,8 +577,8 @@ def _suite_bunkbed_tree_stratum(g: Graph) -> bool:
                 continue
             u1, _ = bunkbed_copies(g, None, u_)
             v1, v2 = bunkbed_copies(g, None, v_)
-            same = doubled.minors_count({u1, v1}, {u1, v1})
-            cross_ = doubled.minors_count({u1, v2}, {u1, v2})
+            same = doubled.pair_count(u1, v1)
+            cross_ = doubled.pair_count(u1, v2)
             gap = p[u1][v1] - p[u1][v2]  # over pinv.den
             if same > cross_ or gap * resolvent.den != r[u_][v_] * pinv.den or gap < 0:
                 return False
@@ -606,11 +622,13 @@ def _suite_weak_limit(g: Graph) -> bool:
         top = counts.get((rgs, n - 1, 1), 0)
         if top != (trees if len(set(rgs)) == 1 else 0):
             return False
-    # Edge marginal: the spanning trees through edge 0 are those of g / edge 0.
+    # Edge marginal: the spanning trees of g / edge 0 are those of g through edge 0,
+    # which less edge 0 are the two-tree forests that separate its ends.
     if g.m:
         contracted = rc_profile(minor(g, contractions={0}), ())
         through = sum(c for (_, s, kappa), c in contracted.items() if (s, kappa) == (n - 2, 1))
-        if through != _trees_containing(g, {0}):
+        u0, v0, _ = g.edges[0]
+        if through != forest_table(g, (u0, v0)).bracket((0, 1)):
             return False
     return True
 
@@ -630,13 +648,17 @@ IDENTITY_SUITES = {
 }
 # Suites whose identities count unweighted edge subsets: they hold on unit weights only.
 _UNIT_WEIGHT_SUITES = frozenset({"bsst", "weak-limit"})
+# All but three forest identities read spanning trees or a pseudoinverse: they need a
+# connected graph.
+_CONNECTED_SUITES = frozenset(IDENTITY_SUITES) - {"choe", "four-point-leading", "weak-limit"}
 
 
 def run_identity_suite(suite: str, instances=None) -> VerificationReport:
     """Exact identity/inequality suite over a graph catalog.
 
-    Per-instance guard errors, and non-unit edge weights in a unit-weight
-    suite, are collected as skips with their reasons rather than failures;
+    Per-instance guard errors, non-unit edge weights in a unit-weight suite,
+    and a disconnected graph in a suite that needs a connected one, are
+    collected as skips with their reasons rather than failures;
     with no instance checked the verdict is SKIPPED, not HOLDS.
     """
     if suite not in IDENTITY_SUITES:
@@ -649,6 +671,9 @@ def run_identity_suite(suite: str, instances=None) -> VerificationReport:
     for name, g in instances:
         if suite in _UNIT_WEIGHT_SUITES and any(w != 1 for _, _, w in g.edges):
             skipped.append(f"{name}: {suite} holds for unit edge weights only")
+            continue
+        if suite in _CONNECTED_SUITES and not g.is_connected():
+            skipped.append(f"{name}: {suite} needs a connected graph")
             continue
         try:
             ok = fn(g)

@@ -62,6 +62,22 @@ def test_verify_identity_suite_on_one_instance(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == ["[holds] identity-rayleigh on catalog[1]"]
 
 
+@pytest.mark.parametrize(
+    "suite",
+    ["bsst", "bunkbed-tree-stratum", "cross-inner", "pseudoinverse-blocks",
+     "rayleigh", "resistance-bracket", "resistance-matrix", "strong-rayleigh"],
+)
+def test_verify_identity_suite_skips_a_disconnected_input(suite, tmp_path, capsys):
+    doc = {"n": 5, "edges": [[0, 1, "1"], [1, 2, "1"], [0, 2, "1"], [3, 4, "1"]]}
+    path = tmp_path / "pieces.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "--suite", suite, "--input", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"[skipped] identity-{suite} on catalog[1]",
+        f"    skipped: {path}: {suite} needs a connected graph",
+    ]
+
+
 def test_verify_bunkbed_named_graph(capsys):
     code = main([
         "verify", "--suite", "bunkbed", "--graph", "K3",

@@ -2,8 +2,10 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from invert_oracle import invert_by_back_substitution
 
+from bunkbed import treealg
 from bunkbed.catalog import connected_graphs, identity_catalog, named_graph
 from bunkbed.exactnum import RationalMatrix, bareiss_det, psd_certificate, rat
 from bunkbed.graph import Graph, bunkbed, bunkbed_copies, minor
@@ -284,3 +286,59 @@ def test_posts_gap_shares_entry_guards():
         with pytest.raises(ValueError, match="vertex 4 out of range for a graph on 4 vertices"):
             getattr(PostsBundle(k4, {0}), method)(1, 4)
     assert PostsBundle(k4, {0}).gap(1, 2) == PostsBundle(k4, {0}).entry(1, 2) == rat(1, 4)
+
+
+@st.composite
+def connected_multigraphs(draw):
+    """Connected multigraphs on 1..7 vertices with positive rational weights.
+
+    A random spanning tree, then up to five more edges, parallel ones among
+    them, each stored either way round.
+    """
+    n = draw(st.integers(1, 7))
+    pairs = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    if n >= 2:
+        extra = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+        pairs += draw(st.lists(st.one_of(st.sampled_from(pairs), extra), max_size=5))
+    pairs = [(v, u) if draw(st.booleans()) else (u, v) for u, v in draw(st.permutations(pairs))]
+    weight = st.builds(rat, st.integers(1, 9), st.integers(1, 6))
+    return Graph(n, tuple((u, v, draw(weight)) for u, v in pairs))
+
+
+@settings(deadline=None, max_examples=60)
+@given(g=connected_multigraphs())
+def test_pair_count_equals_minors_count(g):
+    bundle = LaplacianBundle(g)
+    tau, _ = bundle.grounded
+    assert tau == bundle.minors_count({0}, {0}) > 0
+    for u, v in combinations(range(g.n), 2):
+        expected = bundle.minors_count({u, v}, {u, v})
+        assert bundle.pair_count(u, v) == bundle.pair_count(v, u) == expected, (u, v)
+
+
+def test_pair_count_rejects_disconnected_graphs_and_bad_pairs():
+    for g in (Graph(4, ((0, 1, rat(1)), (2, 3, rat(1, 2)))), Graph(3, ((1, 2, rat(1)),))):
+        with pytest.raises(ValueError, match="disconnected"):
+            LaplacianBundle(g).pair_count(1, 2)
+    k3 = LaplacianBundle(named_graph("K3"))
+    with pytest.raises(ValueError, match="two distinct vertices"):
+        k3.pair_count(1, 1)
+    with pytest.raises(ValueError, match="vertex 3 out of range"):
+        k3.pair_count(0, 3)
+    assert [k3.pair_count(u, v) for u, v in combinations(range(3), 2)] == [2, 2, 2]
+
+
+def test_a_bundle_makes_one_grounded_inverse(monkeypatch):
+    # Every pair count reads the one grounded inverse: a per-pair determinant
+    # or inverse coming back would show in these counters.
+    calls = {"invert": 0, "bareiss_det": 0}
+    for name in calls:
+        def counted(m, fn=getattr(treealg, name), name=name):
+            calls[name] += 1
+            return fn(m)
+        monkeypatch.setattr(treealg, name, counted)
+    bundle = LaplacianBundle(named_graph("K4"))
+    for u, v in combinations(range(4), 2):
+        bundle.pair_count(u, v)
+        bundle.pair_count(v, u)
+    assert calls == {"invert": 1, "bareiss_det": 1}

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -10,10 +11,10 @@ from subset_oracle import roots_and_kappa
 
 from bunkbed.catalog import connected_graphs, identity_catalog, named_graph, named_instance
 from bunkbed.exactnum import format_rational, rat
-from bunkbed.graph import Graph, bunkbed, bunkbed_copies
-from bunkbed import measures
-from bunkbed.measures import ParameterError, _at_activity, alt_colouring_counts, forest_table
-from bunkbed.treealg import LaplacianBundle, laplacian
+from bunkbed.graph import Graph, bunkbed, bunkbed_copies, minor
+from bunkbed import measures, treealg, verify
+from bunkbed.measures import ParameterError, _at_activity, alt_colouring_counts, forest_masks, forest_table
+from bunkbed.treealg import LaplacianBundle, all_minors_count, laplacian
 from bunkbed.verify import (
     FAILS,
     HOLDS,
@@ -28,7 +29,14 @@ from bunkbed.verify import (
     run_identity_suite,
     scan_conjectures,
 )
-from bunkbed.verify import _PAIRINGS, _arboreal_difference, _case_rows, _forest_lists, _rc_difference
+from bunkbed.verify import (
+    _PAIRINGS,
+    _arboreal_difference,
+    _case_rows,
+    _forest_lists,
+    _rc_difference,
+    _tree_pair_counts,
+)
 
 SMALL_P = (rat(1, 4), rat(1, 2), rat(3, 4))
 
@@ -187,6 +195,75 @@ def test_bsst_counts_match_cycle_oracle():
                 assert bsst_counts(g, a, b) == bsst_counts_by_cycles(g, a, b), (g, a, b)
     with pytest.raises(ValueError):
         bsst_counts(Graph(4, ((0, 1), (2, 3))), 0, 1)
+
+
+def test_tree_pair_counts_match_the_per_pair_references():
+    # The one-table counts against the spanning trees of forest_masks, the
+    # all-minors tree count, bsst_counts on the minor and the cycle oracle.
+    graphs = [g for _, g in identity_catalog()]
+    rng = random.Random(57)
+    graphs += [_random_multigraph(rng, rng.randint(3, 5), rng.randint(5, 8)) for _ in range(12)]
+    for g in graphs:
+        trees, through, pairs = _tree_pair_counts(g)
+        tree_masks = [mask for mask, kappa in forest_masks(g) if kappa == 1]
+        assert trees == len(tree_masks) == all_minors_count(g.with_weights(1), {0}, {0})
+        assert through == [sum(mask >> e & 1 for mask in tree_masks) for e in range(g.m)]
+        assert list(pairs) == list(combinations(range(g.m), 2))
+        for (e, f), (both, xp, xm) in pairs.items():
+            assert both == sum(mask >> e & mask >> f & 1 for mask in tree_masks), (g, e, f)
+            assert (xp, xm) == bsst_counts(g, e, f) == bsst_counts_by_cycles(g, e, f), (g, e, f)
+
+
+def _count_calls(monkeypatch, module, names, calls: Counter) -> None:
+    for name in names:
+        def counted(*args, fn=getattr(module, name), name=name, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+
+def test_identity_suites_make_one_engine_call_per_graph(monkeypatch):
+    # Pins the per-graph shape: bsst reads one forest table, and each Laplacian
+    # bundle one grounded inverse (one Bareiss determinant), whatever the
+    # number of edge or vertex pairs.
+    calls = Counter()
+    _count_calls(monkeypatch, verify, ("forest_table", "forest_masks", "all_minors_count", "bsst_counts"), calls)
+    _count_calls(monkeypatch, treealg, ("bareiss_det",), calls)
+    for _, g in identity_catalog():
+        calls.clear()
+        assert verify._suite_bsst(g)
+        assert calls == {"forest_table": 1}
+        for suite in ("resistance-bracket", "bunkbed-tree-stratum"):
+            calls.clear()
+            assert IDENTITY_SUITES[suite](g)
+            assert calls["bareiss_det"] == 1, suite
+        calls.clear()
+        assert IDENTITY_SUITES["rayleigh"](g)
+        bundles = sum(minor(g, deletions={f}).is_connected() for f in range(g.m))
+        assert calls["bareiss_det"] == (1 + bundles if bundles else 0)
+
+
+# Two components: a triangle and an edge.
+TWO_PIECES = Graph(5, ((0, 1, rat(1)), (1, 2, rat(1)), (0, 2, rat(1)), (3, 4, rat(1))))
+FOREST_SUITES = ("choe", "four-point-leading", "weak-limit")
+
+
+def test_identity_suites_skip_disconnected_graphs_they_cannot_read():
+    for suite in sorted(IDENTITY_SUITES):
+        rep = run_identity_suite(suite, [("pieces", TWO_PIECES), ("K3", named_graph("K3"))])
+        assert rep.verdict == HOLDS, (suite, rep.witness)
+        alone = run_identity_suite(suite, [("pieces", TWO_PIECES)])
+        if suite in FOREST_SUITES:
+            assert rep.quantities == {"instances_checked": "2"}
+            assert alone.verdict == HOLDS
+        else:
+            assert rep.quantities == {
+                "instances_checked": "1",
+                "skipped": "1",
+                "skip_reasons": f"pieces: {suite} needs a connected graph",
+            }
+            assert alone.verdict == SKIPPED
 
 
 def test_identity_suites_on_small_instances():
