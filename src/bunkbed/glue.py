@@ -24,10 +24,19 @@ the two query entries, and Z(1) is the sum of every entry's value at point 1
 (q = 1).
 
 One kernel, ``_glue``, multiplies two value-form tables and cuts a set of
-vertices in the same pass.  For each entry of the smaller table it first
-sums the other table's values that land on the same reduced partition, and
-then multiplies once per reduced partition, so there are at most
-(smaller table) x (result entries) big-integer products, not one per pair.
+vertices in the same pass.  It joins partitions in the label convention of
+``measures._fold``: each entry of the larger table becomes, once, a string
+over the union of the boundaries in which every vertex carries
+chr(least position of its block + 1); each entry of the smaller table
+becomes, once, its merge pairs (consecutive union positions of a block); and
+a pair of entries joins by replacing the greater label of each merge pair
+with the lesser.  The joined string is canonical, so a per-call cache reads
+the reduced partition and the closed count off it once through
+``partition.project_rgs``.  For each entry of the smaller table the kernel
+first sums the other table's values that land on the same reduced
+partition, and then multiplies once per reduced partition, so there are at
+most (smaller table) x (result entries) big-integer products, not one per
+pair.
 ``contract_network`` cuts, at every step, the chosen vertex and every other
 pending vertex that no remaining factor touches, so a table is never built
 over vertices that the next step would only project out.
@@ -49,7 +58,7 @@ from typing import NamedTuple
 from .exactnum import MultiPoly, Rational, _trim, rat
 from .graph import Graph, hollom_instance, hypergraph_bunkbed, hypergraph_copies
 from .measures import EnumerationGuardError, _integer_fold
-from .partition import SetPartition, bell_number, canonical_rgs, join_rgs, project_rgs
+from .partition import SetPartition, bell_number, canonical_rgs, project_rgs
 
 __all__ = [
     "Factor",
@@ -226,29 +235,43 @@ def _interpolated(t: _ValueForm, den: int) -> Factor:
     return Factor(t.boundary, {rgs: _interpolate(v) for rgs, v in t.entries.items()}, den)
 
 
-def _lift(idx: list, k: int, rgs: tuple) -> tuple:
-    """Lift a partition onto a k-vertex union: unseen vertices become singletons."""
-    full = [-1] * k
-    top = max(rgs, default=-1) + 1
+def _labels(idx: list, k: int, rgs: tuple) -> str:
+    """A partition as a label string over a k-vertex union; unseen vertices stay singletons.
+
+    Each vertex carries chr(first position of its block + 1): with `idx`
+    increasing, as a sorted boundary's positions are, that is the least one.
+    """
+    chars = [chr(i + 1) for i in range(k)]
+    first: dict = {}
     for i, block in zip(idx, rgs):
-        full[i] = block
-    for i in range(k):
-        if full[i] == -1:
-            full[i] = top
-            top += 1
-    return tuple(full)
+        chars[i] = first.setdefault(block, chars[i])
+    return "".join(chars)
+
+
+def _merges(idx: list, rgs: tuple) -> list:
+    """Consecutive union positions (x, y) of each block: opening them all joins the partition."""
+    last: dict = {}
+    pairs = []
+    for i, block in zip(idx, rgs):
+        if block in last:
+            pairs.append((last[block], i))
+        last[block] = i
+    return pairs
 
 
 def _glue(t1: _ValueForm, t2: _ValueForm, points: range, cut=()) -> _ValueForm:
     """Pointwise product of two value-form factors, projecting out the vertices in `cut`.
 
-    The projection is fused into the product: a per-call cache maps each
-    joined partition to (reduced partition, closed), where closed counts the
-    blocks made only of cut vertices, each earning one q.  The loop runs over
-    the smaller table's entries; for each it first sums the other table's
-    values by reduced partition, each scaled by q**closed (cached per entry
-    and power), and then multiplies once per reduced partition.  So neither
-    the unreduced product table nor one product per entry pair is built.
+    The larger table's entries become label strings (``_labels``) and the
+    smaller one's merge pairs (``_merges``), once each; a pair of entries
+    joins by ``str.replace``, keeping the lesser of two labels.  A per-call
+    cache maps each joined string to (reduced partition, closed)
+    from ``project_rgs``, where closed counts the blocks made only of cut
+    vertices, each earning one q.  The loop runs over the smaller table's
+    entries; for each it first sums the other table's values by reduced
+    partition, each scaled by q**closed (cached per entry and power), and
+    then multiplies once per reduced partition.  So neither the unreduced
+    product table nor one product per entry pair is built.
     """
     if len(t2.entries) < len(t1.entries):
         t1, t2 = t2, t1
@@ -257,19 +280,21 @@ def _glue(t1: _ValueForm, t2: _ValueForm, points: range, cut=()) -> _ValueForm:
     k = len(union)
     idx1 = [pos[v] for v in t1.boundary]
     idx2 = [pos[v] for v in t2.boundary]
-    inner = [(_lift(idx2, k, rgs), vals) for rgs, vals in t2.entries.items()]
+    inner = [(_labels(idx2, k, rgs), vals) for rgs, vals in t2.entries.items()]
     keep = [i for i, v in enumerate(union) if v not in cut]
     slots: dict = {}
     scaled: dict = {}
     acc: dict = {}
     for rgs1, vals1 in t1.entries.items():
-        lift1 = _lift(idx1, k, rgs1)
+        merges = _merges(idx1, rgs1)
         sums: dict = {}
-        for j, (lift2, vals2) in enumerate(inner):
-            joined = join_rgs(lift1, lift2)
-            slot = slots.get(joined)
+        for j, (labels, vals2) in enumerate(inner):
+            for x, y in merges:
+                a, b = labels[x], labels[y]
+                labels = labels.replace(b, a) if a < b else labels.replace(a, b)
+            slot = slots.get(labels)
             if slot is None:
-                slot = slots[joined] = project_rgs(joined, keep)
+                slot = slots[labels] = project_rgs(labels, keep)
             key, closed = slot
             if closed:
                 vals = scaled.get((j, closed))

@@ -142,8 +142,11 @@ def canonicalize(ground, grouping) -> SetPartition:
     return SetPartition(ground, canonical_rgs(label[el] for el in ground))
 
 
-def project_rgs(rgs: tuple, keep) -> tuple:
-    """(RGS restricted to the positions `keep`, number of blocks with no kept position)."""
-    reduced = canonical_rgs(rgs[i] for i in keep)
-    return reduced, max(rgs, default=-1) - max(reduced, default=-1)
+def project_rgs(labels, keep) -> tuple:
+    """(RGS of `labels` restricted to the positions `keep`, number of blocks with no kept position).
 
+    `labels` is any block-label sequence, such as an RGS tuple or a label
+    string: equal labels mean one block.
+    """
+    reduced = canonical_rgs(labels[i] for i in keep)
+    return reduced, len(set(labels)) - len(set(reduced))

@@ -527,14 +527,17 @@ def _suite_rayleigh(g: Graph) -> bool:
         return True
     pairs = list(combinations(range(g.n), 2))
 
-    def pair_ratios(bundle):
-        trees, _ = bundle.grounded
-        return [bundle.pair_count(u_, v_) / trees for u_, v_ in pairs]
+    # pair_count / tau = (M_uu + M_vv - 2 M_uv) / M.den: tau cancels, so each
+    # ratio is an integer numerator over its bundle's den, compared crosswise.
+    def pair_numerators(bundle):
+        _, m = bundle.grounded
+        num = m.num
+        return [num[u_][u_] + num[v_][v_] - 2 * num[u_][v_] for u_, v_ in pairs], m.den
 
-    ratios_g = pair_ratios(LaplacianBundle(g))
+    nums_g, den_g = pair_numerators(LaplacianBundle(g))
     for h in subgraphs:
-        ratios_h = pair_ratios(LaplacianBundle(h))
-        if any(rg > rh for rg, rh in zip(ratios_g, ratios_h)):
+        nums_h, den_h = pair_numerators(LaplacianBundle(h))
+        if any(a * den_h > b * den_g for a, b in zip(nums_g, nums_h)):
             return False
     return True
 

@@ -2,6 +2,7 @@ import random
 
 import pytest
 from dense_poly import qpoly
+from glue_oracle import glue_by_join
 from hypothesis import given, settings, strategies as st
 from readout_oracle import counterexample_by_entries
 
@@ -9,8 +10,11 @@ from bunkbed import glue
 from bunkbed.catalog import named_graph, named_instance
 from bunkbed.exactnum import isolate_negative_region, rat
 from bunkbed.glue import (
+    _glue,
     _interpolate,
+    _unit,
     _values,
+    _ValueForm,
     Factor,
     FactorNetwork,
     contract_network,
@@ -24,7 +28,7 @@ from bunkbed.glue import (
 )
 from bunkbed.graph import Graph, bunkbed, bunkbed_copies, gadget
 from bunkbed.measures import EnumerationGuardError, rc_boundary_table
-from bunkbed.partition import canonicalize
+from bunkbed.partition import canonical_rgs, canonicalize
 
 
 def _pattern(marked, *groups):
@@ -480,3 +484,45 @@ def test_mini_hyperedge_pipeline_matches_enumeration():
         labels={ids[1]: 1, ids[2]: 2, ids[12]: 12},
     )
     assert contracted.table() == expected.table()
+
+
+@st.composite
+def value_tables(draw, boundary, count):
+    """A value-form table over `boundary`: distinct RGS keys, `count` integer values each."""
+    k = len(boundary)
+    labels = st.lists(st.integers(0, max(k - 1, 0)), min_size=k, max_size=k)
+    keys = dict.fromkeys(canonical_rgs(x) for x in draw(st.lists(labels, min_size=1, max_size=12)))
+    values = st.lists(st.integers(-50, 50), min_size=count, max_size=count)
+    return _ValueForm(tuple(boundary), {key: draw(values) for key in keys})
+
+
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(st.data())
+def test_glue_matches_the_join_oracle(data):
+    count = data.draw(st.integers(1, 4))
+    vertices = st.lists(st.integers(0, 9), max_size=7, unique=True)
+    b1 = sorted(data.draw(vertices))
+    b2 = sorted(data.draw(vertices))
+    if data.draw(st.booleans()):
+        b2 = [v + 10 for v in b2]  # disjoint boundaries
+    t1 = data.draw(value_tables(b1, count))
+    t2 = _unit(count) if data.draw(st.booleans()) and not b2 else data.draw(value_tables(b2, count))
+    union = sorted(set(b1) | set(b2))
+    cut = data.draw(
+        st.sampled_from([(), tuple(union)]) | st.sets(st.sampled_from(union)) if union else st.just(())
+    )
+    points = range(count)
+    got, want = _glue(t1, t2, points, cut), glue_by_join(t1, t2, points, cut)
+    assert got.boundary == want.boundary
+    assert list(got.entries.items()) == list(want.entries.items())
+
+
+def test_glue_of_empty_boundary_tables():
+    points = range(3)
+    assert _glue(_unit(3), _unit(3), points) == glue_by_join(_unit(3), _unit(3), points) == _unit(3)
+    table = _ValueForm((4, 7), {(0, 0): [1, 2, 3], (0, 1): [5, 0, -2]})
+    for cut in ((), (4,), (4, 7)):
+        got = _glue(table, _unit(3), points, cut)
+        assert got == glue_by_join(table, _unit(3), points, cut)
+    # Cutting both vertices at q = 0, 1, 2: {4, 7} closes one block, {4}{7} two.
+    assert got == _ValueForm((), {(): [0, 2 + 0, 3 * 2 - 2 * 4]})

@@ -108,6 +108,21 @@ def test_eliminate_examples():
     assert project_rgs((0,), ()) == ((), 1)
 
 
+def test_project_rgs_reads_any_labelling():
+    # Least-position label strings, as glue joins them: "aab" is {0,1}{2}.
+    assert project_rgs("aab", (1, 2)) == ((0, 1), 0)
+    assert project_rgs("aab", (2,)) == ((0,), 1)
+    assert project_rgs("\x01\x02\x01\x04", (1,)) == ((0,), 2)
+    assert project_rgs("", ()) == ((), 0)
+    rng = random.Random(3)
+    for _ in range(40):
+        k = rng.randint(1, 7)
+        rgs = rand_partition(rng, tuple(range(k))).rgs
+        keep = sorted(rng.sample(range(k), rng.randint(0, k)))
+        labels = "".join(chr(rgs.index(b) + 1) for b in rgs)
+        assert project_rgs(labels, keep) == project_rgs(rgs, keep)
+
+
 def test_eliminate_restriction_round_trip():
     rng = random.Random(5)
     for _ in range(40):

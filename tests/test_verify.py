@@ -315,6 +315,52 @@ def test_pairings_are_the_three_pairings_of_four_positions():
     assert len(_PAIRINGS) == len(pairings) == 3
 
 
+def _pairing(x, y, z, w):
+    return frozenset({frozenset({x, y}), frozenset({z, w})})
+
+
+def test_quadruple_suites_check_all_three_pairings(monkeypatch):
+    # Spies pass every call through, so the suites' verdicts are unchanged;
+    # they record which pairings xy|zw each suite checks.
+    g = named_graph("K5")
+    seen = []
+    real_cross = LaplacianBundle.cross_inner
+
+    def cross_spy(self, a, b, c, d):
+        seen.append((a, b, c, d))
+        return real_cross(self, a, b, c, d)
+
+    monkeypatch.setattr(LaplacianBundle, "cross_inner", cross_spy)
+    assert IDENTITY_SUITES["cross-inner"](g)
+    by_quad: dict = {}
+    for a, b, c, d in seen:
+        by_quad.setdefault(frozenset({a, b, c, d}), set()).add(_pairing(a, b, c, d))
+    assert len(by_quad) == math.comb(g.n, 4)
+    assert all(len(pairings) == 3 for pairings in by_quad.values())
+
+    splits = []
+    real_split = verify._split_patterns
+
+    def split_spy(x, y, z, w):
+        splits.append(_pairing(x, y, z, w))
+        return real_split(x, y, z, w)
+
+    monkeypatch.setattr(verify, "_split_patterns", split_spy)
+    assert IDENTITY_SUITES["choe"](g)
+    assert len(set(splits)) == 3
+
+
+def test_rayleigh_suite_fails_when_a_subgraph_conducts_better(monkeypatch):
+    # Handing the suite a supergraph in place of each edge-deleted subgraph
+    # lowers some resistance, so the crosswise integer comparison must fail;
+    # the rational weights give the two bundles different denominators.
+    g = Graph(4, ((0, 1, rat(2, 3)), (1, 2, rat(5, 7)), (2, 3, rat(1, 2)), (3, 0, rat(3, 4))))
+    assert IDENTITY_SUITES["rayleigh"](g)
+    extra = Graph(4, g.edges + ((0, 2, rat(1, 5)),))
+    monkeypatch.setattr(verify, "_connected_spanning_subgraph", lambda graph, f: extra)
+    assert not IDENTITY_SUITES["rayleigh"](g)
+
+
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError):
         run_identity_suite("nonsense")
