@@ -223,11 +223,6 @@ class RationalMatrix:
     def identity(n: int) -> "RationalMatrix":
         return RationalMatrix.from_integers([[int(i == j) for j in range(n)] for i in range(n)])
 
-    @staticmethod
-    def ones(rows: int, cols: int | None = None) -> "RationalMatrix":
-        cols = rows if cols is None else cols
-        return RationalMatrix.from_integers([[1] * cols for _ in range(rows)])
-
     def __getitem__(self, key) -> Rational:
         i, j = key
         return Rational(self.num[i][j], self.den)

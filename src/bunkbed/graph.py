@@ -243,6 +243,9 @@ def graph_to_json(g: Graph, posts=None) -> dict:
 
 def graph_from_json(doc: dict):
     """Returns (graph, posts) where posts may be None; other keys are ignored."""
+    n = doc["n"]
+    if type(n) is not int or n < 1:
+        raise ValueError(f"graph 'n' must be an integer >= 1; got {n!r}")
     edges = []
     for u, v, w in doc["edges"]:
         if not isinstance(w, str):
@@ -251,7 +254,7 @@ def graph_from_json(doc: dict):
             edges.append((u, v, parse_rational(w)))
         except ValueError:
             raise ValueError(f"edge ({u}, {v}) weight {w!r} is not a rational like 3/4") from None
-    g = Graph(doc["n"], tuple(edges))
+    g = Graph(n, tuple(edges))
     posts = frozenset(doc["posts"]) if "posts" in doc else None
     return g, posts
 

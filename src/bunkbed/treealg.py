@@ -3,18 +3,18 @@
 Laplacians and their pseudoinverses over the rationals, all-minors spanning
 forest counts, effective resistances, the block formula for the pseudoinverse
 of a bunkbed Laplacian, and positive-semidefiniteness certificates.  Every
-matrix is exactnum's integer rows over one denominator.  The pseudoinverse is
-computed as (L + J/n)^{-1} - J/n on those integers; the inverse is exactnum's
-fraction-free Gauss-Jordan.  Entries, resistances and inner products combine
-integer numerators and build one rational at the end.
+matrix is exactnum's integer rows over one denominator, and a Laplacian is
+inverted one way only, by exactnum's fraction-free Gauss-Jordan: its grounded
+inverse M is the inverse of L_-0 (L without vertex 0) bordered by a zero row
+and column.  M is a generalised inverse of L, so the pseudoinverse is P M P
+for P = I - J/n, one integer centring pass; resistances and inner products
+pair vectors orthogonal to the all-ones vector and read M itself.
 
-Work is shared per matrix: a LaplacianBundle builds one Laplacian per graph
-and answers every all-minors query (`minors_count`) and pseudoinverse entry
-from it, and a PostsBundle inverts L^SS and the posts-contracted bunkbed's
-Laplacian once per post set for every vertex pair.  A bundle's `pair_count`
-reads every two-forest count det L_-{u,v} from one grounded inverse: tau =
-det L_-0 and M = L_-0^{-1}, for L_-0 the Laplacian without vertex 0, give
-tau (M_uu + M_vv - 2 M_uv).  `minors_count` stays the general (S, T) engine.
+A LaplacianBundle builds one Laplacian and one M per graph and answers every
+all-minors query (`minors_count`), pseudoinverse entry, resistance and
+two-forest count det L_-{u,v} = tau (M_uu + M_vv - 2 M_uv), tau = det L_-0,
+from them.  A PostsBundle inverts L^SS and the posts-contracted bunkbed's
+Laplacian once per post set for every vertex pair.
 """
 
 from __future__ import annotations
@@ -65,25 +65,34 @@ def all_minors_count(g: Graph, s_set, t_set) -> Rational:
 
 def pseudoinverse(lap: RationalMatrix) -> RationalMatrix:
     """Moore-Penrose pseudoinverse of a connected graph's Laplacian."""
+    return _centred(_grounded_inverse(lap))
+
+
+def _grounded_inverse(lap: RationalMatrix) -> RationalMatrix:
+    """M: the inverse of L_-0 bordered by a zero row and column, so vertex x is row x."""
     n = lap.rows
-    j_over_n = RationalMatrix.ones(n) * rat(1, n)
+    if n == 0:
+        raise ValueError("a graph Laplacian needs at least one vertex")
     try:
-        inv = invert(lap + j_over_n)
+        inv = invert(lap.submatrix(range(1, n), range(1, n)))
     except ValueError:
-        raise ValueError(
-            "Laplacian + J/n is singular: the graph is disconnected"
-        ) from None
-    return inv - j_over_n
+        raise ValueError("grounded Laplacian is singular: the graph is disconnected") from None
+    return RationalMatrix.from_integers([[0] * n] + [[0, *row] for row in inv.num], inv.den)
+
+
+def _centred(m: RationalMatrix) -> RationalMatrix:
+    """P m P for P = I - J/n and a symmetric m: m_ij - (r_i + r_j)/n + s/n^2, r the row sums."""
+    n, sums = m.rows, [sum(row) for row in m.num]
+    total = sum(sums)
+    return RationalMatrix.from_integers(
+        [[n * n * x - n * (ri + rj) + total for x, rj in zip(row, sums)] for row, ri in zip(m.num, sums)],
+        n * n * m.den,
+    )
 
 
 @dataclass
 class LaplacianBundle:
-    """A graph with its Laplacian and lazily computed inverses.
-
-    Build one bundle per graph and ask it every query: the Laplacian is built
-    once, and the pseudoinverse and the grounded inverse are each inverted
-    once, on first use.
-    """
+    """A graph with its Laplacian, inverted once on first use; one bundle serves every query."""
 
     graph: Graph
     lap: RationalMatrix = field(init=False)
@@ -92,25 +101,19 @@ class LaplacianBundle:
         self.lap = laplacian(self.graph)
 
     @cached_property
+    def inverse(self) -> RationalMatrix:
+        """M, the grounded inverse (`_grounded_inverse`)."""
+        return _grounded_inverse(self.lap)
+
+    @cached_property
     def pinv(self) -> RationalMatrix:
-        return pseudoinverse(self.lap)
+        return _centred(self.inverse)
 
     @cached_property
     def grounded(self) -> tuple[Rational, RationalMatrix]:
-        """(tau, M): tau = det L_-0, the spanning-tree count, and M the inverse of L_-0.
-
-        M is bordered by a zero row and column for vertex 0, so vertex x is
-        row x.  ValueError when the graph is disconnected.
-        """
-        n = self.graph.n
-        rest = range(1, n)
-        sub = self.lap.submatrix(rest, rest)
-        try:
-            inv = invert(sub)
-        except ValueError:
-            raise ValueError("grounded Laplacian is singular: the graph is disconnected") from None
-        bordered = [[0] * n] + [[0, *row] for row in inv.num]
-        return bareiss_det(sub), RationalMatrix.from_integers(bordered, inv.den)
+        """(tau, M): tau = det L_-0, the spanning-tree count, and M = `inverse`."""
+        m, rest = self.inverse, range(1, self.graph.n)
+        return bareiss_det(self.lap.submatrix(rest, rest)), m
 
     def minors_count(self, s_set, t_set) -> Rational:
         """|det L(S^c, T^c)|: spanning forests with one vertex of S and T per tree."""
@@ -137,24 +140,24 @@ class LaplacianBundle:
 
     def resistance(self, u: int, v: int) -> Rational:
         _check_vertices(self.graph, (u, v))
-        p = self.pinv
-        num = p.num
-        return Rational(num[u][u] + num[v][v] - 2 * num[u][v], p.den)
+        m = self.inverse
+        num = m.num
+        return Rational(num[u][u] + num[v][v] - 2 * num[u][v], m.den)
 
     def cross_inner(self, a: int, b: int, c: int, d: int) -> Rational:
         """<L_pinv (e_a - e_b), e_c - e_d>, exactly."""
         _check_vertices(self.graph, (a, b, c, d))
-        p = self.pinv
-        ra, rb = p.num[a], p.num[b]
-        return Rational(ra[c] - ra[d] - rb[c] + rb[d], p.den)
+        m = self.inverse
+        ra, rb = m.num[a], m.num[b]
+        return Rational(ra[c] - ra[d] - rb[c] + rb[d], m.den)
 
     def resistance_matrix(self) -> RationalMatrix:
         """All effective resistances, with a zero diagonal."""
-        p = self.pinv
-        diag = [row[i] for i, row in enumerate(p.num)]
+        m = self.inverse
+        diag = [row[i] for i, row in enumerate(m.num)]
         return RationalMatrix.from_integers(
-            [[di + dj - 2 * x for dj, x in zip(diag, row)] for di, row in zip(diag, p.num)],
-            p.den,
+            [[di + dj - 2 * x for dj, x in zip(diag, row)] for di, row in zip(diag, m.num)],
+            m.den,
         )
 
 
@@ -171,13 +174,12 @@ def bunkbed_pseudoinverse(g: Graph) -> RationalMatrix:
     (half the sum of an all-blocks L-pinv matrix and a signed (L+2I)^{-1}
     matrix); raises if the two disagree anywhere.
     """
-    return _bunkbed_pinv_and_resolvent(g)[0]
+    return _bunkbed_pinv_and_resolvent(g)[0].pinv
 
 
-def _bunkbed_pinv_and_resolvent(g: Graph) -> tuple[RationalMatrix, RationalMatrix]:
-    """bunkbed_pseudoinverse(g) together with the (L + 2I)^{-1} it was checked against."""
-    bb = bunkbed(g, vertical_weight=rat(1))
-    direct = pseudoinverse(laplacian(bb))
+def _bunkbed_pinv_and_resolvent(g: Graph) -> tuple[LaplacianBundle, RationalMatrix]:
+    """The doubled bunkbed's bundle, pinv checked, and the (L + 2I)^{-1} it was checked against."""
+    doubled = LaplacianBundle(bunkbed(g, vertical_weight=rat(1)))
 
     lap = laplacian(g)
     lp = pseudoinverse(lap)
@@ -195,9 +197,9 @@ def _bunkbed_pinv_and_resolvent(g: Graph) -> tuple[RationalMatrix, RationalMatri
     # The block rows run over layer 1, then layer 2, each in base vertex order.
     copies = [bunkbed_copies(g, None, x) for x in range(g.n)]
     order = [c[layer] for layer in (0, 1) for c in copies]
-    if direct.submatrix(order, order) != blocks:
+    if doubled.pinv.submatrix(order, order) != blocks:
         raise ValueError("bunkbed pseudoinverse block formula mismatch")
-    return direct, shifted
+    return doubled, shifted
 
 
 class PostsBundle:
@@ -212,6 +214,9 @@ class PostsBundle:
     def __init__(self, g: Graph, posts):
         self.graph = g
         self.posts = frozenset(posts)
+        if not self.posts:
+            raise ValueError("post set must be nonempty (L^SS would be singular)")
+        _check_vertices(g, self.posts)
 
     @cached_property
     def _lss_inverse(self) -> tuple[dict[int, int], RationalMatrix]:
@@ -224,9 +229,7 @@ class PostsBundle:
         return pseudoinverse(laplacian(bunkbed(self.graph, self.posts)))
 
     def _check_pair(self, u: int, v: int) -> None:
-        """The guard `entry` and `gap` share: nonempty posts, two non-post vertices."""
-        if not self.posts:
-            raise ValueError("post set must be nonempty (L^SS would be singular)")
+        """The guard `entry` and `gap` share: two non-post vertices."""
         if u in self.posts or v in self.posts:
             raise ValueError("query vertices must not be posts")
         _check_vertices(self.graph, (u, v))

@@ -530,9 +530,8 @@ def _suite_rayleigh(g: Graph) -> bool:
     # pair_count / tau = (M_uu + M_vv - 2 M_uv) / M.den: tau cancels, so each
     # ratio is an integer numerator over its bundle's den, compared crosswise.
     def pair_numerators(bundle):
-        _, m = bundle.grounded
-        num = m.num
-        return [num[u_][u_] + num[v_][v_] - 2 * num[u_][v_] for u_, v_ in pairs], m.den
+        num = bundle.inverse.num
+        return [num[u_][u_] + num[v_][v_] - 2 * num[u_][v_] for u_, v_ in pairs], bundle.inverse.den
 
     nums_g, den_g = pair_numerators(LaplacianBundle(g))
     for h in subgraphs:
@@ -570,9 +569,9 @@ def _suite_four_point_leading(g: Graph) -> bool:
 
 def _suite_bunkbed_tree_stratum(g: Graph) -> bool:
     """Two-component forest ordering on the doubled graph plus the gap identity."""
-    doubled = LaplacianBundle(bunkbed(g, vertical_weight=rat(1)))
     n = g.n
-    pinv, resolvent = _bunkbed_pinv_and_resolvent(g)
+    doubled, resolvent = _bunkbed_pinv_and_resolvent(g)
+    pinv = doubled.pinv
     p, r = pinv.num, resolvent.num
     for u_ in range(n):
         for v_ in range(n):

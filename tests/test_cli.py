@@ -253,6 +253,11 @@ def test_exit_code_mapping():
         (["verify", "--suite", "p-threshold", "--graph", "K4"], "needs an instance with posts"),
         (["compute", "bracket", "--graph", "K3", "--marked", "0,0"], "repeats a vertex"),
         (["compute", "bracket", "--graph", "K3", "--marked", "0,0", "--pattern", "0|0"], "repeats a vertex"),
+        (["compute", "pseudoinverse", "--input", "{tmp}/n_zero.json"], "'n'"),
+        (["verify", "--suite", "resistance-matrix", "--input", "{tmp}/n_zero.json"], "got 0"),
+        (["compute", "pseudoinverse", "--input", "{tmp}/n_float.json"], "got 2.0"),
+        (["compute", "resistance", "--input", "{tmp}/n_negative.json"], "got -2"),
+        (["compute", "resistance", "--input", "{tmp}/n_true.json"], "got True"),
     ],
 )
 def test_malformed_input_is_usage_error(argv, fragment, tmp_path, capsys):
@@ -261,6 +266,8 @@ def test_malformed_input_is_usage_error(argv, fragment, tmp_path, capsys):
     poly_edges = [[0, 1, "1/3*q^1*l^1*g^0*h^0"], [1, 2, "1/2"], [0, 2, "1/2"]]
     (tmp_path / "poly.json").write_text(json.dumps({"n": 3, "edges": poly_edges}))
     (tmp_path / "number.json").write_text(json.dumps({"n": 2, "edges": [[0, 1, 1]]}))
+    for name, n in (("n_zero", 0), ("n_float", 2.0), ("n_negative", -2), ("n_true", True)):
+        (tmp_path / f"{name}.json").write_text(json.dumps({"n": n, "edges": []}))
     (tmp_path / "not_json.json").write_text("schema: 1")
     (tmp_path / "list.json").write_text("[]")
     self_recheck = {"schema": 1, "argv": ["recheck", str(tmp_path / "self_recheck.json")], "payload": {}}

@@ -68,11 +68,16 @@ def test_all_minors_matches_forest_oracle():
         assert trees == ft.bracket(TOGETHER)
 
 
+def _j_over_n(n):
+    """J/n: the n x n matrix with every entry 1/n."""
+    return RationalMatrix.from_integers([[1] * n for _ in range(n)], n)
+
+
 def test_pseudoinverse_closed_forms_and_penrose():
     k2 = pseudoinverse(laplacian(named_graph("K2")))
     assert k2 == RationalMatrix([[rat(1, 4), rat(-1, 4)], [rat(-1, 4), rat(1, 4)]])
     k3 = pseudoinverse(laplacian(named_graph("K3")))
-    expected = (RationalMatrix.identity(3) - RationalMatrix.ones(3) * rat(1, 3)) * rat(1, 3)
+    expected = (RationalMatrix.identity(3) - _j_over_n(3)) * rat(1, 3)
     assert k3 == expected
     for name in ("K2", "K3", "C4", "K4", "P4"):
         lap = laplacian(named_graph(name))
@@ -82,13 +87,18 @@ def test_pseudoinverse_closed_forms_and_penrose():
         assert pinv * lap * pinv == pinv
         prod = lap * pinv
         assert prod.transpose() == prod
-        assert prod == RationalMatrix.identity(n) - RationalMatrix.ones(n) * rat(1, n)
+        assert prod == RationalMatrix.identity(n) - _j_over_n(n)
 
 
 def test_pseudoinverse_rejects_disconnected():
     g = Graph(4, ((0, 1, rat(1)), (2, 3, rat(1))))
     with pytest.raises(ValueError, match="disconnected"):
         pseudoinverse(laplacian(g))
+    # The empty graph has no vertex 0 to ground at.
+    with pytest.raises(ValueError, match="at least one vertex"):
+        pseudoinverse(laplacian(Graph(0)))
+    with pytest.raises(ValueError, match="at least one vertex"):
+        LaplacianBundle(Graph(0)).grounded
 
 
 def test_resistance_examples():
@@ -200,7 +210,8 @@ def test_posts_entry_equals_contracted_bunkbed_gap():
 
 
 def _oracle_pseudoinverse(lap):
-    j_over_n = RationalMatrix.ones(lap.rows) * rat(1, lap.rows)
+    """(L + J/n)^{-1} - J/n through the back-substitution oracle."""
+    j_over_n = _j_over_n(lap.rows)
     return invert_by_back_substitution(lap + j_over_n) - j_over_n
 
 
@@ -285,6 +296,10 @@ def test_posts_gap_shares_entry_guards():
             getattr(PostsBundle(k4, {0}), method)(0, 1)
         with pytest.raises(ValueError, match="vertex 4 out of range for a graph on 4 vertices"):
             getattr(PostsBundle(k4, {0}), method)(1, 4)
+        # A post out of range is refused once, for both methods alike.
+        for posts in ({0, 7}, {7}):
+            with pytest.raises(ValueError, match="vertex 7 out of range for a graph on 4 vertices"):
+                getattr(PostsBundle(k4, posts), method)(1, 2)
     assert PostsBundle(k4, {0}).gap(1, 2) == PostsBundle(k4, {0}).entry(1, 2) == rat(1, 4)
 
 
@@ -329,8 +344,9 @@ def test_pair_count_rejects_disconnected_graphs_and_bad_pairs():
 
 
 def test_a_bundle_makes_one_grounded_inverse(monkeypatch):
-    # Every pair count reads the one grounded inverse: a per-pair determinant
-    # or inverse coming back would show in these counters.
+    # Every pair count, pseudoinverse entry, resistance and inner product reads
+    # the one grounded inverse: a per-query determinant or a second inverse
+    # coming back would show in these counters.
     calls = {"invert": 0, "bareiss_det": 0}
     for name in calls:
         def counted(m, fn=getattr(treealg, name), name=name):
@@ -341,4 +357,28 @@ def test_a_bundle_makes_one_grounded_inverse(monkeypatch):
     for u, v in combinations(range(4), 2):
         bundle.pair_count(u, v)
         bundle.pair_count(v, u)
+        bundle.resistance(u, v)
+        bundle.cross_inner(u, v, v, u)
+    assert bundle.pinv[0, 0] == rat(3, 16)
+    bundle.resistance_matrix()
     assert calls == {"invert": 1, "bareiss_det": 1}
+
+
+@settings(deadline=None, max_examples=60, derandomize=True)
+@given(g=connected_multigraphs())
+def test_centred_grounded_inverse_equals_oracle(g):
+    # The pseudoinverse is the grounded inverse centred; resistances and inner
+    # products read the grounded inverse uncentred.  Both must give exactly
+    # what (L + J/n)^{-1} - J/n gives.
+    bundle = LaplacianBundle(g)
+    oracle = _oracle_pseudoinverse(laplacian(g))
+    assert pseudoinverse(laplacian(g)) == bundle.pinv == oracle
+    n = g.n
+    expected = [[oracle[u, u] + oracle[v, v] - 2 * oracle[u, v] for v in range(n)] for u in range(n)]
+    assert bundle.resistance_matrix() == RationalMatrix(expected)
+    for u, v in combinations(range(n), 2):
+        assert bundle.resistance(u, v) == expected[u][v]
+    for a, b, c, d in combinations(range(n), 4):
+        for x, y, z, w in ((a, b, c, d), (a, c, b, d), (a, d, b, c)):
+            gap = oracle[x, z] - oracle[x, w] - oracle[y, z] + oracle[y, w]
+            assert bundle.cross_inner(x, y, z, w) == gap, (x, y, z, w)

@@ -225,23 +225,29 @@ def _count_calls(monkeypatch, module, names, calls: Counter) -> None:
 
 def test_identity_suites_make_one_engine_call_per_graph(monkeypatch):
     # Pins the per-graph shape: bsst reads one forest table, and each Laplacian
-    # bundle one grounded inverse (one Bareiss determinant), whatever the
-    # number of edge or vertex pairs.
+    # is inverted once (its grounded inverse) whatever the number of edge or
+    # vertex pairs, with one Bareiss determinant where a pair count needs tau.
     calls = Counter()
     _count_calls(monkeypatch, verify, ("forest_table", "forest_masks", "all_minors_count", "bsst_counts"), calls)
-    _count_calls(monkeypatch, treealg, ("bareiss_det",), calls)
+    _count_calls(monkeypatch, treealg, ("bareiss_det", "invert"), calls)
     for _, g in identity_catalog():
         calls.clear()
         assert verify._suite_bsst(g)
         assert calls == {"forest_table": 1}
-        for suite in ("resistance-bracket", "bunkbed-tree-stratum"):
-            calls.clear()
-            assert IDENTITY_SUITES[suite](g)
-            assert calls["bareiss_det"] == 1, suite
+        calls.clear()
+        assert IDENTITY_SUITES["resistance-bracket"](g)
+        assert (calls["bareiss_det"], calls["invert"]) == (1, 1)
+        # The doubled bunkbed, the base graph and L + 2I, then L^SS and the
+        # posts-contracted bunkbed of each post set that leaves a vertex pair.
+        calls.clear()
+        assert IDENTITY_SUITES["bunkbed-tree-stratum"](g)
+        post_sets = (g.n >= 3) + (g.n >= 4)
+        assert (calls["bareiss_det"], calls["invert"]) == (1, 3 + 2 * post_sets)
+        # Rayleigh compares M_uu + M_vv - 2 M_uv crosswise, so it needs no tau.
         calls.clear()
         assert IDENTITY_SUITES["rayleigh"](g)
         bundles = sum(minor(g, deletions={f}).is_connected() for f in range(g.m))
-        assert calls["bareiss_det"] == (1 + bundles if bundles else 0)
+        assert (calls["bareiss_det"], calls["invert"]) == (0, 1 + bundles if bundles else 0)
 
 
 # Two components: a triangle and an edge.
