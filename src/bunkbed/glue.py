@@ -37,9 +37,22 @@ first sums the other table's values that land on the same reduced
 partition, and then multiplies once per reduced partition, so there are at
 most (smaller table) x (result entries) big-integer products, not one per
 pair.
-``contract_network`` cuts, at every step, the chosen vertex and every other
-pending vertex that no remaining factor touches, so a table is never built
-over vertices that the next step would only project out.
+
+``contract_network`` plans its steps before it evaluates any entry.  The plan
+(``_plan``) replays an order on the factor boundaries alone, with no values,
+through a vertex -> live-factor index, and records for each step the vertex
+that starts it, the factors it glues, the vertices it cuts and the size of
+its merged boundary.  With no explicit order it plans two candidates: the
+greedy order (least merged boundary, ties to the lower id) and connected
+growth, which starts from a vertex of least degree and then always
+eliminates a pending vertex of the table it just built.  Growth is kept only
+when its (largest merged boundary, sum of Bell(merged)) is strictly smaller,
+so it sweeps a grid column by column while the table2 network keeps the
+greedy order.  An explicit order goes through the same replay.  The
+Bell-number guard reads the plan, so it trips before any entry is
+evaluated.  Every step cuts the chosen vertex and every other pending vertex
+that no remaining factor touches, so a table is never built over vertices
+that the next step would only project out.
 
 ``factor_from_graph`` is the brute-force factor of a small graph.  It reads
 the integer random-cluster fold of ``bunkbed.measures``, the same fold behind
@@ -50,7 +63,7 @@ boundary's block count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from math import prod
 from operator import add, mul, sub
 from typing import NamedTuple
@@ -146,6 +159,20 @@ class Factor:
                 {(k, 0, 0, 0): Rational(c, self.den) for k, c in enumerate(coeffs) if c}
             )
         return out
+
+    def same_table(self, other: "Factor") -> bool:
+        """Whether ``table()`` of both factors is equal, compared in integers.
+
+        Entries a over den_a and b over den_b agree when a * den_b equals
+        b * den_a coefficient by coefficient; an all-zero entry still counts as
+        a key, so the key sets must match.
+        """
+        if self.boundary != other.boundary or self.entries.keys() != other.entries.keys():
+            return False
+        return all(
+            _trim([c * other.den for c in coeffs]) == _trim([c * self.den for c in other.entries[rgs]])
+            for rgs, coeffs in self.entries.items()
+        )
 
     def total(self) -> MultiPoly:
         """Sum of all entries with q**blocks restored: the partition function."""
@@ -351,79 +378,195 @@ class FactorNetwork:
 
 
 def contract_network(net: FactorNetwork, order=None) -> Factor:
-    """Multiply factors and eliminate all non-query vertices.
+    """Multiply factors and eliminate all non-query vertices, following a plan.
 
     Each step picks a vertex v, multiplies the factors that touch it, and in
     the same glue cuts v together with every other pending vertex of the
-    merged boundary that lies in no remaining factor.  v defaults to a
-    greedy minimum-new-boundary choice; an explicit `order` names the vertex
-    that starts each step and skips vertices already cut.  The result is
-    order-invariant.  Entries are carried as their values at q = 0..D and
-    interpolated once at the end.  Raises when any merged boundary would
-    exceed the Bell-number guard, reporting every vertex cut so far and the
-    point count D + 1.
+    merged boundary that lies in no remaining factor.  The steps are planned
+    first on the factor boundaries alone (``_plan``): with `order` None the
+    plan keeps the cheaper of the greedy order and connected growth, and an
+    explicit `order` names the vertex that starts each step and skips
+    vertices already cut.  The result is order-invariant.  Entries are
+    carried as their values at q = 0..D and interpolated once at the end.
+    Raises before any entry is evaluated when a planned merged boundary
+    exceeds the Bell-number guard, reporting every vertex cut before that
+    step, the plan's largest boundary and the point count D + 1.
     """
     return _interpolated(*_contract_values(net, order))
+
+
+@cache
+def _bell(k: int) -> int:
+    return bell_number(k)
+
+
+class _Replay:
+    """A contraction replayed on factor boundaries alone, with no values.
+
+    Factors are numbered in creation order: the network's inputs first, then
+    the table each step builds.  For each vertex, `union` is the set of
+    vertices that share a live factor with it (its merged boundary were it
+    eliminated now) and `touch` the set of its live factors.  A step reads
+    its union, group and cut off these and updates them only on the new
+    table's boundary: there union becomes (union - cut) | boundary, and touch
+    drops the group and gains the new factor.  Each step is recorded as
+    (vertex, group, cut, merged), where merged is the size of its union of
+    boundaries, the largest boundary its glues build.  `top` and `bells` are
+    the largest merged size so far and the sum of Bell(merged).
+    """
+
+    __slots__ = ("union", "touch", "pending", "factors", "last", "steps", "top", "bells")
+
+    def __init__(self, boundaries: list, pending: set):
+        union: dict = {}
+        touch: dict = {}
+        for f, b in enumerate(boundaries):
+            for v in b:
+                if v in union:
+                    union[v].update(b)
+                    touch[v].add(f)
+                else:
+                    union[v] = set(b)
+                    touch[v] = {f}
+        self.union, self.touch = union, touch
+        self.pending = set(pending)
+        self.factors = len(boundaries)
+        self.last: set = set()  # boundary of the table the last step built
+        self.steps: list = []
+        self.top = self.bells = 0
+
+    def cut(self, v) -> set:
+        """Pending vertices of v's union that lie in no live factor outside v's group."""
+        touch, group = self.touch, self.touch[v]
+        return {u for u in self.union[v] & self.pending if touch[u] <= group}
+
+    def eliminate(self, v) -> None:
+        union, touch = self.union, self.touch
+        merged, group, cut = union[v], touch[v], self.cut(v)
+        kept = merged - cut
+        new = self.factors
+        self.factors += 1
+        for u in kept:
+            s = union[u]
+            s -= cut
+            s |= kept
+            t = touch[u]
+            t -= group
+            t.add(new)
+        self.pending -= cut
+        self.last = kept
+        size = len(merged)
+        self.steps.append((v, group, cut, size))
+        if size > self.top:
+            self.top = size
+        self.bells += _bell(size)
+
+    def grown(self):
+        """Connected growth's next vertex.
+
+        Growth eliminates a pending vertex on the boundary of the table it just
+        built, ranked by (union size, size after the cut, id).  It starts, and
+        starts again whenever that boundary holds no pending vertex, from a
+        pending vertex of least degree (least union, then least id): there it
+        chooses as greedy does.
+        """
+        union, front = self.union, self.last & self.pending
+        if not front:
+            return min(self.pending, key=lambda u: (len(union[u]), u))
+        least = min(len(union[u]) for u in front)
+        ties = [u for u in front if len(union[u]) == least]
+        return ties[0] if len(ties) == 1 else min(ties, key=lambda u: (-len(self.cut(u)), u))
+
+
+def _plan(boundaries: list, pending: set, order=None) -> _Replay:
+    """The replay whose steps a contraction follows, planned on the boundaries alone.
+
+    An explicit order is replayed as given, each entry starting a step unless
+    an earlier step cut it.  With `order` None, two candidates are planned:
+    the greedy order (least union, ties to the lower id) and connected growth
+    (``_Replay.grown``).  Growth is kept only when its (largest merged
+    boundary, sum of Bell(merged)) is strictly smaller, so a network on
+    which the greedy order wins keeps it.  Growth shares greedy's steps up to
+    the first one where it would choose another vertex, and is replayed from
+    there only if that step alone does not already cost it the comparison;
+    it stops as soon as it cannot win.
+    """
+    r = _Replay(boundaries, pending)
+    if order is not None:
+        for v in order:
+            if v in r.pending:
+                r.eliminate(v)
+        return r
+    union, left = r.union, r.pending
+    keys = {v: (len(union[v]), v) for v in left}
+    # Each pending vertex is cut in a step whose union holds it, and
+    # Bell(k) >= k, so a replay's (top, bells + pending count) bounds its end.
+    shared = None  # greedy's steps before growth would first choose otherwise
+    while left:
+        v = min(left, key=keys.__getitem__)
+        # With no other pending vertex on the last table, growth also takes v.
+        if shared is None and (r.last & left) - {v} and (w := r.grown()) != v:
+            shared, parted, size = len(r.steps), w, len(union[w])
+            reach = max(r.top, size), r.bells + _bell(size) + len(left) - len(r.cut(w))
+        r.eliminate(v)
+        for u in r.last & left:
+            keys[u] = (len(union[u]), u)
+    bound = r.top, r.bells
+    if shared is None or reach >= bound:
+        return r
+    growth = _Replay(boundaries, pending)
+    for v, *_ in r.steps[:shared]:
+        growth.eliminate(v)
+    growth.eliminate(parted)
+    while growth.pending:
+        if (growth.top, growth.bells + len(growth.pending)) >= bound:
+            return r
+        growth.eliminate(growth.grown())
+    return growth if (growth.top, growth.bells) < bound else r
+
+
+def _check_guard(plan: _Replay, count: int) -> None:
+    """Raise EnumerationGuardError at the first planned step whose union exceeds the guard."""
+    if plan.top <= _BOUNDARY_GUARD:
+        return
+    done: list = []
+    for v, _, cut, size in plan.steps:
+        if size > _BOUNDARY_GUARD:
+            raise EnumerationGuardError(
+                f"eliminating vertex {v} needs a boundary of {size} "
+                f"vertices (Bell({size}) = {bell_number(size)} partitions exceeds the "
+                f"Bell({_BOUNDARY_GUARD}) guard); order so far: {done}; the plan's "
+                f"largest boundary has {plan.top} vertices; "
+                f"each entry holds D + 1 = {count} point values"
+            )
+        done += [v] + sorted(cut - {v})
 
 
 def _contract_values(net: FactorNetwork, order=None) -> tuple[_ValueForm, int]:
     """The contraction of ``contract_network``: final value form and network denominator."""
     if not net.queries:
         raise ValueError("network needs at least one query vertex")
-    queries = set(net.queries)
-    active = list(net.factors)
-    pending = set()
-    for f in active:
-        pending.update(f.boundary)
-    pending -= queries
+    boundaries = [f.boundary for f in net.factors]
+    pending = {v for b in boundaries for v in b} - set(net.queries)
     if order is not None:
         order = list(order)
         if set(order) != pending:
             raise ValueError("explicit order must cover exactly the non-query vertices")
-        order = iter(order)
-    count = len(pending) + sum(_degree(f) for f in active) + 1
+    count = len(pending) + sum(_degree(f) for f in net.factors) + 1
+    plan = _plan(boundaries, pending, order)
+    _check_guard(plan, count)
     points = range(count)
     cache: dict = {}
-    active = [_evaluate(f, count, cache) for f in active]
-    done_order = []
-    while pending:
-        if order is not None:
-            v = next(u for u in order if u in pending)
-        else:
-            best = None
-            for v_cand in pending:
-                new_boundary = set()
-                for f in active:
-                    if v_cand in f.boundary:
-                        new_boundary.update(f.boundary)
-                size = len(new_boundary) - 1
-                key = (size, v_cand)
-                if best is None or key < best[0]:
-                    best = (key, v_cand)
-            v = best[1]
-        group = [f for f in active if v in f.boundary]
-        rest = [f for f in active if v not in f.boundary]
-        merged_boundary = set()
-        for f in group:
-            merged_boundary.update(f.boundary)
-        if len(merged_boundary) > _BOUNDARY_GUARD:
-            raise EnumerationGuardError(
-                f"eliminating vertex {v} needs a boundary of {len(merged_boundary)} "
-                f"vertices (Bell({len(merged_boundary)}) = "
-                f"{bell_number(len(merged_boundary))} partitions exceeds the "
-                f"Bell({_BOUNDARY_GUARD}) guard); order so far: {done_order}; "
-                f"each entry holds D + 1 = {count} point values"
-            )
-        outside = {u for f in rest for u in f.boundary}
-        cut = (merged_boundary & pending) - outside
-        *head, last = sorted(group, key=lambda f: len(f.entries))
-        merged = reduce(lambda x, y: _glue(x, y, points), head) if head else _unit(count)
-        active = rest + [_glue(merged, last, points, cut)]
-        pending -= cut
-        done_order += [v] + sorted(cut - {v})
-    active.sort(key=lambda f: len(f.entries))
-    result = reduce(lambda x, y: _glue(x, y, points), active)
-    return result, prod(f.den for f in net.factors)
+    tables = [_evaluate(f, count, cache) for f in net.factors]
+    unit = _unit(count)
+    for _, group, cut, _ in plan.steps:
+        *head, last = sorted([tables[i] for i in sorted(group)], key=lambda t: len(t.entries))
+        for i in group:
+            tables[i] = None
+        merged = reduce(lambda x, y: _glue(x, y, points), head) if head else unit
+        tables.append(_glue(merged, last, points, cut))
+    rest = sorted((t for t in tables if t is not None), key=lambda t: len(t.entries))
+    return reduce(lambda x, y: _glue(x, y, points), rest), prod(f.den for f in net.factors)
 
 
 def gadget_factor(n: int, p) -> Factor:

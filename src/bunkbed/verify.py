@@ -503,19 +503,11 @@ def _suite_strong_rayleigh(g: Graph) -> bool:
         if h is None:
             continue
         diff = LaplacianBundle(h).pinv - bundle_g.pinv
+        # A PSD difference also gives every Cauchy-Schwarz inequality
+        # <Dx, y>**2 <= <Dx, x><Dy, y>; tests check those as an oracle.
         ok, _ = psd_certificate(diff)
         if not ok:
             return False
-        # Gram terms <D (e_a - e_b), e_c - e_d> of D = diff, as integers over D.den.
-        num = diff.num
-
-        def inner(a, b, c, d):
-            return num[a][c] - num[a][d] - num[b][c] + num[b][d]
-
-        for a, b, c, d in combinations(range(g.n), 4):
-            gram_x = inner(a, b, c, d)
-            if inner(a, b, a, b) * inner(c, d, c, d) < gram_x**2:
-                return False
     return True
 
 
@@ -1020,11 +1012,11 @@ def check_engine_consistency(
         net = FactorNetwork(factors, queries)
         expected = factor_from_graph(g, queries)
         result = contract_network(net)
-        ok = result.table() == expected.table()
+        ok = result.same_table(expected)
         non_query = [x for x in range(n) if x not in queries]
         rng.shuffle(non_query)
         alt = contract_network(net, order=list(non_query))
-        ok &= alt.table() == result.table()
+        ok &= alt.same_table(result)
         if not ok:
             failures.append(
                 {"trial": trial, "n": n, "edges": edges, "queries": list(queries)}

@@ -526,3 +526,157 @@ def test_glue_of_empty_boundary_tables():
         assert got == glue_by_join(table, _unit(3), points, cut)
     # Cutting both vertices at q = 0, 1, 2: {4, 7} closes one block, {4}{7} two.
     assert got == _ValueForm((), {(): [0, 2 + 0, 3 * 2 - 2 * 4]})
+
+
+def _glue_spy(monkeypatch):
+    """Record every _glue call as (size of its union of boundaries, its cut)."""
+    calls = []
+    real_glue = glue._glue
+
+    def spy(t1, t2, points, cut=()):
+        calls.append((len(set(t1.boundary) | set(t2.boundary)), set(cut)))
+        return real_glue(t1, t2, points, cut)
+
+    monkeypatch.setattr(glue, "_glue", spy)
+    return calls
+
+
+def _planned(net, order=None):
+    boundaries = [f.boundary for f in net.factors]
+    pending = {v for b in boundaries for v in b} - set(net.queries)
+    return glue._plan(boundaries, pending, order).steps
+
+
+def _grid_network(rows, cols, rng):
+    """A seeded rows x cols grid of edge factors with weights k/7, queried at three corners."""
+    factors = []
+    for r in range(rows):
+        for c in range(cols):
+            v = r * cols + c
+            if c + 1 < cols:
+                factors.append(edge_factor(v, v + 1, rat(rng.randint(1, 6), 7)))
+            if r + 1 < rows:
+                factors.append(edge_factor(v, v + cols, rat(rng.randint(1, 6), 7)))
+    return FactorNetwork(tuple(factors), (0, cols - 1, rows * cols - 1))
+
+
+def _column_sweep(rows, cols, net):
+    return [r * cols + c for c in range(cols) for r in range(rows) if r * cols + c not in net.queries]
+
+
+@pytest.mark.parametrize("rows, cols, sweep_union", [(4, 10, 6), (5, 10, 7)])
+def test_planned_grid_order_unions_no_more_than_the_column_sweep(monkeypatch, rows, cols, sweep_union):
+    net = _grid_network(rows, cols, random.Random(20240))
+    calls = _glue_spy(monkeypatch)
+    swept = contract_network(net, order=_column_sweep(rows, cols, net))
+    assert max(size for size, _ in calls) == sweep_union
+    calls.clear()
+    planned = contract_network(net)
+    assert max(size for size, _ in calls) <= sweep_union
+    assert planned.same_table(swept)
+
+
+@pytest.mark.parametrize("n", [3, 11])
+def test_hollom_network_keeps_the_greedy_order(monkeypatch, n):
+    net = hollom_network(n, rat(1, 100))
+    order = [11, 12, 2, 6, 7, 14, 16, 17, 19, 4, 3, 8, 5, 9]
+    steps = _planned(net)
+    assert [u for v, _, cut, _ in steps for u in [v] + sorted(cut - {v})] == order
+    calls = _glue_spy(monkeypatch)
+    contract_network(net)
+    assert [u for _, cut in calls if cut for u in sorted(cut)] == order
+
+
+def test_plan_predicts_the_unions_the_contraction_glues(monkeypatch):
+    rng = random.Random(5)
+    nets = [hollom_network(2, rat(1, 100)), _grid_network(3, 5, rng), _grid_network(4, 4, rng)]
+    for _ in range(6):
+        n = rng.randint(5, 8)
+        edges = _random_connected_graph(rng, n, rng.randint(0, 5))
+        factors = tuple(edge_factor(u, v, rat(rng.randint(1, 4), 5)) for u, v in edges)
+        nets.append(FactorNetwork(factors, tuple(rng.sample(range(n), 2))))
+    calls = _glue_spy(monkeypatch)
+    for net in nets:
+        pending = sorted({v for f in net.factors for v in f.boundary} - set(net.queries))
+        for order in (None, pending[::-1]):
+            calls.clear()
+            contract_network(net, order=order)
+            # Each step's glue with a cut builds the step's whole union.
+            steps = _planned(net, order)
+            assert [(size, cut) for size, cut in calls if cut] == [(m, c) for _, _, c, m in steps]
+            assert max(size for size, _ in calls) == max(m for *_, m in steps)
+
+
+@pytest.mark.parametrize("order", [None, [21, 0]])
+def test_guard_trips_before_any_glue(monkeypatch, order):
+    star = [edge_factor(0, i, rat(1, 2)) for i in range(1, 14)]
+    path = [edge_factor(20, 21, rat(1, 3)), edge_factor(21, 22, rat(1, 3))]
+    net = FactorNetwork(tuple(star + path), tuple(range(1, 14)) + (20, 22))
+    calls = _glue_spy(monkeypatch)
+    with pytest.raises(EnumerationGuardError, match=r"the plan's largest boundary has 14 vertices"):
+        contract_network(net, order=order)
+    assert calls == []
+
+
+def test_growth_plan_wins_on_the_6x6_grid():
+    # Greedy grows several fronts on the 6 x 6 grid (largest union 9), while
+    # connected growth sweeps it (8), so the plan keeps growth.
+    grid = _grid_network(6, 6, random.Random(1))
+    assert max(m for *_, m in _planned(grid)) == 8
+    boundaries = [f.boundary for f in grid.factors]
+    pending = {v for b in boundaries for v in b} - set(grid.queries)
+    greedy = glue._Replay(boundaries, pending)
+    while greedy.pending:
+        greedy.eliminate(min(greedy.pending, key=lambda u: (len(greedy.union[u]), u)))
+    assert greedy.top == 9
+
+
+def test_plan_keeps_the_greedy_order_when_growth_only_ties():
+    # Growth takes 0 right after 2; both orders have largest union 3 and
+    # Bell sum 2 + 2 + 2 + 5 = 11, so the plan keeps the greedy order.
+    edges = [(0, 1), (0, 2), (0, 3), (1, 4), (3, 5)]
+    net = FactorNetwork(tuple(edge_factor(u, v, rat(1, 2)) for u, v in edges), (1, 3))
+    boundaries, pending = [f.boundary for f in net.factors], {0, 2, 4, 5}
+    growth = glue._Replay(boundaries, pending)
+    while growth.pending:
+        growth.eliminate(growth.grown())
+    assert [s[0] for s in growth.steps] == [2, 0, 4, 5] and (growth.top, growth.bells) == (3, 11)
+    plan = glue._plan(boundaries, pending)
+    assert [s[0] for s in plan.steps] == [2, 4, 5, 0] and (plan.top, plan.bells) == (3, 11)
+
+
+def _factor(boundary, entries, den):
+    return Factor(tuple(boundary), {canonical_rgs(k): list(v) for k, v in entries.items()}, den)
+
+
+@settings(deadline=None, max_examples=200, derandomize=True)
+@given(st.data())
+def test_same_table_agrees_with_table_equality(data):
+    keys = [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1), (0, 1, 2)]
+    coeffs = st.lists(st.integers(-3, 3), max_size=3)
+    entries = {k: data.draw(coeffs) for k in data.draw(st.lists(st.sampled_from(keys), min_size=1, unique=True))}
+    den = data.draw(st.integers(1, 6))
+    a = _factor((0, 1, 2), entries, den)
+    scale = data.draw(st.integers(1, 4))
+    other = {k: [c * scale for c in v] + [0] * data.draw(st.integers(0, 2)) for k, v in entries.items()}
+    change = data.draw(st.sampled_from(["none", "value", "drop", "add", "boundary"]))
+    boundary = (0, 1, 2)
+    if change == "value":
+        k = data.draw(st.sampled_from(sorted(other)))
+        other[k] = other[k] + [data.draw(st.integers(-2, 2))]
+    elif change == "drop" and len(other) > 1:
+        del other[data.draw(st.sampled_from(sorted(other)))]
+    elif change == "add":
+        other.setdefault(data.draw(st.sampled_from(keys)), [0])
+    elif change == "boundary":
+        boundary = (0, 1, 3)
+    b = _factor(boundary, other, den * scale)
+    assert a.same_table(b) == (a.table() == b.table()) == b.same_table(a)
+
+
+def test_same_table_keeps_all_zero_entries():
+    a = _factor((4, 7), {(0, 0): [1, 2], (0, 1): []}, 3)
+    b = _factor((4, 7), {(0, 0): [2, 4, 0], (0, 1): [0, 0]}, 6)
+    c = _factor((4, 7), {(0, 0): [2, 4]}, 6)
+    assert a.same_table(b) and a.table() == b.table()
+    assert not a.same_table(c) and a.table() != c.table()

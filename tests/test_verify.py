@@ -571,3 +571,33 @@ def test_difference_polynomials_match_the_subset_oracle(case, p, q, lam):
             assert _arboreal_difference(lists, rat(lam)) == forest_diff / forest_z
         else:
             assert forest_diff == 0
+
+
+def test_strong_rayleigh_psd_certificate_implies_every_gram_inequality():
+    # strong-rayleigh certifies D = pinv(h) - pinv(g) positive semidefinite.
+    # That implies each Cauchy-Schwarz inequality <Dx, y>**2 <= <Dx, x><Dy, y>
+    # for x = e_a - e_b and y = e_c - e_d; check them all wherever it passes.
+    from bunkbed.exactnum import psd_certificate
+
+    checked = 0
+    for name, g in identity_catalog():
+        if g.n < 2:
+            continue
+        bundle_g = LaplacianBundle(g)
+        for f in range(g.m):
+            h = verify._connected_spanning_subgraph(g, f)
+            if h is None:
+                continue
+            diff = LaplacianBundle(h).pinv - bundle_g.pinv
+            if not psd_certificate(diff)[0]:
+                continue
+            num = diff.num
+
+            def inner(a, b, c, d):
+                return num[a][c] - num[a][d] - num[b][c] + num[b][d]
+
+            for a, b, c, d in combinations(range(g.n), 4):
+                assert inner(a, b, c, d) ** 2 <= inner(a, b, a, b) * inner(c, d, c, d), (name, f)
+                checked += 1
+        assert IDENTITY_SUITES["strong-rayleigh"](g), name
+    assert checked
