@@ -11,15 +11,20 @@ read-only view that reports print, compare and evaluate: a sparse map from
 exponent tuples in the indeterminates q, l, g, h (l is the forest activity
 usually written lambda) to rational coefficients, with no arithmetic.
 
-Real roots are isolated by bisection.  Up to degree 24 Sturm chains count
-them, and a bracket holding one distinct root is halved on the sign of the
-polynomial's square-free part alone.  Above that, Descartes' rule of signs
-certifies each node of a bisection tree (Collins and Akritas 1976; Rouillier
-and Zimmermann 2004): a node carries a positive integer multiple of p mapped
-onto (0, 1), and its children come from it by bit shifts and one Taylor shift
-by 1, which is additions only.  Every sign is the sign of an integer: p at
-num/den is evaluated as den**deg p(num/den), with shifts for the powers of a
-power-of-two den.
+Real roots are isolated by bisection, once the roots at the domain ends are
+divided out.  If the degree left is at most 24, Sturm chains count them.
+Above that, Descartes' rule of signs certifies each node of a bisection tree
+(Collins and Akritas 1976; Rouillier and Zimmermann 2004): a node carries a
+positive integer multiple of p mapped onto (0, 1), and its children come from
+it by bit shifts and one Taylor shift by 1, which is additions only.  Roots
+that Descartes cannot separate (a repeated root) send the same call on to
+Sturm.  Either certifier halves a bracket holding one distinct root on the
+sign of p times gcd(p, p'), whose roots are all simple; a midpoint that is
+the root itself ends the halving with a bracket centred on it.  Multiplicities
+are counted on the tower gcd(p, p'), gcd(gcd, gcd'), ..., each level the last
+member of the Sturm chain of the one before.  Every sign is the sign of an
+integer: p at num/den is evaluated as den**deg p(num/den), with shifts for the
+powers of a power-of-two den.
 
 Everything in this module is exact.  There is no floating point anywhere, and
 every returned sign or interval is backed by integer arithmetic.
@@ -523,17 +528,6 @@ def _pseudo_rem(f: list[int], g: list[int]) -> list[int]:
     return f
 
 
-def _poly_gcd(a: list[int], b: list[int]) -> list[int]:
-    """Primitive gcd via Euclid with pseudo-remainders."""
-    a, b = _primitive(a), _primitive(b)
-    while b:
-        r = _primitive(_pseudo_rem(a, b))
-        a, b = b, r
-    if a and a[-1] < 0:
-        a = [-x for x in a]
-    return a
-
-
 def sturm_chain(coeffs: Sequence) -> list[list[int]]:
     """Sturm chain of a univariate polynomial given as a coefficient list."""
     p0 = _int_clear(coeffs)
@@ -684,9 +678,12 @@ def isolate_real_roots(
     the certification method: "sturm" builds a Sturm chain (exhaustive but
     with heavy coefficient growth at high degree), "descartes" certifies
     through Descartes sign variations on a bisection tree and needs no chain;
-    "auto" uses Sturm up to degree 24 and Descartes beyond.  Repeated roots
-    route through the Sturm machinery either way.
+    "auto" uses Sturm up to degree 24 and Descartes beyond, counting the
+    degree after the end roots are divided out.  When Descartes meets roots
+    that fail to separate (a repeated root), the same call goes on with Sturm.
     """
+    if engine not in ("auto", "sturm", "descartes"):
+        raise ValueError(f"unknown isolation engine {engine!r}")
     lo, hi = Rational(domain[0]), Rational(domain[1])
     if not lo < hi:
         raise ValueError("empty domain")
@@ -696,38 +693,33 @@ def isolate_real_roots(
     c = _int_clear(coeffs)
     if not c:
         raise ValueError("zero polynomial")
-    if engine == "auto":
-        engine = "sturm" if len(c) - 1 <= _STURM_DEGREE_LIMIT else "descartes"
     c = _divide_out_root(_divide_out_root(c, lo), hi)
-    if len(c) == 1:
+    degree = len(c) - 1
+    if degree == 0:
         return []
-
-    if engine == "sturm":
-        chain = sturm_chain(c)
-        # The chain bottoms out at gcd(p, p'); non-constant means repeated roots.
-        gcd = chain[-1] if len(chain[-1]) > 1 else None
-        raw = _isolate_sturm(c, chain, gcd, lo, hi, width)
-        return [IsolatingInterval(a, b, m) for (a, b), m in zip(raw, _multiplicities(gcd, raw))]
-    if engine == "descartes":
+    if engine == "descartes" or engine == "auto" and degree > _STURM_DEGREE_LIMIT:
         try:
-            raw = _isolate_descartes(c, lo, hi, width)
-            return [IsolatingInterval(a, b, 1) for a, b in raw]
+            return [IsolatingInterval(a, b) for a, b in _isolate_descartes(c, lo, hi, width)]
         except _RepeatedRootSuspicion:
-            if len(c) - 1 > 4 * _STURM_DEGREE_LIMIT:
+            if degree > 4 * _STURM_DEGREE_LIMIT:
                 raise ValueError(
                     "roots failed to separate; certified isolation at this "
                     "degree needs a square-free polynomial"
                 ) from None
-            return isolate_real_roots(c, (lo, hi), width, engine="sturm")
-    raise ValueError(f"unknown isolation engine {engine!r}")
+    chain = sturm_chain(c)
+    # The chain bottoms out at gcd(p, p'); non-constant means repeated roots.
+    gcd = chain[-1] if len(chain[-1]) > 1 else None
+    raw = _isolate_sturm(c, chain, gcd, lo, hi, width)
+    return [IsolatingInterval(a, b, m) for (a, b), m in zip(raw, _multiplicities(gcd, raw))]
 
 
 def _multiplicities(gcd, brackets) -> list[int]:
     """Multiplicity of the single distinct root of c in each bracket, gcd = gcd(c, c').
 
     A root of multiplicity m is a root of the first m - 1 levels of the tower
-    gcd, gcd(gcd, gcd'), ...  Each level's Sturm chain is built once, and only
-    while some bracket still holds a root of the level above.
+    gcd, gcd(gcd, gcd'), ...  Each level's Sturm chain is built once, only
+    while some bracket still holds a root of the level above, and ends in the
+    next level.
     """
     mults = [1] * len(brackets)
     live = range(len(brackets)) if gcd is not None else ()
@@ -738,8 +730,7 @@ def _multiplicities(gcd, brackets) -> list[int]:
         live = [i for i in live if sturm_count(chain, *brackets[i])]
         for i in live:
             mults[i] += 1
-        deriv = _derivative(g)
-        g = _poly_gcd(g, deriv) if deriv else []
+        g = chain[-1]
     return mults
 
 
@@ -753,7 +744,7 @@ def _isolate_sturm(c, chain, gcd, lo, hi, width):
         if count == 0:
             continue
         if count == 1:
-            out.append(_refine_one_root(c, gcd, a, b, width))
+            out.append(_refine(c, gcd, a, b, width))
             continue
         mid, _ = _off_root(c, (a + b) / 2, (b - a) / 16)
         vm = _chain_variations_at(chain, mid)
@@ -765,20 +756,27 @@ def _isolate_sturm(c, chain, gcd, lo, hi, width):
     return out
 
 
-def _refine_one_root(c, gcd, a, b, width):
-    """Bisect (a, b), holding one distinct root of c, to below `width`.
+def _refine(c, gcd, a, b, width):
+    """Halve (a, b), holding one distinct root of c and none at its ends, to below `width`.
 
-    c / gcd(c, c') has only simple roots, so its sign, that of c times gcd,
-    changes at that root alone: the same halves a Sturm count would keep.
+    gcd is gcd(c, c'), or None when c has only simple roots.  c / gcd has
+    only simple roots, so its sign, that of c times gcd, changes at that root
+    alone: the same halves a Sturm count would keep.  A midpoint that is a
+    root of c is the root itself, and it is returned inside a bracket of
+    width width / 2, which b - a >= width keeps inside (a, b).
     """
 
-    def sign(x, c_sign):
-        return c_sign if gcd is None else c_sign * _eval_sign(gcd, x)
+    def sign(x):
+        s = _eval_sign(c, x)
+        return s if gcd is None else s * _eval_sign(gcd, x)
 
-    sa = sign(a, _eval_sign(c, a))
+    sa = sign(a)
     while b - a >= width:
-        mid, c_sign = _off_root(c, (a + b) / 2, (b - a) / 16)
-        if sign(mid, c_sign) == sa:
+        mid = (a + b) / 2
+        sm = sign(mid)
+        if sm == 0:
+            return mid - width / 4, mid + width / 4
+        if sm == sa:
             a = mid
         else:
             b = mid
@@ -811,7 +809,7 @@ def _isolate_descartes(c, lo, hi, width):
             continue
         if v == 1:
             # Exactly one simple root: refine by cheap exact sign bisection.
-            out.append(_refine_sign_change(c, a, b, width))
+            out.append(_refine(c, None, a, b, width))
             continue
         if b - a < min_width:
             raise _RepeatedRootSuspicion
@@ -828,28 +826,6 @@ def _isolate_descartes(c, lo, hi, width):
     return out
 
 
-def _refine_sign_change(c, a, b, width):
-    """Shrink a bracket that contains exactly one simple root below `width`."""
-    sa = _eval_sign(c, a)
-    while b - a >= width:
-        mid = (a + b) / 2
-        sm = _eval_sign(c, mid)
-        if sm == 0:
-            # The root is the rational point mid itself.
-            quarter = width / 4
-            lo2, hi2 = mid - quarter, mid + quarter
-            if lo2 <= a:
-                lo2 = (a + mid) / 2
-            if hi2 >= b:
-                hi2 = (mid + b) / 2
-            return lo2, hi2
-        if sm == sa:
-            a = mid
-        else:
-            b = mid
-    return a, b
-
-
 def isolate_negative_region(p: MultiPoly, domain: tuple, width):
     """Certified sign analysis of a univariate polynomial in q on a domain.
 
@@ -864,18 +840,6 @@ def isolate_negative_region(p: MultiPoly, domain: tuple, width):
     if not any(coeffs):
         raise ValueError("zero polynomial has no sign regions")
     lo, hi = Rational(domain[0]), Rational(domain[1])
-    if not lo < hi:
-        raise ValueError("empty domain")
-    width = Rational(width)
-    # A q**k factor has its root at 0; on a non-negative domain it never
-    # changes signs, so strip it to keep the boundary clean.
-    if lo >= 0:
-        k = next(i for i, c in enumerate(coeffs) if c)
-        if k:
-            coeffs = coeffs[k:]
-            if len(coeffs) == 1:
-                sign = 1 if coeffs[0] > 0 else -1
-                return [], ([] if sign > 0 else [(lo, hi)])
     roots = isolate_real_roots(coeffs, (lo, hi), width)
     c = _int_clear(coeffs)
 

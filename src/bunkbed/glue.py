@@ -152,13 +152,10 @@ class Factor:
 
     def table(self) -> dict:
         """Public view: SetPartition of the boundary -> MultiPoly in q."""
-        out = {}
-        for rgs, coeffs in self.entries.items():
-            part = SetPartition(self.boundary, rgs)
-            out[part] = MultiPoly(
-                {(k, 0, 0, 0): Rational(c, self.den) for k, c in enumerate(coeffs) if c}
-            )
-        return out
+        return {
+            SetPartition(self.boundary, rgs): _q_poly(coeffs, self.den)
+            for rgs, coeffs in self.entries.items()
+        }
 
     def same_table(self, other: "Factor") -> bool:
         """Whether ``table()`` of both factors is equal, compared in integers.
@@ -179,20 +176,11 @@ class Factor:
         total: list = []
         for rgs, coeffs in self.entries.items():
             _add_into(total, [0] * (max(rgs, default=-1) + 1) + coeffs)
-        return MultiPoly({(k, 0, 0, 0): Rational(c, self.den) for k, c in enumerate(total) if c})
+        return _q_poly(total, self.den)
 
     def relabel(self, mapping: dict) -> "Factor":
         """Rename boundary vertices through an injective mapping."""
-        new = [mapping.get(v, v) for v in self.boundary]
-        if len(set(new)) != len(new):
-            raise ValueError("relabel mapping must stay injective on the boundary")
-        order = sorted(range(len(new)), key=lambda i: new[i])
-        boundary = tuple(new[i] for i in order)
-        entries = {}
-        for rgs, coeffs in self.entries.items():
-            permuted = canonical_rgs(rgs[i] for i in order)
-            entries[permuted] = list(coeffs)
-        return Factor(boundary, entries, self.den)
+        return _sorted_factor([mapping.get(v, v) for v in self.boundary], self.entries, self.den)
 
     def to_json(self) -> dict:
         return {
@@ -201,6 +189,23 @@ class Factor:
                 part.to_string(): poly.to_string() for part, poly in self.table().items()
             },
         }
+
+
+def _q_poly(coeffs: list, den: int) -> MultiPoly:
+    """The view of the integer q-coefficients `coeffs` over `den`."""
+    return MultiPoly({(k, 0, 0, 0): Rational(c, den) for k, c in enumerate(coeffs) if c})
+
+
+def _sorted_factor(boundary: list, entries: dict, den: int) -> Factor:
+    """The factor on `boundary` sorted, each entry's RGS permuted to match."""
+    if len(set(boundary)) != len(boundary):
+        raise ValueError("boundary labels must be distinct")
+    order = sorted(range(len(boundary)), key=boundary.__getitem__)
+    return Factor(
+        tuple(boundary[i] for i in order),
+        {canonical_rgs(rgs[i] for i in order): list(coeffs) for rgs, coeffs in entries.items()},
+        den,
+    )
 
 
 def edge_factor(u: int, v: int, weight) -> Factor:
@@ -214,26 +219,20 @@ def edge_factor(u: int, v: int, weight) -> Factor:
     return Factor((a, b), {(0, 0): [num], (0, 1): [den - num]}, den)
 
 
-def factor_from_graph(g: Graph, boundary, labels=None) -> Factor:
+def factor_from_graph(g: Graph, boundary) -> Factor:
     """Brute-force factor of a graph over a boundary set, read from the integer fold.
 
     The fold keeps only the boundary vertices; internal components are
     absorbed as powers of q, and boundary-touching components contribute no q
-    here.  `labels` optionally maps local vertex ids to global ids.
+    here.  ``relabel`` moves the result to other vertex ids.
     """
-    boundary_local = tuple(boundary)
-    acc, den = _integer_fold(g, boundary_local)
-    mapping = labels or {}
-    glob = [mapping.get(v, v) for v in boundary_local]
-    if len(set(glob)) != len(glob):
-        raise ValueError("labels must stay injective on the boundary")
-    order = sorted(range(len(glob)), key=lambda i: glob[i])
+    boundary = list(boundary)
+    acc, den = _integer_fold(g, tuple(boundary))
     entries: dict = {}
     for (rgs, kappa), c in acc.items():
-        coeffs = entries.setdefault(canonical_rgs(rgs[i] for i in order), [])
         internal = kappa - (max(rgs) + 1 if rgs else 0)
-        _add_into(coeffs, [0] * internal + [c])
-    return Factor(tuple(glob[i] for i in order), {k: _trim(c) for k, c in entries.items()}, den)
+        _add_into(entries.setdefault(rgs, []), [0] * internal + [c])
+    return _sorted_factor(boundary, {rgs: _trim(c) for rgs, c in entries.items()}, den)
 
 
 class _ValueForm(NamedTuple):
@@ -626,6 +625,6 @@ def counterexample_polynomial(n: int, p):
     same_20 = final.entries[0, 1, 0]  # {1,20}{10}
     # Both query partitions have two blocks: restore q**2.
     diff = [0, 0] + _interpolate(list(map(sub, same_10, same_20)))
-    numerator = MultiPoly({(e, 0, 0, 0): Rational(c, den) for e, c in enumerate(diff) if c})
+    numerator = _q_poly(diff, den)
     z_at_1 = Rational(sum(vals[1] for vals in final.entries.values()), den)
     return numerator, z_at_1

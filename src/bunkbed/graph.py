@@ -242,12 +242,18 @@ def graph_to_json(g: Graph, posts=None) -> dict:
 
 
 def graph_from_json(doc: dict):
-    """Returns (graph, posts) where posts may be None; other keys are ignored."""
+    """Returns (graph, posts) where posts may be None; other keys are ignored.
+
+    Vertex ids, in edges and posts alike, are integers (not booleans); posts
+    are distinct vertices of the graph.
+    """
     n = doc["n"]
     if type(n) is not int or n < 1:
         raise ValueError(f"graph 'n' must be an integer >= 1; got {n!r}")
     edges = []
     for u, v, w in doc["edges"]:
+        if type(u) is not int or type(v) is not int:
+            raise ValueError(f"edge ({u!r}, {v!r}) endpoints must be integer vertex ids")
         if not isinstance(w, str):
             raise ValueError(f'edge ({u}, {v}) weight {w!r} must be a string such as "3/4"')
         try:
@@ -255,8 +261,18 @@ def graph_from_json(doc: dict):
         except ValueError:
             raise ValueError(f"edge ({u}, {v}) weight {w!r} is not a rational like 3/4") from None
     g = Graph(n, tuple(edges))
-    posts = frozenset(doc["posts"]) if "posts" in doc else None
-    return g, posts
+    if "posts" not in doc:
+        return g, None
+    posts = doc["posts"]
+    if (
+        type(posts) is not list
+        or any(type(t) is not int or not 0 <= t < n for t in posts)
+        or len(set(posts)) != len(posts)
+    ):
+        raise ValueError(
+            f"graph 'posts' must be a list of distinct vertices in 0..{n - 1}; got {posts!r}"
+        )
+    return g, frozenset(posts)
 
 
 def load_graph(path) -> tuple[Graph, frozenset | None]:

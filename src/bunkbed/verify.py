@@ -828,6 +828,8 @@ def scan_conjectures(
     from .exactnum import parse_rational
 
     check_parameters(lam=lam_grid)
+    if weightings < 1:
+        raise ParameterError(f"weightings must be at least 1; got {weightings}")
     reports = []
 
     # Doubled-graph forest inequality on all small connected graphs.

@@ -278,6 +278,52 @@ def test_malformed_input_is_usage_error(argv, fragment, tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error:") and fragment in err[0]
 
 
+TRIANGLE_EDGES = [[0, 1, "1/2"], [1, 2, "1/2"], [0, 2, "1/2"]]
+
+
+@pytest.mark.parametrize(
+    "doc, commands, fragment",
+    [
+        (
+            {"n": 3, "edges": TRIANGLE_EDGES, "posts": [7]},
+            [["verify", "--suite", "bunkbed"]],
+            "'posts'",
+        ),
+        (
+            {"n": 3, "edges": [[0.0, 1, "1/2"], [1, 2, "1/2"]]},
+            [
+                ["verify", "--suite", "bunkbed"],
+                ["compute", "resistance", "--u", "0", "--v", "2"],
+                ["verify", "--suite", "rayleigh"],
+            ],
+            "endpoints",
+        ),
+        (
+            {"n": 3, "edges": TRIANGLE_EDGES, "posts": "1"},
+            [["verify", "--suite", "bunkbed"]],
+            "'posts'",
+        ),
+    ],
+    ids=["post-out-of-range", "float-endpoint", "posts-not-a-list"],
+)
+def test_malformed_graph_file_is_usage_error(doc, commands, fragment, tmp_path, capsys):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(doc))
+    for command in commands:
+        assert main(command + ["--input", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and fragment in err[0]
+
+
+@pytest.mark.parametrize("weightings", ["0", "-3"])
+def test_conjecture_scan_without_weightings_is_usage_error(weightings, capsys):
+    assert main(["verify", "--suite", "conjectures", "--weightings", weightings]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == ""
+    assert len(err) == 1 and err[0].startswith("error:") and "weightings" in err[0]
+
+
 # A weighted multigraph (two parallel 1-3 edges) and its exact outputs, pinned
 # from the Fraction-entry matrix layer: the integer-row layer must print the
 # same bytes.

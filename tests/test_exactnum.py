@@ -309,6 +309,9 @@ def test_sign_definite_polynomial_gives_empty_or_full_region():
     assert roots == [] and negative == []
     roots, negative = isolate_negative_region(qpoly([-3]), (rat(0), rat(5)), rat(1, 10))
     assert negative == [(rat(0), rat(5))]
+    # -q**2: its only root is the domain end 0, so no root and one window.
+    roots, negative = isolate_negative_region(qpoly([0, 0, -1]), (rat(0), rat(2)), rat(1, 100))
+    assert roots == [] and negative == [(rat(0), rat(2))]
 
 
 def test_zero_polynomial_rejected():
@@ -378,6 +381,26 @@ def test_descartes_falls_back_for_repeated_roots():
         from_roots([1, 1, 3]), (rat(0), rat(5)), rat(1, 16), engine="descartes"
     )
     assert [iv.multiplicity for iv in found] == [2, 1]
+
+
+def test_both_engines_bracket_a_midpoint_root_alike():
+    # 3/8 is a bisection midpoint of (0, 2); the bracket centres on it.
+    p = from_roots([rat(3, 8), rat(9, 5)])
+    by_engine = [
+        isolate_real_roots(p, (rat(0), rat(2)), rat(1, 1000), engine=engine)
+        for engine in ("sturm", "descartes")
+    ]
+    assert by_engine[0] == by_engine[1]
+    assert (by_engine[0][0].low, by_engine[0][0].high) == (rat(1499, 4000), rat(1501, 4000))
+    assert by_engine[0][1].contains(rat(9, 5))
+
+
+@pytest.mark.parametrize("engine", ["sturm", "descartes"])
+def test_multiplicities_three_and_four_are_reported(engine):
+    roots = [rat(1, 3)] * 3 + [rat(5, 7)] * 4 + [rat(3, 2)]
+    found = isolate_real_roots(from_roots(roots), (rat(0), rat(2)), rat(1, 100), engine=engine)
+    assert [iv.multiplicity for iv in found] == [3, 4, 1]
+    assert all(iv.contains(r) for iv, r in zip(found, (rat(1, 3), rat(5, 7), rat(3, 2))))
 
 
 @pytest.mark.parametrize("engine", ["sturm", "descartes"])

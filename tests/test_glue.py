@@ -175,8 +175,8 @@ def test_split_merge_agrees_with_whole_graph_factor():
                 tuple((local[edges[i][0]], local[edges[i][1]], weights[i]) for i in part_edges),
             )
             parts.append(
-                factor_from_graph(
-                    sub, [local[x] for x in boundary], labels={local[x]: x for x in support}
+                factor_from_graph(sub, [local[x] for x in boundary]).relabel(
+                    {local[x]: x for x in support}
                 )
             )
         merged = parts[0]
@@ -478,10 +478,8 @@ def test_mini_hyperedge_pipeline_matches_enumeration():
         (ids[3], ids[12], spoke),
     ]
     assembled = Graph(7, tuple(edges))
-    expected = factor_from_graph(
-        assembled,
-        (ids[1], ids[2], ids[12]),
-        labels={ids[1]: 1, ids[2]: 2, ids[12]: 12},
+    expected = factor_from_graph(assembled, (ids[1], ids[2], ids[12])).relabel(
+        {ids[1]: 1, ids[2]: 2, ids[12]: 12}
     )
     assert contracted.table() == expected.table()
 

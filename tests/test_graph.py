@@ -276,6 +276,21 @@ def test_graph_json_round_trip(tmp_path):
         graph_from_json(doc)
 
 
+@pytest.mark.parametrize(
+    "edges, posts",
+    [
+        ([[0, True, "1/2"]], [1]),
+        ([[0, 1, "1/2"]], [-1]),
+        ([[0, 1, "1/2"]], [1, 1]),
+        ([[0, 1, "1/2"]], [True]),
+        ([[0, 1, "1/2"]], None),
+    ],
+)
+def test_graph_json_rejects_bad_vertex_ids(edges, posts):
+    with pytest.raises(ValueError):
+        graph_from_json({"n": 3, "edges": edges, "posts": posts})
+
+
 def test_graph_json_ignores_labels():
     doc = graph_to_json(bunkbed(named_graph("P3"), {1}), posts={1})
     assert set(doc) == {"n", "edges", "posts"}
