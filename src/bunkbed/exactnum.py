@@ -841,21 +841,27 @@ def isolate_negative_region(p: MultiPoly, domain: tuple, width):
         raise ValueError("zero polynomial has no sign regions")
     lo, hi = Rational(domain[0]), Rational(domain[1])
     roots = isolate_real_roots(coeffs, (lo, hi), width)
-    c = _int_clear(coeffs)
+    # Divide out the roots at the domain ends, so that the sign just inside
+    # an end can be read at the end itself, where a bracket may start or
+    # stop.  On (lo, hi), (q - lo)**k is positive and (q - hi)**k has the
+    # sign (-1)**k.
+    c = _divide_out_root(_int_clear(coeffs), lo)
+    at_hi = len(c)
+    c = _divide_out_root(c, hi)
+    flip = -1 if (at_hi - len(c)) % 2 else 1
 
     # One exact sign per gap between consecutive root brackets.
     bounds = [lo] + [r.low for r in roots] + [hi]
     uppers = [lo] + [r.high for r in roots] + [hi]
     signs = []
     for i in range(len(roots) + 1):
-        # An empty gap is either the shared endpoint of two touching brackets,
-        # which is not a root and so has an exact sign, or a domain end that
-        # is a root, whose sign 0 opens no window.
+        # An empty gap is the shared endpoint of two touching brackets or a
+        # domain end; neither is a root of c, so both have an exact sign.
         a, b = uppers[i], bounds[i + 1]
         if a == b:
-            signs.append(_eval_sign(c, a))
+            signs.append(flip * _eval_sign(c, a))
         else:
-            signs.append(_off_root(c, (a + b) / 2, (b - a) / 16)[1])
+            signs.append(flip * _off_root(c, (a + b) / 2, (b - a) / 16)[1])
 
     # Assemble maximal negative intervals.  A gap endpoint at the domain edge
     # is exact; at a root it is the root's outer bracket edge, except where

@@ -258,6 +258,13 @@ def test_exit_code_mapping():
         (["compute", "pseudoinverse", "--input", "{tmp}/n_float.json"], "got 2.0"),
         (["compute", "resistance", "--input", "{tmp}/n_negative.json"], "got -2"),
         (["compute", "resistance", "--input", "{tmp}/n_true.json"], "got True"),
+        (["verify", "--suite", "bunkbed", "--input", "{tmp}/post_out_of_range.json"], "'posts'"),
+        (["verify", "--suite", "bunkbed", "--input", "{tmp}/posts_not_a_list.json"], "'posts'"),
+        (["verify", "--suite", "bunkbed", "--input", "{tmp}/float_endpoint.json"], "endpoints"),
+        (["compute", "resistance", "--input", "{tmp}/float_endpoint.json", "--u", "0", "--v", "2"], "endpoints"),
+        (["verify", "--suite", "rayleigh", "--input", "{tmp}/float_endpoint.json"], "endpoints"),
+        (["verify", "--suite", "conjectures", "--weightings", "0"], "weightings"),
+        (["verify", "--suite", "conjectures", "--weightings", "-3"], "weightings"),
     ],
 )
 def test_malformed_input_is_usage_error(argv, fragment, tmp_path, capsys):
@@ -266,6 +273,10 @@ def test_malformed_input_is_usage_error(argv, fragment, tmp_path, capsys):
     poly_edges = [[0, 1, "1/3*q^1*l^1*g^0*h^0"], [1, 2, "1/2"], [0, 2, "1/2"]]
     (tmp_path / "poly.json").write_text(json.dumps({"n": 3, "edges": poly_edges}))
     (tmp_path / "number.json").write_text(json.dumps({"n": 2, "edges": [[0, 1, 1]]}))
+    triangle = [[0, 1, "1/2"], [1, 2, "1/2"], [0, 2, "1/2"]]
+    (tmp_path / "post_out_of_range.json").write_text(json.dumps({"n": 3, "edges": triangle, "posts": [7]}))
+    (tmp_path / "posts_not_a_list.json").write_text(json.dumps({"n": 3, "edges": triangle, "posts": "1"}))
+    (tmp_path / "float_endpoint.json").write_text(json.dumps({"n": 3, "edges": [[0.0, 1, "1/2"], [1, 2, "1/2"]]}))
     for name, n in (("n_zero", 0), ("n_float", 2.0), ("n_negative", -2), ("n_true", True)):
         (tmp_path / f"{name}.json").write_text(json.dumps({"n": n, "edges": []}))
     (tmp_path / "not_json.json").write_text("schema: 1")
@@ -276,52 +287,6 @@ def test_malformed_input_is_usage_error(argv, fragment, tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert code == 2
     assert len(err) == 1 and err[0].startswith("error:") and fragment in err[0]
-
-
-TRIANGLE_EDGES = [[0, 1, "1/2"], [1, 2, "1/2"], [0, 2, "1/2"]]
-
-
-@pytest.mark.parametrize(
-    "doc, commands, fragment",
-    [
-        (
-            {"n": 3, "edges": TRIANGLE_EDGES, "posts": [7]},
-            [["verify", "--suite", "bunkbed"]],
-            "'posts'",
-        ),
-        (
-            {"n": 3, "edges": [[0.0, 1, "1/2"], [1, 2, "1/2"]]},
-            [
-                ["verify", "--suite", "bunkbed"],
-                ["compute", "resistance", "--u", "0", "--v", "2"],
-                ["verify", "--suite", "rayleigh"],
-            ],
-            "endpoints",
-        ),
-        (
-            {"n": 3, "edges": TRIANGLE_EDGES, "posts": "1"},
-            [["verify", "--suite", "bunkbed"]],
-            "'posts'",
-        ),
-    ],
-    ids=["post-out-of-range", "float-endpoint", "posts-not-a-list"],
-)
-def test_malformed_graph_file_is_usage_error(doc, commands, fragment, tmp_path, capsys):
-    path = tmp_path / "graph.json"
-    path.write_text(json.dumps(doc))
-    for command in commands:
-        assert main(command + ["--input", str(path)]) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error:") and fragment in err[0]
-
-
-@pytest.mark.parametrize("weightings", ["0", "-3"])
-def test_conjecture_scan_without_weightings_is_usage_error(weightings, capsys):
-    assert main(["verify", "--suite", "conjectures", "--weightings", weightings]) == 2
-    captured = capsys.readouterr()
-    err = captured.err.splitlines()
-    assert captured.out == ""
-    assert len(err) == 1 and err[0].startswith("error:") and "weightings" in err[0]
 
 
 # A weighted multigraph (two parallel 1-3 edges) and its exact outputs, pinned

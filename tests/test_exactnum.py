@@ -326,6 +326,29 @@ def test_q_power_factor_is_stripped():
     assert negative[0][0] == 0
 
 
+def test_window_next_to_a_root_at_the_domain_start_is_kept():
+    # q (q - 1/10000): the first bracket starts at the root 0, so the empty
+    # gap before it must take its sign from just right of 0, where p < 0.
+    p = qpoly([0, rat(-1, 10000), 1])
+    roots, negative = isolate_negative_region(p, (rat(0), rat(2)), rat(1, 100))
+    assert [(r.low, r.high) for r in roots] == [(rat(0), rat(1, 128))]
+    assert negative == [(rat(0), rat(1, 128))]
+
+
+def test_window_next_to_a_root_at_the_domain_end_is_kept():
+    # (q - 2)(q - a) with a = 2 - 1/10000 is negative on (a, 2); the last
+    # bracket stops at the root 2, and (q - 2) is negative inside (0, 2).
+    a = rat(2) - rat(1, 10000)
+    p = qpoly([2 * a, -(2 + a), 1])
+    roots, negative = isolate_negative_region(p, (rat(0), rat(2)), rat(1, 100))
+    assert [(r.low, r.high) for r in roots] == [(rat(255, 128), rat(2))]
+    assert negative == [(rat(255, 128), rat(2))]
+    # (q - 2)**2 (q - a) keeps the sign of (q - a): negative below a only.
+    p = qpoly([-4 * a, 4 + 4 * a, -(4 + a), 1])
+    roots, negative = isolate_negative_region(p, (rat(0), rat(2)), rat(1, 100))
+    assert negative == [(rat(0), roots[0].high)]
+
+
 @pytest.mark.parametrize("engine", ["sturm", "descartes"])
 def test_isolation_brackets_random_products_of_linear_factors(engine):
     rng = random.Random(19)
