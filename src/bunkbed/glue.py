@@ -18,10 +18,16 @@ products add degrees and each eliminated vertex closes at most one component.
 So every input entry is evaluated once at q = 0, ..., D, products and
 eliminations act point by point (c closed components multiply by q**c), and
 ``contract_network`` recovers each final entry by one exact integer
-interpolation.  ``counterexample_polynomial`` reads the table2 row off the
-final values instead: N is one interpolation of the point-wise difference of
-the two query entries, and Z(1) is the sum of every entry's value at point 1
-(q = 1).
+interpolation.
+
+``counterexample_polynomial`` reads a table2 row off one layer.  The doubled
+network is two copies of a six-factor layer that share only the posts, so it
+contracts layer 1 alone (queries 1, 10 and the posts) at the point count of
+the whole doubled network.  Layer 2's table is that table with 1 projected
+out and 10 renamed 20.  The last glue joins the two and cuts the posts
+through a signed readout: it keeps only {1,10}{20} minus {1,20}{10}, one
+product per entry of the smaller table.  N is one interpolation of that
+difference, and Z(1) the product of the two tables' sums at point 1 (q = 1).
 
 One kernel, ``_glue``, multiplies two value-form tables and cuts a set of
 vertices in the same pass.  It joins partitions in the label convention of
@@ -47,7 +53,7 @@ greedy order (least merged boundary, ties to the lower id) and connected
 growth, which starts from a vertex of least degree and then always
 eliminates a pending vertex of the table it just built.  Growth is kept only
 when its (largest merged boundary, sum of Bell(merged)) is strictly smaller,
-so it sweeps a grid column by column while the table2 network keeps the
+so it sweeps a grid column by column while ``hollom_network`` keeps the
 greedy order.  An explicit order goes through the same replay.  The
 Bell-number guard reads the plan, so it trips before any entry is
 evaluated.  Every step cuts the chosen vertex and every other pending vertex
@@ -69,7 +75,7 @@ from operator import add, mul, sub
 from typing import NamedTuple
 
 from .exactnum import MultiPoly, Rational, _trim, rat
-from .graph import Graph, hollom_instance, hypergraph_bunkbed, hypergraph_copies
+from .graph import Graph, hollom_instance, hypergraph_copies
 from .measures import EnumerationGuardError, _integer_fold
 from .partition import SetPartition, bell_number, canonical_rgs, project_rgs
 
@@ -285,7 +291,7 @@ def _merges(idx: list, rgs: tuple) -> list:
     return pairs
 
 
-def _glue(t1: _ValueForm, t2: _ValueForm, points: range, cut=()) -> _ValueForm:
+def _glue(t1: _ValueForm, t2: _ValueForm, points: range, cut=(), signed=()) -> _ValueForm:
     """Pointwise product of two value-form factors, projecting out the vertices in `cut`.
 
     The larger table's entries become label strings (``_labels``) and the
@@ -298,6 +304,11 @@ def _glue(t1: _ValueForm, t2: _ValueForm, points: range, cut=()) -> _ValueForm:
     partition, each scaled by q**closed (cached per entry and power), and
     then multiplies once per reduced partition.  So neither the unreduced
     product table nor one product per entry pair is built.
+
+    `signed`, a pair (plus, minus) of reduced partitions, reads only their
+    difference: pairs that land elsewhere are skipped, each entry of the
+    smaller table multiplies once by plus - minus of its sums, and the result
+    has the empty boundary and at most the one entry ().
     """
     if len(t2.entries) < len(t1.entries):
         t1, t2 = t2, t1
@@ -322,6 +333,8 @@ def _glue(t1: _ValueForm, t2: _ValueForm, points: range, cut=()) -> _ValueForm:
             if slot is None:
                 slot = slots[labels] = project_rgs(labels, keep)
             key, closed = slot
+            if signed and key not in signed:
+                continue
             if closed:
                 vals = scaled.get((j, closed))
                 if vals is None:
@@ -330,11 +343,14 @@ def _glue(t1: _ValueForm, t2: _ValueForm, points: range, cut=()) -> _ValueForm:
                 vals = vals2
             prev = sums.get(key)
             sums[key] = vals if prev is None else list(map(add, prev, vals))
+        if signed and sums:
+            plus, minus = (sums.get(key, [0] * len(points)) for key in signed)
+            sums = {(): list(map(sub, plus, minus))}
         for key, vals in sums.items():
             product = map(mul, vals1, vals)
             prev = acc.get(key)
             acc[key] = list(product) if prev is None else list(map(add, prev, product))
-    return _ValueForm(tuple(union[i] for i in keep), acc)
+    return _ValueForm(() if signed else tuple(union[i] for i in keep), acc)
 
 
 def _unit(count: int) -> _ValueForm:
@@ -391,7 +407,13 @@ def contract_network(net: FactorNetwork, order=None) -> Factor:
     exceeds the Bell-number guard, reporting every vertex cut before that
     step, the plan's largest boundary and the point count D + 1.
     """
-    return _interpolated(*_contract_values(net, order))
+    return _interpolated(*_contract_values(net, _point_count(net), order))
+
+
+def _point_count(net: FactorNetwork) -> int:
+    """D + 1: (vertices eliminated) + (sum of the factor degrees) + 1 points."""
+    pending = {v for f in net.factors for v in f.boundary} - set(net.queries)
+    return len(pending) + sum(_degree(f) for f in net.factors) + 1
 
 
 @cache
@@ -541,8 +563,8 @@ def _check_guard(plan: _Replay, count: int) -> None:
         done += [v] + sorted(cut - {v})
 
 
-def _contract_values(net: FactorNetwork, order=None) -> tuple[_ValueForm, int]:
-    """The contraction of ``contract_network``: final value form and network denominator."""
+def _contract_values(net: FactorNetwork, count: int, order=None) -> tuple[_ValueForm, int]:
+    """The contraction of ``contract_network`` at `count` points: final value form and denominator."""
     if not net.queries:
         raise ValueError("network needs at least one query vertex")
     boundaries = [f.boundary for f in net.factors]
@@ -551,7 +573,6 @@ def _contract_values(net: FactorNetwork, order=None) -> tuple[_ValueForm, int]:
         order = list(order)
         if set(order) != pending:
             raise ValueError("explicit order must cover exactly the non-query vertices")
-    count = len(pending) + sum(_degree(f) for f in net.factors) + 1
     plan = _plan(boundaries, pending, order)
     _check_guard(plan, count)
     points = range(count)
@@ -590,22 +611,24 @@ def gadget_factor(n: int, p) -> Factor:
 def hollom_network(n: int, p) -> FactorNetwork:
     """Twelve gadget factors on the skeleton of the doubled counterexample.
 
-    Each hyperedge of the 10-vertex instance, in both layers with the posts
-    contracted, is replaced by a gadget factor whose apex sits on the post.
-    Queries are 1 and the two copies of 10 from `hypergraph_copies`: 10
-    (same layer) and 20 (the other layer).
+    Each hyperedge of the 10-vertex instance is replaced by a gadget factor
+    whose apex sits on its post: layer 1's six in hyperedge order, then the
+    same six moved to layer 2 by `hypergraph_copies`, which keeps the posts.
+    Queries are 1 and the two copies of 10: 10 (same layer) and 20 (the
+    other layer).
     """
     h = hollom_instance()
-    _, doubled = hypergraph_bunkbed(h)
     base = gadget_factor(n, p)
     a, b, c = 0, 1, n + 2
-    factors = []
-    for he in doubled:
+    layer = []
+    for he in h.hyperedges:
         post = [v for v in he if v in h.posts]
         others = [v for v in he if v not in h.posts]
         if len(post) != 1:
             raise ValueError("every hyperedge must contain exactly one post")
-        factors.append(base.relabel({a: post[0], b: others[0], c: others[1]}))
+        layer.append(base.relabel({a: post[0], b: others[0], c: others[1]}))
+    mirror = {v: hypergraph_copies(h, v)[1] for v in range(1, h.n + 1)}
+    factors = layer + [f.relabel(mirror) for f in layer]
     return FactorNetwork(tuple(factors), (1, *hypergraph_copies(h, 10)))
 
 
@@ -616,15 +639,27 @@ def counterexample_polynomial(n: int, p):
     P[1 <-> 10] - P[1 <-> 20] as an exact polynomial in q (positive
     denominators cancel), so sign P_n(q) = sign N(q) for q > 0.  Z(1) is the
     partition function at q = 1, an exact rational (1, as the edge weights
-    are probabilities).  Both are read off the contraction's value form: N
-    by one interpolation of the two query entries' point-wise difference,
-    Z(1) as the sum of every entry's value at point 1, where q**blocks = 1.
+    are probabilities).  Only layer 1 of ``hollom_network`` is contracted,
+    keeping 1, 10 and the posts, at the doubled network's point count;
+    layer 2's table is that one with 1 projected out and 10 renamed 20.
+    Their glue cuts the posts and reads {1,10}{20} minus {1,20}{10} point by
+    point, which one interpolation turns into N; Z(1) is the product of the
+    two tables' sums at point 1, where q**blocks = 1.
     """
-    final, den = _contract_values(hollom_network(n, p))
-    same_10 = final.entries[0, 0, 1]  # {1,10}{20}
-    same_20 = final.entries[0, 1, 0]  # {1,20}{10}
+    h = hollom_instance()
+    net = hollom_network(n, p)
+    one, same, other = net.queries
+    posts = tuple(sorted(h.posts))
+    count = _point_count(net)
+    points = range(count)
+    layer = FactorNetwork(net.factors[: len(h.hyperedges)], (one, same, *posts))
+    top, den = _contract_values(layer, count)
+    projected = _glue(top, _unit(count), points, {one})
+    # 10 and 20 both follow every post, so renaming keeps the boundary sorted.
+    bottom = _ValueForm(tuple(other if v == same else v for v in projected.boundary), projected.entries)
+    readout = _glue(top, bottom, points, posts, ((0, 0, 1), (0, 1, 0)))  # {1,10}{20}, {1,20}{10}
     # Both query partitions have two blocks: restore q**2.
-    diff = [0, 0] + _interpolate(list(map(sub, same_10, same_20)))
-    numerator = _q_poly(diff, den)
-    z_at_1 = Rational(sum(vals[1] for vals in final.entries.values()), den)
-    return numerator, z_at_1
+    diff = [0, 0] + _interpolate(readout.entries.get((), [0] * count))
+    numerator = _q_poly(diff, den * den)
+    mass = prod(sum(vals[1] for vals in t.entries.values()) for t in (top, bottom))
+    return numerator, Rational(mass, den * den)

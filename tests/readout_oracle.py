@@ -1,11 +1,12 @@
 """Every entry interpolated, then read: the oracle for ``counterexample_polynomial``.
 
-``bunkbed.glue.counterexample_polynomial`` reads the table2 quantities off the
-contraction's value form: N by one interpolation of the point-wise difference
-of the two query entries, Z(1) as the sum of the values at q = 1.  This helper
-keeps the earlier route: interpolate every final entry with
-``contract_network``, subtract the two query entries as polynomials, and
-evaluate the partition function ``Factor.total()`` at q = 1.
+``bunkbed.glue.counterexample_polynomial`` contracts only layer 1 of the
+doubled counterexample, mirrors that table onto layer 2 and reads N and Z(1)
+off one signed glue of the two.  This helper takes an independent route
+through the whole network: contract all twelve gadget factors with
+``contract_network``, interpolate every final entry, subtract the two query
+entries as polynomials, and evaluate the partition function
+``Factor.total()`` at q = 1.
 """
 
 from __future__ import annotations
