@@ -359,7 +359,7 @@ def cmd_compute(args) -> dict:
                 for block in args.pattern.split("|")
             ]
             try:
-                pattern = canonicalize(marked, groups).rgs
+                pattern = canonicalize(marked, groups)
             except ValueError as exc:
                 raise UsageError(f"bad pattern {args.pattern!r}: {exc}") from None
         value = table.bracket(pattern, args.extra)

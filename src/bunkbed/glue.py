@@ -77,7 +77,7 @@ from typing import NamedTuple
 from .exactnum import MultiPoly, Rational, _trim, rat
 from .graph import Graph, hollom_instance, hypergraph_copies
 from .measures import EnumerationGuardError, _integer_fold
-from .partition import SetPartition, bell_number, canonical_rgs, project_rgs
+from .partition import bell_number, block_string, canonical_rgs, project_rgs
 
 __all__ = [
     "Factor",
@@ -157,14 +157,11 @@ class Factor:
             raise ValueError("denominator must be positive")
 
     def table(self) -> dict:
-        """Public view: SetPartition of the boundary -> MultiPoly in q."""
-        return {
-            SetPartition(self.boundary, rgs): _q_poly(coeffs, self.den)
-            for rgs, coeffs in self.entries.items()
-        }
+        """Public view: RGS over the boundary -> MultiPoly in q."""
+        return {rgs: _q_poly(coeffs, self.den) for rgs, coeffs in self.entries.items()}
 
     def same_table(self, other: "Factor") -> bool:
-        """Whether ``table()`` of both factors is equal, compared in integers.
+        """Whether both factors have one boundary and equal ``table()``, compared in integers.
 
         Entries a over den_a and b over den_b agree when a * den_b equals
         b * den_a coefficient by coefficient; an all-zero entry still counts as
@@ -192,7 +189,7 @@ class Factor:
         return {
             "boundary": list(self.boundary),
             "entries": {
-                part.to_string(): poly.to_string() for part, poly in self.table().items()
+                block_string(self.boundary, rgs): poly.to_string() for rgs, poly in self.table().items()
             },
         }
 

@@ -3,17 +3,16 @@
 A partition is a restricted-growth string (RGS) over an ordered ground
 tuple: element i carries the index of its block, blocks are numbered by first
 appearance.  Every table in the program keys its entries by the plain RGS
-tuple, which gives O(k) equality and a compact dictionary key; `SetPartition`
-pairs an RGS with its ground only at the edges, for `glue.Factor.table` and
-the CLI's `canonicalize` of a block pattern.
+tuple, which gives O(k) equality and a compact dictionary key.  The ground
+stays with the caller: `canonicalize` turns explicit groups over a ground into
+an RGS, and `block_string` prints an RGS over its ground in block notation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 __all__ = [
-    "SetPartition",
     "canonicalize",
+    "block_string",
     "bell_number",
     "canonical_rgs",
     "join_rgs",
@@ -75,61 +74,8 @@ def join_rgs(a, b) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class SetPartition:
-    """Partition of an ordered ground tuple, in restricted-growth form."""
-
-    ground: tuple
-    rgs: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.ground) != len(self.rgs):
-            raise ValueError("ground and RGS lengths differ")
-        top = -1
-        for x in self.rgs:
-            if x > top + 1 or x < 0:
-                raise ValueError(f"not a restricted-growth string: {self.rgs}")
-            top = max(top, x)
-
-    @property
-    def block_count(self) -> int:
-        return max(self.rgs) + 1 if self.rgs else 0
-
-    def blocks(self) -> tuple[tuple, ...]:
-        out: list[list] = [[] for _ in range(self.block_count)]
-        for el, b in zip(self.ground, self.rgs):
-            out[b].append(el)
-        return tuple(tuple(b) for b in out)
-
-    def block_of(self, element) -> int:
-        try:
-            return self.rgs[self.ground.index(element)]
-        except ValueError:
-            raise ValueError(f"element {element!r} not in ground") from None
-
-    def restrict(self, elements) -> "SetPartition":
-        """Induced partition on a subsequence of the ground."""
-        elements = tuple(elements)
-        idx = {e: i for i, e in enumerate(self.ground)}
-        labels = [self.rgs[idx[e]] for e in elements]
-        return SetPartition(elements, canonical_rgs(labels))
-
-    def to_string(self) -> str:
-        """Block notation such as ``0|12`` (comma-separated for wide labels)."""
-        rendered = []
-        for block in self.blocks():
-            names = [str(e) for e in block]
-            rendered.append(
-                "".join(names) if all(len(s) == 1 for s in names) else ",".join(names)
-            )
-        return "|".join(rendered)
-
-    def __repr__(self):
-        return f"SetPartition({self.to_string()})"
-
-
-def canonicalize(ground, grouping) -> SetPartition:
-    """Canonical partition from explicit groups, independent of group order."""
+def canonicalize(ground, grouping) -> tuple[int, ...]:
+    """RGS over `ground` whose blocks are `grouping`, independent of group order."""
     ground = tuple(ground)
     label: dict = {}
     for b, group in enumerate(grouping):
@@ -139,7 +85,18 @@ def canonicalize(ground, grouping) -> SetPartition:
             label[el] = b
     if set(label) != set(ground) or len(ground) != len(set(ground)):
         raise ValueError("grouping does not partition the ground")
-    return SetPartition(ground, canonical_rgs(label[el] for el in ground))
+    return canonical_rgs(label[el] for el in ground)
+
+
+def block_string(ground, rgs) -> str:
+    """Block notation such as ``0|12`` (comma-separated for wide labels)."""
+    blocks: list[list[str]] = [[] for _ in range(max(rgs, default=-1) + 1)]
+    for el, b in zip(ground, rgs):
+        blocks[b].append(str(el))
+    return "|".join(
+        "".join(names) if all(len(s) == 1 for s in names) else ",".join(names)
+        for names in blocks
+    )
 
 
 def project_rgs(labels, keep) -> tuple:

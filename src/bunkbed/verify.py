@@ -20,7 +20,15 @@ from .catalog import (
     named_instance,
     outerplanar_catalog,
 )
-from .exactnum import MultiPoly, Rational, _eval_scaled, format_rational, psd_certificate, rat
+from .exactnum import (
+    MultiPoly,
+    Rational,
+    _eval_scaled,
+    format_rational,
+    parse_rational,
+    psd_certificate,
+    rat,
+)
 from .glue import FactorNetwork, contract_network, edge_factor, factor_from_graph
 from .graph import (
     Graph,
@@ -41,7 +49,7 @@ from .measures import (
     hypergraph_rc_difference,
     rc_profile,
 )
-from .partition import canonical_rgs
+from .partition import canonicalize
 from .treealg import (
     LaplacianBundle,
     PostsBundle,
@@ -57,7 +65,6 @@ __all__ = [
     "DEFAULT_LAMBDA_GRID",
     "check_bunkbed",
     "check_p_threshold",
-    "bsst_counts",
     "run_identity_suite",
     "scan_conjectures",
     "check_hypergraph_factorization",
@@ -303,53 +310,8 @@ def check_p_threshold(g: Graph, posts, q, instance: str = "graph") -> Verificati
 
 
 # ---------------------------------------------------------------------------
-# Tree-pair orientation counts
-# ---------------------------------------------------------------------------
-
-
-def bsst_counts(g: Graph, e: int, f: int) -> tuple[int, int]:
-    """Orientation-split counts over connected spanning subgraphs with n edges.
-
-    Each such subgraph has a unique cycle; X_plus counts those whose cycle
-    uses both chosen edges in the same direction, X_minus the opposite ones.
-    Edge orientation is the stored (u, v) order.
-
-    A subgraph F + e + f has its cycle through e and f exactly when F is a
-    two-tree spanning forest of g - {e, f} that both e and f cross, so the
-    counts are read off the unit-weight forest table of that minor.  The
-    cycle u_e -> v_e -> ... crosses f from v_e's tree into u_e's, so it runs
-    f in its stored direction exactly when u_f lies in v_e's tree.  This is
-    the per-pair reference; the bsst suite reads every pair from one table.
-    """
-    if e == f:
-        raise ValueError("the two edges must be distinct")
-    if not g.is_connected():
-        raise ValueError("graph must be connected")
-    rest = minor(g, deletions={e, f}).with_weights(1)
-    u_e, v_e, _ = g.edges[e]
-    u_f, v_f, _ = g.edges[f]
-    marked = tuple(dict.fromkeys((u_e, v_e, u_f, v_f)))
-    ue, ve, uf, vf = map(marked.index, (u_e, v_e, u_f, v_f))
-    x_plus = x_minus = 0
-    for (rgs, kappa), count in forest_table(rest, marked).entries.items():
-        if kappa != 2 or rgs[ue] == rgs[ve] or rgs[uf] == rgs[vf]:
-            continue
-        if rgs[uf] == rgs[ve]:
-            x_plus += count
-        else:
-            x_minus += count
-    return x_plus, x_minus
-
-
-# ---------------------------------------------------------------------------
 # Identity suites
 # ---------------------------------------------------------------------------
-
-
-def _pattern(*groups) -> tuple:
-    """RGS over positions 0..k-1 whose blocks are `groups`, tuples of those positions."""
-    block = {i: b for b, group in enumerate(groups) for i in group}
-    return canonical_rgs(block[i] for i in range(len(block)))
 
 
 # The three ways to pair four marked positions as xy|zw, as (x, y, z, w).
@@ -363,16 +325,16 @@ def _split_patterns(x, y, z, w):
     four three-block patterns, whose pair also separates z from w.
     """
     two = (
-        _pattern((x,), (y, z, w)),
-        _pattern((x, z, w), (y,)),
-        _pattern((x, z), (y, w)),
-        _pattern((x, w), (y, z)),
+        canonicalize(range(4), ((x,), (y, z, w))),
+        canonicalize(range(4), ((x, z, w), (y,))),
+        canonicalize(range(4), ((x, z), (y, w))),
+        canonicalize(range(4), ((x, w), (y, z))),
     )
     three = (
-        _pattern((x,), (y, z), (w,)),
-        _pattern((x,), (y, w), (z,)),
-        _pattern((y,), (x, z), (w,)),
-        _pattern((y,), (x, w), (z,)),
+        canonicalize(range(4), ((x,), (y, z), (w,))),
+        canonicalize(range(4), ((x,), (y, w), (z,))),
+        canonicalize(range(4), ((y,), (x, z), (w,))),
+        canonicalize(range(4), ((y,), (x, w), (z,))),
     )
     return two, three
 
@@ -433,8 +395,9 @@ def _tree_pair_counts(g: Graph):
     """(trees, through, pairs) of g with unit weights, read off one all-vertex forest table.
 
     through[e] counts the spanning trees through edge e, and pairs[e, f] for
-    e < f is (the trees through e and f, X+, X-) with (X+, X-) =
-    bsst_counts(g, e, f).  A tree through e, less e, is a two-tree forest that
+    e < f is (the trees through e and f, X+, X-) with (X+, X-) the
+    orientation counts of the pair (``tests/bsst_oracle.py`` has per-pair
+    references).  A tree through e, less e, is a two-tree forest that
     separates e's ends; through e and f, less both, three trees that e and f
     join into one.  A two-tree forest that separates both edges' ends is one
     of g - {e, f}, an X+ when u_f lies in v_e's tree.
@@ -825,8 +788,6 @@ def scan_conjectures(
     max_n: int = 4,
 ) -> list[VerificationReport]:
     """Exact grid scans of the open inequalities; failures carry witnesses."""
-    from .exactnum import parse_rational
-
     check_parameters(lam=lam_grid)
     if weightings < 1:
         raise ParameterError(f"weightings must be at least 1; got {weightings}")
@@ -834,7 +795,6 @@ def scan_conjectures(
 
     # Doubled-graph forest inequality on all small connected graphs.
     worst = None
-    failing = None
     for name, g in connected_graphs(max_n, min_n=2):
         rep = check_bunkbed(
             g,
@@ -847,9 +807,8 @@ def scan_conjectures(
         if worst is None or value < worst[0]:
             worst = (value, rep)
         if not rep.ok:
-            failing = rep
             break
-    chosen = failing or worst[1]
+    chosen = worst[1]
     reports.append(
         VerificationReport(
             claim="bunkbed-forest-conjecture",

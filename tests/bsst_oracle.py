@@ -1,13 +1,52 @@
-"""Definitional tree-pair orientation counts: the oracle for ``verify.bsst_counts``.
+"""Per-pair tree-pair orientation counts: the references for ``verify._tree_pair_counts``.
 
-``bsst_counts`` reads (X+, X-) off the forest table of g - {e, f}; this
-module recomputes them from the definition, walking the unique cycle of
-every connected n-edge subgraph among all C(m, n) edge subsets.
+``bsst_counts`` reads (X+, X-) of one edge pair off the forest table of
+g - {e, f}; ``bsst_counts_by_cycles`` recomputes them from the definition,
+walking the unique cycle of every connected n-edge subgraph among all C(m, n)
+edge subsets.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+
+from bunkbed.graph import minor
+from bunkbed.measures import forest_table
+
+
+def bsst_counts(g, e: int, f: int) -> tuple[int, int]:
+    """Orientation-split counts over connected spanning subgraphs with n edges.
+
+    Each such subgraph has a unique cycle; X_plus counts those whose cycle
+    uses both chosen edges in the same direction, X_minus the opposite ones.
+    Edge orientation is the stored (u, v) order.
+
+    A subgraph F + e + f has its cycle through e and f exactly when F is a
+    two-tree spanning forest of g - {e, f} that both e and f cross, so the
+    counts are read off the unit-weight forest table of that minor.  The
+    cycle u_e -> v_e -> ... crosses f from v_e's tree into u_e's, so it runs
+    f in its stored direction exactly when u_f lies in v_e's tree.  This is
+    a per-pair reference for ``verify._tree_pair_counts``, which reads every
+    pair from one table.
+    """
+    if e == f:
+        raise ValueError("the two edges must be distinct")
+    if not g.is_connected():
+        raise ValueError("graph must be connected")
+    rest = minor(g, deletions={e, f}).with_weights(1)
+    u_e, v_e, _ = g.edges[e]
+    u_f, v_f, _ = g.edges[f]
+    marked = tuple(dict.fromkeys((u_e, v_e, u_f, v_f)))
+    ue, ve, uf, vf = map(marked.index, (u_e, v_e, u_f, v_f))
+    x_plus = x_minus = 0
+    for (rgs, kappa), count in forest_table(rest, marked).entries.items():
+        if kappa != 2 or rgs[ue] == rgs[ve] or rgs[uf] == rgs[vf]:
+            continue
+        if rgs[uf] == rgs[ve]:
+            x_plus += count
+        else:
+            x_minus += count
+    return x_plus, x_minus
 
 
 def bsst_counts_by_cycles(g, e: int, f: int) -> tuple[int, int]:

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import pkgutil
+import re
 import sys
 from pathlib import Path
 
@@ -37,3 +38,13 @@ def test_package_imports_only_stdlib_and_gmpy2():
                 if name.split(".")[0] not in allowed
             ]
     assert outside == []
+
+
+def test_readme_layout_names_every_module_and_oracle():
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text()
+    layout = set(re.findall(r"\w+\.py", readme.split("## Layout", 1)[1].split("```")[1]))
+    files = [p.name for p in (root / "src" / "bunkbed").glob("*.py") if p.name != "__init__.py"]
+    files += [p.name for p in (root / "tests").glob("*_oracle.py")]
+    assert files
+    assert sorted(name for name in files if name not in layout) == []

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -70,10 +71,10 @@ def test_factor_vs_rc_table_relation():
     for marked in ((0,), (0, 2), (0, 1, 2)):
         f = factor_from_graph(weighted, marked)
         table = rc_boundary_table(weighted, marked)
+        assert f.boundary == table.marked
         for part, poly in f.table().items():
-            assert part.ground == table.marked
-            shifted = [0] * part.block_count + poly.dense_in("q")
-            assert qpoly(shifted) == qpoly(table.event(lambda rgs: rgs == part.rgs), table.den)
+            shifted = [0] * (max(part) + 1) + poly.dense_in("q")
+            assert qpoly(shifted) == qpoly(table.event(lambda rgs: rgs == part), table.den)
         assert f.total() == qpoly(table.event(), table.den)
 
 
@@ -132,7 +133,7 @@ def test_eliminate_then_evaluate_at_q1_is_marginalization():
     one = {"q": rat(1)}
     for part, poly in g2.table().items():
         merged = sum(
-            poly3.eval(one) for part3, poly3 in f.table().items() if part3.restrict((0, 2)) == part
+            poly3.eval(one) for part3, poly3 in f.table().items() if canonical_rgs(part3[::2]) == part
         )
         assert poly.eval(one) == merged
 
@@ -306,10 +307,10 @@ def test_p4_network_example():
     result = contract_network(net)
     g = Graph(4, tuple((i, i + 1, w) for i in range(3)))
     table = rc_boundary_table(g, (0, 3))
+    assert result.boundary == table.marked
     for part, poly in result.table().items():
-        assert part.ground == table.marked
-        shifted = [0] * part.block_count + poly.dense_in("q")
-        assert qpoly(shifted) == qpoly(table.event(lambda rgs: rgs == part.rgs), table.den)
+        shifted = [0] * (max(part) + 1) + poly.dense_in("q")
+        assert qpoly(shifted) == qpoly(table.event(lambda rgs: rgs == part), table.den)
 
 
 def test_hollom_network_shape():
@@ -496,10 +497,24 @@ def test_touching_brackets_keep_the_negative_gap_between_them():
 
 
 def test_factor_json_view():
-    f = edge_factor(0, 1, rat(1, 3))
-    doc = f.to_json()
-    assert doc["boundary"] == [0, 1]
-    assert set(doc["entries"]) == {"01", "0|1"}
+    # Block notation joins one-character labels and comma-separates wider
+    # ones; the empty boundary keys its one entry by the empty string.
+    edge = edge_factor(0, 1, rat(1, 3))
+    assert json.dumps(edge.to_json()) == (
+        '{"boundary": [0, 1], "entries": {'
+        '"01": "1/3*q^0*l^0*g^0*h^0", "0|1": "2/3*q^0*l^0*g^0*h^0"}}'
+    )
+    wide = Factor((1, 10, 20), {(0, 0, 1): [1, 2], (0, 1, 0): [0, 3], (0, 1, 2): [5]}, 4)
+    assert json.dumps(wide.to_json()) == (
+        '{"boundary": [1, 10, 20], "entries": {'
+        '"1,10|20": "1/4*q^0*l^0*g^0*h^0 + 1/2*q^1*l^0*g^0*h^0", '
+        '"1,20|10": "3/4*q^1*l^0*g^0*h^0", '
+        '"1|10|20": "5/4*q^0*l^0*g^0*h^0"}}'
+    )
+    empty = factor_from_graph(Graph(2, ((0, 1, rat(1, 3)),)), ())
+    assert json.dumps(empty.to_json()) == (
+        '{"boundary": [], "entries": {"": "1/3*q^1*l^0*g^0*h^0 + 2/3*q^2*l^0*g^0*h^0"}}'
+    )
 
 
 def test_small_counterexample_nonnegative_at_q2():
@@ -759,7 +774,9 @@ def test_same_table_agrees_with_table_equality(data):
     elif change == "boundary":
         boundary = (0, 1, 3)
     b = _factor(boundary, other, den * scale)
-    assert a.same_table(b) == (a.table() == b.table()) == b.same_table(a)
+    # table() keys are RGS tuples without their ground, so the boundary is compared beside them.
+    same = (a.boundary, a.table()) == (b.boundary, b.table())
+    assert a.same_table(b) == same == b.same_table(a)
 
 
 def test_same_table_keeps_all_zero_entries():

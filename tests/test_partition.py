@@ -44,11 +44,12 @@ def test_bell_numbers():
 
 
 def test_canonicalize_examples():
-    p = canonicalize(("a", "b", "c"), [{"a"}, {"b", "c"}])
-    assert p.rgs == (0, 1, 1)
+    assert canonicalize(("a", "b", "c"), [{"a"}, {"b", "c"}]) == (0, 1, 1)
     # Group order and in-group order do not matter.
-    assert canonicalize(("a", "b", "c"), [("c", "b"), ("a",)]) == p
-    assert canonicalize(("a", "b", "c"), [("a", "b", "c")]).rgs == (0, 0, 0)
+    assert canonicalize(("a", "b", "c"), [("c", "b"), ("a",)]) == (0, 1, 1)
+    assert canonicalize(("a", "b", "c"), [("a", "b", "c")]) == (0, 0, 0)
+    assert canonicalize(range(4), [(1,), (0, 2), (3,)]) == (0, 1, 0, 2)
+    assert canonicalize((), []) == ()
 
 
 def test_canonicalize_rejects_bad_groupings():
@@ -62,9 +63,9 @@ def test_join_examples():
     ground = ("a", "b", "c")
     x = canonicalize(ground, [("a",), ("b", "c")])
     y = canonicalize(ground, [("a", "b"), ("c",)])
-    assert join_rgs(x.rgs, y.rgs) == (0, 0, 0)
+    assert join_rgs(x, y) == (0, 0, 0)
     singletons = canonicalize(ground, [("a",), ("b",), ("c",)])
-    assert join_rgs(singletons.rgs, singletons.rgs) == singletons.rgs
+    assert join_rgs(singletons, singletons) == singletons == (0, 1, 2)
 
 
 def rand_partition(rng, ground):
@@ -78,7 +79,7 @@ def rand_partition(rng, ground):
 @given(st.integers(2, 6), st.randoms(use_true_random=False))
 def test_join_is_lattice_like(k, rng):
     ground = tuple(range(k))
-    x, y, z = (rand_partition(rng, ground).rgs for _ in range(3))
+    x, y, z = (rand_partition(rng, ground) for _ in range(3))
     assert join_rgs(x, y) == join_rgs(y, x)
     assert join_rgs(join_rgs(x, y), z) == join_rgs(x, join_rgs(y, z))
     assert join_rgs(x, x) == x
@@ -102,9 +103,9 @@ def test_join_rgs_matches_position_union_find(pair):
 def test_eliminate_examples():
     # Eliminating one position: project onto the others.
     p = canonicalize(("a", "b", "c"), [("a",), ("b", "c")])
-    assert project_rgs(p.rgs, (1, 2)) == (canonicalize(("b", "c"), [("b", "c")]).rgs, 1)
+    assert project_rgs(p, (1, 2)) == (canonicalize(("b", "c"), [("b", "c")]), 1)
     p2 = canonicalize(("a", "b", "c"), [("a", "b"), ("c",)])
-    assert project_rgs(p2.rgs, (0, 2)) == (canonicalize(("a", "c"), [("a",), ("c",)]).rgs, 0)
+    assert project_rgs(p2, (0, 2)) == (canonicalize(("a", "c"), [("a",), ("c",)]), 0)
     assert project_rgs((0,), ()) == ((), 1)
 
 
@@ -117,7 +118,7 @@ def test_project_rgs_reads_any_labelling():
     rng = random.Random(3)
     for _ in range(40):
         k = rng.randint(1, 7)
-        rgs = rand_partition(rng, tuple(range(k))).rgs
+        rgs = rand_partition(rng, tuple(range(k)))
         keep = sorted(rng.sample(range(k), rng.randint(0, k)))
         labels = "".join(chr(rgs.index(b) + 1) for b in rgs)
         assert project_rgs(labels, keep) == project_rgs(rgs, keep)
@@ -130,9 +131,11 @@ def test_eliminate_restriction_round_trip():
         ground = tuple(range(k))
         p = rand_partition(rng, ground)
         e = rng.choice(ground)
-        rest, closed = project_rgs(p.rgs, [x for x in ground if x != e])
-        assert rest == p.restrict([x for x in ground if x != e]).rgs
-        assert closed == (p.rgs.count(p.block_of(e)) == 1)
+        others = [x for x in ground if x != e]
+        rest, closed = project_rgs(p, others)
+        assert rest == canonical_rgs(p[x] for x in others)
+        # e's block closes when no other element shares it.
+        assert closed == all(p[x] != p[e] for x in others)
 
 
 def test_project_rgs_counts_blocks_with_no_kept_element():
@@ -142,13 +145,7 @@ def test_project_rgs_counts_blocks_with_no_kept_element():
         ground = tuple(range(k))
         p = rand_partition(rng, ground)
         keep = sorted(rng.sample(ground, rng.randint(0, k)))
-        rgs, closed = project_rgs(p.rgs, keep)
-        assert rgs == p.restrict(keep).rgs
-        assert closed == sum(1 for block in p.blocks() if not set(block) & set(keep))
-
-
-def test_to_string_block_notation():
-    p = canonicalize((0, 1, 2), [(0,), (1, 2)])
-    assert p.to_string() == "0|12"
-    wide = canonicalize((1, 10, 20), [(1, 10), (20,)])
-    assert wide.to_string() == "1,10|20"
+        rgs, closed = project_rgs(p, keep)
+        assert rgs == canonical_rgs(p[x] for x in keep)
+        blocks = [{x for x in ground if p[x] == b} for b in set(p)]
+        assert closed == sum(1 for block in blocks if not block & set(keep))

@@ -5,7 +5,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from bsst_oracle import bsst_counts_by_cycles
+from bsst_oracle import bsst_counts, bsst_counts_by_cycles
 from hypothesis import given, settings, strategies as st
 from subset_oracle import roots_and_kappa
 
@@ -21,7 +21,6 @@ from bunkbed.verify import (
     OPEN_OK,
     SKIPPED,
     IDENTITY_SUITES,
-    bsst_counts,
     check_bunkbed,
     check_engine_consistency,
     check_hypergraph_factorization,
@@ -228,7 +227,7 @@ def test_identity_suites_make_one_engine_call_per_graph(monkeypatch):
     # is inverted once (its grounded inverse) whatever the number of edge or
     # vertex pairs, with one Bareiss determinant where a pair count needs tau.
     calls = Counter()
-    _count_calls(monkeypatch, verify, ("forest_table", "forest_masks", "all_minors_count", "bsst_counts"), calls)
+    _count_calls(monkeypatch, verify, ("forest_table", "forest_masks", "all_minors_count"), calls)
     _count_calls(monkeypatch, treealg, ("bareiss_det", "invert"), calls)
     for _, g in identity_catalog():
         calls.clear()
