@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from bunkbed.partition import (
     bell_number,
+    block_string,
     canonicalize,
     canonical_rgs,
     join_rgs,
@@ -149,3 +150,11 @@ def test_project_rgs_counts_blocks_with_no_kept_element():
         assert rgs == canonical_rgs(p[x] for x in keep)
         blocks = [{x for x in ground if p[x] == b} for b in set(p)]
         assert closed == sum(1 for block in blocks if not block & set(keep))
+
+
+def test_to_string_block_notation():
+    p = canonicalize((0, 1, 2), [(0,), (1, 2)])
+    assert block_string((0, 1, 2), p) == "0|12"
+    wide = canonicalize((1, 10, 20), [(1, 10), (20,)])
+    assert block_string((1, 10, 20), wide) == "1,10|20"
+    assert block_string((), ()) == ""
