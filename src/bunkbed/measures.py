@@ -1,8 +1,12 @@
 """Exact random-cluster and forest quantities, summed by one state fold.
 
-``_fold`` sums the edge subsets step by step, keyed by the partition they
-induce on the live vertices, and forgets each vertex no caller reads after
-its last step; the work grows with the states, not with the 2^m subsets.
+``_fold`` sums the edge subsets step by step, keyed by the label string of
+the partition they induce on the live vertices, and forgets each vertex no
+caller reads after its last step; the work grows with the label strings, not
+with the 2^m subsets.  Each string carries one integer that packs its subsets'
+weights by (closed components, |S|) in fixed-width slots (Kronecker
+substitution), closed counted from the string's own least closed count, so a
+branch is one multiply and one shift.
 Edge weights num/d are folded as integers over one denominator, the product
 of the d (``_integer_fold``, which ``bunkbed.glue.factor_from_graph`` also
 reads): (d - num, num) for the random-cluster measure and (d, num) for
@@ -11,16 +15,19 @@ forests, whose folds drop a branch as soon as it closes a cycle.  A
 them, where the RGS gives the marked vertex at position i the number of its
 block, blocks numbered by first appearance; ``event`` sums an event's entries
 into a dense kappa-list, which callers read at q or lambda through
-``exactnum._eval_scaled``, and ``restrict`` regroups by fewer marked vertices.
+``exactnum._eval_scaled``, ``restrict`` regroups by fewer marked vertices,
+and ``strata`` keeps only the component counts a caller reads.
 ``rc_profile`` counts subsets by (marked RGS, |S|, kappa), once per query
-triple in ``bunkbed_case_profiles``.
-The only guard is 2^20 states in one level of the fold, checked as each
-state is added: the states grow with the live vertices, not with the edges.
+triple in ``bunkbed_case_profiles``.  ``forest_masks`` lists every forest by
+a depth-first walk over the same sweep, since no two forests share a mask.
+The only guard is 2^20 label strings in one level of the fold, checked as
+each string is added: the strings grow with the live vertices, not with the
+edges.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import itemgetter
 
 from .exactnum import MultiPoly, Rational, _eval_scaled, format_rational, rat
@@ -66,16 +73,13 @@ def check_parameters(p=(), q=(), lam=()) -> None:
                 raise ParameterError(f"{name} must {rule}; got {format_rational(x)}")
 
 
-def _fold(n: int, steps, weights=None, tags=None, acyclic=False, keep=()) -> dict:
-    """Weights of every subset of `steps` summed by (RGS of `keep`, tag, kappa).
+def _sweep(n: int, steps, keep) -> tuple:
+    """(order, gone, start): the fold's breadth-first sweep over `steps`.
 
-    Step i is a pair (vertex pairs opened when bit i is clear, when set); a
-    subset weighs the product of weights[i][bit] and its tag sums
-    tags[i][bit].  The steps run in a breadth-first sweep of the vertices.  A
-    level sums the subsets by state (labels, closed, tag): labels[x] is
-    chr(y + 1) for y the least live vertex in x's component, a vertex not in
-    `keep` turns _GONE after its last step, and closed counts the components
-    with no live vertex left.  `acyclic` drops a branch that closes a cycle.
+    `order` runs the steps by the sweep position of their last vertex,
+    gone[j] lists the vertices outside `keep` whose last step is order[j],
+    and `start` labels vertex x chr(x + 1) if a step or `keep` reads it,
+    _GONE otherwise.
     """
     verts = [set(sum(step[0] + step[1], ())) for step in steps]
     adj: dict = {}
@@ -99,32 +103,82 @@ def _fold(n: int, steps, weights=None, tags=None, acyclic=False, keep=()) -> dic
         if x not in keep:
             gone.setdefault(j, []).append(x)
     start = "".join(chr(x + 1) if x in last or x in keep else _GONE for x in range(n))
-    states = {(start, start.count(_GONE), 0): 1}
+    return order, gone, start
+
+
+def _fold(n: int, steps, weights=None, sizes=False, acyclic=False, keep=()) -> dict:
+    """Weights of every subset of `steps` summed by (RGS of `keep`, |S| or 0, kappa).
+
+    Step i is a pair (vertex pairs opened when bit i is clear, when set); a
+    subset weighs the product of the integers weights[i][bit], all
+    non-negative, and |S| counts its set bits when `sizes` is on.  The steps
+    run in ``_sweep``'s order.  A level keys each label string: labels[x] is
+    chr(y + 1) for y the least live vertex in x's component, and a vertex not
+    in `keep` turns _GONE after its last step.  It holds (base, packed): base
+    is the least count of closed components, those with no live vertex left,
+    among the subsets that reach the string, and packed carries their weights
+    at slot (closed - base) * (m + 1) + |S|, or closed - base without sizes,
+    of `width` = bits(prod(w0 + w1)) + 1 bits each (Kronecker substitution);
+    no weight is negative, so no slot overflows.  A branch multiplies by its
+    weight and shifts by its |S| step; merging two ints shifts the one with
+    the larger base.  `acyclic` drops a branch that closes a cycle.  A key
+    that only zero-weight subsets reach keeps its zero entry: a unit-weight
+    fold lists the keys then.
+    """
     weights = weights or [(1, 1)] * len(steps)
-    tags = tags or [(0, 0)] * len(steps)
+    sums = _packed_fold(n, steps, weights, sizes, acyclic, keep)
+    if all(all(pair) for pair in weights):
+        return sums
+    unit = _packed_fold(n, steps, [(1, 1)] * len(steps), sizes, acyclic, keep)
+    return {key: sums.get(key, 0) for key in unit}
+
+
+def _packed_fold(n: int, steps, weights, sizes: bool, acyclic: bool, keep) -> dict:
+    order, gone, start = _sweep(n, steps, keep)
+    total = 1
+    for pair in weights:
+        total *= sum(pair)
+    width = total.bit_length() + 1
+    slots = len(steps) + 1 if sizes else 1
+    stride = width * slots
+    level = {start: (start.count(_GONE), 1)}
     limit = 1 << _STATE_GUARD
     for j, i in enumerate(order):
-        moves = list(zip(steps[i], weights[i], tags[i]))
-        ends: dict = {}
-        level: dict = {}
-        for (labels, closed, tag), w in states.items():
-            end = ends.get(labels)
-            if end is None:
-                end = ends[labels] = _branches(labels, moves, acyclic, gone.get(j, ()))
-            for new, shut, wb, tb in end:
-                key = (new, closed + shut, tag + tb)
-                level[key] = level.get(key, 0) + w * wb
+        moves = list(zip(steps[i], weights[i], (0, width if sizes else 0)))
+        drop = gone.get(j, ())
+        states, level = level, {}
+        for labels, (base, packed) in states.items():
+            for new, shut, w, shift in _branches(labels, moves, acyclic, drop):
+                value = (packed if w == 1 else packed * w) << shift
+                closed = base + shut
+                old = level.get(new)
+                if old is not None:
+                    low, had = old
+                    if low < closed:
+                        value = had + (value << stride * (closed - low))
+                        closed = low
+                    else:
+                        value += had << stride * (low - closed)
+                level[new] = (closed, value)
             if len(level) > limit:
                 raise EnumerationGuardError(
-                    f"fold passed {len(level)} states at step {j + 1} of {len(steps)} "
+                    f"fold passed {len(level)} label strings at step {j + 1} of {len(steps)} "
                     f"with marked set {tuple(keep)} (guard is 2^{_STATE_GUARD})"
                 )
-        states = level
+    mask = (1 << width) - 1
     sums: dict = {}
-    for (labels, closed, tag), w in states.items():
+    for labels, (base, packed) in level.items():
         live = "".join(map(labels.__getitem__, keep))
-        key = (live, tag, closed + len(set(live)))
-        sums[key] = sums.get(key, 0) + w
+        kappa = base + len(set(live))
+        index = 0
+        while packed:
+            w = packed & mask
+            if w:
+                closed, size = divmod(index, slots)
+                key = (live, size, kappa + closed)
+                sums[key] = sums.get(key, 0) + w
+            packed >>= width
+            index += 1
     return _canonical(sums)
 
 
@@ -141,10 +195,12 @@ def _branches(labels: str, moves, acyclic: bool, gone) -> list:
     for pairs, w, tag in moves:
         new = labels
         for u, v in pairs:
-            a, b = sorted(new[u] + new[v])
-            if a == b and acyclic:
-                break
-            new = new.replace(b, a)
+            a, b = new[u], new[v]
+            if a == b:
+                if acyclic:
+                    break
+            else:
+                new = new.replace(a, b) if a > b else new.replace(b, a)
         else:
             closed = 0
             for x in gone:
@@ -165,9 +221,12 @@ def _edge_steps(g: Graph) -> list:
     return [((), ((u, v),)) for u, v, _ in g.edges]
 
 
-def _canonical(acc: dict) -> dict:
-    """Sums keyed (labels, *rest) merged by (RGS, *rest), one canonical_rgs per labels."""
-    rgs_of: dict = {}
+def _canonical(acc: dict, rgs_of=None) -> dict:
+    """Sums keyed (labels, *rest) merged by (RGS, *rest), one canonical_rgs per labels.
+
+    `rgs_of` memoizes canonical_rgs across calls that share it.
+    """
+    rgs_of = {} if rgs_of is None else rgs_of
     out: dict = {}
     for (labels, *rest), w in acc.items():
         rgs = rgs_of.get(labels)
@@ -206,7 +265,7 @@ def _integer_fold(g: Graph, marked, acyclic=False) -> tuple[dict, int]:
         num, d = int(w.numerator), int(w.denominator)
         weights.append((d if acyclic else d - num, num))
         den *= d
-    sums = _fold(g.n, _edge_steps(g), weights, None, acyclic, marked)
+    sums = _fold(g.n, _edge_steps(g), weights, False, acyclic, marked)
     return {(rgs, kappa): w for (rgs, _, kappa), w in sums.items()}, den
 
 
@@ -224,13 +283,15 @@ class BoundaryTable:
     rgs[i] == rgs[j], den the product of the edge weights' denominators.  A
     random-cluster table weighs every subset (kappa is the power of q), a
     forest table only the forests.  A key that only zero-weight subsets reach
-    stays, with value 0.
+    stays, with value 0.  `rgs_of` memoizes canonical_rgs for this table and
+    the tables `restrict` and `strata` derive from it.
     """
 
     marked: tuple
     n: int
     entries: dict
     den: int
+    rgs_of: dict = field(default_factory=dict, compare=False, repr=False)
 
     def event(self, predicate=None) -> list:
         """Summed entries whose RGS satisfies `predicate`, as a dense kappa-list.
@@ -262,7 +323,10 @@ class BoundaryTable:
             w = sum(w for (_, k), w in self.entries.items() if k == kappa)
         else:
             pattern = tuple(pattern)
-            if len(pattern) != len(self.marked) or canonical_rgs(pattern) != pattern:
+            rgs = self.rgs_of.get(pattern)
+            if rgs is None:
+                rgs = self.rgs_of[pattern] = canonical_rgs(pattern)
+            if len(pattern) != len(self.marked) or rgs != pattern:
                 raise ValueError(f"pattern {pattern} is not an RGS over the marked tuple {self.marked}")
             w = self.entries.get((pattern, max(pattern, default=-1) + 1 + extra), 0)
         return w if self.den == 1 else Rational(w, self.den)
@@ -280,7 +344,17 @@ class BoundaryTable:
         for (rgs, kappa), w in self.entries.items():
             key = (pick(rgs), kappa)
             acc[key] = acc.get(key, 0) + w
-        return BoundaryTable(marked, self.n, _canonical(acc), self.den)
+        return BoundaryTable(marked, self.n, _canonical(acc, self.rgs_of), self.den, self.rgs_of)
+
+    def strata(self, kappas) -> "BoundaryTable":
+        """The entries whose component count lies in `kappas`.
+
+        A bracket or event that reads only those counts gives what it gives on
+        this table, and `restrict` then regroups fewer entries.
+        """
+        kappas = frozenset(kappas)
+        entries = {key: w for key, w in self.entries.items() if key[1] in kappas}
+        return BoundaryTable(self.marked, self.n, entries, self.den, self.rgs_of)
 
 
 def _at_activity(c: list, lam) -> int:
@@ -302,7 +376,7 @@ def rc_boundary_table(g: Graph, marked) -> BoundaryTable:
 def rc_profile(g: Graph, marked) -> dict:
     """Subset counts keyed (marked partition RGS, |S|, kappa); weights ignored."""
     marked = _check_marked(g, marked)
-    return _fold(g.n, _edge_steps(g), None, [(0, 1)] * g.m, False, marked)
+    return _fold(g.n, _edge_steps(g), None, True, False, marked)
 
 
 def rc_connection_prob(g: Graph, q, u: int, v: int) -> Rational:
@@ -324,9 +398,31 @@ def forest_table(g: Graph, marked) -> BoundaryTable:
 
 
 def forest_masks(g: Graph):
-    """All spanning forests as (edge mask, kappa) pairs, in increasing mask order."""
-    sums = _fold(g.n, _edge_steps(g), None, [(0, 1 << i) for i in range(g.m)], True)
-    return sorted(map(itemgetter(1, 2), sums))
+    """All spanning forests as (edge mask, kappa) pairs, in increasing mask order.
+
+    A depth-first walk over the fold's sweep lists each forest once, and the
+    branches of a label string at a step are computed once.  No two forests
+    share a mask, so nothing would merge, and packing masks into the fold's
+    slots would take 2^m slots per label string.
+    """
+    steps = _edge_steps(g)
+    order, gone, start = _sweep(g.n, steps, ())
+    ends: list = [{} for _ in order]
+    out = []
+    stack = [(0, start, start.count(_GONE), 0)]
+    while stack:
+        j, labels, closed, mask = stack.pop()
+        if j == len(order):
+            out.append((mask, closed))
+            continue
+        end = ends[j].get(labels)
+        if end is None:
+            i = order[j]
+            moves = zip(steps[i], (1, 1), (0, 1 << i))
+            end = ends[j][labels] = _branches(labels, moves, True, gone.get(j, ()))
+        for new, shut, _, bit in end:
+            stack.append((j + 1, new, closed + shut, mask | bit))
+    return sorted(out)
 
 
 def alt_colouring_counts(g: Graph, posts, u: int, v: int):
@@ -348,7 +444,7 @@ def alt_colouring_counts(g: Graph, posts, u: int, v: int):
     # Bit i of a colouring set picks the layer-1 copy of base edge i, clear the layer-2 one.
     steps = [(((bottom[a], bottom[b]),), ((top[a], top[b]),)) for a, b, _ in g.edges]
     counts = [0] * 4
-    for (case, _, _), count in _cases(n, steps, None, True, triple).items():
+    for (case, _, _), count in _cases(n, steps, False, True, triple).items():
         counts[case] += count
     return counts[1] + counts[3], counts[2] + counts[3], sum(counts)
 
@@ -368,18 +464,18 @@ def hypergraph_rc_difference(h: Hypergraph, u: int, v: int) -> MultiPoly:
     triple = tuple(map(index, (hypergraph_copies(h, u)[0], *hypergraph_copies(h, v))))
     steps = [((), ((index(a), index(b)), (index(a), index(c)))) for a, b, c in doubled]
     terms: dict = {}
-    cases = _cases(len(vertices), steps, [(0, 1)] * k, False, triple)
+    cases = _cases(len(vertices), steps, True, False, triple)
     for (case, present, kappa), count in cases.items():
         exp = (kappa, 0, present, k - present)
         terms[exp] = terms.get(exp, 0) + ((case & 1) - (case >> 1)) * count
     return MultiPoly({exp: rat(c) for exp, c in terms.items() if c})
 
 
-def _cases(n: int, steps, tags, acyclic: bool, triple) -> dict:
-    """Counts keyed (case, tag, kappa) of a triple (x, y, z): bit 0 is x<->y, bit 1 x<->z."""
+def _cases(n: int, steps, sizes: bool, acyclic: bool, triple) -> dict:
+    """Counts keyed (case, |S| or 0, kappa) of a triple (x, y, z): bit 0 is x<->y, bit 1 x<->z."""
     out: dict = {}
-    for ((a, b, c), tag, kappa), count in _fold(n, steps, None, tags, acyclic, triple).items():
-        key = ((a == b) + 2 * (a == c), tag, kappa)
+    for ((a, b, c), size, kappa), count in _fold(n, steps, None, sizes, acyclic, triple).items():
+        key = ((a == b) + 2 * (a == c), size, kappa)
         out[key] = out.get(key, 0) + count
     return out
 
@@ -389,5 +485,5 @@ def bunkbed_case_profiles(bb: Graph, triples):
 
     Bit 0 of case is u1 connected to v1, bit 1 is u1 connected to v2.
     """
-    steps, sizes = _edge_steps(bb), [(0, 1)] * bb.m
-    return [_cases(bb.n, steps, sizes, False, t) for t in triples]
+    steps = _edge_steps(bb)
+    return [_cases(bb.n, steps, True, False, t) for t in triples]

@@ -362,10 +362,11 @@ def _suite_cross_inner(g: Graph) -> bool:
     bundle = LaplacianBundle(g)
     ft_all = forest_table(g, range(g.n))
     trees = ft_all.bracket((0,) * g.n)
-    # Per pairing xy|zw: its positions, [xz|yw] and [xw|yz].
+    # Per pairing xy|zw: its positions, [xz|yw] and [xw|yz], both at two components.
     cross = [(pos, *_split_patterns(*pos)[0][2:]) for pos in _PAIRINGS]
+    two = ft_all.strata((2,))
     for quad in combinations(range(g.n), 4):
-        ft = ft_all.restrict(quad)
+        ft = two.restrict(quad)
         for pos, xz_yw, xw_yz in cross:
             diff = ft.bracket(xz_yw) - ft.bracket(xw_yz)
             if bundle.cross_inner(*map(quad.__getitem__, pos)) != rat(diff) / trees:
@@ -440,8 +441,10 @@ def _suite_choe(g: Graph) -> bool:
         xy, three = _split_patterns(x, y, z, w)
         zw, _ = _split_patterns(z, w, x, y)
         splits.append((xy, zw, three))
+    # Every bracket below reads at most three components.
+    low = ft_all.strata(range(4))
     for quad in combinations(range(g.n), 4):
-        ft = ft_all.restrict(quad)
+        ft = low.restrict(quad)
         for xy, zw, three in splits:
             lhs = sum(ft.bracket(t) for t in xy)
             rhs = sum(ft.bracket(t) for t in zw)
@@ -503,8 +506,10 @@ def _suite_four_point_leading(g: Graph) -> bool:
     ab, three = _split_patterns(0, 1, 2, 3)
     cd, _ = _split_patterns(2, 3, 0, 1)
     together = (0, 0, 0, 0)
+    # Every bracket below reads at most four components: three blocks and one extra.
+    low = ft_all.strata(range(5))
     for quad in combinations(range(g.n), 4):
-        ft = ft_all.restrict(quad)
+        ft = low.restrict(quad)
 
         # Per extra component: sums over ab, cd and the three-block patterns,
         # [abcd], and [ac|bd] - [ad|bc].

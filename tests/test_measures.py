@@ -1,9 +1,11 @@
+import hashlib
 import math
 import random
 from itertools import product
 
 import pytest
 from dense_poly import at
+from fold_oracle import fold_by_states
 from hypothesis import given, settings, strategies as st
 from subset_oracle import roots_and_kappa
 
@@ -169,12 +171,13 @@ def test_enumeration_guard_has_no_environment_override(monkeypatch):
 
 
 def test_state_guard_names_step_states_and_marked_set(monkeypatch):
-    # With every vertex kept, no two edge subsets of a path share a state:
-    # step j would take the fold to 2^j states, so step 4 passes 2^3 at its
-    # fifth input state.  Keeping only the two ends, it stays within the guard.
+    # With every vertex kept, no two edge subsets of a path share a label
+    # string: step j would take the fold to 2^j strings, so step 4 passes 2^3
+    # at its fifth input string.  Keeping only the two ends, it stays within
+    # the guard.
     monkeypatch.setattr(measures, "_STATE_GUARD", 3)
     path = Graph(6, tuple((i, i + 1, rat(1)) for i in range(5)))
-    message = r"passed 10 states at step 4 of 5 with marked set \(0, 1, 2, 3, 4, 5\) \(guard is 2\^3\)"
+    message = r"passed 10 label strings at step 4 of 5 with marked set \(0, 1, 2, 3, 4, 5\) \(guard is 2\^3\)"
     with pytest.raises(EnumerationGuardError, match=message):
         forest_table(path, range(6))
     ends = forest_table(path, (0, 5))
@@ -208,6 +211,22 @@ def test_forest_unrestricted_bracket():
 def test_forest_masks_count():
     masks = forest_masks(named_graph("K3"))
     assert len(masks) == 7  # 1 empty + 3 single + 3 double
+
+
+def _grid(rows, cols):
+    at_ = lambda i, j: i * cols + j
+    edges = [(at_(i, j), at_(i, j + 1)) for i in range(rows) for j in range(cols - 1)]
+    edges += [(at_(i, j), at_(i + 1, j)) for i in range(rows - 1) for j in range(cols)]
+    return Graph(rows * cols, tuple(edges))
+
+
+def test_forest_masks_on_the_3x4_grid():
+    # 85 818 forests, 2 415 of them spanning trees; the digest pins the whole
+    # list as the fold keyed by (labels, closed, mask) returned it.
+    masks = forest_masks(_grid(3, 4))
+    assert len(masks) == 85818
+    assert sum(kappa == 1 for _, kappa in masks) == 2415
+    assert hashlib.sha256(repr(masks).encode()).hexdigest()[:20] == "222927a8e3b79a5661c3"
 
 
 def test_weighted_forest_table():
@@ -639,6 +658,54 @@ def test_forest_table_restrict_and_probability_match_oracle(case):
             if event(canonical_rgs(roots[x] for x in marked)):
                 num += w
         assert rat(_at_activity(hits, lam), _at_activity(z, lam)) == num / den
+
+
+@settings(deadline=None, max_examples=150, derandomize=True)
+@given(multigraphs(), st.booleans(), st.booleans(), st.booleans(), st.booleans())
+def test_packed_fold_matches_the_fold_by_states(case, sizes, acyclic, sided, forest):
+    # Weights include 0/d and d/d, so some keys are reached by zero-weight
+    # subsets only; the packed fold must keep them with value 0.
+    g, marked, _, _, _ = case
+    weights = []
+    for _, _, w in g.edges:
+        num, d = int(w.numerator), int(w.denominator)
+        weights.append((d if forest else d - num, num))
+    if sided:
+        # Both bits open a pair, as in the two-colour model's steps.
+        steps = [(((u, v),), ((u, (v + 1) % g.n),)) for u, v, _ in g.edges]
+    else:
+        steps = measures._edge_steps(g)
+    tags = [(0, 1)] * g.m if sizes else None
+    expected = fold_by_states(g.n, steps, weights, tags, acyclic, marked)
+    assert measures._fold(g.n, steps, weights, sizes, acyclic, marked) == expected
+    unit = fold_by_states(g.n, steps, None, tags, acyclic, marked)
+    assert measures._fold(g.n, steps, None, sizes, acyclic, marked) == unit
+
+
+def _rgs_tuples(length):
+    return sorted({canonical_rgs(t) for t in product(range(length), repeat=length)})
+
+
+@settings(deadline=None, max_examples=40, derandomize=True)
+@given(multigraphs())
+def test_strata_keep_every_bracket_they_cover(case):
+    g, marked, _, _, _ = case
+    quad = marked[:4]
+    ft = forest_table(g, range(g.n))
+    full = ft.restrict(quad)
+    for k in range(g.n + 1):
+        low = ft.strata(range(k + 1)).restrict(quad)
+        for pattern in _rgs_tuples(len(quad)):
+            blocks = max(pattern, default=-1) + 1
+            for extra in range(k - blocks + 1):
+                assert low.bracket(pattern, extra) == full.bracket(pattern, extra)
+        for extra in range(k):
+            assert low.bracket(None, extra) == full.bracket(None, extra)
+    # The single stratum the cross-inner suite reads.
+    two = ft.strata((2,)).restrict(quad)
+    for pattern in _rgs_tuples(len(quad)):
+        if max(pattern, default=-1) == 1:
+            assert two.bracket(pattern) == full.bracket(pattern)
 
 
 def test_marked_tuples_of_length_zero_and_one():

@@ -381,7 +381,7 @@ def test_identity_suite_collects_guard_skips(monkeypatch):
     assert rep.verdict == HOLDS
     assert rep.quantities.get("skipped") == "1"
     reason = rep.quantities["skip_reasons"]
-    assert reason.startswith("big: fold passed 66 states at step 7 of 30 ")
+    assert reason.startswith("big: fold passed 66 label strings at step 7 of 30 ")
     assert reason.endswith("(guard is 2^6)")
 
 
