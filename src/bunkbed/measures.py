@@ -20,9 +20,10 @@ and ``strata`` keeps only the component counts a caller reads.
 ``rc_profile`` counts subsets by (marked RGS, |S|, kappa), once per query
 triple in ``bunkbed_case_profiles``.  ``forest_masks`` lists every forest by
 a depth-first walk over the same sweep, since no two forests share a mask.
-The only guard is 2^20 label strings in one level of the fold, checked as
-each string is added: the strings grow with the live vertices, not with the
-edges.
+The only guard is 2^29 bytes in one level of the fold, reckoning each label
+string at 512 bytes plus its packed int and checked as each string is
+branched: 2^20 strings while the ints are small, fewer once a string's int
+spans many closed counts and sizes.
 """
 
 from __future__ import annotations
@@ -50,7 +51,10 @@ __all__ = [
     "bunkbed_case_profiles",
 ]
 
-_STATE_GUARD = 20
+# One level of the fold may hold 2^_LEVEL_GUARD bytes, reckoning each label
+# string at _STRING_BYTES (its key, its tuple and dict slot) plus its packed int.
+_LEVEL_GUARD = 29
+_STRING_BYTES = 512
 
 
 class EnumerationGuardError(ValueError):
@@ -61,12 +65,13 @@ class ParameterError(ValueError):
     """A model parameter outside its range."""
 
 
-def check_parameters(p=(), q=(), lam=()) -> None:
-    """Raise ParameterError unless every p is in [0, 1], every q > 0 and every lambda >= 0."""
+def check_parameters(p=(), q=(), lam=(), w=()) -> None:
+    """Raise ParameterError unless every p is in [0, 1], every q > 0 and every lambda and w >= 0."""
     for name, values, ok, rule in (
         ("edge weight p", p, lambda x: 0 <= x <= 1, "lie in [0, 1]"),
         ("cluster weight q", q, lambda x: x > 0, "be positive"),
         ("forest activity lambda", lam, lambda x: x >= 0, "be non-negative"),
+        ("forest edge weight", w, lambda x: x >= 0, "be non-negative"),
     ):
         for x in values:
             if not ok(x):
@@ -119,11 +124,11 @@ def _fold(n: int, steps, weights=None, sizes=False, acyclic=False, keep=()) -> d
     among the subsets that reach the string, and packed carries their weights
     at slot (closed - base) * (m + 1) + |S|, or closed - base without sizes,
     of `width` = bits(prod(w0 + w1)) + 1 bits each (Kronecker substitution);
-    no weight is negative, so no slot overflows.  A branch multiplies by its
-    weight and shifts by its |S| step; merging two ints shifts the one with
-    the larger base.  `acyclic` drops a branch that closes a cycle.  A key
-    that only zero-weight subsets reach keeps its zero entry: a unit-weight
-    fold lists the keys then.
+    the callers pass no negative weight (``_integer_fold`` checks), so no
+    slot overflows.  A branch multiplies by its weight and shifts by its |S|
+    step; merging two ints shifts the one with the larger base.  `acyclic`
+    drops a branch that closes a cycle.  A key that only zero-weight subsets
+    reach keeps its zero entry: a unit-weight fold lists the keys then.
     """
     weights = weights or [(1, 1)] * len(steps)
     sums = _packed_fold(n, steps, weights, sizes, acyclic, keep)
@@ -142,28 +147,33 @@ def _packed_fold(n: int, steps, weights, sizes: bool, acyclic: bool, keep) -> di
     slots = len(steps) + 1 if sizes else 1
     stride = width * slots
     level = {start: (start.count(_GONE), 1)}
-    limit = 1 << _STATE_GUARD
+    # The level's size in bits: each label string's charge plus its packed int.
+    limit, charge = 8 << _LEVEL_GUARD, 8 * _STRING_BYTES
     for j, i in enumerate(order):
         moves = list(zip(steps[i], weights[i], (0, width if sizes else 0)))
         drop = gone.get(j, ())
-        states, level = level, {}
+        states, level, size = level, {}, 0
         for labels, (base, packed) in states.items():
             for new, shut, w, shift in _branches(labels, moves, acyclic, drop):
                 value = (packed if w == 1 else packed * w) << shift
                 closed = base + shut
                 old = level.get(new)
-                if old is not None:
+                if old is None:
+                    size += charge
+                else:
                     low, had = old
+                    size -= had.bit_length()
                     if low < closed:
                         value = had + (value << stride * (closed - low))
                         closed = low
                     else:
                         value += had << stride * (low - closed)
+                size += value.bit_length()
                 level[new] = (closed, value)
-            if len(level) > limit:
+            if size > limit:
                 raise EnumerationGuardError(
-                    f"fold passed {len(level)} label strings at step {j + 1} of {len(steps)} "
-                    f"with marked set {tuple(keep)} (guard is 2^{_STATE_GUARD})"
+                    f"fold passed {size >> 3} bytes in {len(level)} label strings at step {j + 1} "
+                    f"of {len(steps)} with marked set {tuple(keep)} (guard is 2^{_LEVEL_GUARD} bytes)"
                 )
     mask = (1 << width) - 1
     sums: dict = {}
@@ -257,11 +267,18 @@ def _integer_fold(g: Graph, marked, acyclic=False) -> tuple[dict, int]:
     """({(marked RGS, kappa): int}, den): subset weights times den, the product of the d.
 
     Each edge weight num/d folds as the integers (d - num, num), or as (d, num)
-    for the forests that `acyclic` keeps.
+    for the forests that `acyclic` keeps; ParameterError unless both are
+    non-negative, that is unless each weight lies in [0, 1], or is
+    non-negative for forests.
     """
     marked = _check_marked(g, marked)
+    edge_weights = [w for _, _, w in g.edges]
+    if acyclic:
+        check_parameters(w=edge_weights)
+    else:
+        check_parameters(p=edge_weights)
     weights, den = [], 1
-    for _, _, w in g.edges:
+    for w in edge_weights:
         num, d = int(w.numerator), int(w.denominator)
         weights.append((d if acyclic else d - num, num))
         den *= d
@@ -283,7 +300,7 @@ class BoundaryTable:
     rgs[i] == rgs[j], den the product of the edge weights' denominators.  A
     random-cluster table weighs every subset (kappa is the power of q), a
     forest table only the forests.  A key that only zero-weight subsets reach
-    stays, with value 0.  `rgs_of` memoizes canonical_rgs for this table and
+    stays, with value 0.  `_rgs_of` memoizes canonical_rgs for this table and
     the tables `restrict` and `strata` derive from it.
     """
 
@@ -291,7 +308,7 @@ class BoundaryTable:
     n: int
     entries: dict
     den: int
-    rgs_of: dict = field(default_factory=dict, compare=False, repr=False)
+    _rgs_of: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def event(self, predicate=None) -> list:
         """Summed entries whose RGS satisfies `predicate`, as a dense kappa-list.
@@ -323,9 +340,9 @@ class BoundaryTable:
             w = sum(w for (_, k), w in self.entries.items() if k == kappa)
         else:
             pattern = tuple(pattern)
-            rgs = self.rgs_of.get(pattern)
+            rgs = self._rgs_of.get(pattern)
             if rgs is None:
-                rgs = self.rgs_of[pattern] = canonical_rgs(pattern)
+                rgs = self._rgs_of[pattern] = canonical_rgs(pattern)
             if len(pattern) != len(self.marked) or rgs != pattern:
                 raise ValueError(f"pattern {pattern} is not an RGS over the marked tuple {self.marked}")
             w = self.entries.get((pattern, max(pattern, default=-1) + 1 + extra), 0)
@@ -344,7 +361,7 @@ class BoundaryTable:
         for (rgs, kappa), w in self.entries.items():
             key = (pick(rgs), kappa)
             acc[key] = acc.get(key, 0) + w
-        return BoundaryTable(marked, self.n, _canonical(acc, self.rgs_of), self.den, self.rgs_of)
+        return self._derive(marked, _canonical(acc, self._rgs_of))
 
     def strata(self, kappas) -> "BoundaryTable":
         """The entries whose component count lies in `kappas`.
@@ -354,7 +371,13 @@ class BoundaryTable:
         """
         kappas = frozenset(kappas)
         entries = {key: w for key, w in self.entries.items() if key[1] in kappas}
-        return BoundaryTable(self.marked, self.n, entries, self.den, self.rgs_of)
+        return self._derive(self.marked, entries)
+
+    def _derive(self, marked, entries) -> "BoundaryTable":
+        """A table over the same subsets that shares this table's canonical_rgs memo."""
+        table = BoundaryTable(marked, self.n, entries, self.den)
+        table._rgs_of = self._rgs_of
+        return table
 
 
 def _at_activity(c: list, lam) -> int:

@@ -200,10 +200,10 @@ def test_hollom_graph_hint(capsys):
 
 
 def test_state_guard_trip_is_a_guard_error(monkeypatch, capsys):
-    monkeypatch.setattr(measures, "_STATE_GUARD", 2)
+    monkeypatch.setattr(measures, "_LEVEL_GUARD", 11)
     assert main(["verify", "--suite", "bunkbed", "--graph", "K3"]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("guard: fold passed ") and err[0].endswith("(guard is 2^2)")
+    assert len(err) == 1 and err[0].startswith("guard: fold passed ") and err[0].endswith("(guard is 2^11 bytes)")
 
 
 def test_exit_code_mapping():
@@ -265,6 +265,7 @@ def test_exit_code_mapping():
         (["verify", "--suite", "rayleigh", "--input", "{tmp}/float_endpoint.json"], "endpoints"),
         (["verify", "--suite", "conjectures", "--weightings", "0"], "weightings"),
         (["verify", "--suite", "conjectures", "--weightings", "-3"], "weightings"),
+        (["compute", "bracket", "--input", "{tmp}/negative.json", "--marked", "0,2"], "non-negative; got -1/2"),
     ],
 )
 def test_malformed_input_is_usage_error(argv, fragment, tmp_path, capsys):
@@ -276,6 +277,8 @@ def test_malformed_input_is_usage_error(argv, fragment, tmp_path, capsys):
     triangle = [[0, 1, "1/2"], [1, 2, "1/2"], [0, 2, "1/2"]]
     (tmp_path / "post_out_of_range.json").write_text(json.dumps({"n": 3, "edges": triangle, "posts": [7]}))
     (tmp_path / "posts_not_a_list.json").write_text(json.dumps({"n": 3, "edges": triangle, "posts": "1"}))
+    negative = [[0, 1, "1/2"], [1, 2, "-1/2"], [0, 2, "1/2"]]
+    (tmp_path / "negative.json").write_text(json.dumps({"n": 3, "edges": negative}))
     (tmp_path / "float_endpoint.json").write_text(json.dumps({"n": 3, "edges": [[0.0, 1, "1/2"], [1, 2, "1/2"]]}))
     for name, n in (("n_zero", 0), ("n_float", 2.0), ("n_negative", -2), ("n_true", True)):
         (tmp_path / f"{name}.json").write_text(json.dumps({"n": n, "edges": []}))

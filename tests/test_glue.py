@@ -371,9 +371,9 @@ def test_layer_2_table_is_layer_1_projected_and_renamed(n, p):
 def test_table2_numerator_is_a_positive_multiple_of_the_fold_difference():
     # The doubled network at n = 1 as a plain graph: each hyperedge becomes the
     # edges of gadget(1, p), apex on the post, with a fresh interior vertex.
-    # n = 2 and n = 3 trip the fold's 2^20 state guard under its BFS edge
-    # order (after about 20 s and 32 s); they wait for the fold on a chosen
-    # elimination order (ROADMAP item 2).
+    # n = 2 and n = 3 trip the fold's level guard under its BFS edge order
+    # (after about 5 s each, at steps 68 of 84 and 81 of 108); they wait for
+    # the fold on a chosen elimination order (ROADMAP item 2).
     n, p = 1, rat(1, 100)
     h = hollom_instance()
     skeleton, doubled = hypergraph_bunkbed(h)

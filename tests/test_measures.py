@@ -21,6 +21,7 @@ from bunkbed.graph import (
 )
 from bunkbed.measures import (
     EnumerationGuardError,
+    ParameterError,
     _at_activity,
     alt_colouring_counts,
     bunkbed_case_profiles,
@@ -158,12 +159,12 @@ def test_enumeration_guard():
 
 
 def test_enumeration_guard_has_no_environment_override(monkeypatch):
-    # The state guard is a constant: no environment variable raises or lowers it.
-    monkeypatch.setattr(measures, "_STATE_GUARD", 3)
+    # The level guard is a constant: no environment variable raises or lowers it.
+    monkeypatch.setattr(measures, "_LEVEL_GUARD", 12)
     path = Graph(6, tuple((i, i + 1, rat(1)) for i in range(5)))
     for name in ("BUNKBED_STATE_GUARD", "BUNKBED_SUBSET_GUARD"):
         monkeypatch.setenv(name, "40")
-    with pytest.raises(EnumerationGuardError, match=r"guard is 2\^3\)$"):
+    with pytest.raises(EnumerationGuardError, match=r"guard is 2\^12 bytes\)$"):
         forest_table(path, range(6))
     for name in ("BUNKBED_STATE_GUARD", "BUNKBED_SUBSET_GUARD"):
         monkeypatch.setenv(name, "0")
@@ -172,16 +173,50 @@ def test_enumeration_guard_has_no_environment_override(monkeypatch):
 
 def test_state_guard_names_step_states_and_marked_set(monkeypatch):
     # With every vertex kept, no two edge subsets of a path share a label
-    # string: step j would take the fold to 2^j strings, so step 4 passes 2^3
-    # at its fifth input string.  Keeping only the two ends, it stays within
-    # the guard.
-    monkeypatch.setattr(measures, "_STATE_GUARD", 3)
+    # string: step j takes the fold to 2^j strings of 512 bytes each plus
+    # their packed ints, so step 3 passes 2^12 bytes at its fourth input
+    # string.  Keeping only the two ends, it stays within the guard.
+    monkeypatch.setattr(measures, "_LEVEL_GUARD", 12)
     path = Graph(6, tuple((i, i + 1, rat(1)) for i in range(5)))
-    message = r"passed 10 label strings at step 4 of 5 with marked set \(0, 1, 2, 3, 4, 5\) \(guard is 2\^3\)"
+    message = (
+        r"passed 4097 bytes in 8 label strings at step 3 of 5 with marked set \(0, 1, 2, 3, 4, 5\) "
+        r"\(guard is 2\^12 bytes\)"
+    )
     with pytest.raises(EnumerationGuardError, match=message):
         forest_table(path, range(6))
     ends = forest_table(path, (0, 5))
     assert ends.event() == [0, 1, 5, 10, 10, 5, 1]
+
+
+def test_level_guard_counts_the_packed_ints(monkeypatch):
+    # On a bunkbed a label string's int spans several closed counts of m + 1
+    # slots each, so the 3x3 grid's fold passes 2^20 bytes while it holds
+    # 1 230 label strings: at 512 bytes each they come to 615 KiB, and the
+    # packed ints carry the rest.
+    monkeypatch.setattr(measures, "_LEVEL_GUARD", 20)
+    g = _grid(3, 3)
+    triple = (bunkbed_copies(g, None, 0)[0], *bunkbed_copies(g, None, 8))
+    message = r"^fold passed \d+ bytes in 1230 label strings at step 18 of 33 "
+    with pytest.raises(EnumerationGuardError, match=message):
+        bunkbed_case_profiles(bunkbed(g), [triple])
+    monkeypatch.setattr(measures, "_LEVEL_GUARD", 21)
+    (profile,) = bunkbed_case_profiles(bunkbed(g), [triple])
+    assert sum(profile.values()) == 2**33
+
+
+def test_fold_engines_reject_weights_outside_their_measure():
+    # The packed fold reads every edge as two non-negative integers: a
+    # negative forest weight or a random-cluster weight above 1 is refused
+    # rather than folded.
+    negative = Graph(3, ((0, 1, rat(1, 2)), (1, 2, rat(-1, 2)), (0, 2, rat(1, 3))))
+    heavy = Graph(3, ((0, 1, rat(1, 2)), (1, 2, rat(3, 2)), (0, 2, rat(1, 3))))
+    with pytest.raises(ParameterError, match="^forest edge weight must be non-negative; got -1/2$"):
+        forest_table(negative, (0, 2))
+    for engine in (rc_boundary_table, factor_from_graph):
+        with pytest.raises(ParameterError, match=r"^edge weight p must lie in \[0, 1\]; got 3/2$"):
+            engine(heavy, (0, 2))
+    # A forest weight above 1 stays allowed: 1/2 * 3/2 + 1/2 * 1/3 + 3/2 * 1/3 trees.
+    assert forest_table(heavy, (0, 2)).bracket((0, 0)) == rat(17, 12)
 
 
 # -- forests and brackets

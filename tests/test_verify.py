@@ -372,8 +372,8 @@ def test_unknown_suite_rejected():
 
 
 def test_identity_suite_collects_guard_skips(monkeypatch):
-    # A small state guard trips on the path and not on K3.
-    monkeypatch.setattr(measures, "_STATE_GUARD", 6)
+    # A small level guard trips on the path and not on K3.
+    monkeypatch.setattr(measures, "_LEVEL_GUARD", 15)
     big = Graph(31, tuple((i, i + 1, rat(1)) for i in range(30)))
     rep = run_identity_suite(
         "resistance-bracket", [("big", big), ("K3", named_graph("K3"))]
@@ -381,8 +381,8 @@ def test_identity_suite_collects_guard_skips(monkeypatch):
     assert rep.verdict == HOLDS
     assert rep.quantities.get("skipped") == "1"
     reason = rep.quantities["skip_reasons"]
-    assert reason.startswith("big: fold passed 66 label strings at step 7 of 30 ")
-    assert reason.endswith("(guard is 2^6)")
+    assert reason.startswith("big: fold passed 32776 bytes in 64 label strings at step 6 of 30 ")
+    assert reason.endswith("(guard is 2^15 bytes)")
 
 
 def test_hypergraph_factorization_report():
