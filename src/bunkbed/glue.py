@@ -12,24 +12,41 @@ A Factor stores each entry as a dense list of integer q-coefficients over a
 shared positive denominator, and all arithmetic acts on those integers.
 ``table``, ``total`` and ``counterexample_polynomial`` hand the results out as
 ``MultiPoly``, the read-only view that reports print, compare and evaluate.
-Contraction works on values instead.  No entry of a network can exceed
-degree D = (vertices eliminated) + (sum of the input entry degrees), since
-products add degrees and each eliminated vertex closes at most one component.
-So every input entry is evaluated once at q = 0, ..., D, products and
-eliminations act point by point (c closed components multiply by q**c), and
-``contract_network`` recovers each final entry by one exact integer
-interpolation.
+Contraction works on an entry encoding, which ``_encoding`` picks from the
+input factors; each encoding supplies encode and decode, add, sub, multiply
+and the q**closed scaling.
+
+* ``_Packed`` (every input entry a constant: edge networks, the engine
+  trials, the gadget's build) holds an entry as one int with coefficient k
+  at bit k * width, in signed slots (Kronecker substitution).  It encodes
+  straight from the coefficient lists and decodes by base-2**width digit
+  extraction, so there is no evaluation, no interpolation and no degree
+  bound; a sum is one ``+``, q**closed one ``<<``, and a product by an edge
+  weight one multiply by a small int.  The width is
+  bits(prod over factors of the sum of |coefficient|) + 2: every
+  intermediate entry is a sum of q-shifted products of one entry per
+  factor, and L1 norms are submultiplicative, so every coefficient's
+  magnitude stays below 2**(width - 2).
+* ``_Points`` (otherwise: the hollom layer, whose gadget entries have degree
+  n) holds an entry as its values at q = 0, ..., D.  No entry of a network
+  can exceed degree D = (vertices eliminated) + (sum of the input entry
+  degrees), since products add degrees and each eliminated vertex closes at
+  most one component.  Products and eliminations act point by point (c
+  closed components multiply by a cached row of x**c), and each final entry
+  is recovered by one exact integer interpolation.  Packing these entries
+  would be slower: CPython multiplies big ints by Karatsuba alone, so one
+  product of two long packed entries loses to the pointwise products.
 
 ``counterexample_polynomial`` reads a table2 row off one layer.  The doubled
 network is two copies of a six-factor layer that share only the posts, so it
-contracts layer 1 alone (queries 1, 10 and the posts) at the point count of
-the whole doubled network.  Layer 2's table is that table with 1 projected
-out and 10 renamed 20.  The last glue joins the two and cuts the posts
-through a signed readout: it keeps only {1,10}{20} minus {1,20}{10}, one
-product per entry of the smaller table.  N is one interpolation of that
-difference, and Z(1) the product of the two tables' sums at point 1 (q = 1).
+contracts layer 1 alone (queries 1, 10 and the posts) in the encoding of the
+whole doubled network.  Layer 2's table is that table with 1 projected out
+and 10 renamed 20.  The last glue joins the two and cuts the posts through a
+signed readout: it keeps only {1,10}{20} minus {1,20}{10}, one product per
+entry of the smaller table.  N is one decode of that difference, and Z(1)
+the product of the two tables' sums at q = 1.
 
-One kernel, ``_glue``, multiplies two value-form tables and cuts a set of
+One kernel, ``_glue``, multiplies two encoded tables and cuts a set of
 vertices in the same pass.  It joins partitions in the label convention of
 ``measures._fold``: each entry of the larger table becomes, once, a string
 over the union of the boundaries in which every vertex carries
@@ -39,12 +56,11 @@ a pair of entries joins by replacing the greater label of each merge pair
 with the lesser.  The joined string is canonical, so a per-call cache reads
 the reduced partition and the closed count off it once through
 ``partition.project_rgs``.  For each entry of the smaller table the kernel
-first sums the other table's values that land on the same reduced
+first sums the other table's entries that land on the same reduced
 partition, and then multiplies once per reduced partition, so there are at
-most (smaller table) x (result entries) big-integer products, not one per
-pair.
+most (smaller table) x (result entries) products, not one per pair.
 
-``contract_network`` plans its steps before it evaluates any entry.  The plan
+``contract_network`` plans its steps before it encodes any entry.  The plan
 (``_plan``) replays an order on the factor boundaries alone, with no values,
 through a vertex -> live-factor index, and records for each step the vertex
 that starts it, the factors it glues, the vertices it cuts and the size of
@@ -56,7 +72,7 @@ when its (largest merged boundary, sum of Bell(merged)) is strictly smaller,
 so it sweeps a grid column by column while ``hollom_network`` keeps the
 greedy order.  An explicit order goes through the same replay.  The
 Bell-number guard reads the plan, so it trips before any entry is
-evaluated.  Every step cuts the chosen vertex and every other pending vertex
+encoded.  Every step cuts the chosen vertex and every other pending vertex
 that no remaining factor touches, so a table is never built over vertices
 that the next step would only project out.
 
@@ -238,30 +254,146 @@ def factor_from_graph(g: Graph, boundary) -> Factor:
     return _sorted_factor(boundary, {rgs: _trim(c) for rgs, c in entries.items()}, den)
 
 
-class _ValueForm(NamedTuple):
-    """A factor in value form: boundary and entries as values at q = 0..D."""
+class _Points:
+    """Entries as their values at q = 0..count-1, recovered by ``_interpolate``.
 
-    boundary: tuple
-    entries: dict
+    Equal coefficient lists share one evaluation, and q**closed scales by a
+    cached row of x**closed per closed count.
+    """
+
+    def __init__(self, count: int):
+        self.count = count
+        self.one = [1] * count
+        self.zero = [0] * count
+        self._memo: dict = {}
+        self._rows: dict = {}
+
+    def __str__(self) -> str:
+        return "point values"
+
+    def encode(self, coeffs: list) -> list:
+        key = tuple(coeffs)
+        vals = self._memo.get(key)
+        if vals is None:
+            vals = self._memo[key] = _values(coeffs, self.count)
+        return vals
+
+    decode = staticmethod(_interpolate)
+
+    @staticmethod
+    def add(a: list, b: list) -> list:
+        return list(map(add, a, b))
+
+    @staticmethod
+    def sub(a: list, b: list) -> list:
+        return list(map(sub, a, b))
+
+    @staticmethod
+    def mul(a: list, b: list) -> list:
+        return list(map(mul, a, b))
+
+    def scale(self, vals: list, closed: int) -> list:
+        row = self._rows.get(closed)
+        if row is None:
+            row = self._rows[closed] = [x**closed for x in range(self.count)]
+        return list(map(mul, vals, row))
+
+    @staticmethod
+    def at_one(vals: list) -> int:
+        return vals[1]
+
+
+class _Packed:
+    """Entries as one int each: coefficient k of q at bit k * width (Kronecker substitution).
+
+    Slots are signed: decoding takes each base-2**width digit in
+    [-2**(width-1), 2**(width-1)), so it is exact while every coefficient's
+    magnitude stays below 2**(width-1) (``_packed_width``).  Sums and
+    products are single int operations and q**closed is a shift; there is
+    no evaluation, no interpolation and no degree bound.
+    """
+
+    one = 1
+    zero = 0
+    add = staticmethod(add)
+    sub = staticmethod(sub)
+    mul = staticmethod(mul)
+
+    def __init__(self, width: int):
+        if width < 2:
+            raise ValueError(f"packed slots need at least 2 bits, got {width}")  # 1 bit holds no sign
+        self.width = width
+
+    def __str__(self) -> str:
+        return f"coefficients packed in {self.width}-bit slots"
+
+    def encode(self, coeffs: list) -> int:
+        return sum(c << (k * self.width) for k, c in enumerate(coeffs))
+
+    def decode(self, packed: int) -> list:
+        """Trimmed coefficients: signed digits, each subtracted before the shift so the loop ends."""
+        width = self.width
+        mask, half = (1 << width) - 1, 1 << (width - 1)
+        coeffs = []
+        while packed:
+            c = packed & mask
+            if c >= half:
+                c -= 1 << width
+            coeffs.append(c)
+            packed = (packed - c) >> width
+        return coeffs
+
+    def scale(self, packed: int, closed: int) -> int:
+        return packed << (closed * self.width)
+
+    def at_one(self, packed: int) -> int:
+        return sum(self.decode(packed))
+
+
+def _packed_width(factors) -> int:
+    """Slot width for ``_Packed``: bits(prod over factors of the sum of |coefficient|) + 2.
+
+    Every entry of every table a contraction of `factors` builds is a sum of
+    q-shifted products of one entry per factor (or, in the signed readout,
+    the difference of two such entries), and L1 norms are submultiplicative,
+    so no coefficient's magnitude reaches that product, which is below
+    2**(width - 2).
+    """
+    l1 = prod(sum(abs(c) for coeffs in f.entries.values() for c in coeffs) for f in factors)
+    return l1.bit_length() + 2
 
 
 def _degree(f: Factor) -> int:
     return max([len(c) - 1 for c in f.entries.values()] + [0])
 
 
-def _evaluate(f: Factor, count: int, cache: dict) -> _ValueForm:
-    """Value form of f at `count` points; equal coefficient lists share one evaluation."""
-    entries = {}
-    for rgs, coeffs in f.entries.items():
-        key = tuple(coeffs)
-        if key not in cache:
-            cache[key] = _values(coeffs, count)
-        entries[rgs] = cache[key]
-    return _ValueForm(f.boundary, entries)
+def _encoding(factors, count: int):
+    """The entry encoding for contracting `factors`, whose entries reach degree below `count`.
+
+    Packed when every input entry is a constant (edge networks, the gadget's
+    build); points at q = 0..count-1 otherwise (the hollom layer, whose
+    gadget entries have degree n: there one product of two long packed ints
+    costs more than the pointwise products, as CPython multiplies big ints
+    by Karatsuba).
+    """
+    if all(len(coeffs) <= 1 for f in factors for coeffs in f.entries.values()):
+        return _Packed(_packed_width(factors))
+    return _Points(count)
 
 
-def _interpolated(t: _ValueForm, den: int) -> Factor:
-    return Factor(t.boundary, {rgs: _interpolate(v) for rgs, v in t.entries.items()}, den)
+class _Encoded(NamedTuple):
+    """A factor's boundary with its entries in one encoding (``_Points`` or ``_Packed``)."""
+
+    boundary: tuple
+    entries: dict
+
+
+def _encoded(f: Factor, enc) -> _Encoded:
+    return _Encoded(f.boundary, {rgs: enc.encode(coeffs) for rgs, coeffs in f.entries.items()})
+
+
+def _decoded(t: _Encoded, den: int, enc) -> Factor:
+    return Factor(t.boundary, {rgs: enc.decode(v) for rgs, v in t.entries.items()}, den)
 
 
 def _labels(idx: list, k: int, rgs: tuple) -> str:
@@ -288,8 +420,8 @@ def _merges(idx: list, rgs: tuple) -> list:
     return pairs
 
 
-def _glue(t1: _ValueForm, t2: _ValueForm, points: range, cut=(), signed=()) -> _ValueForm:
-    """Pointwise product of two value-form factors, projecting out the vertices in `cut`.
+def _glue(t1: _Encoded, t2: _Encoded, enc, cut=(), signed=()) -> _Encoded:
+    """Product of two factors in the encoding `enc`, projecting out the vertices in `cut`.
 
     The larger table's entries become label strings (``_labels``) and the
     smaller one's merge pairs (``_merges``), once each; a pair of entries
@@ -297,7 +429,7 @@ def _glue(t1: _ValueForm, t2: _ValueForm, points: range, cut=(), signed=()) -> _
     cache maps each joined string to (reduced partition, closed)
     from ``project_rgs``, where closed counts the blocks made only of cut
     vertices, each earning one q.  The loop runs over the smaller table's
-    entries; for each it first sums the other table's values by reduced
+    entries; for each it first sums the other table's entries by reduced
     partition, each scaled by q**closed (cached per entry and power), and
     then multiplies once per reduced partition.  So neither the unreduced
     product table nor one product per entry pair is built.
@@ -316,6 +448,7 @@ def _glue(t1: _ValueForm, t2: _ValueForm, points: range, cut=(), signed=()) -> _
     idx2 = [pos[v] for v in t2.boundary]
     inner = [(_labels(idx2, k, rgs), vals) for rgs, vals in t2.entries.items()]
     keep = [i for i, v in enumerate(union) if v not in cut]
+    add, mul, scale = enc.add, enc.mul, enc.scale
     slots: dict = {}
     scaled: dict = {}
     acc: dict = {}
@@ -335,40 +468,37 @@ def _glue(t1: _ValueForm, t2: _ValueForm, points: range, cut=(), signed=()) -> _
             if closed:
                 vals = scaled.get((j, closed))
                 if vals is None:
-                    vals = scaled[j, closed] = [y * x**closed for y, x in zip(vals2, points)]
+                    vals = scaled[j, closed] = scale(vals2, closed)
             else:
                 vals = vals2
             prev = sums.get(key)
-            sums[key] = vals if prev is None else list(map(add, prev, vals))
+            sums[key] = vals if prev is None else add(prev, vals)
         if signed and sums:
-            plus, minus = (sums.get(key, [0] * len(points)) for key in signed)
-            sums = {(): list(map(sub, plus, minus))}
+            plus, minus = (sums.get(key, enc.zero) for key in signed)
+            sums = {(): enc.sub(plus, minus)}
         for key, vals in sums.items():
-            product = map(mul, vals1, vals)
+            product = mul(vals1, vals)
             prev = acc.get(key)
-            acc[key] = list(product) if prev is None else list(map(add, prev, product))
-    return _ValueForm(() if signed else tuple(union[i] for i in keep), acc)
+            acc[key] = product if prev is None else add(prev, product)
+    return _Encoded(() if signed else tuple(union[i] for i in keep), acc)
 
 
-def _unit(count: int) -> _ValueForm:
-    return _ValueForm((), {(): [1] * count})
+def _unit(enc) -> _Encoded:
+    return _Encoded((), {(): enc.one})
 
 
 def multiply(f1: Factor, f2: Factor) -> Factor:
     """Glue two factors of edge-disjoint subgraphs along shared boundary vertices."""
-    count = _degree(f1) + _degree(f2) + 1
-    cache: dict = {}
-    t1, t2 = (_evaluate(f, count, cache) for f in (f1, f2))
-    return _interpolated(_glue(t1, t2, range(count)), f1.den * f2.den)
+    enc = _encoding((f1, f2), _degree(f1) + _degree(f2) + 1)
+    return _decoded(_glue(_encoded(f1, enc), _encoded(f2, enc), enc), f1.den * f2.den, enc)
 
 
 def eliminate(f: Factor, vertex: int) -> Factor:
     """Project a boundary vertex out; singleton blocks close and earn one q."""
     if vertex not in f.boundary:
         raise ValueError(f"vertex {vertex} is not on the factor boundary")
-    count = _degree(f) + 2
-    t = _glue(_evaluate(f, count, {}), _unit(count), range(count), {vertex})
-    return _interpolated(t, f.den)
+    enc = _encoding((f,), _degree(f) + 2)
+    return _decoded(_glue(_encoded(f, enc), _unit(enc), enc, {vertex}), f.den, enc)
 
 
 @dataclass(frozen=True)
@@ -399,12 +529,15 @@ def contract_network(net: FactorNetwork, order=None) -> Factor:
     plan keeps the cheaper of the greedy order and connected growth, and an
     explicit `order` names the vertex that starts each step and skips
     vertices already cut.  The result is order-invariant.  Entries are
-    carried as their values at q = 0..D and interpolated once at the end.
-    Raises before any entry is evaluated when a planned merged boundary
-    exceeds the Bell-number guard, reporting every vertex cut before that
-    step, the plan's largest boundary and the point count D + 1.
+    carried in the encoding ``_encoding`` picks from the factors and decoded
+    once at the end.  Raises before any entry is encoded when a planned
+    merged boundary exceeds the Bell-number guard, reporting every vertex
+    cut before that step, the plan's largest boundary, the degree bound's
+    coefficient count D + 1 and the encoding.
     """
-    return _interpolated(*_contract_values(net, _point_count(net), order))
+    count = _point_count(net)
+    enc = _encoding(net.factors, count)
+    return _decoded(*_contract_encoded(net, enc, count, order), enc)
 
 
 def _point_count(net: FactorNetwork) -> int:
@@ -543,7 +676,7 @@ def _plan(boundaries: list, pending: set, order=None) -> _Replay:
     return growth if (growth.top, growth.bells) < bound else r
 
 
-def _check_guard(plan: _Replay, count: int) -> None:
+def _check_guard(plan: _Replay, count: int, enc) -> None:
     """Raise EnumerationGuardError at the first planned step whose union exceeds the guard."""
     if plan.top <= _BOUNDARY_GUARD:
         return
@@ -555,13 +688,16 @@ def _check_guard(plan: _Replay, count: int) -> None:
                 f"vertices (Bell({size}) = {bell_number(size)} partitions exceeds the "
                 f"Bell({_BOUNDARY_GUARD}) guard); order so far: {done}; the plan's "
                 f"largest boundary has {plan.top} vertices; "
-                f"each entry holds D + 1 = {count} point values"
+                f"each entry holds D + 1 = {count} {enc}"
             )
         done += [v] + sorted(cut - {v})
 
 
-def _contract_values(net: FactorNetwork, count: int, order=None) -> tuple[_ValueForm, int]:
-    """The contraction of ``contract_network`` at `count` points: final value form and denominator."""
+def _contract_encoded(net: FactorNetwork, enc, count: int, order=None) -> tuple[_Encoded, int]:
+    """The contraction of ``contract_network`` in the encoding `enc`: final table and denominator.
+
+    `count` is the D + 1 the guard reports.
+    """
     if not net.queries:
         raise ValueError("network needs at least one query vertex")
     boundaries = [f.boundary for f in net.factors]
@@ -571,19 +707,17 @@ def _contract_values(net: FactorNetwork, count: int, order=None) -> tuple[_Value
         if set(order) != pending:
             raise ValueError("explicit order must cover exactly the non-query vertices")
     plan = _plan(boundaries, pending, order)
-    _check_guard(plan, count)
-    points = range(count)
-    cache: dict = {}
-    tables = [_evaluate(f, count, cache) for f in net.factors]
-    unit = _unit(count)
+    _check_guard(plan, count, enc)
+    tables = [_encoded(f, enc) for f in net.factors]
+    unit = _unit(enc)
     for _, group, cut, _ in plan.steps:
         *head, last = sorted([tables[i] for i in sorted(group)], key=lambda t: len(t.entries))
         for i in group:
             tables[i] = None
-        merged = reduce(lambda x, y: _glue(x, y, points), head) if head else unit
-        tables.append(_glue(merged, last, points, cut))
+        merged = reduce(lambda x, y: _glue(x, y, enc), head) if head else unit
+        tables.append(_glue(merged, last, enc, cut))
     rest = sorted((t for t in tables if t is not None), key=lambda t: len(t.entries))
-    return reduce(lambda x, y: _glue(x, y, points), rest), prod(f.den for f in net.factors)
+    return reduce(lambda x, y: _glue(x, y, enc), rest), prod(f.den for f in net.factors)
 
 
 def gadget_factor(n: int, p) -> Factor:
@@ -639,24 +773,25 @@ def counterexample_polynomial(n: int, p):
     are probabilities).  Only layer 1 of ``hollom_network`` is contracted,
     keeping 1, 10 and the posts, at the doubled network's point count;
     layer 2's table is that one with 1 projected out and 10 renamed 20.
-    Their glue cuts the posts and reads {1,10}{20} minus {1,20}{10} point by
-    point, which one interpolation turns into N; Z(1) is the product of the
-    two tables' sums at point 1, where q**blocks = 1.
+    Their glue cuts the posts and reads {1,10}{20} minus {1,20}{10}, which
+    one decode turns into N; Z(1) is the product of the two tables' sums at
+    q = 1, where q**blocks = 1.  The encoding is the doubled network's: its
+    gadget entries have degree n, so that is points at its point count.
     """
     h = hollom_instance()
     net = hollom_network(n, p)
     one, same, other = net.queries
     posts = tuple(sorted(h.posts))
     count = _point_count(net)
-    points = range(count)
+    enc = _encoding(net.factors, count)
     layer = FactorNetwork(net.factors[: len(h.hyperedges)], (one, same, *posts))
-    top, den = _contract_values(layer, count)
-    projected = _glue(top, _unit(count), points, {one})
+    top, den = _contract_encoded(layer, enc, count)
+    projected = _glue(top, _unit(enc), enc, {one})
     # 10 and 20 both follow every post, so renaming keeps the boundary sorted.
-    bottom = _ValueForm(tuple(other if v == same else v for v in projected.boundary), projected.entries)
-    readout = _glue(top, bottom, points, posts, ((0, 0, 1), (0, 1, 0)))  # {1,10}{20}, {1,20}{10}
+    bottom = _Encoded(tuple(other if v == same else v for v in projected.boundary), projected.entries)
+    readout = _glue(top, bottom, enc, posts, ((0, 0, 1), (0, 1, 0)))  # {1,10}{20}, {1,20}{10}
     # Both query partitions have two blocks: restore q**2.
-    diff = [0, 0] + _interpolate(readout.entries.get((), [0] * count))
+    diff = [0, 0] + enc.decode(readout.entries.get((), enc.zero))
     numerator = _q_poly(diff, den * den)
-    mass = prod(sum(vals[1] for vals in t.entries.values()) for t in (top, bottom))
+    mass = prod(sum(map(enc.at_one, t.entries.values())) for t in (top, bottom))
     return numerator, Rational(mass, den * den)

@@ -4,14 +4,14 @@
 merging blocks with ``str.replace``; this helper keeps the earlier route
 (lift both RGS tuples onto the union, join them with ``partition.join_rgs``,
 project with ``partition.project_rgs``), so tests can compare the two kernels
-entry by entry, insertion order included.
+entry by entry, insertion order included.  Both take the entry encoding
+(``glue._Points`` or ``glue._Packed``) and do their arithmetic through it;
+the oracle scales by q**closed as a product with the encoded monomial.
 """
 
 from __future__ import annotations
 
-from operator import add, mul
-
-from bunkbed.glue import _ValueForm
+from bunkbed.glue import _Encoded
 from bunkbed.partition import join_rgs, project_rgs
 
 
@@ -28,8 +28,8 @@ def _lift(idx: list, k: int, rgs: tuple) -> tuple:
     return tuple(full)
 
 
-def glue_by_join(t1: _ValueForm, t2: _ValueForm, points: range, cut=()) -> _ValueForm:
-    """Pointwise product of two value-form factors, projecting out the vertices in `cut`."""
+def glue_by_join(t1: _Encoded, t2: _Encoded, enc, cut=()) -> _Encoded:
+    """Product of two factors in the encoding `enc`, projecting out the vertices in `cut`."""
     if len(t2.entries) < len(t1.entries):
         t1, t2 = t2, t1
     union = tuple(sorted(set(t1.boundary) | set(t2.boundary)))
@@ -54,13 +54,14 @@ def glue_by_join(t1: _ValueForm, t2: _ValueForm, points: range, cut=()) -> _Valu
             if closed:
                 vals = scaled.get((j, closed))
                 if vals is None:
-                    vals = scaled[j, closed] = [y * x**closed for y, x in zip(vals2, points)]
+                    # q**closed as an encoded entry, so enc.scale is checked too.
+                    vals = scaled[j, closed] = enc.mul(vals2, enc.encode([0] * closed + [1]))
             else:
                 vals = vals2
             prev = sums.get(key)
-            sums[key] = vals if prev is None else list(map(add, prev, vals))
+            sums[key] = vals if prev is None else enc.add(prev, vals)
         for key, vals in sums.items():
-            product = map(mul, vals1, vals)
+            product = enc.mul(vals1, vals)
             prev = acc.get(key)
-            acc[key] = list(product) if prev is None else list(map(add, prev, product))
-    return _ValueForm(tuple(union[i] for i in keep), acc)
+            acc[key] = product if prev is None else enc.add(prev, product)
+    return _Encoded(tuple(union[i] for i in keep), acc)

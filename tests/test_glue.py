@@ -11,11 +11,17 @@ from bunkbed import glue
 from bunkbed.catalog import named_graph, named_instance
 from bunkbed.exactnum import isolate_negative_region, rat
 from bunkbed.glue import (
+    _contract_encoded,
+    _decoded,
+    _encoded,
     _glue,
     _interpolate,
+    _Packed,
+    _packed_width,
+    _point_count,
+    _Points,
     _unit,
     _values,
-    _ValueForm,
     Factor,
     FactorNetwork,
     contract_network,
@@ -428,9 +434,9 @@ def test_fused_cut_of_two_interior_vertices(monkeypatch):
     cuts = []
     real_glue = glue._glue
 
-    def spy(t1, t2, points, cut=()):
+    def spy(t1, t2, enc, cut=()):
         cuts.append(set(cut))
-        return real_glue(t1, t2, points, cut)
+        return real_glue(t1, t2, enc, cut)
 
     monkeypatch.setattr(glue, "_glue", spy)
     fused = contract_network(net)
@@ -566,13 +572,18 @@ def test_mini_hyperedge_pipeline_matches_enumeration():
 
 
 @st.composite
-def value_tables(draw, boundary, count):
-    """A value-form table over `boundary`: distinct RGS keys, `count` integer values each."""
+def coefficient_factors(draw, boundary, count):
+    """A factor over `boundary`: distinct RGS keys, each with 1 to `count` integer q-coefficients."""
     k = len(boundary)
     labels = st.lists(st.integers(0, max(k - 1, 0)), min_size=k, max_size=k)
     keys = dict.fromkeys(canonical_rgs(x) for x in draw(st.lists(labels, min_size=1, max_size=12)))
-    values = st.lists(st.integers(-50, 50), min_size=count, max_size=count)
-    return _ValueForm(tuple(boundary), {key: draw(values) for key in keys})
+    coeffs = st.lists(st.integers(-50, 50), min_size=1, max_size=count)
+    return Factor(tuple(boundary), {key: draw(coeffs) for key in keys})
+
+
+def _either_encoding(data, count, factors):
+    """Points at `count` values, or packed at the width the factors' contraction needs."""
+    return data.draw(st.sampled_from([_Points(count), _Packed(_packed_width(factors))]))
 
 
 @settings(deadline=None, max_examples=300, derandomize=True)
@@ -584,27 +595,31 @@ def test_glue_matches_the_join_oracle(data):
     b2 = sorted(data.draw(vertices))
     if data.draw(st.booleans()):
         b2 = [v + 10 for v in b2]  # disjoint boundaries
-    t1 = data.draw(value_tables(b1, count))
-    t2 = _unit(count) if data.draw(st.booleans()) and not b2 else data.draw(value_tables(b2, count))
+    f1 = data.draw(coefficient_factors(b1, count))
+    unit = Factor((), {(): [1]})
+    f2 = unit if data.draw(st.booleans()) and not b2 else data.draw(coefficient_factors(b2, count))
+    enc = _either_encoding(data, count, (f1, f2))
+    t1, t2 = _encoded(f1, enc), _encoded(f2, enc)
     union = sorted(set(b1) | set(b2))
     cut = data.draw(
         st.sampled_from([(), tuple(union)]) | st.sets(st.sampled_from(union)) if union else st.just(())
     )
-    points = range(count)
-    got, want = _glue(t1, t2, points, cut), glue_by_join(t1, t2, points, cut)
+    got, want = _glue(t1, t2, enc, cut), glue_by_join(t1, t2, enc, cut)
     assert got.boundary == want.boundary
     assert list(got.entries.items()) == list(want.entries.items())
 
 
 def test_glue_of_empty_boundary_tables():
-    points = range(3)
-    assert _glue(_unit(3), _unit(3), points) == glue_by_join(_unit(3), _unit(3), points) == _unit(3)
-    table = _ValueForm((4, 7), {(0, 0): [1, 2, 3], (0, 1): [5, 0, -2]})
-    for cut in ((), (4,), (4, 7)):
-        got = _glue(table, _unit(3), points, cut)
-        assert got == glue_by_join(table, _unit(3), points, cut)
-    # Cutting both vertices at q = 0, 1, 2: {4, 7} closes one block, {4}{7} two.
-    assert got == _ValueForm((), {(): [0, 2 + 0, 3 * 2 - 2 * 4]})
+    for enc in (_Points(4), _Packed(8)):
+        unit = _unit(enc)
+        assert _glue(unit, unit, enc) == glue_by_join(unit, unit, enc) == unit
+        table = _encoded(Factor((4, 7), {(0, 0): [1, 1], (0, 1): [5, -3]}), enc)
+        for cut in ((), (4,), (4, 7)):
+            got = _glue(table, unit, enc, cut)
+            assert got == glue_by_join(table, unit, enc, cut)
+        # Cutting both vertices: {4, 7} closes one block, {4}{7} two, so
+        # (1 + q) q + (5 - 3q) q**2.
+        assert got.boundary == () and enc.decode(got.entries[()]) == [0, 1, 6, -3]
 
 
 @settings(deadline=None, max_examples=200, derandomize=True)
@@ -613,22 +628,140 @@ def test_signed_readout_is_the_difference_of_two_glued_entries(data):
     count = data.draw(st.integers(2, 4))
     vertices = st.lists(st.integers(0, 7), max_size=5, unique=True)
     b1, b2 = sorted(data.draw(vertices)), sorted(data.draw(vertices))
-    t1, t2 = data.draw(value_tables(b1, count)), data.draw(value_tables(b2, count))
+    f1, f2 = data.draw(coefficient_factors(b1, count)), data.draw(coefficient_factors(b2, count))
+    enc = _either_encoding(data, count, (f1, f2))
+    t1, t2 = _encoded(f1, enc), _encoded(f2, enc)
     union = sorted(set(b1) | set(b2))
     cut = data.draw(st.sets(st.sampled_from(union))) if union else set()
     kept = len(union) - len(cut)
     rgs = st.lists(st.integers(0, max(kept - 1, 0)), min_size=kept, max_size=kept).map(canonical_rgs)
     plus, minus = data.draw(rgs), data.draw(rgs)
-    points = range(count)
-    full = _glue(t1, t2, points, cut)
-    zero = [0] * count
-    readout = _glue(t1, t2, points, cut, (plus, minus))
+    full = _glue(t1, t2, enc, cut)
+    readout = _glue(t1, t2, enc, cut, (plus, minus))
     assert readout.boundary == ()
     assert readout.entries.keys() <= {()}
-    want = [a - b for a, b in zip(full.entries.get(plus, zero), full.entries.get(minus, zero))]
-    assert readout.entries.get((), zero) == want
-    mass = sum(v[1] for v in t1.entries.values()) * sum(v[1] for v in t2.entries.values())
-    assert mass == sum(v[1] for v in full.entries.values())
+    want = enc.sub(full.entries.get(plus, enc.zero), full.entries.get(minus, enc.zero))
+    assert readout.entries.get((), enc.zero) == want
+    t1_mass, t2_mass, full_mass = (sum(map(enc.at_one, t.entries.values())) for t in (t1, t2, full))
+    assert t1_mass * t2_mass == full_mass
+
+
+def _contract_as(net, enc):
+    """contract_network(net) with its entries forced into the encoding `enc`."""
+    return _decoded(*_contract_encoded(net, enc, _point_count(net)), enc)
+
+
+def _both_encodings(net):
+    """The contraction of `net` packed and on points, each at the size the selection would give it."""
+    packed = _contract_as(net, _Packed(_packed_width(net.factors)))
+    return packed, _contract_as(net, _Points(_point_count(net)))
+
+
+@st.composite
+def edge_networks(draw, weights):
+    """A random connected graph's edge factors with weights drawn from `weights`, one or two queries."""
+    n = draw(st.integers(3, 7))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    pair = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True).map(sorted).map(tuple)
+    edges |= set(draw(st.lists(pair, max_size=4)))
+    factors = tuple(edge_factor(u, v, draw(weights)) for u, v in sorted(edges))
+    queries = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2, unique=True))
+    return FactorNetwork(factors, tuple(queries))
+
+
+_UNIT_WEIGHTS = st.fractions(0, 1, max_denominator=9)
+# Weights outside [0, 1] give signed coefficients: 3/2 -> (3, -1) over 2, -1/2 -> (-1, 3) over 2.
+_OUTSIDE_WEIGHTS = st.sampled_from([rat(3, 2), rat(-1, 2), rat(-2), rat(7, 4), rat(-5, 3)])
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [_UNIT_WEIGHTS, _OUTSIDE_WEIGHTS, _UNIT_WEIGHTS | _OUTSIDE_WEIGHTS],
+    ids=["in-unit", "outside", "mixed"],
+)
+@settings(deadline=None, max_examples=60, derandomize=True)
+@given(data=st.data())
+def test_packed_and_points_give_the_same_table_on_edge_networks(weights, data):
+    net = data.draw(edge_networks(weights))
+    packed, points = _both_encodings(net)
+    assert packed.same_table(points)
+    assert packed.same_table(contract_network(net))
+
+
+@settings(deadline=None, max_examples=30, derandomize=True)
+@given(st.data())
+def test_packed_and_points_give_the_same_table_on_gadget_networks(data):
+    # Gadget entries have degree up to n, so the selection puts these on
+    # points; forcing packed checks the width bound on polynomial inputs.
+    n = data.draw(st.integers(1, 3))
+    p = data.draw(st.fractions(0, 1, max_denominator=20) | st.sampled_from([rat(3, 2), rat(-1, 2)]))
+    base = gadget_factor(n, p)
+    slot = st.lists(st.integers(0, 5), min_size=3, max_size=3, unique=True)
+    slots = data.draw(st.lists(slot, min_size=1, max_size=3))
+    factors = tuple(base.relabel({0: a, 1: b, n + 2: c}) for a, b, c in slots)
+    vertices = sorted({v for f in factors for v in f.boundary})
+    queries = data.draw(st.lists(st.sampled_from(vertices), min_size=1, max_size=3, unique=True))
+    net = FactorNetwork(factors, tuple(queries))
+    packed, points = _both_encodings(net)
+    assert packed.same_table(points)
+    assert points.same_table(contract_network(net))
+
+
+def test_encoding_is_packed_for_constant_entries_and_points_for_the_hollom_layer(monkeypatch):
+    grid = _grid_network(3, 4, random.Random(1))
+    enc = glue._encoding(grid.factors, _point_count(grid))
+    # 17 edge factors with weights k/7: each entry list sums to 7 in L1.
+    assert isinstance(enc, _Packed) and enc.width == (7**17).bit_length() + 2
+    net = hollom_network(2, rat(1, 100))
+    chosen = []
+    real = glue._encoding
+
+    def spy(*args):
+        chosen.append(real(*args))
+        return chosen[-1]
+
+    monkeypatch.setattr(glue, "_encoding", spy)
+    gadget_factor(3, rat(1, 100))
+    assert [type(e) for e in chosen] == [_Packed]
+    chosen.clear()
+    counterexample_polynomial(2, rat(1, 100))
+    # gadget_factor's build, then the doubled network at its point count.
+    assert [type(e) for e in chosen] == [_Packed, _Points]
+    assert chosen[1].count == _point_count(net)
+
+
+@settings(deadline=None, max_examples=200, derandomize=True)
+@given(st.integers(2, 40), st.data())
+def test_packed_decode_inverts_encode_on_signed_slots(width, data):
+    half = 1 << (width - 1)
+    slot = st.integers(-half, half - 1) | st.sampled_from([-half, half - 1, -1])
+    coeffs = data.draw(st.lists(slot, max_size=12))
+    enc = _Packed(width)
+    trimmed = list(coeffs)
+    while trimmed and trimmed[-1] == 0:
+        trimmed.pop()
+    assert enc.decode(enc.encode(coeffs)) == trimmed
+    assert enc.at_one(enc.encode(coeffs)) == sum(coeffs)
+
+
+@pytest.mark.parametrize(
+    ("extra", "pattern"),
+    [
+        ([], r"D \+ 1 = 3 coefficients packed in 19-bit slots$"),
+        ([eliminate(multiply(edge_factor(30, 31, rat(1, 3)), edge_factor(31, 32, rat(1, 3))), 31)],
+         r"D \+ 1 = 4 point values$"),
+    ],
+    ids=["packed", "points"],
+)
+def test_guard_message_names_the_encoding(extra, pattern):
+    # 13 edges of weight 1/2 and two of 1/3 pack at bits(2**13 * 3**2) + 2 = 19 bits.
+    # The extra factor's entries have degree 1, so points: D = 2 eliminated + 1.
+    star = [edge_factor(0, i, rat(1, 2)) for i in range(1, 14)]
+    path = [edge_factor(20, 21, rat(1, 3)), edge_factor(21, 22, rat(1, 3))]
+    queries = tuple(range(1, 14)) + (20, 22) + tuple(v for f in extra for v in f.boundary)
+    net = FactorNetwork(tuple(star + path + extra), queries)
+    with pytest.raises(EnumerationGuardError, match=pattern):
+        contract_network(net, order=[21, 0])
 
 
 def _glue_spy(monkeypatch):
@@ -636,9 +769,9 @@ def _glue_spy(monkeypatch):
     calls = []
     real_glue = glue._glue
 
-    def spy(t1, t2, points, cut=()):
+    def spy(t1, t2, enc, cut=()):
         calls.append((len(set(t1.boundary) | set(t2.boundary)), set(cut)))
-        return real_glue(t1, t2, points, cut)
+        return real_glue(t1, t2, enc, cut)
 
     monkeypatch.setattr(glue, "_glue", spy)
     return calls
