@@ -53,12 +53,16 @@ over the union of the boundaries in which every vertex carries
 chr(least position of its block + 1); each entry of the smaller table
 becomes, once, its merge pairs (consecutive union positions of a block); and
 a pair of entries joins by replacing the greater label of each merge pair
-with the lesser.  The joined string is canonical, so a per-call cache reads
-the reduced partition and the closed count off it once through
-``partition.project_rgs``.  For each entry of the smaller table the kernel
-first sums the other table's entries that land on the same reduced
-partition, and then multiplies once per reduced partition, so there are at
-most (smaller table) x (result entries) products, not one per pair.
+with the lesser.  The joined string is canonical, so the reduced partition
+and the closed count are read off it through ``partition.project_rgs`` once
+per kept-position tuple.  Those projections and the lifted label strings
+live in a ``_Memo`` that one contraction passes to all of its glues, since
+a column sweep meets the same strings at every step.  A glue called on its
+own (``multiply``, ``eliminate``, the table2 readout) starts from an empty
+memo, and no memo outlives its contraction.  For each entry of the smaller
+table the kernel first sums the other table's entries that land on the same
+reduced partition, and then multiplies once per reduced partition, so there
+are at most (smaller table) x (result entries) products, not one per pair.
 
 ``contract_network`` plans its steps before it encodes any entry.  The plan
 (``_plan``) replays an order on the factor boundaries alone, with no values,
@@ -420,25 +424,47 @@ def _merges(idx: list, rgs: tuple) -> list:
     return pairs
 
 
-def _glue(t1: _Encoded, t2: _Encoded, enc, cut=(), signed=()) -> _Encoded:
+class _Memo:
+    """Partition bookkeeping that the glues of one contraction share.
+
+    Both maps hold pure functions of their keys, so any glue may read what
+    an earlier one stored: `projections` maps a kept-position tuple to
+    {joined label string: (reduced RGS, closed)}, and `lifts` maps
+    (union size, *positions of the larger table's boundary) to
+    {RGS: label string}.  It lives only as long as the contraction that
+    made it.
+    """
+
+    __slots__ = ("projections", "lifts")
+
+    def __init__(self):
+        self.projections: dict = {}
+        self.lifts: dict = {}
+
+
+def _glue(t1: _Encoded, t2: _Encoded, enc, cut=(), signed=(), memo=None) -> _Encoded:
     """Product of two factors in the encoding `enc`, projecting out the vertices in `cut`.
 
     The larger table's entries become label strings (``_labels``) and the
     smaller one's merge pairs (``_merges``), once each; a pair of entries
-    joins by ``str.replace``, keeping the lesser of two labels.  A per-call
-    cache maps each joined string to (reduced partition, closed)
-    from ``project_rgs``, where closed counts the blocks made only of cut
-    vertices, each earning one q.  The loop runs over the smaller table's
-    entries; for each it first sums the other table's entries by reduced
-    partition, each scaled by q**closed (cached per entry and power), and
-    then multiplies once per reduced partition.  So neither the unreduced
-    product table nor one product per entry pair is built.
+    joins by ``str.replace``, keeping the lesser of two labels.  The
+    ``_Memo`` `memo` (a fresh one when None) lifts each RGS to its label
+    string once and maps each joined string to (reduced partition, closed)
+    from ``project_rgs`` once per kept-position tuple, where closed counts
+    the blocks made only of cut vertices, each earning one q.  The loop runs
+    over the smaller table's entries; for each it first sums the other
+    table's entries by reduced partition, each scaled by q**closed (cached
+    per entry and power), and then multiplies once per reduced partition.
+    So neither the unreduced product table nor one product per entry pair
+    is built.
 
     `signed`, a pair (plus, minus) of reduced partitions, reads only their
     difference: pairs that land elsewhere are skipped, each entry of the
     smaller table multiplies once by plus - minus of its sums, and the result
     has the empty boundary and at most the one entry ().
     """
+    if memo is None:
+        memo = _Memo()
     if len(t2.entries) < len(t1.entries):
         t1, t2 = t2, t1
     union = tuple(sorted(set(t1.boundary) | set(t2.boundary)))
@@ -446,10 +472,16 @@ def _glue(t1: _Encoded, t2: _Encoded, enc, cut=(), signed=()) -> _Encoded:
     k = len(union)
     idx1 = [pos[v] for v in t1.boundary]
     idx2 = [pos[v] for v in t2.boundary]
-    inner = [(_labels(idx2, k, rgs), vals) for rgs, vals in t2.entries.items()]
-    keep = [i for i, v in enumerate(union) if v not in cut]
+    lifts = memo.lifts.setdefault((k, *idx2), {})
+    inner = []
+    for rgs, vals in t2.entries.items():
+        labels = lifts.get(rgs)
+        if labels is None:
+            labels = lifts[rgs] = _labels(idx2, k, rgs)
+        inner.append((labels, vals))
+    keep = tuple(i for i, v in enumerate(union) if v not in cut)
     add, mul, scale = enc.add, enc.mul, enc.scale
-    slots: dict = {}
+    slots = memo.projections.setdefault(keep, {})
     scaled: dict = {}
     acc: dict = {}
     for rgs1, vals1 in t1.entries.items():
@@ -529,11 +561,11 @@ def contract_network(net: FactorNetwork, order=None) -> Factor:
     plan keeps the cheaper of the greedy order and connected growth, and an
     explicit `order` names the vertex that starts each step and skips
     vertices already cut.  The result is order-invariant.  Entries are
-    carried in the encoding ``_encoding`` picks from the factors and decoded
-    once at the end.  Raises before any entry is encoded when a planned
-    merged boundary exceeds the Bell-number guard, reporting every vertex
-    cut before that step, the plan's largest boundary, the degree bound's
-    coefficient count D + 1 and the encoding.
+    carried in the encoding ``_encoding`` picks from the factors, glued
+    through one ``_Memo`` and decoded once at the end.  Raises before any
+    entry is encoded when a planned merged boundary exceeds the Bell-number
+    guard, reporting every vertex cut before that step, the plan's largest
+    boundary, the degree bound's coefficient count D + 1 and the encoding.
     """
     count = _point_count(net)
     enc = _encoding(net.factors, count)
@@ -710,14 +742,19 @@ def _contract_encoded(net: FactorNetwork, enc, count: int, order=None) -> tuple[
     _check_guard(plan, count, enc)
     tables = [_encoded(f, enc) for f in net.factors]
     unit = _unit(enc)
+    memo = _Memo()
+
+    def join(x: _Encoded, y: _Encoded) -> _Encoded:
+        return _glue(x, y, enc, memo=memo)
+
     for _, group, cut, _ in plan.steps:
         *head, last = sorted([tables[i] for i in sorted(group)], key=lambda t: len(t.entries))
         for i in group:
             tables[i] = None
-        merged = reduce(lambda x, y: _glue(x, y, enc), head) if head else unit
-        tables.append(_glue(merged, last, enc, cut))
+        merged = reduce(join, head) if head else unit
+        tables.append(_glue(merged, last, enc, cut, memo=memo))
     rest = sorted((t for t in tables if t is not None), key=lambda t: len(t.entries))
-    return reduce(lambda x, y: _glue(x, y, enc), rest), prod(f.den for f in net.factors)
+    return reduce(join, rest), prod(f.den for f in net.factors)
 
 
 def gadget_factor(n: int, p) -> Factor:

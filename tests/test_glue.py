@@ -434,9 +434,9 @@ def test_fused_cut_of_two_interior_vertices(monkeypatch):
     cuts = []
     real_glue = glue._glue
 
-    def spy(t1, t2, enc, cut=()):
+    def spy(t1, t2, enc, cut=(), memo=None):
         cuts.append(set(cut))
-        return real_glue(t1, t2, enc, cut)
+        return real_glue(t1, t2, enc, cut, memo=memo)
 
     monkeypatch.setattr(glue, "_glue", spy)
     fused = contract_network(net)
@@ -454,8 +454,8 @@ def test_hollom_contraction_never_builds_the_full_bell5_table(monkeypatch):
     sizes = []
     real_glue = glue._glue
 
-    def spy(*args):
-        out = real_glue(*args)
+    def spy(*args, **kwargs):
+        out = real_glue(*args, **kwargs)
         sizes.append(len(out.entries))
         return out
 
@@ -646,6 +646,38 @@ def test_signed_readout_is_the_difference_of_two_glued_entries(data):
     assert t1_mass * t2_mass == full_mass
 
 
+@settings(deadline=None, max_examples=150, derandomize=True)
+@given(st.data())
+def test_glue_chain_through_one_shared_memo_matches_the_oracle(data):
+    # Boundaries drawn from six vertices make later glues meet the label
+    # strings and kept positions of earlier ones, under other cuts and unions.
+    count = data.draw(st.integers(1, 3))
+    boundary = st.lists(st.integers(0, 5), max_size=5, unique=True).map(sorted)
+    length = data.draw(st.integers(2, 6))
+    factors = [data.draw(coefficient_factors(data.draw(boundary), count)) for _ in range(length)]
+    enc = _either_encoding(data, count, factors)
+    memo = glue._Memo()
+    acc, *rest = [_encoded(f, enc) for f in factors]
+    for table in rest:
+        union = sorted(set(acc.boundary) | set(table.boundary))
+        cut = data.draw(st.sets(st.sampled_from(union))) if union else set()
+        full = glue_by_join(acc, table, enc, cut)
+        signed = ()
+        if full.entries and data.draw(st.booleans()):
+            signed = tuple(data.draw(st.sampled_from(sorted(full.entries))) for _ in range(2))
+        got = _glue(acc, table, enc, cut, signed, memo=memo)
+        fresh = _glue(acc, table, enc, cut, signed)
+        assert got.boundary == fresh.boundary
+        assert list(got.entries.items()) == list(fresh.entries.items())
+        if signed:
+            plus, minus = (full.entries[key] for key in signed)
+            assert got.boundary == () and got.entries == {(): enc.sub(plus, minus)}
+        else:
+            assert got.boundary == full.boundary
+            assert list(got.entries.items()) == list(full.entries.items())
+            acc = got
+
+
 def _contract_as(net, enc):
     """contract_network(net) with its entries forced into the encoding `enc`."""
     return _decoded(*_contract_encoded(net, enc, _point_count(net)), enc)
@@ -769,9 +801,9 @@ def _glue_spy(monkeypatch):
     calls = []
     real_glue = glue._glue
 
-    def spy(t1, t2, enc, cut=()):
+    def spy(t1, t2, enc, cut=(), memo=None):
         calls.append((len(set(t1.boundary) | set(t2.boundary)), set(cut)))
-        return real_glue(t1, t2, enc, cut)
+        return real_glue(t1, t2, enc, cut, memo=memo)
 
     monkeypatch.setattr(glue, "_glue", spy)
     return calls
@@ -810,6 +842,33 @@ def test_planned_grid_order_unions_no_more_than_the_column_sweep(monkeypatch, ro
     planned = contract_network(net)
     assert max(size for size, _ in calls) <= sweep_union
     assert planned.same_table(swept)
+
+
+def test_contraction_projects_and_lifts_each_partition_once(monkeypatch):
+    # One memo serves every glue of a contraction: each (joined string, kept
+    # positions) pair is projected once and each lift is built once, and a
+    # second contraction starts from an empty memo, so it repeats the counts.
+    net = _grid_network(5, 10, random.Random(20240))
+    projected, lifted = [], []
+    real_project, real_labels = glue.project_rgs, glue._labels
+
+    def project_spy(labels, keep):
+        projected.append((labels, tuple(keep)))
+        return real_project(labels, keep)
+
+    def labels_spy(idx, k, rgs):
+        lifted.append((tuple(idx), k, rgs))
+        return real_labels(idx, k, rgs)
+
+    monkeypatch.setattr(glue, "project_rgs", project_spy)
+    monkeypatch.setattr(glue, "_labels", labels_spy)
+    first = contract_network(net)
+    counts = len(projected), len(lifted)
+    assert counts[0] == len(set(projected)) and counts[1] == len(set(lifted))
+    projected.clear()
+    lifted.clear()
+    assert contract_network(net).same_table(first)
+    assert (len(projected), len(lifted)) == counts
 
 
 @pytest.mark.parametrize("n", [3, 11])
