@@ -15,7 +15,10 @@ that matters is traditionally drawn that way.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
+
 from .exactnum import format_rational, parse_rational, rat
 from .partition import join_rgs
 
@@ -26,6 +29,7 @@ __all__ = [
     "bunkbed_copies",
     "minor",
     "components_of",
+    "pair_orbits",
     "gadget",
     "hollom_instance",
     "hypergraph_bunkbed",
@@ -171,6 +175,104 @@ def components_of(g: Graph, open_edges) -> tuple[tuple[int, ...], int]:
         b += (n + j, n + j)
     rgs = join_rgs(a, b)[:n]
     return rgs, max(rgs, default=-1) + 1
+
+
+def pair_orbits(g: Graph, posts=None) -> list[tuple[int, int]]:
+    """The first pair of each automorphism orbit of unordered non-post pairs.
+
+    Pairs run in `combinations` order over the sorted non-post vertices.  The
+    automorphisms are the vertex permutations that map the edge multiset, with
+    its weights, onto itself and the post set (None: no posts) onto itself.
+    A pair joins an earlier orbit only when ``_automorphism`` finds a
+    permutation that maps the orbit's first pair onto it, in either order.
+    Each ordered pair is individualized and its colours refined canonically
+    (individualization-refinement, McKay & Piperno 2014).  The search prunes
+    no branch by automorphisms found, so when refinement cannot tell two
+    pairs apart, proving them inequivalent can take exponential time.
+    """
+    posts = frozenset(posts or ())
+    if not all(0 <= t < g.n for t in posts):
+        raise ValueError("post outside the base vertex range")
+    adj: list = [[] for _ in range(g.n)]
+    for u, v, w in g.edges:
+        adj[u].append((v, w))
+        adj[v].append((u, w))
+    base = [3 if x in posts else 2 for x in range(g.n)]
+    firsts: dict = {}  # invariant -> the refined colourings of earlier orbits' first pairs
+    reps = []
+    for pair in combinations(sorted(set(range(g.n)) - posts), 2):
+        ordered = []
+        for a, b in (pair, pair[::-1]):
+            colours = _refine(adj, [0 if x == a else 1 if x == b else c for x, c in enumerate(base)])
+            ordered.append((_invariant(g, colours), colours))
+        if not any(
+            _automorphism(g, adj, first, colours) is not None
+            for key, colours in ordered
+            for first in firsts.get(key, ())
+        ):
+            reps.append(pair)
+            key, colours = ordered[0]
+            firsts.setdefault(key, []).append(colours)
+    return reps
+
+
+def _refine(adj, colours) -> list:
+    """The coarsest equitable refinement of `colours`, its cells named canonically.
+
+    A round renames each vertex by the rank of (its colour, the sorted
+    (neighbour colour, weight) of its edges).  Ranking by colour first keeps
+    the order of the cells, so the names depend on the graph and the colours
+    alone, never on the vertex numbering.
+    """
+    cells = len(set(colours))
+    while True:
+        sigs = [(c, tuple(sorted((colours[y], w) for y, w in adj[x]))) for x, c in enumerate(colours)]
+        names = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
+        colours = [names[sig] for sig in sigs]
+        if len(names) == cells:
+            return colours
+        cells = len(names)
+
+
+def _invariant(g: Graph, colours) -> tuple:
+    """The cell sizes and the edge multiset relabelled by colour.
+
+    For a discrete colouring this is a canonical form, so two discrete
+    colourings with equal invariants differ by an automorphism.
+    """
+    edges = sorted((min(colours[u], colours[v]), max(colours[u], colours[v]), w) for u, v, w in g.edges)
+    return tuple(sorted(colours)), tuple(edges)
+
+
+def _automorphism(g: Graph, adj, c1, c2):
+    """A permutation of g taking colouring c1 onto c2, or None if there is none.
+
+    Both colourings are refined and have equal invariants.  Once they are
+    discrete the permutation sends the vertex of each colour in c1 to the
+    vertex of that colour in c2; before that, one vertex of c1's first cell
+    with more than one vertex is individualized against each vertex of that
+    cell in c2 in turn, and a branch whose invariants differ is dropped.
+    """
+    sizes = Counter(c1)
+    if len(sizes) == g.n:
+        where = {c: y for y, c in enumerate(c2)}
+        return [where[c] for c in c1]
+    cell = min(c for c, k in sizes.items() if k > 1)
+    left = _refine(adj, _individualize(c1, c1.index(cell)))
+    key = _invariant(g, left)
+    for y, c in enumerate(c2):
+        if c == cell:
+            right = _refine(adj, _individualize(c2, y))
+            if _invariant(g, right) == key:
+                perm = _automorphism(g, adj, left, right)
+                if perm is not None:
+                    return perm
+    return None
+
+
+def _individualize(colours, x: int) -> list:
+    """`colours` with x alone in a new cell just before the rest of its cell."""
+    return [2 * c + (y != x) for y, c in enumerate(colours)]
 
 
 def gadget(n: int, p) -> Graph:

@@ -36,6 +36,7 @@ from .graph import (
     bunkbed_copies,
     hollom_instance,
     minor,
+    pair_orbits,
 )
 from .measures import (
     EnumerationGuardError,
@@ -142,16 +143,22 @@ def _case_rows(bb: Graph, triples) -> list:
     return rows
 
 
-def _rc_difference(rows, p, q) -> Rational:
-    """Z (P[u1<->v1] - P[u1<->v2]) at edge weight p = a/b and cluster weight q = c/d.
+def _rc_differences(rows, p_grid, q_grid) -> list:
+    """Z (P[u1<->v1] - P[u1<->v2]) at each (p, q) of p_grid x q_grid, p outermost.
 
-    Each row read homogeneously at (a, b - a) is b^m times its p-polynomial, so
-    p = 1 needs no special case; the q-polynomial of those values carries d^n.
+    Each row read homogeneously at (a, b - a) for p = a/b is b^m times its
+    p-polynomial, so p = 1 needs no special case; the rows are read once per p,
+    and the q-polynomial of those values at q = c/d carries d^n.
     """
-    a, b = int(p.numerator), int(p.denominator)
-    c, d = int(q.numerator), int(q.denominator)
-    by_kappa = [_eval_scaled(row, a, b - a) for row in rows]
-    return Rational(_eval_scaled(by_kappa, c, d), b ** (len(rows[0]) - 1) * d ** (len(rows) - 1))
+    out = []
+    for p in p_grid:
+        a, b = int(p.numerator), int(p.denominator)
+        by_kappa = [_eval_scaled(row, a, b - a) for row in rows]
+        scale = b ** (len(rows[0]) - 1)
+        for q in q_grid:
+            c, d = int(q.numerator), int(q.denominator)
+            out.append(Rational(_eval_scaled(by_kappa, c, d), scale * d ** (len(rows) - 1)))
+    return out
 
 
 def _forest_lists(bb: Graph, triples) -> list:
@@ -165,22 +172,23 @@ def _forest_lists(bb: Graph, triples) -> list:
     return lists
 
 
-def _arboreal_difference(lists, lam) -> Rational:
-    """P[u1<->v1] - P[u1<->v2] at activity lambda: the two lists read by ``_at_activity``."""
+def _arboreal_differences(lists, lam_grid) -> list:
+    """P[u1<->v1] - P[u1<->v2] at each activity of lam_grid: the two lists read by ``_at_activity``."""
     diff, total = lists
-    return Rational(_at_activity(diff, lam), _at_activity(total, lam))
+    return [Rational(_at_activity(diff, lam), _at_activity(total, lam)) for lam in lam_grid]
 
 
-def _first_minimum(pairs, polys, points, value):
-    """First minimum (diff, pair, point) of value(poly, *point), pairs outermost.
+def _first_minimum(pairs, polys, grids, values):
+    """First minimum (diff, pair, point) over the pairs and the points of product(*grids).
 
-    Per pair the points run in order; a later point replaces the minimum only
-    when strictly smaller.
+    values(poly, *grids) lists a pair's differences at those points in product
+    order.  Pairs run outermost; a later pair or point replaces the minimum
+    only when strictly smaller.
     """
+    points = list(product(*grids))
     best = None
     for pair, poly in zip(pairs, polys):
-        for point in points:
-            diff = value(poly, *point)
+        for point, diff in zip(points, values(poly, *grids), strict=True):
             if best is None or diff < best[0]:
                 best = (diff, pair, point)
     return best
@@ -209,6 +217,10 @@ def check_bunkbed(
     only at q = 1, and the probability difference itself for the arboreal gas;
     either way its sign is that of P[u1<->v1] - P[u1<->v2].  Pairs with a
     post are skipped, since u1 = u2 there makes the difference identically 0.
+    Without (u, v) the scan reads the first pair of each orbit from
+    `pair_orbits`: an automorphism of g that keeps the posts, and the layer
+    swap that turns (u, v) into (v, u), leave the polynomial unchanged, so the
+    first pair reaching the minimum is the one a scan of every pair finds.
     """
     if measure not in _MEASURES:
         raise ParameterError(f"unknown measure {measure!r}; choices: {', '.join(_MEASURES)}")
@@ -219,16 +231,20 @@ def check_bunkbed(
     if u is not None and (u == v or not {u, v} <= set(others)):
         raise ParameterError(f"pair ({u},{v}) must be two distinct non-post vertices of the graph")
     if measure == "arboreal":
-        build, value, names = _forest_lists, _arboreal_difference, ("lambda",)
+        build, diffs, names = _forest_lists, _arboreal_differences, ("lambda",)
         grid = {"lam": lam_grid}
     else:
-        build, value, names = _case_rows, _rc_difference, ("p", "q")
+        build, diffs, names = _case_rows, _rc_differences, ("p", "q")
         grid = {"p": p_grid, "q": q_grid if measure == "random-cluster" else (rat(1),)}
     for name, values in grid.items():
         if not values:
             raise ParameterError(f"{name}_grid is empty; the {measure} check reads it")
     bb = bunkbed(g, posts)
-    pairs = [(u, v)] if u is not None else list(combinations(others, 2))
+    if u is not None:
+        pairs = [(u, v)]
+    else:
+        # The random-cluster rows count unweighted subsets; the forest lists read g's weights.
+        pairs = pair_orbits(g if measure == "arboreal" else g.with_weights(1), posts)
     if not pairs:
         return VerificationReport(
             claim=f"bunkbed-difference-{measure}",
@@ -237,7 +253,7 @@ def check_bunkbed(
             quantities={"note": "no non-post pair to test"},
         )
     polys = build(bb, _bunkbed_triples(g, posts, pairs))
-    diff, (a, b), at = _first_minimum(pairs, polys, list(product(*grid.values())), value)
+    diff, (a, b), at = _first_minimum(pairs, polys, grid.values(), diffs)
     point = {name: format_rational(x) for name, x in zip(names, at)}
     good = diff >= 0
     verdict = (OPEN_OK if open_conjecture else HOLDS) if good else FAILS
@@ -259,7 +275,8 @@ def check_p_threshold(g: Graph, posts, q, instance: str = "graph") -> Verificati
     contracted bunkbed order and |E| the base edge count; for odd |E| the
     half-integer power of two is underestimated through sqrt(2) < 3/2, which
     only raises the tested p.  The evaluation points are the threshold rounded
-    up to denominator 10**4 and two larger values.
+    up to denominator 10**4 and two larger values.  As in `check_bunkbed`,
+    the scan reads the first pair of each orbit from `pair_orbits`.
     """
     posts = frozenset(posts)
     q = rat(q)
@@ -281,7 +298,7 @@ def check_p_threshold(g: Graph, posts, q, instance: str = "graph") -> Verificati
     if p0 >= 1:
         p0 = (p_star + 1) / 2
     p_values = (p0, (p0 + 1) / 2, (p0 + 3) / 4)
-    pairs = list(combinations(sorted(set(range(g.n)) - posts), 2))
+    pairs = pair_orbits(g.with_weights(1), posts)
     if not pairs:
         return VerificationReport(
             claim="p-threshold",
@@ -290,7 +307,7 @@ def check_p_threshold(g: Graph, posts, q, instance: str = "graph") -> Verificati
             quantities={"note": "no non-post pair to test"},
         )
     rows = _case_rows(bb, _bunkbed_triples(g, posts, pairs))
-    diff, (a, b), (p, _) = _first_minimum(pairs, rows, [(p, q) for p in p_values], _rc_difference)
+    diff, (a, b), (p, _) = _first_minimum(pairs, rows, (p_values, (q,)), _rc_differences)
     verdict = HOLDS if diff >= 0 else FAILS
     return VerificationReport(
         claim="p-threshold",

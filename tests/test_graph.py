@@ -2,6 +2,8 @@ import random
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from orbit_oracle import pair_orbits_by_permutations
 
 from bunkbed.catalog import (
     CONNECTED_UPTO_5,
@@ -12,6 +14,7 @@ from bunkbed.catalog import (
 )
 from bunkbed.exactnum import MultiPoly, rat
 from bunkbed.glue import hollom_network
+from bunkbed import graph
 from bunkbed.graph import (
     Graph,
     bunkbed,
@@ -24,6 +27,7 @@ from bunkbed.graph import (
     hypergraph_bunkbed,
     hypergraph_copies,
     minor,
+    pair_orbits,
 )
 from bunkbed.measures import hypergraph_rc_difference
 
@@ -332,3 +336,105 @@ def test_named_instances():
     assert fig5.graph.n == 8 + 2 * 2
     with pytest.raises(ValueError):
         named_instance("nope")
+
+
+# -- pair orbits against every permutation
+
+ORBIT_POSTS = (None, frozenset(), frozenset({0}), frozenset({0, 1}))
+
+
+@pytest.mark.parametrize("posts", ORBIT_POSTS, ids=["verticals", "none", "0", "01"])
+def test_pair_orbits_of_the_catalog_match_the_permutation_oracle(posts):
+    for name, g in connected_graphs(5):
+        if all(t < g.n for t in posts or ()):
+            assert pair_orbits(g, posts) == pair_orbits_by_permutations(g, posts), name
+
+
+@st.composite
+def symmetric_multigraphs(draw):
+    """Multigraphs on 6 or 7 vertices with unequal weights, often with automorphisms.
+
+    With `mirror` on, every edge also gets its image under a drawn involution,
+    at the same weight, so the involution is an automorphism; parallel edges
+    and edges fixed by it stay in.
+    """
+    n = draw(st.integers(6, 7))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    weight = st.sampled_from([rat(1, 3), rat(1, 2), rat(2, 3), rat(1)])
+    edges = draw(st.lists(st.tuples(pair, weight), max_size=10))
+    if draw(st.booleans()):
+        perm = draw(st.permutations(range(n)))
+        swap = list(range(n))
+        for a, b in zip(perm[::2], perm[1::2][: draw(st.integers(1, n // 2))]):
+            swap[a], swap[b] = b, a
+        edges += [((swap[u], swap[v]), w) for (u, v), w in edges if {swap[u], swap[v]} != {u, v}]
+    return Graph(n, tuple((u, v, w) for (u, v), w in edges))
+
+
+@settings(deadline=None, max_examples=60, derandomize=True)
+@given(g=symmetric_multigraphs(), posts=st.sampled_from(ORBIT_POSTS[1:]))
+def test_pair_orbits_of_random_multigraphs_match_the_permutation_oracle(g, posts):
+    assert pair_orbits(g, posts) == pair_orbits_by_permutations(g, posts)
+
+
+def test_pair_orbits_past_the_oracle_reach():
+    # K10 is one orbit; the Petersen graph has two, adjacent and not.
+    k10 = Graph(10, tuple(combinations(range(10), 2)))
+    assert pair_orbits(k10) == [(0, 1)]
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    petersen = Graph(10, tuple(outer + [(i, i + 5) for i in range(5)] + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]))
+    assert pair_orbits(petersen) == [(0, 1), (0, 2)]
+    # The 4x4 grid's automorphisms are the 8 symmetries of the square.
+    cell = [(r, c) for r in range(4) for c in range(4)]
+    grid = Graph(16, tuple((4 * r + c, 4 * r + c + 1) for r, c in cell if c < 3)
+                 + tuple((4 * r + c, 4 * r + c + 4) for r, c in cell if r < 3))
+    squares = [lambda r, c: (r, c), lambda r, c: (c, 3 - r), lambda r, c: (3 - r, 3 - c),
+               lambda r, c: (3 - c, r)]
+    symmetries = [f for s in squares for f in (s, lambda r, c, s=s: s(c, r))]
+    seen, reps = set(), []
+    for a, b in combinations(range(16), 2):
+        if frozenset((a, b)) not in seen:
+            reps.append((a, b))
+            for f in symmetries:
+                seen.add(frozenset(4 * x + y for x, y in (f(*divmod(a, 4)), f(*divmod(b, 4)))))
+    assert pair_orbits(grid) == reps
+    # A wheel over a 6-cycle (hub 0), a hub over two triangles (hub 7) and a lone
+    # vertex 14: refinement cannot tell a C6 rim from a 2C3 rim, so (0, 14) and
+    # (7, 14) get equal invariants, and only the search keeps them apart.
+    rims = ((1, 2, 3, 4, 5, 6), (8, 9, 10), (11, 12, 13))
+    edges = [(h, x) for h, rim in zip((0, 7, 7), rims) for x in rim]
+    edges += [(x, rim[(i + 1) % len(rim)]) for rim in rims for i, x in enumerate(rim)]
+    reps = pair_orbits(Graph(15, tuple(edges)))
+    assert (0, 14) in reps and (7, 14) in reps
+    # A weighted path keeps its flip only while the weights read the same from
+    # both ends, and a post at one end breaks it.
+    path = Graph(4, ((0, 1, rat(1, 2)), (1, 2, rat(1)), (2, 3, rat(1, 2))))
+    assert pair_orbits(path) == [(0, 1), (0, 2), (0, 3), (1, 2)]
+    lopsided = Graph(4, ((0, 1, rat(1, 2)), (1, 2, rat(1)), (2, 3, rat(1, 3))))
+    assert pair_orbits(lopsided) == list(combinations(range(4), 2))
+    assert pair_orbits(path, {0}) == [(1, 2), (1, 3), (2, 3)]
+    with pytest.raises(ValueError):
+        pair_orbits(path, {4})
+
+
+def test_orbit_search_backtracks_past_a_branch_refinement_cannot_reject():
+    # Two units, each a top vertex (0, 15) over a wheel hub on a C6 rim and a hub
+    # on a 2C3 rim, numbered wheel-first in unit 1 and wheel-last in unit 2; 30 is
+    # lone.  Mapping (0, 30) onto (15, 30) sends hub 1 to hub 23, but hub 16 comes
+    # first and refinement cannot tell its 2C3 rim from a C6, so the search must
+    # leave that branch when the rims differ further down.
+    rims = ((2, 3, 4, 5, 6, 7), (9, 10, 11), (12, 13, 14), (17, 18, 19), (20, 21, 22), (24, 25, 26, 27, 28, 29))
+    edges = [(0, 1), (0, 8), (15, 16), (15, 23)]
+    edges += [(h, x) for h, rim in zip((1, 8, 8, 16, 16, 23), rims) for x in rim]
+    edges += [(x, rim[(i + 1) % len(rim)]) for rim in rims for i, x in enumerate(rim)]
+    g = Graph(31, tuple(edges))
+    adj = [[] for _ in range(g.n)]
+    for u, v, w in g.edges:
+        adj[u].append((v, w))
+        adj[v].append((u, w))
+    c1, c2 = (graph._refine(adj, [0 if x == a else 1 if x == 30 else 2 for x in range(31)]) for a in (0, 15))
+    assert graph._invariant(g, c1) == graph._invariant(g, c2)
+    perm = graph._automorphism(g, adj, c1, c2)
+    assert perm is not None and (perm[0], perm[30], perm[1]) == (15, 30, 23)
+    moved = sorted(tuple(sorted((perm[u], perm[v]))) for u, v, _ in g.edges)
+    assert moved == sorted(tuple(sorted((u, v))) for u, v, _ in g.edges)

@@ -35,7 +35,7 @@ from bunkbed.measures import (
 from bunkbed import measures
 from bunkbed.glue import factor_from_graph
 from bunkbed.partition import canonical_rgs
-from bunkbed.verify import _case_rows, _rc_difference
+from bunkbed.verify import _case_rows, _rc_differences
 
 # RGS patterns over a marked pair.
 TOGETHER, APART = (0, 0), (0, 1)
@@ -489,12 +489,16 @@ def test_case_profile_matches_direct_probabilities():
     v1, v2 = bunkbed_copies(base, None, 2)
     (profile,) = bunkbed_case_profiles(bb, [(u1, v1, v2)])
     (rows,) = _case_rows(bb, [(u1, v1, v2)])
-    for p, q in ((rat(1, 3), rat(2)), (rat(0), rat(3, 2)), (rat(1), rat(1, 2)), (rat(5, 7), rat(7, 3))):
+    # The rows are read once per p; the differences come out p outermost.
+    p_grid = (rat(1, 3), rat(0), rat(1), rat(5, 7))
+    q_grid = (rat(2), rat(3, 2), rat(1, 2), rat(7, 3))
+    diffs = _rc_differences(rows, p_grid, q_grid)
+    assert len(diffs) == len(p_grid) * len(q_grid)
+    for (p, q), diff in zip(product(p_grid, q_grid), diffs):
         weighted = bb.with_weights(p)
         expected = rc_connection_prob(weighted, q, u1, v1) - rc_connection_prob(
             weighted, q, u1, v2
         )
-        diff = _rc_difference(rows, p, q)
         z = sum(
             count * p**s * (1 - p) ** (bb.m - s) * q**kappa
             for (case, s, kappa), count in profile.items()

@@ -13,7 +13,14 @@ from bunkbed.catalog import connected_graphs, identity_catalog, named_graph, nam
 from bunkbed.exactnum import format_rational, rat
 from bunkbed.graph import Graph, bunkbed, bunkbed_copies, minor
 from bunkbed import measures, treealg, verify
-from bunkbed.measures import ParameterError, _at_activity, alt_colouring_counts, forest_masks, forest_table
+from bunkbed.measures import (
+    ParameterError,
+    _at_activity,
+    alt_colouring_counts,
+    bunkbed_case_profiles,
+    forest_masks,
+    forest_table,
+)
 from bunkbed.treealg import LaplacianBundle, all_minors_count, laplacian
 from bunkbed.verify import (
     FAILS,
@@ -30,10 +37,10 @@ from bunkbed.verify import (
 )
 from bunkbed.verify import (
     _PAIRINGS,
-    _arboreal_difference,
+    _arboreal_differences,
     _case_rows,
     _forest_lists,
-    _rc_difference,
+    _rc_differences,
     _tree_pair_counts,
 )
 
@@ -148,7 +155,7 @@ def test_p_threshold_examples():
     u1, _ = bunkbed_copies(p3, {1}, 0)
     v1, v2 = bunkbed_copies(p3, {1}, 2)
     (rows,) = _case_rows(bb, [(u1, v1, v2)])
-    assert _rc_difference(rows, rat(1), rat(2)) == 0
+    assert _rc_differences(rows, [rat(1)], [rat(2)]) == [0]
 
 
 def test_bsst_counts_k3():
@@ -489,14 +496,20 @@ def test_failure_verdict_plumbing():
         del IDENTITY_SUITES["always-off"]
 
 
+def _every_pair_its_own_orbit(g, posts):
+    return list(combinations(sorted(set(range(g.n)) - set(posts or ())), 2))
+
+
 def test_bunkbed_scans_report_first_minimum(monkeypatch):
     # Difference rows become pair indices, and the difference is -1/7 at a few points.
-    # Any loop order other than pair -> p -> q would pick another point.
+    # Any loop order other than pair -> p -> q would pick another point.  K3 is one
+    # pair orbit, so every pair is made its own orbit to give the pairs different rows.
+    monkeypatch.setattr("bunkbed.verify.pair_orbits", _every_pair_its_own_orbit)
     monkeypatch.setattr("bunkbed.verify._case_rows", lambda bb, triples: range(len(triples)))
     negative = {(1, rat(1, 2), rat(2)), (1, rat(3, 4), rat(1)), (2, rat(1, 4), rat(1))}
     monkeypatch.setattr(
-        "bunkbed.verify._rc_difference",
-        lambda rows, p, q: rat(-1, 7) if (rows, p, q) in negative else rat(1),
+        "bunkbed.verify._rc_differences",
+        lambda rows, ps, qs: [rat(-1, 7) if (rows, p, q) in negative else rat(1) for p in ps for q in qs],
     )
     g = named_graph("K3")  # pairs (0,1), (0,2), (1,2)
     rep = check_bunkbed(g, p_grid=SMALL_P, q_grid=(rat(1), rat(2)))
@@ -519,11 +532,61 @@ def test_bunkbed_scans_report_first_minimum(monkeypatch):
     monkeypatch.setattr("bunkbed.verify._forest_lists", lambda bb, triples: range(len(triples)))
     negative = {(1, rat(2)), (2, rat(1, 2))}
     monkeypatch.setattr(
-        "bunkbed.verify._arboreal_difference",
-        lambda lists, lam: rat(-1, 5) if (lists, lam) in negative else rat(1),
+        "bunkbed.verify._arboreal_differences",
+        lambda lists, lams: [rat(-1, 5) if (lists, lam) in negative else rat(1) for lam in lams],
     )
     rep = check_bunkbed(g, measure="arboreal", lam_grid=(rat(1, 2), rat(2)))
     assert rep.witness == {"u": 0, "v": 2, "lambda": "2", "difference": "-1/5"}
+
+
+def _scan_reports():
+    reports = []
+    for name, g in connected_graphs(4):
+        # Unequal weights break some symmetries; only the arboreal check reads them.
+        weighted = Graph(g.n, tuple((u, v, rat(1 + i % 2, 3)) for i, (u, v, _) in enumerate(g.edges)))
+        for posts in [None] + [frozenset(c) for k in range(3) for c in combinations(range(g.n), k)]:
+            for measure in ("random-cluster", "percolation", "arboreal"):
+                reports.append(check_bunkbed(g, posts, measure, instance=name).to_json())
+            reports.append(check_bunkbed(weighted, posts, "arboreal", instance=name).to_json())
+            if posts is not None:
+                for q in (rat(1, 2), rat(2)):
+                    reports.append(check_p_threshold(g, posts, q, instance=name).to_json())
+    return reports
+
+
+def test_orbit_scans_report_what_every_pair_scans_report(monkeypatch):
+    # One pair per orbit must leave every report bit-identical: the minimum, its
+    # pair and point, and the witness.
+    got = _scan_reports()
+    monkeypatch.setattr("bunkbed.verify.pair_orbits", _every_pair_its_own_orbit)
+    assert got == _scan_reports()
+
+
+def test_k4_scans_fold_one_triple_per_orbit(monkeypatch):
+    folded = []
+    monkeypatch.setattr(
+        "bunkbed.verify.bunkbed_case_profiles",
+        lambda bb, triples: folded.append(len(triples)) or bunkbed_case_profiles(bb, triples),
+    )
+    monkeypatch.setattr(
+        "bunkbed.verify.forest_table", lambda bb, marked: folded.append(1) or forest_table(bb, marked)
+    )
+    k4 = named_graph("K4")
+    for measure in ("random-cluster", "percolation", "arboreal"):
+        folded.clear()
+        check_bunkbed(k4, measure=measure)
+        assert folded == [1], measure
+    folded.clear()
+    check_p_threshold(k4, frozenset(), 2)
+    assert folded == [1]
+    # With a post, the three pairs that avoid it are still one orbit.
+    folded.clear()
+    check_bunkbed(k4, {0})
+    assert folded == [1]
+    monkeypatch.setattr("bunkbed.verify.pair_orbits", _every_pair_its_own_orbit)
+    folded.clear()
+    check_bunkbed(k4)
+    assert folded == [6]
 
 
 # All-verticals and posts-contracted bunkbeds of at most 9 edges.
@@ -564,10 +627,10 @@ def test_difference_polynomials_match_the_subset_oracle(case, p, q, lam):
                 forest_z += weight * lam**s
                 forest_diff += sign * weight * lam**s
         # Z (P[u1<->v1] - P[u1<->v2]), and the arboreal probability difference.
-        assert _rc_difference(rows, rat(p), rat(q)) == rc
+        assert _rc_differences(rows, [rat(p)], [rat(q)]) == [rc]
         if b1 != b2:
             lists = lists_of[a1, b1, b2]
-            assert _arboreal_difference(lists, rat(lam)) == forest_diff / forest_z
+            assert _arboreal_differences(lists, [rat(lam)]) == [forest_diff / forest_z]
         else:
             assert forest_diff == 0
 
