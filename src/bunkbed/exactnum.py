@@ -73,8 +73,14 @@ _R1 = Rational(1)
 def rat(num, den=1) -> Rational:
     """Exact rational from integers, strings, or another rational.
 
+    Two ints make one Rational, and a Rational alone comes back unchanged.
     Floats are refused: 0.1 is a binary fraction, not one tenth.
     """
+    if type(den) is int:
+        if type(num) is int:
+            return Rational(num, den)
+        if den == 1 and type(num) is Rational:
+            return num
     if isinstance(num, float) or isinstance(den, float):
         raise TypeError(f"rat({num!r}, {den!r}): floats are not exact rationals")
     if den == 1:

@@ -57,9 +57,13 @@ with the lesser.  The joined string is canonical, so the reduced partition
 and the closed count are read off it through ``partition.project_rgs`` once
 per kept-position tuple.  Those projections and the lifted label strings
 live in a ``_Memo`` that one contraction passes to all of its glues, since
-a column sweep meets the same strings at every step.  A glue called on its
-own (``multiply``, ``eliminate``, the table2 readout) starts from an empty
-memo, and no memo outlives its contraction.  For each entry of the smaller
+a column sweep meets the same strings at every step.  Its entries depend
+only on their keys, so a caller may also pass one memo to many
+contractions: the engine check shares one across all of its trials, whose
+tiny networks meet the same keys again and again.  Every other contraction
+makes its own, and a glue called on its own (``multiply``, ``eliminate``,
+the table2 readout) starts from an empty memo; the module keeps none between
+calls, so a memo lives as long as its owner.  For each entry of the smaller
 table the kernel first sums the other table's entries that land on the same
 reduced partition, and then multiplies once per reduced partition, so there
 are at most (smaller table) x (result entries) products, not one per pair.
@@ -332,6 +336,8 @@ class _Packed:
         return f"coefficients packed in {self.width}-bit slots"
 
     def encode(self, coeffs: list) -> int:
+        if len(coeffs) <= 1:
+            return coeffs[0] if coeffs else 0
         return sum(c << (k * self.width) for k, c in enumerate(coeffs))
 
     def decode(self, packed: int) -> list:
@@ -371,18 +377,18 @@ def _degree(f: Factor) -> int:
     return max([len(c) - 1 for c in f.entries.values()] + [0])
 
 
-def _encoding(factors, count: int):
-    """The entry encoding for contracting `factors`, whose entries reach degree below `count`.
+def _encoding(net: FactorNetwork):
+    """The entry encoding for contracting `net`.
 
     Packed when every input entry is a constant (edge networks, the gadget's
-    build); points at q = 0..count-1 otherwise (the hollom layer, whose
-    gadget entries have degree n: there one product of two long packed ints
-    costs more than the pointwise products, as CPython multiplies big ints
-    by Karatsuba).
+    build); points at q = 0..D, ``_point_count(net)`` of them, otherwise
+    (the hollom layer, whose gadget entries have degree n: there one product
+    of two long packed ints costs more than the pointwise products, as
+    CPython multiplies big ints by Karatsuba).
     """
-    if all(len(coeffs) <= 1 for f in factors for coeffs in f.entries.values()):
-        return _Packed(_packed_width(factors))
-    return _Points(count)
+    if all(len(coeffs) <= 1 for f in net.factors for coeffs in f.entries.values()):
+        return _Packed(_packed_width(net.factors))
+    return _Points(_point_count(net))
 
 
 class _Encoded(NamedTuple):
@@ -425,14 +431,15 @@ def _merges(idx: list, rgs: tuple) -> list:
 
 
 class _Memo:
-    """Partition bookkeeping that the glues of one contraction share.
+    """Partition bookkeeping that the glues of one or more contractions share.
 
     Both maps hold pure functions of their keys, so any glue may read what
-    an earlier one stored: `projections` maps a kept-position tuple to
-    {joined label string: (reduced RGS, closed)}, and `lifts` maps
-    (union size, *positions of the larger table's boundary) to
-    {RGS: label string}.  It lives only as long as the contraction that
-    made it.
+    an earlier one stored, whichever network it came from: `projections`
+    maps a kept-position tuple to {joined label string: (reduced RGS,
+    closed)}, and `lifts` maps (union size, *positions of the larger table's
+    boundary) to {RGS: label string}.  Its owner bounds its size: a
+    contraction makes one for itself unless its caller passes one, and no
+    memo is kept between calls of this module.
     """
 
     __slots__ = ("projections", "lifts")
@@ -521,7 +528,7 @@ def _unit(enc) -> _Encoded:
 
 def multiply(f1: Factor, f2: Factor) -> Factor:
     """Glue two factors of edge-disjoint subgraphs along shared boundary vertices."""
-    enc = _encoding((f1, f2), _degree(f1) + _degree(f2) + 1)
+    enc = _encoding(FactorNetwork((f1, f2), f1.boundary + f2.boundary))
     return _decoded(_glue(_encoded(f1, enc), _encoded(f2, enc), enc), f1.den * f2.den, enc)
 
 
@@ -529,7 +536,7 @@ def eliminate(f: Factor, vertex: int) -> Factor:
     """Project a boundary vertex out; singleton blocks close and earn one q."""
     if vertex not in f.boundary:
         raise ValueError(f"vertex {vertex} is not on the factor boundary")
-    enc = _encoding((f,), _degree(f) + 2)
+    enc = _encoding(FactorNetwork((f,), set(f.boundary) - {vertex}))
     return _decoded(_glue(_encoded(f, enc), _unit(enc), enc, {vertex}), f.den, enc)
 
 
@@ -551,7 +558,7 @@ class FactorNetwork:
             raise ValueError(f"query vertices {missing} appear in no factor boundary")
 
 
-def contract_network(net: FactorNetwork, order=None) -> Factor:
+def contract_network(net: FactorNetwork, order=None, *, memo=None) -> Factor:
     """Multiply factors and eliminate all non-query vertices, following a plan.
 
     Each step picks a vertex v, multiplies the factors that touch it, and in
@@ -562,14 +569,16 @@ def contract_network(net: FactorNetwork, order=None) -> Factor:
     explicit `order` names the vertex that starts each step and skips
     vertices already cut.  The result is order-invariant.  Entries are
     carried in the encoding ``_encoding`` picks from the factors, glued
-    through one ``_Memo`` and decoded once at the end.  Raises before any
-    entry is encoded when a planned merged boundary exceeds the Bell-number
-    guard, reporting every vertex cut before that step, the plan's largest
-    boundary, the degree bound's coefficient count D + 1 and the encoding.
+    through one ``_Memo`` and decoded once at the end.  That memo is `memo`
+    when given, so a caller that contracts many small networks (the engine
+    check) can pass one to all of them; None gives this contraction a fresh
+    one.  Raises before any entry is encoded when a planned merged boundary
+    exceeds the Bell-number guard, reporting every vertex cut before that
+    step, the plan's largest boundary, the degree bound's coefficient count
+    D + 1 and the encoding.
     """
-    count = _point_count(net)
-    enc = _encoding(net.factors, count)
-    return _decoded(*_contract_encoded(net, enc, count, order), enc)
+    enc = _encoding(net)
+    return _decoded(*_contract_encoded(net, enc, order, memo), enc)
 
 
 def _point_count(net: FactorNetwork) -> int:
@@ -708,10 +717,15 @@ def _plan(boundaries: list, pending: set, order=None) -> _Replay:
     return growth if (growth.top, growth.bells) < bound else r
 
 
-def _check_guard(plan: _Replay, count: int, enc) -> None:
-    """Raise EnumerationGuardError at the first planned step whose union exceeds the guard."""
+def _check_guard(plan: _Replay, net: FactorNetwork, enc) -> None:
+    """Raise EnumerationGuardError at the first planned step whose union exceeds the guard.
+
+    The message names D + 1: the points' count, or for packed entries that
+    of `net`, computed only here.
+    """
     if plan.top <= _BOUNDARY_GUARD:
         return
+    count = enc.count if isinstance(enc, _Points) else _point_count(net)
     done: list = []
     for v, _, cut, size in plan.steps:
         if size > _BOUNDARY_GUARD:
@@ -725,11 +739,8 @@ def _check_guard(plan: _Replay, count: int, enc) -> None:
         done += [v] + sorted(cut - {v})
 
 
-def _contract_encoded(net: FactorNetwork, enc, count: int, order=None) -> tuple[_Encoded, int]:
-    """The contraction of ``contract_network`` in the encoding `enc`: final table and denominator.
-
-    `count` is the D + 1 the guard reports.
-    """
+def _contract_encoded(net: FactorNetwork, enc, order=None, memo=None) -> tuple[_Encoded, int]:
+    """The contraction of ``contract_network`` in the encoding `enc`: final table and denominator."""
     if not net.queries:
         raise ValueError("network needs at least one query vertex")
     boundaries = [f.boundary for f in net.factors]
@@ -739,10 +750,11 @@ def _contract_encoded(net: FactorNetwork, enc, count: int, order=None) -> tuple[
         if set(order) != pending:
             raise ValueError("explicit order must cover exactly the non-query vertices")
     plan = _plan(boundaries, pending, order)
-    _check_guard(plan, count, enc)
+    _check_guard(plan, net, enc)
     tables = [_encoded(f, enc) for f in net.factors]
     unit = _unit(enc)
-    memo = _Memo()
+    if memo is None:
+        memo = _Memo()
 
     def join(x: _Encoded, y: _Encoded) -> _Encoded:
         return _glue(x, y, enc, memo=memo)
@@ -819,10 +831,9 @@ def counterexample_polynomial(n: int, p):
     net = hollom_network(n, p)
     one, same, other = net.queries
     posts = tuple(sorted(h.posts))
-    count = _point_count(net)
-    enc = _encoding(net.factors, count)
+    enc = _encoding(net)
     layer = FactorNetwork(net.factors[: len(h.hyperedges)], (one, same, *posts))
-    top, den = _contract_encoded(layer, enc, count)
+    top, den = _contract_encoded(layer, enc)
     projected = _glue(top, _unit(enc), enc, {one})
     # 10 and 20 both follow every post, so renaming keeps the boundary sorted.
     bottom = _Encoded(tuple(other if v == same else v for v in projected.boundary), projected.entries)

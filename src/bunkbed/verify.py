@@ -29,7 +29,7 @@ from .exactnum import (
     psd_certificate,
     rat,
 )
-from .glue import FactorNetwork, contract_network, edge_factor, factor_from_graph
+from .glue import FactorNetwork, _Memo, contract_network, edge_factor, factor_from_graph
 from .graph import (
     Graph,
     bunkbed,
@@ -813,6 +813,10 @@ def scan_conjectures(
     check_parameters(lam=lam_grid)
     if weightings < 1:
         raise ParameterError(f"weightings must be at least 1; got {weightings}")
+    if max_n < 3:
+        # Below 3 the Harris scan has no graph to scan, and below 2 neither
+        # has the doubled-graph forest scan.
+        raise ParameterError(f"max_n must be at least 3; got {max_n}")
     reports = []
 
     # Doubled-graph forest inequality on all small connected graphs.
@@ -968,8 +972,16 @@ def check_hypergraph_factorization() -> VerificationReport:
 def check_engine_consistency(
     trials: int = 50, seed: int = 4099
 ) -> VerificationReport:
-    """Factor contraction vs direct enumeration on random small networks."""
+    """Factor contraction vs direct enumeration on random small networks.
+
+    Every contraction of the check shares one partition memo: its entries
+    depend only on their keys, and the networks are small enough that the
+    same keys recur across trials.
+    """
+    if trials < 1:
+        raise ParameterError(f"trials must be at least 1; got {trials}")
     rng = random.Random(seed)
+    memo = _Memo()
     failures = []
     for trial in range(trials):
         n = rng.randint(4, 7)
@@ -994,11 +1006,11 @@ def check_engine_consistency(
         )
         net = FactorNetwork(factors, queries)
         expected = factor_from_graph(g, queries)
-        result = contract_network(net)
+        result = contract_network(net, memo=memo)
         ok = result.same_table(expected)
         non_query = [x for x in range(n) if x not in queries]
         rng.shuffle(non_query)
-        alt = contract_network(net, order=list(non_query))
+        alt = contract_network(net, order=list(non_query), memo=memo)
         ok &= alt.same_table(result)
         if not ok:
             failures.append(

@@ -43,9 +43,23 @@ def test_rational_parse_and_format():
 
 def test_rat_refuses_floats():
     # A float's binary expansion is not the decimal it was written as.
-    for args in ((0.1,), (1, 0.5), (0.5, 2)):
+    for args in ((0.1,), (1, 0.5), (0.5, 2), (Rational(1, 2), 1.0)):
         with pytest.raises(TypeError):
             rat(*args)
+
+
+def test_rat_builds_one_rational_and_returns_a_rational_unchanged():
+    x = Rational(3, 7)
+    assert rat(x) is x
+    assert rat(x, 1) is x
+    assert type(rat(6, -4)) is Rational and rat(6, -4) == Rational(-3, 2)
+    with pytest.raises(ZeroDivisionError):
+        rat(1, 0)
+    # Everything but two ints or a lone Rational takes the general path.
+    assert rat(True, 2) == Rational(1, 2)
+    assert rat(x, 3) == Rational(1, 7)
+    assert rat(Fraction(1, 2)) == Rational(1, 2)
+    assert rat("-6/4") == Rational(-3, 2)
 
 
 def test_multipoly_refuses_floats():

@@ -44,6 +44,7 @@ from bunkbed.graph import (
 )
 from bunkbed.measures import EnumerationGuardError, rc_boundary_table
 from bunkbed.partition import canonical_rgs, canonicalize
+from bunkbed.verify import HOLDS, check_engine_consistency
 
 
 def _pattern(marked, *groups):
@@ -680,7 +681,7 @@ def test_glue_chain_through_one_shared_memo_matches_the_oracle(data):
 
 def _contract_as(net, enc):
     """contract_network(net) with its entries forced into the encoding `enc`."""
-    return _decoded(*_contract_encoded(net, enc, _point_count(net)), enc)
+    return _decoded(*_contract_encoded(net, enc), enc)
 
 
 def _both_encodings(net):
@@ -720,28 +721,51 @@ def test_packed_and_points_give_the_same_table_on_edge_networks(weights, data):
     assert packed.same_table(contract_network(net))
 
 
+@st.composite
+def gadget_networks(draw):
+    """One to three copies of a gadget factor on slots among six vertices, one to three queries."""
+    n = draw(st.integers(1, 3))
+    p = draw(st.fractions(0, 1, max_denominator=20) | st.sampled_from([rat(3, 2), rat(-1, 2)]))
+    base = gadget_factor(n, p)
+    slot = st.lists(st.integers(0, 5), min_size=3, max_size=3, unique=True)
+    slots = draw(st.lists(slot, min_size=1, max_size=3))
+    factors = tuple(base.relabel({0: a, 1: b, n + 2: c}) for a, b, c in slots)
+    vertices = sorted({v for f in factors for v in f.boundary})
+    queries = draw(st.lists(st.sampled_from(vertices), min_size=1, max_size=3, unique=True))
+    return FactorNetwork(factors, tuple(queries))
+
+
 @settings(deadline=None, max_examples=30, derandomize=True)
 @given(st.data())
 def test_packed_and_points_give_the_same_table_on_gadget_networks(data):
     # Gadget entries have degree up to n, so the selection puts these on
     # points; forcing packed checks the width bound on polynomial inputs.
-    n = data.draw(st.integers(1, 3))
-    p = data.draw(st.fractions(0, 1, max_denominator=20) | st.sampled_from([rat(3, 2), rat(-1, 2)]))
-    base = gadget_factor(n, p)
-    slot = st.lists(st.integers(0, 5), min_size=3, max_size=3, unique=True)
-    slots = data.draw(st.lists(slot, min_size=1, max_size=3))
-    factors = tuple(base.relabel({0: a, 1: b, n + 2: c}) for a, b, c in slots)
-    vertices = sorted({v for f in factors for v in f.boundary})
-    queries = data.draw(st.lists(st.sampled_from(vertices), min_size=1, max_size=3, unique=True))
-    net = FactorNetwork(factors, tuple(queries))
+    net = data.draw(gadget_networks())
     packed, points = _both_encodings(net)
     assert packed.same_table(points)
     assert points.same_table(contract_network(net))
 
 
+@settings(deadline=None, max_examples=40, derandomize=True)
+@given(st.data())
+def test_contractions_through_one_shared_memo_match_fresh_ones(data):
+    # Edge networks contract packed and gadget networks on points; one memo
+    # serves the whole sequence, in planned and explicit orders, as the
+    # engine check shares one across its trials.
+    networks = edge_networks(_UNIT_WEIGHTS | _OUTSIDE_WEIGHTS) | gadget_networks()
+    memo = glue._Memo()
+    for net in data.draw(st.lists(networks, min_size=2, max_size=6)):
+        pending = sorted({v for f in net.factors for v in f.boundary} - set(net.queries))
+        order = data.draw(st.none() | st.permutations(pending))
+        shared = contract_network(net, order, memo=memo)
+        fresh = contract_network(net, order)
+        assert (shared.boundary, shared.den) == (fresh.boundary, fresh.den)
+        assert list(shared.entries.items()) == list(fresh.entries.items())
+
+
 def test_encoding_is_packed_for_constant_entries_and_points_for_the_hollom_layer(monkeypatch):
     grid = _grid_network(3, 4, random.Random(1))
-    enc = glue._encoding(grid.factors, _point_count(grid))
+    enc = glue._encoding(grid)
     # 17 edge factors with weights k/7: each entry list sums to 7 in L1.
     assert isinstance(enc, _Packed) and enc.width == (7**17).bit_length() + 2
     net = hollom_network(2, rat(1, 100))
@@ -844,11 +868,8 @@ def test_planned_grid_order_unions_no_more_than_the_column_sweep(monkeypatch, ro
     assert planned.same_table(swept)
 
 
-def test_contraction_projects_and_lifts_each_partition_once(monkeypatch):
-    # One memo serves every glue of a contraction: each (joined string, kept
-    # positions) pair is projected once and each lift is built once, and a
-    # second contraction starts from an empty memo, so it repeats the counts.
-    net = _grid_network(5, 10, random.Random(20240))
+def _partition_spies(monkeypatch):
+    """Record every ``project_rgs`` call as (labels, kept positions) and every ``_labels`` call."""
     projected, lifted = [], []
     real_project, real_labels = glue.project_rgs, glue._labels
 
@@ -862,6 +883,15 @@ def test_contraction_projects_and_lifts_each_partition_once(monkeypatch):
 
     monkeypatch.setattr(glue, "project_rgs", project_spy)
     monkeypatch.setattr(glue, "_labels", labels_spy)
+    return projected, lifted
+
+
+def test_contraction_projects_and_lifts_each_partition_once(monkeypatch):
+    # One memo serves every glue of a contraction: each (joined string, kept
+    # positions) pair is projected once and each lift is built once, and a
+    # second contraction starts from an empty memo, so it repeats the counts.
+    net = _grid_network(5, 10, random.Random(20240))
+    projected, lifted = _partition_spies(monkeypatch)
     first = contract_network(net)
     counts = len(projected), len(lifted)
     assert counts[0] == len(set(projected)) and counts[1] == len(set(lifted))
@@ -869,6 +899,19 @@ def test_contraction_projects_and_lifts_each_partition_once(monkeypatch):
     lifted.clear()
     assert contract_network(net).same_table(first)
     assert (len(projected), len(lifted)) == counts
+
+
+def test_engine_check_projects_and_lifts_each_partition_once(monkeypatch):
+    # One memo serves the check's 400 contractions (5 920 projections and
+    # 3 561 lifts with one memo per contraction), and a second check starts
+    # from an empty one, so it repeats the counts.
+    projected, lifted = _partition_spies(monkeypatch)
+    for _ in range(2):
+        projected.clear()
+        lifted.clear()
+        assert check_engine_consistency(trials=200, seed=20240).verdict == HOLDS
+        assert (len(projected), len(lifted)) == (593, 185)
+        assert (len(set(projected)), len(set(lifted))) == (593, 185)
 
 
 @pytest.mark.parametrize("n", [3, 11])

@@ -404,6 +404,12 @@ def test_engine_consistency_quick():
     assert rep.verdict == HOLDS
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_engine_check_refuses_fewer_than_one_trial(trials):
+    with pytest.raises(ParameterError, match=f"^trials must be at least 1; got {trials}$"):
+        check_engine_consistency(trials=trials)
+
+
 def test_scan_conjectures_small():
     reports = scan_conjectures(
         lam_grid=(rat(1, 2), rat(1), rat(2)),
@@ -467,6 +473,13 @@ def test_fig5_exact_count_structure():
         both_h, crossing_h = _fig5_bracket_counts("H", n_path)
         assert crossing_h == 0
         assert both_h >= crossing_h
+
+
+@pytest.mark.parametrize("max_n", [1, 2])
+def test_scan_conjectures_refuses_max_n_below_three(max_n):
+    # max_n = 1 left the forest scan no graph; max_n = 2 left Harris none.
+    with pytest.raises(ParameterError, match=f"^max_n must be at least 3; got {max_n}$"):
+        scan_conjectures(max_n=max_n)
 
 
 def test_scan_reports_are_deterministic():
