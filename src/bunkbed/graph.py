@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .exactnum import format_rational, parse_rational, rat
-from .partition import join_rgs
+from .partition import canonical_rgs
 
 __all__ = [
     "Graph",
@@ -160,20 +160,18 @@ def minor(g: Graph, deletions=(), contractions=()) -> Graph:
 def components_of(g: Graph, open_edges) -> tuple[tuple[int, ...], int]:
     """(RGS over vertices 0..n-1, component count) under a subset of open edges.
 
-    Vertices u and v are joined exactly when rgs[u] == rgs[v].  One join of
-    two labellings over n vertex slots and two slots per open edge: the first
-    labels every slot by its vertex, the second labels each vertex slot by
-    itself and both slots of the j-th open edge by n + j, so the join puts an
-    edge's two ends in one block.  Its first n entries are the vertex RGS.
+    Vertices u and v are joined exactly when rgs[u] == rgs[v].  The labels
+    follow the fold's convention (``measures._fold``, ``glue._glue``): vertex x
+    starts as chr(x + 1), an open edge replaces the greater of its ends'
+    labels with the lesser everywhere, and ``canonical_rgs`` reads the RGS,
+    blocks numbered by their least vertex.
     """
-    n = g.n
-    a = list(range(n))
-    b = list(range(n))
-    for j, i in enumerate(open_edges):
+    labels = "".join(map(chr, range(1, g.n + 1)))
+    for i in open_edges:
         u, v, _ = g.edges[i]
-        a += (u, v)
-        b += (n + j, n + j)
-    rgs = join_rgs(a, b)[:n]
+        a, b = labels[u], labels[v]
+        labels = labels.replace(max(a, b), min(a, b))
+    rgs = canonical_rgs(labels)
     return rgs, max(rgs, default=-1) + 1
 
 

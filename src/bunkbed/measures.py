@@ -18,8 +18,9 @@ into a dense kappa-list, which callers read at q or lambda through
 ``exactnum._eval_scaled``, ``restrict`` regroups by fewer marked vertices,
 and ``strata`` keeps only the component counts a caller reads.
 ``rc_profile`` counts subsets by (marked RGS, |S|, kappa), once per query
-triple in ``bunkbed_case_profiles``.  ``forest_masks`` lists every forest by
-a depth-first walk over the same sweep, since no two forests share a mask.
+triple in ``bunkbed_case_profiles``.  ``forest_masks``, which lists every
+forest by a depth-first walk over the same sweep, is the forest oracle that
+tests and the perfbench tracer read; no computation here calls it.
 The only guard is 2^29 bytes in one level of the fold, reckoning each label
 string at 512 bytes plus its packed int and checked as each string is
 branched: 2^20 strings while the ints are small, fewer once a string's int
@@ -423,7 +424,9 @@ def forest_table(g: Graph, marked) -> BoundaryTable:
 def forest_masks(g: Graph):
     """All spanning forests as (edge mask, kappa) pairs, in increasing mask order.
 
-    A depth-first walk over the fold's sweep lists each forest once, and the
+    The forest oracle: tests check forest tables against it and the perfbench
+    tracer wraps it by name; no computation in the package calls it.  A
+    depth-first walk over the fold's sweep lists each forest once, and the
     branches of a label string at a step are computed once.  No two forests
     share a mask, so nothing would merge, and packing masks into the fold's
     slots would take 2^m slots per label string.

@@ -49,7 +49,9 @@ def join_rgs(a, b) -> tuple[int, ...]:
 
     Labels are integers in range(len(a)), as in any RGS or lifted RGS.  The
     union-find runs over the block labels of `a`: each label of `b` keeps the
-    first `a` label it meets, and every later meeting merges the two.
+    first `a` label it meets, and every later meeting merges the two.  It
+    is the glue oracle's join in tests; no computation in the package calls
+    it, since every partition here is read off label strings.
     """
     k = len(a)
     parent = list(range(k))

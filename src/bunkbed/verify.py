@@ -12,7 +12,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import combinations, product
-from math import prod
 
 from .catalog import (
     connected_graphs,
@@ -45,7 +44,6 @@ from .measures import (
     alt_colouring_counts,
     bunkbed_case_profiles,
     check_parameters,
-    forest_masks,
     forest_table,
     hypergraph_rc_difference,
     rc_profile,
@@ -82,6 +80,8 @@ SKIPPED = "skipped"
 DEFAULT_P_GRID = tuple(rat(k, 10) for k in range(1, 10))
 DEFAULT_Q_GRID = (rat(1, 2), rat(1), rat(3, 2), rat(2), rat(3))
 DEFAULT_LAMBDA_GRID = (rat(1, 10), rat(1, 2), rat(1), rat(2), rat(10))
+# scan_conjectures reads the connected graphs on at most this many vertices.
+_SCAN_MAX_N = 4
 
 
 @dataclass
@@ -737,28 +737,27 @@ def _forest_harris(g: Graph, lam_grid):
 
 
 def _edge_negative_correlation(g: Graph, lam_grid):
-    # A forest weighs the integer product of num over the edges it holds and d over
-    # those it leaves out, for edge weights num/d: the (d, num) encoding of
-    # forest_table, its weight times the product of the d, which cancels in the test.
-    pairs = [(int(w.denominator), int(w.numerator)) for _, _, w in g.edges]
-    forests = [
-        (mask, kappa, prod(pair[mask >> i & 1] for i, pair in enumerate(pairs)))
-        for mask, kappa in forest_masks(g)
-    ]
+    # A forest holds e = (u, v) exactly when, with e removed, it separates u from v,
+    # and holds e and f exactly when, with both removed, it separates each edge's ends
+    # and {blk u_e, blk v_e} != {blk u_f, blk v_f}.  Each removed edge is one component
+    # fewer and a factor num/d: an event's kappa-list shifted down by the edges removed
+    # and scaled by their nums is d_e, or d_e d_f, times the forests holding them, and
+    # the d cancel in the test, as the b^n of lambda = a/b does.
+    ft_all = forest_table(g, range(g.n))
+    ends = [(u, v, int(w.numerator)) for u, v, w in g.edges]
 
-    def at_each_lambda(edges):
-        # The forests holding every edge of the mask, summed by kappa once and read
-        # at each lambda = a/b as b^n times their weight; b^n cancels in the test.
-        sums = [0] * (g.n + 1)
-        for mask, kappa, weight in forests:
-            if mask & edges == edges:
-                sums[kappa] += weight
-        return _at_each(sums, lam_grid)
+    def at_each_lambda(num, removed, event):
+        sums = ft_all.event(event)
+        return [num * x for x in _at_each(sums[removed:] + [0] * removed, lam_grid)]
 
-    z = at_each_lambda(0)
-    pe = [at_each_lambda(1 << e) for e in range(g.m)]
+    z = at_each_lambda(1, 0, None)
+    pe = [at_each_lambda(num, 1, lambda rgs: rgs[u] != rgs[v]) for u, v, num in ends]
     for e, f in combinations(range(g.m), 2):
-        pef = at_each_lambda(1 << e | 1 << f)
+        (a, b, ne), (c, d, nf) = ends[e], ends[f]
+        pef = at_each_lambda(
+            ne * nf, 2,
+            lambda rgs: rgs[a] != rgs[b] and rgs[c] != rgs[d] and {rgs[a], rgs[b]} != {rgs[c], rgs[d]},
+        )
         for lam, we, wf, wef, wz in zip(lam_grid, pe[e], pe[f], pef, z):
             if we * wf < wef * wz:
                 return {"e": e, "f": f, "lambda": format_rational(lam)}
@@ -807,21 +806,16 @@ def scan_conjectures(
     lam_grid=DEFAULT_LAMBDA_GRID,
     seed: int = 20240,
     weightings: int = 20,
-    max_n: int = 4,
 ) -> list[VerificationReport]:
     """Exact grid scans of the open inequalities; failures carry witnesses."""
     check_parameters(lam=lam_grid)
     if weightings < 1:
         raise ParameterError(f"weightings must be at least 1; got {weightings}")
-    if max_n < 3:
-        # Below 3 the Harris scan has no graph to scan, and below 2 neither
-        # has the doubled-graph forest scan.
-        raise ParameterError(f"max_n must be at least 3; got {max_n}")
     reports = []
 
     # Doubled-graph forest inequality on all small connected graphs.
     worst = None
-    for name, g in connected_graphs(max_n, min_n=2):
+    for name, g in connected_graphs(_SCAN_MAX_N, min_n=2):
         rep = check_bunkbed(
             g,
             measure="arboreal",
@@ -838,7 +832,7 @@ def scan_conjectures(
     reports.append(
         VerificationReport(
             claim="bunkbed-forest-conjecture",
-            instance=f"connected<={max_n}",
+            instance=f"connected<={_SCAN_MAX_N}",
             verdict=chosen.verdict,
             quantities={**chosen.quantities, "worst_instance": chosen.instance},
             grid=_grid_doc(lam=lam_grid),
@@ -878,9 +872,9 @@ def scan_conjectures(
     for claim, instances, label, find, ok_verdict in (
         ("outerplanar-triple-product", outerplanar, "outerplanar catalog",
          _forest_product_inequality, HOLDS),
-        ("forest-harris-conjecture", connected_graphs(max_n, min_n=3), f"connected<= {max_n}",
+        ("forest-harris-conjecture", connected_graphs(_SCAN_MAX_N, min_n=3), f"connected<= {_SCAN_MAX_N}",
          _forest_harris, OPEN_OK),
-        ("edge-negative-correlation", connected_graphs(max_n, min_n=2), f"connected<= {max_n}",
+        ("edge-negative-correlation", connected_graphs(_SCAN_MAX_N, min_n=2), f"connected<= {_SCAN_MAX_N}",
          _edge_negative_correlation, OPEN_OK),
     ):
         witness = _first_witness(instances, lambda g: find(g, lam_grid))

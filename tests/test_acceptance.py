@@ -179,7 +179,7 @@ def test_criterion_09_weak_limits():
 
 
 def test_criterion_10_conjecture_scans():
-    reports = scan_conjectures(seed=20240, weightings=20, max_n=4)
+    reports = scan_conjectures(seed=20240, weightings=20)
     by_claim = {r.claim: r for r in reports}
     wanted = {
         "bunkbed-forest-conjecture": OPEN_OK,

@@ -26,7 +26,10 @@ from bunkbed.verify import (
 LAMS = (rat(-1, 3), rat(-2), rat(-5, 2), rat(1, 2))
 WEIGHTS = (rat(1, 2), rat(3), rat(2, 5), rat(4, 3), rat(5), rat(1, 7))
 K4_WEIGHTED = Graph(4, tuple((u, v, w) for (u, v, _), w in zip(named_graph("K4").edges, WEIGHTS)))
-GRAPHS = connected_graphs(4, min_n=3) + [("K4-weighted", K4_WEIGHTED)]
+# A triangle with edge (0, 1) doubled: edges 0 and 1 join the same two trees of
+# every forest that separates their ends, so no forest holds both.
+DOUBLED_TRIANGLE = Graph(3, ((0, 1, rat(1, 2)), (0, 1, rat(3)), (1, 2, rat(2, 5)), (0, 2, rat(4, 3))))
+GRAPHS = connected_graphs(4, min_n=3) + [("K4-weighted", K4_WEIGHTED), ("doubled-triangle", DOUBLED_TRIANGLE)]
 
 
 def _forests(g: Graph, lam):

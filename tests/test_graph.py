@@ -178,13 +178,24 @@ def _dfs_components(g, open_edges):
 
 
 def test_components_match_dfs_oracle():
+    # Connected graphs, then seeded multigraphs with parallel edges, isolated
+    # vertices and several components, and the graphs on 0 and 1 vertices.
     rng = random.Random(23)
-    for _, g in connected_graphs(5, min_n=3):
+    graphs = [g for _, g in connected_graphs(5, min_n=3)]
+    for _ in range(40):
+        n = rng.randint(2, 9)
+        edges = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 2 * n))]
+        edges += edges[:1]  # a parallel edge
+        graphs.append(Graph(n, tuple(edges)))
+    graphs += [Graph(0), Graph(1)]
+    for g in graphs:
         for _ in range(5):
             sub = [i for i in range(g.m) if rng.random() < 0.5]
             rgs, kappa = components_of(g, sub)
             comp, c = _dfs_components(g, sub)
             assert kappa == c
+            # The DFS numbers components from the least unvisited vertex up: the RGS.
+            assert rgs == tuple(comp)
             for u in range(g.n):
                 for v in range(u + 1, g.n):
                     assert (rgs[u] == rgs[v]) == (comp[u] == comp[v])

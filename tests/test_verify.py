@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -12,7 +13,7 @@ from subset_oracle import roots_and_kappa
 from bunkbed.catalog import connected_graphs, identity_catalog, named_graph, named_instance
 from bunkbed.exactnum import format_rational, rat
 from bunkbed.graph import Graph, bunkbed, bunkbed_copies, minor
-from bunkbed import measures, treealg, verify
+from bunkbed import measures, partition, treealg, verify
 from bunkbed.measures import (
     ParameterError,
     _at_activity,
@@ -229,12 +230,25 @@ def _count_calls(monkeypatch, module, names, calls: Counter) -> None:
         monkeypatch.setattr(module, name, counted)
 
 
+def _count_everywhere(monkeypatch, fn, calls: Counter) -> None:
+    """Count the calls of `fn` under every name a bunkbed module binds it to."""
+    def counted(*args, **kwargs):
+        calls[fn.__name__] += 1
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "bunkbed":
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+
+
 def test_identity_suites_make_one_engine_call_per_graph(monkeypatch):
     # Pins the per-graph shape: bsst reads one forest table, and each Laplacian
     # is inverted once (its grounded inverse) whatever the number of edge or
     # vertex pairs, with one Bareiss determinant where a pair count needs tau.
     calls = Counter()
-    _count_calls(monkeypatch, verify, ("forest_table", "forest_masks", "all_minors_count"), calls)
+    _count_calls(monkeypatch, verify, ("forest_table", "all_minors_count"), calls)
     _count_calls(monkeypatch, treealg, ("bareiss_det", "invert"), calls)
     for _, g in identity_catalog():
         calls.clear()
@@ -254,6 +268,16 @@ def test_identity_suites_make_one_engine_call_per_graph(monkeypatch):
         assert IDENTITY_SUITES["rayleigh"](g)
         bundles = sum(minor(g, deletions={f}).is_connected() for f in range(g.m))
         assert (calls["bareiss_det"], calls["invert"]) == (0, 1 + bundles if bundles else 0)
+    # The forest oracle and the union-find are test oracles: no suite, scan or
+    # arboreal bunkbed check calls either.
+    oracles = Counter()
+    _count_everywhere(monkeypatch, measures.forest_masks, oracles)
+    _count_everywhere(monkeypatch, partition.join_rgs, oracles)
+    for suite in IDENTITY_SUITES:
+        assert run_identity_suite(suite).verdict == HOLDS
+    scan_conjectures()
+    check_bunkbed(named_graph("K4"), measure="arboreal")
+    assert oracles == {}
 
 
 # Two components: a triangle and an edge.
@@ -415,7 +439,6 @@ def test_scan_conjectures_small():
         lam_grid=(rat(1, 2), rat(1), rat(2)),
         seed=7,
         weightings=2,
-        max_n=3,
     )
     by_claim = {r.claim: r for r in reports}
     assert by_claim["bunkbed-forest-conjecture"].verdict == OPEN_OK
@@ -475,17 +498,10 @@ def test_fig5_exact_count_structure():
         assert both_h >= crossing_h
 
 
-@pytest.mark.parametrize("max_n", [1, 2])
-def test_scan_conjectures_refuses_max_n_below_three(max_n):
-    # max_n = 1 left the forest scan no graph; max_n = 2 left Harris none.
-    with pytest.raises(ParameterError, match=f"^max_n must be at least 3; got {max_n}$"):
-        scan_conjectures(max_n=max_n)
-
-
 def test_scan_reports_are_deterministic():
     import json
 
-    kwargs = dict(lam_grid=(rat(1, 2), rat(2)), seed=99, weightings=2, max_n=3)
+    kwargs = dict(lam_grid=(rat(1, 2), rat(2)), seed=99, weightings=2)
     first = [r.to_json() for r in scan_conjectures(**kwargs)]
     second = [r.to_json() for r in scan_conjectures(**kwargs)]
     assert json.dumps(first) == json.dumps(second)
