@@ -16,7 +16,8 @@ them, where the RGS gives the marked vertex at position i the number of its
 block, blocks numbered by first appearance; ``event`` sums an event's entries
 into a dense kappa-list, which callers read at q or lambda through
 ``exactnum._eval_scaled``, ``restrict`` regroups by fewer marked vertices,
-and ``strata`` keeps only the component counts a caller reads.
+and ``subsets`` regroups by every subset of one size in one projection pass
+each, keeping only the component counts a caller reads.
 ``rc_profile`` counts subsets by (marked RGS, |S|, kappa), once per query
 triple in ``bunkbed_case_profiles``.  ``forest_masks``, which lists every
 forest by a depth-first walk over the same sweep, is the forest oracle that
@@ -29,7 +30,8 @@ spans many closed counts and sizes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import combinations
 from operator import itemgetter
 
 from .exactnum import MultiPoly, Rational, _eval_scaled, format_rational, rat
@@ -232,12 +234,9 @@ def _edge_steps(g: Graph) -> list:
     return [((), ((u, v),)) for u, v, _ in g.edges]
 
 
-def _canonical(acc: dict, rgs_of=None) -> dict:
-    """Sums keyed (labels, *rest) merged by (RGS, *rest), one canonical_rgs per labels.
-
-    `rgs_of` memoizes canonical_rgs across calls that share it.
-    """
-    rgs_of = {} if rgs_of is None else rgs_of
+def _canonical(acc: dict) -> dict:
+    """Sums keyed (labels, *rest) merged by (RGS, *rest), one canonical_rgs per labels."""
+    rgs_of: dict = {}
     out: dict = {}
     for (labels, *rest), w in acc.items():
         rgs = rgs_of.get(labels)
@@ -249,11 +248,11 @@ def _canonical(acc: dict, rgs_of=None) -> dict:
 
 
 def _picker(positions):
-    """The map from a sequence to the tuple of its entries at `positions`."""
+    """The map from a sequence to the tuple of its entries at `positions`, at least one."""
     if len(positions) == 1:
         (i,) = positions
         return lambda seq: (seq[i],)
-    return itemgetter(*positions) if positions else lambda seq: ()
+    return itemgetter(*positions)
 
 
 def _check_marked(g: Graph, marked) -> tuple:
@@ -301,15 +300,14 @@ class BoundaryTable:
     rgs[i] == rgs[j], den the product of the edge weights' denominators.  A
     random-cluster table weighs every subset (kappa is the power of q), a
     forest table only the forests.  A key that only zero-weight subsets reach
-    stays, with value 0.  `_rgs_of` memoizes canonical_rgs for this table and
-    the tables `restrict` and `strata` derive from it.
+    stays, with value 0.  `restrict` and `subsets` derive the tables over
+    fewer marked vertices through one projection, ``_project``.
     """
 
     marked: tuple
     n: int
     entries: dict
     den: int
-    _rgs_of: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def event(self, predicate=None) -> list:
         """Summed entries whose RGS satisfies `predicate`, as a dense kappa-list.
@@ -341,10 +339,7 @@ class BoundaryTable:
             w = sum(w for (_, k), w in self.entries.items() if k == kappa)
         else:
             pattern = tuple(pattern)
-            rgs = self._rgs_of.get(pattern)
-            if rgs is None:
-                rgs = self._rgs_of[pattern] = canonical_rgs(pattern)
-            if len(pattern) != len(self.marked) or rgs != pattern:
+            if len(pattern) != len(self.marked) or canonical_rgs(pattern) != pattern:
                 raise ValueError(f"pattern {pattern} is not an RGS over the marked tuple {self.marked}")
             w = self.entries.get((pattern, max(pattern, default=-1) + 1 + extra), 0)
         return w if self.den == 1 else Rational(w, self.den)
@@ -353,32 +348,66 @@ class BoundaryTable:
         """The same subsets keyed by the RGS over fewer marked vertices.
 
         `marked` lists distinct vertices of this table's marked tuple, in any
-        order; the result equals the table built over them directly.
+        order, and ValueError names the first vertex that is not one; the
+        result equals the table built over them directly.
         """
         marked = tuple(marked)
         index = {x: i for i, x in enumerate(self.marked)}
-        pick = _picker([index[x] for x in marked])
-        acc: dict = {}
-        for (rgs, kappa), w in self.entries.items():
-            key = (pick(rgs), kappa)
-            acc[key] = acc.get(key, 0) + w
-        return self._derive(marked, _canonical(acc, self._rgs_of))
+        for j, x in enumerate(marked):
+            if x not in index:
+                raise ValueError(f"vertex {x} is not in the marked tuple {self.marked}")
+            if x in marked[:j]:
+                raise ValueError(f"vertex {x} is repeated in {marked}")
+        return self._project(*self._rows(None), [index[x] for x in marked], {})
 
-    def strata(self, kappas) -> "BoundaryTable":
-        """The entries whose component count lies in `kappas`.
+    def subsets(self, size: int, kappas=None):
+        """``restrict(subset)`` for each `size`-subset of the marked tuple, in combinations order.
 
-        A bracket or event that reads only those counts gives what it gives on
-        this table, and `restrict` then regroups fewer entries.
+        With `kappas`, each table keeps only the entries whose component count
+        lies in it: a bracket or event that reads only those counts gives
+        what it gives on the full table.  As ``itertools.combinations``, a
+        size above len(marked) yields nothing and a negative one raises
+        ValueError.  The entries are turned into rows once, and every
+        subset's projection shares one memo of the canonical keys.
         """
-        kappas = frozenset(kappas)
-        entries = {key: w for key, w in self.entries.items() if key[1] in kappas}
-        return self._derive(self.marked, entries)
+        rows, weights = self._rows(kappas)
+        memo: dict = {}
+        return (
+            self._project(rows, weights, positions, memo)
+            for positions in combinations(range(len(self.marked)), size)
+        )
 
-    def _derive(self, marked, entries) -> "BoundaryTable":
-        """A table over the same subsets that shares this table's canonical_rgs memo."""
-        table = BoundaryTable(marked, self.n, entries, self.den)
-        table._rgs_of = self._rgs_of
-        return table
+    def _rows(self, kappas) -> tuple[list, list]:
+        """(rows, weights): (*rgs, kappa) and the value of each entry whose count lies in `kappas`.
+
+        None keeps every entry.
+        """
+        keep = None if kappas is None else frozenset(kappas)
+        rows, weights = [], []
+        for (rgs, kappa), w in self.entries.items():
+            if keep is None or kappa in keep:
+                rows.append((*rgs, kappa))
+                weights.append(w)
+        return rows, weights
+
+    def _project(self, rows, weights, positions, memo: dict) -> "BoundaryTable":
+        """The table over the marked vertices at `positions`, summed from `rows` and `weights`.
+
+        Rows are summed by their raw projection, then each distinct raw key
+        is canonicalised once through `memo`, which maps it to its (RGS,
+        kappa) key and may be shared by projections of the same rows.
+        """
+        acc: dict = {}
+        for raw, w in zip(map(_picker((*positions, len(self.marked))), rows), weights):
+            acc[raw] = acc.get(raw, 0) + w
+        entries: dict = {}
+        for raw, w in acc.items():
+            key = memo.get(raw)
+            if key is None:
+                key = memo[raw] = (canonical_rgs(raw[:-1]), raw[-1])
+            entries[key] = entries.get(key, 0) + w
+        marked = tuple(self.marked[i] for i in positions)
+        return BoundaryTable(marked, self.n, entries, self.den)
 
 
 def _at_activity(c: list, lam) -> int:

@@ -48,7 +48,7 @@ from .measures import (
     hypergraph_rc_difference,
     rc_profile,
 )
-from .partition import canonicalize
+from .partition import canonical_rgs, canonicalize
 from .treealg import (
     LaplacianBundle,
     PostsBundle,
@@ -356,6 +356,44 @@ def _split_patterns(x, y, z, w):
     return two, three
 
 
+def _split_keys(x, y, z, w, extra=0):
+    """``_split_patterns``' two- and three-block patterns as (pattern, kappa) entry keys.
+
+    Returns the keys of the patterns separating x from y, of those separating
+    z from w, and of the three-block ones, each at its minimal component count
+    plus `extra`, the entry that ``BoundaryTable.bracket`` reads.
+    """
+    xy, three = _split_patterns(x, y, z, w)
+    zw, _ = _split_patterns(z, w, x, y)
+    return tuple(tuple((t, max(t) + 1 + extra) for t in ts) for ts in (xy, zw, three))
+
+
+# Per pairing xy|zw: its positions and the keys of [xz|yw] and [xw|yz] at two components.
+_CROSS_INNER_KEYS = tuple((pos, *_split_keys(*pos)[0][2:]) for pos in _PAIRINGS)
+# Per pairing xy|zw: the keys separating x from y, z from w, and the three-block ones.
+_CHOE_KEYS = tuple(_split_keys(*pos) for pos in _PAIRINGS)
+# Per extra component: the keys separating a from b, c from d, the three-block
+# ones and [abcd], over the marked (a, b, c, d).
+_LEADING_KEYS = tuple((*_split_keys(0, 1, 2, 3, extra), ((0,) * 4, 1 + extra)) for extra in (0, 1))
+
+
+def _four_point_events() -> dict:
+    """Each RGS over the marked (a, b, c, d), mapped to the four-point scan's events it lies in.
+
+    The events, by index: a apart from b, c apart from d, the three-block
+    splits, all four joined, [ac|bd] and [ad|bc].
+    """
+    (_, _, ac_bd, ad_bc), three = _split_patterns(0, 1, 2, 3)
+    out = {}
+    for rgs in {canonical_rgs(t) for t in product(range(4), repeat=4)}:
+        holds = (rgs[0] != rgs[1], rgs[2] != rgs[3], rgs in three, rgs == (0, 0, 0, 0), rgs == ac_bd, rgs == ad_bc)
+        out[rgs] = [i for i, h in enumerate(holds) if h]
+    return out
+
+
+_FOUR_POINT_EVENTS = _four_point_events()
+
+
 def _suite_resistance_bracket(g: Graph) -> bool:
     bundle = LaplacianBundle(g)
     ft = forest_table(g, range(g.n))
@@ -378,15 +416,13 @@ def _suite_cross_inner(g: Graph) -> bool:
         return True
     bundle = LaplacianBundle(g)
     ft_all = forest_table(g, range(g.n))
-    trees = ft_all.bracket((0,) * g.n)
-    # Per pairing xy|zw: its positions, [xz|yw] and [xw|yz], both at two components.
-    cross = [(pos, *_split_patterns(*pos)[0][2:]) for pos in _PAIRINGS]
-    two = ft_all.strata((2,))
-    for quad in combinations(range(g.n), 4):
-        ft = two.restrict(quad)
-        for pos, xz_yw, xw_yz in cross:
-            diff = ft.bracket(xz_yw) - ft.bracket(xw_yz)
-            if bundle.cross_inner(*map(quad.__getitem__, pos)) != rat(diff) / trees:
+    trees = ft_all.entries.get(((0,) * g.n, 1), 0)
+    # Entries are den times the brackets, so den cancels in their ratio.
+    for ft in ft_all.subsets(4, (2,)):
+        get, quad = ft.entries.get, ft.marked
+        for pos, xz_yw, xw_yz in _CROSS_INNER_KEYS:
+            diff = get(xz_yw, 0) - get(xw_yz, 0)
+            if bundle.cross_inner(*map(quad.__getitem__, pos)) != Rational(diff, trees):
                 return False
     return True
 
@@ -452,21 +488,16 @@ def _suite_choe(g: Graph) -> bool:
     if g.n < 4:
         return True
     ft_all = forest_table(g, range(g.n))
-    total = ft_all.bracket((0,) * g.n)
-    splits = []
-    for x, y, z, w in _PAIRINGS:
-        xy, three = _split_patterns(x, y, z, w)
-        zw, _ = _split_patterns(z, w, x, y)
-        splits.append((xy, zw, three))
-    # Every bracket below reads at most three components.
-    low = ft_all.strata(range(4))
-    for quad in combinations(range(g.n), 4):
-        ft = low.restrict(quad)
-        for xy, zw, three in splits:
-            lhs = sum(ft.bracket(t) for t in xy)
-            rhs = sum(ft.bracket(t) for t in zw)
-            cross = ft.bracket(xy[3]) - ft.bracket(xy[2])
-            if lhs * rhs != sum(ft.bracket(t) for t in three) * total + cross**2:
+    total = ft_all.entries.get(((0,) * g.n, 1), 0)
+    # Every key below reads two or three components.  Entries are den times
+    # the brackets, and each side is a sum of products of two, so den^2 cancels.
+    for ft in ft_all.subsets(4, (2, 3)):
+        get = ft.entries.get
+        for xy, zw, three in _CHOE_KEYS:
+            lhs = sum(get(k, 0) for k in xy)
+            rhs = sum(get(k, 0) for k in zw)
+            cross = get(xy[3], 0) - get(xy[2], 0)
+            if lhs * rhs != sum(get(k, 0) for k in three) * total + cross**2:
                 return False
     return True
 
@@ -520,23 +551,19 @@ def _suite_four_point_leading(g: Graph) -> bool:
     if g.n < 4:
         return True
     ft_all = forest_table(g, range(g.n))
-    ab, three = _split_patterns(0, 1, 2, 3)
-    cd, _ = _split_patterns(2, 3, 0, 1)
-    together = (0, 0, 0, 0)
-    # Every bracket below reads at most four components: three blocks and one extra.
-    low = ft_all.strata(range(5))
-    for quad in combinations(range(g.n), 4):
-        ft = low.restrict(quad)
+    # Every key below reads one to four components: up to three blocks and one
+    # extra.  Both sides are sums of products of two entries, so den^2 cancels.
+    for ft in ft_all.subsets(4, range(1, 5)):
+        get = ft.entries.get
 
         # Per extra component: sums over ab, cd and the three-block patterns,
         # [abcd], and [ac|bd] - [ad|bc].
-        def sums(extra):
-            brackets = [sum(ft.bracket(t, extra) for t in ts) for ts in (ab, cd, three)]
-            cross = ft.bracket(ab[2], extra) - ft.bracket(ab[3], extra)
-            return (*brackets, ft.bracket(together, extra), cross)
+        def sums(ab, cd, three, abcd):
+            brackets = [sum(get(k, 0) for k in ks) for ks in (ab, cd, three)]
+            return (*brackets, get(abcd, 0), get(ab[2], 0) - get(ab[3], 0))
 
-        ab0, cd0, three0, abcd0, cross0 = sums(0)
-        ab1, cd1, three1, abcd1, cross1 = sums(1)
+        ab0, cd0, three0, abcd0, cross0 = sums(*_LEADING_KEYS[0])
+        ab1, cd1, three1, abcd1, cross1 = sums(*_LEADING_KEYS[1])
         lhs = ab0 * cd1 + cd0 * ab1
         rhs = three0 * abcd1 + three1 * abcd0 + 2 * cross0 * cross1
         if lhs > rhs:
@@ -692,9 +719,8 @@ def _at_each(c: list, lam_grid) -> list:
 
 def _forest_product_inequality(g: Graph, lam_grid):
     """Connection product bound through an intermediate vertex, per lambda."""
-    ft_all = forest_table(g, range(g.n))
-    for trio in combinations(range(g.n), 3):
-        ft = ft_all.restrict(trio)
+    for ft in forest_table(g, range(g.n)).subsets(3):
+        trio = ft.marked
         z = _at_each(ft.event(), lam_grid)
         joined = {}
         for i, j in combinations(range(3), 2):
@@ -719,7 +745,6 @@ def _forest_product_inequality(g: Graph, lam_grid):
 
 
 def _forest_harris(g: Graph, lam_grid):
-    ft_all = forest_table(g, range(g.n))
     # Over the marked (u, w, v): everything, u<->w<->v, u<->w and w<->v.
     events = (
         None,
@@ -727,8 +752,8 @@ def _forest_harris(g: Graph, lam_grid):
         lambda rgs: rgs[0] == rgs[1],
         lambda rgs: rgs[1] == rgs[2],
     )
-    for u_, w_, v_ in combinations(range(g.n), 3):
-        ft = ft_all.restrict((u_, w_, v_))
+    for ft in forest_table(g, range(g.n)).subsets(3):
+        u_, w_, v_ = ft.marked
         values = [_at_each(ft.event(event), lam_grid) for event in events]
         for lam, wz, joint, a, b in zip(lam_grid, *values):
             if joint * wz < a * b:
@@ -772,24 +797,16 @@ def _four_point_forest(weighted: Graph, lam_grid):
     Both sides are products of two probabilities, so they compare times Z^2.
     Returns a witness dict on violation, None otherwise.
     """
-    ft_all = forest_table(weighted, range(weighted.n))
-    (_, _, p_ac, p_ad), p_three = _split_patterns(0, 1, 2, 3)
-    # Over the marked (a, b, c, d): a apart from b, c apart from d, the three-block
-    # splits, all four joined, [ac|bd] and [ad|bc].
-    events = (
-        lambda rgs: rgs[0] != rgs[1],
-        lambda rgs: rgs[2] != rgs[3],
-        lambda rgs: rgs in p_three,
-        lambda rgs: rgs == (0, 0, 0, 0),
-        lambda rgs: rgs == p_ac,
-        lambda rgs: rgs == p_ad,
-    )
-    for quad in combinations(range(weighted.n), 4):
-        ft = ft_all.restrict(quad)
-        values = [_at_each(ft.event(event), lam_grid) for event in events]
+    for ft in forest_table(weighted, range(weighted.n)).subsets(4):
+        # One dense kappa-list per event, as ``BoundaryTable.event`` sums them.
+        sums = [[0] * (weighted.n + 1) for _ in range(6)]
+        for (rgs, kappa), w in ft.entries.items():
+            for i in _FOUR_POINT_EVENTS[rgs]:
+                sums[i][kappa] += w
+        values = [_at_each(c, lam_grid) for c in sums]
         for lam, apart_ab, apart_cd, split3, together, ac, ad in zip(lam_grid, *values):
             if apart_ab * apart_cd < split3 * together + (ac - ad) ** 2:
-                return {"quad": list(quad), "lambda": format_rational(lam)}
+                return {"quad": list(ft.marked), "lambda": format_rational(lam)}
     return None
 
 

@@ -1,7 +1,7 @@
 import hashlib
 import math
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from dense_poly import at
@@ -125,6 +125,14 @@ def test_marked_vertices_must_be_distinct_vertices_of_the_graph():
     for u, v in ((0, 7), (7, 7)):
         with pytest.raises(ValueError, match="must be distinct vertices of 0..2"):
             rc_connection_prob(g, rat(2), u, v)
+    # A table restricts only to distinct vertices of its own marked tuple; a
+    # repeated vertex once gave a table over (0, 0), an unmarked one a KeyError.
+    table = forest_table(named_graph("K4"), range(4))
+    for marked, message in (((0, 0), "vertex 0 is repeated"), ((9,), "vertex 9 is not in the marked tuple")):
+        with pytest.raises(ValueError, match=message):
+            table.restrict(marked)
+    with pytest.raises(ValueError):
+        table.subsets(-1)
 
 
 def test_rc_connection_prob_examples():
@@ -727,24 +735,49 @@ def _rgs_tuples(length):
 
 @settings(deadline=None, max_examples=40, derandomize=True)
 @given(multigraphs())
-def test_strata_keep_every_bracket_they_cover(case):
+def test_subsets_keep_every_bracket_their_counts_cover(case):
     g, marked, _, _, _ = case
-    quad = marked[:4]
-    ft = forest_table(g, range(g.n))
-    full = ft.restrict(quad)
+    ft = forest_table(g, marked[:5])
+    size = min(len(ft.marked), 4)
+    full = list(ft.subsets(size))
+    patterns = _rgs_tuples(size)
     for k in range(g.n + 1):
-        low = ft.strata(range(k + 1)).restrict(quad)
-        for pattern in _rgs_tuples(len(quad)):
-            blocks = max(pattern, default=-1) + 1
-            for extra in range(k - blocks + 1):
-                assert low.bracket(pattern, extra) == full.bracket(pattern, extra)
-        for extra in range(k):
-            assert low.bracket(None, extra) == full.bracket(None, extra)
-    # The single stratum the cross-inner suite reads.
-    two = ft.strata((2,)).restrict(quad)
-    for pattern in _rgs_tuples(len(quad)):
-        if max(pattern, default=-1) == 1:
-            assert two.bracket(pattern) == full.bracket(pattern)
+        for low, whole in zip(ft.subsets(size, range(k + 1)), full, strict=True):
+            for pattern in patterns:
+                blocks = max(pattern, default=-1) + 1
+                for extra in range(k - blocks + 1):
+                    assert low.bracket(pattern, extra) == whole.bracket(pattern, extra)
+            for extra in range(k):
+                assert low.bracket(None, extra) == whole.bracket(None, extra)
+    # The counts the cross-inner (kappa = 2) and choe (kappa = 2, 3) suites keep.
+    for kappas in ((2,), (2, 3)):
+        for low, whole in zip(ft.subsets(size, kappas), full, strict=True):
+            for pattern in patterns:
+                blocks = max(pattern, default=-1) + 1
+                for kappa in kappas:
+                    if kappa >= blocks:
+                        assert low.bracket(pattern, kappa - blocks) == whole.bracket(pattern, kappa - blocks)
+
+
+@settings(deadline=None, max_examples=40, derandomize=True)
+@given(multigraphs(), st.sampled_from((None, (2,), (2, 3), range(1, 5))))
+def test_subsets_match_restrict_in_combinations_order(case, kappas):
+    # Weights include 0/d and d/d, so some keys are reached by zero-weight
+    # subsets only; they stay, with value 0, as restrict keeps them.
+    g, marked, _, _, _ = case
+    plain = g.with_weights(1)
+    tables = [forest_table(g, marked), forest_table(plain, marked)]
+    tables += [rc_boundary_table(g, marked), rc_boundary_table(plain, marked)]
+    for table in tables:
+        for size in range(5):
+            got = list(table.subsets(size, kappas))
+            subsets = list(combinations(marked, size))
+            assert [t.marked for t in got] == subsets
+            for t, subset in zip(got, subsets):
+                whole = table.restrict(subset)
+                want = [(key, w) for key, w in whole.entries.items() if kappas is None or key[1] in kappas]
+                assert list(t.entries.items()) == want
+                assert (t.n, t.den) == (whole.n, whole.den)
 
 
 def test_marked_tuples_of_length_zero_and_one():

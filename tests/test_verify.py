@@ -3,7 +3,7 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from bsst_oracle import bsst_counts, bsst_counts_by_cycles
@@ -250,10 +250,17 @@ def test_identity_suites_make_one_engine_call_per_graph(monkeypatch):
     calls = Counter()
     _count_calls(monkeypatch, verify, ("forest_table", "all_minors_count"), calls)
     _count_calls(monkeypatch, treealg, ("bareiss_det", "invert"), calls)
+    _count_calls(monkeypatch, measures.BoundaryTable, ("restrict", "bracket"), calls)
     for _, g in identity_catalog():
         calls.clear()
         assert verify._suite_bsst(g)
         assert calls == {"forest_table": 1}
+        # The quadruple suites fold one forest table and read its subsets'
+        # entries directly, through no restrict or bracket call.
+        for suite in ("cross-inner", "choe", "four-point-leading"):
+            calls.clear()
+            assert IDENTITY_SUITES[suite](g)
+            assert (calls["forest_table"], calls["restrict"], calls["bracket"]) == (int(g.n >= 4), 0, 0)
         calls.clear()
         assert IDENTITY_SUITES["resistance-bracket"](g)
         assert (calls["bareiss_det"], calls["invert"]) == (1, 1)
@@ -374,16 +381,15 @@ def test_quadruple_suites_check_all_three_pairings(monkeypatch):
     assert len(by_quad) == math.comb(g.n, 4)
     assert all(len(pairings) == 3 for pairings in by_quad.values())
 
-    splits = []
-    real_split = verify._split_patterns
-
-    def split_spy(x, y, z, w):
-        splits.append(_pairing(x, y, z, w))
-        return real_split(x, y, z, w)
-
-    monkeypatch.setattr(verify, "_split_patterns", split_spy)
-    assert IDENTITY_SUITES["choe"](g)
-    assert len(set(splits)) == 3
+    # Choe reads its pattern keys off a module constant, one entry per
+    # pairing.  The one two-block pattern that separates neither x from y nor
+    # z from w is [xy|zw] itself, so it names the entry's pairing.
+    two_blocks = {partition.canonical_rgs(t) for t in product(range(2), repeat=4)} - {(0,) * 4}
+    pairings = set()
+    for xy, zw, _ in verify._CHOE_KEYS:
+        (rest,) = two_blocks - {t for t, _ in xy + zw}
+        pairings.add(_pairing(*sorted(range(4), key=rest.__getitem__)))
+    assert len(pairings) == 3
 
 
 def test_rayleigh_suite_fails_when_a_subgraph_conducts_better(monkeypatch):
