@@ -255,6 +255,8 @@ def cmd_verify(args) -> dict:
     p_grid = _parse_rat_list(args.p) if args.p else DEFAULT_P_GRID
     q_grid = _parse_rat_list(args.q) if args.q else DEFAULT_Q_GRID
     lam_grid = _parse_rat_list(args.lam) if args.lam else DEFAULT_LAMBDA_GRID
+    if args.catalog and (args.graph or args.input):
+        raise UsageError("--catalog runs a whole catalog; give it without --graph or --input")
     reports = []
     if suite in IDENTITY_SUITES:
         # Without --catalog, --graph or --input the suite runs the identity catalog.
@@ -475,8 +477,11 @@ def _run(argv, capture_only: bool = False):
         return payload
     out = getattr(args, "out", None)
     if out:
-        with open(out, "w") as fh:
-            json.dump({"schema": SCHEMA, "argv": list(argv), "payload": payload}, fh, indent=1)
+        try:
+            with open(out, "w") as fh:
+                json.dump({"schema": SCHEMA, "argv": list(argv), "payload": payload}, fh, indent=1)
+        except OSError as exc:
+            raise UsageError(f"cannot write report {out!r}: {type(exc).__name__}: {exc}") from None
         print(f"report written to {out}")
     return payload
 

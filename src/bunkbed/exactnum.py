@@ -12,14 +12,15 @@ exponent tuples in the indeterminates q, l, g, h (l is the forest activity
 usually written lambda) to rational coefficients, with no arithmetic.
 
 Real roots are isolated by bisection, once the roots at the domain ends are
-divided out.  If the degree left is at most 24, Sturm chains count them.
-Above that, Descartes' rule of signs certifies each node of a bisection tree
-(Collins and Akritas 1976; Rouillier and Zimmermann 2004): a node carries a
-positive integer multiple of p mapped onto (0, 1), and its children come from
-it by bit shifts and one Taylor shift by 1, which is additions only.  Roots
-that Descartes cannot separate (a repeated root) send the same call on to
-Sturm.  Either certifier halves a bracket holding one distinct root on the
-sign of p times gcd(p, p'), whose roots are all simple; a midpoint that is
+divided out.  The degree left alone picks the certifier; no caller chooses
+one.  If it is at most 24, Sturm chains count the roots.  Above that,
+Descartes' rule of signs certifies each node of a bisection tree (Collins and
+Akritas 1976; Rouillier and Zimmermann 2004): a node carries a positive
+integer multiple of p mapped onto (0, 1), and its children come from it by bit
+shifts and one Taylor shift by 1, which is additions only.  Roots that
+Descartes cannot separate (a repeated root) send the same call on to Sturm, up
+to degree 96.  Either certifier halves a bracket holding one distinct root on
+the sign of p times gcd(p, p'), whose roots are all simple; a midpoint that is
 the root itself ends the halving with a bracket centred on it.  Multiplicities
 are counted on the tower gcd(p, p'), gcd(gcd, gcd'), ..., each level the last
 member of the Sturm chain of the one before.  Every sign is the sign of an
@@ -57,7 +58,6 @@ __all__ = [
     "IsolatingInterval",
     "sturm_chain",
     "sturm_count",
-    "count_real_roots",
     "isolate_real_roots",
     "isolate_negative_region",
     "descartes_no_roots_above",
@@ -71,10 +71,11 @@ _R1 = Rational(1)
 
 
 def rat(num, den=1) -> Rational:
-    """Exact rational from integers, strings, or another rational.
+    """Exact rational from integers, "a/b" strings, or another rational.
 
     Two ints make one Rational, and a Rational alone comes back unchanged.
-    Floats are refused: 0.1 is a binary fraction, not one tenth.
+    Floats are refused: 0.1 is a binary fraction, not one tenth.  Strings
+    go through ``parse_rational``, so "0.1" is refused too.
     """
     if type(den) is int:
         if type(num) is int:
@@ -83,18 +84,8 @@ def rat(num, den=1) -> Rational:
             return num
     if isinstance(num, float) or isinstance(den, float):
         raise TypeError(f"rat({num!r}, {den!r}): floats are not exact rationals")
-    if den == 1:
-        if isinstance(num, str):
-            return parse_rational(num)
-        return Rational(num)
-    return Rational(num) / Rational(den)
-
-
-def _rational(x) -> Rational:
-    """Rational(x), refusing floats as ``rat`` does."""
-    if isinstance(x, float):
-        raise TypeError(f"{x!r}: floats are not exact rationals")
-    return Rational(x)
+    num, den = (parse_rational(x) if isinstance(x, str) else Rational(x) for x in (num, den))
+    return num if den == 1 else num / den
 
 
 def parse_rational(text: str) -> Rational:
@@ -133,7 +124,7 @@ class MultiPoly:
         cleaned = {}
         if terms:
             for exp, coeff in terms.items():
-                c = _rational(coeff)
+                c = rat(coeff)
                 if c != 0:
                     if len(exp) != _NVARS or any(e < 0 for e in exp):
                         raise ValueError(f"bad exponent tuple {exp!r}")
@@ -203,7 +194,7 @@ class RationalMatrix:
     __slots__ = ("rows", "cols", "num", "den")
 
     def __init__(self, data: Iterable[Iterable]):
-        data = [[x if type(x) in (int, Rational) else _rational(x) for x in row] for row in data]
+        data = [[x if type(x) in (int, Rational) else rat(x) for x in row] for row in data]
         den = lcm(*(int(x.denominator) for row in data for x in row))
         # Over the lcm of the reduced denominators gcd(den, entries) is already 1.
         self._set([[int(x.numerator) * (den // int(x.denominator)) for x in row] for row in data], den)
@@ -272,7 +263,7 @@ class RationalMatrix:
                 [[sum(map(mul, row, col)) for col in bt] for row in self.num],
                 self.den * other.den,
             )
-        c = _rational(other)
+        c = rat(other)
         a = int(c.numerator)
         return RationalMatrix.from_integers(
             [[x * a for x in row] for row in self.num], self.den * int(c.denominator)
@@ -439,7 +430,7 @@ def _trim(c: list[int]) -> list[int]:
 
 def _int_clear(coeffs: Sequence) -> list[int]:
     """Scale a rational coefficient list by a positive rational to integers."""
-    coeffs = [c if type(c) is int or type(c) is Rational else _rational(c) for c in coeffs]
+    coeffs = [c if type(c) is int or type(c) is Rational else rat(c) for c in coeffs]
     scale = lcm(*(int(c.denominator) for c in coeffs))
     return _trim([int(c.numerator) * (scale // int(c.denominator)) for c in coeffs])
 
@@ -570,28 +561,10 @@ def _chain_variations_at(chain, x: Rational) -> int:
     return _variations(_sign(_eval_scaled(p, num, den)) for p in chain)
 
 
-def _chain_variations_inf(chain, positive: bool) -> int:
-    signs = []
-    for p in chain:
-        s = _sign(p[-1])
-        if not positive and (len(p) - 1) % 2 == 1:
-            s = -s
-        signs.append(s)
-    return _variations(signs)
-
-
 def sturm_count(chain, a: Rational, b: Rational) -> int:
     """Number of distinct real roots in (a, b] (endpoints must not be roots of p)."""
     a, b = Rational(a), Rational(b)
     return _chain_variations_at(chain, a) - _chain_variations_at(chain, b)
-
-
-def count_real_roots(coeffs: Sequence) -> int:
-    """Total number of distinct real roots."""
-    chain = sturm_chain(coeffs)
-    return _chain_variations_inf(chain, positive=False) - _chain_variations_inf(
-        chain, positive=True
-    )
 
 
 # -- Descartes / interval sign variation machinery
@@ -667,29 +640,23 @@ class IsolatingInterval:
 
 
 _STURM_DEGREE_LIMIT = 24
+# Descartes hands roots it cannot separate on to Sturm up to this degree.
+_FALLBACK_DEGREE_LIMIT = 96
 
 
-def isolate_real_roots(
-    coeffs: Sequence,
-    domain: tuple,
-    width,
-    engine: str = "auto",
-) -> list[IsolatingInterval]:
+def isolate_real_roots(coeffs: Sequence, domain: tuple, width) -> list[IsolatingInterval]:
     """Isolate the distinct real roots of a univariate polynomial in a domain.
 
     Returns disjoint intervals of width < `width`, each containing exactly one
     distinct root whose multiplicity is reported.  Roots at the domain ends
     are divided out exactly and not reported; an interval may end at such a
-    domain end, and no other interval endpoint is a root.  `engine` selects
-    the certification method: "sturm" builds a Sturm chain (exhaustive but
-    with heavy coefficient growth at high degree), "descartes" certifies
-    through Descartes sign variations on a bisection tree and needs no chain;
-    "auto" uses Sturm up to degree 24 and Descartes beyond, counting the
-    degree after the end roots are divided out.  When Descartes meets roots
-    that fail to separate (a repeated root), the same call goes on with Sturm.
+    domain end, and no other interval endpoint is a root.  The degree left
+    picks the certifier: up to 24 a Sturm chain (exhaustive, but with heavy
+    coefficient growth at high degree), above it Descartes sign variations on
+    a bisection tree, which need no chain.  When Descartes meets roots that
+    fail to separate (a repeated root), the same call goes on with Sturm up
+    to degree 96 and raises ValueError above it.
     """
-    if engine not in ("auto", "sturm", "descartes"):
-        raise ValueError(f"unknown isolation engine {engine!r}")
     lo, hi = Rational(domain[0]), Rational(domain[1])
     if not lo < hi:
         raise ValueError("empty domain")
@@ -703,11 +670,11 @@ def isolate_real_roots(
     degree = len(c) - 1
     if degree == 0:
         return []
-    if engine == "descartes" or engine == "auto" and degree > _STURM_DEGREE_LIMIT:
+    if degree > _STURM_DEGREE_LIMIT:
         try:
             return [IsolatingInterval(a, b) for a, b in _isolate_descartes(c, lo, hi, width)]
         except _RepeatedRootSuspicion:
-            if degree > 4 * _STURM_DEGREE_LIMIT:
+            if degree > _FALLBACK_DEGREE_LIMIT:
                 raise ValueError(
                     "roots failed to separate; certified isolation at this "
                     "degree needs a square-free polynomial"
@@ -846,15 +813,15 @@ def isolate_negative_region(p: MultiPoly, domain: tuple, width):
     if not any(coeffs):
         raise ValueError("zero polynomial has no sign regions")
     lo, hi = Rational(domain[0]), Rational(domain[1])
-    roots = isolate_real_roots(coeffs, (lo, hi), width)
-    # Divide out the roots at the domain ends, so that the sign just inside
-    # an end can be read at the end itself, where a bracket may start or
-    # stop.  On (lo, hi), (q - lo)**k is positive and (q - hi)**k has the
-    # sign (-1)**k.
+    # Divide out the roots at the domain ends once, before isolating, so
+    # that the sign just inside an end can be read at the end itself, where
+    # a bracket may start or stop.  On (lo, hi), (q - lo)**k is positive and
+    # (q - hi)**k has the sign (-1)**k.
     c = _divide_out_root(_int_clear(coeffs), lo)
     at_hi = len(c)
     c = _divide_out_root(c, hi)
     flip = -1 if (at_hi - len(c)) % 2 else 1
+    roots = isolate_real_roots(c, (lo, hi), width)
 
     # One exact sign per gap between consecutive root brackets.
     bounds = [lo] + [r.low for r in roots] + [hi]

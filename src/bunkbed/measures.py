@@ -15,9 +15,9 @@ forests, whose folds drop a branch as soon as it closes a cycle.  A
 them, where the RGS gives the marked vertex at position i the number of its
 block, blocks numbered by first appearance; ``event`` sums an event's entries
 into a dense kappa-list, which callers read at q or lambda through
-``exactnum._eval_scaled``, ``restrict`` regroups by fewer marked vertices,
-and ``subsets`` regroups by every subset of one size in one projection pass
-each, keeping only the component counts a caller reads.
+``exactnum._eval_scaled``, and ``subsets`` regroups by every subset of the
+marked vertices of one size in one projection pass each, keeping only the
+component counts a caller reads.
 ``rc_profile`` counts subsets by (marked RGS, |S|, kappa), once per query
 triple in ``bunkbed_case_profiles``.  ``forest_masks``, which lists every
 forest by a depth-first walk over the same sweep, is the forest oracle that
@@ -300,8 +300,8 @@ class BoundaryTable:
     rgs[i] == rgs[j], den the product of the edge weights' denominators.  A
     random-cluster table weighs every subset (kappa is the power of q), a
     forest table only the forests.  A key that only zero-weight subsets reach
-    stays, with value 0.  `restrict` and `subsets` derive the tables over
-    fewer marked vertices through one projection, ``_project``.
+    stays, with value 0.  `subsets` derives the tables over fewer marked
+    vertices.
     """
 
     marked: tuple
@@ -344,43 +344,17 @@ class BoundaryTable:
             w = self.entries.get((pattern, max(pattern, default=-1) + 1 + extra), 0)
         return w if self.den == 1 else Rational(w, self.den)
 
-    def restrict(self, marked) -> "BoundaryTable":
-        """The same subsets keyed by the RGS over fewer marked vertices.
-
-        `marked` lists distinct vertices of this table's marked tuple, in any
-        order, and ValueError names the first vertex that is not one; the
-        result equals the table built over them directly.
-        """
-        marked = tuple(marked)
-        index = {x: i for i, x in enumerate(self.marked)}
-        for j, x in enumerate(marked):
-            if x not in index:
-                raise ValueError(f"vertex {x} is not in the marked tuple {self.marked}")
-            if x in marked[:j]:
-                raise ValueError(f"vertex {x} is repeated in {marked}")
-        return self._project(*self._rows(None), [index[x] for x in marked], {})
-
     def subsets(self, size: int, kappas=None):
-        """``restrict(subset)`` for each `size`-subset of the marked tuple, in combinations order.
+        """The table over each `size`-subset of the marked tuple, in combinations order.
 
-        With `kappas`, each table keeps only the entries whose component count
-        lies in it: a bracket or event that reads only those counts gives
-        what it gives on the full table.  As ``itertools.combinations``, a
-        size above len(marked) yields nothing and a negative one raises
-        ValueError.  The entries are turned into rows once, and every
-        subset's projection shares one memo of the canonical keys.
-        """
-        rows, weights = self._rows(kappas)
-        memo: dict = {}
-        return (
-            self._project(rows, weights, positions, memo)
-            for positions in combinations(range(len(self.marked)), size)
-        )
-
-    def _rows(self, kappas) -> tuple[list, list]:
-        """(rows, weights): (*rgs, kappa) and the value of each entry whose count lies in `kappas`.
-
-        None keeps every entry.
+        Each table equals the one folded over that subset directly.  With
+        `kappas`, it keeps only the entries whose component count lies in
+        it: a bracket or event that reads only those counts gives what it
+        gives on the full table.  As ``itertools.combinations``, a size above
+        len(marked) yields nothing and a negative one raises ValueError at
+        the call.  The entries are turned into rows (*rgs, kappa) once; each
+        subset sums them by their raw projection, and every distinct raw key
+        is canonicalised once through one memo that all subsets share.
         """
         keep = None if kappas is None else frozenset(kappas)
         rows, weights = [], []
@@ -388,26 +362,22 @@ class BoundaryTable:
             if keep is None or kappa in keep:
                 rows.append((*rgs, kappa))
                 weights.append(w)
-        return rows, weights
+        memo: dict = {}
 
-    def _project(self, rows, weights, positions, memo: dict) -> "BoundaryTable":
-        """The table over the marked vertices at `positions`, summed from `rows` and `weights`.
+        def project(positions) -> BoundaryTable:
+            acc: dict = {}
+            for raw, w in zip(map(_picker((*positions, len(self.marked))), rows), weights):
+                acc[raw] = acc.get(raw, 0) + w
+            entries: dict = {}
+            for raw, w in acc.items():
+                key = memo.get(raw)
+                if key is None:
+                    key = memo[raw] = (canonical_rgs(raw[:-1]), raw[-1])
+                entries[key] = entries.get(key, 0) + w
+            marked = tuple(self.marked[i] for i in positions)
+            return BoundaryTable(marked, self.n, entries, self.den)
 
-        Rows are summed by their raw projection, then each distinct raw key
-        is canonicalised once through `memo`, which maps it to its (RGS,
-        kappa) key and may be shared by projections of the same rows.
-        """
-        acc: dict = {}
-        for raw, w in zip(map(_picker((*positions, len(self.marked))), rows), weights):
-            acc[raw] = acc.get(raw, 0) + w
-        entries: dict = {}
-        for raw, w in acc.items():
-            key = memo.get(raw)
-            if key is None:
-                key = memo[raw] = (canonical_rgs(raw[:-1]), raw[-1])
-            entries[key] = entries.get(key, 0) + w
-        marked = tuple(self.marked[i] for i in positions)
-        return BoundaryTable(marked, self.n, entries, self.den)
+        return map(project, combinations(range(len(self.marked)), size))
 
 
 def _at_activity(c: list, lam) -> int:

@@ -28,7 +28,6 @@ from .exactnum import (
     RationalMatrix,
     bareiss_det,
     invert,
-    psd_certificate,
     rat,
 )
 from .graph import Graph, bunkbed, bunkbed_copies
@@ -39,7 +38,6 @@ __all__ = [
     "PostsBundle",
     "all_minors_count",
     "pseudoinverse",
-    "psd_certificate",
     "bunkbed_pseudoinverse",
 ]
 

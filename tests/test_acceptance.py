@@ -12,9 +12,10 @@ from bunkbed.catalog import connected_graphs, identity_catalog, named_graph, nam
 from bunkbed.cli import KNOWN_FAILURE_WINDOWS, negative_window_rows
 from bunkbed.exactnum import (
     MultiPoly,
-    count_real_roots,
     isolate_negative_region,
     rat,
+    sturm_chain,
+    sturm_count,
 )
 from bunkbed.graph import Graph
 from bunkbed.measures import alt_colouring_counts, hypergraph_rc_difference
@@ -80,7 +81,8 @@ def test_criterion_02_hypergraph_factorization():
 
 
 def test_criterion_03_root_certification():
-    assert count_real_roots(CUBIC.dense_in("q")) == 1
+    # One real root in all: every one lies inside the Cauchy bound 11.
+    assert sturm_count(sturm_chain(CUBIC.dense_in("q")), rat(-11), rat(11)) == 1
     roots, _ = isolate_negative_region(CUBIC, (rat(0), rat(10)), rat(1, 1000))
     ok = (
         len(roots) == 1

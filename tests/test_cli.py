@@ -266,6 +266,9 @@ def test_exit_code_mapping():
         (["verify", "--suite", "conjectures", "--weightings", "0"], "weightings"),
         (["verify", "--suite", "conjectures", "--weightings", "-3"], "weightings"),
         (["compute", "bracket", "--input", "{tmp}/negative.json", "--marked", "0,2"], "non-negative; got -1/2"),
+        (["verify", "--suite", "bunkbed", "--catalog", "small4", "--graph", "K4"], "--catalog"),
+        (["verify", "--suite", "choe", "--catalog", "identity", "--input", "{tmp}/two_edges.json"], "--catalog"),
+        (["compute", "resistance", "--graph", "K4", "--out", "{tmp}/missing/x.json"], "cannot write report"),
     ],
 )
 def test_malformed_input_is_usage_error(argv, fragment, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,7 +17,6 @@ from bunkbed.exactnum import (
     Rational,
     RationalMatrix,
     bareiss_det,
-    count_real_roots,
     descartes_no_roots_above,
     format_rational,
     invert,
@@ -60,6 +60,21 @@ def test_rat_builds_one_rational_and_returns_a_rational_unchanged():
     assert rat(x, 3) == Rational(1, 7)
     assert rat(Fraction(1, 2)) == Rational(1, 2)
     assert rat("-6/4") == Rational(-3, 2)
+
+
+def test_rat_refuses_decimal_strings():
+    # Fraction reads "0.1" as one tenth; rat reads only integers and "a/b",
+    # and so do the polynomial view, the matrices and root isolation.
+    for args in (("0.1",), ("1/2", "0.5"), ("1e3",)):
+        with pytest.raises(ValueError):
+            rat(*args)
+    assert rat("3/4", "1/2") == Rational(3, 2)
+    with pytest.raises(ValueError):
+        MultiPoly({(0, 0, 0, 0): "0.1"})
+    with pytest.raises(ValueError):
+        RationalMatrix([["0.5"]])
+    with pytest.raises(ValueError):
+        isolate_real_roots(["-0.5", 1], (rat(0), rat(1)), rat(1, 10))
 
 
 def test_multipoly_refuses_floats():
@@ -280,7 +295,29 @@ def test_psd_certificate_semidefinite_and_indefinite():
 def test_sturm_count_on_cubic():
     chain = sturm_chain(CUBIC.dense_in("q"))
     assert sturm_count(chain, rat(0), rat(10)) == 1
-    assert count_real_roots(CUBIC.dense_in("q")) == 1
+    # Every real root lies inside the Cauchy bound 1 + max |c_i / c_3| = 11.
+    assert sturm_count(chain, rat(-11), rat(11)) == 1
+
+
+@pytest.fixture
+def engine(request, monkeypatch):
+    """Force one certifier at every degree through the Sturm degree limit.
+
+    Descartes keeps its fallback to Sturm for roots it cannot separate.
+    """
+    limit = {"sturm": 10**9, "descartes": 0}[request.param]
+    monkeypatch.setattr(exactnum, "_STURM_DEGREE_LIMIT", limit)
+    calls = Counter()
+    for name in ("sturm", "descartes"):
+        def counted(*args, real=getattr(exactnum, f"_isolate_{name}"), name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(exactnum, f"_isolate_{name}", counted)
+    yield request.param
+    # The forced certifier ran; Sturm runs after Descartes only as its fallback.
+    assert calls[request.param]
+    assert request.param == "descartes" or not calls["descartes"]
 
 
 def test_isolating_interval_invariants():
@@ -290,9 +327,9 @@ def test_isolating_interval_invariants():
         IsolatingInterval(rat(0), rat(1), 0)
 
 
-@pytest.mark.parametrize("engine", ["sturm", "descartes"])
+@pytest.mark.parametrize("engine", ["sturm", "descartes"], indirect=True)
 def test_root_near_143_is_certified(engine):
-    roots = isolate_real_roots(CUBIC.dense_in("q"), (rat(0), rat(10)), rat(1, 1000), engine=engine)
+    roots = isolate_real_roots(CUBIC.dense_in("q"), (rat(0), rat(10)), rat(1, 1000))
     assert len(roots) == 1
     r = roots[0]
     assert rat(142, 100) < r.low < r.high < rat(144, 100)
@@ -363,13 +400,13 @@ def test_window_next_to_a_root_at_the_domain_end_is_kept():
     assert negative == [(rat(0), roots[0].high)]
 
 
-@pytest.mark.parametrize("engine", ["sturm", "descartes"])
+@pytest.mark.parametrize("engine", ["sturm", "descartes"], indirect=True)
 def test_isolation_brackets_random_products_of_linear_factors(engine):
     rng = random.Random(19)
     for _ in range(12):
         roots = sorted(rng.sample(range(-8, 9), rng.randint(1, 4)))
         p = from_roots(roots)
-        found = isolate_real_roots(p, (rat(-10), rat(10)), rat(1, 8), engine=engine)
+        found = isolate_real_roots(p, (rat(-10), rat(10)), rat(1, 8))
         assert len(found) == len(roots)
         for interval, r in zip(found, roots):
             assert interval.contains(r)
@@ -413,40 +450,40 @@ def test_brackets_confirmed_by_endpoint_signs():
                 assert (lo_sign < 0) != (hi_sign < 0)
 
 
-def test_descartes_falls_back_for_repeated_roots():
-    found = isolate_real_roots(
-        from_roots([1, 1, 3]), (rat(0), rat(5)), rat(1, 16), engine="descartes"
-    )
+def test_descartes_falls_back_for_repeated_roots(monkeypatch):
+    monkeypatch.setattr(exactnum, "_STURM_DEGREE_LIMIT", 0)
+    found = isolate_real_roots(from_roots([1, 1, 3]), (rat(0), rat(5)), rat(1, 16))
     assert [iv.multiplicity for iv in found] == [2, 1]
 
 
-def test_both_engines_bracket_a_midpoint_root_alike():
-    # 3/8 is a bisection midpoint of (0, 2); the bracket centres on it.
+def test_both_engines_bracket_a_midpoint_root_alike(monkeypatch):
+    # 3/8 is a bisection midpoint of (0, 2); the bracket centres on it.  The
+    # degree limit 24 picks Sturm for this quadratic, and 0 picks Descartes.
     p = from_roots([rat(3, 8), rat(9, 5)])
-    by_engine = [
-        isolate_real_roots(p, (rat(0), rat(2)), rat(1, 1000), engine=engine)
-        for engine in ("sturm", "descartes")
-    ]
+    by_engine = []
+    for limit in (24, 0):
+        monkeypatch.setattr(exactnum, "_STURM_DEGREE_LIMIT", limit)
+        by_engine.append(isolate_real_roots(p, (rat(0), rat(2)), rat(1, 1000)))
     assert by_engine[0] == by_engine[1]
     assert (by_engine[0][0].low, by_engine[0][0].high) == (rat(1499, 4000), rat(1501, 4000))
     assert by_engine[0][1].contains(rat(9, 5))
 
 
-@pytest.mark.parametrize("engine", ["sturm", "descartes"])
+@pytest.mark.parametrize("engine", ["sturm", "descartes"], indirect=True)
 def test_multiplicities_three_and_four_are_reported(engine):
     roots = [rat(1, 3)] * 3 + [rat(5, 7)] * 4 + [rat(3, 2)]
-    found = isolate_real_roots(from_roots(roots), (rat(0), rat(2)), rat(1, 100), engine=engine)
+    found = isolate_real_roots(from_roots(roots), (rat(0), rat(2)), rat(1, 100))
     assert [iv.multiplicity for iv in found] == [3, 4, 1]
     assert all(iv.contains(r) for iv, r in zip(found, (rat(1, 3), rat(5, 7), rat(3, 2))))
 
 
-@pytest.mark.parametrize("engine", ["sturm", "descartes"])
+@pytest.mark.parametrize("engine", ["sturm", "descartes"], indirect=True)
 @pytest.mark.parametrize("end", ["low", "high"])
 def test_root_next_to_a_root_at_the_domain_end_is_kept(engine, end):
     eps = rat(1, 10**7)
     root, near = (rat(0), eps) if end == "low" else (rat(1), 1 - eps)
     p = [c * 10**7 for c in from_roots([root, near, rat(1, 2)])]
-    found = isolate_real_roots(p, (rat(0), rat(1)), eps * 10, engine=engine)
+    found = isolate_real_roots(p, (rat(0), rat(1)), eps * 10)
     assert len(found) == 2
     inner = found[0] if end == "low" else found[1]
     assert inner.contains(near) and inner.width() < eps * 10
@@ -456,7 +493,7 @@ def test_root_next_to_a_root_at_the_domain_end_is_kept(engine, end):
 
 def test_root_at_both_domain_ends_and_a_double_one_inside():
     p = from_roots([rat(1), rat(1), rat(3, 2), rat(3, 2), rat(2)])
-    (found,) = isolate_real_roots(p, (rat(1), rat(2)), rat(1, 100), engine="sturm")
+    (found,) = isolate_real_roots(p, (rat(1), rat(2)), rat(1, 100))
     assert found.contains(rat(3, 2)) and found.multiplicity == 2
 
 

@@ -20,6 +20,43 @@ def test_every_export_resolves():
     assert checked
 
 
+def _own_names(tree: ast.Module) -> set:
+    """Names a module binds at top level itself: defs, classes, assignments
+    and imports from outside the package, not names taken from a sibling."""
+    own = set()
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.If, ast.Try)):
+            stack += node.body + node.orelse + getattr(node, "finalbody", [])
+            stack += [stmt for handler in getattr(node, "handlers", []) for stmt in handler.body]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            own.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            own |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+        elif isinstance(node, ast.Import):
+            own |= {(a.asname or a.name).split(".")[0] for a in node.names if not a.name.startswith("bunkbed")}
+        elif isinstance(node, ast.ImportFrom) and not node.level and not node.module.startswith("bunkbed"):
+            own |= {a.asname or a.name for a in node.names}
+    return own
+
+
+def test_every_export_is_defined_in_its_own_module():
+    # A name is exported by the module that defines it, never re-exported by
+    # a sibling that imports it.
+    checked = 0
+    for info in pkgutil.iter_modules(bunkbed.__path__):
+        module = importlib.import_module(f"bunkbed.{info.name}")
+        exports = getattr(module, "__all__", None)
+        if exports is None:
+            continue
+        own = _own_names(ast.parse(Path(module.__file__).read_text()))
+        assert [x for x in exports if x not in own] == [], info.name
+        checked += 1
+    assert checked
+
+
 def test_package_imports_only_stdlib_and_gmpy2():
     # A code path must not depend on what else is installed: no numpy or sympy.
     allowed = sys.stdlib_module_names | {"gmpy2", "bunkbed"}

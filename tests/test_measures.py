@@ -125,14 +125,9 @@ def test_marked_vertices_must_be_distinct_vertices_of_the_graph():
     for u, v in ((0, 7), (7, 7)):
         with pytest.raises(ValueError, match="must be distinct vertices of 0..2"):
             rc_connection_prob(g, rat(2), u, v)
-    # A table restricts only to distinct vertices of its own marked tuple; a
-    # repeated vertex once gave a table over (0, 0), an unmarked one a KeyError.
-    table = forest_table(named_graph("K4"), range(4))
-    for marked, message in (((0, 0), "vertex 0 is repeated"), ((9,), "vertex 9 is not in the marked tuple")):
-        with pytest.raises(ValueError, match=message):
-            table.restrict(marked)
+    # As combinations does, subsets refuses a negative size at the call.
     with pytest.raises(ValueError):
-        table.subsets(-1)
+        forest_table(named_graph("K4"), range(4)).subsets(-1)
 
 
 def test_rc_connection_prob_examples():
@@ -663,7 +658,7 @@ def test_engines_match_per_subset_oracle(case):
 
 @settings(deadline=None, max_examples=40)
 @given(multigraphs())
-def test_forest_table_restrict_and_probability_match_oracle(case):
+def test_forest_table_subsets_and_probability_match_oracle(case):
     g, marked, _, _, _ = case
     forests = [
         (mask, roots, kappa, present)
@@ -672,13 +667,15 @@ def test_forest_table_restrict_and_probability_match_oracle(case):
     ]
     assert forest_masks(g) == sorted((mask, kappa) for mask, _, kappa, _ in forests)
 
+    # Every table over a subset equals the one folded over it directly.
     everyone = tuple(range(g.n))
     plain = g.with_weights(1)
     for h in (g, plain):
-        assert forest_table(h, everyone).restrict(marked) == forest_table(h, marked)
-    assert rc_boundary_table(g, everyone).restrict(marked) == rc_boundary_table(g, marked)
-    restricted = forest_table(plain, everyone).restrict(marked)
-    assert all(type(c) is int for c in restricted.entries.values())
+        for t in forest_table(h, everyone).subsets(len(marked)):
+            assert t == forest_table(h, t.marked)
+            assert h is g or all(type(c) is int for c in t.entries.values())
+    for t in rc_boundary_table(g, everyone).subsets(len(marked)):
+        assert t == rc_boundary_table(g, t.marked)
 
     def event(rgs):
         return sum(rgs) % 2 == 0
@@ -761,31 +758,32 @@ def test_subsets_keep_every_bracket_their_counts_cover(case):
 
 @settings(deadline=None, max_examples=40, derandomize=True)
 @given(multigraphs(), st.sampled_from((None, (2,), (2, 3), range(1, 5))))
-def test_subsets_match_restrict_in_combinations_order(case, kappas):
+def test_subsets_match_direct_folds_in_combinations_order(case, kappas):
     # Weights include 0/d and d/d, so some keys are reached by zero-weight
-    # subsets only; they stay, with value 0, as restrict keeps them.
+    # subsets only; they stay, with value 0, as the direct fold keeps them.
     g, marked, _, _, _ = case
-    plain = g.with_weights(1)
-    tables = [forest_table(g, marked), forest_table(plain, marked)]
-    tables += [rc_boundary_table(g, marked), rc_boundary_table(plain, marked)]
-    for table in tables:
-        for size in range(5):
-            got = list(table.subsets(size, kappas))
-            subsets = list(combinations(marked, size))
-            assert [t.marked for t in got] == subsets
-            for t, subset in zip(got, subsets):
-                whole = table.restrict(subset)
-                want = [(key, w) for key, w in whole.entries.items() if kappas is None or key[1] in kappas]
-                assert list(t.entries.items()) == want
-                assert (t.n, t.den) == (whole.n, whole.den)
+    for h in (g, g.with_weights(1)):
+        for build in (forest_table, rc_boundary_table):
+            table = build(h, marked)
+            for size in range(5):
+                got = list(table.subsets(size, kappas))
+                subsets = list(combinations(marked, size))
+                assert [t.marked for t in got] == subsets
+                for t, subset in zip(got, subsets):
+                    direct = build(h, subset)
+                    want = {key: w for key, w in direct.entries.items() if kappas is None or key[1] in kappas}
+                    assert t.entries == want
+                    assert (t.n, t.den) == (direct.n, direct.den)
 
 
 def test_marked_tuples_of_length_zero_and_one():
     g = named_graph("house")
     everyone = tuple(range(g.n))
+    for size in (0, 1):
+        for build in (forest_table, rc_boundary_table):
+            for t in build(g, everyone).subsets(size):
+                assert t == build(g, t.marked)
     for marked in ((), (3,)):
-        assert forest_table(g, everyone).restrict(marked) == forest_table(g, marked)
-        assert rc_boundary_table(g, everyone).restrict(marked) == rc_boundary_table(g, marked)
         profile = rc_profile(g, marked)
         assert all(len(rgs) == len(marked) for rgs, _, _ in profile)
         assert sum(profile.values()) == 2**g.m

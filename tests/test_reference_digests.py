@@ -1,19 +1,21 @@
-"""Byte identity of the bunkbed checks against the benchmark's pinned digests.
+"""Byte identity of every benchmark job against the benchmark's pinned digests.
 
-The verify workload is built at the default seed through
-``perfbench/workloads.py``, and the outputs of its bunkbed, p-threshold and
-conjecture-scan jobs are digested as the benchmark digests them.  Each digest
-must equal the one pinned in ``perfbench/reference.json``, which is only read.
+Each workload is built at the default seed through ``perfbench/workloads.py``,
+and the output of every job that ``perfbench/reference.json`` pins is checked
+and digested as the benchmark digests it.  Each digest must equal the pinned
+one; the perfbench files are only read.
 """
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
 import pytest
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-JOBS = ("bunkbed-small4", "bunkbed-K4-arboreal", "p-threshold-K4", "conjectures")
+REFERENCE = json.loads((PERFBENCH / "reference.json").read_text())
+OTHER_JOBS = [(workload, name) for workload in ("table2", "networks", "roots") for name in sorted(REFERENCE[workload])]
 
 
 def _program_modules():
@@ -21,17 +23,23 @@ def _program_modules():
 
 
 @pytest.fixture(scope="module")
-def verify_workload():
-    """(workloads module, verify jobs by name); the set-up re-imports bunkbed,
-    so every other test gets its modules back afterwards."""
+def workload_jobs():
+    """(workloads module, {workload: {job name: job}}) at the default seed.
+
+    Each set-up re-imports bunkbed, so every other test gets its modules
+    back afterwards.
+    """
     saved = _program_modules()
     spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = workloads
     try:
         spec.loader.exec_module(workloads)
-        _, jobs = workloads.build("verify", workloads.DEFAULT_SEED)
-        yield workloads, {job.name: job for job in jobs}
+        jobs = {}
+        for workload in workloads.WORKLOADS:
+            _, built = workloads.build(workload, workloads.DEFAULT_SEED)
+            jobs[workload] = {job.name: job for job in built}
+        yield workloads, jobs
     finally:
         del sys.modules[spec.name]
         for name in _program_modules():
@@ -39,11 +47,19 @@ def verify_workload():
         sys.modules.update(saved)
 
 
-@pytest.mark.parametrize("name", JOBS)
-def test_verify_job_matches_reference_digest(verify_workload, name):
-    workloads, jobs = verify_workload
-    job = jobs[name]
+def _assert_digest(workload_jobs, workload, name):
+    workloads, jobs = workload_jobs
+    job = jobs[workload][name]
     out = job.run()
     job.check(out)
-    want = workloads.load_reference()["verify"][job.ref_key]
-    assert workloads.digest(job.to_json(out)) == want
+    assert workloads.digest(job.to_json(out)) == REFERENCE[workload][job.ref_key]
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE["verify"]))
+def test_verify_job_matches_reference_digest(workload_jobs, name):
+    _assert_digest(workload_jobs, "verify", name)
+
+
+@pytest.mark.parametrize("workload, name", OTHER_JOBS, ids=[f"{w}-{n}" for w, n in OTHER_JOBS])
+def test_job_matches_reference_digest(workload_jobs, workload, name):
+    _assert_digest(workload_jobs, workload, name)

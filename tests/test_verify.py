@@ -250,17 +250,17 @@ def test_identity_suites_make_one_engine_call_per_graph(monkeypatch):
     calls = Counter()
     _count_calls(monkeypatch, verify, ("forest_table", "all_minors_count"), calls)
     _count_calls(monkeypatch, treealg, ("bareiss_det", "invert"), calls)
-    _count_calls(monkeypatch, measures.BoundaryTable, ("restrict", "bracket"), calls)
+    _count_calls(monkeypatch, measures.BoundaryTable, ("bracket",), calls)
     for _, g in identity_catalog():
         calls.clear()
         assert verify._suite_bsst(g)
         assert calls == {"forest_table": 1}
         # The quadruple suites fold one forest table and read its subsets'
-        # entries directly, through no restrict or bracket call.
+        # entries directly, through no bracket call.
         for suite in ("cross-inner", "choe", "four-point-leading"):
             calls.clear()
             assert IDENTITY_SUITES[suite](g)
-            assert (calls["forest_table"], calls["restrict"], calls["bracket"]) == (int(g.n >= 4), 0, 0)
+            assert (calls["forest_table"], calls["bracket"]) == (int(g.n >= 4), 0)
         calls.clear()
         assert IDENTITY_SUITES["resistance-bracket"](g)
         assert (calls["bareiss_det"], calls["invert"]) == (1, 1)
