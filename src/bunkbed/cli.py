@@ -257,6 +257,10 @@ def cmd_verify(args) -> dict:
     lam_grid = _parse_rat_list(args.lam) if args.lam else DEFAULT_LAMBDA_GRID
     if args.catalog and (args.graph or args.input):
         raise UsageError("--catalog runs a whole catalog; give it without --graph or --input")
+    if suite in ("conjectures", "hypergraph-factor", "engine") and (args.catalog or args.graph or args.input):
+        raise UsageError(
+            f"{suite} runs its own fixed instances; give it without --catalog, --graph or --input"
+        )
     reports = []
     if suite in IDENTITY_SUITES:
         # Without --catalog, --graph or --input the suite runs the identity catalog.

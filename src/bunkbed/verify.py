@@ -16,6 +16,7 @@ from itertools import combinations, product
 from .catalog import (
     connected_graphs,
     identity_catalog,
+    named_graph,
     named_instance,
     outerplanar_catalog,
 )
@@ -48,7 +49,7 @@ from .measures import (
     hypergraph_rc_difference,
     rc_profile,
 )
-from .partition import canonical_rgs, canonicalize
+from .partition import canonicalize
 from .treealg import (
     LaplacianBundle,
     PostsBundle,
@@ -122,11 +123,6 @@ def _grid_doc(**grids) -> dict:
 _MEASURES = ("random-cluster", "percolation", "arboreal")
 
 
-def _bunkbed_triples(g: Graph, posts, pairs) -> list:
-    """(u1, v1, v2) vertices of `bunkbed(g, posts)` for each base pair (u, v)."""
-    return [(bunkbed_copies(g, posts, a)[0], *bunkbed_copies(g, posts, b)) for a, b in pairs]
-
-
 def _case_rows(bb: Graph, triples) -> list:
     """Per (u1, v1, v2) triple, the rows D[kappa][s] of signed subset counts.
 
@@ -178,20 +174,38 @@ def _arboreal_differences(lists, lam_grid) -> list:
     return [Rational(_at_activity(diff, lam), _at_activity(total, lam)) for lam in lam_grid]
 
 
-def _first_minimum(pairs, polys, grids, values):
-    """First minimum (diff, pair, point) over the pairs and the points of product(*grids).
+def _bunkbed_minimum(g: Graph, posts, measure: str, grids, pairs=None):
+    """First minimum (diff, (u, v), point) of the bunkbed difference, or None with no pair.
 
-    values(poly, *grids) lists a pair's differences at those points in product
-    order.  Pairs run outermost; a later pair or point replaces the minimum
-    only when strictly smaller.
+    Without `pairs` the scan reads the first pair of each orbit from
+    `pair_orbits`.  Per pair (u, v), the rows of the triple (u1, v1, v2) of
+    `bunkbed(g, posts)` are read at the points of product(*grids): the
+    random-cluster rows over (p, q), the arboreal lists over lambda.  Pairs
+    run outermost; a later pair or point replaces the minimum only when
+    strictly smaller.
     """
+    arboreal = measure == "arboreal"
+    if pairs is None:
+        # The random-cluster rows count unweighted subsets; the forest lists read g's weights.
+        pairs = pair_orbits(g if arboreal else g.with_weights(1), posts)
+    if not pairs:
+        return None
+    build, values = (_forest_lists, _arboreal_differences) if arboreal else (_case_rows, _rc_differences)
+    triples = [(bunkbed_copies(g, posts, a)[0], *bunkbed_copies(g, posts, b)) for a, b in pairs]
     points = list(product(*grids))
     best = None
-    for pair, poly in zip(pairs, polys):
+    for pair, poly in zip(pairs, build(bunkbed(g, posts), triples)):
         for point, diff in zip(points, values(poly, *grids), strict=True):
             if best is None or diff < best[0]:
                 best = (diff, pair, point)
     return best
+
+
+def _no_pair_report(claim: str, instance: str) -> VerificationReport:
+    """The report of a check that has no non-post pair, and so tests nothing."""
+    return VerificationReport(
+        claim=claim, instance=instance, verdict=SKIPPED, quantities={"note": "no non-post pair to test"}
+    )
 
 
 def check_bunkbed(
@@ -216,7 +230,8 @@ def check_bunkbed(
     for random-cluster and percolation, equal to the probability difference
     only at q = 1, and the probability difference itself for the arboreal gas;
     either way its sign is that of P[u1<->v1] - P[u1<->v2].  Pairs with a
-    post are skipped, since u1 = u2 there makes the difference identically 0.
+    post are skipped, since u1 = u2 there makes the difference identically 0;
+    with no pair left the verdict is SKIPPED.
     Without (u, v) the scan reads the first pair of each orbit from
     `pair_orbits`: an automorphism of g that keeps the posts, and the layer
     swap that turns (u, v) into (v, u), leave the polynomial unchanged, so the
@@ -231,35 +246,24 @@ def check_bunkbed(
     if u is not None and (u == v or not {u, v} <= set(others)):
         raise ParameterError(f"pair ({u},{v}) must be two distinct non-post vertices of the graph")
     if measure == "arboreal":
-        build, diffs, names = _forest_lists, _arboreal_differences, ("lambda",)
-        grid = {"lam": lam_grid}
+        names, grid = ("lambda",), {"lam": lam_grid}
     else:
-        build, diffs, names = _case_rows, _rc_differences, ("p", "q")
+        names = ("p", "q")
         grid = {"p": p_grid, "q": q_grid if measure == "random-cluster" else (rat(1),)}
     for name, values in grid.items():
         if not values:
             raise ParameterError(f"{name}_grid is empty; the {measure} check reads it")
-    bb = bunkbed(g, posts)
-    if u is not None:
-        pairs = [(u, v)]
-    else:
-        # The random-cluster rows count unweighted subsets; the forest lists read g's weights.
-        pairs = pair_orbits(g if measure == "arboreal" else g.with_weights(1), posts)
-    if not pairs:
-        return VerificationReport(
-            claim=f"bunkbed-difference-{measure}",
-            instance=instance,
-            verdict=HOLDS,
-            quantities={"note": "no non-post pair to test"},
-        )
-    polys = build(bb, _bunkbed_triples(g, posts, pairs))
-    diff, (a, b), at = _first_minimum(pairs, polys, grid.values(), diffs)
+    claim = f"bunkbed-difference-{measure}"
+    best = _bunkbed_minimum(g, posts, measure, grid.values(), None if u is None else [(u, v)])
+    if best is None:
+        return _no_pair_report(claim, instance)
+    diff, (a, b), at = best
     point = {name: format_rational(x) for name, x in zip(names, at)}
     good = diff >= 0
     verdict = (OPEN_OK if open_conjecture else HOLDS) if good else FAILS
     witness = None if good else {"u": a, "v": b, **point, "difference": format_rational(diff)}
     return VerificationReport(
-        claim=f"bunkbed-difference-{measure}",
+        claim=claim,
         instance=instance,
         verdict=verdict,
         quantities={"min_difference": format_rational(diff), "at_pair": f"({a},{b})", **point},
@@ -276,12 +280,12 @@ def check_p_threshold(g: Graph, posts, q, instance: str = "graph") -> Verificati
     half-integer power of two is underestimated through sqrt(2) < 3/2, which
     only raises the tested p.  The evaluation points are the threshold rounded
     up to denominator 10**4 and two larger values.  As in `check_bunkbed`,
-    the scan reads the first pair of each orbit from `pair_orbits`.
+    the scan reads the first pair of each orbit from `pair_orbits`, and with
+    no non-post pair the verdict is SKIPPED.
     """
     posts = frozenset(posts)
     q = rat(q)
     check_parameters(q=(q,))
-    bb = bunkbed(g, posts)
     m_base = g.m
 
     def t_value(n_exp):
@@ -291,23 +295,17 @@ def check_p_threshold(g: Graph, posts, q, instance: str = "graph") -> Verificati
 
     # The two-layer order can be read before or after contracting the posts;
     # take the larger threshold so the tested p is safe under either reading.
-    t = min(t_value(bb.n), t_value(2 * g.n))
+    t = min(t_value(2 * g.n - len(posts)), t_value(2 * g.n))
     p_star = 1 / (1 + t)
     scaled = p_star * 10**4
     p0 = rat(int(scaled.numerator // scaled.denominator) + 1, 10**4)
     if p0 >= 1:
         p0 = (p_star + 1) / 2
     p_values = (p0, (p0 + 1) / 2, (p0 + 3) / 4)
-    pairs = pair_orbits(g.with_weights(1), posts)
-    if not pairs:
-        return VerificationReport(
-            claim="p-threshold",
-            instance=instance,
-            verdict=HOLDS,
-            quantities={"note": "no non-post pair to test"},
-        )
-    rows = _case_rows(bb, _bunkbed_triples(g, posts, pairs))
-    diff, (a, b), (p, _) = _first_minimum(pairs, rows, (p_values, (q,)), _rc_differences)
+    best = _bunkbed_minimum(g, posts, "random-cluster", (p_values, (q,)))
+    if best is None:
+        return _no_pair_report("p-threshold", instance)
+    diff, (a, b), (p, _) = best
     verdict = HOLDS if diff >= 0 else FAILS
     return VerificationReport(
         claim="p-threshold",
@@ -375,23 +373,6 @@ _CHOE_KEYS = tuple(_split_keys(*pos) for pos in _PAIRINGS)
 # Per extra component: the keys separating a from b, c from d, the three-block
 # ones and [abcd], over the marked (a, b, c, d).
 _LEADING_KEYS = tuple((*_split_keys(0, 1, 2, 3, extra), ((0,) * 4, 1 + extra)) for extra in (0, 1))
-
-
-def _four_point_events() -> dict:
-    """Each RGS over the marked (a, b, c, d), mapped to the four-point scan's events it lies in.
-
-    The events, by index: a apart from b, c apart from d, the three-block
-    splits, all four joined, [ac|bd] and [ad|bc].
-    """
-    (_, _, ac_bd, ad_bc), three = _split_patterns(0, 1, 2, 3)
-    out = {}
-    for rgs in {canonical_rgs(t) for t in product(range(4), repeat=4)}:
-        holds = (rgs[0] != rgs[1], rgs[2] != rgs[3], rgs in three, rgs == (0, 0, 0, 0), rgs == ac_bd, rgs == ad_bc)
-        out[rgs] = [i for i, h in enumerate(holds) if h]
-    return out
-
-
-_FOUR_POINT_EVENTS = _four_point_events()
 
 
 def _suite_resistance_bracket(g: Graph) -> bool:
@@ -503,8 +484,7 @@ def _suite_choe(g: Graph) -> bool:
 
 
 def _connected_spanning_subgraph(g: Graph, drop_edge: int) -> Graph | None:
-    edges = tuple(e for i, e in enumerate(g.edges) if i != drop_edge)
-    h = Graph(g.n, edges)
+    h = minor(g, deletions={drop_edge})
     return h if h.is_connected() else None
 
 
@@ -797,13 +777,19 @@ def _four_point_forest(weighted: Graph, lam_grid):
     Both sides are products of two probabilities, so they compare times Z^2.
     Returns a witness dict on violation, None otherwise.
     """
+    # Over the marked (a, b, c, d): a apart from b, c apart from d, the
+    # three-block splits, all four joined, [ac|bd] and [ad|bc].
+    (_, _, ac_bd, ad_bc), three = _split_patterns(0, 1, 2, 3)
+    events = (
+        lambda rgs: rgs[0] != rgs[1],
+        lambda rgs: rgs[2] != rgs[3],
+        lambda rgs: rgs in three,
+        lambda rgs: rgs == (0, 0, 0, 0),
+        lambda rgs: rgs == ac_bd,
+        lambda rgs: rgs == ad_bc,
+    )
     for ft in forest_table(weighted, range(weighted.n)).subsets(4):
-        # One dense kappa-list per event, as ``BoundaryTable.event`` sums them.
-        sums = [[0] * (weighted.n + 1) for _ in range(6)]
-        for (rgs, kappa), w in ft.entries.items():
-            for i in _FOUR_POINT_EVENTS[rgs]:
-                sums[i][kappa] += w
-        values = [_at_each(c, lam_grid) for c in sums]
+        values = [_at_each(ft.event(event), lam_grid) for event in events]
         for lam, apart_ab, apart_cd, split3, together, ac, ad in zip(lam_grid, *values):
             if apart_ab * apart_cd < split3 * together + (ac - ad) ** 2:
                 return {"quad": list(ft.marked), "lambda": format_rational(lam)}
@@ -909,29 +895,22 @@ def scan_conjectures(
     rep = run_identity_suite("four-point-leading")
     reports.append(rep)
 
-    # Four-point inequality with random rational weights (open).
+    # Four-point inequality with random rational weights (open), drawn trial
+    # by trial, K4 before K5; each instance is named by its (name, trial).
     rng = random.Random(seed)
-    witness = None
-    for trial in range(weightings):
-        for name in ("K4", "K5"):
-            g = named_instance(name).graph
-            weighted = Graph(
-                g.n,
-                tuple(
-                    (u_, v_, rat(rng.randint(1, 12), rng.randint(1, 12)))
-                    for u_, v_, _ in g.edges
-                ),
-            )
-            witness = _four_point_forest(weighted, lam_grid)
-            if witness:
-                witness["instance"] = name
-                witness["trial"] = trial
-                witness["weights"] = [
-                    format_rational(w) for _, _, w in weighted.edges
-                ]
-                break
-        if witness:
-            break
+    bases = [(name, named_graph(name)) for name in ("K4", "K5")]
+    drawn = {
+        (name, trial): Graph(
+            g.n, tuple((u_, v_, rat(rng.randint(1, 12), rng.randint(1, 12))) for u_, v_, _ in g.edges)
+        )
+        for trial in range(weightings)
+        for name, g in bases
+    }
+    witness = _first_witness(drawn.items(), lambda g: _four_point_forest(g, lam_grid))
+    if witness:
+        name, trial = witness["instance"]
+        weights = [format_rational(w) for _, _, w in drawn[name, trial].edges]
+        witness.update(instance=name, trial=trial, weights=weights)
     reports.append(
         VerificationReport(
             claim="four-point-forest-conjecture",

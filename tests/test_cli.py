@@ -269,6 +269,9 @@ def test_exit_code_mapping():
         (["verify", "--suite", "bunkbed", "--catalog", "small4", "--graph", "K4"], "--catalog"),
         (["verify", "--suite", "choe", "--catalog", "identity", "--input", "{tmp}/two_edges.json"], "--catalog"),
         (["compute", "resistance", "--graph", "K4", "--out", "{tmp}/missing/x.json"], "cannot write report"),
+        (["verify", "--suite", "engine", "--catalog", "small4"], "engine runs its own fixed instances"),
+        (["verify", "--suite", "conjectures", "--graph", "K4"], "conjectures runs its own fixed instances"),
+        (["verify", "--suite", "hypergraph-factor", "--input", "{tmp}/two_edges.json"], "hypergraph-factor runs its own"),
     ],
 )
 def test_malformed_input_is_usage_error(argv, fragment, tmp_path, capsys):

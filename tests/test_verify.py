@@ -109,8 +109,13 @@ def test_check_bunkbed_skips_post_pairs():
         for measure in ("random-cluster", "arboreal"):
             with pytest.raises(ParameterError):
                 check_bunkbed(inst.graph, posts=inst.posts, measure=measure, u=u, v=v)
-    rep = check_bunkbed(named_graph("P3"), posts={0, 1}, measure="arboreal")
-    assert rep.quantities == {"note": "no non-post pair to test"}
+    # With no non-post pair left the check tests nothing, and says so.
+    for measure in ("random-cluster", "arboreal"):
+        rep = check_bunkbed(named_graph("P3"), posts={0, 1}, measure=measure)
+        assert (rep.verdict, rep.quantities) == (SKIPPED, {"note": "no non-post pair to test"})
+    rep = check_p_threshold(named_graph("P3"), {0, 1}, 2)
+    assert (rep.verdict, rep.quantities) == (SKIPPED, {"note": "no non-post pair to test"})
+    assert not rep.ok
 
 
 def test_check_bunkbed_single_pair():
@@ -148,9 +153,12 @@ def test_check_bunkbed_on_a_32_edge_bunkbed():
 
 def test_p_threshold_examples():
     p3 = named_graph("P3")
-    for q in (rat(1, 2), rat(2)):
+    # The contracted order is 5 and the doubled one 6, with |E| = 2: t is
+    # (1/2)^6 / 4 at q = 1/2 and 2^5 / 4 at q = 2, the smaller of the two readings.
+    for q, threshold in ((rat(1, 2), "4981/5000"), (rat(2), "139/1250")):
         rep = check_p_threshold(p3, {1}, q)
         assert rep.verdict == HOLDS
+        assert rep.quantities["threshold"] == threshold
     # At p = 1 the difference vanishes identically.
     bb = bunkbed(p3, {1})
     u1, _ = bunkbed_copies(p3, {1}, 0)
@@ -458,6 +466,39 @@ def test_scan_conjectures_small():
     import json
 
     json.dumps([r.to_json() for r in reports])
+
+
+def test_four_point_scan_reports_its_first_witness(monkeypatch):
+    # A fake scan that fails on K5's second weighting: the scan stops there, and
+    # the witness gives the quadruple and lambda, then the instance, the trial
+    # and that draw's weights, in that order.
+    seen = []
+
+    def fake(weighted, lam_grid):
+        seen.append(weighted)
+        if len(seen) == 4:
+            return {"quad": [0, 1, 2, 4], "lambda": format_rational(lam_grid[1])}
+        return None
+
+    monkeypatch.setattr(verify, "_four_point_forest", fake)
+    rep = scan_conjectures(lam_grid=(rat(1, 2), rat(2)), seed=7, weightings=3)[-1]
+    # The weights are drawn trial by trial, K4 before K5, two draws per edge.
+    rng = random.Random(7)
+    draws = [
+        [rat(rng.randint(1, 12), rng.randint(1, 12)) for _ in named_graph(name).edges]
+        for _ in range(2)
+        for name in ("K4", "K5")
+    ]
+    assert [[w for _, _, w in g.edges] for g in seen] == draws
+    assert (rep.claim, rep.verdict) == ("four-point-forest-conjecture", FAILS)
+    assert list(rep.witness) == ["quad", "lambda", "instance", "trial", "weights"]
+    assert rep.witness == {
+        "quad": [0, 1, 2, 4],
+        "lambda": "2",
+        "instance": "K5",
+        "trial": 1,
+        "weights": [format_rational(w) for w in draws[3]],
+    }
 
 
 def _fig5_bracket_counts(variant, n_path):
