@@ -315,6 +315,8 @@ def cmd_verify(args) -> dict:
             print(f"    witness: {rep.witness}")
         if "skip_reasons" in rep.quantities:
             print(f"    skipped: {rep.quantities['skip_reasons']}")
+        if "note" in rep.quantities:
+            print(f"    note: {rep.quantities['note']}")
     return {"reports": [r.to_json() for r in reports]}
 
 

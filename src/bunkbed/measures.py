@@ -5,8 +5,9 @@ the partition they induce on the live vertices, and forgets each vertex no
 caller reads after its last step; the work grows with the label strings, not
 with the 2^m subsets.  Each string carries one integer that packs its subsets'
 weights by (closed components, |S|) in fixed-width slots (Kronecker
-substitution), closed counted from the string's own least closed count, so a
-branch is one multiply and one shift.
+substitution), so a branch is one multiply and one shift.  A step branches
+the whole level per move through ``_branches``, the one branch rule, and the
+last level is read in one pass into (RGS, |S|, kappa) keys.
 Edge weights num/d are folded as integers over one denominator, the product
 of the d (``_integer_fold``, which ``bunkbed.glue.factor_from_graph`` also
 reads): (d - num, num) for the random-cluster measure and (d, num) for
@@ -20,18 +21,20 @@ marked vertices of one size in one projection pass each, keeping only the
 component counts a caller reads.
 ``rc_profile`` counts subsets by (marked RGS, |S|, kappa), once per query
 triple in ``bunkbed_case_profiles``.  ``forest_masks``, which lists every
-forest by a depth-first walk over the same sweep, is the forest oracle that
-tests and the perfbench tracer read; no computation here calls it.
+forest by a breadth-first pass over the same sweep, is the forest oracle
+that tests and the perfbench tracer read; no computation here calls it.
 The only guard is 2^29 bytes in one level of the fold, reckoning each label
 string at 512 bytes plus its packed int and checked as each string is
 branched: 2^20 strings while the ints are small, fewer once a string's int
-spans many closed counts and sizes.
+spans many closed counts and sizes.  Its message names the live vertices at
+the step that trips it and the sweep's peak.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import prod
 from operator import itemgetter
 
 from .exactnum import MultiPoly, Rational, _eval_scaled, format_rational, rat
@@ -90,28 +93,39 @@ def _sweep(n: int, steps, keep) -> tuple:
     _GONE otherwise.
     """
     verts = [set(sum(step[0] + step[1], ())) for step in steps]
-    adj: dict = {}
-    for vs in verts:
+    steps_at: list = [[] for _ in range(n)]
+    for i, vs in enumerate(verts):
         for x in vs:
-            adj.setdefault(x, []).extend(vs)
-    pos: dict = {}
+            steps_at[x].append(i)
+    # A step runs once the search reaches all its vertices; a reached vertex's steps are emptied.
+    left = list(map(len, verts))
+    order = [i for i, k in enumerate(left) if not k]
     for root in range(n):
         queue = [root]
         for x in queue:
-            if x not in pos:
-                pos[x] = len(pos)
-                queue += adj.get(x, ())
-    rank = [max(map(pos.get, vs), default=-1) for vs in verts]
-    order = sorted(range(len(steps)), key=rank.__getitem__)
-    last: dict = {}
-    for j, i in enumerate(order):
-        last.update(dict.fromkeys(verts[i], j))
+            for i in steps_at[x]:
+                left[i] -= 1
+                if not left[i]:
+                    order.append(i)
+                queue += verts[i]
+            steps_at[x] = ()
+    last = {x: j for j, i in enumerate(order) for x in verts[i]}
     gone: dict = {}
     for x, j in last.items():
         if x not in keep:
             gone.setdefault(j, []).append(x)
-    start = "".join(chr(x + 1) if x in last or x in keep else _GONE for x in range(n))
+    start = "".join([chr(x + 1) if x in last or x in keep else _GONE for x in range(n)])
     return order, gone, start
+
+
+def _live_counts(steps, order, gone) -> list:
+    """Live vertices after each step of the sweep: read by a step run so far and not yet forgotten."""
+    live, counts = set(), []
+    for j, i in enumerate(order):
+        live.update(*steps[i][0], *steps[i][1])
+        live.difference_update(gone.get(j, ()))
+        counts.append(len(live))
+    return counts
 
 
 def _fold(n: int, steps, weights=None, sizes=False, acyclic=False, keep=()) -> dict:
@@ -130,8 +144,9 @@ def _fold(n: int, steps, weights=None, sizes=False, acyclic=False, keep=()) -> d
     the callers pass no negative weight (``_integer_fold`` checks), so no
     slot overflows.  A branch multiplies by its weight and shifts by its |S|
     step; merging two ints shifts the one with the larger base.  `acyclic`
-    drops a branch that closes a cycle.  A key that only zero-weight subsets
-    reach keeps its zero entry: a unit-weight fold lists the keys then.
+    drops a branch that closes a cycle.  The last level, where only `keep`
+    is live, turns into keys in one pass.  A key that only zero-weight
+    subsets reach keeps its zero entry: a unit-weight fold lists it then.
     """
     weights = weights or [(1, 1)] * len(steps)
     sums = _packed_fold(n, steps, weights, sizes, acyclic, keep)
@@ -143,23 +158,23 @@ def _fold(n: int, steps, weights=None, sizes=False, acyclic=False, keep=()) -> d
 
 def _packed_fold(n: int, steps, weights, sizes: bool, acyclic: bool, keep) -> dict:
     order, gone, start = _sweep(n, steps, keep)
-    total = 1
-    for pair in weights:
-        total *= sum(pair)
-    width = total.bit_length() + 1
-    slots = len(steps) + 1 if sizes else 1
+    width = prod(map(sum, weights)).bit_length() + 1
+    slots, shift = (len(steps) + 1, width) if sizes else (1, 0)
     stride = width * slots
     level = {start: (start.count(_GONE), 1)}
     # The level's size in bits: each label string's charge plus its packed int.
     limit, charge = 8 << _LEVEL_GUARD, 8 * _STRING_BYTES
     for j, i in enumerate(order):
-        moves = list(zip(steps[i], weights[i], (0, width if sizes else 0)))
-        drop = gone.get(j, ())
+        w0, w1 = weights[i]
         states, level, size = level, {}, 0
-        for labels, (base, packed) in states.items():
-            for new, shut, w, shift in _branches(labels, moves, acyclic, drop):
-                value = (packed if w == 1 else packed * w) << shift
-                closed = base + shut
+        moves = [x for pairs in steps[i] for x in _branches(states, pairs, acyclic, gone.get(j, ()))]
+        for (base, packed), new0, shut0, new1, shut1 in zip(states.values(), *moves):
+            for new, closed, value in (
+                (new0, base + shut0, packed if w0 == 1 else packed * w0),
+                (new1, base + shut1, (packed if w1 == 1 else packed * w1) << shift),
+            ):
+                if new is None:
+                    continue
                 old = level.get(new)
                 if old is None:
                     size += charge
@@ -174,48 +189,52 @@ def _packed_fold(n: int, steps, weights, sizes: bool, acyclic: bool, keep) -> di
                 size += value.bit_length()
                 level[new] = (closed, value)
             if size > limit:
+                live = _live_counts(steps, order, gone)
                 raise EnumerationGuardError(
                     f"fold passed {size >> 3} bytes in {len(level)} label strings at step {j + 1} "
-                    f"of {len(steps)} with marked set {tuple(keep)} (guard is 2^{_LEVEL_GUARD} bytes)"
+                    f"of {len(steps)} with marked set {tuple(keep)} (guard is 2^{_LEVEL_GUARD} bytes); "
+                    f"{live[j]} vertices live at this step, the sweep's peak is {max(live)} "
+                    f"at step {live.index(max(live)) + 1}"
                 )
-    mask = (1 << width) - 1
-    sums: dict = {}
+    # Only marked vertices are live now, so no two label strings share their
+    # marked labels, their RGS or a key: one canonical_rgs per string.
+    mask, sums = (1 << width) - 1, {}
+    pick = _picker(keep) if keep else lambda labels: ()
     for labels, (base, packed) in level.items():
-        live = "".join(map(labels.__getitem__, keep))
-        kappa = base + len(set(live))
-        index = 0
+        rgs = canonical_rgs(pick(labels))
+        index = slots * (base + len(set(rgs)))
         while packed:
-            w = packed & mask
-            if w:
-                closed, size = divmod(index, slots)
-                key = (live, size, kappa + closed)
-                sums[key] = sums.get(key, 0) + w
+            if w := packed & mask:
+                kappa, size = divmod(index, slots)
+                sums[rgs, size, kappa] = w
             packed >>= width
             index += 1
-    return _canonical(sums)
+    return sums
 
 
 _GONE = chr(0)
 
 
-def _branches(labels: str, moves, acyclic: bool, gone) -> list:
-    """(labels, components closed, weight, tag) of each move (pairs, weight, tag).
+def _branches(level, pairs, acyclic: bool, gone) -> tuple[list, list]:
+    """(new label strings, components closed) of each string in `level` under one move.
 
-    A move opens its pairs, then `gone` is forgotten; with `acyclic` a move
-    that opens a pair already in one component is dropped.
+    The move opens `pairs`, then `gone` is forgotten; with `acyclic`, a
+    string in which the move opens a pair already in one component gets None.
     """
-    out = []
-    for pairs, w, tag in moves:
-        new = labels
+    if not pairs and not gone:
+        return list(level), [0] * len(level)
+    news, shuts = [], []
+    for new in level:
         for u, v in pairs:
             a, b = new[u], new[v]
             if a == b:
                 if acyclic:
+                    new = None
                     break
             else:
                 new = new.replace(a, b) if a > b else new.replace(b, a)
-        else:
-            closed = 0
+        closed = 0
+        if new is not None:
             for x in gone:
                 label = new[x]
                 new = new[:x] + _GONE + new[x + 1 :]
@@ -225,26 +244,14 @@ def _branches(labels: str, moves, acyclic: bool, gone) -> list:
                         closed += 1
                     else:
                         new = new.replace(label, chr(heir + 1))
-            out.append((new, closed, w, tag))
-    return out
+        news.append(new)
+        shuts.append(closed)
+    return news, shuts
 
 
 def _edge_steps(g: Graph) -> list:
     """One step per edge, opening its ends when present."""
     return [((), ((u, v),)) for u, v, _ in g.edges]
-
-
-def _canonical(acc: dict) -> dict:
-    """Sums keyed (labels, *rest) merged by (RGS, *rest), one canonical_rgs per labels."""
-    rgs_of: dict = {}
-    out: dict = {}
-    for (labels, *rest), w in acc.items():
-        rgs = rgs_of.get(labels)
-        if rgs is None:
-            rgs = rgs_of[labels] = canonical_rgs(labels)
-        key = (rgs, *rest)
-        out[key] = out.get(key, 0) + w
-    return out
 
 
 def _picker(positions):
@@ -424,30 +431,23 @@ def forest_masks(g: Graph):
     """All spanning forests as (edge mask, kappa) pairs, in increasing mask order.
 
     The forest oracle: tests check forest tables against it and the perfbench
-    tracer wraps it by name; no computation in the package calls it.  A
-    depth-first walk over the fold's sweep lists each forest once, and the
-    branches of a label string at a step are computed once.  No two forests
-    share a mask, so nothing would merge, and packing masks into the fold's
-    slots would take 2^m slots per label string.
+    tracer wraps it by name; no computation in the package calls it.  Each
+    level of the fold's sweep lists the forests reaching a label string as
+    (mask, closed) pairs.  No two forests share a mask, so nothing would
+    merge, and packing masks into the fold's slots would take 2^m slots per
+    label string.
     """
     steps = _edge_steps(g)
     order, gone, start = _sweep(g.n, steps, ())
-    ends: list = [{} for _ in order]
-    out = []
-    stack = [(0, start, start.count(_GONE), 0)]
-    while stack:
-        j, labels, closed, mask = stack.pop()
-        if j == len(order):
-            out.append((mask, closed))
-            continue
-        end = ends[j].get(labels)
-        if end is None:
-            i = order[j]
-            moves = zip(steps[i], (1, 1), (0, 1 << i))
-            end = ends[j][labels] = _branches(labels, moves, True, gone.get(j, ()))
-        for new, shut, _, bit in end:
-            stack.append((j + 1, new, closed + shut, mask | bit))
-    return sorted(out)
+    level = {start: [(0, start.count(_GONE))]}
+    for j, i in enumerate(order):
+        states, level = level, {}
+        for pairs, bit in zip(steps[i], (0, 1 << i)):
+            moves = _branches(states, pairs, True, gone.get(j, ()))
+            for forests, new, shut in zip(states.values(), *moves):
+                if new is not None:
+                    level.setdefault(new, []).extend((mask | bit, closed + shut) for mask, closed in forests)
+    return sorted(forest for forests in level.values() for forest in forests)
 
 
 def alt_colouring_counts(g: Graph, posts, u: int, v: int):

@@ -3,13 +3,16 @@
 ``fold_by_states`` keys each level by the whole state (labels, closed, tag)
 and keeps one integer weight per state, where ``measures._fold`` keys by the
 label string alone and packs the string's (closed, |S|) weights into one
-integer.  It shares the sweep order and ``measures._branches`` with the
-packed fold, so the two differ only in how a level holds its sums.
+integer.  It shares the sweep order and the branch rule ``measures._branches``
+with the packed fold, so the two differ in how a level holds its sums and in
+how the last level is read.  The readout here is its own two passes: sum the
+states by (marked labels, tag, kappa), then renumber each marked label tuple
+into its RGS and merge, where the packed fold emits RGS keys in one pass.
 """
 
 from __future__ import annotations
 
-from bunkbed.measures import _GONE, _branches, _canonical, _sweep
+from bunkbed.measures import _GONE, _branches, _sweep
 
 
 def fold_by_states(n: int, steps, weights=None, tags=None, acyclic=False, keep=()) -> dict:
@@ -25,20 +28,25 @@ def fold_by_states(n: int, steps, weights=None, tags=None, acyclic=False, keep=(
     weights = weights or [(1, 1)] * len(steps)
     tags = tags or [(0, 0)] * len(steps)
     for j, i in enumerate(order):
-        moves = list(zip(steps[i], weights[i], tags[i]))
-        ends: dict = {}
+        strings = list(dict.fromkeys(labels for labels, _, _ in states))
+        # Per move, each label string's (new labels, components closed).
+        moves = [dict(zip(strings, zip(*_branches(strings, pairs, acyclic, gone.get(j, ()))))) for pairs in steps[i]]
         level: dict = {}
         for (labels, closed, tag), w in states.items():
-            end = ends.get(labels)
-            if end is None:
-                end = ends[labels] = _branches(labels, moves, acyclic, gone.get(j, ()))
-            for new, shut, wb, tb in end:
-                key = (new, closed + shut, tag + tb)
-                level[key] = level.get(key, 0) + w * wb
+            for move, wb, tb in zip(moves, weights[i], tags[i]):
+                new, shut = move[labels]
+                if new is not None:
+                    key = (new, closed + shut, tag + tb)
+                    level[key] = level.get(key, 0) + w * wb
         states = level
     sums: dict = {}
     for (labels, closed, tag), w in states.items():
-        live = "".join(map(labels.__getitem__, keep))
+        live = tuple(labels[x] for x in keep)
         key = (live, tag, closed + len(set(live)))
         sums[key] = sums.get(key, 0) + w
-    return _canonical(sums)
+    out: dict = {}
+    for (live, tag, kappa), w in sums.items():
+        blocks: dict = {}
+        key = (tuple(blocks.setdefault(label, len(blocks)) for label in live), tag, kappa)
+        out[key] = out.get(key, 0) + w
+    return out

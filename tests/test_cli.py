@@ -78,6 +78,18 @@ def test_verify_identity_suite_skips_a_disconnected_input(suite, tmp_path, capsy
     ]
 
 
+@pytest.mark.parametrize("measure", ["random-cluster", "arboreal"])
+def test_verify_bunkbed_prints_why_it_skipped(measure, tmp_path, capsys):
+    # Both vertices are posts, so no pair is left to compare.
+    path = tmp_path / "posts.json"
+    path.write_text(json.dumps({"n": 2, "edges": [[0, 1, "1/2"]], "posts": [0, 1]}))
+    assert main(["verify", "--suite", "bunkbed", "--input", str(path), "--measure", measure]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"[skipped] bunkbed-difference-{measure} on {path}",
+        "    note: no non-post pair to test",
+    ]
+
+
 def test_verify_bunkbed_named_graph(capsys):
     code = main([
         "verify", "--suite", "bunkbed", "--graph", "K3",
@@ -203,7 +215,9 @@ def test_state_guard_trip_is_a_guard_error(monkeypatch, capsys):
     monkeypatch.setattr(measures, "_LEVEL_GUARD", 11)
     assert main(["verify", "--suite", "bunkbed", "--graph", "K3"]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("guard: fold passed ") and err[0].endswith("(guard is 2^11 bytes)")
+    assert len(err) == 1 and err[0].startswith("guard: fold passed ") and err[0].endswith(
+        "(guard is 2^11 bytes); 3 vertices live at this step, the sweep's peak is 5 at step 5"
+    )
 
 
 def test_exit_code_mapping():

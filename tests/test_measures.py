@@ -167,7 +167,8 @@ def test_enumeration_guard_has_no_environment_override(monkeypatch):
     path = Graph(6, tuple((i, i + 1, rat(1)) for i in range(5)))
     for name in ("BUNKBED_STATE_GUARD", "BUNKBED_SUBSET_GUARD"):
         monkeypatch.setenv(name, "40")
-    with pytest.raises(EnumerationGuardError, match=r"guard is 2\^12 bytes\)$"):
+    tail = r"guard is 2\^12 bytes\); 4 vertices live at this step, the sweep's peak is 6 at step 5$"
+    with pytest.raises(EnumerationGuardError, match=tail):
         forest_table(path, range(6))
     for name in ("BUNKBED_STATE_GUARD", "BUNKBED_SUBSET_GUARD"):
         monkeypatch.setenv(name, "0")
@@ -178,12 +179,13 @@ def test_state_guard_names_step_states_and_marked_set(monkeypatch):
     # With every vertex kept, no two edge subsets of a path share a label
     # string: step j takes the fold to 2^j strings of 512 bytes each plus
     # their packed ints, so step 3 passes 2^12 bytes at its fourth input
-    # string.  Keeping only the two ends, it stays within the guard.
+    # string.  Keeping only the two ends, it stays within the guard.  No
+    # vertex is forgotten, so step j leaves j + 1 live and step 5 all six.
     monkeypatch.setattr(measures, "_LEVEL_GUARD", 12)
     path = Graph(6, tuple((i, i + 1, rat(1)) for i in range(5)))
     message = (
         r"passed 4097 bytes in 8 label strings at step 3 of 5 with marked set \(0, 1, 2, 3, 4, 5\) "
-        r"\(guard is 2\^12 bytes\)"
+        r"\(guard is 2\^12 bytes\); 4 vertices live at this step, the sweep's peak is 6 at step 5$"
     )
     with pytest.raises(EnumerationGuardError, match=message):
         forest_table(path, range(6))
@@ -724,6 +726,25 @@ def test_packed_fold_matches_the_fold_by_states(case, sizes, acyclic, sided, for
     assert measures._fold(g.n, steps, weights, sizes, acyclic, marked) == expected
     unit = fold_by_states(g.n, steps, None, tags, acyclic, marked)
     assert measures._fold(g.n, steps, None, sizes, acyclic, marked) == unit
+
+
+def test_fold_renumbers_each_marked_label_tuple_once(monkeypatch):
+    # Only marked vertices are live at the fold's last level, so each label
+    # string there has its own marked labels, and the readout renumbers each
+    # tuple of them into its RGS once.
+    seen = []
+
+    def spy(labels):
+        seen.append(tuple(labels))
+        return canonical_rgs(labels)
+
+    monkeypatch.setattr(measures, "canonical_rgs", spy)
+    g = named_instance("fig5-G-1").graph
+    assert len(forest_table(g, range(8)).entries) == 456
+    assert len(seen) == len(set(seen)) == 456
+    seen.clear()
+    profile = rc_profile(g, (0, 3, 5))
+    assert len(seen) == len(set(seen)) == len({rgs for rgs, _, _ in profile}) == 5
 
 
 def _rgs_tuples(length):

@@ -427,7 +427,7 @@ def test_identity_suite_collects_guard_skips(monkeypatch):
     assert rep.quantities.get("skipped") == "1"
     reason = rep.quantities["skip_reasons"]
     assert reason.startswith("big: fold passed 32776 bytes in 64 label strings at step 6 of 30 ")
-    assert reason.endswith("(guard is 2^15 bytes)")
+    assert reason.endswith("(guard is 2^15 bytes); 7 vertices live at this step, the sweep's peak is 31 at step 30")
 
 
 def test_hypergraph_factorization_report():
