@@ -250,17 +250,35 @@ def cmd_table2(args) -> dict:
 # ---------------------------------------------------------------------------
 
 
+# What each verify suite reads of _OPTIONS, the bunkbed suite by its measure; an
+# unknown suite or measure reads them all, so the error further on names it.
+_OPTIONS = ("measure", "p", "q", "lam", "seed", "weightings")
+_READS = dict.fromkeys([*IDENTITY_SUITES, "hypergraph-factor"], "") | {
+    "p-threshold": "q", "conjectures": "lam seed weightings", "engine": "seed",
+    "bunkbed --measure random-cluster": "measure p q",
+    "bunkbed --measure percolation": "measure p",
+    "bunkbed --measure arboreal": "measure lam",
+}
+
+
 def cmd_verify(args) -> dict:
     suite = args.suite
-    p_grid = _parse_rat_list(args.p) if args.p else DEFAULT_P_GRID
-    q_grid = _parse_rat_list(args.q) if args.q else DEFAULT_Q_GRID
-    lam_grid = _parse_rat_list(args.lam) if args.lam else DEFAULT_LAMBDA_GRID
+    measure = "random-cluster" if args.measure is None else args.measure
+    seed = 20240 if args.seed is None else args.seed
     if args.catalog and (args.graph or args.input):
         raise UsageError("--catalog runs a whole catalog; give it without --graph or --input")
     if suite in ("conjectures", "hypergraph-factor", "engine") and (args.catalog or args.graph or args.input):
         raise UsageError(
             f"{suite} runs its own fixed instances; give it without --catalog, --graph or --input"
         )
+    name = f"bunkbed --measure {measure}" if suite == "bunkbed" else suite
+    reads = _READS.get(name, " ".join(_OPTIONS)).split()
+    unread = [f"--{opt}" for opt in _OPTIONS if getattr(args, opt) is not None and opt not in reads]
+    if unread:
+        raise UsageError(f"{name} does not read {', '.join(unread)}")
+    p_grid = DEFAULT_P_GRID if args.p is None else _parse_rat_list(args.p)
+    q_grid = DEFAULT_Q_GRID if args.q is None else _parse_rat_list(args.q)
+    lam_grid = DEFAULT_LAMBDA_GRID if args.lam is None else _parse_rat_list(args.lam)
     reports = []
     if suite in IDENTITY_SUITES:
         # Without --catalog, --graph or --input the suite runs the identity catalog.
@@ -280,7 +298,7 @@ def cmd_verify(args) -> dict:
                 check_bunkbed(
                     g,
                     posts=posts,
-                    measure=args.measure,
+                    measure=measure,
                     p_grid=p_grid,
                     q_grid=q_grid,
                     lam_grid=lam_grid,
@@ -297,13 +315,12 @@ def cmd_verify(args) -> dict:
                 check_p_threshold(g, posts, q, instance=args.graph or args.input)
             )
     elif suite == "conjectures":
-        reports.extend(
-            scan_conjectures(lam_grid=lam_grid, seed=args.seed, weightings=args.weightings)
-        )
+        weightings = 20 if args.weightings is None else args.weightings
+        reports.extend(scan_conjectures(lam_grid=lam_grid, seed=seed, weightings=weightings))
     elif suite == "hypergraph-factor":
         reports.append(check_hypergraph_factorization())
     elif suite == "engine":
-        reports.append(check_engine_consistency(seed=args.seed))
+        reports.append(check_engine_consistency(seed=seed))
     else:
         raise UsageError(
             f"unknown suite {suite!r}; choices: "
@@ -430,12 +447,12 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--graph", default=None, help=f"named instance ({', '.join(instance_names())})")
     ver.add_argument("--input", default=None, help="graph JSON file")
     ver.add_argument("--catalog", default=None, help="small4 | small5 | identity | outerplanar")
-    ver.add_argument("--measure", default="random-cluster")
+    ver.add_argument("--measure", default=None, help="random-cluster (default), percolation or arboreal")
     ver.add_argument("--p", default=None, help="comma-separated rationals")
     ver.add_argument("--q", default=None, help="comma-separated rationals")
     ver.add_argument("--lam", default=None, help="comma-separated rationals")
-    ver.add_argument("--seed", type=int, default=20240)
-    ver.add_argument("--weightings", type=int, default=20)
+    ver.add_argument("--seed", type=int, default=None, help="default 20240")
+    ver.add_argument("--weightings", type=int, default=None, help="default 20")
     ver.add_argument("--out", default=None)
 
     comp = sub.add_parser("compute", help="print one exact quantity")

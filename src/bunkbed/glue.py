@@ -17,13 +17,13 @@ input factors; each encoding supplies encode and decode, add, sub, multiply
 and the q**closed scaling.
 
 * ``_Packed`` (every input entry a constant: edge networks, the engine
-  trials, the gadget's build) holds an entry as one int with coefficient k
-  at bit k * width, in signed slots (Kronecker substitution).  It encodes
-  straight from the coefficient lists and decodes by base-2**width digit
-  extraction, so there is no evaluation, no interpolation and no degree
-  bound; a sum is one ``+``, q**closed one ``<<``, and a product by an edge
-  weight one multiply by a small int.  The width is
-  bits(prod over factors of the sum of |coefficient|) + 2: every
+  trials, the gadget's build from ``graph.gadget``'s edges) holds an entry
+  as one int with coefficient k at bit k * width, in signed slots
+  (Kronecker substitution).  It encodes straight from the coefficient lists
+  and decodes by base-2**width digit extraction, so there is no evaluation,
+  no interpolation and no degree bound; a sum is one ``+``, q**closed one
+  ``<<``, and a product by an edge weight one multiply by a small int.  The
+  width is bits(prod over factors of the sum of |coefficient|) + 2: every
   intermediate entry is a sum of q-shifted products of one entry per
   factor, and L1 norms are submultiplicative, so every coefficient's
   magnitude stays below 2**(width - 2).
@@ -99,7 +99,7 @@ from operator import add, mul, sub
 from typing import NamedTuple
 
 from .exactnum import MultiPoly, Rational, _trim, rat
-from .graph import Graph, hollom_instance, hypergraph_copies
+from .graph import Graph, gadget, hollom_instance, hypergraph_copies
 from .measures import EnumerationGuardError, _integer_fold
 from .partition import bell_number, block_string, canonical_rgs, project_rgs
 
@@ -381,10 +381,10 @@ def _encoding(net: FactorNetwork):
     """The entry encoding for contracting `net`.
 
     Packed when every input entry is a constant (edge networks, the gadget's
-    build); points at q = 0..D, ``_point_count(net)`` of them, otherwise
-    (the hollom layer, whose gadget entries have degree n: there one product
-    of two long packed ints costs more than the pointwise products, as
-    CPython multiplies big ints by Karatsuba).
+    build from its edges); points at q = 0..D, ``_point_count(net)`` of
+    them, otherwise (the hollom layer, whose gadget entries have degree n:
+    there one product of two long packed ints costs more than the pointwise
+    products, as CPython multiplies big ints by Karatsuba).
     """
     if all(len(coeffs) <= 1 for f in net.factors for coeffs in f.entries.values()):
         return _Packed(_packed_width(net.factors))
@@ -772,20 +772,14 @@ def _contract_encoded(net: FactorNetwork, enc, order=None, memo=None) -> tuple[_
 def gadget_factor(n: int, p) -> Factor:
     """Factor of the apex gadget over its three boundary vertices a, b, c.
 
-    Contracts its 2n + 3 edge factors, eliminating the bottom path left to
-    right, so no intermediate boundary has more than four vertices; the
-    result equals factor_from_graph(gadget(n, p), boundary) exactly.
-    Boundary ids: a=0, b=1, c=n+2 as in graph.gadget.
+    Contracts an edge factor per edge of ``graph.gadget(n, p)``, eliminating
+    the bottom path left to right, so no intermediate boundary has more than
+    four vertices; the result equals factor_from_graph(gadget(n, p), boundary)
+    exactly.  Boundary ids: a=0, b=1, c=n+2 as in graph.gadget, which raises
+    ValueError unless n >= 1 and 0 < p < 1.
     """
-    if n < 1:
-        raise ValueError("gadget needs n >= 1")
-    p = rat(p)
-    a, b, c = 0, 1, n + 2
-    spoke = 1 - p
-    edges = [edge_factor(a, b, spoke)]
-    for x in range(b + 1, c + 1):
-        edges += [edge_factor(x - 1, x, p), edge_factor(a, x, spoke)]
-    return contract_network(FactorNetwork(tuple(edges), (a, b, c)), order=range(b + 1, c))
+    edges = tuple(edge_factor(u, v, w) for u, v, w in gadget(n, p).edges)
+    return contract_network(FactorNetwork(edges, (0, 1, n + 2)), order=range(2, n + 2))
 
 
 def hollom_network(n: int, p) -> FactorNetwork:
@@ -799,14 +793,13 @@ def hollom_network(n: int, p) -> FactorNetwork:
     """
     h = hollom_instance()
     base = gadget_factor(n, p)
-    a, b, c = 0, 1, n + 2
     layer = []
     for he in h.hyperedges:
         post = [v for v in he if v in h.posts]
         others = [v for v in he if v not in h.posts]
         if len(post) != 1:
             raise ValueError("every hyperedge must contain exactly one post")
-        layer.append(base.relabel({a: post[0], b: others[0], c: others[1]}))
+        layer.append(base.relabel(dict(zip(base.boundary, post + others))))
     mirror = {v: hypergraph_copies(h, v)[1] for v in range(1, h.n + 1)}
     factors = layer + [f.relabel(mirror) for f in layer]
     return FactorNetwork(tuple(factors), (1, *hypergraph_copies(h, 10)))

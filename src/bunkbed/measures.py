@@ -7,7 +7,7 @@ with the 2^m subsets.  Each string carries one integer that packs its subsets'
 weights by (closed components, |S|) in fixed-width slots (Kronecker
 substitution), so a branch is one multiply and one shift.  A step branches
 the whole level per move through ``_branches``, the one branch rule, and the
-last level is read in one pass into (RGS, |S|, kappa) keys.
+last level is read in one pass into (RGS, kappa) or (RGS, |S|, kappa) keys.
 Edge weights num/d are folded as integers over one denominator, the product
 of the d (``_integer_fold``, which ``bunkbed.glue.factor_from_graph`` also
 reads): (d - num, num) for the random-cluster measure and (d, num) for
@@ -129,7 +129,7 @@ def _live_counts(steps, order, gone) -> list:
 
 
 def _fold(n: int, steps, weights=None, sizes=False, acyclic=False, keep=()) -> dict:
-    """Weights of every subset of `steps` summed by (RGS of `keep`, |S| or 0, kappa).
+    """Subset weights of `steps` keyed (RGS of `keep`, kappa), or (RGS, |S|, kappa) with `sizes`.
 
     Step i is a pair (vertex pairs opened when bit i is clear, when set); a
     subset weighs the product of the integers weights[i][bit], all
@@ -206,7 +206,7 @@ def _packed_fold(n: int, steps, weights, sizes: bool, acyclic: bool, keep) -> di
         while packed:
             if w := packed & mask:
                 kappa, size = divmod(index, slots)
-                sums[rgs, size, kappa] = w
+                sums[(rgs, size, kappa) if sizes else (rgs, kappa)] = w
             packed >>= width
             index += 1
     return sums
@@ -289,8 +289,7 @@ def _integer_fold(g: Graph, marked, acyclic=False) -> tuple[dict, int]:
         num, d = int(w.numerator), int(w.denominator)
         weights.append((d if acyclic else d - num, num))
         den *= d
-    sums = _fold(g.n, _edge_steps(g), weights, False, acyclic, marked)
-    return {(rgs, kappa): w for (rgs, _, kappa), w in sums.items()}, den
+    return _fold(g.n, _edge_steps(g), weights, False, acyclic, marked), den
 
 
 def _table(g: Graph, marked, acyclic: bool) -> "BoundaryTable":
@@ -468,10 +467,10 @@ def alt_colouring_counts(g: Graph, posts, u: int, v: int):
     top, bottom = zip(*(bunkbed_copies(g, posts, x) for x in range(g.n)))
     # Bit i of a colouring set picks the layer-1 copy of base edge i, clear the layer-2 one.
     steps = [(((bottom[a], bottom[b]),), ((top[a], top[b]),)) for a, b, _ in g.edges]
-    counts = [0] * 4
-    for (case, _, _), count in _cases(n, steps, False, True, triple).items():
-        counts[case] += count
-    return counts[1] + counts[3], counts[2] + counts[3], sum(counts)
+    counts = _fold(n, steps, None, False, True, triple).items()
+    same = sum(count for ((a, b, _), _), count in counts if a == b)
+    cross = sum(count for ((a, _, c), _), count in counts if a == c)
+    return same, cross, sum(count for _, count in counts)
 
 
 def hypergraph_rc_difference(h: Hypergraph, u: int, v: int) -> MultiPoly:
@@ -489,26 +488,16 @@ def hypergraph_rc_difference(h: Hypergraph, u: int, v: int) -> MultiPoly:
     triple = tuple(map(index, (hypergraph_copies(h, u)[0], *hypergraph_copies(h, v))))
     steps = [((), ((index(a), index(b)), (index(a), index(c)))) for a, b, c in doubled]
     terms: dict = {}
-    cases = _cases(len(vertices), steps, True, False, triple)
-    for (case, present, kappa), count in cases.items():
+    for ((a, b, c), present, kappa), count in _fold(len(vertices), steps, None, True, False, triple).items():
         exp = (kappa, 0, present, k - present)
-        terms[exp] = terms.get(exp, 0) + ((case & 1) - (case >> 1)) * count
+        terms[exp] = terms.get(exp, 0) + ((a == b) - (a == c)) * count
     return MultiPoly({exp: rat(c) for exp, c in terms.items() if c})
 
 
-def _cases(n: int, steps, sizes: bool, acyclic: bool, triple) -> dict:
-    """Counts keyed (case, |S| or 0, kappa) of a triple (x, y, z): bit 0 is x<->y, bit 1 x<->z."""
-    out: dict = {}
-    for ((a, b, c), size, kappa), count in _fold(n, steps, None, sizes, acyclic, triple).items():
-        key = ((a == b) + 2 * (a == c), size, kappa)
-        out[key] = out.get(key, 0) + count
-    return out
-
-
 def bunkbed_case_profiles(bb: Graph, triples):
-    """Per (u1, v1, v2) triple, subset counts keyed (case, |S|, kappa), one fold each.
+    """Per (u1, v1, v2) triple, its ``rc_profile`` (v1 == v2 allowed), one fold each.
 
-    Bit 0 of case is u1 connected to v1, bit 1 is u1 connected to v2.
+    In a key ((a, b, c), |S|, kappa), a == b is u1 joined to v1, a == c u1 to v2.
     """
     steps = _edge_steps(bb)
-    return [_cases(bb.n, steps, True, False, t) for t in triples]
+    return [_fold(bb.n, steps, None, True, False, t) for t in triples]

@@ -133,8 +133,8 @@ def _case_rows(bb: Graph, triples) -> list:
     rows = []
     for prof in bunkbed_case_profiles(bb, triples):
         d = [[0] * (bb.m + 1) for _ in range(bb.n + 1)]
-        for (case, s, kappa), count in prof.items():
-            d[kappa][s] += ((case & 1) - (case >> 1)) * count
+        for ((a, b, c), s, kappa), count in prof.items():
+            d[kappa][s] += ((a == b) - (a == c)) * count
         rows.append(d)
     return rows
 

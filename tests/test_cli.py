@@ -154,6 +154,10 @@ def test_recheck_round_trip(tmp_path, capsys):
 def test_negative_window_rows_guard_skip():
     rows = negative_window_rows([0], rat(1, 100))
     assert rows[0]["status"] == "skipped"
+    # The gadget refuses a weight outside (0, 1); the row says so.
+    assert negative_window_rows([3], rat(3, 2)) == [
+        {"n": 3, "status": "skipped", "reason": "gadget weight must satisfy 0 < p < 1"}
+    ]
 
 
 def test_verify_bunkbed_with_posts_instance(capsys):
@@ -286,6 +290,19 @@ def test_exit_code_mapping():
         (["verify", "--suite", "engine", "--catalog", "small4"], "engine runs its own fixed instances"),
         (["verify", "--suite", "conjectures", "--graph", "K4"], "conjectures runs its own fixed instances"),
         (["verify", "--suite", "hypergraph-factor", "--input", "{tmp}/two_edges.json"], "hypergraph-factor runs its own"),
+        (["verify", "--suite", "bunkbed", "--graph", "K3", "--measure", "percolation", "--q", "7"], "does not read --q"),
+        (["verify", "--suite", "bunkbed", "--graph", "K3", "--measure", "arboreal", "--p", "1/2", "--q", "2"], "--p, --q"),
+        (["verify", "--suite", "bunkbed", "--graph", "K3", "--lam", "1"], "random-cluster does not read --lam"),
+        (["verify", "--suite", "bunkbed", "--graph", "K3", "--seed", "1", "--weightings", "2"], "--seed, --weightings"),
+        (["verify", "--suite", "choe", "--lam", "1"], "choe does not read --lam"),
+        (["verify", "--suite", "weak-limit", "--measure", "arboreal", "--seed", "1"], "--measure, --seed"),
+        (["verify", "--suite", "weak-limit", "--weightings", "3"], "weak-limit does not read --weightings"),
+        (["verify", "--suite", "p-threshold", "--graph", "fig4-left", "--p", "1/2"], "p-threshold does not read --p"),
+        (["verify", "--suite", "conjectures", "--measure", "percolation", "--q", "2"], "--measure, --q"),
+        (["verify", "--suite", "engine", "--lam", "1", "--weightings", "2"], "engine does not read --lam, --weightings"),
+        (["verify", "--suite", "hypergraph-factor", "--seed", "3"], "hypergraph-factor does not read --seed"),
+        (["verify", "--suite", "bunkbed", "--graph", "K3", "--p", ""], "empty list ''"),
+        (["verify", "--suite", "p-threshold", "--graph", "fig4-left", "--q", ""], "empty list ''"),
     ],
 )
 def test_malformed_input_is_usage_error(argv, fragment, tmp_path, capsys):

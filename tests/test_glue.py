@@ -1,5 +1,6 @@
 import json
 import random
+from itertools import product
 
 import pytest
 from dense_poly import qpoly
@@ -92,6 +93,13 @@ def test_gadget_factor_matches_brute_force():
         brute = factor_from_graph(gadget(n, p), (0, 1, n + 2))
         assert swept.boundary == brute.boundary == (0, 1, n + 2)
         assert swept.table() == brute.table()
+
+
+def test_gadget_factor_refuses_weights_outside_the_open_unit_interval():
+    # graph.gadget builds the edge list and refuses p outside (0, 1).
+    for n, p in product((1, 3), (rat(0), rat(1), rat(3, 2), rat(-1, 2))):
+        with pytest.raises(ValueError, match="0 < p < 1"):
+            gadget_factor(n, p)
 
 
 def test_gadget_factor_mass_at_q1():
@@ -723,10 +731,15 @@ def test_packed_and_points_give_the_same_table_on_edge_networks(weights, data):
 
 @st.composite
 def gadget_networks(draw):
-    """One to three copies of a gadget factor on slots among six vertices, one to three queries."""
+    """One to three copies of a gadget factor on slots among six vertices, one to three queries.
+
+    The gadget contracts one edge factor per edge of graph.gadget, each with a
+    drawn weight; a weight outside [0, 1] gives signed entries.
+    """
     n = draw(st.integers(1, 3))
-    p = draw(st.fractions(0, 1, max_denominator=20) | st.sampled_from([rat(3, 2), rat(-1, 2)]))
-    base = gadget_factor(n, p)
+    weight = st.fractions(0, 1, max_denominator=20) | st.sampled_from([rat(3, 2), rat(-1, 2)])
+    edges = tuple(edge_factor(u, v, draw(weight)) for u, v, _ in gadget(n, rat(1, 2)).edges)
+    base = contract_network(FactorNetwork(edges, (0, 1, n + 2)), order=range(2, n + 2))
     slot = st.lists(st.integers(0, 5), min_size=3, max_size=3, unique=True)
     slots = draw(st.lists(slot, min_size=1, max_size=3))
     factors = tuple(base.relabel({0: a, 1: b, n + 2: c}) for a, b, c in slots)

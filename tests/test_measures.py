@@ -18,6 +18,8 @@ from bunkbed.graph import (
     bunkbed_copies,
     components_of,
     hollom_instance,
+    hypergraph_bunkbed,
+    hypergraph_copies,
 )
 from bunkbed.measures import (
     EnumerationGuardError,
@@ -584,8 +586,8 @@ def test_engines_match_per_subset_oracle(case):
         rgs = canonical_rgs(roots[x] for x in marked)
         _add(rc, (rgs, kappa), w)
         _add(profile, (rgs, size, kappa), 1)
-        for prof, (a, b, c) in zip(profiles, triples):
-            _add(prof, ((roots[a] == roots[b]) + 2 * (roots[a] == roots[c]), size, kappa), 1)
+        for prof, t in zip(profiles, triples):
+            _add(prof, (canonical_rgs(roots[x] for x in t), size, kappa), 1)
         if size + kappa == g.n:
             masks.add((mask, kappa))
             _add(forests, (rgs, kappa), 1)
@@ -657,6 +659,27 @@ def test_engines_match_per_subset_oracle(case):
             n_rb += roots[u1] == roots[v2]
     assert alt_colouring_counts(g, posts, u, v) == (n_rr, n_rb, n_total)
 
+    # Hypergraph bunkbed: the triples of distinct vertices and one through u
+    # and v as hyperedges on 1..n, with the same posts and query; one
+    # union-find pass per subset of the doubled hyperedges.
+    if g.n >= 3:
+        hyperedges = [t for t in triples if len(set(t)) == 3] + [(u, v, min({0, 1, 2} - {u, v}))]
+        h = Hypergraph(g.n, tuple(tuple(x + 1 for x in t) for t in hyperedges), frozenset(x + 1 for x in posts))
+        vertices, doubled = hypergraph_bunkbed(h)
+        (u1, _), (v1, v2) = hypergraph_copies(h, u + 1), hypergraph_copies(h, v + 1)
+        index = vertices.index
+        pairs = [(index(a), index(x)) for a, b, c in doubled for x in (b, c)]
+        terms: dict = {}
+        for mask in range(1 << len(doubled)):
+            pair_mask = sum(3 << 2 * i for i in range(len(doubled)) if mask >> i & 1)
+            roots, kappa = roots_and_kappa(len(vertices), pairs, pair_mask)
+            one = roots[index(u1)]
+            present = mask.bit_count()
+            sign = (one == roots[index(v1)]) - (one == roots[index(v2)])
+            _add(terms, (kappa, 0, present, len(doubled) - present), sign)
+        expected = MultiPoly({exp: rat(c) for exp, c in terms.items() if c})
+        assert hypergraph_rc_difference(h, u + 1, v + 1) == expected
+
 
 @settings(deadline=None, max_examples=40)
 @given(multigraphs())
@@ -723,8 +746,11 @@ def test_packed_fold_matches_the_fold_by_states(case, sizes, acyclic, sided, for
         steps = measures._edge_steps(g)
     tags = [(0, 1)] * g.m if sizes else None
     expected = fold_by_states(g.n, steps, weights, tags, acyclic, marked)
-    assert measures._fold(g.n, steps, weights, sizes, acyclic, marked) == expected
     unit = fold_by_states(g.n, steps, None, tags, acyclic, marked)
+    if not sizes:
+        # Without sizes the fold keys (RGS, kappa), where the oracle's tag is 0.
+        expected, unit = ({(rgs, kappa): w for (rgs, _, kappa), w in d.items()} for d in (expected, unit))
+    assert measures._fold(g.n, steps, weights, sizes, acyclic, marked) == expected
     assert measures._fold(g.n, steps, None, sizes, acyclic, marked) == unit
 
 
