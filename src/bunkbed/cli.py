@@ -215,7 +215,7 @@ def cmd_table2(args) -> dict:
     p = _parse_rat(args.p)
     if not 0 < p < 1:
         raise UsageError(f"--p {args.p} must lie strictly between 0 and 1")
-    width = _parse_rat(args.width) if args.width else None
+    width = None if args.width is None else _parse_rat(args.width)
     if width is not None and width <= 0:
         raise UsageError(f"--width {args.width} must be positive")
     n_values = _parse_int_list(args.n)

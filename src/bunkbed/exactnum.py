@@ -12,20 +12,22 @@ exponent tuples in the indeterminates q, l, g, h (l is the forest activity
 usually written lambda) to rational coefficients, with no arithmetic.
 
 Real roots are isolated by bisection, once the roots at the domain ends are
-divided out.  The degree left alone picks the certifier; no caller chooses
-one.  If it is at most 24, Sturm chains count the roots.  Above that,
-Descartes' rule of signs certifies each node of a bisection tree (Collins and
-Akritas 1976; Rouillier and Zimmermann 2004): a node carries a positive
-integer multiple of p mapped onto (0, 1), and its children come from it by bit
-shifts and one Taylor shift by 1, which is additions only.  Roots that
-Descartes cannot separate (a repeated root) send the same call on to Sturm, up
-to degree 96.  Either certifier halves a bracket holding one distinct root on
-the sign of p times gcd(p, p'), whose roots are all simple; a midpoint that is
-the root itself ends the halving with a bracket centred on it.  Multiplicities
-are counted on the tower gcd(p, p'), gcd(gcd, gcd'), ..., each level the last
-member of the Sturm chain of the one before.  Every sign is the sign of an
-integer: p at num/den is evaluated as den**deg p(num/den), with shifts for the
-powers of a power-of-two den.
+divided out.  Descartes' rule of signs certifies each node of a bisection
+tree at every degree (Collins and Akritas 1976; Rouillier and Zimmermann
+2004): a node carries a positive integer multiple of p mapped onto (0, 1),
+and its children come from it by bit shifts and one Taylor shift by 1, which
+is additions only.  A node narrower than the requested width that still
+shows two or more sign variations (a repeated root, or roots closer than the
+width) splits p once into square-free factors a_1, a_2, ... with
+p ~ a_1 a_2**2 ... (Yun 1976, over a heuristic gcd that packs each
+polynomial into one integer, Char, Geddes and Gonnet 1989), and Descartes
+isolates the square-free part a_1 a_2 ... instead; roots it cannot separate
+even then go on to a Sturm chain of it, up to degree 96.  Each certifier
+halves a bracket holding one simple root on the sign of its polynomial; a
+midpoint that is the root itself ends the halving with a bracket centred on
+it.  A bracket's multiplicity is the m whose a_m changes sign across it.
+Every sign is the sign of an integer: p at num/den is evaluated as
+den**deg p(num/den), with shifts for the powers of a power-of-two den.
 
 Everything in this module is exact.  There is no floating point anywhere, and
 every returned sign or interval is backed by integer arithmetic.
@@ -34,7 +36,7 @@ every returned sign or interval is backed by integer arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate, chain, zip_longest
 from math import gcd, lcm
 from operator import add, mul, sub
 from typing import Iterable, Sequence
@@ -525,6 +527,95 @@ def _pseudo_rem(f: list[int], g: list[int]) -> list[int]:
     return f
 
 
+def _divide_exact(f: Sequence[int], g: Sequence[int]) -> list[int] | None:
+    """f / g if g divides f with an integral quotient, else None.
+
+    By Gauss's lemma a primitive g that divides f over the rationals divides
+    it over the integers, so for primitive g this is the divisibility test.
+    """
+    f = list(f)
+    dg = len(g) - 1
+    lc = g[-1]
+    quotient = [0] * max(len(f) - dg, 0)
+    for k in range(len(quotient) - 1, -1, -1):
+        t, r = divmod(f[k + dg], lc)
+        if r:
+            return None
+        quotient[k] = t
+        if t:
+            f[k : k + dg] = [x - t * y for x, y in zip(f[k : k + dg], g)]
+    return None if any(f[:dg]) else quotient
+
+
+def _pack(coeffs: Sequence[int], bits: int) -> int:
+    """p(2**bits): coefficient k at bit k * bits (Kronecker substitution)."""
+    return sum(c << (k * bits) for k, c in enumerate(coeffs))
+
+
+def _unpack(packed: int, bits: int) -> list[int]:
+    """Signed base-2**bits digits of packed, lowest first, each in
+    [-2**(bits-1), 2**(bits-1)): the coefficients `_pack` took, while every
+    one of them lies in that range.  Each digit is subtracted before the
+    shift, so the loop ends."""
+    mask, half = (1 << bits) - 1, 1 << (bits - 1)
+    coeffs = []
+    while packed:
+        c = packed & mask
+        if c >= half:
+            c -= 1 << bits
+        coeffs.append(c)
+        packed = (packed - c) >> bits
+    return coeffs
+
+
+def _gcd(f: Sequence[int], g: Sequence[int]) -> list[int]:
+    """Primitive gcd of two integer polynomials, not both zero, with a
+    positive leading coefficient.
+
+    First the heuristic gcd (Char, Geddes and Gonnet 1989): at
+    xi = 2**k >= 2 min(|f|, |g|) + 2, where evaluation is packing, the
+    candidate is the primitive part of the signed base-xi digits of
+    gcd(f(xi), g(xi)), and it is the gcd if it divides both (their
+    Theorem 1).  Otherwise the primitive remainder sequence of `_pseudo_rem`.
+    """
+    f, g = _primitive(f), _primitive(g)
+    if f and g:
+        k = (2 * min(max(map(abs, f)), max(map(abs, g))) + 1).bit_length()
+        h = _primitive(_unpack(gcd(_pack(f, k), _pack(g, k)), k))
+        if _divide_exact(f, h) is not None and _divide_exact(g, h) is not None:
+            f, g = h, []  # the gcd: no remainder sequence to run
+    while g:
+        f, g = g, _primitive(_pseudo_rem(f, g))
+    return f if f[-1] > 0 else [-x for x in f]
+
+
+def _square_free_split(c: Sequence[int]) -> tuple[list[int], list[tuple[list[int], int]]]:
+    """Yun's square-free decomposition (Yun 1976) of a non-constant integer polynomial.
+
+    Returns (core, factors).  core = c / gcd(c, c') has the distinct roots
+    of c, all simple.  factors lists (a, m) for m = 1, 2, ... wherever a is
+    not constant: the a are primitive, square-free and pairwise coprime, and
+    c is a rational multiple of the product of the a**m.
+    """
+    f = _primitive(c)
+    df = _derivative(f)
+    g = _gcd(f, df)
+    core = b = _divide_exact(f, g)
+    d = _divide_exact(df, g)
+    factors = []
+    m = 1
+    # Yun's loop: b is the product of the factors of multiplicity >= m, and
+    # a = gcd(b, d - b') those of multiplicity exactly m.
+    while len(b) > 1:
+        d = _trim([x - y for x, y in zip_longest(d, _derivative(b), fillvalue=0)])
+        a = _gcd(b, d)
+        b, d = _divide_exact(b, a), _divide_exact(d, a)
+        if len(a) > 1:
+            factors.append((a, m))
+        m += 1
+    return core, factors
+
+
 def sturm_chain(coeffs: Sequence) -> list[list[int]]:
     """Sturm chain of a univariate polynomial given as a coefficient list."""
     p0 = _int_clear(coeffs)
@@ -639,8 +730,9 @@ class IsolatingInterval:
         return self.low < Rational(x) < self.high
 
 
-_STURM_DEGREE_LIMIT = 24
-# Descartes hands roots it cannot separate on to Sturm up to this degree.
+# Descartes goes on below `width` down to width / 2**16 on a square-free
+# polynomial, and Sturm takes the roots it still cannot separate up to this
+# degree.
 _FALLBACK_DEGREE_LIMIT = 96
 
 
@@ -650,12 +742,15 @@ def isolate_real_roots(coeffs: Sequence, domain: tuple, width) -> list[Isolating
     Returns disjoint intervals of width < `width`, each containing exactly one
     distinct root whose multiplicity is reported.  Roots at the domain ends
     are divided out exactly and not reported; an interval may end at such a
-    domain end, and no other interval endpoint is a root.  The degree left
-    picks the certifier: up to 24 a Sturm chain (exhaustive, but with heavy
-    coefficient growth at high degree), above it Descartes sign variations on
-    a bisection tree, which need no chain.  When Descartes meets roots that
-    fail to separate (a repeated root), the same call goes on with Sturm up
-    to degree 96 and raises ValueError above it.
+    domain end, and no other interval endpoint is a root.  Descartes sign
+    variations on a bisection tree certify every degree.  Only a node
+    narrower than `width` that still shows two or more variations (a
+    repeated root, or roots closer than `width`) splits the polynomial, once,
+    into square-free factors by Yun's algorithm.  Descartes then isolates the
+    square-free part, down to width / 2**16; what it cannot separate there
+    goes on to a Sturm chain of the square-free part up to degree 96 and
+    raises ValueError above it.  A bracket's multiplicity is the m of the
+    square-free factor that changes sign across it.
     """
     lo, hi = Rational(domain[0]), Rational(domain[1])
     if not lo < hi:
@@ -667,48 +762,33 @@ def isolate_real_roots(coeffs: Sequence, domain: tuple, width) -> list[Isolating
     if not c:
         raise ValueError("zero polynomial")
     c = _divide_out_root(_divide_out_root(c, lo), hi)
-    degree = len(c) - 1
-    if degree == 0:
+    if len(c) == 1:
         return []
-    if degree > _STURM_DEGREE_LIMIT:
-        try:
-            return [IsolatingInterval(a, b) for a, b in _isolate_descartes(c, lo, hi, width)]
-        except _RepeatedRootSuspicion:
-            if degree > _FALLBACK_DEGREE_LIMIT:
-                raise ValueError(
-                    "roots failed to separate; certified isolation at this "
-                    "degree needs a square-free polynomial"
-                ) from None
+    try:
+        return [IsolatingInterval(a, b) for a, b in _isolate_descartes(c, lo, hi, width, width)]
+    except _Stall:
+        pass
+    core, factors = _square_free_split(c)
+    try:
+        brackets = _isolate_descartes(core, lo, hi, width, width / (1 << 16))
+    except _Stall:
+        if len(core) - 1 > _FALLBACK_DEGREE_LIMIT:
+            raise ValueError(
+                "roots closer than width / 2**16 failed to separate; the Sturm "
+                f"fallback stops at degree {_FALLBACK_DEGREE_LIMIT}"
+            ) from None
+        brackets = _isolate_sturm(core, lo, hi, width)
+    # No bracket ends at a root, and its one root is a simple root of
+    # exactly one square-free factor.
+    return [
+        IsolatingInterval(a, b, next(m for f, m in factors if _eval_sign(f, a) != _eval_sign(f, b)))
+        for a, b in brackets
+    ]
+
+
+def _isolate_sturm(c, lo, hi, width):
+    """Bisect (lo, hi) on Sturm counts of square-free c; each point's chain is evaluated once."""
     chain = sturm_chain(c)
-    # The chain bottoms out at gcd(p, p'); non-constant means repeated roots.
-    gcd = chain[-1] if len(chain[-1]) > 1 else None
-    raw = _isolate_sturm(c, chain, gcd, lo, hi, width)
-    return [IsolatingInterval(a, b, m) for (a, b), m in zip(raw, _multiplicities(gcd, raw))]
-
-
-def _multiplicities(gcd, brackets) -> list[int]:
-    """Multiplicity of the single distinct root of c in each bracket, gcd = gcd(c, c').
-
-    A root of multiplicity m is a root of the first m - 1 levels of the tower
-    gcd, gcd(gcd, gcd'), ...  Each level's Sturm chain is built once, only
-    while some bracket still holds a root of the level above, and ends in the
-    next level.
-    """
-    mults = [1] * len(brackets)
-    live = range(len(brackets)) if gcd is not None else ()
-    g = gcd
-    while live and len(g) > 1:
-        chain = sturm_chain(g)
-        # Endpoints are not roots of c, hence not of g either.
-        live = [i for i in live if sturm_count(chain, *brackets[i])]
-        for i in live:
-            mults[i] += 1
-        g = chain[-1]
-    return mults
-
-
-def _isolate_sturm(c, chain, gcd, lo, hi, width):
-    """Bisect (lo, hi) on Sturm counts; each point's chain is evaluated once."""
     out = []
     stack = [(lo, hi, _chain_variations_at(chain, lo), _chain_variations_at(chain, hi))]
     while stack:
@@ -717,7 +797,7 @@ def _isolate_sturm(c, chain, gcd, lo, hi, width):
         if count == 0:
             continue
         if count == 1:
-            out.append(_refine(c, gcd, a, b, width))
+            out.append(_refine(c, a, b, width))
             continue
         mid, _ = _off_root(c, (a + b) / 2, (b - a) / 16)
         vm = _chain_variations_at(chain, mid)
@@ -729,24 +809,18 @@ def _isolate_sturm(c, chain, gcd, lo, hi, width):
     return out
 
 
-def _refine(c, gcd, a, b, width):
-    """Halve (a, b), holding one distinct root of c and none at its ends, to below `width`.
+def _refine(c, a, b, width):
+    """Halve (a, b), holding one simple root of c and none at its ends, to below `width`.
 
-    gcd is gcd(c, c'), or None when c has only simple roots.  c / gcd has
-    only simple roots, so its sign, that of c times gcd, changes at that root
-    alone: the same halves a Sturm count would keep.  A midpoint that is a
-    root of c is the root itself, and it is returned inside a bracket of
-    width width / 2, which b - a >= width keeps inside (a, b).
+    c changes sign at that root alone: the same halves a root count would
+    keep.  A midpoint that is a root of c is the root itself, and it is
+    returned inside a bracket of width width / 2, which b - a >= width keeps
+    inside (a, b).
     """
-
-    def sign(x):
-        s = _eval_sign(c, x)
-        return s if gcd is None else s * _eval_sign(gcd, x)
-
-    sa = sign(a)
+    sa = _eval_sign(c, a)
     while b - a >= width:
         mid = (a + b) / 2
-        sm = sign(mid)
+        sm = _eval_sign(c, mid)
         if sm == 0:
             return mid - width / 4, mid + width / 4
         if sm == sa:
@@ -756,22 +830,22 @@ def _refine(c, gcd, a, b, width):
     return a, b
 
 
-class _RepeatedRootSuspicion(Exception):
-    pass
+class _Stall(Exception):
+    """A Descartes node narrower than its floor still shows two or more sign variations."""
 
 
-def _isolate_descartes(c, lo, hi, width):
+def _isolate_descartes(c, lo, hi, width, floor):
     """Descartes bisection with Taylor shifts (Collins-Akritas).
 
     Each node (a, b) carries a positive multiple P of p(a + (b - a) t).  Its
     left child 2**d P(t/2) shifts coefficient i left by d - i bits, and its
     right child is the left one Taylor-shifted by 1, so only the domain and
     the children of a nudged midpoint are mapped from p.  p(mid) is 0 exactly
-    when the left child's coefficients sum to 0.
+    when the left child's coefficients sum to 0.  Raises _Stall at the first
+    node narrower than `floor` with two or more variations.
     """
     d = len(c) - 1
     out = []
-    min_width = width / (1 << 16)
     stack = [(lo, hi, _to_unit_interval(c, lo, hi))]
     while stack:
         a, b, poly = stack.pop()
@@ -782,10 +856,10 @@ def _isolate_descartes(c, lo, hi, width):
             continue
         if v == 1:
             # Exactly one simple root: refine by cheap exact sign bisection.
-            out.append(_refine(c, None, a, b, width))
+            out.append(_refine(c, a, b, width))
             continue
-        if b - a < min_width:
-            raise _RepeatedRootSuspicion
+        if b - a < floor:
+            raise _Stall
         mid = (a + b) / 2
         left = [x << (d - i) for i, x in enumerate(poly)]
         if sum(left):

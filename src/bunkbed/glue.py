@@ -98,7 +98,7 @@ from math import prod
 from operator import add, mul, sub
 from typing import NamedTuple
 
-from .exactnum import MultiPoly, Rational, _trim, rat
+from .exactnum import MultiPoly, Rational, _pack, _trim, _unpack, rat
 from .graph import Graph, gadget, hollom_instance, hypergraph_copies
 from .measures import EnumerationGuardError, _integer_fold
 from .partition import bell_number, block_string, canonical_rgs, project_rgs
@@ -338,20 +338,11 @@ class _Packed:
     def encode(self, coeffs: list) -> int:
         if len(coeffs) <= 1:
             return coeffs[0] if coeffs else 0
-        return sum(c << (k * self.width) for k, c in enumerate(coeffs))
+        return _pack(coeffs, self.width)
 
     def decode(self, packed: int) -> list:
-        """Trimmed coefficients: signed digits, each subtracted before the shift so the loop ends."""
-        width = self.width
-        mask, half = (1 << width) - 1, 1 << (width - 1)
-        coeffs = []
-        while packed:
-            c = packed & mask
-            if c >= half:
-                c -= 1 << width
-            coeffs.append(c)
-            packed = (packed - c) >> width
-        return coeffs
+        """Trimmed coefficients: the signed base-2**width digits."""
+        return _unpack(packed, self.width)
 
     def scale(self, packed: int, closed: int) -> int:
         return packed << (closed * self.width)

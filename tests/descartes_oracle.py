@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from bunkbed.exactnum import _RepeatedRootSuspicion
+from bunkbed.exactnum import _Stall
 
 
 def taylor_shift_by_loops(c, a):
@@ -93,16 +93,14 @@ def _refine_sign_change(c, a, b, width):
     return a, b
 
 
-def isolate_descartes(c, lo, hi, width):
+def isolate_descartes(c, lo, hi, width, floor):
     """Sorted (low, high) brackets of the roots of c in (lo, hi).
 
-    The domain ends must not be roots.  Raises ``_RepeatedRootSuspicion``
-    when an interval with two or more sign variations gets narrower than
-    width / 2**16.
+    The domain ends must not be roots.  Raises ``_Stall`` when an interval
+    with two or more sign variations gets narrower than `floor`.
     """
-    lo, hi, width = Fraction(lo), Fraction(hi), Fraction(width)
+    lo, hi, width, floor = Fraction(lo), Fraction(hi), Fraction(width), Fraction(floor)
     out = []
-    min_width = width / (1 << 16)
     stack = [(lo, hi)]
     while stack:
         a, b = stack.pop()
@@ -112,8 +110,8 @@ def isolate_descartes(c, lo, hi, width):
         if v == 1:
             out.append(_refine_sign_change(c, a, b, width))
             continue
-        if b - a < min_width:
-            raise _RepeatedRootSuspicion
+        if b - a < floor:
+            raise _Stall
         mid = (a + b) / 2
         bump = (b - a) / 16
         while value(c, mid) == 0:

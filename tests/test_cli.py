@@ -303,6 +303,7 @@ def test_exit_code_mapping():
         (["verify", "--suite", "hypergraph-factor", "--seed", "3"], "hypergraph-factor does not read --seed"),
         (["verify", "--suite", "bunkbed", "--graph", "K3", "--p", ""], "empty list ''"),
         (["verify", "--suite", "p-threshold", "--graph", "fig4-left", "--q", ""], "empty list ''"),
+        (["table2", "--n", "3", "--width", ""], "bad rational ''"),
     ],
 )
 def test_malformed_input_is_usage_error(argv, fragment, tmp_path, capsys):

@@ -1,6 +1,6 @@
 import random
 import re
-from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -299,25 +299,41 @@ def test_sturm_count_on_cubic():
     assert sturm_count(chain, rat(-11), rat(11)) == 1
 
 
-@pytest.fixture
-def engine(request, monkeypatch):
-    """Force one certifier at every degree through the Sturm degree limit.
+@contextmanager
+def forced(engine):
+    """Force one certifier inside the block, and check on exit that it ran.
 
-    Descartes keeps its fallback to Sturm for roots it cannot separate.
+    "sturm" makes every Descartes run stall at its first node, so each call
+    ends in the Sturm chain of the square-free part; "descartes" leaves
+    Descartes alone and checks that no Sturm chain ran.  Yields the list of
+    (certifier, polynomial) runs.
     """
-    limit = {"sturm": 10**9, "descartes": 0}[request.param]
-    monkeypatch.setattr(exactnum, "_STURM_DEGREE_LIMIT", limit)
-    calls = Counter()
-    for name in ("sturm", "descartes"):
-        def counted(*args, real=getattr(exactnum, f"_isolate_{name}"), name=name):
-            calls[name] += 1
-            return real(*args)
+    runs = []
+    descartes, sturm = exactnum._isolate_descartes, exactnum._isolate_sturm
 
-        monkeypatch.setattr(exactnum, f"_isolate_{name}", counted)
-    yield request.param
-    # The forced certifier ran; Sturm runs after Descartes only as its fallback.
-    assert calls[request.param]
-    assert request.param == "descartes" or not calls["descartes"]
+    def counted_descartes(c, *args):
+        runs.append(("descartes", c))
+        if engine == "sturm":
+            raise exactnum._Stall
+        return descartes(c, *args)
+
+    def counted_sturm(c, *args):
+        runs.append(("sturm", c))
+        return sturm(c, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactnum, "_isolate_descartes", counted_descartes)
+        mp.setattr(exactnum, "_isolate_sturm", counted_sturm)
+        yield runs
+    ran = {name for name, _ in runs}
+    assert engine in ran
+    assert engine == "sturm" or "sturm" not in ran
+
+
+@pytest.fixture
+def engine(request):
+    with forced(request.param):
+        yield request.param
 
 
 def test_isolating_interval_invariants():
@@ -450,20 +466,22 @@ def test_brackets_confirmed_by_endpoint_signs():
                 assert (lo_sign < 0) != (hi_sign < 0)
 
 
-def test_descartes_falls_back_for_repeated_roots(monkeypatch):
-    monkeypatch.setattr(exactnum, "_STURM_DEGREE_LIMIT", 0)
-    found = isolate_real_roots(from_roots([1, 1, 3]), (rat(0), rat(5)), rat(1, 16))
+def test_descartes_falls_back_for_repeated_roots():
+    # The double root stalls Descartes on p below the width; Descartes then
+    # isolates the square-free part (x - 1)(x - 3), and no Sturm chain runs.
+    with forced("descartes") as runs:
+        found = isolate_real_roots(from_roots([1, 1, 3]), (rat(0), rat(5)), rat(1, 16))
     assert [iv.multiplicity for iv in found] == [2, 1]
+    assert runs == [("descartes", from_roots([1, 1, 3])), ("descartes", from_roots([1, 3]))]
 
 
-def test_both_engines_bracket_a_midpoint_root_alike(monkeypatch):
-    # 3/8 is a bisection midpoint of (0, 2); the bracket centres on it.  The
-    # degree limit 24 picks Sturm for this quadratic, and 0 picks Descartes.
+def test_both_engines_bracket_a_midpoint_root_alike():
+    # 3/8 is a bisection midpoint of (0, 2); the bracket centres on it.
     p = from_roots([rat(3, 8), rat(9, 5)])
     by_engine = []
-    for limit in (24, 0):
-        monkeypatch.setattr(exactnum, "_STURM_DEGREE_LIMIT", limit)
-        by_engine.append(isolate_real_roots(p, (rat(0), rat(2)), rat(1, 1000)))
+    for engine in ("sturm", "descartes"):
+        with forced(engine):
+            by_engine.append(isolate_real_roots(p, (rat(0), rat(2)), rat(1, 1000)))
     assert by_engine[0] == by_engine[1]
     assert (by_engine[0][0].low, by_engine[0][0].high) == (rat(1499, 4000), rat(1501, 4000))
     assert by_engine[0][1].contains(rat(9, 5))
@@ -584,8 +602,8 @@ def _descartes_case(rng, i):
 def _outcome(isolate, *args):
     try:
         return [(str(a), str(b)) for a, b in isolate(*args)]
-    except exactnum._RepeatedRootSuspicion:
-        return "repeated-root suspicion"
+    except exactnum._Stall:
+        return "stall"
 
 
 def test_descartes_tree_matches_the_per_interval_oracle(monkeypatch):
@@ -598,14 +616,177 @@ def test_descartes_tree_matches_the_per_interval_oracle(monkeypatch):
 
     monkeypatch.setattr(exactnum, "_to_unit_interval", counting)
     rng = random.Random(1976)
-    suspected = set()
+    stalled = set()
     nudged = 0
     for i in range(200):
         c, lo, hi, width, kind = _descartes_case(rng, i)
+        # Both stall floors of isolate_real_roots: the width, and width / 2**16.
+        floor = width if i % 3 else width / (1 << 16)
         del remapped[:]
-        got = _outcome(exactnum._isolate_descartes, c, rat(lo), rat(hi), rat(width))
-        assert got == _outcome(isolate_descartes, c, lo, hi, width), (i, kind, c, lo, hi)
+        got = _outcome(exactnum._isolate_descartes, c, rat(lo), rat(hi), rat(width), rat(floor))
+        assert got == _outcome(isolate_descartes, c, lo, hi, width, floor), (i, kind, c, lo, hi)
         if isinstance(got, str):
-            suspected.add(kind)
+            stalled.add(kind)
         nudged += len(remapped) > 1
-    assert "double" in suspected and nudged > 0
+    assert "double" in stalled and nudged > 0
+
+
+# -- square-free split
+
+
+def _times(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _prs_gcd_monic(f, g):
+    """Monic gcd by Euclid over the rationals, as a Fraction list."""
+    f, g = [Fraction(x) for x in f], [Fraction(x) for x in g]
+    while g:
+        while len(f) >= len(g):
+            t = f[-1] / g[-1]
+            shift = len(f) - len(g)
+            f = [x - t * g[i - shift] if i >= shift else x for i, x in enumerate(f)]
+            while f and f[-1] == 0:
+                f.pop()
+            if not f:
+                break
+        f, g = g, f
+    return [x / f[-1] for x in f]
+
+
+def _gcd_cases(rng, count):
+    """Random integer polynomials with a planted common factor."""
+    for _ in range(count):
+        common, a, b = (
+            [rng.randint(-30, 30) for _ in range(rng.randint(1, 6))] + [rng.randint(1, 30)] for _ in range(3)
+        )
+        content = rng.choice((1, -2, 6))
+        yield [content * x for x in _times(a, common)], _times(b, common)
+
+
+def test_divide_exact_refuses_a_fractional_quotient():
+    assert exactnum._divide_exact([2, 6, 4], [1, 2]) == [2, 2]
+    # The quotient of 3q + 1 by 2q + 1 is 3/2; the floor 1 would leave 0 below the top.
+    assert exactnum._divide_exact([1, 3], [1, 2]) is None
+    assert exactnum._divide_exact([1, 2], [1, 0, 1]) is None
+
+
+@pytest.mark.parametrize("candidate", ["heuristic", "failing"])
+def test_gcd_is_the_primitive_remainder_sequence_gcd(candidate, monkeypatch):
+    fallbacks = []
+    pseudo_rem = exactnum._pseudo_rem
+    monkeypatch.setattr(exactnum, "_pseudo_rem", lambda f, g: fallbacks.append(1) or pseudo_rem(f, g))
+    if candidate == "failing":
+        # A degree-40 candidate divides neither input.
+        monkeypatch.setattr(exactnum, "_unpack", lambda packed, bits: [1] * 41)
+    heuristic = 0
+    for f, g in _gcd_cases(random.Random(1989), 60):
+        del fallbacks[:]
+        h = exactnum._gcd(f, g)
+        assert h[-1] > 0 and exactnum._primitive(h) == h
+        assert [Fraction(x, h[-1]) for x in h] == _prs_gcd_monic(f, g)
+        heuristic += not fallbacks
+    # One evaluation point finds most of them; an accidental common factor
+    # of f(xi) and g(xi) sends the rest on to the remainder sequence.
+    assert heuristic >= 55 if candidate == "heuristic" else heuristic == 0
+
+
+def _planted_square_free(rng):
+    """(factors, c): primitive, square-free, pairwise coprime a_m with
+    positive leading coefficients, and c = the product of the a_m**m."""
+    roots, squares = set(), set()
+    factors = []
+    for m in range(1, rng.randint(1, 5)):
+        a = [1]
+        for _ in range(rng.randint(0, 3)):
+            r = Fraction(rng.randint(-20, 20), rng.randint(1, 9))
+            if r not in roots:
+                roots.add(r)
+                a = _times(a, [-r.numerator, r.denominator])
+        k = rng.randint(1, 9)
+        if rng.random() < 0.3 and k not in squares:
+            squares.add(k)  # q**2 + k: no real roots, coprime to the rest
+            a = _times(a, [k, 0, 1])
+        if len(a) > 1:
+            factors.append((a, m))
+    c = [1]
+    for a, m in factors:
+        for _ in range(m):
+            c = _times(c, a)
+    return factors, c
+
+
+def test_yun_returns_the_planted_square_free_factors():
+    rng = random.Random(1976)
+    for _ in range(80):
+        factors, c = _planted_square_free(rng)
+        if len(c) == 1:
+            continue
+        content = rng.choice((1, -3, 10))
+        core, split = exactnum._square_free_split([content * x for x in c])
+        assert split == factors
+        product = [1]
+        for a, m in split:
+            for _ in range(m):
+                product = _times(product, a)
+        assert product == c
+        square_free = [1]
+        for a, _ in split:
+            square_free = _times(square_free, a)
+        assert [x * core[-1] for x in square_free] == [x * square_free[-1] for x in core]
+
+
+def _planted_roots():
+    """Distinct rationals with odd denominators 3..15, each with a multiplicity 1..4.
+
+    Any two lie more than 1/200 apart and none is dyadic, so neither a
+    bisection midpoint nor a bracket of width 1/1000 can hold two.
+    """
+    root = st.builds(Fraction, st.integers(-20, 50), st.sampled_from([3, 5, 7, 9, 11, 13, 15]))
+    return st.lists(
+        st.tuples(root.filter(lambda r: r.denominator > 1), st.integers(1, 4)),
+        min_size=1,
+        max_size=5,
+        unique_by=lambda pair: pair[0],
+    )
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(_planted_roots())
+def test_sturm_and_descartes_on_the_square_free_part_agree(planted):
+    c = _poly_from([r for r, m in planted for _ in range(m)], [1])
+    lo, hi, width = rat(0), rat(2), rat(1, 1000)
+    by_engine = []
+    for engine in ("sturm", "descartes"):
+        with forced(engine):
+            by_engine.append(isolate_real_roots(c, (lo, hi), width))
+    assert by_engine[0] == by_engine[1]
+    inside = sorted((r, m) for r, m in planted if lo < r < hi)
+    assert [iv.multiplicity for iv in by_engine[1]] == [m for _, m in inside]
+    assert all(iv.contains(r) and iv.width() < width for iv, (r, _) in zip(by_engine[1], inside))
+
+
+def test_degree_100_with_a_double_root_isolates_with_multiplicity_2():
+    # A double root at 1/3 and 49 quadratics with no real root: above the
+    # Sturm fallback's degree 96, so Descartes on the square-free part
+    # certifies it.
+    c = [1, -6, 9]
+    for k in range(49):
+        c = _times(c, [k + 1, 0, 1])
+    assert len(c) - 1 == 100
+    (found,) = isolate_real_roots(c, (rat(0), rat(2)), rat(1, 10**6))
+    assert found.multiplicity == 2 and found.contains(rat(1, 3))
+
+
+def test_roots_too_close_above_degree_96_name_the_floor():
+    # Roots 10**-13 apart stay unseparated at 10**-6 / 2**16.
+    c = _times([-1, 3], [-(10**13 + 3), 3 * 10**13])
+    for k in range(48):
+        c = _times(c, [k + 1, 0, 1])
+    assert len(c) - 1 == 98
+    with pytest.raises(ValueError, match=r"closer than width / 2\*\*16"):
+        isolate_real_roots(c, (rat(0), rat(2)), rat(1, 10**6))

@@ -78,16 +78,19 @@ def _mul(a, b):
     return out
 
 
-def fallback_polynomial():
-    """Seeded degree-26 polynomial with a double root, so Descartes falls back.
+def fallback_polynomial(close_pair=False):
+    """Seeded degree-26 polynomial with a double root, so Descartes stalls on it.
 
     Six rational roots in (0, 3), one of them double, and ten quadratic
-    factors with no real roots.
+    factors with no real roots.  `close_pair` moves the second copy of the
+    double root r to r + 10**-13, closer than Descartes separates at the
+    width 10**-6 used here.
     """
     rng = random.Random(26)
     double = [-rng.randrange(200, 1800), 1000]
+    second = [double[0] * 10**10 - 1, 10**13] if close_pair else double
     coeffs = [1]
-    for f in [double, double] + [[-rng.randrange(1, 3000), 1000] for _ in range(4)]:
+    for f in [double, second] + [[-rng.randrange(1, 3000), 1000] for _ in range(4)]:
         coeffs = _mul(coeffs, f)
     while len(coeffs) - 1 < 26:
         d = rng.randrange(64, 128)
@@ -100,9 +103,10 @@ def fallback_polynomial():
 def test_fallback_polynomial_intervals_are_pinned():
     coeffs = fallback_polynomial()
     assert len(coeffs) - 1 == 26
-    with pytest.raises(exactnum._RepeatedRootSuspicion):
-        exactnum._isolate_descartes(coeffs, rat(0), rat(4), rat(1, 10**6))
-    found = isolate_real_roots(coeffs, (rat(0), rat(4)), rat(1, 10**6))
+    width = rat(1, 10**6)
+    with pytest.raises(exactnum._Stall):
+        exactnum._isolate_descartes(coeffs, rat(0), rat(4), width, width / 2**16)
+    found = isolate_real_roots(coeffs, (rat(0), rat(4)), width)
     assert [[format_rational(iv.low), format_rational(iv.high), iv.multiplicity] for iv in found] == [
         ["435683/524288", "871367/1048576", 1],
         ["220463/262144", "881853/1048576", 1],
@@ -122,8 +126,14 @@ def test_fallback_polynomial_builds_each_sturm_chain_once(monkeypatch):
         return chain
 
     monkeypatch.setattr(exactnum, "sturm_chain", counting)
-    found = isolate_real_roots(fallback_polynomial(), (rat(0), rat(4)), rat(1, 10**6))
+    width = rat(1, 10**6)
+    found = isolate_real_roots(fallback_polynomial(), (rat(0), rat(4)), width)
     assert [iv.multiplicity for iv in found] == [1, 1, 2, 1, 1]
-    # The polynomial's own chain, then its one gcd level: (x - r) for the double root r.
-    assert len(built) == 2
-    assert len(built[1]) == 2
+    # Descartes isolates the square-free part, so no chain is built.
+    assert built == []
+    found = isolate_real_roots(fallback_polynomial(close_pair=True), (rat(0), rat(4)), width)
+    assert [iv.multiplicity for iv in found] == [1] * 6
+    assert all(iv.width() < width for iv in found)
+    # Roots 10**-13 apart stall Descartes down to width / 2**16 on the
+    # square-free polynomial itself, which gets its one chain.
+    assert len(built) == 1 and len(built[0]) == 27
