@@ -14,18 +14,21 @@ usually written lambda) to rational coefficients, with no arithmetic.
 Real roots are isolated by bisection, once the roots at the domain ends are
 divided out.  Descartes' rule of signs certifies each node of a bisection
 tree at every degree (Collins and Akritas 1976; Rouillier and Zimmermann
-2004): a node carries a positive integer multiple of p mapped onto (0, 1),
-and its children come from it by bit shifts and one Taylor shift by 1, which
-is additions only.  A node narrower than the requested width that still
-shows two or more sign variations (a repeated root, or roots closer than the
-width) splits p once into square-free factors a_1, a_2, ... with
+2004) in the Bernstein basis (Mourrain, Rouillier and Roy 2005): a node
+carries a positive integer multiple of the Bernstein coefficients of p on
+its interval, whose sign variations are the node's count, and a split runs
+one integer de Casteljau triangle (Lane and Riesenfeld 1981) that gives both
+children.  A node narrower than the requested width that still shows two or
+more sign variations (a repeated root, or roots closer than the width)
+splits p once into square-free factors a_1, a_2, ... with
 p ~ a_1 a_2**2 ... (Yun 1976, over a heuristic gcd that packs each
-polynomial into one integer, Char, Geddes and Gonnet 1989), and Descartes
-isolates the square-free part a_1 a_2 ... instead; roots it cannot separate
-even then go on to a Sturm chain of it, up to degree 96.  Each certifier
-halves a bracket holding one simple root on the sign of its polynomial; a
-midpoint that is the root itself ends the halving with a bracket centred on
-it.  A bracket's multiplicity is the m whose a_m changes sign across it.
+polynomial into one integer, Char, Geddes and Gonnet 1989).  A square-free p
+goes on down the same tree with no floor; otherwise Descartes isolates the
+square-free part a_1 a_2 ... from the domain.  Either ends, by Vincent's
+theorem.  A bracket holding one simple root is halved on the sign of its
+polynomial; a midpoint that is the root itself ends the halving with a
+bracket centred on it.  A bracket's multiplicity is the m whose a_m changes
+sign across it.
 Every sign is the sign of an integer: p at num/den is evaluated as
 den**deg p(num/den), with shifts for the powers of a power-of-two den.
 
@@ -36,9 +39,10 @@ every returned sign or interval is backed by integer arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import accumulate, chain, zip_longest
-from math import gcd, lcm
-from operator import add, mul, sub
+from math import comb, gcd, lcm
+from operator import add, mul, ne, sub
 from typing import Iterable, Sequence
 
 try:
@@ -635,27 +639,19 @@ def sturm_chain(coeffs: Sequence) -> list[list[int]]:
     return chain
 
 
-def _variations(signs: Iterable[int]) -> int:
-    prev = 0
-    count = 0
-    for s in signs:
-        if s == 0:
-            continue
-        if prev and s != prev:
-            count += 1
-        prev = s
-    return count
-
-
-def _chain_variations_at(chain, x: Rational) -> int:
-    num, den = int(x.numerator), int(x.denominator)
-    return _variations(_sign(_eval_scaled(p, num, den)) for p in chain)
+def _variations(values: Iterable[int]) -> int:
+    """Sign changes along a sequence of integers, zeros skipped."""
+    signs = [x > 0 for x in values if x]
+    return sum(map(ne, signs, signs[1:]))
 
 
 def sturm_count(chain, a: Rational, b: Rational) -> int:
     """Number of distinct real roots in (a, b] (endpoints must not be roots of p)."""
-    a, b = Rational(a), Rational(b)
-    return _chain_variations_at(chain, a) - _chain_variations_at(chain, b)
+    at_a, at_b = (
+        _variations([_eval_scaled(p, int(x.numerator), int(x.denominator)) for p in chain])
+        for x in (Rational(a), Rational(b))
+    )
+    return at_a - at_b
 
 
 # -- Descartes / interval sign variation machinery
@@ -691,6 +687,42 @@ def _to_unit_interval(c: list[int], a: Rational, b: Rational) -> list[int]:
     return [ci * (ad * wn) ** i * wd ** (d - i) for i, ci in enumerate(shifted)]
 
 
+@cache
+def _binomial_cofactors(d: int) -> tuple[int, ...]:
+    """lcm(C(d, 0), ..., C(d, d)) / C(d, i) for i = 0..d."""
+    top = lcm(*(comb(d, i) for i in range(d + 1)))
+    return tuple(top // comb(d, i) for i in range(d + 1))
+
+
+def _bernstein(c: list[int], a: Rational, b: Rational) -> list[int]:
+    """A positive integer multiple of the Bernstein coefficients of p on (a, b).
+
+    With P(t) = p(a + (b - a) t) = sum_i b_i C(d, i) t**i (1 - t)**(d - i),
+    (1 + s)**d P(1 / (1 + s)) = sum_i b_i C(d, i) s**(d - i): one Taylor
+    shift of P reversed, whose coefficient d - i is divided by C(d, i).
+    """
+    shifted = _taylor_shift(_to_unit_interval(c, a, b)[::-1], 1)
+    return [x * k for x, k in zip(reversed(shifted), _binomial_cofactors(len(c) - 1))]
+
+
+def _de_casteljau(bern: list[int]) -> tuple[list[int], list[int]]:
+    """Bernstein coefficients of both halves of a node, each times 2**d.
+
+    Row k of the triangle holds 2**k times the de Casteljau row k at t = 1/2,
+    by sums of neighbours: the left half reads the first entries of the rows,
+    the right half the last ones.  The apex, the left half's last
+    coefficient, is 2**d P(1/2), 0 exactly when the midpoint is a root.
+    """
+    d = len(bern) - 1
+    left, right = [bern[0]], [bern[-1]]
+    row = bern
+    for _ in range(d):
+        row = list(map(add, row, row[1:]))
+        left.append(row[0])
+        right.append(row[-1])
+    return [x << (d - k) for k, x in enumerate(left)], [x << (d - k) for k, x in enumerate(right)][::-1]
+
+
 def descartes_no_roots_above(coeffs: Sequence, a: Rational) -> bool:
     """Certify that a univariate polynomial has no real roots in (a, infinity)."""
     c = _int_clear(coeffs)
@@ -702,7 +734,7 @@ def descartes_no_roots_above(coeffs: Sequence, a: Rational) -> bool:
     # den**d * p(a + x) has the same roots shifted; integer Taylor shift of
     # the scaled polynomial p_s(x) = ad**d p(x/ad) at an.
     scaled = [c[i] * ad ** (d - i) for i in range(d + 1)]
-    return _variations(_sign(x) for x in _taylor_shift(scaled, an)) == 0
+    return _variations(_taylor_shift(scaled, an)) == 0
 
 
 # -- root isolation
@@ -730,12 +762,6 @@ class IsolatingInterval:
         return self.low < Rational(x) < self.high
 
 
-# Descartes goes on below `width` down to width / 2**16 on a square-free
-# polynomial, and Sturm takes the roots it still cannot separate up to this
-# degree.
-_FALLBACK_DEGREE_LIMIT = 96
-
-
 def isolate_real_roots(coeffs: Sequence, domain: tuple, width) -> list[IsolatingInterval]:
     """Isolate the distinct real roots of a univariate polynomial in a domain.
 
@@ -743,14 +769,14 @@ def isolate_real_roots(coeffs: Sequence, domain: tuple, width) -> list[Isolating
     distinct root whose multiplicity is reported.  Roots at the domain ends
     are divided out exactly and not reported; an interval may end at such a
     domain end, and no other interval endpoint is a root.  Descartes sign
-    variations on a bisection tree certify every degree.  Only a node
-    narrower than `width` that still shows two or more variations (a
-    repeated root, or roots closer than `width`) splits the polynomial, once,
-    into square-free factors by Yun's algorithm.  Descartes then isolates the
-    square-free part, down to width / 2**16; what it cannot separate there
-    goes on to a Sturm chain of the square-free part up to degree 96 and
-    raises ValueError above it.  A bracket's multiplicity is the m of the
-    square-free factor that changes sign across it.
+    variations of Bernstein coefficients on a bisection tree certify every
+    degree.  Only a node narrower than `width` that still shows two or more
+    variations (a repeated root, or roots closer than `width`) splits the
+    polynomial, once, into square-free factors by Yun's algorithm.  A
+    square-free polynomial then continues the same tree with no floor; one
+    with a repeated root has its square-free part isolated from the domain,
+    also with no floor.  There is no degree limit.  A bracket's multiplicity
+    is the m of the square-free factor that changes sign across it.
     """
     lo, hi = Rational(domain[0]), Rational(domain[1])
     if not lo < hi:
@@ -766,47 +792,18 @@ def isolate_real_roots(coeffs: Sequence, domain: tuple, width) -> list[Isolating
         return []
     try:
         return [IsolatingInterval(a, b) for a, b in _isolate_descartes(c, lo, hi, width, width)]
-    except _Stall:
-        pass
+    except _Stall as stall:
+        (tree,) = stall.args
     core, factors = _square_free_split(c)
-    try:
-        brackets = _isolate_descartes(core, lo, hi, width, width / (1 << 16))
-    except _Stall:
-        if len(core) - 1 > _FALLBACK_DEGREE_LIMIT:
-            raise ValueError(
-                "roots closer than width / 2**16 failed to separate; the Sturm "
-                f"fallback stops at degree {_FALLBACK_DEGREE_LIMIT}"
-            ) from None
-        brackets = _isolate_sturm(core, lo, hi, width)
+    if len(factors) == 1 and factors[0][1] == 1:
+        # c is square-free: the stalled tree, on c's own nodes, goes on.
+        return [IsolatingInterval(a, b) for a, b in _isolate_descartes(c, lo, hi, width, 0, tree)]
     # No bracket ends at a root, and its one root is a simple root of
     # exactly one square-free factor.
     return [
         IsolatingInterval(a, b, next(m for f, m in factors if _eval_sign(f, a) != _eval_sign(f, b)))
-        for a, b in brackets
+        for a, b in _isolate_descartes(core, lo, hi, width, 0)
     ]
-
-
-def _isolate_sturm(c, lo, hi, width):
-    """Bisect (lo, hi) on Sturm counts of square-free c; each point's chain is evaluated once."""
-    chain = sturm_chain(c)
-    out = []
-    stack = [(lo, hi, _chain_variations_at(chain, lo), _chain_variations_at(chain, hi))]
-    while stack:
-        a, b, va, vb = stack.pop()
-        count = va - vb
-        if count == 0:
-            continue
-        if count == 1:
-            out.append(_refine(c, a, b, width))
-            continue
-        mid, _ = _off_root(c, (a + b) / 2, (b - a) / 16)
-        vm = _chain_variations_at(chain, mid)
-        if va - vm:
-            stack.append((a, mid, va, vm))
-        if vm - vb:
-            stack.append((mid, b, vm, vb))
-    out.sort()
-    return out
 
 
 def _refine(c, a, b, width):
@@ -831,27 +828,25 @@ def _refine(c, a, b, width):
 
 
 class _Stall(Exception):
-    """A Descartes node narrower than its floor still shows two or more sign variations."""
+    """A Descartes node narrower than its floor still shows two or more sign
+    variations.  Its argument is the unfinished search, stalled node on top."""
 
 
-def _isolate_descartes(c, lo, hi, width, floor):
-    """Descartes bisection with Taylor shifts (Collins-Akritas).
+def _isolate_descartes(c, lo, hi, width, floor, tree=None):
+    """Descartes bisection in the Bernstein basis (Collins-Akritas).
 
-    Each node (a, b) carries a positive multiple P of p(a + (b - a) t).  Its
-    left child 2**d P(t/2) shifts coefficient i left by d - i bits, and its
-    right child is the left one Taylor-shifted by 1, so only the domain and
-    the children of a nudged midpoint are mapped from p.  p(mid) is 0 exactly
-    when the left child's coefficients sum to 0.  Raises _Stall at the first
-    node narrower than `floor` with two or more variations.
+    Each node (a, b) carries a positive multiple of the Bernstein
+    coefficients of p on (a, b); their sign variations bound its roots, and
+    a split runs one de Casteljau triangle for both children.  Only the
+    domain and the children of a nudged midpoint are mapped from p.  Raises
+    _Stall at the first node narrower than `floor` with two or more
+    variations; `tree`, the (stack, brackets) it carries, resumes the search.
     """
-    d = len(c) - 1
-    out = []
-    stack = [(lo, hi, _to_unit_interval(c, lo, hi))]
+    stack, out = tree or ([(lo, hi, _bernstein(c, lo, hi))], [])
     while stack:
-        a, b, poly = stack.pop()
-        # Descartes' bound on the roots in (0, 1): the sign variations of
-        # (1 + t)**d poly(1 / (1 + t)).  0 certifies none, 1 one simple root.
-        v = _variations(_sign(x) for x in _taylor_shift(poly[::-1], 1))
+        a, b, bern = stack.pop()
+        # Descartes' bound on the roots in (a, b): 0 certifies none, 1 one simple root.
+        v = _variations(bern)
         if v == 0:
             continue
         if v == 1:
@@ -859,14 +854,13 @@ def _isolate_descartes(c, lo, hi, width, floor):
             out.append(_refine(c, a, b, width))
             continue
         if b - a < floor:
-            raise _Stall
+            stack.append((a, b, bern))
+            raise _Stall((stack, out))
         mid = (a + b) / 2
-        left = [x << (d - i) for i, x in enumerate(poly)]
-        if sum(left):
-            right = _taylor_shift(left, 1)
-        else:
+        left, right = _de_casteljau(bern)
+        if not left[-1]:
             mid, _ = _off_root(c, mid, (b - a) / 16)
-            left, right = _to_unit_interval(c, a, mid), _to_unit_interval(c, mid, b)
+            left, right = _bernstein(c, a, mid), _bernstein(c, mid, b)
         stack.append((a, mid, left))
         stack.append((mid, b, right))
     out.sort()

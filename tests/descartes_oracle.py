@@ -2,7 +2,7 @@
 ``exactnum._isolate_descartes``.
 
 ``bunkbed.exactnum`` maps the polynomial onto the domain once and derives
-every node's polynomial from its parent's by shifts and Taylor shifts; this
+every node's Bernstein coefficients from its parent's by de Casteljau; this
 helper keeps the earlier, independent route, which rebuilds each interval's
 polynomial from the original one by a rational substitution and evaluates
 signs in ``Fraction`` arithmetic, so tests can compare the two on the same

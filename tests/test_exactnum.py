@@ -2,13 +2,15 @@ import random
 import re
 from contextlib import contextmanager
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
 from dense_poly import at, from_roots, qpoly
-from descartes_oracle import isolate_descartes, taylor_shift_by_loops, value
+from descartes_oracle import interval_variations, isolate_descartes, taylor_shift_by_loops, value
 from hypothesis import given, settings, strategies as st
 from invert_oracle import invert_by_back_substitution
+from sturm_oracle import isolate_sturm
 
 from bunkbed import exactnum
 from bunkbed.exactnum import (
@@ -300,40 +302,43 @@ def test_sturm_count_on_cubic():
 
 
 @contextmanager
-def forced(engine):
-    """Force one certifier inside the block, and check on exit that it ran.
-
-    "sturm" makes every Descartes run stall at its first node, so each call
-    ends in the Sturm chain of the square-free part; "descartes" leaves
-    Descartes alone and checks that no Sturm chain ran.  Yields the list of
-    (certifier, polynomial) runs.
-    """
+def descartes_runs():
+    """Record the polynomial of each `_isolate_descartes` run inside the
+    block, and fail if the block builds a Sturm chain."""
     runs = []
-    descartes, sturm = exactnum._isolate_descartes, exactnum._isolate_sturm
+    descartes = exactnum._isolate_descartes
 
-    def counted_descartes(c, *args):
-        runs.append(("descartes", c))
-        if engine == "sturm":
-            raise exactnum._Stall
+    def counted(c, *args):
+        runs.append(c)
         return descartes(c, *args)
 
-    def counted_sturm(c, *args):
-        runs.append(("sturm", c))
-        return sturm(c, *args)
+    def refused(coeffs):
+        raise AssertionError("root isolation built a Sturm chain")
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(exactnum, "_isolate_descartes", counted_descartes)
-        mp.setattr(exactnum, "_isolate_sturm", counted_sturm)
+        mp.setattr(exactnum, "_isolate_descartes", counted)
+        mp.setattr(exactnum, "sturm_chain", refused)
         yield runs
-    ran = {name for name, _ in runs}
-    assert engine in ran
-    assert engine == "sturm" or "sturm" not in ran
 
 
 @pytest.fixture
 def engine(request):
-    with forced(request.param):
-        yield request.param
+    """An isolator with the signature of `isolate_real_roots`.
+
+    "sturm" is the Sturm-count oracle itself, so the test checks the oracle;
+    "descartes" is `isolate_real_roots`, which must build no Sturm chain and
+    return the oracle's brackets.
+    """
+    if request.param == "sturm":
+        return isolate_sturm
+
+    def isolate(coeffs, domain, width):
+        with descartes_runs():
+            found = isolate_real_roots(coeffs, domain, width)
+        assert found == isolate_sturm(coeffs, domain, width)
+        return found
+
+    return isolate
 
 
 def test_isolating_interval_invariants():
@@ -345,7 +350,7 @@ def test_isolating_interval_invariants():
 
 @pytest.mark.parametrize("engine", ["sturm", "descartes"], indirect=True)
 def test_root_near_143_is_certified(engine):
-    roots = isolate_real_roots(CUBIC.dense_in("q"), (rat(0), rat(10)), rat(1, 1000))
+    roots = engine(CUBIC.dense_in("q"), (rat(0), rat(10)), rat(1, 1000))
     assert len(roots) == 1
     r = roots[0]
     assert rat(142, 100) < r.low < r.high < rat(144, 100)
@@ -422,7 +427,7 @@ def test_isolation_brackets_random_products_of_linear_factors(engine):
     for _ in range(12):
         roots = sorted(rng.sample(range(-8, 9), rng.randint(1, 4)))
         p = from_roots(roots)
-        found = isolate_real_roots(p, (rat(-10), rat(10)), rat(1, 8))
+        found = engine(p, (rat(-10), rat(10)), rat(1, 8))
         assert len(found) == len(roots)
         for interval, r in zip(found, roots):
             assert interval.contains(r)
@@ -469,28 +474,44 @@ def test_brackets_confirmed_by_endpoint_signs():
 def test_descartes_falls_back_for_repeated_roots():
     # The double root stalls Descartes on p below the width; Descartes then
     # isolates the square-free part (x - 1)(x - 3), and no Sturm chain runs.
-    with forced("descartes") as runs:
+    with descartes_runs() as runs:
         found = isolate_real_roots(from_roots([1, 1, 3]), (rat(0), rat(5)), rat(1, 16))
     assert [iv.multiplicity for iv in found] == [2, 1]
-    assert runs == [("descartes", from_roots([1, 1, 3])), ("descartes", from_roots([1, 3]))]
+    assert runs == [from_roots([1, 1, 3]), from_roots([1, 3])]
+
+
+def test_square_free_stall_resumes_its_tree(monkeypatch):
+    # Roots 1/3 and 1/3 + 10**-9 stall the tree at the width; c is
+    # square-free, so the same tree goes on below it instead of restarting
+    # (the domain is mapped once), and it ends where a tree with no floor
+    # from the domain ends.
+    c = _times(_times([-1, 3], [-(10**9 + 3), 3 * 10**9]), [1, 0, 1])
+    lo, hi, width = rat(0), rat(2), rat(1, 10**6)
+    mapped = []
+    to_unit = exactnum._to_unit_interval
+    monkeypatch.setattr(exactnum, "_to_unit_interval", lambda *args: mapped.append(args[1:]) or to_unit(*args))
+    with descartes_runs() as runs:
+        found = isolate_real_roots(c, (lo, hi), width)
+    assert runs == [c, c] and mapped == [(lo, hi)]
+    assert [(iv.low, iv.high) for iv in found] == exactnum._isolate_descartes(c, lo, hi, width, 0)
+    assert found == isolate_sturm(c, (lo, hi), width)
+    assert found[0].contains(rat(1, 3)) and found[1].contains(rat(1, 3) + rat(1, 10**9))
 
 
 def test_both_engines_bracket_a_midpoint_root_alike():
     # 3/8 is a bisection midpoint of (0, 2); the bracket centres on it.
     p = from_roots([rat(3, 8), rat(9, 5)])
-    by_engine = []
-    for engine in ("sturm", "descartes"):
-        with forced(engine):
-            by_engine.append(isolate_real_roots(p, (rat(0), rat(2)), rat(1, 1000)))
-    assert by_engine[0] == by_engine[1]
-    assert (by_engine[0][0].low, by_engine[0][0].high) == (rat(1499, 4000), rat(1501, 4000))
-    assert by_engine[0][1].contains(rat(9, 5))
+    with descartes_runs():
+        found = isolate_real_roots(p, (rat(0), rat(2)), rat(1, 1000))
+    assert found == isolate_sturm(p, (rat(0), rat(2)), rat(1, 1000))
+    assert (found[0].low, found[0].high) == (rat(1499, 4000), rat(1501, 4000))
+    assert found[1].contains(rat(9, 5))
 
 
 @pytest.mark.parametrize("engine", ["sturm", "descartes"], indirect=True)
 def test_multiplicities_three_and_four_are_reported(engine):
     roots = [rat(1, 3)] * 3 + [rat(5, 7)] * 4 + [rat(3, 2)]
-    found = isolate_real_roots(from_roots(roots), (rat(0), rat(2)), rat(1, 100))
+    found = engine(from_roots(roots), (rat(0), rat(2)), rat(1, 100))
     assert [iv.multiplicity for iv in found] == [3, 4, 1]
     assert all(iv.contains(r) for iv, r in zip(found, (rat(1, 3), rat(5, 7), rat(3, 2))))
 
@@ -501,7 +522,7 @@ def test_root_next_to_a_root_at_the_domain_end_is_kept(engine, end):
     eps = rat(1, 10**7)
     root, near = (rat(0), eps) if end == "low" else (rat(1), 1 - eps)
     p = [c * 10**7 for c in from_roots([root, near, rat(1, 2)])]
-    found = isolate_real_roots(p, (rat(0), rat(1)), eps * 10)
+    found = engine(p, (rat(0), rat(1)), eps * 10)
     assert len(found) == 2
     inner = found[0] if end == "low" else found[1]
     assert inner.contains(near) and inner.width() < eps * 10
@@ -629,6 +650,61 @@ def test_descartes_tree_matches_the_per_interval_oracle(monkeypatch):
             stalled.add(kind)
         nudged += len(remapped) > 1
     assert "double" in stalled and nudged > 0
+
+
+# -- Bernstein nodes
+
+
+def _power_to_bernstein(r):
+    """Bernstein coefficients of sum_j r_j t**j on (0, 1): b_i = sum_{j <= i} C(i, j) / C(d, j) r_j."""
+    d = len(r) - 1
+    return [sum(Fraction(comb(i, j), comb(d, j)) * r[j] for j in range(i + 1)) for i in range(d + 1)]
+
+
+def _is_positive_multiple(x, y):
+    k = next(i for i, v in enumerate(y) if v)
+    scale = Fraction(x[k]) / y[k]
+    return scale > 0 and all(u == scale * v for u, v in zip(x, y))
+
+
+@st.composite
+def _dyadic_nodes(draw):
+    """(c, a, b): an integer polynomial and a dyadic interval, half of the
+    time with a root at its midpoint."""
+    level = draw(st.integers(0, 12))
+    a = Fraction(draw(st.integers(-64, 64)), 2**level)
+    b = a + Fraction(draw(st.integers(1, 3)), 2**level)
+    c = draw(st.lists(st.integers(-(2**20), 2**20), max_size=15))
+    c.append(draw(st.integers(1, 2**20)) * draw(st.sampled_from((-1, 1))))
+    if draw(st.booleans()):
+        c = _poly_from([(a + b) / 2], c)
+    return c, rat(a), rat(b)
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(_dyadic_nodes())
+def test_de_casteljau_halves_are_the_bernstein_coefficients_of_each_half(node):
+    c, a, b = node
+    mid = (a + b) / 2
+    bern = exactnum._bernstein(c, a, b)
+    left, right = exactnum._de_casteljau(bern)
+    for got, (x, y) in ((bern, (a, b)), (left, (a, mid)), (right, (mid, b))):
+        assert _is_positive_multiple(got, _power_to_bernstein(exactnum._to_unit_interval(c, x, y)))
+    # The apex 2**d P(1/2) is shared by both halves.
+    assert left[-1] == right[0]
+    assert (left[-1] == 0) == (value(c, mid) == 0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(_dyadic_nodes())
+def test_bernstein_variations_are_the_descartes_counts(node):
+    c, a, b = node
+    mid = (a + b) / 2
+    bern = exactnum._bernstein(c, a, b)
+    left, right = exactnum._de_casteljau(bern)
+    # The count of (1 + t)**d P(1 / (1 + t)), on the node and on each half.
+    for got, (x, y) in ((bern, (a, b)), (left, (a, mid)), (right, (mid, b))):
+        assert exactnum._variations(got) == interval_variations(c, x, y)
 
 
 # -- square-free split
@@ -760,20 +836,17 @@ def _planted_roots():
 def test_sturm_and_descartes_on_the_square_free_part_agree(planted):
     c = _poly_from([r for r, m in planted for _ in range(m)], [1])
     lo, hi, width = rat(0), rat(2), rat(1, 1000)
-    by_engine = []
-    for engine in ("sturm", "descartes"):
-        with forced(engine):
-            by_engine.append(isolate_real_roots(c, (lo, hi), width))
-    assert by_engine[0] == by_engine[1]
+    with descartes_runs():
+        found = isolate_real_roots(c, (lo, hi), width)
+    assert found == isolate_sturm(c, (lo, hi), width)
     inside = sorted((r, m) for r, m in planted if lo < r < hi)
-    assert [iv.multiplicity for iv in by_engine[1]] == [m for _, m in inside]
-    assert all(iv.contains(r) and iv.width() < width for iv, (r, _) in zip(by_engine[1], inside))
+    assert [iv.multiplicity for iv in found] == [m for _, m in inside]
+    assert all(iv.contains(r) and iv.width() < width for iv, (r, _) in zip(found, inside))
 
 
 def test_degree_100_with_a_double_root_isolates_with_multiplicity_2():
-    # A double root at 1/3 and 49 quadratics with no real root: above the
-    # Sturm fallback's degree 96, so Descartes on the square-free part
-    # certifies it.
+    # A double root at 1/3 and 49 quadratics with no real root: Descartes
+    # on the square-free part certifies it, at any degree.
     c = [1, -6, 9]
     for k in range(49):
         c = _times(c, [k + 1, 0, 1])
@@ -782,11 +855,17 @@ def test_degree_100_with_a_double_root_isolates_with_multiplicity_2():
     assert found.multiplicity == 2 and found.contains(rat(1, 3))
 
 
-def test_roots_too_close_above_degree_96_name_the_floor():
-    # Roots 10**-13 apart stay unseparated at 10**-6 / 2**16.
+def test_roots_too_close_above_degree_96_are_separated():
+    # Roots 10**-13 apart, closer than 10**-6 / 2**16: the square-free tree
+    # goes on down with no floor and no degree limit, and builds no chain.
     c = _times([-1, 3], [-(10**13 + 3), 3 * 10**13])
     for k in range(48):
         c = _times(c, [k + 1, 0, 1])
     assert len(c) - 1 == 98
-    with pytest.raises(ValueError, match=r"closer than width / 2\*\*16"):
-        isolate_real_roots(c, (rat(0), rat(2)), rat(1, 10**6))
+    width = rat(1, 10**6)
+    with descartes_runs():
+        found = isolate_real_roots(c, (rat(0), rat(2)), width)
+    assert len(found) == 2
+    chain = sturm_chain(c)
+    assert all(iv.width() < width and sturm_count(chain, iv.low, iv.high) == 1 for iv in found)
+    assert found[0].contains(rat(1, 3)) and found[1].contains(rat(1, 3) + rat(1, 10**13))
