@@ -25,12 +25,12 @@ p ~ a_1 a_2**2 ... (Yun 1976, over a heuristic gcd that packs each
 polynomial into one integer, Char, Geddes and Gonnet 1989).  A square-free p
 goes on down the same tree with no floor; otherwise Descartes isolates the
 square-free part a_1 a_2 ... from the domain.  Either ends, by Vincent's
-theorem.  A bracket holding one simple root is halved on the sign of its
-polynomial; a midpoint that is the root itself ends the halving with a
-bracket centred on it.  A bracket's multiplicity is the m whose a_m changes
-sign across it.
-Every sign is the sign of an integer: p at num/den is evaluated as
-den**deg p(num/den), with shifts for the powers of a power-of-two den.
+theorem.  A bracket holding one simple root is halved on one integer grid,
+its left end's sign read off its node's first Bernstein coefficient; a grid
+point that is the root ends the halving with a bracket centred on it.  A
+bracket's multiplicity is the m whose a_m changes sign across it.  Every
+sign is an integer's: p at num/den is den**deg p(num/den), once the powers
+of two common to num and den are stripped, with shifts for a power-of-two den.
 
 Everything in this module is exact.  There is no floating point anywhere, and
 every returned sign or interval is backed by integer arithmetic.
@@ -140,18 +140,16 @@ class MultiPoly:
     def dense_in(self, var: str) -> list[Rational]:
         """Coefficient list [c0, c1, ...] when univariate in var (or constant)."""
         i = INDETERMINATES.index(var)
-        if not self.terms:
-            return [_R0]
-        coeffs = [_R0] * (max(exp[i] for exp in self.terms) + 1)
+        coeffs = [_R0] * (max((exp[i] for exp in self.terms), default=0) + 1)
         for exp, c in self.terms.items():
-            if any(e and j != i for j, e in enumerate(exp)):
+            if sum(exp) != exp[i]:
                 raise ValueError(f"polynomial is not univariate in {var}")
             coeffs[exp[i]] = c
         return coeffs
 
     def eval(self, point: dict) -> Rational:
         """Exact value at a point assigning a rational to every variable used."""
-        vals = [Rational(point.get(v, 0)) for v in INDETERMINATES]
+        vals = [rat(point.get(v, 0)) for v in INDETERMINATES]
         total = _R0
         for exp, c in self.terms.items():
             term = c
@@ -436,8 +434,12 @@ def _trim(c: list[int]) -> list[int]:
 
 def _int_clear(coeffs: Sequence) -> list[int]:
     """Scale a rational coefficient list by a positive rational to integers."""
-    coeffs = [c if type(c) is int or type(c) is Rational else rat(c) for c in coeffs]
+    if all(type(c) is int for c in coeffs):
+        return _trim(list(coeffs))
+    coeffs = [c if type(c) is Rational else rat(c) for c in coeffs]
     scale = lcm(*(int(c.denominator) for c in coeffs))
+    if scale == 1:
+        return _trim([int(c.numerator) for c in coeffs])
     return _trim([int(c.numerator) * (scale // int(c.denominator)) for c in coeffs])
 
 
@@ -460,11 +462,14 @@ def _sign(x: int) -> int:
 def _eval_scaled(c: Sequence[int], num: int, den: int) -> int:
     """den**deg * p(num/den); same sign as p(num/den) for den > 0.
 
-    It is the sum of c[k] num^k den^(deg-k), so den = 0 gives c[deg] num^deg.
+    It is the sum of c[k] num^k den^(deg-k), so den = 0 gives c[deg] num^deg
+    and num = 0 gives c[0] den^deg.
     At a power-of-two den (every dyadic bisection midpoint) its powers are shifts.
     """
     if not c:
         return 0
+    if not num:
+        return c[0] * den ** (len(c) - 1)
     acc = c[-1]
     if den & (den - 1) or not den:
         dpow = 1
@@ -649,7 +654,7 @@ def sturm_count(chain, a: Rational, b: Rational) -> int:
     """Number of distinct real roots in (a, b] (endpoints must not be roots of p)."""
     at_a, at_b = (
         _variations([_eval_scaled(p, int(x.numerator), int(x.denominator)) for p in chain])
-        for x in (Rational(a), Rational(b))
+        for x in (rat(a), rat(b))
     )
     return at_a - at_b
 
@@ -728,13 +733,9 @@ def descartes_no_roots_above(coeffs: Sequence, a: Rational) -> bool:
     c = _int_clear(coeffs)
     if not c:
         raise ValueError("zero polynomial")
-    a = Rational(a)
-    an, ad = int(a.numerator), int(a.denominator)
-    d = len(c) - 1
-    # den**d * p(a + x) has the same roots shifted; integer Taylor shift of
-    # the scaled polynomial p_s(x) = ad**d p(x/ad) at an.
-    scaled = [c[i] * ad ** (d - i) for i in range(d + 1)]
-    return _variations(_taylor_shift(scaled, an)) == 0
+    a = rat(a)
+    # A positive integer multiple of p(a + x), whose roots x > 0 are p's above a.
+    return _variations(_to_unit_interval(c, a, a + 1)) == 0
 
 
 # -- root isolation
@@ -759,7 +760,7 @@ class IsolatingInterval:
         return self.high - self.low
 
     def contains(self, x) -> bool:
-        return self.low < Rational(x) < self.high
+        return self.low < rat(x) < self.high
 
 
 def isolate_real_roots(coeffs: Sequence, domain: tuple, width) -> list[IsolatingInterval]:
@@ -775,13 +776,16 @@ def isolate_real_roots(coeffs: Sequence, domain: tuple, width) -> list[Isolating
     polynomial, once, into square-free factors by Yun's algorithm.  A
     square-free polynomial then continues the same tree with no floor; one
     with a repeated root has its square-free part isolated from the domain,
-    also with no floor.  There is no degree limit.  A bracket's multiplicity
-    is the m of the square-free factor that changes sign across it.
+    also with no floor.  There is no degree limit.  A node with one variation
+    is halved in integers on one grid, each point stripped of powers of two,
+    from the sign its first Bernstein coefficient gives its left end; only
+    the returned brackets are rationals.  A bracket's multiplicity is the m
+    of the square-free factor that changes sign across it.
     """
-    lo, hi = Rational(domain[0]), Rational(domain[1])
+    lo, hi = rat(domain[0]), rat(domain[1])
     if not lo < hi:
         raise ValueError("empty domain")
-    width = Rational(width)
+    width = rat(width)
     if width <= 0:
         raise ValueError("width must be positive")
     c = _int_clear(coeffs)
@@ -806,25 +810,33 @@ def isolate_real_roots(coeffs: Sequence, domain: tuple, width) -> list[Isolating
     ]
 
 
-def _refine(c, a, b, width):
+def _refine(c, a, b, width, bern):
     """Halve (a, b), holding one simple root of c and none at its ends, to below `width`.
 
-    c changes sign at that root alone: the same halves a root count would
-    keep.  A midpoint that is a root of c is the root itself, and it is
-    returned inside a bracket of width width / 2, which b - a >= width keeps
-    inside (a, b).
+    The halves are cells of one grid, a + i (b - a) / 2**k for the least k
+    with (b - a) / 2**k < width: (base + i step) / den, halved on the integer
+    i, so the cell kept is the one halving (a, b) k times keeps.  A point
+    sheds the powers of two it shares with den before it is evaluated, and
+    the sign at a is that of bern[0], the node's first Bernstein coefficient.
+    A point that is a root is returned inside a bracket of width width / 2,
+    which b - a >= width keeps inside (a, b).  Only the bracket is rational.
     """
-    sa = _eval_sign(c, a)
-    while b - a >= width:
-        mid = (a + b) / 2
-        sm = _eval_sign(c, mid)
-        if sm == 0:
-            return mid - width / 4, mid + width / 4
-        if sm == sa:
-            a = mid
-        else:
-            b = mid
-    return a, b
+    an, ad, bn, bd = int(a.numerator), int(a.denominator), int(b.numerator), int(b.denominator)
+    base, step, den = an * bd, bn * ad - an * bd, ad * bd
+    # (b - a) / width = over / under, and k is the least with over < under * 2**k.
+    over, under = step * int(width.denominator), den * int(width.numerator)
+    k = max(over.bit_length() - under.bit_length(), 0)
+    k += over >= under << k
+    base, den, left, right = base << k, den << k, 0, 1 << k
+    while right - left > 1:
+        mid = (left + right) >> 1
+        num = base + mid * step
+        strip = ((num | den) & -(num | den)).bit_length() - 1
+        value = _eval_scaled(c, num >> strip, den >> strip)
+        if not value:
+            return Rational(num, den) - width / 4, Rational(num, den) + width / 4
+        left, right = (mid, right) if (value > 0) == (bern[0] > 0) else (left, mid)
+    return Rational(base + left * step, den), Rational(base + right * step, den)
 
 
 class _Stall(Exception):
@@ -851,7 +863,7 @@ def _isolate_descartes(c, lo, hi, width, floor, tree=None):
             continue
         if v == 1:
             # Exactly one simple root: refine by cheap exact sign bisection.
-            out.append(_refine(c, a, b, width))
+            out.append(_refine(c, a, b, width, bern))
             continue
         if b - a < floor:
             stack.append((a, b, bern))
@@ -877,15 +889,15 @@ def isolate_negative_region(p: MultiPoly, domain: tuple, width):
     bracket, so each carries uncertainty below `width`; endpoints at the
     domain boundary are exact.
     """
-    coeffs = p.dense_in("q")
-    if not any(coeffs):
+    c = _int_clear(p.dense_in("q"))
+    if not c:
         raise ValueError("zero polynomial has no sign regions")
-    lo, hi = Rational(domain[0]), Rational(domain[1])
+    lo, hi = rat(domain[0]), rat(domain[1])
     # Divide out the roots at the domain ends once, before isolating, so
     # that the sign just inside an end can be read at the end itself, where
     # a bracket may start or stop.  On (lo, hi), (q - lo)**k is positive and
     # (q - hi)**k has the sign (-1)**k.
-    c = _divide_out_root(_int_clear(coeffs), lo)
+    c = _divide_out_root(c, lo)
     at_hi = len(c)
     c = _divide_out_root(c, hi)
     flip = -1 if (at_hi - len(c)) % 2 else 1

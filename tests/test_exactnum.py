@@ -4,10 +4,17 @@ from contextlib import contextmanager
 from fractions import Fraction
 from math import comb
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from dense_poly import at, from_roots, qpoly
-from descartes_oracle import interval_variations, isolate_descartes, taylor_shift_by_loops, value
+from descartes_oracle import (
+    _refine_sign_change,
+    interval_variations,
+    isolate_descartes,
+    taylor_shift_by_loops,
+    value,
+)
 from hypothesis import given, settings, strategies as st
 from invert_oracle import invert_by_back_substitution
 from sturm_oracle import isolate_sturm
@@ -92,6 +99,26 @@ def test_rational_matrix_refuses_floats():
 def test_root_isolation_refuses_float_coefficients():
     with pytest.raises(TypeError):
         isolate_real_roots([-0.1, 1], (rat(0), rat(1)), rat(1, 10))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: isolate_real_roots([-1, 2], (rat(0), rat(2)), 0.1),
+        lambda: isolate_real_roots([-1, 2], (0.0, rat(2)), rat(1, 10)),
+        lambda: isolate_negative_region(CUBIC, (0.0, 1), rat(1, 10)),
+        lambda: isolate_negative_region(CUBIC, (rat(0), rat(10)), 0.001),
+        lambda: descartes_no_roots_above(CUBIC.dense_in("q"), 0.5),
+        lambda: sturm_count(sturm_chain(CUBIC.dense_in("q")), 0.25, rat(10)),
+        lambda: CUBIC.eval({"q": 0.1}),
+        lambda: IsolatingInterval(rat(0), rat(1)).contains(0.1),
+    ],
+    ids=["width", "domain", "region-domain", "region-width", "descartes-point", "sturm-point", "eval", "contains"],
+)
+def test_exact_entries_refuse_float_points_domains_and_widths(call):
+    # 0.1 is a binary fraction, 3602879701896397 / 2**55, not one tenth.
+    with pytest.raises(TypeError):
+        call()
 
 
 def test_no_code_path_compares_type_names():
@@ -559,8 +586,9 @@ def test_eval_scaled_matches_fraction_evaluation():
     rng = random.Random(4)
     for length in range(8):
         c = [rng.randint(-10**6, 10**6) for _ in range(length)]
-        for den in (0, 1, 2, 2**40, 3, 12):
-            for num in (0, 1, -1, 5, -(2**45) - 1):
+        # num = 0 skips the Horner loop; powers of two take shifts, odd dens do not.
+        for den in (0, 1, 2, 2**40, 2**64, 3, 12, 7**5, 2**31 - 1, 2**9 * 3):
+            for num in (0, 1, -1, 5, -(2**45) - 1, 2**70):
                 if den:
                     expected = value(c, Fraction(num, den)) * den ** max(length - 1, 0)
                 else:
@@ -705,6 +733,89 @@ def test_bernstein_variations_are_the_descartes_counts(node):
     # The count of (1 + t)**d P(1 / (1 + t)), on the node and on each half.
     for got, (x, y) in ((bern, (a, b)), (left, (a, mid)), (right, (mid, b))):
         assert exactnum._variations(got) == interval_variations(c, x, y)
+
+
+# -- refinement on one grid
+
+
+def _halvings(a, b, width):
+    """How often bisection halves (a, b) before it is narrower than width."""
+    k = 0
+    while (b - a) / 2**k >= width:
+        k += 1
+    return k
+
+
+def _bare(x):
+    """x with its numerator and denominator alone: any arithmetic on it raises."""
+    return SimpleNamespace(numerator=x.numerator, denominator=x.denominator)
+
+
+@st.composite
+def _refine_nodes(draw):
+    """(cofactor, a, b, width): a cofactor with no root in [a, b], on a
+    dyadic node or one whose ends were nudged off the dyadic grid."""
+    level = draw(st.integers(0, 12))
+    a = Fraction(draw(st.integers(-64, 64)), 2**level)
+    b = a + Fraction(draw(st.integers(1, 3)), 2**level)
+    # A nudged midpoint sits a sixteenth of its node and thirds of that off.
+    if draw(st.booleans()):
+        a += (b - a) * Fraction(draw(st.integers(1, 40)), 16 * 3 ** draw(st.integers(1, 4)))
+    if draw(st.booleans()):
+        b -= (b - a) * Fraction(draw(st.integers(1, 40)), 16 * 3 ** draw(st.integers(1, 4)))
+    width = draw(st.sampled_from((Fraction(1, 8), Fraction(1, 10**6), Fraction(1, 10**12))))
+    # (x**2 + t)**m times linear factors whose roots lie outside [a, b].
+    t = draw(st.integers(1, 2**20))
+    cofactor = [draw(st.sampled_from((-1, 1)))]
+    for _ in range(draw(st.integers(0, 4))):
+        cofactor = _times(cofactor, [t, 0, 1])
+    outside = [
+        b + Fraction(draw(st.integers(1, 99)), 7) if draw(st.booleans()) else a - Fraction(draw(st.integers(1, 99)), 7)
+        for _ in range(draw(st.integers(0, 3)))
+    ]
+    return _poly_from(outside, cofactor), a, b, width
+
+
+def _check_refine(c, a, b, width, root_on_grid):
+    """exactnum._refine against the Fraction bisection of the oracle, with at
+    most k evaluations, none at a, and no arithmetic on a or b, nor on width
+    unless a grid point is the root.  Returns the number of evaluations."""
+    k = _halvings(a, b, width)
+    bern = exactnum._bernstein(c, rat(a), rat(b))
+    points = []
+    evaluate = exactnum._eval_scaled
+
+    def recorded(c, num, den):
+        points.append(Fraction(num, den))
+        return evaluate(c, num, den)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactnum, "_eval_scaled", recorded)
+        got = exactnum._refine(c, _bare(a), _bare(b), rat(width) if root_on_grid else _bare(width), bern)
+    assert [str(x) for x in got] == [str(x) for x in _refine_sign_change(c, a, b, width)]
+    assert len(points) <= k and a not in points
+    return len(points)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(_refine_nodes(), st.integers(0, 2**60), st.integers(1, 2**60))
+def test_grid_refinement_is_the_fraction_bisection(node, odd, off):
+    cofactor, a, b, width = node
+    k = _halvings(a, b, width)
+    # A root off the grid, then one on the grid at every depth j = 1..k,
+    # where the halving meets it j evaluations in.
+    r = a + (b - a) * Fraction(off, 2**60 + 1)
+    assert _check_refine(_poly_from([r], cofactor), a, b, width, False) == k
+    for depth in range(1, k + 1):
+        r = a + (b - a) * Fraction(2 * (odd % 2 ** (depth - 1)) + 1, 2**depth)
+        assert _check_refine(_poly_from([r], cofactor), a, b, width, True) == depth
+
+
+def test_grid_refinement_of_a_node_narrower_than_the_width():
+    # k = 0: the node itself is the bracket, and c is never evaluated.
+    c = _poly_from([Fraction(5, 11)], [1])
+    assert _check_refine(c, Fraction(7, 16), Fraction(1, 2), Fraction(1, 8), False) == 0
+    assert _check_refine(c, Fraction(13, 32), Fraction(1, 2) + Fraction(1, 48), Fraction(1, 8), False) == 0
 
 
 # -- square-free split
