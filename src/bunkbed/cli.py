@@ -27,11 +27,12 @@ from .exactnum import (
     Rational,
     descartes_no_roots_above,
     format_rational,
+    integer_negative_region,
     isolate_negative_region,
     parse_rational,
     rat,
 )
-from .glue import counterexample_polynomial
+from .glue import counterexample_numerator
 from .graph import load_graph
 from .measures import EnumerationGuardError, ParameterError, rc_connection_prob, forest_table
 from .partition import canonicalize
@@ -177,21 +178,18 @@ def negative_window_rows(n_values, p, width=None):
     for n in n_values:
         row = {"n": n}
         try:
-            numerator, z_at_1 = counterexample_polynomial(n, p)
+            coeffs, scale, mass = counterexample_numerator(n, p)
         except (EnumerationGuardError, ValueError) as exc:
             row["status"] = "skipped"
             row["reason"] = str(exc)
             rows.append(row)
             continue
         domain_hi = rat(2)
-        coeffs = numerator.dense_in("q")
         while not descartes_no_roots_above(coeffs, domain_hi):
             domain_hi *= 2
-        roots, negative = isolate_negative_region(
-            numerator, (rat(0), domain_hi), width
-        )
+        _, negative = integer_negative_region(coeffs, (rat(0), domain_hi), width)
         row["status"] = "ok"
-        row["z_at_1"] = format_rational(z_at_1)
+        row["z_at_1"] = format_rational(Rational(mass, scale))
         row["windows"] = [
             [format_rational(a), format_rational(b)] for a, b in negative
         ]

@@ -66,6 +66,7 @@ __all__ = [
     "sturm_count",
     "isolate_real_roots",
     "isolate_negative_region",
+    "integer_negative_region",
     "descartes_no_roots_above",
 ]
 
@@ -729,7 +730,11 @@ def _de_casteljau(bern: list[int]) -> tuple[list[int], list[int]]:
 
 
 def descartes_no_roots_above(coeffs: Sequence, a: Rational) -> bool:
-    """Certify that a univariate polynomial has no real roots in (a, infinity)."""
+    """Certify that a univariate polynomial has no real roots in (a, infinity).
+
+    `coeffs` is [c0, c1, ...], integers or rationals.  An all-int list is only
+    copied and trimmed; a rational one is cleared to integers on every call.
+    """
     c = _int_clear(coeffs)
     if not c:
         raise ValueError("zero polynomial")
@@ -880,16 +885,24 @@ def _isolate_descartes(c, lo, hi, width, floor, tree=None):
 
 
 def isolate_negative_region(p: MultiPoly, domain: tuple, width):
-    """Certified sign analysis of a univariate polynomial in q on a domain.
+    """``integer_negative_region`` of the univariate polynomial p in q, read off its view."""
+    return integer_negative_region(p.dense_in("q"), domain, width)
+
+
+def integer_negative_region(coeffs: Sequence[int], domain: tuple, width):
+    """Certified sign analysis of a polynomial [c0, c1, ...] on a domain.
 
     Returns (roots, negative) where `roots` is a list of IsolatingInterval
     bracketing every distinct root inside the open domain, and `negative` is
     the list of maximal subintervals of the domain where p < 0.  Negative
     region endpoints that fall at a root are reported by the root's outer
     bracket, so each carries uncertainty below `width`; endpoints at the
-    domain boundary are exact.
+    domain boundary are exact.  An all-int list is only copied and trimmed;
+    rational coefficients are first scaled to integers by a positive
+    rational, which moves no sign, so any positive multiple of p gives the
+    same brackets and regions.
     """
-    c = _int_clear(p.dense_in("q"))
+    c = _int_clear(coeffs)
     if not c:
         raise ValueError("zero polynomial has no sign regions")
     lo, hi = rat(domain[0]), rat(domain[1])

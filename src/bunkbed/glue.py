@@ -11,7 +11,9 @@ made only of eliminated vertices closes a component (one more q).
 A Factor stores each entry as a dense list of integer q-coefficients over a
 shared positive denominator, and all arithmetic acts on those integers.
 ``table``, ``total`` and ``counterexample_polynomial`` hand the results out as
-``MultiPoly``, the read-only view that reports print, compare and evaluate.
+``MultiPoly``, the read-only view that reports print, compare and evaluate;
+``counterexample_numerator`` hands a table2 row's numerator out as the
+integers themselves, for the root isolation that reads its windows.
 Contraction works on an entry encoding, which ``_encoding`` picks from the
 input factors; each encoding supplies encode and decode, add, sub, multiply
 and the q**closed scaling.
@@ -37,14 +39,17 @@ and the q**closed scaling.
   would be slower: CPython multiplies big ints by Karatsuba alone, so one
   product of two long packed entries loses to the pointwise products.
 
-``counterexample_polynomial`` reads a table2 row off one layer.  The doubled
+``counterexample_numerator`` reads a table2 row off one layer.  The doubled
 network is two copies of a six-factor layer that share only the posts, so it
 contracts layer 1 alone (queries 1, 10 and the posts) in the encoding of the
 whole doubled network.  Layer 2's table is that table with 1 projected out
 and 10 renamed 20.  The last glue joins the two and cuts the posts through a
 signed readout: it keeps only {1,10}{20} minus {1,20}{10}, one product per
-entry of the smaller table.  N is one decode of that difference, and Z(1)
-the product of the two tables' sums at q = 1.
+entry of the smaller table.  N times den**2 is one decode of that
+difference, a single integer list that goes on to root isolation as it is,
+and Z(1) times den**2 the product of the two tables' sums at q = 1.
+``counterexample_polynomial`` is the ``MultiPoly`` view of the same three
+integers.
 
 One kernel, ``_glue``, multiplies two encoded tables and cuts a set of
 vertices in the same pass.  It joins partitions in the label convention of
@@ -112,6 +117,7 @@ __all__ = [
     "multiply",
     "eliminate",
     "contract_network",
+    "counterexample_numerator",
     "counterexample_polynomial",
     "hollom_network",
 ]
@@ -796,20 +802,22 @@ def hollom_network(n: int, p) -> FactorNetwork:
     return FactorNetwork(tuple(factors), (1, *hypergraph_copies(h, 10)))
 
 
-def counterexample_polynomial(n: int, p):
-    """Numerator of the doubled-instance connection gap and the total mass Z(1).
+def counterexample_numerator(n: int, p) -> tuple[list, int, int]:
+    """The doubled-instance connection gap's numerator and Z(1), in integers.
 
-    Returns (N, Z(1)).  N is the unnormalized numerator of
-    P[1 <-> 10] - P[1 <-> 20] as an exact polynomial in q (positive
-    denominators cancel), so sign P_n(q) = sign N(q) for q > 0.  Z(1) is the
-    partition function at q = 1, an exact rational (1, as the edge weights
-    are probabilities).  Only layer 1 of ``hollom_network`` is contracted,
-    keeping 1, 10 and the posts, at the doubled network's point count;
-    layer 2's table is that one with 1 projected out and 10 renamed 20.
-    Their glue cuts the posts and reads {1,10}{20} minus {1,20}{10}, which
-    one decode turns into N; Z(1) is the product of the two tables' sums at
-    q = 1, where q**blocks = 1.  The encoding is the doubled network's: its
-    gadget entries have degree n, so that is points at its point count.
+    Returns (coeffs, scale, mass): coeffs are the trimmed integer
+    q-coefficients of N * scale, where N is the unnormalized numerator of
+    P[1 <-> 10] - P[1 <-> 20] (positive denominators cancel), so
+    sign P_n(q) = sign N(q) for q > 0; scale is den**2 for the layer's
+    denominator den; and mass is Z(1) * scale, Z(1) being the partition
+    function at q = 1 (1, as the edge weights are probabilities).  Only layer 1
+    of ``hollom_network`` is contracted, keeping 1, 10 and the posts, at the
+    doubled network's point count; layer 2's table is that one with 1
+    projected out and 10 renamed 20.  Their glue cuts the posts and reads
+    {1,10}{20} minus {1,20}{10}, which one decode turns into coeffs; mass is
+    the product of the two tables' sums at q = 1, where q**blocks = 1.  The
+    encoding is the doubled network's: its gadget entries have degree n, so
+    that is points at its point count.
     """
     h = hollom_instance()
     net = hollom_network(n, p)
@@ -823,7 +831,12 @@ def counterexample_polynomial(n: int, p):
     bottom = _Encoded(tuple(other if v == same else v for v in projected.boundary), projected.entries)
     readout = _glue(top, bottom, enc, posts, ((0, 0, 1), (0, 1, 0)))  # {1,10}{20}, {1,20}{10}
     # Both query partitions have two blocks: restore q**2.
-    diff = [0, 0] + enc.decode(readout.entries.get((), enc.zero))
-    numerator = _q_poly(diff, den * den)
+    coeffs = _trim([0, 0] + enc.decode(readout.entries.get((), enc.zero)))
     mass = prod(sum(map(enc.at_one, t.entries.values())) for t in (top, bottom))
-    return numerator, Rational(mass, den * den)
+    return coeffs, den * den, mass
+
+
+def counterexample_polynomial(n: int, p):
+    """(N, Z(1)) of ``counterexample_numerator`` as a ``MultiPoly`` in q and a rational."""
+    coeffs, scale, mass = counterexample_numerator(n, p)
+    return _q_poly(coeffs, scale), Rational(mass, scale)

@@ -7,12 +7,17 @@ through the whole network: contract all twelve gadget factors with
 ``contract_network``, interpolate every final entry, subtract the two query
 entries as polynomials, and evaluate the partition function
 ``Factor.total()`` at q = 1.
+
+``windows_by_view`` is the oracle for ``cli.negative_window_rows``: it reads
+a row's windows off the ``MultiPoly`` view, through ``dense_in`` and the
+view's ``isolate_negative_region``, where the CLI takes the integer list of
+``counterexample_numerator`` straight to the integer window.
 """
 
 from __future__ import annotations
 
-from bunkbed.exactnum import MultiPoly, Rational, rat
-from bunkbed.glue import contract_network, hollom_network
+from bunkbed.exactnum import MultiPoly, Rational, descartes_no_roots_above, isolate_negative_region, rat
+from bunkbed.glue import contract_network, counterexample_polynomial, hollom_network
 
 
 def counterexample_by_entries(n: int, p) -> tuple[MultiPoly, Rational]:
@@ -25,3 +30,14 @@ def counterexample_by_entries(n: int, p) -> tuple[MultiPoly, Rational]:
             diff[k + 2] = diff.get(k + 2, 0) + sign * coeff
     numerator = MultiPoly({(e, 0, 0, 0): Rational(c, final.den) for e, c in diff.items() if c})
     return numerator, final.total().eval({"q": rat(1)})
+
+
+def windows_by_view(n: int, p, width) -> tuple[list, Rational]:
+    """(negative windows, Z(1)) of a table2 row, through the ``MultiPoly`` view."""
+    numerator, z_at_1 = counterexample_polynomial(n, p)
+    coeffs = numerator.dense_in("q")
+    hi = rat(2)
+    while not descartes_no_roots_above(coeffs, hi):
+        hi *= 2
+    _, negative = isolate_negative_region(numerator, (rat(0), hi), width)
+    return negative, z_at_1

@@ -1,10 +1,11 @@
 import json
 
 import pytest
+from readout_oracle import windows_by_view
 
 from bunkbed import measures
 from bunkbed.cli import KNOWN_FAILURE_WINDOWS, main, negative_window_rows
-from bunkbed.exactnum import parse_rational, rat
+from bunkbed.exactnum import format_rational, parse_rational, rat
 
 
 def test_compute_rc_prob(capsys):
@@ -141,6 +142,18 @@ def test_negative_window_contains_the_known_one_at_every_width(width):
         lo, hi = (parse_rational(x) for x in window)
         known_lo, known_hi = KNOWN_FAILURE_WINDOWS[row["n"]]
         assert lo <= rat(known_lo, 100) and rat(known_hi, 100) <= hi
+
+
+@pytest.mark.parametrize("width", [rat(1, 10**6), rat(1, 1000)])
+@pytest.mark.parametrize("p", [rat(1, 100), rat(1, 7), rat(2, 5)])
+def test_rows_from_the_integer_list_match_the_multipoly_route(p, width):
+    # Windows and Z(1) are all a row reads off the numerator; the rest of
+    # the row is derived from the windows.
+    for row in negative_window_rows([1, 2, 3, 5, 11], p, width):
+        negative, z_at_1 = windows_by_view(row["n"], p, width)
+        assert row["status"] == "ok"
+        assert row["windows"] == [[format_rational(a), format_rational(b)] for a, b in negative]
+        assert row["z_at_1"] == format_rational(z_at_1)
 
 
 def test_recheck_round_trip(tmp_path, capsys):

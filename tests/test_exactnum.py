@@ -28,6 +28,7 @@ from bunkbed.exactnum import (
     bareiss_det,
     descartes_no_roots_above,
     format_rational,
+    integer_negative_region,
     invert,
     isolate_negative_region,
     isolate_real_roots,
@@ -953,6 +954,26 @@ def test_sturm_and_descartes_on_the_square_free_part_agree(planted):
     inside = sorted((r, m) for r, m in planted if lo < r < hi)
     assert [iv.multiplicity for iv in found] == [m for _, m in inside]
     assert all(iv.contains(r) and iv.width() < width for iv, (r, _) in zip(found, inside))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    _planted_roots(),
+    st.integers(0, 2),
+    st.integers(0, 2),
+    st.sampled_from([1, -1]),
+    st.sampled_from([rat(1, 8), rat(1, 1000), rat(1, 10**6)]),
+    st.integers(1, 2**80),
+    st.integers(1, 2**80),
+)
+def test_clearing_denominators_moves_no_bracket(planted, at_lo, at_hi, sign, width, k, d):
+    # Roots at the domain ends too: they are divided out before isolation.
+    roots = [r for r, m in planted for _ in range(m)] + [Fraction(0)] * at_lo + [Fraction(2)] * at_hi
+    c = _poly_from(roots, [sign])
+    domain = (rat(0), rat(2))
+    expected = integer_negative_region(c, domain, width)
+    assert integer_negative_region([k * x for x in c], domain, width) == expected
+    assert isolate_negative_region(qpoly(c, d), domain, width) == expected
 
 
 def test_degree_100_with_a_double_root_isolates_with_multiplicity_2():

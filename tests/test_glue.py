@@ -10,7 +10,7 @@ from readout_oracle import counterexample_by_entries
 
 from bunkbed import glue
 from bunkbed.catalog import named_graph, named_instance
-from bunkbed.exactnum import isolate_negative_region, rat
+from bunkbed.exactnum import Rational, isolate_negative_region, rat
 from bunkbed.glue import (
     _contract_encoded,
     _decoded,
@@ -26,6 +26,7 @@ from bunkbed.glue import (
     Factor,
     FactorNetwork,
     contract_network,
+    counterexample_numerator,
     counterexample_polynomial,
     edge_factor,
     eliminate,
@@ -360,6 +361,17 @@ def test_counterexample_polynomial_matches_the_entrywise_readout(n, p):
     assert numerator == expected_numerator
     assert numerator.to_string() == expected_numerator.to_string()
     assert z_at_1 == expected_z_at_1
+
+
+@pytest.mark.parametrize("p", [rat(1, 100), rat(1, 7), rat(2, 5)])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 11])
+def test_counterexample_polynomial_is_the_view_of_the_integer_core(n, p):
+    coeffs, scale, mass = counterexample_numerator(n, p)
+    assert all(type(c) is int for c in coeffs) and coeffs[:2] == [0, 0] and coeffs[-1]
+    assert type(scale) is int and scale > 0 and type(mass) is int
+    numerator, z_at_1 = counterexample_polynomial(n, p)
+    assert numerator.dense_in("q") == [Rational(c, scale) for c in coeffs]
+    assert z_at_1 == Rational(mass, scale)
 
 
 def test_hollom_network_layer_2_is_layer_1_under_the_copy_map():

@@ -65,6 +65,30 @@ def test_table2_rows_are_pinned():
     ]
 
 
+def test_largest_table2_rows_are_pinned():
+    rows = negative_window_rows([21, 31], rat(1, 100))
+    assert rows == [
+        {
+            "n": 21,
+            "status": "ok",
+            "z_at_1": "1",
+            "windows": [["585317/1048576", "1499369/1048576"]],
+            "window_2dp": ["0.56", "1.42"],
+            "known": ["0.56", "1.42"],
+            "matches_known": True,
+        },
+        {
+            "n": 31,
+            "status": "ok",
+            "z_at_1": "1",
+            "windows": [["585315/1048576", "187453/131072"]],
+            "window_2dp": ["0.56", "1.43"],
+            "known": ["0.56", "1.43"],
+            "matches_known": True,
+        },
+    ]
+
+
 def test_root143_interval_is_pinned(capsys):
     assert main(["compute", "root143"]) == 0
     assert capsys.readouterr().out == "real root isolated in (93725/65536, 46865/32768)\n"
