@@ -168,8 +168,12 @@ def _2dp_str(x: Rational) -> str:
 def negative_window_rows(n_values, p, width=None):
     """Certified negative-q windows of the counterexample numerator, per n.
 
-    Rows carry `known` and `matches_known` only where the known table applies:
-    at p = 1/100 and a width of at most 1/100.
+    A row with one window gets `window_2dp`, the hundredths that round its
+    inner edges inward: the high end of the lower root's bracket and the low
+    end of the upper root's, between which the numerator is negative.  It
+    has none when the rounded edges cross.  Rows carry `known` and
+    `matches_known` only where the known table applies: at p = 1/100 and a
+    width of at most 1/100.
     """
     width = rat(1, 10**6) if width is None else rat(width)
     tol = rat(1, 100)
@@ -187,7 +191,7 @@ def negative_window_rows(n_values, p, width=None):
         domain_hi = rat(2)
         while not descartes_no_roots_above(coeffs, domain_hi):
             domain_hi *= 2
-        _, negative = integer_negative_region(coeffs, (rat(0), domain_hi), width)
+        roots, negative = integer_negative_region(coeffs, (rat(0), domain_hi), width)
         row["status"] = "ok"
         row["z_at_1"] = format_rational(Rational(mass, scale))
         row["windows"] = [
@@ -195,16 +199,17 @@ def negative_window_rows(n_values, p, width=None):
         ]
         if len(negative) == 1:
             lo, hi = negative[0]
-            inner_lo = _ceil_2dp(lo)
-            inner_hi = _floor_2dp(hi)
-            row["window_2dp"] = [_2dp_str(inner_lo), _2dp_str(inner_hi)]
-            known = KNOWN_FAILURE_WINDOWS.get(n) if compare else None
-            if known:
-                row["known"] = [_2dp_str(rat(c, 100)) for c in known]
-                ok = abs(inner_lo - rat(known[0], 100)) <= tol and abs(
-                    inner_hi - rat(known[1], 100)
-                ) <= tol
-                row["matches_known"] = ok
+            inner_lo = _ceil_2dp(next((r.high for r in roots if r.low == lo), lo))
+            inner_hi = _floor_2dp(next((r.low for r in roots if r.high == hi), hi))
+            if inner_lo <= inner_hi:
+                row["window_2dp"] = [_2dp_str(inner_lo), _2dp_str(inner_hi)]
+                known = KNOWN_FAILURE_WINDOWS.get(n) if compare else None
+                if known:
+                    row["known"] = [_2dp_str(rat(c, 100)) for c in known]
+                    ok = abs(inner_lo - rat(known[0], 100)) <= tol and abs(
+                        inner_hi - rat(known[1], 100)
+                    ) <= tol
+                    row["matches_known"] = ok
         rows.append(row)
     return rows
 
@@ -220,6 +225,9 @@ def cmd_table2(args) -> dict:
     bad_n = [n for n in n_values if n < 1]
     if bad_n:
         raise UsageError(f"--n values {bad_n} must be at least 1")
+    repeated = sorted({n for n in n_values if n_values.count(n) > 1})
+    if repeated:
+        raise UsageError(f"--n repeats {repeated}; give each gadget size once")
     rows = negative_window_rows(n_values, p, width)
     bad = [
         r

@@ -25,15 +25,21 @@ p ~ a_1 a_2**2 ... (Yun 1976, over a heuristic gcd that packs each
 polynomial into one integer, Char, Geddes and Gonnet 1989).  A square-free p
 goes on down the same tree with no floor; otherwise Descartes isolates the
 square-free part a_1 a_2 ... from the domain.  Either ends, by Vincent's
-theorem.  A bracket holding one simple root is halved on one integer grid,
-its left end's sign read off its node's first Bernstein coefficient; a grid
-point that is the root ends the halving with a bracket centred on it.  A
-bracket's multiplicity is the m whose a_m changes sign across it.  Every
-sign is an integer's: p at num/den is den**deg p(num/den), once the powers
-of two common to num and den are stripped, with shifts for a power-of-two den.
+theorem.  Nodes are integer numerators over one denominator.  A bracket
+holding one simple root is halved on one integer grid, its end signs read
+off its node's end Bernstein coefficients; a floating-point probe on those
+coefficients picks the grid cell the root is in, two exact signs at the
+cell's ends certify it, and the halving goes on inside it.  A grid point
+that is the root ends the halving with a bracket centred on it.  A
+bracket's multiplicity is the m whose a_m changes sign across it, and the
+sign of p between brackets follows from its sign at the domain's low end and
+the multiplicities.  Every sign is an integer's: p at num/den is
+den**deg p(num/den), once the powers of two common to num and den are
+stripped, with shifts for a power-of-two den.
 
-Everything in this module is exact.  There is no floating point anywhere, and
-every returned sign or interval is backed by integer arithmetic.
+Everything this module returns is exact.  Floating point only chooses where
+the root refinement evaluates, and every returned sign or interval is
+backed by integer arithmetic.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ from functools import cache
 from itertools import accumulate, chain, zip_longest
 from math import comb, gcd, lcm
 from operator import add, mul, ne, sub
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 try:
     from gmpy2 import mpq as Rational
@@ -490,17 +496,6 @@ def _eval_sign(c: Sequence[int], x: Rational) -> int:
     return _sign(_eval_scaled(c, int(x.numerator), int(x.denominator)))
 
 
-def _off_root(c: Sequence[int], x: Rational, bump: Rational) -> tuple[Rational, int]:
-    """The first of x, x + bump, x + bump + bump/3, ... that is not a root of
-    c, with the sign of c there."""
-    sign = _eval_sign(c, x)
-    while sign == 0:
-        x += bump
-        bump /= 3
-        sign = _eval_sign(c, x)
-    return x, sign
-
-
 def _divide_out_root(c: list[int], x: Rational) -> list[int]:
     """c divided by (den*t - num) for x = num/den, as often as x is a root.
 
@@ -681,11 +676,16 @@ def _taylor_shift(c: list[int], a: int) -> list[int]:
     return [x // w for x, w in zip(top_first[::-1], powers)]
 
 
-def _to_unit_interval(c: list[int], a: Rational, b: Rational) -> list[int]:
-    """A positive integer multiple of p(a + (b - a) t), so (0, 1) maps onto (a, b)."""
-    an, ad = int(a.numerator), int(a.denominator)
-    w = b - a
-    wn, wd = int(w.numerator), int(w.denominator)
+def _to_unit_interval(c: list[int], a, b) -> list[int]:
+    """A positive integer multiple of p(a + (b - a) t), so (0, 1) maps onto (a, b).
+
+    a and b need only a numerator and a denominator: rationals, or the
+    `_Ratio` ends of a nudged node.
+    """
+    an, ad, bn, bd = int(a.numerator), int(a.denominator), int(b.numerator), int(b.denominator)
+    wn, wd = bn * ad - an * bd, ad * bd
+    g = gcd(wn, wd)
+    wn, wd = wn // g, wd // g
     d = len(c) - 1
     # ad**d p(x / ad) is integral; shifting it by an and putting x = ad w t
     # gives (ad wd)**d p(a + w t) once each coefficient is cleared of wd.
@@ -693,11 +693,28 @@ def _to_unit_interval(c: list[int], a: Rational, b: Rational) -> list[int]:
     return [ci * (ad * wn) ** i * wd ** (d - i) for i, ci in enumerate(shifted)]
 
 
+class _Ratio(NamedTuple):
+    """num / den in lowest terms: what `_to_unit_interval` reads of a rational."""
+
+    numerator: int
+    denominator: int
+
+
+def _ratio(num: int, den: int) -> _Ratio:
+    g = gcd(num, den)
+    return _Ratio(num // g, den // g)
+
+
 @cache
 def _binomial_cofactors(d: int) -> tuple[int, ...]:
     """lcm(C(d, 0), ..., C(d, d)) / C(d, i) for i = 0..d."""
     top = lcm(*(comb(d, i) for i in range(d + 1)))
     return tuple(top // comb(d, i) for i in range(d + 1))
+
+
+@cache
+def _binomials(d: int) -> tuple[int, ...]:
+    return tuple(comb(d, i) for i in range(d + 1))
 
 
 def _bernstein(c: list[int], a: Rational, b: Rational) -> list[int]:
@@ -783,9 +800,12 @@ def isolate_real_roots(coeffs: Sequence, domain: tuple, width) -> list[Isolating
     with a repeated root has its square-free part isolated from the domain,
     also with no floor.  There is no degree limit.  A node with one variation
     is halved in integers on one grid, each point stripped of powers of two,
-    from the sign its first Bernstein coefficient gives its left end; only
-    the returned brackets are rationals.  A bracket's multiplicity is the m
-    of the square-free factor that changes sign across it.
+    from the signs its end Bernstein coefficients give its ends; a
+    floating-point probe picks the grid cell to halve inside, once exact
+    signs at its two ends certify it, so the brackets are those of halving
+    the node.  Only the returned brackets are rationals.  A bracket's
+    multiplicity is the m of the square-free factor that changes sign across
+    it.
     """
     lo, hi = rat(domain[0]), rat(domain[1])
     if not lo < hi:
@@ -815,33 +835,99 @@ def isolate_real_roots(coeffs: Sequence, domain: tuple, width) -> list[Isolating
     ]
 
 
-def _refine(c, a, b, width, bern):
-    """Halve (a, b), holding one simple root of c and none at its ends, to below `width`.
+def _probe(bern: list[int], k: int) -> tuple[int, int]:
+    """(j, i): the cell [i, i + 1] / 2**j, j <= k, of the unit interval in
+    which floating point puts the one root of a node with one variation.
 
-    The halves are cells of one grid, a + i (b - a) / 2**k for the least k
-    with (b - a) / 2**k < width: (base + i step) / den, halved on the integer
-    i, so the cell kept is the one halving (a, b) k times keeps.  A point
-    sheds the powers of two it shares with den before it is evaluated, and
-    the sign at a is that of bern[0], the node's first Bernstein coefficient.
-    A point that is a root is returned inside a bracket of width width / 2,
-    which b - a >= width keeps inside (a, b).  Only the bracket is rational.
+    Each level halves the cell at its midpoint t.  There P(t) is a positive
+    multiple of the sum of beta_i u**i for u = t / (1 - t) <= 1, or of
+    beta_i v**(d - i) for v = 1 / u < 1, where beta_i = bern_i C(d, i) in
+    doubles, scaled by one power of two below 2**960.  The probe stops where
+    the value does not exceed its rounding bound, (4d + 4) unit roundoffs
+    times the sum of |beta_i| u**i (or where it is a NaN).  It only guides:
+    `_refine` certifies its cell by exact signs.
     """
-    an, ad, bn, bd = int(a.numerator), int(a.denominator), int(b.numerator), int(b.denominator)
-    base, step, den = an * bd, bn * ad - an * bd, ad * bd
-    # (b - a) / width = over / under, and k is the least with over < under * 2**k.
-    over, under = step * int(width.denominator), den * int(width.numerator)
+    d = len(bern) - 1
+    beta = list(map(mul, bern, _binomials(d)))
+    scale = 1 << max(max(x.bit_length() for x in beta) - 960, 0)
+    up = [x / scale for x in beta]
+    up_size = list(map(abs, up))
+    down, down_size = up[::-1], up_size[::-1]
+    tol = (4 * d + 4) * 2.0**-53
+    # u <= 1, so this bounds the rounding bound at every level.
+    loose = tol * sum(up_size)
+    positive = bern[0] > 0
+    i = 0
+    for j in range(k):
+        m = 2 * i + 1  # the midpoint m / 2**(j + 1) of cell i at level j
+        rest = (2 << j) - m
+        terms, sizes, u = (down, down_size, m / rest) if m <= rest else (up, up_size, rest / m)
+        value = 0.0
+        for x in terms:
+            value = value * u + x
+        if not abs(value) > loose:
+            size = 0.0
+            for x in sizes:
+                size = size * u + x
+            if not abs(value) > tol * size:
+                return j, i
+        i = m if (value > 0) == positive else m - 1
+    return k, i
+
+
+def _refine(c, a, b, den, width, bern):
+    """Halve (a / den, b / den), holding one simple root of c and none at its
+    ends, to below `width`; returns (low, high, den), the bracket's ends.
+
+    The halves are cells of one grid, (a 2**k + i (b - a)) / (den 2**k) for
+    the least k with (b - a) / (den 2**k) < width.  Exact signs at the ends
+    of the level-j cell `_probe` picks certify it, and the halving goes on
+    inside it; a cell they do not certify sends it back to (a, b).  A grid
+    point that is the root ends the halving with a bracket of width
+    width / 2 centred on it, inside (a, b) as b - a >= width.  Any halving
+    that holds a grid root meets it, so the bracket is the one halving (a, b)
+    k times keeps, whatever the probe says.  A point sheds the powers of two
+    it shares with den before it is evaluated; the signs at a and b are
+    those of bern[0] and bern[-1].
+    """
+    wn, wd = int(width.numerator), int(width.denominator)
+    step = b - a
+    # (b - a) / den / width = over / under, and k is the least with over < under * 2**k.
+    over, under = step * wd, den * wn
     k = max(over.bit_length() - under.bit_length(), 0)
     k += over >= under << k
-    base, den, left, right = base << k, den << k, 0, 1 << k
+    base, den, top = a << k, den << k, 1 << k
+    positive = bern[0] > 0
+
+    def value(i):
+        num = base + i * step
+        strip = ((num | den) & -(num | den)).bit_length() - 1
+        return _eval_scaled(c, num >> strip, den >> strip)
+
+    def centred(i):
+        num, half = (base + i * step) * 4 * wd, wn * den
+        return num - half, num + half, 4 * den * wd
+
+    left, right = 0, top
+    j, i = _probe(bern, k) if k else (0, 0)
+    if j:
+        low, high = i << (k - j), (i + 1) << (k - j)
+        at_low = value(low) if low else bern[0]
+        if not at_low:
+            return centred(low)
+        if (at_low > 0) == positive:
+            at_high = value(high) if high < top else bern[-1]
+            if not at_high:
+                return centred(high)
+            if (at_high > 0) != positive:
+                left, right = low, high
     while right - left > 1:
         mid = (left + right) >> 1
-        num = base + mid * step
-        strip = ((num | den) & -(num | den)).bit_length() - 1
-        value = _eval_scaled(c, num >> strip, den >> strip)
-        if not value:
-            return Rational(num, den) - width / 4, Rational(num, den) + width / 4
-        left, right = (mid, right) if (value > 0) == (bern[0] > 0) else (left, mid)
-    return Rational(base + left * step, den), Rational(base + right * step, den)
+        at_mid = value(mid)
+        if not at_mid:
+            return centred(mid)
+        left, right = (mid, right) if (at_mid > 0) == positive else (left, mid)
+    return base + left * step, base + right * step, den
 
 
 class _Stall(Exception):
@@ -852,36 +938,47 @@ class _Stall(Exception):
 def _isolate_descartes(c, lo, hi, width, floor, tree=None):
     """Descartes bisection in the Bernstein basis (Collins-Akritas).
 
-    Each node (a, b) carries a positive multiple of the Bernstein
-    coefficients of p on (a, b); their sign variations bound its roots, and
-    a split runs one de Casteljau triangle for both children.  Only the
-    domain and the children of a nudged midpoint are mapped from p.  Raises
-    _Stall at the first node narrower than `floor` with two or more
-    variations; `tree`, the (stack, brackets) it carries, resumes the search.
+    A node (a, b, den, bern) is the interval (a / den, b / den) and a
+    positive multiple of the Bernstein coefficients of p on it; their sign
+    variations bound its roots, and one de Casteljau triangle splits it at
+    (a + b) / (2 den).  A midpoint that is a root moves by (b - a) / 16, then
+    by thirds of that, to the first point that is not; only the domain and
+    the children of such a point are mapped from p.  Only the sorted
+    brackets are rationals.  Raises _Stall at the first node narrower than
+    `floor` with two or more variations; `tree`, the (stack, brackets) it
+    carries, resumes the search.
     """
-    stack, out = tree or ([(lo, hi, _bernstein(c, lo, hi))], [])
+    if tree is None:
+        ln, ld, hn, hd = int(lo.numerator), int(lo.denominator), int(hi.numerator), int(hi.denominator)
+        tree = [(ln * hd, hn * ld, ld * hd, _bernstein(c, lo, hi))], []
+    stack, out = tree
+    fn, fd = int(floor.numerator), int(floor.denominator)
     while stack:
-        a, b, bern = stack.pop()
+        a, b, den, bern = stack.pop()
         # Descartes' bound on the roots in (a, b): 0 certifies none, 1 one simple root.
         v = _variations(bern)
         if v == 0:
             continue
         if v == 1:
-            # Exactly one simple root: refine by cheap exact sign bisection.
-            out.append(_refine(c, a, b, width, bern))
+            out.append(_refine(c, a, b, den, width, bern))
             continue
-        if b - a < floor:
-            stack.append((a, b, bern))
+        if (b - a) * fd < fn * den:
+            stack.append((a, b, den, bern))
             raise _Stall((stack, out))
-        mid = (a + b) / 2
         left, right = _de_casteljau(bern)
+        a, mid, b, den = a << 1, a + b, b << 1, den << 1
         if not left[-1]:
-            mid, _ = _off_root(c, mid, (b - a) / 16)
-            left, right = _bernstein(c, a, mid), _bernstein(c, mid, b)
-        stack.append((a, mid, left))
-        stack.append((mid, b, right))
-    out.sort()
-    return out
+            a, mid, b, den, bump = a << 4, mid << 4, b << 4, den << 4, b - a
+            mid += bump
+            while not _eval_scaled(c, mid, den):
+                a, mid, b, den = 3 * a, 3 * mid + bump, 3 * b, 3 * den
+            g = gcd(a, mid, b, den)
+            a, mid, b, den = a // g, mid // g, b // g, den // g
+            left = _bernstein(c, _ratio(a, den), _ratio(mid, den))
+            right = _bernstein(c, _ratio(mid, den), _ratio(b, den))
+        stack.append((a, mid, den, left))
+        stack.append((mid, b, den, right))
+    return sorted((Rational(low, den), Rational(high, den)) for low, high, den in out)
 
 
 def isolate_negative_region(p: MultiPoly, domain: tuple, width):
@@ -897,7 +994,10 @@ def integer_negative_region(coeffs: Sequence[int], domain: tuple, width):
     the list of maximal subintervals of the domain where p < 0.  Negative
     region endpoints that fall at a root are reported by the root's outer
     bracket, so each carries uncertainty below `width`; endpoints at the
-    domain boundary are exact.  An all-int list is only copied and trimmed;
+    domain boundary are exact.  The signs between brackets cost one
+    evaluation, at the domain's low end after the root there is divided out;
+    each bracket flips the sign by the parity of its multiplicity.  An
+    all-int list is only copied and trimmed;
     rational coefficients are first scaled to integers by a positive
     rational, which moves no sign, so any positive multiple of p gives the
     same brackets and regions.
@@ -916,18 +1016,12 @@ def integer_negative_region(coeffs: Sequence[int], domain: tuple, width):
     flip = -1 if (at_hi - len(c)) % 2 else 1
     roots = isolate_real_roots(c, (lo, hi), width)
 
-    # One exact sign per gap between consecutive root brackets.
-    bounds = [lo] + [r.low for r in roots] + [hi]
-    uppers = [lo] + [r.high for r in roots] + [hi]
-    signs = []
-    for i in range(len(roots) + 1):
-        # An empty gap is the shared endpoint of two touching brackets or a
-        # domain end; neither is a root of c, so both have an exact sign.
-        a, b = uppers[i], bounds[i + 1]
-        if a == b:
-            signs.append(flip * _eval_sign(c, a))
-        else:
-            signs.append(flip * _off_root(c, (a + b) / 2, (b - a) / 16)[1])
+    # Every root in (lo, hi) is bracketed, with its multiplicity.
+    sign = flip * _eval_sign(c, lo)
+    signs = [sign]
+    for r in roots:
+        sign = -sign if r.multiplicity % 2 else sign
+        signs.append(sign)
 
     # Assemble maximal negative intervals.  A gap endpoint at the domain edge
     # is exact; at a root it is the root's outer bracket edge, except where

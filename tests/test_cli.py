@@ -4,6 +4,7 @@ import pytest
 from readout_oracle import windows_by_view
 
 from bunkbed import measures
+from bunkbed.glue import counterexample_numerator
 from bunkbed.cli import KNOWN_FAILURE_WINDOWS, main, negative_window_rows
 from bunkbed.exactnum import format_rational, parse_rational, rat
 
@@ -142,6 +143,25 @@ def test_negative_window_contains_the_known_one_at_every_width(width):
         lo, hi = (parse_rational(x) for x in window)
         known_lo, known_hi = KNOWN_FAILURE_WINDOWS[row["n"]]
         assert lo <= rat(known_lo, 100) and rat(known_hi, 100) <= hi
+
+
+@pytest.mark.parametrize("width", [rat(1), rat(1, 2), rat(1, 10), rat(1, 100), rat(1, 10**6)])
+def test_two_decimal_window_is_negative_at_both_printed_ends(width):
+    # The printed hundredths round the inner bracket edges inward, so the
+    # numerator is negative at both, even where coarse brackets are wide.
+    for row in negative_window_rows([3, 11], rat(1, 100), width):
+        coeffs, _, _ = counterexample_numerator(row["n"], rat(1, 100))
+        for end in row["window_2dp"]:
+            q = rat(int(end.replace(".", "")), 100)
+            assert sum(c * q**k for k, c in enumerate(coeffs)) < 0, (row["n"], width, end)
+
+
+def test_table2_prints_no_two_decimal_window_without_a_negative_hundredth(capsys):
+    # Near the p where the n = 3 window closes it is about 0.0025 wide,
+    # between 0.88 and 0.89: the windows are printed exactly instead.
+    assert main(["table2", "--n", "3", "--p", "18721/393216"]) == 0
+    printed = capsys.readouterr().out
+    assert printed.startswith("n=3: negative windows (") and "[" not in printed
 
 
 @pytest.mark.parametrize("width", [rat(1, 10**6), rat(1, 1000)])
@@ -317,6 +337,7 @@ def test_exit_code_mapping():
         (["verify", "--suite", "bunkbed", "--graph", "K3", "--p", ""], "empty list ''"),
         (["verify", "--suite", "p-threshold", "--graph", "fig4-left", "--q", ""], "empty list ''"),
         (["table2", "--n", "3", "--width", ""], "bad rational ''"),
+        (["table2", "--n", "3,4,3"], "repeats [3]"),
     ],
 )
 def test_malformed_input_is_usage_error(argv, fragment, tmp_path, capsys):

@@ -17,6 +17,7 @@ from descartes_oracle import (
 )
 from hypothesis import given, settings, strategies as st
 from invert_oracle import invert_by_back_substitution
+from region_oracle import negative_region_by_evaluation
 from sturm_oracle import isolate_sturm
 
 from bunkbed import exactnum
@@ -681,6 +682,51 @@ def test_descartes_tree_matches_the_per_interval_oracle(monkeypatch):
     assert "double" in stalled and nudged > 0
 
 
+@st.composite
+def _nudged_trees(draw):
+    """(c, lo, hi, width): roots at the midpoint of a node some levels down
+    the domain's tree and, drawn at random, at the first one or two points
+    it is nudged to, so the nudge runs on; plus up to three more roots."""
+    lo, hi = draw(st.sampled_from(_ORACLE_DOMAINS))
+    a, b = lo, hi
+    for _ in range(draw(st.integers(0, 6))):
+        mid = (a + b) / 2
+        a, b = (a, mid) if draw(st.booleans()) else (mid, b)
+    x, bump = (a + b) / 2, (b - a) / 16
+    roots = [x]
+    for _ in range(draw(st.integers(1, 2))):
+        x += bump
+        bump /= 3
+        roots.append(x)
+    roots += [lo + (hi - lo) * Fraction(draw(st.integers(1, 999)), 1000) for _ in range(draw(st.integers(0, 3)))]
+    cofactor = [draw(st.integers(1, 2**20)), 0, 1] if draw(st.booleans()) else [1]
+    c = _poly_from(roots, [draw(st.sampled_from((-1, 1))) * x for x in cofactor])
+    return c, lo, hi, draw(st.sampled_from((Fraction(1, 10), Fraction(1, 1000), Fraction(1, 7**4))))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(_nudged_trees())
+def test_integer_nodes_give_the_fraction_trees_brackets(case):
+    # Nodes are integers over the domain's dyadic grid, or over 16 * 3**m
+    # times it past a nudged midpoint; the oracle's nodes are Fractions.
+    # The only Fractions the search builds are the brackets it returns.
+    c, lo, hi, width = case
+    built = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Fraction, "__new__", counted)
+        got = _outcome(exactnum._isolate_descartes, c, rat(lo), rat(hi), rat(width), rat(width))
+        count = len(built)
+    assert got == _outcome(isolate_descartes, c, lo, hi, width, width)
+    if Rational is Fraction:
+        assert count == (0 if got == "stall" else 2 * len(got))
+
+
 # -- Bernstein nodes
 
 
@@ -777,25 +823,44 @@ def _refine_nodes(draw):
     return _poly_from(outside, cofactor), a, b, width
 
 
-def _check_refine(c, a, b, width, root_on_grid):
-    """exactnum._refine against the Fraction bisection of the oracle, with at
-    most k evaluations, none at a, and no arithmetic on a or b, nor on width
-    unless a grid point is the root.  Returns the number of evaluations."""
-    k = _halvings(a, b, width)
+def _no_probe(bern, k):
+    return 0, 0
+
+
+def _check_refine(c, a, b, width, probe=None):
+    """exactnum._refine against the Fraction bisection of the oracle, with a
+    never evaluated and no arithmetic on width.  `probe` stands in for
+    `exactnum._probe`.  Returns the number of evaluations and the level of
+    the cell the probe gave."""
     bern = exactnum._bernstein(c, rat(a), rat(b))
     points = []
+    levels = []
     evaluate = exactnum._eval_scaled
+    probe = probe or exactnum._probe
 
     def recorded(c, num, den):
         points.append(Fraction(num, den))
         return evaluate(c, num, den)
 
+    def probed(bern, k):
+        levels.append(probe(bern, k))
+        return levels[-1]
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(exactnum, "_eval_scaled", recorded)
-        got = exactnum._refine(c, _bare(a), _bare(b), rat(width) if root_on_grid else _bare(width), bern)
+        mp.setattr(exactnum, "_probe", probed)
+        an, bn, den = a.numerator * b.denominator, b.numerator * a.denominator, a.denominator * b.denominator
+        low, high, out_den = exactnum._refine(c, an, bn, den, _bare(width), bern)
+    got = Fraction(low, out_den), Fraction(high, out_den)
     assert [str(x) for x in got] == [str(x) for x in _refine_sign_change(c, a, b, width)]
-    assert len(points) <= k and a not in points
-    return len(points)
+    assert a not in points
+    return len(points), levels[0][0] if levels else 0
+
+
+def _wrong_cells(bern, k):
+    """Cells the probe could wrongly give: its cell's sibling and both end cells."""
+    j, i = exactnum._probe(bern, k)
+    return [(j, i ^ 1)] * (j > 0) + [(k, 0), (k, (1 << k) - 1)]
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
@@ -804,19 +869,85 @@ def test_grid_refinement_is_the_fraction_bisection(node, odd, off):
     cofactor, a, b, width = node
     k = _halvings(a, b, width)
     # A root off the grid, then one on the grid at every depth j = 1..k,
-    # where the halving meets it j evaluations in.
-    r = a + (b - a) * Fraction(off, 2**60 + 1)
-    assert _check_refine(_poly_from([r], cofactor), a, b, width, False) == k
-    for depth in range(1, k + 1):
-        r = a + (b - a) * Fraction(2 * (odd % 2 ** (depth - 1)) + 1, 2**depth)
-        assert _check_refine(_poly_from([r], cofactor), a, b, width, True) == depth
+    # where the halving meets it j evaluations in.  With no probe the
+    # halving runs from (a, b); a guided one evaluates the two ends of the
+    # probe's level-j cell and halves inside it.
+    roots = [(a + (b - a) * Fraction(off, 2**60 + 1), k)]
+    roots += [(a + (b - a) * Fraction(2 * (odd % 2 ** (depth - 1)) + 1, 2**depth), depth) for depth in range(1, k + 1)]
+    for r, unguided in roots:
+        c = _poly_from([r], cofactor)
+        assert _check_refine(c, a, b, width, _no_probe) == (unguided, 0)
+        count, j = _check_refine(c, a, b, width)
+        assert count <= 2 + k - j
+        if k:
+            for cell in _wrong_cells(exactnum._bernstein(c, rat(a), rat(b)), k):
+                count, _ = _check_refine(c, a, b, width, lambda bern, k: cell)
+                assert count <= 2 + k
 
 
 def test_grid_refinement_of_a_node_narrower_than_the_width():
     # k = 0: the node itself is the bracket, and c is never evaluated.
     c = _poly_from([Fraction(5, 11)], [1])
-    assert _check_refine(c, Fraction(7, 16), Fraction(1, 2), Fraction(1, 8), False) == 0
-    assert _check_refine(c, Fraction(13, 32), Fraction(1, 2) + Fraction(1, 48), Fraction(1, 8), False) == 0
+    assert _check_refine(c, Fraction(7, 16), Fraction(1, 2), Fraction(1, 8)) == (0, 0)
+    assert _check_refine(c, Fraction(13, 32), Fraction(1, 2) + Fraction(1, 48), Fraction(1, 8)) == (0, 0)
+
+
+@st.composite
+def _guided_nodes(draw, degree, bits, widths):
+    """(c, a, b, width, depth): a node of _refine_nodes' kind holding one
+    root of c, times a cofactor of about the given degree and coefficient
+    bits with no root in [a, b].  Half of the time the root is the grid
+    point at `depth` of the node's halving, else depth is None."""
+    level = draw(st.integers(0, 12))
+    a = Fraction(draw(st.integers(-64, 64)), 2**level)
+    b = a + Fraction(draw(st.integers(1, 3)), 2**level)
+    if draw(st.booleans()):
+        a += (b - a) * Fraction(draw(st.integers(1, 40)), 16 * 3 ** draw(st.integers(1, 4)))
+    width = draw(st.sampled_from(widths))
+    k = _halvings(a, b, width)
+    depth = draw(st.integers(1, k)) if k and draw(st.booleans()) else None
+    if depth:
+        r = a + (b - a) * Fraction(2 * draw(st.integers(0, 2 ** (depth - 1) - 1)) + 1, 2**depth)
+    else:
+        r = a + (b - a) * Fraction(draw(st.integers(1, 2**64)), 2**64 + 1)
+    # (x**2 + t)**m has no real root; its coefficients are t**i C(m, i).
+    m = degree // 2
+    t = draw(st.integers(1, 2**20))
+    scale = draw(st.integers(2 ** (bits - 1), 2**bits)) * draw(st.sampled_from((-1, 1)))
+    cofactor = [0] * (2 * m + 1)
+    for i in range(m + 1):
+        cofactor[2 * i] = scale * comb(m, i) * t ** (m - i)
+    outside = b + Fraction(draw(st.integers(1, 99)), 7) if draw(st.booleans()) else a - Fraction(draw(st.integers(1, 99)), 7)
+    return _poly_from([r, outside], cofactor), a, b, width, depth
+
+
+_TINY_WIDTHS = (Fraction(1, 10**6), Fraction(1, 10**12), Fraction(1, 10**20), Fraction(1, 10**30))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.integers(1, 60).flatmap(lambda d: _guided_nodes(d, 64, _TINY_WIDTHS)))
+def test_guided_refinement_is_the_fraction_bisection(node):
+    # Down to width 10**-30, where k is far beyond the 53 bits of a double
+    # and the probe resolves only some of the levels.  A grid root at depth
+    # j is met at the end of the probe's cell or inside it.
+    c, a, b, width, depth = node
+    k = _halvings(a, b, width)
+    count, j = _check_refine(c, a, b, width)
+    assert count <= 2 + k - j
+    assert _check_refine(c, a, b, width, _no_probe) == (depth or k, 0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=4)
+@given(_guided_nodes(1100, 1100, (Fraction(1, 8), Fraction(1, 10**6))))
+def test_guided_refinement_at_degree_1100_and_1100_bit_coefficients(node):
+    # Neither the coefficients nor the binomials C(1 102, i) fit a double:
+    # the probe scales their products by one power of two, and whatever it
+    # resolves, the exact ends of its cell decide.
+    c, a, b, width, depth = node
+    assert len(c) - 1 >= 1100 and max(map(abs, c)).bit_length() > 1100
+    k = _halvings(a, b, width)
+    count, j = _check_refine(c, a, b, width)
+    assert count <= 2 + k - j
 
 
 # -- square-free split
@@ -974,6 +1105,37 @@ def test_clearing_denominators_moves_no_bracket(planted, at_lo, at_hi, sign, wid
     expected = integer_negative_region(c, domain, width)
     assert integer_negative_region([k * x for x in c], domain, width) == expected
     assert isolate_negative_region(qpoly(c, d), domain, width) == expected
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(
+    _planted_roots(),
+    st.integers(0, 4),
+    st.integers(0, 4),
+    st.booleans(),
+    st.sampled_from([1, -1]),
+    st.sampled_from([(rat(0), rat(2)), (rat(-7, 3), rat(11, 5)), (rat(1, 3), rat(5, 2))]),
+)
+def test_gap_signs_from_multiplicities_are_the_evaluated_signs(planted, at_lo, at_hi, close, sign, domain):
+    # Multiplicities 1 to 4 inside, 0 to 4 at either domain end, and
+    # optionally a pair of roots 10**-13 apart, whose brackets touch.
+    lo, hi = domain
+    roots = [r for r, m in planted for _ in range(m)] + [Fraction(lo)] * at_lo + [Fraction(hi)] * at_hi
+    if close:
+        roots += [Fraction(1, 2), Fraction(1, 2) + Fraction(1, 10**13)]
+    c = _poly_from(roots, [sign])
+    for width in (rat(1, 8), rat(1, 10**6)):
+        assert integer_negative_region(c, domain, width) == negative_region_by_evaluation(c, domain, width)
+
+
+def test_gap_signs_across_touching_brackets():
+    # Roots 10**-13 apart on either side of a double root: touching
+    # brackets leave empty gaps, each signed at its one point.
+    roots = [Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10**13), Fraction(5, 7), Fraction(5, 7)]
+    c = _poly_from(roots + [Fraction(0)] * 3, [1])
+    found, negative = integer_negative_region(c, (rat(0), rat(1)), rat(1, 10**6))
+    assert found[0].high == found[1].low
+    assert (found, negative) == negative_region_by_evaluation(c, (rat(0), rat(1)), rat(1, 10**6))
 
 
 def test_degree_100_with_a_double_root_isolates_with_multiplicity_2():
