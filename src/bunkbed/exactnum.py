@@ -808,15 +808,19 @@ def isolate_real_roots(coeffs: Sequence, domain: tuple, width) -> list[Isolating
     it.
     """
     lo, hi = rat(domain[0]), rat(domain[1])
+    c = _int_clear(coeffs)
+    return _isolate(_divide_out_root(_divide_out_root(c, lo), hi), lo, hi, width)
+
+
+def _isolate(c, lo, hi, width) -> list[IsolatingInterval]:
+    """``isolate_real_roots`` of c, whose roots at lo and hi are divided out."""
     if not lo < hi:
         raise ValueError("empty domain")
     width = rat(width)
     if width <= 0:
         raise ValueError("width must be positive")
-    c = _int_clear(coeffs)
     if not c:
         raise ValueError("zero polynomial")
-    c = _divide_out_root(_divide_out_root(c, lo), hi)
     if len(c) == 1:
         return []
     try:
@@ -1014,7 +1018,7 @@ def integer_negative_region(coeffs: Sequence[int], domain: tuple, width):
     at_hi = len(c)
     c = _divide_out_root(c, hi)
     flip = -1 if (at_hi - len(c)) % 2 else 1
-    roots = isolate_real_roots(c, (lo, hi), width)
+    roots = _isolate(c, lo, hi, width)
 
     # Every root in (lo, hi) is bracketed, with its multiplicity.
     sign = flip * _eval_sign(c, lo)

@@ -30,14 +30,18 @@ and the q**closed scaling.
   factor, and L1 norms are submultiplicative, so every coefficient's
   magnitude stays below 2**(width - 2).
 * ``_Points`` (otherwise: the hollom layer, whose gadget entries have degree
-  n) holds an entry as its values at q = 0, ..., D.  No entry of a network
-  can exceed degree D = (vertices eliminated) + (sum of the input entry
-  degrees), since products add degrees and each eliminated vertex closes at
-  most one component.  Products and eliminations act point by point (c
-  closed components multiply by a cached row of x**c), and each final entry
-  is recovered by one exact integer interpolation.  Packing these entries
-  would be slower: CPython multiplies big ints by Karatsuba alone, so one
-  product of two long packed entries loses to the pointwise products.
+  n) holds an entry as its values at the D + 1 integer nodes -m, ..., D - m,
+  m = floor(D / 2): centred at 0, the largest |q| is half of D, which
+  shortens every value by about its degree in bits, and 0 and 1 stay nodes
+  (``at_one`` reads q = 1).  No entry of a network can exceed degree
+  D = (vertices eliminated) + (sum of the input entry degrees), since
+  products add degrees and each eliminated vertex closes at most one
+  component.  Products and eliminations act point by point (c closed
+  components multiply by a cached row of x**c), and each final entry is
+  recovered by one exact integer interpolation, whose differences stop at
+  the entry's own degree.  Packing these entries would be slower: CPython
+  multiplies big ints by Karatsuba alone, so one product of two long
+  packed entries loses to the pointwise products.
 
 ``counterexample_numerator`` reads a table2 row off one layer.  The doubled
 network is two copies of a six-factor layer that share only the posts, so it
@@ -133,10 +137,15 @@ def _add_into(target: list, source: list) -> list:
     return target
 
 
+def _nodes(count: int) -> range:
+    """-m, ..., count - 1 - m for m = (count - 1) // 2: 0 and 1 are nodes once count >= 2."""
+    return range(-((count - 1) // 2), count - (count - 1) // 2)
+
+
 def _values(coeffs: list, count: int) -> list:
-    """Values of the integer polynomial `coeffs` at q = 0, 1, ..., count - 1."""
+    """Values of the integer polynomial `coeffs` at the nodes ``_nodes(count)``."""
     out = []
-    for x in range(count):
+    for x in _nodes(count):
         acc = 0
         for c in reversed(coeffs):
             acc = acc * x + c
@@ -145,17 +154,21 @@ def _values(coeffs: list, count: int) -> list:
 
 
 def _interpolate(values: list) -> list:
-    """Trimmed integer q-coefficients of the polynomial taking `values` at q = 0, 1, ...
+    """Trimmed integer q-coefficients of the polynomial taking `values` at ``_nodes(len(values))``.
 
-    Forward differences give the falling-factorial coefficients
-    a_k = (Delta^k y)(0) / k!, which are integers for an integer polynomial,
-    so every division is exact; Horner's rule through the factors (q - k)
-    then returns to monomials.
+    Forward differences from the first node x0 give the falling-factorial
+    coefficients a_k = (Delta^k y)(x0) / k! of the polynomial in q - x0,
+    which are integers for an integer polynomial, so every division is
+    exact; they stop at the first difference row that is all zero, past
+    the degree.  Horner's rule through the factors (q - x0 - k) then
+    returns to monomials.
     """
+    x0 = _nodes(len(values)).start
     diffs = list(values)
     newton = []
     fact = 1
-    for k in range(len(diffs)):
+    while any(diffs):
+        k = len(newton)
         fact *= k or 1
         a, r = divmod(diffs[0], fact)
         if r:
@@ -163,8 +176,8 @@ def _interpolate(values: list) -> list:
         newton.append(a)
         diffs = list(map(sub, diffs[1:], diffs[:-1]))
     coeffs: list = []
-    for k in reversed(range(len(_trim(newton)))):
-        coeffs = list(map(sub, [newton[k]] + coeffs, [k * c for c in coeffs] + [0]))
+    for k in reversed(range(len(newton))):
+        coeffs = list(map(sub, [newton[k]] + coeffs, [(x0 + k) * c for c in coeffs] + [0]))
     return coeffs
 
 
@@ -269,7 +282,7 @@ def factor_from_graph(g: Graph, boundary) -> Factor:
 
 
 class _Points:
-    """Entries as their values at q = 0..count-1, recovered by ``_interpolate``.
+    """Entries as their values at ``_nodes(count)``, recovered by ``_interpolate``.
 
     Equal coefficient lists share one evaluation, and q**closed scales by a
     cached row of x**closed per closed count.
@@ -309,12 +322,11 @@ class _Points:
     def scale(self, vals: list, closed: int) -> list:
         row = self._rows.get(closed)
         if row is None:
-            row = self._rows[closed] = [x**closed for x in range(self.count)]
+            row = self._rows[closed] = [x**closed for x in _nodes(self.count)]
         return list(map(mul, vals, row))
 
-    @staticmethod
-    def at_one(vals: list) -> int:
-        return vals[1]
+    def at_one(self, vals: list) -> int:
+        return vals[1 - _nodes(self.count).start]
 
 
 class _Packed:
@@ -378,8 +390,8 @@ def _encoding(net: FactorNetwork):
     """The entry encoding for contracting `net`.
 
     Packed when every input entry is a constant (edge networks, the gadget's
-    build from its edges); points at q = 0..D, ``_point_count(net)`` of
-    them, otherwise (the hollom layer, whose gadget entries have degree n:
+    build from its edges); points at ``_point_count(net)`` nodes centred at
+    q = 0 otherwise (the hollom layer, whose gadget entries have degree n:
     there one product of two long packed ints costs more than the pointwise
     products, as CPython multiplies big ints by Karatsuba).
     """

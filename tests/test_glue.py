@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from itertools import product
@@ -301,6 +302,52 @@ def test_interpolate_rejects_non_integer_polynomial():
         _interpolate([0, 0, 1])
 
 
+@pytest.mark.parametrize("count", [2, 3, 4, 267])
+def test_point_nodes_hold_zero_and_one(count):
+    # The values of q are the nodes themselves: consecutive integers with 0
+    # and 1 among them, so at_one reads q = 1.
+    enc = _Points(count)
+    nodes = enc.encode([0, 1])
+    assert nodes == list(range(nodes[0], nodes[0] + count))
+    assert 0 in nodes and 1 in nodes
+    for coeffs in ([7], [3, -2], [1, 1, 1], [-5, 0, 4, 9], [2**70, -(3**40), 11]):
+        assert enc.at_one(enc.encode(coeffs)) == sum(coeffs)
+
+
+@settings(deadline=None, max_examples=60, derandomize=True)
+@given(st.lists(st.integers(-(2**200), 2**200), max_size=4), st.integers(20, 300))
+def test_interpolate_of_a_low_degree_stops_at_its_degree(coeffs, count):
+    expected = list(coeffs)
+    while expected and expected[-1] == 0:
+        expected.pop()
+    subtractions = []
+
+    def counted(a, b):
+        subtractions.append(None)
+        return a - b
+
+    values = _values(coeffs, count)
+    real = glue.sub
+    glue.sub = counted
+    try:
+        assert _interpolate(values) == expected
+    finally:
+        glue.sub = real
+    # Difference rows 1..deg + 1 (the last is all zero), then Horner:
+    # without the early stop there would be count (count - 1) / 2.
+    degree = len(expected) - 1
+    assert len(subtractions) <= (degree + 2) * count
+    assert _interpolate(_values([], count)) == _interpolate(_values([0, 0, 0], count)) == []
+
+
+@pytest.mark.parametrize("count", [3, 8, 20])
+def test_interpolate_rejects_a_half_integer_polynomial_at_every_count(count):
+    # q(q + 1)/2 is integer-valued on every node but not an integer polynomial.
+    nodes = _Points(count).encode([0, 1])
+    with pytest.raises(ArithmeticError):
+        _interpolate([x * (x + 1) // 2 for x in nodes])
+
+
 def test_path_entry_reaches_the_degree_bound():
     # Query 0 at the end of a path with every edge absent leaves each of the
     # m other vertices as a closed component: degree m = D exactly.
@@ -393,6 +440,35 @@ def test_layer_2_table_is_layer_1_projected_and_renamed(n, p):
     layer2 = contract_network(FactorNetwork(factors[6:], (3, 5, 8, 20)))
     assert layer1.boundary == (1, 3, 5, 8, 10)
     assert eliminate(layer1, 1).relabel({10: 20}).same_table(layer2)
+
+
+# sha256 of json.dumps([coeffs, scale, mass]) for counterexample_numerator(n, p),
+# recorded when the layer was contracted on the points q = 0, ..., D: the
+# decode must return the same integers on any node set.
+NUMERATOR_DIGESTS = {
+    (1, "1/100"): "31bb6a9f41e65a440e4017eff26efdad4e5e52b88cb8e9df088c68a3542f2570",
+    (1, "1/7"): "798ae7dbfa45f0f8b924d9372bd4c704396f6b0a6f281a87f2f4483336303b65",
+    (1, "2/5"): "d3d2c4fe5b238dab7c79a91f6f06c557de3285c6ba524323f006832748216a01",
+    (2, "1/100"): "e05b14d2c83861dec36ddac92fc438e12feb71aef1c1588c735fd230d9f9ee7a",
+    (2, "1/7"): "d433d03c9575afb05431ac0371d2042ef672c2f641c3590b51dda2bcc27da07f",
+    (2, "2/5"): "fb79448aaf4050c70a29cdedea3c9ddc80ceb960a617aaa76e5be9373cf3b16e",
+    (3, "1/100"): "858b3db583b90515e82fe19ee4baec06141fdc87f3e05975d956f0f9f8f2ca30",
+    (3, "1/7"): "c17943724899df32276f5781a8508b7ef1762b78e03926dac90c80ee24753643",
+    (3, "2/5"): "b85ed60c8a74436a47fc02b4a67f98aa515a47e5ac6e03bba97ec00d802284c8",
+    (5, "1/100"): "17526de42e77e6f1a808ef757fc6c07b8d2caa9db1f22566d9b79c1191378c95",
+    (5, "1/7"): "756d7e141b69a772027a4d46ad2a9f2cb135024bbb3d0fd49829cdf35c695fca",
+    (5, "2/5"): "d1f4536e21175d3b3d25450993f1ef7dd0fc0f9e80c0fa9b67a343c8689e6d45",
+    (11, "1/100"): "07778648e56115e743fc622ac2ff85b460f465bd9ce370a4e8b079a34e0118cc",
+    (11, "1/7"): "9e51836275768826a3771dc1b4663be8b48d3b2ba60747ba68e17e8b4663735b",
+    (11, "2/5"): "f29b8a3833dd0de69fc4cc219bea2901ccbf3d07b5875350c31cebe1f7e4d999",
+}
+
+
+@pytest.mark.parametrize(("n", "p"), sorted(NUMERATOR_DIGESTS))
+def test_counterexample_numerator_integers_are_pinned(n, p):
+    coeffs, scale, mass = counterexample_numerator(n, rat(p))
+    blob = json.dumps([coeffs, scale, mass]).encode()
+    assert hashlib.sha256(blob).hexdigest() == NUMERATOR_DIGESTS[n, p]
 
 
 def test_table2_numerator_is_a_positive_multiple_of_the_fold_difference():
