@@ -28,7 +28,6 @@ from .exactnum import (
     descartes_no_roots_above,
     format_rational,
     integer_negative_region,
-    isolate_negative_region,
     parse_rational,
     rat,
 )
@@ -267,6 +266,13 @@ _READS = dict.fromkeys([*IDENTITY_SUITES, "hypergraph-factor"], "") | {
 }
 
 
+def _refuse_unread(name: str, args, options, reads: str) -> None:
+    """A usage error naming each of `options` given to `name` that it does not read."""
+    unread = [f"--{opt}" for opt in options if getattr(args, opt) is not None and opt not in reads.split()]
+    if unread:
+        raise UsageError(f"{name} does not read {', '.join(unread)}")
+
+
 def cmd_verify(args) -> dict:
     suite = args.suite
     measure = "random-cluster" if args.measure is None else args.measure
@@ -278,10 +284,7 @@ def cmd_verify(args) -> dict:
             f"{suite} runs its own fixed instances; give it without --catalog, --graph or --input"
         )
     name = f"bunkbed --measure {measure}" if suite == "bunkbed" else suite
-    reads = _READS.get(name, " ".join(_OPTIONS)).split()
-    unread = [f"--{opt}" for opt in _OPTIONS if getattr(args, opt) is not None and opt not in reads]
-    if unread:
-        raise UsageError(f"{name} does not read {', '.join(unread)}")
+    _refuse_unread(name, args, _OPTIONS, _READS.get(name, " ".join(_OPTIONS)))
     p_grid = DEFAULT_P_GRID if args.p is None else _parse_rat_list(args.p)
     q_grid = DEFAULT_Q_GRID if args.q is None else _parse_rat_list(args.q)
     lam_grid = DEFAULT_LAMBDA_GRID if args.lam is None else _parse_rat_list(args.lam)
@@ -348,10 +351,27 @@ def cmd_verify(args) -> dict:
 # ---------------------------------------------------------------------------
 
 
+# What each compute kind reads of _COMPUTE_OPTIONS, and the values in force
+# for those it reads but is not given.
+_COMPUTE_OPTIONS = ("graph", "input", "u", "v", "p", "q", "marked", "pattern", "extra")
+_COMPUTE_DEFAULTS = {"u": 0, "v": 1, "p": "1/2", "q": "1", "marked": "0,1", "extra": 0}
+_COMPUTE_READS = {
+    "resistance": "graph input u v",
+    "rc-prob": "graph input u v p q",
+    "bracket": "graph input marked pattern extra",
+    "pseudoinverse": "graph input",
+    "root143": "",
+}
+
+
 def cmd_compute(args) -> dict:
     kind = args.kind
+    _refuse_unread(f"compute {kind}", args, _COMPUTE_OPTIONS, _COMPUTE_READS[kind])
+    for opt, default in _COMPUTE_DEFAULTS.items():
+        if getattr(args, opt) is None:
+            setattr(args, opt, default)
     if kind == "root143":
-        roots, _ = isolate_negative_region(hollom_cubic(), (rat(0), rat(10)), rat(1, 10**4))
+        roots, _ = integer_negative_region(hollom_cubic(), (rat(0), rat(10)), rat(1, 10**4))
         (iv,) = roots
         print(f"real root isolated in ({format_rational(iv.low)}, {format_rational(iv.high)})")
         return {
@@ -465,13 +485,13 @@ def _build_parser() -> argparse.ArgumentParser:
     comp.add_argument("kind", choices=["resistance", "bracket", "rc-prob", "pseudoinverse", "root143"])
     comp.add_argument("--graph", default=None)
     comp.add_argument("--input", default=None)
-    comp.add_argument("--u", type=int, default=0)
-    comp.add_argument("--v", type=int, default=1)
-    comp.add_argument("--p", default="1/2")
-    comp.add_argument("--q", default="1")
-    comp.add_argument("--marked", default="0,1")
+    comp.add_argument("--u", type=int, default=None, help="default 0")
+    comp.add_argument("--v", type=int, default=None, help="default 1")
+    comp.add_argument("--p", default=None, help="default 1/2")
+    comp.add_argument("--q", default=None, help="default 1")
+    comp.add_argument("--marked", default=None, help="default 0,1; '' marks no vertex")
     comp.add_argument("--pattern", default=None)
-    comp.add_argument("--extra", type=int, default=0)
+    comp.add_argument("--extra", type=int, default=None, help="default 0")
     comp.add_argument("--out", default=None)
 
     rec = sub.add_parser("recheck", help="re-run a stored report and diff exactly")

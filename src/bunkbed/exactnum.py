@@ -6,13 +6,17 @@ Gauss-Jordan inverses and symmetric PSD certificates, all in integers), and
 certified isolation of real roots of univariate polynomials.
 
 Polynomials are computed as dense integer coefficient lists over one shared
-denominator, by the engines that produce them.  ``MultiPoly`` is only the
-read-only view that reports print, compare and evaluate: a sparse map from
-exponent tuples in the indeterminates q, l, g, h (l is the forest activity
-usually written lambda) to rational coefficients, with no arithmetic.
+denominator, by the engines that produce them, and root isolation reads
+them as they are.  ``MultiPoly`` is only the read-only view that reports
+print, compare and evaluate: a sparse map from exponent tuples in the
+indeterminates q, l, g, h (l is the forest activity usually written lambda)
+to rational coefficients, with no arithmetic.
 
-Real roots are isolated by bisection, once the roots at the domain ends are
-divided out.  Descartes' rule of signs certifies each node of a bisection
+Real roots are isolated by bisection.  ``integer_negative_region`` is the
+one front end: it scales a coefficient list to integers, checks it and
+divides out the roots at the domain ends, once; ``isolate_real_roots``
+returns its brackets, and ``isolate_negative_region`` feeds it a view's
+q-coefficients.  Descartes' rule of signs certifies each node of a bisection
 tree at every degree (Collins and Akritas 1976; Rouillier and Zimmermann
 2004) in the Bernstein basis (Mourrain, Rouillier and Roy 2005): a node
 carries a positive integer multiple of the Bernstein coefficients of p on
@@ -807,20 +811,11 @@ def isolate_real_roots(coeffs: Sequence, domain: tuple, width) -> list[Isolating
     multiplicity is the m of the square-free factor that changes sign across
     it.
     """
-    lo, hi = rat(domain[0]), rat(domain[1])
-    c = _int_clear(coeffs)
-    return _isolate(_divide_out_root(_divide_out_root(c, lo), hi), lo, hi, width)
+    return integer_negative_region(coeffs, domain, width)[0]
 
 
 def _isolate(c, lo, hi, width) -> list[IsolatingInterval]:
-    """``isolate_real_roots`` of c, whose roots at lo and hi are divided out."""
-    if not lo < hi:
-        raise ValueError("empty domain")
-    width = rat(width)
-    if width <= 0:
-        raise ValueError("width must be positive")
-    if not c:
-        raise ValueError("zero polynomial")
+    """``isolate_real_roots`` of a nonzero c whose roots at lo and hi are divided out."""
     if len(c) == 1:
         return []
     try:
@@ -986,7 +981,10 @@ def _isolate_descartes(c, lo, hi, width, floor, tree=None):
 
 
 def isolate_negative_region(p: MultiPoly, domain: tuple, width):
-    """``integer_negative_region`` of the univariate polynomial p in q, read off its view."""
+    """``integer_negative_region`` of the univariate polynomial p in q, read off its view.
+
+    No code in the package calls it; perfbench's roots jobs do.
+    """
     return integer_negative_region(p.dense_in("q"), domain, width)
 
 
@@ -1004,12 +1002,17 @@ def integer_negative_region(coeffs: Sequence[int], domain: tuple, width):
     all-int list is only copied and trimmed;
     rational coefficients are first scaled to integers by a positive
     rational, which moves no sign, so any positive multiple of p gives the
-    same brackets and regions.
+    same brackets and regions.  It is root isolation's one front end.
     """
     c = _int_clear(coeffs)
     if not c:
         raise ValueError("zero polynomial has no sign regions")
     lo, hi = rat(domain[0]), rat(domain[1])
+    if not lo < hi:
+        raise ValueError("empty domain")
+    width = rat(width)
+    if width <= 0:
+        raise ValueError("width must be positive")
     # Divide out the roots at the domain ends once, before isolating, so
     # that the sign just inside an end can be read at the end itself, where
     # a bracket may start or stop.  On (lo, hi), (q - lo)**k is positive and

@@ -10,10 +10,10 @@ made only of eliminated vertices closes a component (one more q).
 
 A Factor stores each entry as a dense list of integer q-coefficients over a
 shared positive denominator, and all arithmetic acts on those integers.
-``table``, ``total`` and ``counterexample_polynomial`` hand the results out as
-``MultiPoly``, the read-only view that reports print, compare and evaluate;
-``counterexample_numerator`` hands a table2 row's numerator out as the
-integers themselves, for the root isolation that reads its windows.
+``table`` and ``total`` hand the results out as ``MultiPoly``, the read-only
+view that reports print, compare and evaluate; ``counterexample_numerator``
+hands a table2 row's numerator out as the integers themselves, for the root
+isolation that reads its windows.
 Contraction works on an entry encoding, which ``_encoding`` picks from the
 input factors; each encoding supplies encode and decode, add, sub, multiply
 and the q**closed scaling.
@@ -52,8 +52,6 @@ signed readout: it keeps only {1,10}{20} minus {1,20}{10}, one product per
 entry of the smaller table.  N times den**2 is one decode of that
 difference, a single integer list that goes on to root isolation as it is,
 and Z(1) times den**2 the product of the two tables' sums at q = 1.
-``counterexample_polynomial`` is the ``MultiPoly`` view of the same three
-integers.
 
 One kernel, ``_glue``, multiplies two encoded tables and cuts a set of
 vertices in the same pass.  It joins partitions in the label convention of
@@ -122,7 +120,6 @@ __all__ = [
     "eliminate",
     "contract_network",
     "counterexample_numerator",
-    "counterexample_polynomial",
     "hollom_network",
 ]
 
@@ -846,9 +843,3 @@ def counterexample_numerator(n: int, p) -> tuple[list, int, int]:
     coeffs = _trim([0, 0] + enc.decode(readout.entries.get((), enc.zero)))
     mass = prod(sum(map(enc.at_one, t.entries.values())) for t in (top, bottom))
     return coeffs, den * den, mass
-
-
-def counterexample_polynomial(n: int, p):
-    """(N, Z(1)) of ``counterexample_numerator`` as a ``MultiPoly`` in q and a rational."""
-    coeffs, scale, mass = counterexample_numerator(n, p)
-    return _q_poly(coeffs, scale), Rational(mass, scale)

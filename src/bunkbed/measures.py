@@ -39,7 +39,7 @@ from operator import itemgetter
 
 from .exactnum import MultiPoly, Rational, _eval_scaled, format_rational, rat
 from .graph import Graph, Hypergraph
-from .graph import bunkbed, bunkbed_copies, hypergraph_bunkbed, hypergraph_copies
+from .graph import bunkbed_copies, hypergraph_bunkbed, hypergraph_copies
 from .partition import canonical_rgs
 
 __all__ = [
@@ -462,9 +462,11 @@ def alt_colouring_counts(g: Graph, posts, u: int, v: int):
         raise ValueError("endpoints of the colouring query must not be posts")
     if u == v:
         raise ValueError(f"endpoints of the colouring query must differ; got u = v = {u}")
-    n = bunkbed(g, posts).n
+    if not all(0 <= t < g.n for t in posts):
+        raise ValueError("post outside the base vertex range")
     triple = (bunkbed_copies(g, posts, u)[0], *bunkbed_copies(g, posts, v))
     top, bottom = zip(*(bunkbed_copies(g, posts, x) for x in range(g.n)))
+    n = 1 + max(bottom)
     # Bit i of a colouring set picks the layer-1 copy of base edge i, clear the layer-2 one.
     steps = [(((bottom[a], bottom[b]),), ((top[a], top[b]),)) for a, b, _ in g.edges]
     counts = _fold(n, steps, None, False, True, triple).items()

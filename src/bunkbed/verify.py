@@ -21,7 +21,6 @@ from .catalog import (
     outerplanar_catalog,
 )
 from .exactnum import (
-    MultiPoly,
     Rational,
     _eval_scaled,
     format_rational,
@@ -929,9 +928,10 @@ def scan_conjectures(
 # ---------------------------------------------------------------------------
 
 
-def hollom_cubic() -> MultiPoly:
-    """q^3 - 5q^2 + 10q - 7, the q-factor of the hollom bunkbed's connection difference."""
-    return MultiPoly({(3, 0, 0, 0): 1, (2, 0, 0, 0): -5, (1, 0, 0, 0): 10, (0, 0, 0, 0): -7})
+def hollom_cubic() -> list[int]:
+    """q^3 - 5q^2 + 10q - 7, the q-factor of the hollom bunkbed's connection
+    difference, as integer coefficients, lowest first."""
+    return [-7, 10, -5, 1]
 
 
 def check_hypergraph_factorization() -> VerificationReport:
@@ -943,9 +943,9 @@ def check_hypergraph_factorization() -> VerificationReport:
     c = rat(0)
     ok = all(exp[2] == 6 and exp[3] == 6 and exp[0] >= 5 for exp in diff.terms)
     if ok:
-        shifted = {(exp[0] - 5, 0, 0, 0): coeff for exp, coeff in diff.terms.items()}
-        c = shifted.get((3, 0, 0, 0), c)
-        ok = c > 0 and shifted == {exp: c * x for exp, x in hollom_cubic().terms.items()}
+        shifted = {exp[0] - 5: coeff for exp, coeff in diff.terms.items()}
+        c = shifted.get(3, c)
+        ok = c > 0 and shifted == {k: c * x for k, x in enumerate(hollom_cubic())}
     return VerificationReport(
         claim="hypergraph-factorization",
         instance="hollom bunkbed",

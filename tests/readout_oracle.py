@@ -1,6 +1,6 @@
-"""Every entry interpolated, then read: the oracle for ``counterexample_polynomial``.
+"""Every entry interpolated, then read: the oracle for ``counterexample_numerator``.
 
-``bunkbed.glue.counterexample_polynomial`` contracts only layer 1 of the
+``bunkbed.glue.counterexample_numerator`` contracts only layer 1 of the
 doubled counterexample, mirrors that table onto layer 2 and reads N and Z(1)
 off one signed glue of the two.  This helper takes an independent route
 through the whole network: contract all twelve gadget factors with
@@ -8,16 +8,16 @@ through the whole network: contract all twelve gadget factors with
 entries as polynomials, and evaluate the partition function
 ``Factor.total()`` at q = 1.
 
-``windows_by_view`` is the oracle for ``cli.negative_window_rows``: it reads
-a row's windows off the ``MultiPoly`` view, through ``dense_in`` and the
-view's ``isolate_negative_region``, where the CLI takes the integer list of
-``counterexample_numerator`` straight to the integer window.
+``windows_by_entries`` is the oracle for ``cli.negative_window_rows``: it
+reads a row's windows off that whole-network numerator, through the
+``MultiPoly`` view's ``isolate_negative_region``, where the CLI takes the
+integer list of ``counterexample_numerator`` straight to the integer window.
 """
 
 from __future__ import annotations
 
 from bunkbed.exactnum import MultiPoly, Rational, descartes_no_roots_above, isolate_negative_region, rat
-from bunkbed.glue import contract_network, counterexample_polynomial, hollom_network
+from bunkbed.glue import contract_network, hollom_network
 
 
 def counterexample_by_entries(n: int, p) -> tuple[MultiPoly, Rational]:
@@ -32,12 +32,11 @@ def counterexample_by_entries(n: int, p) -> tuple[MultiPoly, Rational]:
     return numerator, final.total().eval({"q": rat(1)})
 
 
-def windows_by_view(n: int, p, width) -> tuple[list, Rational]:
-    """(negative windows, Z(1)) of a table2 row, through the ``MultiPoly`` view."""
-    numerator, z_at_1 = counterexample_polynomial(n, p)
-    coeffs = numerator.dense_in("q")
+def windows_by_entries(n: int, p, width) -> tuple[list, Rational]:
+    """(negative windows, Z(1)) of a table2 row, from the whole-network numerator."""
+    numerator, z_at_1 = counterexample_by_entries(n, p)
     hi = rat(2)
-    while not descartes_no_roots_above(coeffs, hi):
+    while not descartes_no_roots_above(numerator.dense_in("q"), hi):
         hi *= 2
     _, negative = isolate_negative_region(numerator, (rat(0), hi), width)
     return negative, z_at_1

@@ -3,8 +3,9 @@ signs of ``exactnum.integer_negative_region``.
 
 ``bunkbed.exactnum`` evaluates the polynomial once, at the domain's low end,
 and flips the sign across each root bracket by the parity of its
-multiplicity.  This helper keeps the earlier route, which takes the library's
-brackets but evaluates every gap on its own in ``Fraction`` arithmetic: at
+multiplicity.  This helper takes its brackets from the Sturm-count oracle,
+not from the library, whose one front end returns brackets and regions
+together, and evaluates every gap on its own in ``Fraction`` arithmetic: at
 the gap's midpoint, moved off any root, or at the one point of an empty gap.
 """
 
@@ -13,9 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from descartes_oracle import value
-from sturm_oracle import _divide_out
-
-from bunkbed.exactnum import isolate_real_roots
+from sturm_oracle import _divide_out, isolate_sturm
 
 
 def _sign(x):
@@ -30,7 +29,7 @@ def negative_region_by_evaluation(coeffs, domain, width):
     c = _divide_out(c, hi)
     # (q - hi)**k has the sign (-1)**k on the domain.
     flip = -1 if (at_hi - len(c)) % 2 else 1
-    roots = isolate_real_roots(coeffs, domain, width)
+    roots = isolate_sturm(coeffs, domain, width)
     signs = []
     for a, b in zip([lo] + [r.high for r in roots], [r.low for r in roots] + [hi]):
         x, bump = (a + b) / 2, (b - a) / 16

@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from readout_oracle import windows_by_view
+from readout_oracle import windows_by_entries
 
 from bunkbed import measures
 from bunkbed.glue import counterexample_numerator
@@ -19,6 +19,23 @@ def test_compute_resistance(capsys):
     code = main(["compute", "resistance", "--graph", "C4", "--u", "0", "--v", "2"])
     assert code == 0
     assert capsys.readouterr().out.strip() == "1"
+
+
+def test_compute_defaults_are_the_values_in_force(capsys):
+    # u 0, v 1, p 1/2, q 1, marked 0,1 and extra 0 when not given.
+    for kind, defaults in (
+        ("resistance", ["--u", "0", "--v", "1"]),
+        ("rc-prob", ["--u", "0", "--v", "1", "--p", "1/2", "--q", "1"]),
+        ("bracket", ["--marked", "0,1", "--extra", "0"]),
+    ):
+        assert main(["compute", kind, "--graph", "K4"]) == 0
+        implicit = capsys.readouterr().out
+        assert main(["compute", kind, "--graph", "K4", *defaults]) == 0
+        assert capsys.readouterr().out == implicit
+    # An empty --marked marks no vertex, so 0|1 is no pattern of it.
+    assert main(["compute", "bracket", "--graph", "K4", "--pattern", "0|1"]) == 0
+    assert main(["compute", "bracket", "--graph", "K4", "--marked", "", "--pattern", "0|1"]) == 2
+    assert "does not partition" in capsys.readouterr().err
 
 
 def test_compute_root143(capsys):
@@ -168,9 +185,10 @@ def test_table2_prints_no_two_decimal_window_without_a_negative_hundredth(capsys
 @pytest.mark.parametrize("p", [rat(1, 100), rat(1, 7), rat(2, 5)])
 def test_rows_from_the_integer_list_match_the_multipoly_route(p, width):
     # Windows and Z(1) are all a row reads off the numerator; the rest of
-    # the row is derived from the windows.
+    # the row is derived from the windows.  The oracle reads them off the
+    # whole twelve-factor network, not off the layer-mirror readout.
     for row in negative_window_rows([1, 2, 3, 5, 11], p, width):
-        negative, z_at_1 = windows_by_view(row["n"], p, width)
+        negative, z_at_1 = windows_by_entries(row["n"], p, width)
         assert row["status"] == "ok"
         assert row["windows"] == [[format_rational(a), format_rational(b)] for a, b in negative]
         assert row["z_at_1"] == format_rational(z_at_1)
@@ -338,6 +356,16 @@ def test_exit_code_mapping():
         (["verify", "--suite", "p-threshold", "--graph", "fig4-left", "--q", ""], "empty list ''"),
         (["table2", "--n", "3", "--width", ""], "bad rational ''"),
         (["table2", "--n", "3,4,3"], "repeats [3]"),
+        (
+            ["compute", "resistance", "--graph", "K4", "--p", "1/3", "--marked", "0,5", "--pattern", "0"],
+            "compute resistance does not read --p, --marked, --pattern",
+        ),
+        (["compute", "root143", "--graph", "K4", "--u", "9"], "compute root143 does not read --graph, --u"),
+        (["compute", "root143", "--input", "{tmp}/missing.json"], "compute root143 does not read --input"),
+        (["compute", "pseudoinverse", "--graph", "P3", "--u", "7"], "compute pseudoinverse does not read --u"),
+        (["compute", "rc-prob", "--graph", "K2", "--extra", "1"], "compute rc-prob does not read --extra"),
+        (["compute", "bracket", "--graph", "K3", "--v", "1", "--q", "2"], "compute bracket does not read --v, --q"),
+        (["compute", "resistance", "--graph", "K4", "--marked", ""], "compute resistance does not read --marked"),
     ],
 )
 def test_malformed_input_is_usage_error(argv, fragment, tmp_path, capsys):

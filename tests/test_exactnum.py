@@ -110,12 +110,17 @@ def test_root_isolation_refuses_float_coefficients():
         lambda: isolate_real_roots([-1, 2], (0.0, rat(2)), rat(1, 10)),
         lambda: isolate_negative_region(CUBIC, (0.0, 1), rat(1, 10)),
         lambda: isolate_negative_region(CUBIC, (rat(0), rat(10)), 0.001),
+        lambda: integer_negative_region([-7, 10, -5, 1], (0.0, 1), rat(1, 10)),
+        lambda: integer_negative_region([-7, 10, -5, 1], (rat(0), rat(10)), 0.001),
         lambda: descartes_no_roots_above(CUBIC.dense_in("q"), 0.5),
         lambda: sturm_count(sturm_chain(CUBIC.dense_in("q")), 0.25, rat(10)),
         lambda: CUBIC.eval({"q": 0.1}),
         lambda: IsolatingInterval(rat(0), rat(1)).contains(0.1),
     ],
-    ids=["width", "domain", "region-domain", "region-width", "descartes-point", "sturm-point", "eval", "contains"],
+    ids=[
+        "width", "domain", "region-domain", "region-width", "integer-region-domain", "integer-region-width",
+        "descartes-point", "sturm-point", "eval", "contains",
+    ],
 )
 def test_exact_entries_refuse_float_points_domains_and_widths(call):
     # 0.1 is a binary fraction, 3602879701896397 / 2**55, not one tenth.
@@ -418,6 +423,25 @@ def test_sign_definite_polynomial_gives_empty_or_full_region():
 def test_zero_polynomial_rejected():
     with pytest.raises(ValueError):
         isolate_negative_region(MultiPoly(), (rat(0), rat(1)), rat(1, 10))
+
+
+@pytest.mark.parametrize("entry", [isolate_real_roots, integer_negative_region])
+@pytest.mark.parametrize(
+    ("coeffs", "domain", "width", "message"),
+    [
+        ([], (rat(0), rat(1)), rat(1, 10), "zero polynomial"),
+        ([0, 0, 0], (rat(0), rat(1)), rat(1, 10), "zero polynomial"),
+        ([rat(0), rat(0, 3)], (rat(0), rat(1)), rat(1, 10), "zero polynomial"),
+        ([-1, 2], (rat(1), rat(1)), rat(1, 10), "empty domain"),
+        ([-1, 2], (rat(2), rat(0)), rat(1, 10), "empty domain"),
+        ([-1, 2], (rat(0), rat(2)), rat(0), "width must be positive"),
+        ([-1, 2], (rat(0), rat(2)), rat(-1, 10), "width must be positive"),
+    ],
+    ids=["empty-list", "zeros", "rational-zeros", "point-domain", "reversed-domain", "zero-width", "negative-width"],
+)
+def test_root_isolation_entries_refuse_bad_input(entry, coeffs, domain, width, message):
+    with pytest.raises(ValueError, match=message):
+        entry(coeffs, domain, width)
 
 
 def test_q_power_factor_is_stripped():
@@ -1105,6 +1129,28 @@ def test_clearing_denominators_moves_no_bracket(planted, at_lo, at_hi, sign, wid
     expected = integer_negative_region(c, domain, width)
     assert integer_negative_region([k * x for x in c], domain, width) == expected
     assert isolate_negative_region(qpoly(c, d), domain, width) == expected
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    _planted_roots(),
+    st.integers(0, 3),
+    st.integers(0, 3),
+    st.sampled_from([1, 7, 2**61 - 1]),
+    st.sampled_from([(rat(0), rat(2)), (rat(-7, 3), rat(11, 5))]),
+)
+def test_isolate_real_roots_is_the_front_ends_brackets(planted, at_lo, at_hi, den, domain):
+    # Repeated roots inside (multiplicities 1 to 4) and (q - lo)**at_lo
+    # (q - hi)**at_hi at the ends, as an int list or over a denominator.
+    lo, hi = domain
+    roots = [r for r, m in planted for _ in range(m)] + [Fraction(lo)] * at_lo + [Fraction(hi)] * at_hi
+    c = _poly_from(roots, [1])
+    if den > 1:
+        c = [Rational(x, den) for x in c]
+    width = rat(1, 1000)
+    found = isolate_real_roots(c, domain, width)
+    assert found == integer_negative_region(c, domain, width)[0]
+    assert found == isolate_sturm(c, domain, width)
 
 
 @settings(derandomize=True, deadline=None, max_examples=80)

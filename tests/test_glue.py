@@ -11,7 +11,7 @@ from readout_oracle import counterexample_by_entries
 
 from bunkbed import glue
 from bunkbed.catalog import named_graph, named_instance
-from bunkbed.exactnum import Rational, isolate_negative_region, rat
+from bunkbed.exactnum import Rational, integer_negative_region, rat
 from bunkbed.glue import (
     _contract_encoded,
     _decoded,
@@ -28,7 +28,6 @@ from bunkbed.glue import (
     FactorNetwork,
     contract_network,
     counterexample_numerator,
-    counterexample_polynomial,
     edge_factor,
     eliminate,
     factor_from_graph,
@@ -387,13 +386,13 @@ def test_hollom_network_shape():
 
 
 def test_counterexample_polynomial_small():
-    numerator, z_at_1 = counterexample_polynomial(1, rat(1, 100))
+    coeffs, scale, mass = counterexample_numerator(1, rat(1, 100))
     # Total mass at q = 1 is 1: the weights are Bernoulli probabilities.
-    assert z_at_1 == 1
-    assert numerator.terms
+    assert mass == scale
+    assert any(coeffs)
     # The q = 2 value is non-negative for every n (the failure window is
     # strictly inside (0, 2)).
-    assert numerator.eval({"q": rat(2)}) >= 0
+    assert sum(c << k for k, c in enumerate(coeffs)) >= 0
 
 
 @pytest.mark.parametrize(
@@ -403,11 +402,10 @@ def test_counterexample_polynomial_small():
     + [pytest.param(n, rat(1, 100), id=f"{n}-p0") for n in (5, 6)],
 )
 def test_counterexample_polynomial_matches_the_entrywise_readout(n, p):
-    numerator, z_at_1 = counterexample_polynomial(n, p)
+    coeffs, scale, mass = counterexample_numerator(n, p)
     expected_numerator, expected_z_at_1 = counterexample_by_entries(n, p)
-    assert numerator == expected_numerator
-    assert numerator.to_string() == expected_numerator.to_string()
-    assert z_at_1 == expected_z_at_1
+    assert [Rational(c, scale) for c in coeffs] == expected_numerator.dense_in("q")
+    assert Rational(mass, scale) == expected_z_at_1
 
 
 @pytest.mark.parametrize("p", [rat(1, 100), rat(1, 7), rat(2, 5)])
@@ -416,9 +414,6 @@ def test_counterexample_polynomial_is_the_view_of_the_integer_core(n, p):
     coeffs, scale, mass = counterexample_numerator(n, p)
     assert all(type(c) is int for c in coeffs) and coeffs[:2] == [0, 0] and coeffs[-1]
     assert type(scale) is int and scale > 0 and type(mass) is int
-    numerator, z_at_1 = counterexample_polynomial(n, p)
-    assert numerator.dense_in("q") == [Rational(c, scale) for c in coeffs]
-    assert z_at_1 == Rational(mass, scale)
 
 
 def test_hollom_network_layer_2_is_layer_1_under_the_copy_map():
@@ -495,8 +490,7 @@ def test_table2_numerator_is_a_positive_multiple_of_the_fold_difference():
     plus = table.event(lambda rgs: rgs == (0, 0, 1))  # {1,10}{20}
     minus = table.event(lambda rgs: rgs == (0, 1, 0))  # {1,20}{10}
     fold = [rat(a - b, table.den) for a, b in zip(plus, minus)]
-    numerator, _ = counterexample_polynomial(n, p)
-    coeffs = numerator.dense_in("q")
+    coeffs, _, _ = counterexample_numerator(n, p)
     coeffs += [0] * (len(fold) - len(coeffs))
     k = next(i for i, c in enumerate(coeffs) if c)
     scale = fold[k] / coeffs[k]
@@ -578,10 +572,8 @@ def test_gadget_factor_linear_sweep_budget():
 def test_small_counterexample_window_on_wide_domain():
     from bunkbed.cli import _ceil_2dp, _floor_2dp
 
-    numerator, _ = counterexample_polynomial(3, rat(1, 100))
-    roots, negative = isolate_negative_region(
-        numerator, (rat(0), rat(10)), rat(1, 100000)
-    )
+    coeffs, _, _ = counterexample_numerator(3, rat(1, 100))
+    roots, negative = integer_negative_region(coeffs, (rat(0), rat(10)), rat(1, 100000))
     assert len(negative) == 1
     lo, hi = negative[0]
     # Inner two-decimal truncation of the certified window.
@@ -592,10 +584,10 @@ def test_small_counterexample_window_on_wide_domain():
 def test_touching_brackets_keep_the_negative_gap_between_them():
     # At width 1 the two roots of N_3 get the brackets (1/2, 1) and (1, 3/2).
     # Their shared endpoint q = 1 is no root, and N_3 is negative there.
-    numerator, _ = counterexample_polynomial(3, rat(1, 100))
-    roots, negative = isolate_negative_region(numerator, (rat(0), rat(2)), rat(1))
+    coeffs, _, _ = counterexample_numerator(3, rat(1, 100))
+    roots, negative = integer_negative_region(coeffs, (rat(0), rat(2)), rat(1))
     assert [(iv.low, iv.high) for iv in roots] == [(rat(1, 2), rat(1)), (rat(1), rat(3, 2))]
-    assert numerator.eval({"q": rat(1)}) < 0
+    assert sum(coeffs) < 0
     assert negative == [(rat(1, 2), rat(3, 2))]
 
 
@@ -621,8 +613,8 @@ def test_factor_json_view():
 
 
 def test_small_counterexample_nonnegative_at_q2():
-    numerator, _ = counterexample_polynomial(3, rat(1, 100))
-    assert numerator.eval({"q": rat(2)}) >= 0
+    coeffs, _, _ = counterexample_numerator(3, rat(1, 100))
+    assert sum(c << k for k, c in enumerate(coeffs)) >= 0
 
 
 def test_gadget_factor_symmetric_in_b_and_c():
@@ -881,7 +873,7 @@ def test_encoding_is_packed_for_constant_entries_and_points_for_the_hollom_layer
     gadget_factor(3, rat(1, 100))
     assert [type(e) for e in chosen] == [_Packed]
     chosen.clear()
-    counterexample_polynomial(2, rat(1, 100))
+    counterexample_numerator(2, rat(1, 100))
     # gadget_factor's build, then the doubled network at its point count.
     assert [type(e) for e in chosen] == [_Packed, _Points]
     assert chosen[1].count == _point_count(net)

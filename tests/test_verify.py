@@ -33,6 +33,7 @@ from bunkbed.verify import (
     check_engine_consistency,
     check_hypergraph_factorization,
     check_p_threshold,
+    hollom_cubic,
     run_identity_suite,
     scan_conjectures,
 )
@@ -435,6 +436,14 @@ def test_hypergraph_factorization_report():
     assert rep.verdict == HOLDS
     assert rat(rep.quantities["constant"]) > 0
     assert rat(rep.quantities["value_at_q1"]) < 0
+
+
+@pytest.mark.parametrize("cubic", [[-7, 10, -5, 2], [-7, 10, -4, 1], [-7, 10, -5, 1, 0, 1], [-7, 10, -5]])
+def test_hypergraph_factorization_compares_every_cubic_coefficient(cubic, monkeypatch):
+    assert hollom_cubic() == [-7, 10, -5, 1]
+    monkeypatch.setattr(verify, "hollom_cubic", lambda: cubic)
+    rep = check_hypergraph_factorization()
+    assert rep.verdict == FAILS and rep.witness
 
 
 def test_engine_consistency_quick():
